@@ -36,7 +36,8 @@ EXIT_INVARIANT = 3
 
 def _run_cells(config: ExperimentConfig, out_dir: Path,
                algorithms: list[str], loads: list[float],
-               threshold: float | None = None):
+               threshold: float | None = None,
+               check_invariants: bool = False):
     """Run every (load, seed, algorithm) cell; return summary rows."""
     topology = config.topology.build()
     trace_cfg = config.trace.trace_config()
@@ -54,7 +55,8 @@ def _run_cells(config: ExperimentConfig, out_dir: Path,
                     topology, trace, algorithm, threshold=threshold,
                     solver_time_limit=config.controller.solver_time_limit,
                     max_moves=config.controller.max_moves,
-                    check_isolation=True)
+                    check_isolation=True,
+                    check_invariants=check_invariants)
                 summary = export_run(result, load, out_dir)
                 summaries.append(summary)
                 print(f"{algorithm} load={load:g} seed={seed}: "
@@ -76,7 +78,8 @@ def cmd_run(args) -> int:
             raise ConfigError("--seeds must be at least 1")
         config.trace.num_seeds = args.seeds
     out_dir = Path(args.out or config.output_dir)
-    summaries = _run_cells(config, out_dir, algorithms, config.trace.loads)
+    summaries = _run_cells(config, out_dir, algorithms, config.trace.loads,
+                           check_invariants=args.check_invariants)
     write_summary(summaries, out_dir / "summary.json")
     print(f"wrote {len(summaries)} run(s) to {out_dir}")
     return EXIT_OK
@@ -162,6 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seeds", type=int,
                        help="number of seeds (overrides config)")
     p_run.add_argument("--out", help="output directory (overrides config)")
+    p_run.add_argument("--check-invariants", action="store_true",
+                       help="audit link capacity conservation after every "
+                            "rate recomputation (exit 3 on a violation)")
     p_run.set_defaults(fn=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep one experiment axis")

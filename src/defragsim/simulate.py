@@ -29,8 +29,7 @@ from .routing import (
     SPRAY_COLOR, FlowDemand, RoutingAssignment, SglbRouting, make_strategy,
 )
 from .scheduler import Scheduler, plan_racks
-from .topology import ClusterTopology, Direction, GpuId, LinkId, LinkKind, \
-    path_between
+from .topology import ClusterTopology, Direction, GpuId, path_between
 from .workload import JobSpec, Trace, ideal_duration
 
 log = logging.getLogger(__name__)
@@ -107,7 +106,8 @@ class Simulation:
                  algorithm: str, threshold: float | None = None,
                  solver_time_limit: float = 10.0,
                  max_moves: int | None = 16,
-                 check_isolation: bool = False):
+                 check_isolation: bool = False,
+                 check_invariants: bool = False):
         self.topology = topology
         self.trace = trace
         self.algorithm = algorithm
@@ -122,11 +122,12 @@ class Simulation:
                              solver_time_limit=solver_time_limit,
                              max_moves=max_moves,
                              enabled=defrag_on))
-        self.net = FlowNetwork(self._link_capacity)
+        self.net = FlowNetwork(topology.link_capacities)
         self.queue = EventQueue()
         self.runs: dict[int, JobRun] = {}
         self.assignment = RoutingAssignment()
         self.check_isolation = check_isolation
+        self.check_invariants = check_invariants
         self.isolation_violations = 0
 
         self.batch: MigrationBatch | None = None
@@ -143,17 +144,6 @@ class Simulation:
         self._frag_series: list[tuple[float, int, int]] = []
         self._log = hashlib.blake2b(digest_size=16)
         self.now = 0.0
-
-    # -- capacities --------------------------------------------------------
-
-    def _link_capacity(self, link: LinkId) -> float:
-        if link.kind is LinkKind.HOST_NIC:
-            return self.topology.nic_bandwidth
-        if link.index == SPRAY_COLOR:
-            # fluid aggregate of every uplink on the ToR
-            return (self.topology.uplink_bandwidth
-                    * self.topology.uplinks_per_tor)
-        return self.topology.uplink_bandwidth
 
     # -- event log -----------------------------------------------------------
 
@@ -272,13 +262,12 @@ class Simulation:
             return tuple(path_between(self.topology, src, dst))
         color = self.assignment.colors[demand_key]
         if color == SPRAY_COLOR:
+            topo = self.topology
             return (
-                self.topology.nic_link(src, Direction.UP),
-                LinkId(LinkKind.TOR_UPLINK, src.rack, SPRAY_COLOR,
-                       Direction.UP),
-                LinkId(LinkKind.TOR_UPLINK, dst.rack, SPRAY_COLOR,
-                       Direction.DOWN),
-                self.topology.nic_link(dst, Direction.DOWN),
+                topo.nic_link(src, Direction.UP),
+                topo.spray_link(src.rack, Direction.UP),
+                topo.spray_link(dst.rack, Direction.DOWN),
+                topo.nic_link(dst, Direction.DOWN),
             )
         return tuple(path_between(self.topology, src, dst, color, color))
 
@@ -505,14 +494,15 @@ class Simulation:
         """Count elephant flows sharing an uplink; with the threshold at
         or below the uplink count this should never happen under edge
         coloring."""
-        seen: dict[LinkId, tuple] = {}
+        uplink_base = self.topology.uplink_base
+        seen: dict[int, tuple] = {}
         for key, (demand_key, src, dst) in self._flow_info.items():
             if demand_key is None or key[0] == "mig":
                 continue
             if not isinstance(demand_key, tuple) or demand_key[1] != "dp":
                 continue
             for link in self.net.flows[key].path:
-                if link.kind is not LinkKind.TOR_UPLINK:
+                if link < uplink_base:
                     continue
                 if link in seen and seen[link] != key:
                     self.isolation_violations += 1
@@ -524,15 +514,18 @@ class Simulation:
     def _recompute_network(self) -> None:
         for eta, key, gen in self.net.recompute():
             self.queue.push(eta, RANK_FLOW, ("flow", key, gen))
+        if self.check_invariants:
+            self.net.check_conservation()
 
     # -- observability -------------------------------------------------------------
 
     def _record_fragmentation(self) -> None:
         report = fragmentation_degree(self.scheduler.placement)
+        capacities = self.topology.link_capacities
+        loads = self.net.link_loads()
         max_util = 0.0
-        for link, load in self.net.link_loads().items():
-            if isinstance(link, LinkId) and link.kind is LinkKind.TOR_UPLINK:
-                max_util = max(max_util, load / self._link_capacity(link))
+        for link in range(self.topology.uplink_base, len(loads)):
+            max_util = max(max_util, loads[link] / capacities[link])
         self._frag_series.append(
             (self.now, report.max_degree, report.total_fragmented_groups,
              max_util))
@@ -542,9 +535,13 @@ def run_simulation(topology: ClusterTopology, trace: Trace, algorithm: str,
                    threshold: float | None = None,
                    solver_time_limit: float = 10.0,
                    max_moves: int | None = 16,
-                   check_isolation: bool = False) -> SimulationResult:
+                   check_isolation: bool = False,
+                   check_invariants: bool = False) -> SimulationResult:
+    """Run one simulation. ``check_invariants`` audits flow conservation
+    after every rate recomputation; it changes no decision."""
     sim = Simulation(topology, trace, algorithm, threshold=threshold,
                      solver_time_limit=solver_time_limit,
                      max_moves=max_moves,
-                     check_isolation=check_isolation)
+                     check_isolation=check_isolation,
+                     check_invariants=check_invariants)
     return sim.run()

@@ -10,30 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-
-class LinkKind(Enum):
-    HOST_NIC = "host-nic"
-    TOR_UPLINK = "tor-uplink"
+from functools import cached_property
 
 
 class Direction(Enum):
     UP = "up"
     DOWN = "down"
-
-
-@dataclass(frozen=True)
-class LinkId:
-    """One direction of a capacity-constrained link.
-
-    For HOST_NIC, ``index`` is the global GPU/NIC index of the host slot.
-    For TOR_UPLINK, ``index`` is the uplink index within the rack.
-    """
-
-    kind: LinkKind
-    rack: int
-    index: int
-    direction: Direction
 
 
 @dataclass(frozen=True)
@@ -87,20 +69,45 @@ class ClusterTopology:
         # "color = uplink index" assignment is globally consistent.
         return uplink % self.num_spines
 
-    def nic_link(self, gpu: GpuId, direction: Direction) -> LinkId:
-        index = gpu.host * self.gpus_per_host + gpu.slot
-        return LinkId(LinkKind.HOST_NIC, gpu.rack, index, direction)
+    # -- link index ----------------------------------------------------------
+    #
+    # Every capacity-constrained link direction has a dense int id, so the
+    # flow core can index plain lists. Ids 0 .. uplink_base - 1 are host
+    # NICs, two per GPU (up, down) in global NIC order. From uplink_base on,
+    # each rack owns uplinks_per_tor + 1 slots of two directions each: its
+    # physical uplinks, then the fluid spray aggregate of all of them.
+
+    @property
+    def uplink_base(self) -> int:
+        """Id of the first ToR-side link; every id at or above it is one."""
+        return 2 * self.total_gpus
+
+    def nic_link(self, gpu: GpuId, direction: Direction) -> int:
+        nic = (gpu.rack * self.hosts_per_rack + gpu.host) \
+            * self.gpus_per_host + gpu.slot
+        return 2 * nic + (direction is Direction.DOWN)
 
     def uplink_link(self, rack: int, uplink: int,
-                    direction: Direction) -> LinkId:
+                    direction: Direction) -> int:
         if not 0 <= uplink < self.uplinks_per_tor:
             raise TopologyError(f"uplink index {uplink} out of range")
-        return LinkId(LinkKind.TOR_UPLINK, rack, uplink, direction)
+        return self._tor_link(rack, uplink, direction)
 
-    def link_capacity(self, link: LinkId) -> float:
-        if link.kind is LinkKind.HOST_NIC:
-            return self.nic_bandwidth
-        return self.uplink_bandwidth
+    def spray_link(self, rack: int, direction: Direction) -> int:
+        """The fluid aggregate of every uplink on the rack's ToR."""
+        return self._tor_link(rack, self.uplinks_per_tor, direction)
+
+    def _tor_link(self, rack: int, slot: int, direction: Direction) -> int:
+        return self.uplink_base + 2 * (
+            rack * (self.uplinks_per_tor + 1) + slot) \
+            + (direction is Direction.DOWN)
+
+    @cached_property
+    def link_capacities(self) -> list[float]:
+        """Capacity in bits/second of every link id."""
+        tor = ([self.uplink_bandwidth] * (2 * self.uplinks_per_tor)
+               + [self.uplink_bandwidth * self.uplinks_per_tor] * 2)
+        return [self.nic_bandwidth] * self.uplink_base + tor * self.num_racks
 
 
 def make_two_tier(racks: int, hosts_per_rack: int, gpus_per_host: int,
@@ -120,8 +127,8 @@ def make_two_tier(racks: int, hosts_per_rack: int, gpus_per_host: int,
 
 def path_between(topology: ClusterTopology, src: GpuId, dst: GpuId,
                  chosen_uplink_src: int = 0,
-                 chosen_uplink_dst: int = 0) -> list[LinkId]:
-    """Return the sequence of capacity-constrained links from src to dst.
+                 chosen_uplink_dst: int = 0) -> list[int]:
+    """Return the ids of the capacity-constrained links from src to dst.
 
     Same host: empty path (intra-host interconnect is out of model).
     Same rack: src NIC up, dst NIC down.

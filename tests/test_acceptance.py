@@ -23,7 +23,7 @@ from defragsim.fragmentation import (
 )
 from defragsim.metrics import summarize
 from defragsim.routing import edge_color
-from defragsim.simulate import REINIT_SECONDS, Simulation, run_simulation
+from defragsim.simulate import REINIT_SECONDS, run_simulation
 from defragsim.topology import make_two_tier
 from defragsim.workload import DEFAULT_TEMPLATES, TraceConfig, generate_trace
 from tests.test_defrag import random_instance
@@ -54,11 +54,13 @@ def _report(num: int, label: str, passed: bool) -> None:
 
 @pytest.fixture(scope="module")
 def figure_runs():
-    """All five algorithms on the shared high-load figure trace."""
+    """The five compared algorithms, plus spray, on the shared high-load
+    figure trace."""
     trace = generate_trace(FIGURE_TOPO, FIGURE_LOAD, seed=FIGURE_SEED,
                            num_jobs=FIGURE_JOBS, cfg=FIGURE_CFG)
     runs = {}
-    for algorithm in ("defrag-perfect", "perfect", "sglb", "crux", "ecmp"):
+    for algorithm in ("defrag-perfect", "perfect", "sglb", "crux", "ecmp",
+                      "spray"):
         result = run_simulation(FIGURE_TOPO, trace, algorithm,
                                 solver_time_limit=5.0, check_isolation=True)
         runs[algorithm] = summarize(result, FIGURE_LOAD), result
@@ -238,14 +240,6 @@ def test_criterion_04_path_isolation(figure_runs):
             result.isolation_violations == 0)
 
 
-class _AuditedSimulation(Simulation):
-    """Re-checks flow conservation after every rate recomputation."""
-
-    def _recompute_network(self):
-        super()._recompute_network()
-        self.net.check_conservation()
-
-
 def test_criterion_05_maxmin_matches_waterfilling_oracle():
     rng = random.Random(505)
     for _ in range(1000):
@@ -265,8 +259,8 @@ def test_criterion_05_maxmin_matches_waterfilling_oracle():
                 assert got == pytest.approx(float(want), rel=1e-9)
     trace = generate_trace(SMALL_TOPO, 0.9, seed=0, num_jobs=25,
                            cfg=SMALL_CFG)
-    _AuditedSimulation(SMALL_TOPO, trace, "defrag-perfect",
-                       solver_time_limit=5.0).run()
+    run_simulation(SMALL_TOPO, trace, "defrag-perfect",
+                   solver_time_limit=5.0, check_invariants=True)
     _report(5, "allocation equals the water-filling oracle (1000 graphs) "
                "and conserves capacity on every event of a 90%-load trace",
             True)
@@ -285,6 +279,25 @@ def test_criterion_06_determinism():
 
 
 # -- desk-scale reproductions ----------------------------------------------
+
+
+# event_log_hash of each figure-trace run. Speed-ups must reproduce them
+# exactly; a change that is meant to alter what is simulated updates them
+# and says why in CHANGES.md.
+FIGURE_HASHES = {
+    "defrag-perfect": "42935da989ca99bb17a516270a80dcac",
+    "perfect": "b664266ce1e9202470ed4c8efa186f24",
+    "sglb": "c7a5217094f95b7f69cbb72693cd6291",
+    "crux": "d37d8b298ca7790cac473c1a638431b0",
+    "ecmp": "3cf90b54594d461e54833b52378d7b04",
+    "spray": "45769f67b5a260bbd84d29d7e9d83409",
+}
+
+
+def test_figure_trace_event_log_hashes(figure_runs):
+    hashes = {a: result.event_log_hash
+              for a, (_, result) in figure_runs.items()}
+    assert hashes == FIGURE_HASHES
 
 
 def test_criterion_07_slowdown_ordering(figure_runs):

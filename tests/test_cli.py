@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from defragsim.cli import main
 from defragsim.defrag import SolverInstance, SolverJob, save_instance
+from defragsim.flowsim import FlowNetwork
+
+QUICK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "quick.yaml"
 
 CONFIG_YAML = """\
 topology:
@@ -67,6 +71,26 @@ def test_run_seed_override(config_file, tmp_path):
                  "--seeds", "2", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert sorted(r["seed"] for r in summary["runs"]) == [0, 1]
+
+
+def test_run_check_invariants_audits_without_changing_runs(
+        tmp_path, monkeypatch):
+    audits = []
+    real_check = FlowNetwork.check_conservation
+
+    def counting_check(net, *args, **kwargs):
+        audits.append(net)
+        return real_check(net, *args, **kwargs)
+
+    monkeypatch.setattr(FlowNetwork, "check_conservation", counting_check)
+    summaries = []
+    for flags in ([], ["--check-invariants"]):
+        out = tmp_path / ("audited" if flags else "plain")
+        assert main(["run", str(QUICK_CONFIG), "--out", str(out)]
+                    + flags) == 0
+        summaries.append(json.loads((out / "summary.json").read_text()))
+        assert bool(audits) == bool(flags)
+    assert summaries[0] == summaries[1]
 
 
 def test_run_unknown_algorithm_exits_2(config_file, capsys):

@@ -3,10 +3,52 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defragsim.flowsim import (
     EventQueue, FlowNetwork, conservation_check, maxmin_rates,
 )
+
+
+def linear_scan_maxmin(paths, capacities):
+    """Progressive filling with a linear bottleneck scan.
+
+    The implementation ``maxmin_rates`` had before its heap: each round
+    scans every link in first-appearance order and takes the strictly
+    smallest share. Kept as the reference the heap must match exactly.
+    """
+    rates = [math.inf] * len(paths)
+    link_order = []
+    flows_on = {}
+    for i, path in enumerate(paths):
+        for link in path:
+            if link not in flows_on:
+                flows_on[link] = set()
+                link_order.append(link)
+            flows_on[link].add(i)
+    residual = {link: float(capacities[link]) for link in link_order}
+    unfrozen = {i for i, path in enumerate(paths) if path}
+    while unfrozen:
+        best_link = None
+        best_share = math.inf
+        for link in link_order:
+            active = flows_on[link]
+            if not active:
+                continue
+            share = residual[link] / len(active)
+            if share < best_share:
+                best_share = share
+                best_link = link
+        if best_link is None:
+            break
+        for i in list(flows_on[best_link]):
+            rates[i] = best_share
+            unfrozen.discard(i)
+            for link in paths[i]:
+                flows_on[link].discard(i)
+                residual[link] -= best_share
+        residual[best_link] = 0.0
+    return rates
 
 
 def waterfill_oracle(paths, capacities):
@@ -125,6 +167,32 @@ def test_matches_oracle_random_instances():
         assert_maxmin_property(paths, caps, rates)
 
 
+@st.composite
+def tied_instances(draw):
+    """Int links with small integer capacities, so equal shares (ties
+    for the bottleneck) are common."""
+    num_links = draw(st.integers(1, 8))
+    caps = [float(draw(st.integers(1, 6))) for _ in range(num_links)]
+    links = st.lists(st.integers(0, num_links - 1), max_size=4, unique=True)
+    paths = [tuple(p) for p in draw(st.lists(links, min_size=1,
+                                             max_size=14))]
+    return paths, caps
+
+
+@settings(max_examples=400, deadline=None)
+@given(tied_instances())
+def test_heap_matches_linear_scan_exactly(instance):
+    paths, caps = instance
+    rates = maxmin_rates(paths, caps)
+    assert rates == linear_scan_maxmin(paths, caps)
+    oracle = waterfill_oracle(paths, dict(enumerate(caps)))
+    for got, want in zip(rates, oracle):
+        if want == math.inf:
+            assert got == math.inf
+        else:
+            assert got == pytest.approx(float(want), rel=1e-9)
+
+
 def test_conservation_check_catches_overload():
     with pytest.raises(AssertionError):
         conservation_check([("l",), ("l",)], {"l": 10.0}, [6.0, 6.0])
@@ -142,8 +210,8 @@ def test_event_queue_orders_by_time_rank_seq():
 
 
 def test_flow_network_single_flow_completion():
-    net = FlowNetwork(lambda link: 100.0)  # 100 bits/s
-    net.add_flow("f", ("l",), size_bytes=100.0)  # 800 bits
+    net = FlowNetwork([100.0])  # link 0: 100 bits/s
+    net.add_flow("f", (0,), size_bytes=100.0)  # 800 bits
     (eta, key, gen) = net.recompute()[0]
     assert key == "f" and eta == pytest.approx(8.0)
     net.settle_to(eta)
@@ -151,10 +219,10 @@ def test_flow_network_single_flow_completion():
 
 
 def test_flow_network_generation_invalidates_old_etas():
-    net = FlowNetwork(lambda link: 100.0)
-    net.add_flow("a", ("l",), size_bytes=100.0)
+    net = FlowNetwork([100.0])
+    net.add_flow("a", (0,), size_bytes=100.0)
     first = net.recompute()
-    net.add_flow("b", ("l",), size_bytes=100.0)
+    net.add_flow("b", (0,), size_bytes=100.0)
     second = net.recompute()
     assert second[0][2] == first[0][2] + 1
     # with the link now shared, "a" finishes at 16s, not 8s
@@ -163,9 +231,9 @@ def test_flow_network_generation_invalidates_old_etas():
 
 
 def test_flow_network_settle_partial_then_speedup():
-    net = FlowNetwork(lambda link: 100.0)
-    net.add_flow("a", ("l",), size_bytes=100.0)
-    net.add_flow("b", ("l",), size_bytes=100.0)
+    net = FlowNetwork([100.0])
+    net.add_flow("a", (0,), size_bytes=100.0)
+    net.add_flow("b", (0,), size_bytes=100.0)
     net.recompute()
     net.settle_to(8.0)  # each drained 400 of 800 bits
     net.remove_flow("b")
@@ -174,7 +242,7 @@ def test_flow_network_settle_partial_then_speedup():
 
 
 def test_flow_network_empty_path_completes_instantly():
-    net = FlowNetwork(lambda link: 100.0)
+    net = FlowNetwork([100.0])
     net.settle_to(3.0)
     net.add_flow("local", (), size_bytes=1e9)
     completions = net.recompute()
@@ -182,21 +250,23 @@ def test_flow_network_empty_path_completes_instantly():
 
 
 def test_flow_network_rejects_time_reversal_and_dup_keys():
-    net = FlowNetwork(lambda link: 1.0)
+    net = FlowNetwork([1.0])
     net.settle_to(5.0)
     with pytest.raises(ValueError):
         net.settle_to(4.0)
-    net.add_flow("x", ("l",), 1.0)
+    net.add_flow("x", (0,), 1.0)
     with pytest.raises(ValueError):
-        net.add_flow("x", ("l",), 1.0)
+        net.add_flow("x", (0,), 1.0)
 
 
 def test_link_loads_and_conservation_hook():
-    net = FlowNetwork(lambda link: 100.0)
-    net.add_flow("a", ("l",), 100.0)
-    net.add_flow("b", ("l", "m"), 100.0)
+    net = FlowNetwork([100.0, 100.0, 100.0])
+    net.add_flow("a", (0,), 100.0)
+    net.add_flow("b", (0, 1), 100.0)
     net.recompute()
     loads = net.link_loads()
-    assert loads["l"] == pytest.approx(100.0)
-    assert loads["m"] == pytest.approx(50.0)
+    assert loads == pytest.approx([100.0, 50.0, 0.0])
     net.check_conservation()
+    net.flows["b"].rate = 60.0  # overloads link 0
+    with pytest.raises(AssertionError):
+        net.check_conservation()

@@ -1,9 +1,10 @@
 import pytest
 
+from defragsim import flowsim
 from defragsim.simulate import (
-    ALGORITHMS, REINIT_SECONDS, parse_algorithm, run_simulation,
+    ALGORITHMS, REINIT_SECONDS, Simulation, parse_algorithm, run_simulation,
 )
-from defragsim.topology import make_two_tier
+from defragsim.topology import make_two_tier, path_between
 from defragsim.workload import (
     DEFAULT_TEMPLATES, TraceConfig, generate_trace, ideal_duration,
 )
@@ -141,3 +142,57 @@ def test_ideal_duration_matches_isolated_run():
     (record,) = result.records
     ideal = ideal_duration(trace.jobs[0], SMALL_TOPO)
     assert record.finished - record.started == pytest.approx(ideal, rel=1e-9)
+
+
+def test_reroute_changes_solved_and_audited_links(monkeypatch):
+    solved, audited = [], []
+    real_solve = flowsim.maxmin_rates
+    real_audit = flowsim.conservation_check
+
+    def spy_solve(paths, capacities):
+        solved.append((list(paths), capacities))
+        return real_solve(paths, capacities)
+
+    def spy_audit(paths, capacities, rates, rel_tol=1e-9):
+        audited.append((list(paths), capacities))
+        return real_audit(paths, capacities, rates, rel_tol)
+
+    monkeypatch.setattr(flowsim, "maxmin_rates", spy_solve)
+    monkeypatch.setattr(flowsim, "conservation_check", spy_audit)
+
+    class RerouteOnce(Simulation):
+        """Moves the first live cross-rack flow to the other uplink."""
+
+        rerouted = None
+
+        def _recompute_network(self):
+            if self.rerouted is None:
+                self.rerouted = self._reroute_one()
+            super()._recompute_network()
+
+        def _reroute_one(self):
+            for key, (demand_key, src, dst) in self._flow_info.items():
+                color = self.assignment.colors.get(demand_key)
+                if src.rack == dst.rack or color not in (0, 1):
+                    continue
+                before = self.net.flows[key].path
+                self.assignment.colors[demand_key] = 1 - color
+                self._reroute_live_flows()
+                expected = tuple(path_between(self.topology, src, dst,
+                                              1 - color, 1 - color))
+                position = list(self.net.flows).index(key)
+                return before, expected, self.net.flows[key].path, \
+                    len(solved), position
+            return None
+
+    sim = RerouteOnce(SMALL_TOPO, small_trace(seed=0), "ecmp",
+                      check_invariants=True)
+    sim.run()
+    before, expected, after, call, position = sim.rerouted
+    assert after == expected != before
+    assert solved[call][0][position] == after
+    # every audit checks exactly what the solve before it solved
+    assert len(audited) == len(solved)
+    for (paths, caps), (audit_paths, audit_caps) in zip(solved, audited):
+        assert caps is audit_caps is SMALL_TOPO.link_capacities
+        assert audit_paths == [p for p in paths if p]

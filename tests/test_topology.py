@@ -1,7 +1,7 @@
 import pytest
 
 from defragsim.topology import (
-    Direction, GpuId, LinkKind, TopologyError, make_two_tier, path_between,
+    Direction, GpuId, TopologyError, make_two_tier, path_between,
 )
 
 
@@ -46,11 +46,11 @@ def test_same_host_path_is_empty():
 
 def test_same_rack_path_two_links():
     topo = make_two_tier(2, 2, 8, 2, 400e9, 400e9, 2)
-    path = path_between(topo, GpuId(0, 0, 0), GpuId(0, 1, 3))
-    assert len(path) == 2
-    assert all(link.kind is LinkKind.HOST_NIC for link in path)
-    assert path[0].direction is Direction.UP
-    assert path[1].direction is Direction.DOWN
+    src, dst = GpuId(0, 0, 0), GpuId(0, 1, 3)
+    path = path_between(topo, src, dst)
+    assert path == [topo.nic_link(src, Direction.UP),
+                    topo.nic_link(dst, Direction.DOWN)]
+    assert all(link < topo.uplink_base for link in path)
 
 
 def test_cross_rack_path_structure():
@@ -60,13 +60,30 @@ def test_cross_rack_path_structure():
         for dst_host in range(2):
             for s in range(2):
                 for d in range(2):
-                    path = path_between(topo, GpuId(0, src_host, s),
-                                        GpuId(1, dst_host, d), 1, 0)
-                    assert len(path) == 4
-                    uplinks = [l for l in path
-                               if l.kind is LinkKind.TOR_UPLINK]
-                    assert len(uplinks) == 2
-                    assert {l.rack for l in uplinks} == {0, 1}
+                    src, dst = GpuId(0, src_host, s), GpuId(1, dst_host, d)
+                    path = path_between(topo, src, dst, 1, 0)
+                    assert path == [
+                        topo.nic_link(src, Direction.UP),
+                        topo.uplink_link(0, 1, Direction.UP),
+                        topo.uplink_link(1, 0, Direction.DOWN),
+                        topo.nic_link(dst, Direction.DOWN),
+                    ]
+
+
+def test_link_ids_dense_and_capacities():
+    topo = make_two_tier(3, 2, 4, 2, 100.0, 50.0, 2)
+    nics = [topo.nic_link(GpuId(r, h, g), d)
+            for r in range(3) for h in range(2) for g in range(4)
+            for d in Direction]
+    tor = [topo.uplink_link(r, u, d) for r in range(3) for u in range(2)
+           for d in Direction]
+    spray = [topo.spray_link(r, d) for r in range(3) for d in Direction]
+    caps = topo.link_capacities
+    assert sorted(nics + tor + spray) == list(range(len(caps)))
+    assert max(nics) < topo.uplink_base <= min(tor + spray)
+    assert {caps[l] for l in nics} == {100.0}
+    assert {caps[l] for l in tor} == {50.0}
+    assert {caps[l] for l in spray} == {100.0}  # both uplinks together
 
 
 def test_uplink_out_of_range():
