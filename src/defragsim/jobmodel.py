@@ -106,11 +106,6 @@ class JobRun:
     paused_at: float | None = None
     downtime: float = 0.0
     migrations: int = 0  # workers of this job moved by committed batches
-    finish_time: float | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.phase is JobPhase.DONE
 
     def finish_iteration(self, now: float) -> None:
         """Close out the comm phase; the caller decides what runs next."""
@@ -118,7 +113,6 @@ class JobRun:
         self.iteration += 1
         if self.iteration >= self.job.iterations:
             self.phase = JobPhase.DONE
-            self.finish_time = now
         elif self.barrier_requested:
             self.phase = JobPhase.BARRIERED
             self.paused_at = now

@@ -184,9 +184,13 @@ class Scheduler:
         return True
 
     def release_job(self, job_id: int) -> list[JobSpec]:
-        """Free a finished job's slots and admit queued jobs in FIFO
-        order, stopping at the first that still does not fit."""
+        """Free a finished job's slots and admit what now fits."""
         self.placement.remove_job(job_id)
+        return self.admit_queued()
+
+    def admit_queued(self) -> list[JobSpec]:
+        """Place queued jobs in FIFO order, stopping at the first that
+        still does not fit; returns the admitted jobs."""
         admitted = []
         while self.queue:
             head = self.queue[0]

@@ -23,12 +23,12 @@ from .flowsim import EventQueue, FlowNetwork
 from .fragmentation import fragmentation_degree
 from .jobmodel import (
     JobPhase, JobRun, MigrationBatch, BatchPhase, REINIT_SECONDS,
-    plan_iteration_flows, shard_bytes,
+    PlannedFlow, plan_iteration_flows, shard_bytes,
 )
 from .routing import (
     SPRAY_COLOR, FlowDemand, RoutingAssignment, SglbRouting, make_strategy,
 )
-from .scheduler import Scheduler, plan_racks
+from .scheduler import Scheduler
 from .topology import ClusterTopology, Direction, GpuId, path_between
 from .workload import JobSpec, Trace, ideal_duration
 
@@ -125,6 +125,10 @@ class Simulation:
         self.net = FlowNetwork(topology.link_capacities)
         self.queue = EventQueue()
         self.runs: dict[int, JobRun] = {}
+        # job id -> (iteration flows, cross-rack demands) under the job's
+        # current placement; dropped whenever its workers move or leave
+        self._plans: dict[int, tuple[list[PlannedFlow],
+                                     list[FlowDemand]]] = {}
         self.assignment = RoutingAssignment()
         self.check_isolation = check_isolation
         self.check_invariants = check_invariants
@@ -246,9 +250,24 @@ class Simulation:
         if not run.pending_flows:
             self._finish_iteration(run)
 
+    def _plan(self, job: JobSpec) -> tuple[list[PlannedFlow],
+                                           list[FlowDemand]]:
+        """The job's iteration plan, built once per placement."""
+        locate = self.scheduler.placement.locate
+        plan = self._plans.get(job.job_id)
+        if plan is None:
+            flows = plan_iteration_flows(job, locate)
+            plan = (flows, [pf.demand for pf in flows
+                            if pf.demand is not None])
+            self._plans[job.job_id] = plan
+        elif self.check_invariants \
+                and plan[0] != plan_iteration_flows(job, locate):
+            raise AssertionError(
+                f"stale iteration plan for job {job.job_id}")
+        return plan
+
     def _launch_iteration_flows(self, run: JobRun) -> None:
-        placement = self.scheduler.placement
-        for pf in plan_iteration_flows(run.job, placement.locate):
+        for pf in self._plan(run.job)[0]:
             key = (pf.key, run.iteration)
             demand_key = pf.demand.key if pf.demand else None
             path = self._path_for(pf.src, pf.dst, demand_key)
@@ -304,6 +323,7 @@ class Simulation:
         job = run.job
         self._trace_event("finish", self.now, job.job_id)
         del self.runs[job.job_id]
+        del self._plans[job.job_id]
         self._records.append(JobRecord(
             job_id=job.job_id,
             model=job.template.name,
@@ -405,6 +425,8 @@ class Simulation:
         for mv in batch.moves:
             placement.assign(mv.worker, mv.dst_rack, mv.dst_host)
             self.runs[mv.worker[0]].migrations += 1
+        for job_id in batch.affected_jobs:
+            del self._plans[job_id]
         batch.phase = BatchPhase.REINIT
         batch.committed_at = self.now
         self._transfer_demands = []
@@ -431,28 +453,16 @@ class Simulation:
                 self._schedule_compute(run)
         self._trace_event("reinit-done", self.now, batch_id)
         # catch up on admissions deferred during the batch
-        while self.scheduler.queue:
-            head = self.scheduler.queue[0]
-            racks = plan_racks(self.scheduler.placement, head)
-            if racks is None:
-                break
-            self.scheduler.queue.popleft()
-            self.scheduler.placement.add_job(head, racks)
-            self._start_job(head)
+        for job in self.scheduler.admit_queued():
+            self._start_job(job)
         self._placement_dirty = True
 
     # -- routing ---------------------------------------------------------------
 
     def _current_demands(self) -> list[FlowDemand]:
         demands: list[FlowDemand] = []
-        placement = self.scheduler.placement
         for job_id in sorted(self.runs):
-            run = self.runs[job_id]
-            if run.phase is JobPhase.DONE:
-                continue
-            for pf in plan_iteration_flows(run.job, placement.locate):
-                if pf.demand is not None:
-                    demands.append(pf.demand)
+            demands.extend(self._plan(self.runs[job_id].job)[1])
         demands.extend(self._transfer_demands)
         return demands
 
@@ -538,7 +548,8 @@ def run_simulation(topology: ClusterTopology, trace: Trace, algorithm: str,
                    check_isolation: bool = False,
                    check_invariants: bool = False) -> SimulationResult:
     """Run one simulation. ``check_invariants`` audits flow conservation
-    after every rate recomputation; it changes no decision."""
+    after every rate recomputation and each cached iteration plan against
+    a fresh one before it is used; it changes no decision."""
     sim = Simulation(topology, trace, algorithm, threshold=threshold,
                      solver_time_limit=solver_time_limit,
                      max_moves=max_moves,

@@ -64,7 +64,7 @@ def test_job_run_iteration_lifecycle():
     assert run.phase is JobPhase.COMPUTE and run.iteration == 1
     run.phase = JobPhase.COMM
     run.finish_iteration(now=6.0)
-    assert run.done and run.finish_time == 6.0
+    assert run.phase is JobPhase.DONE and run.iteration == 2
 
 
 def test_job_run_barrier_and_resume():

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from defragsim import flowsim
+from defragsim import flowsim, simulate
 from defragsim.simulate import (
     ALGORITHMS, REINIT_SECONDS, Simulation, parse_algorithm, run_simulation,
 )
@@ -196,3 +198,61 @@ def test_reroute_changes_solved_and_audited_links(monkeypatch):
     for (paths, caps), (audit_paths, audit_caps) in zip(solved, audited):
         assert caps is audit_caps is SMALL_TOPO.link_capacities
         assert audit_paths == [p for p in paths if p]
+
+
+def test_plan_cache_audit_passes_across_committed_batches():
+    result = run_simulation(SMALL_TOPO, small_trace(seed=0), "defrag-perfect",
+                            solver_time_limit=5.0, check_invariants=True)
+    assert result.defrag_events
+    assert sum(r.migrations for r in result.records) > 0
+
+
+def test_plan_cache_audit_catches_stale_plan(monkeypatch):
+    """Keeping the pre-migration plans of moved jobs must trip the audit."""
+    real_commit = Simulation._commit_batch
+
+    def commit_keeping_plans(self):
+        stale = dict(self._plans)
+        real_commit(self)
+        self._plans.update(stale)
+
+    monkeypatch.setattr(Simulation, "_commit_batch", commit_keeping_plans)
+    with pytest.raises(AssertionError, match="stale iteration plan"):
+        run_simulation(SMALL_TOPO, small_trace(seed=0), "defrag-perfect",
+                       solver_time_limit=5.0, check_invariants=True)
+
+
+def count_plan_builds(monkeypatch):
+    builds = Counter()
+    real_plan = simulate.plan_iteration_flows
+
+    def spy(job, locate):
+        builds[job.job_id] += 1
+        return real_plan(job, locate)
+
+    monkeypatch.setattr(simulate, "plan_iteration_flows", spy)
+    return builds
+
+
+def test_sglb_builds_each_plan_once(monkeypatch):
+    builds = count_plan_builds(monkeypatch)
+    result = run_simulation(SMALL_TOPO, small_trace(seed=0), "sglb")
+    assert builds == Counter(r.job_id for r in result.records)
+
+
+def test_defrag_rebuilds_plans_only_after_moves(monkeypatch):
+    builds = count_plan_builds(monkeypatch)
+    moved = Counter()
+    real_commit = Simulation._commit_batch
+
+    def commit(self):
+        moved.update(self.batch.affected_jobs)
+        real_commit(self)
+
+    monkeypatch.setattr(Simulation, "_commit_batch", commit)
+    result = run_simulation(SMALL_TOPO, small_trace(seed=0), "defrag-perfect",
+                            solver_time_limit=5.0)
+    assert moved
+    for r in result.records:
+        assert 1 <= builds[r.job_id] <= 1 + moved[r.job_id]
+    assert set(builds) == {r.job_id for r in result.records}
