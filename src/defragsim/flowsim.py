@@ -2,9 +2,18 @@
 
 Flows are modeled as fluid: each active flow gets the max-min fair share
 along its path, recomputed whenever the active set changes. Completion
-times therefore shift as flows come and go; pending completion events
-are invalidated with a generation counter rather than removed from the
-queue.
+times therefore shift as flows come and go. Each flow carries its pending
+completion time (ETA); a queued completion event is live only while it
+still names that time, so superseded events are dropped when popped
+rather than removed from the queue.
+
+A recompute re-solves only the flows connected, through shared links, to
+a link an add, remove or path change touched; every other flow keeps its
+rate. Max-min rates decompose over connected components, and the solve
+takes its flows in insertion order, so the bottleneck tie-break sees the
+same relative link order as a solve of every live flow: the rates are
+bit-identical to a full solve. Every flow's ETA is still recomputed with
+the same arithmetic, and only the flows whose ETA moved need a new event.
 
 Links are dense int ids (``ClusterTopology`` assigns them), so a path is
 a tuple of ints and capacities are one list indexed by link id.
@@ -15,6 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Hashable, Iterable, Mapping, Sequence
 
 # capacities[link]: a list indexed by int link id, or any mapping
@@ -102,21 +112,24 @@ def conservation_check(paths: Sequence[Sequence[Hashable]],
 
 
 class EventQueue:
-    """Time-ordered queue with a kind rank for same-time ordering and an
-    insertion sequence number as the final deterministic tie-break."""
+    """Time-ordered queue with a kind rank for same-time ordering, then a
+    caller-chosen ``tie`` and the insertion sequence number as the final
+    deterministic tie-breaks. The simulator passes a flow's insertion
+    serial as ``tie``, so completions due at the same time pop in flow
+    insertion order whenever each was pushed."""
 
     def __init__(self):
-        # (time, rank, seq, payload); seq is unique, so payloads are
-        # never compared
-        self._heap: list[tuple[float, int, int, object]] = []
+        # (time, rank, tie, seq, payload); seq is unique, so payloads
+        # are never compared
+        self._heap: list[tuple[float, int, int, int, object]] = []
         self._seq = 0
 
-    def push(self, time: float, rank: int, payload) -> None:
-        heapq.heappush(self._heap, (time, rank, self._seq, payload))
+    def push(self, time: float, rank: int, payload, tie: int = 0) -> None:
+        heapq.heappush(self._heap, (time, rank, tie, self._seq, payload))
         self._seq += 1
 
     def pop(self) -> tuple[float, int, object]:
-        time, rank, _, payload = heapq.heappop(self._heap)
+        time, rank, _, _, payload = heapq.heappop(self._heap)
         return time, rank, payload
 
     def peek_time(self) -> float:
@@ -132,12 +145,17 @@ class EventQueue:
 # -- flow bookkeeping --------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class Flow:
     key: Hashable
     path: tuple[int, ...]
     remaining_bits: float
+    serial: int  # insertion order: solves and same-time events follow it
     rate: float = 0.0
+    eta: float = math.inf  # pending completion time; inf while none
+
+
+_serial = attrgetter("serial")
 
 
 class FlowNetwork:
@@ -145,30 +163,55 @@ class FlowNetwork:
 
     ``capacities[link]`` is the capacity of int link id ``link``; flow
     paths are tuples of those ids. The owner drives the clock:
-    ``settle_to`` accrues progress at the current rates, mutations
-    (``add_flow``/``remove_flow``, or assigning a flow's ``path``) mark
-    the rate set stale, and ``recompute`` reassigns rates and returns
-    fresh completion times. ``generation`` increments on every recompute
-    so stale completion events can be recognized and dropped.
+    ``settle_to`` accrues progress at the current rates; ``add_flow``,
+    ``remove_flow`` and ``set_path`` (the only way to change a live
+    flow's path) mark the flows they place fresh and the links they leave
+    dirty; ``recompute`` re-solves the flows connected to a fresh flow or
+    a dirty link, in insertion order, and returns the flows whose ETA
+    moved. A flow's queued completion event is live while ``flow.eta``
+    still equals its time.
     """
 
     def __init__(self, capacities: Sequence[float]):
         self.capacities = capacities
         self.flows: dict[Hashable, Flow] = {}
         self.time = 0.0
-        self.generation = 0
+        self._serial = 0
+        self._on_link: list[set[Flow]] = [set() for _ in capacities]
+        self._dirty: set[int] = set()  # links left since the last solve
+        self._fresh: list[Flow] = []  # flows added or re-pathed since then
 
     def add_flow(self, key: Hashable, path: Iterable[int],
                  size_bytes: float) -> Flow:
         if key in self.flows:
             raise ValueError(f"duplicate flow key {key!r}")
-        flow = Flow(key=key, path=tuple(path),
-                    remaining_bits=size_bytes * 8.0)
+        flow = Flow(key, tuple(path), size_bytes * 8.0, self._serial)
+        self._serial += 1
         self.flows[key] = flow
+        self._attach(flow)
         return flow
 
     def remove_flow(self, key: Hashable) -> Flow:
-        return self.flows.pop(key)
+        flow = self.flows.pop(key)
+        self._detach(flow)
+        return flow
+
+    def set_path(self, key: Hashable, path: Iterable[int]) -> None:
+        """Move a live flow onto ``path``."""
+        flow = self.flows[key]
+        self._detach(flow)
+        flow.path = tuple(path)
+        self._attach(flow)
+
+    def _attach(self, flow: Flow) -> None:
+        for link in flow.path:
+            self._on_link[link].add(flow)
+        self._fresh.append(flow)
+
+    def _detach(self, flow: Flow) -> None:
+        for link in flow.path:
+            self._on_link[link].discard(flow)
+        self._dirty.update(flow.path)
 
     def settle_to(self, time: float) -> None:
         """Advance the clock, draining bits at the current rates."""
@@ -182,23 +225,56 @@ class FlowNetwork:
                         0.0, flow.remaining_bits - flow.rate * dt)
         self.time = max(self.time, time)
 
+    def _touched(self) -> list[Flow]:
+        """Live flows connected to a dirty link or a fresh flow, in
+        insertion order; clears both marks."""
+        flows = self.flows
+        found = {flow for flow in self._fresh if flows.get(flow.key) is flow}
+        todo = list(self._dirty)
+        for flow in found:
+            todo.extend(flow.path)
+        seen = set()
+        on_link = self._on_link
+        while todo:
+            link = todo.pop()
+            if link in seen:
+                continue
+            seen.add(link)
+            for flow in on_link[link]:
+                if flow not in found:
+                    found.add(flow)
+                    todo.extend(flow.path)
+        self._dirty.clear()
+        self._fresh.clear()
+        return sorted(found, key=_serial)
+
     def recompute(self) -> list[tuple[float, Hashable, int]]:
-        """Reassign max-min rates; return (eta, key, generation) for every
-        flow whose completion time is now finite."""
-        self.generation += 1
-        flows = list(self.flows.values())
-        rates = maxmin_rates([flow.path for flow in flows], self.capacities)
-        completions = []
-        for flow, rate in zip(flows, rates):
-            flow.rate = rate
+        """Re-solve the touched flows; return (eta, key, serial), in
+        insertion order, for every flow whose ETA moved to a new finite
+        time: each needs a completion event."""
+        touched = self._touched()
+        if touched:
+            rates = maxmin_rates([flow.path for flow in touched],
+                                 self.capacities)
+            for flow, rate in zip(touched, rates):
+                flow.rate = rate
+        moved = []
+        now = self.time
+        for flow in self.flows.values():
+            rate = flow.rate
             if rate > 0 and math.isfinite(rate):
-                eta = self.time + flow.remaining_bits / rate
-                completions.append((eta, flow.key, self.generation))
+                eta = now + flow.remaining_bits / rate
             elif not flow.path:
                 # unconstrained flow: done immediately
                 flow.remaining_bits = 0.0
-                completions.append((self.time, flow.key, self.generation))
-        return completions
+                eta = now
+            else:
+                eta = math.inf
+            if eta != flow.eta:
+                flow.eta = eta
+                if eta != math.inf:
+                    moved.append((eta, flow.key, flow.serial))
+        return moved
 
     def link_loads(self) -> list[float]:
         """Carried rate per link id, over flows with a finite rate."""
@@ -209,6 +285,17 @@ class FlowNetwork:
             for link in flow.path:
                 loads[link] += flow.rate
         return loads
+
+    def check_rates(self) -> None:
+        """Audit the incremental rates against one solve of every live
+        flow in insertion order; they must be equal, not just close."""
+        flows = list(self.flows.values())
+        full = maxmin_rates([flow.path for flow in flows], self.capacities)
+        for flow, rate in zip(flows, full):
+            if flow.rate != rate:
+                raise AssertionError(
+                    f"flow {flow.key!r}: incremental rate {flow.rate} "
+                    f"!= full solve {rate}")
 
     def check_conservation(self, rel_tol: float = 1e-9) -> None:
         """Audit the paths and capacities ``recompute`` solves over."""

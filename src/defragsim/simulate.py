@@ -207,7 +207,7 @@ class Simulation:
         elif kind == "compute":
             self._on_compute_done(payload[1], payload[2])
         elif kind == "flow":
-            self._on_flow_done(payload[1], payload[2])
+            self._on_flow_done(payload[1])
         elif kind == "reinit":
             self._on_reinit_done(payload[1])
         elif kind == "epoch":
@@ -290,9 +290,10 @@ class Simulation:
             )
         return tuple(path_between(self.topology, src, dst, color, color))
 
-    def _on_flow_done(self, key, generation: int) -> None:
-        if generation != self.net.generation or key not in self.net.flows:
-            return  # superseded by a later rate recomputation
+    def _on_flow_done(self, key) -> None:
+        flow = self.net.flows.get(key)
+        if flow is None or flow.eta != self.now:
+            return  # superseded: a later recompute moved its completion
         self.net.remove_flow(key)
         self._flow_info.pop(key, None)
         self._flows_dirty = True
@@ -484,9 +485,8 @@ class Simulation:
             if demand_key is None or demand_key not in self.assignment.colors:
                 continue
             path = self._path_for(src, dst, demand_key)
-            flow = self.net.flows[key]
-            if flow.path != path:
-                flow.path = path
+            if self.net.flows[key].path != path:
+                self.net.set_path(key, path)
                 changed = True
         if changed:
             self._flows_dirty = True
@@ -522,10 +522,11 @@ class Simulation:
     # -- network -----------------------------------------------------------------
 
     def _recompute_network(self) -> None:
-        for eta, key, gen in self.net.recompute():
-            self.queue.push(eta, RANK_FLOW, ("flow", key, gen))
+        for eta, key, serial in self.net.recompute():
+            self.queue.push(eta, RANK_FLOW, ("flow", key), serial)
         if self.check_invariants:
             self.net.check_conservation()
+            self.net.check_rates()
 
     # -- observability -------------------------------------------------------------
 
@@ -548,8 +549,9 @@ def run_simulation(topology: ClusterTopology, trace: Trace, algorithm: str,
                    check_isolation: bool = False,
                    check_invariants: bool = False) -> SimulationResult:
     """Run one simulation. ``check_invariants`` audits flow conservation
-    after every rate recomputation and each cached iteration plan against
-    a fresh one before it is used; it changes no decision."""
+    and the incremental rates against a full solve after every rate
+    recomputation, and each cached iteration plan against a fresh one
+    before it is used; it changes no decision."""
     sim = Simulation(topology, trace, algorithm, threshold=threshold,
                      solver_time_limit=solver_time_limit,
                      max_moves=max_moves,

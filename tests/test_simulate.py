@@ -1,8 +1,10 @@
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from defragsim import flowsim, simulate
+from defragsim.config import load_config
 from defragsim.simulate import (
     ALGORITHMS, REINIT_SECONDS, Simulation, parse_algorithm, run_simulation,
 )
@@ -11,6 +13,7 @@ from defragsim.workload import (
     DEFAULT_TEMPLATES, TraceConfig, generate_trace, ideal_duration,
 )
 
+QUICK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "quick.yaml"
 SMALL_TOPO = make_two_tier(4, 2, 8, 2, 400e9, 400e9, 2)
 SMALL_CFG = TraceConfig(templates=DEFAULT_TEMPLATES[:4], max_workers=8,
                         pp_choices=(1,), size_choices=(5, 6, 7, 8),
@@ -166,11 +169,18 @@ def test_reroute_changes_solved_and_audited_links(monkeypatch):
         """Moves the first live cross-rack flow to the other uplink."""
 
         rerouted = None
+        recomputes = 0
 
         def _recompute_network(self):
             if self.rerouted is None:
                 self.rerouted = self._reroute_one()
             super()._recompute_network()
+            # the conservation and rate audits that just ran cover every
+            # live flow's current path
+            self.recomputes += 1
+            live = [flow.path for flow in self.net.flows.values()]
+            assert audited[-1][0] == [p for p in live if p]
+            assert solved[-1][0] == live
 
         def _reroute_one(self):
             for key, (demand_key, src, dst) in self._flow_info.items():
@@ -182,22 +192,82 @@ def test_reroute_changes_solved_and_audited_links(monkeypatch):
                 self._reroute_live_flows()
                 expected = tuple(path_between(self.topology, src, dst,
                                               1 - color, 1 - color))
-                position = list(self.net.flows).index(key)
                 return before, expected, self.net.flows[key].path, \
-                    len(solved), position
+                    len(solved)
             return None
 
     sim = RerouteOnce(SMALL_TOPO, small_trace(seed=0), "ecmp",
                       check_invariants=True)
     sim.run()
-    before, expected, after, call, position = sim.rerouted
+    before, expected, after, call = sim.rerouted
     assert after == expected != before
-    assert solved[call][0][position] == after
-    # every audit checks exactly what the solve before it solved
-    assert len(audited) == len(solved)
-    for (paths, caps), (audit_paths, audit_caps) in zip(solved, audited):
-        assert caps is audit_caps is SMALL_TOPO.link_capacities
-        assert audit_paths == [p for p in paths if p]
+    # the first solve after the reroute is the incremental one, and the
+    # rerouted flow's links are dirty, so it re-solves the new path
+    assert after in solved[call][0]
+    assert len(audited) == sim.recomputes
+    for paths, caps in solved + audited:
+        assert caps is SMALL_TOPO.link_capacities
+
+
+def test_rate_audit_catches_path_written_around_set_path(monkeypatch):
+    """A path change that bypasses ``set_path`` leaves its links clean,
+    so the incremental solve misses it and the full-solve audit fires."""
+
+    def write_path(net, key, path):
+        net.flows[key].path = tuple(path)
+
+    monkeypatch.setattr(flowsim.FlowNetwork, "set_path", write_path)
+    with pytest.raises(AssertionError, match="full solve"):
+        run_simulation(SMALL_TOPO, small_trace(seed=0), "perfect",
+                       check_invariants=True)
+
+
+def test_same_time_completions_pop_in_flow_insertion_order():
+    """"a" and "b" both come due at 12 s and only "a" is re-pushed, after
+    "b"; they still pop in insertion order, as they did when every
+    recompute re-pushed every flow."""
+    sim = Simulation(SMALL_TOPO, small_trace(seed=0), "ecmp")
+    sim.net = flowsim.FlowNetwork([8.0, 8.0])
+    sim.net.add_flow("a", (0,), 8.0)  # 64 bits, sharing link 0 with "c"
+    sim.net.add_flow("b", (1,), 12.0)  # 96 bits alone: due at 12 s
+    sim.net.add_flow("c", (0,), 8.0)
+    sim._recompute_network()  # "a" and "c" due at 16 s
+    sim.net.settle_to(8.0)
+    sim.net.remove_flow("c")
+    sim._recompute_network()  # "a": 32 bits left at 8 bit/s, due at 12 s
+    popped = [sim.queue.pop() for _ in range(len(sim.queue))]
+    assert [(t, payload[1]) for t, _, payload in popped[:2]] == [
+        (12.0, "a"), (12.0, "b")]
+
+
+def test_few_stale_flow_events_on_quick_config(monkeypatch):
+    """Only completions whose time moved are pushed, so nearly every
+    popped flow event still names its flow's ETA."""
+    config = load_config(QUICK_CONFIG)
+    topology = config.topology.build()
+    trace = generate_trace(topology, config.trace.loads[0], seed=0,
+                           num_jobs=config.trace.num_jobs,
+                           cfg=config.trace.trace_config())
+    counts = Counter()
+    real_pop = flowsim.EventQueue.pop
+    real_remove = flowsim.FlowNetwork.remove_flow
+
+    def pop(queue):
+        entry = real_pop(queue)
+        counts["flow pops"] += entry[2][0] == "flow"
+        return entry
+
+    def remove_flow(net, key):
+        counts["live"] += 1
+        return real_remove(net, key)
+
+    monkeypatch.setattr(flowsim.EventQueue, "pop", pop)
+    monkeypatch.setattr(flowsim.FlowNetwork, "remove_flow", remove_flow)
+    run_simulation(topology, trace, "defrag-perfect",
+                   solver_time_limit=config.controller.solver_time_limit)
+    stale = counts["flow pops"] - counts["live"]
+    assert counts["live"] > 0
+    assert stale <= 0.1 * counts["flow pops"]
 
 
 def test_plan_cache_audit_passes_across_committed_batches():
