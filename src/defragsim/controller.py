@@ -16,12 +16,13 @@ retries with every stage movable before giving up.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .defrag import (
     InfeasibleError, MigrationPlan, MoveBudgetExceeded, SolverInstance,
-    SolverJob, SolverTimeout, solve,
+    SolverTimeout, is_fragmented, ring_loads, solve,
 )
+from .fragmentation import stage_rows
 from .jobmodel import WorkerMove
 from .scheduler import Placement
 
@@ -40,44 +41,6 @@ class ControllerConfig:
     enabled: bool = True
 
 
-@dataclass
-class StageRows:
-    """Per-stage unit counts per rack, plus the owning solver jobs."""
-    jobs: list[SolverJob] = field(default_factory=list)
-    rows: list[list[int]] = field(default_factory=list)
-
-
-def stage_rows(placement: Placement) -> StageRows:
-    out = StageRows()
-    num_racks = placement.topology.num_racks
-    for job_id in sorted(placement.jobs):
-        job = placement.jobs[job_id]
-        for stage in range(job.pp_degree):
-            row = [0] * num_racks
-            for dp in range(job.dp_degree):
-                unit_worker = (job_id, job.worker_index(stage, dp, 0))
-                row[placement.locate(unit_worker).rack] += 1
-            out.jobs.append(SolverJob(
-                key=(job_id, stage), units=job.dp_degree,
-                unit_size=job.tp_degree, ring_weight=job.tp_degree))
-            out.rows.append(row)
-    return out
-
-
-def _fragmented(row: list[int]) -> bool:
-    return sum(1 for v in row if v > 0) >= 2
-
-
-def _ring_loads(stages: StageRows, num_racks: int) -> list[int]:
-    loads = [0] * num_racks
-    for job, row in zip(stages.jobs, stages.rows):
-        if _fragmented(row):
-            for t, v in enumerate(row):
-                if v:
-                    loads[t] += job.ring_weight
-    return loads
-
-
 def build_instance(placement: Placement, threshold: float,
                    reduce: bool = True) -> SolverInstance | None:
     """Solver instance for the current placement, or None if compliant.
@@ -87,29 +50,26 @@ def build_instance(placement: Placement, threshold: float,
     """
     stages = stage_rows(placement)
     num_racks = placement.topology.num_racks
-    loads = _ring_loads(stages, num_racks)
+    loads = ring_loads(stages.jobs, stages.rows, [0] * num_racks)
     violating = {t for t in range(num_racks) if loads[t] > threshold}
     if not violating:
         return None
 
     if reduce:
         movable = [i for i, row in enumerate(stages.rows)
-                   if _fragmented(row) and any(row[t] for t in violating)]
+                   if is_fragmented(row) and any(row[t] for t in violating)]
     else:
         movable = list(range(len(stages.jobs)))
     movable_set = set(movable)
+    frozen = [i for i in range(len(stages.jobs)) if i not in movable_set]
 
     capacities = [placement.topology.gpus_per_rack] * num_racks
-    base_load = [0] * num_racks
-    for i, (job, row) in enumerate(zip(stages.jobs, stages.rows)):
-        if i in movable_set:
-            continue
-        for t, v in enumerate(row):
-            capacities[t] -= job.unit_size * v
-        if _fragmented(row):
-            for t, v in enumerate(row):
-                if v:
-                    base_load[t] += job.ring_weight
+    for i in frozen:
+        for t, v in enumerate(stages.rows[i]):
+            capacities[t] -= stages.jobs[i].unit_size * v
+    base_load = ring_loads([stages.jobs[i] for i in frozen],
+                           [stages.rows[i] for i in frozen],
+                           [0] * num_racks)
     return SolverInstance(
         num_racks=num_racks,
         capacities=tuple(capacities),

@@ -16,11 +16,13 @@ over all rack-level placements validates optimality on small instances.
 Jobs are placed in atomic units of ``unit_size`` workers (the TP group,
 which never splits across hosts); pure DP jobs have unit_size 1. A
 fragmented job contributes ``ring_weight`` (its TP degree) to every rack
-it spans.
+it spans; ``ring_loads`` is the one computation of that per-rack load,
+shared by the solver, the controller and the fragmentation metric.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import time
@@ -116,29 +118,28 @@ class MigrationPlan:
     stats: SolverStats
 
 
-def _is_fragmented(row: Sequence[int]) -> bool:
+def is_fragmented(row: Sequence[int]) -> bool:
+    """Whether a row of units per rack spans two or more racks."""
     return sum(1 for v in row if v > 0) >= 2
 
 
-def _frag_ok(instance: SolverInstance,
-             placement: Sequence[Sequence[int]]) -> bool:
-    for t in range(instance.num_racks):
-        load = instance.base_load[t] + sum(
-            job.ring_weight for job, row in zip(instance.jobs, placement)
-            if row[t] > 0 and _is_fragmented(row))
-        if load > instance.threshold:
-            return False
-    return True
+def ring_loads(jobs: Sequence[SolverJob], rows: Sequence[Sequence[int]],
+               base: Sequence[int]) -> list[int]:
+    """Ring load per rack: ``base`` plus the ring weight of every
+    fragmented job on each rack it spans. A fragmented ring sends one
+    cross-rack flow out of every rack it spans."""
+    loads = list(base)
+    for job, row in zip(jobs, rows):
+        if is_fragmented(row):
+            for t, v in enumerate(row):
+                if v:
+                    loads[t] += job.ring_weight
+    return loads
 
 
 def _capacity_ok(instance: SolverInstance,
                  placement: Sequence[Sequence[int]]) -> bool:
-    for t in range(instance.num_racks):
-        used = sum(job.unit_size * row[t]
-                   for job, row in zip(instance.jobs, placement))
-        if used > instance.capacities[t]:
-            return False
-    return True
+    return all(f >= 0 for f in _free_capacity(instance, placement))
 
 
 def worker_moves(instance: SolverInstance,
@@ -153,29 +154,14 @@ def worker_moves(instance: SolverInstance,
 # -- candidate row generation -------------------------------------------
 
 
-def _splits(k: int, racks: Sequence[int], limits: Sequence[int]):
-    """All ways to distribute k units over the given racks, placing at
-    most limits[t] units on rack t."""
-    if k == 0:
-        yield ()
-        return
-    if not racks:
-        return
-    head, tail = racks[0], racks[1:]
-    for here in range(min(k, limits[head]), -1, -1):
-        for rest in _splits(k - here, tail, limits):
-            if here:
-                yield ((head, here),) + rest
-            else:
-                yield rest
-
-
 def _budgeted_splits(k: int, racks: Sequence[int], limits: Sequence[int],
                      slacks: Sequence[int], unit: int, budget: int):
-    """Like _splits, but units placed beyond a rack's slack (in workers)
-    draw from a shared eviction budget. Free capacity is globally
-    conserved, so additions beyond current slack are only possible if
-    later moves evict someone -- and those moves are bounded."""
+    """All ways to distribute k units over the given racks, placing at
+    most limits[t] units on rack t. Units placed beyond a rack's slack
+    (in workers) draw from a shared eviction budget. Free capacity is
+    globally conserved, so additions beyond current slack are only
+    possible if later moves evict someone -- and those moves are
+    bounded."""
     if k == 0:
         yield ()
         return
@@ -204,7 +190,10 @@ def _candidate_rows(row0: tuple[int, ...], k: int,
     generation collapses instead of exploding on a full cluster."""
     num_racks = len(row0)
     support = [t for t in range(num_racks) if row0[t] > 0]
-    for removal in _splits(k, support, row0):
+    # a rack never gives more than it holds, so removals never draw
+    # on the (zero) budget
+    for removal in _budgeted_splits(k, support, row0,
+                                    [unit * v for v in row0], unit, 0):
         removed = list(row0)
         for t, cnt in removal:
             removed[t] -= cnt
@@ -233,7 +222,7 @@ def _greedy_incumbent(instance: SolverInstance
             return [tuple(row) for row in placement]
         free = _free_capacity(instance, placement)
         candidates = [i for i, row in enumerate(placement)
-                      if _is_fragmented(row)
+                      if is_fragmented(row)
                       and any(row[t] > 0 for t in violating)]
         if not candidates:
             return None
@@ -280,7 +269,8 @@ def _sequential_incumbent(instance: SolverInstance
         if remaining:
             return None
         placement.append(tuple(row))
-    if _frag_ok(instance, placement) and _capacity_ok(instance, placement):
+    if (_capacity_ok(instance, placement)
+            and not _violating_racks(instance, placement)):
         return placement
     return None
 
@@ -326,14 +316,12 @@ def _repair_incumbent(instance: SolverInstance
         violating = _violating_racks(instance, placement)
         if not violating:
             rows = [tuple(row) for row in placement]
-            if _capacity_ok(instance, rows) and _frag_ok(instance, rows):
-                return rows
-            return None
+            return rows if _capacity_ok(instance, rows) else None
         t = min(violating)
         best: tuple[int, int, int, str] | None = None  # cost, i, arg, kind
         for i, row in enumerate(placement):
             job = jobs[i]
-            if row[t] == 0 or not _is_fragmented(row):
+            if row[t] == 0 or not is_fragmented(row):
                 continue
             room = sum(free[u] // job.unit_size
                        for u in range(num_racks)
@@ -359,14 +347,9 @@ def _repair_incumbent(instance: SolverInstance
 
 
 def _violating_racks(instance, placement) -> set[int]:
-    out = set()
-    for t in range(instance.num_racks):
-        load = instance.base_load[t] + sum(
-            job.ring_weight for job, row in zip(instance.jobs, placement)
-            if row[t] > 0 and _is_fragmented(row))
-        if load > instance.threshold:
-            out.add(t)
-    return out
+    return {t for t, load in enumerate(
+                ring_loads(instance.jobs, placement, instance.base_load))
+            if load > instance.threshold}
 
 
 def _free_capacity(instance, placement) -> list[int]:
@@ -375,37 +358,6 @@ def _free_capacity(instance, placement) -> list[int]:
         for t, v in enumerate(row):
             free[t] -= job.unit_size * v
     return free
-
-
-def _lower_bound(instance: SolverInstance) -> int:
-    """Admissible lower bound on worker moves.
-
-    Every over-threshold rack must shed ring load; each fragmented job
-    present there can contribute only by vacating the rack or by being
-    made whole, whichever is cheaper for it. Racks may share fixes, so
-    the bound is the max over racks, not the sum.
-    """
-    best = 0
-    for t in _violating_racks(instance, instance.initial):
-        excess = sum(
-            job.ring_weight
-            for job, row in zip(instance.jobs, instance.initial)
-            if row[t] > 0 and _is_fragmented(row)
-        ) + instance.base_load[t] - instance.threshold
-        if excess <= 0:
-            continue
-        options = sorted(
-            (job.unit_size * min(row[t], job.units - row[t]), job.ring_weight)
-            for job, row in zip(instance.jobs, instance.initial)
-            if row[t] > 0 and _is_fragmented(row))
-        if not options:
-            continue
-        # any fix touches at least ceil(excess / heaviest weight) of these
-        # jobs, each paying at least its own cheapest change
-        max_weight = max(w for _, w in options)
-        k_min = math.ceil(excess / max_weight)
-        best = max(best, sum(c for c, _ in options[:k_min]))
-    return best
 
 
 # -- exact branch and bound ---------------------------------------------
@@ -421,13 +373,33 @@ class _Search:
         # them first so infeasibility surfaces high in the tree.
         self.order = sorted(
             range(len(instance.jobs)),
-            key=lambda i: (not _is_fragmented(instance.initial[i]),
+            key=lambda i: (not is_fragmented(instance.initial[i]),
                            -instance.jobs[i].workers, i))
         # workers still to place at each depth, for an aggregate capacity prune
         self.suffix_workers = [0] * (len(self.order) + 1)
         for d in range(len(self.order) - 1, -1, -1):
             self.suffix_workers[d] = (self.suffix_workers[d + 1]
                                       + instance.jobs[self.order[d]].workers)
+        # ring load of the jobs still unplaced at each depth, kept at their
+        # initial rows, and per rack the sorted (cheapest own change, ring
+        # weight) of each fragmented one there, for _remaining_lb
+        self.rest_loads = [[0] * instance.num_racks]
+        self.rest_options = [[[] for _ in range(instance.num_racks)]]
+        for i in reversed(self.order):
+            job, row = instance.jobs[i], instance.initial[i]
+            self.rest_loads.append(
+                ring_loads([job], [row], self.rest_loads[-1]))
+            options = self.rest_options[-1]
+            if is_fragmented(row):
+                options = [list(o) for o in options]
+                for t, v in enumerate(row):
+                    if v:
+                        bisect.insort(options[t], (
+                            job.unit_size * min(v, job.units - v),
+                            job.ring_weight))
+            self.rest_options.append(options)
+        self.rest_loads.reverse()
+        self.rest_options.reverse()
 
     def run(self, incumbent: list[tuple[int, ...]] | None,
             floor: int, cap: int | None = None) -> None:
@@ -474,25 +446,15 @@ class _Search:
         If keeping every unplaced job at its initial row would push a
         rack over threshold, at least ceil(excess / heaviest weight) of
         the fragmented jobs there must change, each paying at least its
-        cheapest own change (vacate the rack or become whole)."""
-        inst = self.instance
+        cheapest own change (vacate the rack or become whole). Racks may
+        share fixes, so the bound is the max over racks, not the sum."""
+        threshold = self.instance.threshold
         best = 0
-        for t in range(inst.num_racks):
-            load = frag[t]
-            options = []
-            for d in range(depth, len(self.order)):
-                i = self.order[d]
-                row = inst.initial[i]
-                if row[t] > 0 and _is_fragmented(row):
-                    job = inst.jobs[i]
-                    load += job.ring_weight
-                    options.append(
-                        (job.unit_size * min(row[t], job.units - row[t]),
-                         job.ring_weight))
-            excess = load - inst.threshold
+        for t, (load, options) in enumerate(zip(self.rest_loads[depth],
+                                                self.rest_options[depth])):
+            excess = frag[t] + load - threshold
             if excess <= 0:
                 continue
-            options.sort()
             max_weight = max(w for _, w in options)
             k_min = math.ceil(excess / max_weight)
             best = max(best, sum(c for c, _ in options[:k_min]))
@@ -544,7 +506,7 @@ class _Search:
                 if any(job.unit_size * row[t] > free[t]
                        for t in range(len(row)) if row[t]):
                     continue
-                fragmented = _is_fragmented(row)
+                fragmented = is_fragmented(row)
                 if fragmented:
                     if any(frag[t] + job.ring_weight > self.instance.threshold
                            for t in range(len(row)) if row[t]):
@@ -577,10 +539,11 @@ def solve(instance: SolverInstance,
           max_moves: int | None = None) -> MigrationPlan:
     """Exact minimum-move plan meeting the fragmentation threshold.
 
-    Raises InfeasibleError when no placement satisfies the constraints
-    (impossible when threshold >= 2 * max ring weight and total demand
-    fits the cluster). Under the time limit, returns the best incumbent
-    with ``stats.optimal`` False.
+    Raises InfeasibleError when no placement satisfies the constraints:
+    always when ``base_load`` alone exceeds the threshold on some rack,
+    never when threshold >= 2 * max ring weight, the base load is zero
+    and total demand fits the cluster. Under the time limit, returns the
+    best incumbent with ``stats.optimal`` False.
 
     With ``max_moves``, only plans at or below that many worker moves
     are considered; MoveBudgetExceeded is raised when none exists. The
@@ -590,8 +553,11 @@ def solve(instance: SolverInstance,
     start = time.monotonic()
     deadline = None if time_limit is None else start + time_limit
 
+    if any(load > instance.threshold for load in instance.base_load):
+        raise InfeasibleError("the frozen ring load alone exceeds the "
+                              "threshold")
     if (_capacity_ok(instance, instance.initial)
-            and _frag_ok(instance, instance.initial)):
+            and not _violating_racks(instance, instance.initial)):
         stats = SolverStats(0, time.monotonic() - start, 0, True)
         return MigrationPlan(instance.initial, (), 0, stats)
 
@@ -603,7 +569,8 @@ def solve(instance: SolverInstance,
                     default=None)
 
     search = _Search(instance, deadline)
-    search.run(incumbent, _lower_bound(instance), cap=max_moves)
+    search.run(incumbent, search._remaining_lb(0, list(instance.base_load)),
+               cap=max_moves)
 
     elapsed = time.monotonic() - start
     if search.best is None:
@@ -691,7 +658,7 @@ def brute_force_min_moves(instance: SolverInstance,
         if best is not None and moves >= best:
             return
         if depth == num_jobs:
-            if _frag_ok(instance, chosen):
+            if not _violating_racks(instance, chosen):
                 best = moves
             return
         job = instance.jobs[depth]

@@ -1,20 +1,54 @@
-"""Per-rack fragmentation degrees and the constructive placement bound.
+"""Stage rows, per-rack fragmentation degrees, and the constructive
+placement bound.
 
-A rack's fragmentation degree is the number of DP rings present on the
-rack that span at least two racks; each such ring sends exactly one flow
-out of every rack it spans. A fragmented job with TP degree d contributes
-d rings (hence d flows) per spanned rack, and pipeline stages count as
-independent jobs.
+Each pipeline stage of a job is one row: its DP replicas (TP units) per
+rack. A stage spanning two or more racks is fragmented, and each of its
+DP rings, one per TP rank, then sends exactly one flow out of every rack
+the stage spans. A rack's fragmentation degree is therefore its ring
+load (``defrag.ring_loads``): the summed ring weight, i.e. TP degree, of
+the fragmented stages on it; pipeline stages count as independent jobs.
+
+Counting per stage rather than per DP ring is exact because a TP unit
+never splits across hosts: the scheduler places and the controller
+moves whole units, so every TP rank's ring of a stage spans the same
+racks as the stage's row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
+from .defrag import SolverJob, is_fragmented, ring_loads
 from .scheduler import Placement, SchedulerError
 from .topology import ClusterTopology
-from .workload import JobSpec, replica_groups
+from .workload import JobSpec
+
+
+@dataclass
+class StageRows:
+    """Per-stage unit counts per rack, plus the owning solver jobs."""
+    jobs: list[SolverJob] = field(default_factory=list)
+    rows: list[list[int]] = field(default_factory=list)
+
+
+def stage_rows(placement: Placement) -> StageRows:
+    """One solver job and one row per pipeline stage of each placed job,
+    in job-id order; a stage's TP units are located by their TP rank 0."""
+    out = StageRows()
+    num_racks = placement.topology.num_racks
+    for job_id in sorted(placement.jobs):
+        job = placement.jobs[job_id]
+        for stage in range(job.pp_degree):
+            row = [0] * num_racks
+            for dp in range(job.dp_degree):
+                unit_worker = (job_id, job.worker_index(stage, dp, 0))
+                row[placement.locate(unit_worker).rack] += 1
+            out.jobs.append(SolverJob(
+                key=(job_id, stage), units=job.dp_degree,
+                unit_size=job.tp_degree, ring_weight=job.tp_degree))
+            out.rows.append(row)
+    return out
 
 
 @dataclass(frozen=True)
@@ -27,38 +61,16 @@ class FragmentationReport:
         return max(self.per_rack, default=0)
 
 
-def group_rack_span(placement: Placement, job: JobSpec) -> list[frozenset[int]]:
-    """Rack set spanned by each DP ring of a job."""
-    spans = []
-    for group in replica_groups(job):
-        spans.append(frozenset(placement.locate(w).rack
-                               for w in group.members))
-    return spans
-
-
-def fragmentation_degree(placement: Placement,
-                         jobs: Iterable[JobSpec] | None = None
-                         ) -> FragmentationReport:
+def fragmentation_degree(placement: Placement) -> FragmentationReport:
     """Exact per-rack degrees, recomputed from scratch."""
-    if jobs is None:
-        jobs = placement.jobs.values()
-    per_rack = [0] * placement.topology.num_racks
-    fragmented = 0
-    for job in jobs:
-        for span in group_rack_span(placement, job):
-            if len(span) >= 2:
-                fragmented += 1
-                for rack in span:
-                    per_rack[rack] += 1
+    stages = stage_rows(placement)
+    per_rack = ring_loads(stages.jobs, stages.rows,
+                          [0] * placement.topology.num_racks)
+    fragmented = sum(job.ring_weight
+                     for job, row in zip(stages.jobs, stages.rows)
+                     if is_fragmented(row))
     return FragmentationReport(per_rack=tuple(per_rack),
                                total_fragmented_groups=fragmented)
-
-
-def threshold_violated(report: FragmentationReport,
-                       threshold: float) -> set[int]:
-    """Racks whose degree exceeds the threshold."""
-    return {rack for rack, degree in enumerate(report.per_rack)
-            if degree > threshold}
 
 
 def sequential_placement(jobs: Iterable[JobSpec],

@@ -40,10 +40,6 @@ class FlowDemand:
 @dataclass
 class RoutingAssignment:
     colors: dict[tuple, int] = field(default_factory=dict)
-    colors_used: int = 0
-
-    def color_of(self, key: tuple) -> int:
-        return self.colors[key]
 
 
 # -- Hopcroft-Karp maximum bipartite matching -----------------------------
@@ -215,7 +211,6 @@ class PerfectRouting(RoutingStrategy):
         colors, delta = edge_color(edges)
         for f, c in zip(elephants, colors):
             assignment.colors[f.key] = c % uplinks if delta > uplinks else c
-        assignment.colors_used = min(delta, uplinks)
         cursor: dict[int, int] = defaultdict(int)
         for f in flows:
             if not f.is_elephant:
@@ -233,7 +228,6 @@ class EcmpRouting(RoutingStrategy):
         assignment = RoutingAssignment()
         for f in flows:
             assignment.colors[f.key] = stable_hash(f.key) % uplinks
-        assignment.colors_used = uplinks
         return assignment
 
 
@@ -273,7 +267,6 @@ class CruxRouting(RoutingStrategy):
             assignment.colors[f.key] = best
             up[(f.src_rack, best)] += 1
             down[(f.dst_rack, best)] += 1
-        assignment.colors_used = uplinks
         return assignment
 
 
@@ -290,7 +283,6 @@ class SglbRouting(RoutingStrategy):
                 assignment.colors[f.key] = previous.colors[f.key]
             else:
                 assignment.colors[f.key] = stable_hash(f.key) % uplinks
-        assignment.colors_used = uplinks
         return assignment
 
     def rebalance(self, flows: Sequence[FlowDemand], uplinks: int,
@@ -344,7 +336,6 @@ class SprayRouting(RoutingStrategy):
         assignment = RoutingAssignment()
         for f in flows:
             assignment.colors[f.key] = SPRAY_COLOR
-        assignment.colors_used = uplinks
         return assignment
 
 

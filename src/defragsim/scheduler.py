@@ -48,31 +48,11 @@ class Placement:
     def jobs(self) -> dict[int, JobSpec]:
         return self._jobs
 
-    def workers_of(self, job_id: int) -> list[WorkerId]:
-        job = self._jobs[job_id]
-        return [(job_id, i) for i in range(job.num_workers)]
-
     def free_slots(self, rack: int, host: int) -> int:
         return self._free[rack][host]
 
     def rack_free_units(self, rack: int, unit: int) -> int:
         return sum(f // unit for f in self._free[rack])
-
-    def total_free_units(self, unit: int) -> int:
-        return sum(self.rack_free_units(r, unit)
-                   for r in range(self.topology.num_racks))
-
-    def worker_counts(self) -> dict[tuple[int, int], int]:
-        """Aggregate w(s, t): number of workers of each job per rack."""
-        counts: dict[tuple[int, int], int] = {}
-        for (job_id, _), gpu in self._workers.items():
-            key = (job_id, gpu.rack)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def used_slots(self, rack: int) -> int:
-        per_rack_cap = self.topology.gpus_per_rack
-        return per_rack_cap - sum(self._free[rack])
 
     # -- mutation --------------------------------------------------------
 
@@ -92,10 +72,6 @@ class Placement:
         gpu = self._workers.pop(worker)
         self._host_slots[(gpu.rack, gpu.host)].discard(gpu.slot)
         self._free[gpu.rack][gpu.host] += 1
-
-    def move(self, worker: WorkerId, rack: int, host: int) -> GpuId:
-        self.unassign(worker)
-        return self.assign(worker, rack, host)
 
     def add_job(self, job: JobSpec, racks_per_unit: list[int]) -> None:
         """Materialize a job given the target rack of each TP unit."""

@@ -64,11 +64,6 @@ class ClusterTopology:
         return (self.hosts_per_rack * self.gpus_per_host * self.nic_bandwidth
                 ) / (self.uplinks_per_tor * self.uplink_bandwidth)
 
-    def spine_for_uplink(self, uplink: int) -> int:
-        # Uplink i on every ToR connects to spine i mod num_spines, so a
-        # "color = uplink index" assignment is globally consistent.
-        return uplink % self.num_spines
-
     # -- link index ----------------------------------------------------------
     #
     # Every capacity-constrained link direction has a dense int id, so the

@@ -65,14 +65,6 @@ class JobSpec:
     def worker_index(self, pp: int, dp: int, tp: int) -> int:
         return (pp * self.dp_degree + dp) * self.tp_degree + tp
 
-    def worker_coords(self, index: int) -> tuple[int, int, int]:
-        """Return (pp_stage, dp_rank, tp_rank) of a worker index."""
-        tp = index % self.tp_degree
-        rest = index // self.tp_degree
-        dp = rest % self.dp_degree
-        pp = rest // self.dp_degree
-        return pp, dp, tp
-
 
 # A worker is identified by (job_id, worker_index).
 WorkerId = tuple[int, int]
@@ -137,22 +129,6 @@ def ring_edges(group: ReplicaGroup,
     ordered = rank_ring(group.members, locate)
     per_link = ring_bytes_per_link(group.bytes_per_iteration, n)
     return [(ordered[i], ordered[(i + 1) % n], per_link) for i in range(n)]
-
-
-def ring_traffic(group: ReplicaGroup,
-                 locate: Callable[[WorkerId], GpuId]
-                 ) -> list[tuple[int, int, float]]:
-    """Cross-rack demands of one DP ring: (src_rack, dst_rack, bytes).
-
-    A group spanning k >= 2 racks yields exactly k cross-rack flows
-    forming a directed cycle over the racks; a one-rack group yields none.
-    """
-    demands = []
-    for src, dst, per_link in ring_edges(group, locate):
-        src_rack, dst_rack = locate(src).rack, locate(dst).rack
-        if src_rack != dst_rack:
-            demands.append((src_rack, dst_rack, per_link))
-    return demands
 
 
 def pp_traffic(job: JobSpec) -> list[tuple[WorkerId, WorkerId, float]]:

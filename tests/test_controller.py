@@ -2,7 +2,7 @@ from defragsim.controller import (
     ControllerConfig, DefragController, build_instance, resolve_plan,
     stage_rows,
 )
-from defragsim.fragmentation import fragmentation_degree, threshold_violated
+from defragsim.fragmentation import fragmentation_degree
 from defragsim.scheduler import Placement
 from defragsim.topology import make_two_tier
 from tests.test_workload import make_job, place_on_racks
@@ -86,8 +86,7 @@ def test_controller_restores_threshold():
     assert decision.plan.move_count == 3  # gather the smaller half
     assert len(decision.moves) == 3
     apply_moves(placement, decision.moves)
-    report = fragmentation_degree(placement)
-    assert threshold_violated(report, 0) == set()
+    assert fragmentation_degree(placement).max_degree == 0
     # placement is now compliant: controller goes quiet
     assert controller.check() is None
 

@@ -5,7 +5,7 @@ import pytest
 
 from defragsim.defrag import (
     InfeasibleError, MigrationPlan, OracleTooLargeError, SolverInstance,
-    SolverJob, brute_force_min_moves, solve, worker_moves,
+    SolverJob, brute_force_min_moves, ring_loads, solve, worker_moves,
 )
 
 
@@ -178,6 +178,28 @@ def test_infeasible_raises():
     inst = SolverInstance.uniform(2, 1, jobs, [[2, 1, 0], [0, 1, 2]])
     with pytest.raises(InfeasibleError):
         solve(inst, time_limit=None)
+    with pytest.raises(InfeasibleError):
+        brute_force_min_moves(inst)
+
+
+def test_ring_loads_weight_fragmented_rows_only():
+    jobs = [SolverJob(0, 2, unit_size=8, ring_weight=8), SolverJob(1, 3),
+            SolverJob(2, 2)]
+    rows = [[1, 1, 0], [0, 3, 0], [0, 1, 1]]
+    assert ring_loads(jobs, rows, [0, 0, 0]) == [8, 9, 1]
+    assert ring_loads(jobs, rows, [2, 0, 5]) == [10, 9, 6]
+
+
+@pytest.mark.parametrize("max_moves", [None, 4])
+def test_frozen_overload_is_infeasible(max_moves):
+    # rack 0 is over the threshold from frozen load alone; no move of
+    # the instance's own jobs can bring it back
+    jobs = [SolverJob(k, 2) for k in "abc"]
+    inst = SolverInstance(
+        num_racks=3, capacities=(4, 4, 4), threshold=1, jobs=tuple(jobs),
+        initial=((0, 1, 1),) * 3, base_load=(2, 0, 0))
+    with pytest.raises(InfeasibleError):
+        solve(inst, time_limit=None, max_moves=max_moves)
     with pytest.raises(InfeasibleError):
         brute_force_min_moves(inst)
 

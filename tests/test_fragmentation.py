@@ -3,11 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from defragsim.fragmentation import (
-    fragmentation_degree, sequential_placement, threshold_violated,
-)
-from defragsim.scheduler import Placement, SchedulerError
+from defragsim.controller import build_instance
+from defragsim.fragmentation import fragmentation_degree, sequential_placement
+from defragsim.scheduler import Placement, Scheduler, SchedulerError
 from defragsim.topology import make_two_tier
+from defragsim.workload import replica_groups
 from tests.test_workload import make_job, place_on_racks
 
 TOPO = make_two_tier(4, 4, 8, 4, 400e9, 400e9, 4)
@@ -73,13 +73,61 @@ def test_degree_invariant_under_member_permutation():
 
 
 def test_threshold_violated_basic():
+    # degree 1 on racks 0 and 1: only a threshold below 1 is violated,
+    # and then the split stage is the controller's decision variable
     job = make_job(job_id=1, workers=2, dp=2)
     placement = place_on_racks(job, [0, 1])
     placement.jobs[1] = job
-    report = fragmentation_degree(placement)
-    assert threshold_violated(report, 2) == set()
-    assert threshold_violated(report, 0) == {0, 1}
-    assert threshold_violated(report, float("inf")) == set()
+    assert fragmentation_degree(placement).per_rack == (1, 1, 0, 0)
+    assert build_instance(placement, 2) is None
+    assert build_instance(placement, float("inf")) is None
+    instance = build_instance(placement, 0)
+    assert [j.key for j in instance.jobs] == [(1, 0)]
+    assert instance.initial == ((1, 1, 0, 0),)
+
+
+def ring_span_degrees(placement):
+    """The paper's definition, one DP ring at a time: every ring spanning
+    two or more racks adds one to each rack it spans."""
+    per_rack = [0] * placement.topology.num_racks
+    fragmented = 0
+    for job in placement.jobs.values():
+        for group in replica_groups(job):
+            span = {placement.locate(w).rack for w in group.members}
+            if len(span) >= 2:
+                fragmented += 1
+                for rack in span:
+                    per_rack[rack] += 1
+    return tuple(per_rack), fragmented
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stage_degrees_match_per_ring_definition(data):
+    racks = data.draw(st.integers(2, 5))
+    hosts = data.draw(st.integers(1, 3))
+    gpus = data.draw(st.sampled_from([1, 2, 4]))
+    topo = make_two_tier(racks, hosts, gpus, 2, 400e9, 400e9, 2)
+    sched = Scheduler(topo)
+    placed, job_id = [], 0
+    for _ in range(data.draw(st.integers(1, 12))):
+        if placed and data.draw(st.booleans()):
+            # departures are what fragment later arrivals
+            gone = placed.pop(data.draw(st.integers(0, len(placed) - 1)))
+            placed += [j.job_id for j in sched.release_job(gone)]
+            continue
+        tp = data.draw(st.sampled_from([t for t in (1, 2, 4) if t <= gpus]))
+        pp = data.draw(st.integers(1, 3))
+        dp = data.draw(st.integers(1, 4))
+        job = make_job(job_id=job_id, workers=dp * tp * pp, dp=dp, tp=tp,
+                       pp=pp)
+        job_id += 1
+        if job.num_workers <= topo.total_gpus and sched.place_job(job):
+            placed.append(job.job_id)
+    report = fragmentation_degree(sched.placement)
+    per_rack, fragmented = ring_span_degrees(sched.placement)
+    assert report.per_rack == per_rack
+    assert report.total_fragmented_groups == fragmented
 
 
 @settings(max_examples=200, deadline=None)

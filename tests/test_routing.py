@@ -67,7 +67,7 @@ def test_perfect_routing_isolates_within_uplinks():
     strategy = make_strategy("perfect")
     flows = [dp((1, i), 1, 0, i + 1) for i in range(3)]
     a = strategy.assign(flows, uplinks=4)
-    used = [a.color_of(f.key) for f in flows]
+    used = [a.colors[f.key] for f in flows]
     assert len(set(used)) == 3  # star: pairwise distinct at the hub
 
 
@@ -75,10 +75,10 @@ def test_perfect_routing_collapses_when_overloaded():
     strategy = make_strategy("perfect")
     flows = [dp((1, i), 1, 0, i + 1) for i in range(6)]
     a = strategy.assign(flows, uplinks=2)
-    assert all(0 <= a.color_of(f.key) < 2 for f in flows)
+    assert all(0 <= a.colors[f.key] < 2 for f in flows)
     per_uplink = defaultdict(int)
     for f in flows:
-        per_uplink[a.color_of(f.key)] += 1
+        per_uplink[a.colors[f.key]] += 1
     assert max(per_uplink.values()) == 3  # round-robin collapse is even
 
 
@@ -87,7 +87,7 @@ def test_perfect_routing_mice_round_robin():
     mice = [FlowDemand(key=("pp", i), job_id=1, src_rack=0, dst_rack=1,
                        kind="pp") for i in range(4)]
     a = strategy.assign(mice, uplinks=2)
-    assert [a.color_of(m.key) for m in mice] == [0, 1, 0, 1]
+    assert [a.colors[m.key] for m in mice] == [0, 1, 0, 1]
 
 
 def test_ecmp_deterministic():
@@ -122,14 +122,14 @@ def test_crux_single_job_no_sharing():
     strategy = make_strategy("crux")
     flows = [dp((1, i), 1, 0, 1) for i in range(2)]
     a = strategy.assign(flows, uplinks=2, utilization={1: 0.9})
-    assert a.color_of((1, 0)) != a.color_of((1, 1))
+    assert a.colors[(1, 0)] != a.colors[(1, 1)]
 
 
 def test_crux_two_jobs_same_tor_pair_disjoint():
     strategy = make_strategy("crux")
     flows = [dp((1, 0), 1, 0, 1), dp((2, 0), 2, 0, 1)]
     a = strategy.assign(flows, uplinks=2, utilization={1: 0.5, 2: 0.5})
-    assert a.color_of((1, 0)) != a.color_of((2, 0))
+    assert a.colors[(1, 0)] != a.colors[(2, 0)]
 
 
 def test_crux_greedy_can_miss_isolation():
@@ -148,7 +148,7 @@ def test_crux_greedy_can_miss_isolation():
     # perfect always isolates here (max degree 3 <= 3 uplinks)
     src_seen, dst_seen = set(), set()
     for f in flows:
-        c = perfect.color_of(f.key)
+        c = perfect.colors[f.key]
         assert (f.src_rack, c) not in src_seen
         assert (f.dst_rack, c) not in dst_seen
         src_seen.add((f.src_rack, c))
@@ -180,7 +180,7 @@ def test_sglb_converges_from_collided_start():
             break
     loads = defaultdict(int)
     for f in flows:
-        loads[a.color_of(f.key)] += 1
+        loads[a.colors[f.key]] += 1
     assert max(loads.values()) <= 2  # ceil(8 / 4)
 
 
@@ -188,7 +188,7 @@ def test_spray_assigns_aggregate_color():
     strategy = make_strategy("spray")
     flows = [dp((1, 0), 1, 0, 1)]
     a = strategy.assign(flows, uplinks=4)
-    assert a.color_of((1, 0)) == SPRAY_COLOR
+    assert a.colors[(1, 0)] == SPRAY_COLOR
 
 
 def test_unknown_strategy_rejected():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from defragsim.scheduler import Scheduler, SchedulerError
@@ -8,9 +10,20 @@ from tests.test_workload import make_job
 TOPO = make_two_tier(2, 8, 1, 2, 400e9, 400e9, 2)
 
 
+def workers_of(placement, job_id):
+    return [(job_id, i)
+            for i in range(placement.jobs[job_id].num_workers)]
+
+
 def racks_used(scheduler, job_id):
     return {scheduler.placement.locate(w).rack
-            for w in scheduler.placement.workers_of(job_id)}
+            for w in workers_of(scheduler.placement, job_id)}
+
+
+def free_gpus(placement):
+    topo = placement.topology
+    return sum(placement.free_slots(r, h) for r in range(topo.num_racks)
+               for h in range(topo.hosts_per_rack))
 
 
 def test_fewest_available_fitting_rack():
@@ -28,9 +41,10 @@ def test_split_across_racks_largest_free_first():
     sched.placement.add_job(make_job(job_id=101, workers=3, dp=3), [1] * 3)
     # free: rack0=2, rack1=1, rack2=4; job of 6 fits nowhere whole
     assert sched.place_job(make_job(job_id=1, workers=6, dp=6))
-    w = sched.placement.worker_counts()
-    assert w[(1, 2)] == 4  # roomiest rack taken whole
-    assert w[(1, 0)] == 2  # then the remainder fits rack 0 exactly
+    w = Counter(sched.placement.locate(worker).rack
+                for worker in workers_of(sched.placement, 1))
+    assert w[2] == 4  # roomiest rack taken whole
+    assert w[0] == 2  # then the remainder fits rack 0 exactly
 
 
 def test_empty_cluster_single_rack_job_unfragmented():
@@ -49,11 +63,11 @@ def test_queue_when_full():
 def test_release_restores_capacity():
     sched = Scheduler(TOPO)
     job = make_job(job_id=1, workers=6, dp=6)
-    before = sched.placement.total_free_units(1)
+    before = free_gpus(sched.placement)
     sched.place_job(job)
-    assert sched.placement.total_free_units(1) == before - 6
+    assert free_gpus(sched.placement) == before - 6
     sched.release_job(1)
-    assert sched.placement.total_free_units(1) == before
+    assert free_gpus(sched.placement) == before
 
 
 def test_release_unknown_job():
@@ -86,9 +100,14 @@ def test_capacity_invariant_after_operations():
     jobs = [make_job(job_id=i, workers=3, dp=3) for i in range(5)]
     for job in jobs:
         sched.place_job(job)
-        w = sched.placement.worker_counts()
+        placement = sched.placement
+        w = Counter(placement.locate(worker).rack
+                    for job_id in placement.jobs
+                    for worker in workers_of(placement, job_id))
         for rack in range(TOPO.num_racks):
-            assert sum(v for (s, t), v in w.items() if t == rack) <= cap
+            free = sum(placement.free_slots(rack, h)
+                       for h in range(TOPO.hosts_per_rack))
+            assert w[rack] == cap - free <= cap
 
 
 def test_whole_host_granularity_for_full_tp():
@@ -97,7 +116,7 @@ def test_whole_host_granularity_for_full_tp():
     job = make_job(job_id=1, workers=16, dp=2, tp=8)
     assert sched.place_job(job)
     hosts = {}
-    for w in sched.placement.workers_of(1):
+    for w in workers_of(sched.placement, 1):
         gpu = sched.placement.locate(w)
         hosts.setdefault((gpu.rack, gpu.host), 0)
         hosts[(gpu.rack, gpu.host)] += 1

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
+from defragsim.jobmodel import plan_iteration_flows
 from defragsim.scheduler import Placement
 from defragsim.topology import make_two_tier
 from defragsim.workload import (
     JobSpec, ModelTemplate, generate_trace,
-    ideal_duration, load_trace, pp_traffic, replica_groups, ring_traffic,
-    save_trace,
+    ideal_duration, load_trace, pp_traffic, replica_groups, save_trace,
 )
 
 TOPO = make_two_tier(4, 4, 8, 4, 400e9, 400e9, 4)
@@ -47,18 +47,24 @@ def test_replica_group_count():
     assert len(seen) == 32  # every worker in exactly one group
 
 
+def cross_rack_demands(job, placement):
+    """(src_rack, dst_rack, bytes) of each cross-rack flow of one
+    iteration: the flows that carry a routing demand."""
+    return [(f.demand.src_rack, f.demand.dst_rack, f.size_bytes)
+            for f in plan_iteration_flows(job, placement.locate)
+            if f.demand is not None]
+
+
 def test_ring_traffic_single_rack():
     job = make_job(workers=4, dp=4)
     placement = place_on_racks(job, [3, 3, 3, 3])
-    (group,) = replica_groups(job)
-    assert ring_traffic(group, placement.locate) == []
+    assert cross_rack_demands(job, placement) == []
 
 
 def test_ring_traffic_two_racks_cycle():
     job = make_job(workers=4, dp=4)
     placement = place_on_racks(job, [0, 0, 1, 1])
-    (group,) = replica_groups(job)
-    demands = ring_traffic(group, placement.locate)
+    demands = cross_rack_demands(job, placement)
     assert len(demands) == 2
     assert {(s, d) for s, d, _ in demands} == {(0, 1), (1, 0)}
 
@@ -67,8 +73,8 @@ def test_ring_traffic_volume_llama_scale():
     # 840 GB synchronized by a 4-member group -> 1,260 GB per cross-rack flow
     job = make_job(workers=4, dp=4, dp_bytes=840e9)
     placement = place_on_racks(job, [0, 0, 1, 1])
-    (group,) = replica_groups(job)
-    demands = ring_traffic(group, placement.locate)
+    demands = cross_rack_demands(job, placement)
+    assert len(demands) == 2
     for _, _, volume in demands:
         assert volume == pytest.approx(1260e9)
 
@@ -79,14 +85,20 @@ def test_ring_traffic_flow_count_equals_rack_span():
     for _ in range(200):
         racks = [rng.randrange(TOPO.num_racks) for _ in range(8)]
         placement = place_on_racks(job, racks)
-        (group,) = replica_groups(job)
-        demands = ring_traffic(group, placement.locate)
+        demands = cross_rack_demands(job, placement)
         k = len(set(racks))
         assert len(demands) == (k if k >= 2 else 0)
-        # directed cycle: each spanned rack appears once as src and once as dst
+        # directed cycle: each spanned rack appears once as src and once
+        # as dst, and following the demands from one rack visits all k
         if k >= 2:
             assert {s for s, _, _ in demands} == set(racks)
             assert {d for _, d, _ in demands} == set(racks)
+            succ = {s: d for s, d, _ in demands}
+            rack, visited = racks[0], set()
+            for _ in range(k):
+                visited.add(rack)
+                rack = succ[rack]
+            assert rack == racks[0] and visited == set(racks)
 
 
 def test_dp_bytes_placement_invariant():
