@@ -133,7 +133,15 @@ def cmd_oracle(args) -> int:
         optimum = brute_force_min_moves(instance)
     except InfeasibleError:
         print("infeasible: no placement satisfies the threshold")
-        return EXIT_OK
+        try:
+            plan = solve(instance, time_limit=args.time_limit)
+        except InfeasibleError:
+            print("solver agrees: infeasible")
+            return EXIT_OK
+        print(f"MISMATCH: solver returned a {plan.move_count}-move plan "
+              "for an instance the oracle finds infeasible",
+              file=sys.stderr)
+        return EXIT_INVARIANT
     except OracleTooLargeError as exc:
         print(f"instance too large for exhaustive enumeration: {exc}",
               file=sys.stderr)
@@ -166,8 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of seeds (overrides config)")
     p_run.add_argument("--out", help="output directory (overrides config)")
     p_run.add_argument("--check-invariants", action="store_true",
-                       help="audit link capacity conservation after every "
-                            "rate recomputation (exit 3 on a violation)")
+                       help="audit link capacity conservation and the "
+                            "incremental rates against a full max-min "
+                            "solve after every rate recomputation, each "
+                            "cached iteration plan and the cached demand "
+                            "list against fresh ones, and that every "
+                            "skipped SGLB rebalance would move nothing "
+                            "(exit 3 on a violation)")
     p_run.set_defaults(fn=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep one experiment axis")

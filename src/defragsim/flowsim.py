@@ -15,6 +15,15 @@ same relative link order as a solve of every live flow: the rates are
 bit-identical to a full solve. Every flow's ETA is still recomputed with
 the same arithmetic, and only the flows whose ETA moved need a new event.
 
+Bits drain lazily: ``settle_to`` only records the clock step, and the
+next recompute drains every live flow, one step at a time at the rate
+it had during the steps, with the arithmetic an eager drain at each step
+would use. The touched flows drain before the re-solve replaces their
+rates; every other flow drains in the pass that derives its ETA. So a
+recompute walks the live flows once, and ``remaining_bits`` is
+bit-identical to an eager drain at every recompute. A removed flow is
+never drained.
+
 Links are dense int ids (``ClusterTopology`` assigns them), so a path is
 a tuple of ints and capacities are one list indexed by link id.
 """
@@ -163,7 +172,8 @@ class FlowNetwork:
 
     ``capacities[link]`` is the capacity of int link id ``link``; flow
     paths are tuples of those ids. The owner drives the clock:
-    ``settle_to`` accrues progress at the current rates; ``add_flow``,
+    ``settle_to`` records a step that the next ``recompute`` drains at
+    the rates in force during it; ``add_flow``,
     ``remove_flow`` and ``set_path`` (the only way to change a live
     flow's path) mark the flows they place fresh and the links they leave
     dirty; ``recompute`` re-solves the flows connected to a fresh flow or
@@ -180,6 +190,7 @@ class FlowNetwork:
         self._on_link: list[set[Flow]] = [set() for _ in capacities]
         self._dirty: set[int] = set()  # links left since the last solve
         self._fresh: list[Flow] = []  # flows added or re-pathed since then
+        self._steps: list[float] = []  # clock steps not yet drained
 
     def add_flow(self, key: Hashable, path: Iterable[int],
                  size_bytes: float) -> Flow:
@@ -214,20 +225,18 @@ class FlowNetwork:
         self._dirty.update(flow.path)
 
     def settle_to(self, time: float) -> None:
-        """Advance the clock, draining bits at the current rates."""
+        """Advance the clock. The step is recorded, not drained: the
+        next ``recompute`` drains it at the rates in force until then."""
         dt = time - self.time
         if dt < -1e-9:
             raise ValueError(f"time went backwards: {self.time} -> {time}")
         if dt > 0:
-            for flow in self.flows.values():
-                if flow.rate > 0 and math.isfinite(flow.rate):
-                    flow.remaining_bits = max(
-                        0.0, flow.remaining_bits - flow.rate * dt)
+            self._steps.append(dt)
         self.time = max(self.time, time)
 
-    def _touched(self) -> list[Flow]:
-        """Live flows connected to a dirty link or a fresh flow, in
-        insertion order; clears both marks."""
+    def _touched(self) -> set[Flow]:
+        """Live flows connected to a dirty link or a fresh flow; clears
+        both marks."""
         flows = self.flows
         found = {flow for flow in self._fresh if flows.get(flow.key) is flow}
         todo = list(self._dirty)
@@ -246,34 +255,56 @@ class FlowNetwork:
                     todo.extend(flow.path)
         self._dirty.clear()
         self._fresh.clear()
-        return sorted(found, key=_serial)
+        return found
 
     def recompute(self) -> list[tuple[float, Hashable, int]]:
-        """Re-solve the touched flows; return (eta, key, serial), in
-        insertion order, for every flow whose ETA moved to a new finite
-        time: each needs a completion event."""
+        """Drain the recorded clock steps, re-solve the touched flows and
+        return (eta, key, serial), in insertion order, for every flow
+        whose ETA moved to a new finite time: each needs a completion
+        event."""
         touched = self._touched()
+        steps = self._steps
+        inf = math.inf
         if touched:
-            rates = maxmin_rates([flow.path for flow in touched],
+            ordered = sorted(touched, key=_serial)
+            for flow in ordered:
+                # max(0, bits - rate * dt) per step, as an eager drain at
+                # each step, at the rate the solve is about to replace
+                rate = flow.rate
+                if steps and 0 < rate < inf:
+                    remaining = flow.remaining_bits
+                    for dt in steps:
+                        remaining -= rate * dt
+                        remaining = remaining if remaining > 0.0 else 0.0
+                    flow.remaining_bits = remaining
+            rates = maxmin_rates([flow.path for flow in ordered],
                                  self.capacities)
-            for flow, rate in zip(touched, rates):
+            for flow, rate in zip(ordered, rates):
                 flow.rate = rate
         moved = []
         now = self.time
         for flow in self.flows.values():
             rate = flow.rate
-            if rate > 0 and math.isfinite(rate):
+            if 0 < rate < inf:
+                if steps and flow not in touched:
+                    # the solve kept this rate: drain as above
+                    remaining = flow.remaining_bits
+                    for dt in steps:
+                        remaining -= rate * dt
+                        remaining = remaining if remaining > 0.0 else 0.0
+                    flow.remaining_bits = remaining
                 eta = now + flow.remaining_bits / rate
             elif not flow.path:
                 # unconstrained flow: done immediately
                 flow.remaining_bits = 0.0
                 eta = now
             else:
-                eta = math.inf
+                eta = inf
             if eta != flow.eta:
                 flow.eta = eta
-                if eta != math.inf:
+                if eta != inf:
                     moved.append((eta, flow.key, flow.serial))
+        steps.clear()
         return moved
 
     def link_loads(self) -> list[float]:

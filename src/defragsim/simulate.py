@@ -126,10 +126,17 @@ class Simulation:
         self.queue = EventQueue()
         self.runs: dict[int, JobRun] = {}
         # job id -> (iteration flows, cross-rack demands) under the job's
-        # current placement; dropped whenever its workers move or leave
+        # current placement; dropped whenever its workers move or leave,
+        # and the demand list with it
         self._plans: dict[int, tuple[list[PlannedFlow],
                                      list[FlowDemand]]] = {}
+        # every running job's demands, then the transfers'; None once a
+        # job starts or ends or the transfer demands change
+        self._demands: list[FlowDemand] | None = None
         self.assignment = RoutingAssignment()
+        # set once SGLB's rebalance has run on the current demands and
+        # colors: running it again would move nothing
+        self._balanced = False
         self.check_isolation = check_isolation
         self.check_invariants = check_invariants
         self.isolation_violations = 0
@@ -180,11 +187,7 @@ class Simulation:
                 if isinstance(self.routing, SglbRouting):
                     # adaptive balancing reacts to the live flow mix, not
                     # just placement changes
-                    demands = self._current_demands()
-                    if demands and self.routing.rebalance(
-                            demands, self.topology.uplinks_per_tor,
-                            self.assignment):
-                        self._reroute_live_flows()
+                    self._rebalance()
                 self._recompute_network()
 
         assert not self.runs and not self.scheduler.queue, \
@@ -232,6 +235,7 @@ class Simulation:
     def _start_job(self, job: JobSpec) -> None:
         run = JobRun(job=job, start_time=self.now)
         self.runs[job.job_id] = run
+        self._drop_demands()
         self._schedule_compute(run)
         self._trace_event("start", self.now, job.job_id)
 
@@ -325,6 +329,7 @@ class Simulation:
         self._trace_event("finish", self.now, job.job_id)
         del self.runs[job.job_id]
         del self._plans[job.job_id]
+        self._drop_demands()
         self._records.append(JobRecord(
             job_id=job.job_id,
             model=job.template.name,
@@ -410,6 +415,7 @@ class Simulation:
             flows.append((key, src, dst, shard_bytes(
                 placement.jobs[mv.worker[0]])))
         self._transfer_demands = demands
+        self._drop_demands()
         self._reassign_routing()  # allocate mice colors for the transfers
         for key, src, dst, size in flows:
             path = self._path_for(src, dst, key)
@@ -431,6 +437,7 @@ class Simulation:
         batch.phase = BatchPhase.REINIT
         batch.committed_at = self.now
         self._transfer_demands = []
+        self._drop_demands()
         # colors must match the new placement before any flow launched
         # later in this same timestamp looks them up
         self._reassign_routing()
@@ -460,12 +467,25 @@ class Simulation:
 
     # -- routing ---------------------------------------------------------------
 
-    def _current_demands(self) -> list[FlowDemand]:
+    def _build_demands(self) -> list[FlowDemand]:
         demands: list[FlowDemand] = []
         for job_id in sorted(self.runs):
             demands.extend(self._plan(self.runs[job_id].job)[1])
         demands.extend(self._transfer_demands)
         return demands
+
+    def _current_demands(self) -> list[FlowDemand]:
+        """Every cross-rack demand, built once per change of the set."""
+        demands = self._demands
+        if demands is None:
+            demands = self._demands = self._build_demands()
+        elif self.check_invariants and demands != self._build_demands():
+            raise AssertionError("stale cached demand list")
+        return demands
+
+    def _drop_demands(self) -> None:
+        self._demands = None
+        self._balanced = False
 
     def _reassign_routing(self) -> None:
         demands = self._current_demands()
@@ -474,6 +494,7 @@ class Simulation:
         self.assignment = self.routing.assign(
             demands, self.topology.uplinks_per_tor,
             previous=self.assignment, utilization=utilization)
+        self._balanced = False
         self._reroute_live_flows()
         if self.check_isolation and self.batch is None:
             # quiescent point: no migration in flight
@@ -491,12 +512,29 @@ class Simulation:
         if changed:
             self._flows_dirty = True
 
+    def _rebalance(self) -> None:
+        """Run SGLB's local search unless it already ran on the current
+        demands and colors. It repeats passes until one moves nothing and
+        reads no live rate, so a second run would move nothing."""
+        uplinks = self.topology.uplinks_per_tor
+        if self._balanced:
+            if self.check_invariants and self.routing.rebalance(
+                    self._current_demands(), uplinks,
+                    RoutingAssignment(dict(self.assignment.colors))):
+                raise AssertionError("skipped rebalance would have moved "
+                                     "a flow")
+            return
+        demands = self._current_demands()
+        if demands and self.routing.rebalance(demands, uplinks,
+                                              self.assignment):
+            self._reroute_live_flows()
+        self._balanced = True
+
     def _on_epoch(self) -> None:
         if self.runs or self.scheduler.queue or self._pending_arrivals:
-            demands = self._current_demands()
-            if demands and self.routing.rebalance(
-                    demands, self.topology.uplinks_per_tor, self.assignment):
-                self._reroute_live_flows()
+            # the epoch event stays even when it moves nothing: it splits
+            # the settle intervals the event log hash depends on
+            self._rebalance()
             self.queue.push(self.now + SGLB_EPOCH_SECONDS, RANK_EPOCH,
                             ("epoch",))
 
@@ -550,8 +588,9 @@ def run_simulation(topology: ClusterTopology, trace: Trace, algorithm: str,
                    check_invariants: bool = False) -> SimulationResult:
     """Run one simulation. ``check_invariants`` audits flow conservation
     and the incremental rates against a full solve after every rate
-    recomputation, and each cached iteration plan against a fresh one
-    before it is used; it changes no decision."""
+    recomputation, each cached iteration plan and the cached demand list
+    against fresh ones before they are used, and that every skipped SGLB
+    rebalance would have moved nothing; it changes no decision."""
     sim = Simulation(topology, trace, algorithm, threshold=threshold,
                      solver_time_limit=solver_time_limit,
                      max_moves=max_moves,

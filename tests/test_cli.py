@@ -3,8 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from defragsim import cli
 from defragsim.cli import main
-from defragsim.defrag import SolverInstance, SolverJob, save_instance
+from defragsim.defrag import (
+    MigrationPlan, SolverInstance, SolverJob, SolverStats, save_instance,
+)
 from defragsim.flowsim import FlowNetwork
 
 QUICK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "quick.yaml"
@@ -155,3 +158,32 @@ def test_oracle_agrees_with_solver(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "oracle minimum moves" in out
     assert "MISMATCH" not in out
+
+
+def frozen_overload_instance(tmp_path):
+    # rack 0 is over the threshold from frozen load alone
+    path = tmp_path / "infeasible.json"
+    save_instance(SolverInstance(
+        num_racks=3, capacities=(4, 4, 4), threshold=1,
+        jobs=tuple(SolverJob(k, 2) for k in "abc"),
+        initial=((0, 1, 1),) * 3, base_load=(2, 0, 0)), path)
+    return path
+
+
+def test_oracle_infeasible_instance_agrees(tmp_path, capsys):
+    assert main(["oracle", str(frozen_overload_instance(tmp_path))]) == 0
+    out = capsys.readouterr().out
+    assert "infeasible" in out and "solver agrees" in out
+
+
+def test_oracle_catches_plan_for_infeasible_instance(tmp_path, monkeypatch,
+                                                     capsys):
+    path = frozen_overload_instance(tmp_path)
+
+    def wrong_solve(instance, time_limit=None, max_moves=None):
+        return MigrationPlan(instance.initial, (), 0,
+                             SolverStats(0, 0.0, 0, True))
+
+    monkeypatch.setattr(cli, "solve", wrong_solve)
+    assert main(["oracle", str(path)]) == 3
+    assert "MISMATCH" in capsys.readouterr().err

@@ -228,6 +228,8 @@ def test_flow_network_single_flow_completion():
     # nothing changed: the queued completion stays live, none is re-issued
     assert net.recompute() == []
     net.settle_to(eta)
+    # bits drain at the next recompute, not at the settle
+    net.recompute()
     assert net.flows["f"].remaining_bits == pytest.approx(0.0)
 
 
@@ -358,8 +360,8 @@ class FullRecomputeNetwork:
 def flow_steps(draw):
     """Capacities 1-6 (frequent share ties) and a sequence of steps, as
     the simulator takes them: a few network mutations, one recompute,
-    then a clock advance by ``dt`` or, when ``dt`` is None, to the
-    earliest pending completion."""
+    then one to three clock advances, each by ``dt`` or, when ``dt`` is
+    None, to the earliest pending completion not yet reached."""
     num_links = draw(st.integers(1, 5))
     caps = [float(draw(st.integers(1, 6))) for _ in range(num_links)]
     path = st.lists(st.integers(0, num_links - 1), max_size=3,
@@ -371,7 +373,8 @@ def flow_steps(draw):
         st.tuples(st.just("set_path"), st.integers(0, 99), path),
     )
     dt = st.one_of(st.none(), st.integers(0, 8).map(lambda q: q / 4))
-    step = st.tuples(st.lists(mutation, min_size=1, max_size=3), dt)
+    step = st.tuples(st.lists(mutation, min_size=1, max_size=3),
+                     st.lists(dt, min_size=1, max_size=3))
     return caps, draw(st.lists(step, min_size=1, max_size=20))
 
 
@@ -383,20 +386,27 @@ def _adds(*paths):
 @given(flow_steps())
 # the tied shares 1/3 round differently unless the solve takes its flows
 # in insertion order
-@example(([1.0, 1.0], [(_adds((0,), (0,), (0, 1), (1,), (1,)), 0.0)]))
+@example(([1.0, 1.0], [(_adds((0,), (0,), (0, 1), (1,), (1,)), [0.0])]))
 # removing flow 0 touches link 0 only; flow 2 is reached through flow 1
-@example(([1.0, 1.0], [(_adds((0,), (0, 1), (1,)), 0.0),
-                       ([("remove", 0)], 0.0)]))
+@example(([1.0, 1.0], [(_adds((0,), (0, 1), (1,)), [0.0]),
+                       ([("remove", 0)], [0.0])]))
 # the flow left behind on link 0 speeds up after a remove or a move
-@example(([1.0, 1.0], [(_adds((0,), (0,)), 0.0), ([("remove", 0)], 0.0)]))
-@example(([1.0, 1.0], [(_adds((0,), (0,)), 0.0),
-                       ([("set_path", 0, (1,))], 0.0)]))
+@example(([1.0, 1.0], [(_adds((0,), (0,)), [0.0]),
+                       ([("remove", 0)], [0.0])]))
+@example(([1.0, 1.0], [(_adds((0,), (0,)), [0.0]),
+                       ([("set_path", 0, (1,))], [0.0])]))
+# two clock steps at rate 1/3 before the next recompute: draining them as
+# one 0.5 s step leaves different last bits; the add touches link 1's
+# flows and leaves link 0's, so both drain paths replay the steps
+@example(([1.0, 1.0], [(_adds((0,), (0,), (0,), (1,), (1,), (1,)),
+                        [0.25, 0.25]),
+                       (_adds((1,)), [0.0])]))
 def test_incremental_recompute_matches_full_in_lockstep(instance):
     caps, steps = instance
     net, ref = FlowNetwork(caps), FullRecomputeNetwork(caps)
     latest = {}  # key -> the reference's latest ETA (inf when none)
     next_key = 0
-    for mutations, dt in steps:
+    for mutations, dts in steps:
         for op in mutations:
             live = list(ref.flows)
             if op[0] == "add":
@@ -423,10 +433,12 @@ def test_incremental_recompute_matches_full_in_lockstep(instance):
             net.flows[key].serial for _, key, _ in moved]
         latest = {key: etas.get(key, math.inf) for key in ref.flows}
         assert {key: f.eta for key, f in net.flows.items()} == latest
-        if dt is None:
-            time = min(latest.values(), default=ref.time)
-        else:
-            time = ref.time + dt
-        if math.isfinite(time):
-            for n in (net, ref):
-                n.settle_to(time)
+        for dt in dts:
+            if dt is None:
+                time = min((eta for eta in latest.values() if eta > ref.time),
+                           default=math.inf)
+            else:
+                time = ref.time + dt
+            if math.isfinite(time):
+                for n in (net, ref):
+                    n.settle_to(time)

@@ -2,6 +2,7 @@ import random
 from collections import defaultdict
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from defragsim.routing import (
     FlowDemand, RoutingAssignment, SPRAY_COLOR, check_proper_coloring,
@@ -182,6 +183,42 @@ def test_sglb_converges_from_collided_start():
     for f in flows:
         loads[a.colors[f.key]] += 1
     assert max(loads.values()) <= 2  # ceil(8 / 4)
+
+
+@st.composite
+def sglb_instances(draw):
+    """Elephant and mice demands over up to 5 racks, 1-4 uplinks, and
+    starting colors for some or all of them."""
+    uplinks = draw(st.integers(1, 4))
+    racks = st.integers(0, 4)
+    kinds = st.sampled_from(["dp", "dp", "dp", "pp", "migration"])
+    flows = [FlowDemand(key=(i, kind), job_id=i % 3, src_rack=src,
+                        dst_rack=dst, kind=kind)
+             for i, (src, dst, kind) in enumerate(draw(st.lists(
+                 st.tuples(racks, racks, kinds), max_size=16)))]
+    color = st.one_of(st.integers(0, uplinks - 1), st.integers(0, uplinks - 1),
+                      st.none())
+    colors = {f.key: c for f in flows if (c := draw(color)) is not None}
+    return flows, uplinks, colors
+
+
+@settings(max_examples=500, deadline=None)
+@given(sglb_instances())
+# a single pass over these is not stable: a second one moves a flow
+@example(([dp((i, "dp"), 0, src, dst) for i, (src, dst) in
+           enumerate([(0, 1), (0, 0), (1, 0), (0, 0)])], 3,
+          {(0, "dp"): 0, (1, "dp"): 0, (2, "dp"): 2, (3, "dp"): 0}))
+def test_sglb_rebalance_again_moves_nothing(instance):
+    """The fact the simulator's rebalance skip rests on: once rebalance
+    returns, a second call on the same demands and colors returns False
+    and writes nothing."""
+    flows, uplinks, colors = instance
+    strategy = make_strategy("sglb")
+    a = RoutingAssignment(colors=colors)
+    strategy.rebalance(flows, uplinks=uplinks, assignment=a)
+    settled = dict(a.colors)
+    assert strategy.rebalance(flows, uplinks=uplinks, assignment=a) is False
+    assert a.colors == settled
 
 
 def test_spray_assigns_aggregate_color():

@@ -8,6 +8,7 @@ from defragsim.config import load_config
 from defragsim.simulate import (
     ALGORITHMS, REINIT_SECONDS, Simulation, parse_algorithm, run_simulation,
 )
+from defragsim.routing import SglbRouting
 from defragsim.topology import make_two_tier, path_between
 from defragsim.workload import (
     DEFAULT_TEMPLATES, TraceConfig, generate_trace, ideal_duration,
@@ -326,3 +327,64 @@ def test_defrag_rebuilds_plans_only_after_moves(monkeypatch):
     for r in result.records:
         assert 1 <= builds[r.job_id] <= 1 + moved[r.job_id]
     assert set(builds) == {r.job_id for r in result.records}
+
+
+def test_sglb_fast_path_audits_pass_and_skip_rebalances(monkeypatch):
+    """The cached demand list and the skipped rebalances hold their
+    audits on an sglb run, which they leave unchanged."""
+    calls = Counter()
+    real_rebalance = SglbRouting.rebalance
+    real_helper = Simulation._rebalance
+
+    def rebalance(self, *args):
+        calls["rebalance"] += 1
+        return real_rebalance(self, *args)
+
+    def helper(self):
+        calls["helper"] += 1
+        real_helper(self)
+
+    monkeypatch.setattr(SglbRouting, "rebalance", rebalance)
+    monkeypatch.setattr(Simulation, "_rebalance", helper)
+    plain = run_simulation(SMALL_TOPO, small_trace(seed=0), "sglb")
+    assert 0 < calls["rebalance"] < calls["helper"]
+    audited = run_simulation(SMALL_TOPO, small_trace(seed=0), "sglb",
+                             check_invariants=True)
+    assert audited.event_log_hash == plain.event_log_hash
+    assert audited.records == plain.records
+
+
+def test_demand_cache_audit_catches_missed_drop(monkeypatch):
+    """A job start that keeps the old demand list must trip the audit."""
+    real_start = Simulation._start_job
+
+    def start_keeping_demands(self, job):
+        demands = self._demands
+        real_start(self, job)
+        self._demands = demands
+
+    monkeypatch.setattr(Simulation, "_start_job", start_keeping_demands)
+    with pytest.raises(AssertionError, match="stale cached demand list"):
+        run_simulation(SMALL_TOPO, small_trace(seed=0), "sglb",
+                       check_invariants=True)
+
+
+def test_rebalance_skip_audit_catches_missed_reset(monkeypatch):
+    """Skipping the rebalance after new colors were assigned must trip
+    the audit."""
+    real_reassign = Simulation._reassign_routing
+
+    def reassign_keeping_flag(self):
+        balanced = self._balanced
+        real_reassign(self)
+        self._balanced = balanced
+
+    def drop_keeping_flag(self):
+        self._demands = None
+
+    monkeypatch.setattr(Simulation, "_reassign_routing",
+                        reassign_keeping_flag)
+    monkeypatch.setattr(Simulation, "_drop_demands", drop_keeping_flag)
+    with pytest.raises(AssertionError, match="skipped rebalance"):
+        run_simulation(SMALL_TOPO, small_trace(seed=0), "sglb",
+                       check_invariants=True)
