@@ -7,10 +7,12 @@ whose ring weight is its TP degree (a fragmented stage puts one ring per
 TP rank on every rack it touches).
 
 Violations are local, so the instance is reduced before solving: only
-stages that are themselves fragmented or that occupy an over-threshold
-rack are movable; everything else is frozen into per-rack capacity and
-ring base load. If the reduced instance is infeasible the controller
-retries with every stage movable before giving up.
+fragmented stages that occupy an over-threshold rack are movable;
+everything else is frozen into per-rack capacity and
+ring base load. If the reduced instance has no plan within the move cap
+(infeasible, or over budget) the controller retries with every stage
+movable before giving up: evicting a frozen stage can open the room a
+movable one needs.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ class DefragController:
         try:
             return solve(instance, time_limit=self.config.solver_time_limit,
                          max_moves=self.config.max_moves)
-        except InfeasibleError:
+        except (InfeasibleError, MoveBudgetExceeded):
             full = build_instance(self.placement, self.config.threshold,
                                   reduce=False)
             assert full is not None

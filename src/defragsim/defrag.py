@@ -7,11 +7,14 @@ the ring-weighted count of fragmented jobs present on each rack stays at
 or below the threshold.
 
 The solver is an exact branch-and-bound: depth-first over jobs, each
-branching over candidate placement rows ordered by per-job move count,
-wrapped in iterative deepening on the total move budget. A greedy
-re-unification pass supplies an incumbent that caps the deepening range
-and serves as the fallback under a time limit. A brute-force enumerator
-over all rack-level placements validates optimality on small instances.
+branching over candidate placement rows in increasing per-job move
+count, every node pruned against the best plan found so far. One local
+repair supplies the first incumbent: while a rack is over threshold it
+applies the cheaper of two fixes to a fragmented job there, vacating
+that rack or consolidating the job onto one rack. The incumbent bounds
+the search and is the fallback under a time limit. A brute-force
+enumerator over all rack-level placements validates optimality on small
+instances.
 
 Jobs are placed in atomic units of ``unit_size`` workers (the TP group,
 which never splits across hosts); pure DP jobs have unit_size 1. A
@@ -208,71 +211,7 @@ def _candidate_rows(row0: tuple[int, ...], k: int,
             yield tuple(row)
 
 
-# -- greedy incumbent ----------------------------------------------------
-
-
-def _greedy_incumbent(instance: SolverInstance
-                      ) -> list[tuple[int, ...]] | None:
-    """Re-unify violating jobs onto single racks, smallest first."""
-    placement = [list(row) for row in instance.initial]
-    jobs = instance.jobs
-    for _ in range(4 * len(jobs) + 4):
-        violating = _violating_racks(instance, placement)
-        if not violating:
-            return [tuple(row) for row in placement]
-        free = _free_capacity(instance, placement)
-        candidates = [i for i, row in enumerate(placement)
-                      if is_fragmented(row)
-                      and any(row[t] > 0 for t in violating)]
-        if not candidates:
-            return None
-        moved = False
-        for i in sorted(candidates, key=lambda i: jobs[i].workers):
-            job = jobs[i]
-            row = placement[i]
-            # prefer gathering where the job already has the most workers
-            order = sorted(range(instance.num_racks),
-                           key=lambda t: (-row[t], t))
-            for t in order:
-                need = (job.units - row[t]) * job.unit_size
-                if free[t] >= need:
-                    placement[i] = [0] * instance.num_racks
-                    placement[i][t] = job.units
-                    moved = True
-                    break
-            if moved:
-                break
-        if not moved:
-            return None
-    return None
-
-
-def _sequential_incumbent(instance: SolverInstance
-                          ) -> list[tuple[int, ...]] | None:
-    """Feasibility witness: re-place every job by filling racks left to
-    right. With unit racks this bounds fragmented jobs at 2 per rack, so
-    it succeeds whenever the threshold is at least twice the largest ring
-    weight; the result is validated before use either way."""
-    free = list(instance.capacities)
-    placement = []
-    for job in instance.jobs:
-        row = [0] * instance.num_racks
-        remaining = job.units
-        for t in range(instance.num_racks):
-            take = min(remaining, free[t] // job.unit_size)
-            if take:
-                row[t] = take
-                free[t] -= take * job.unit_size
-                remaining -= take
-            if remaining == 0:
-                break
-        if remaining:
-            return None
-        placement.append(tuple(row))
-    if (_capacity_ok(instance, placement)
-            and not _violating_racks(instance, placement)):
-        return placement
-    return None
+# -- repair incumbent ----------------------------------------------------
 
 
 def _repair_incumbent(instance: SolverInstance
@@ -375,7 +314,8 @@ class _Search:
             range(len(instance.jobs)),
             key=lambda i: (not is_fragmented(instance.initial[i]),
                            -instance.jobs[i].workers, i))
-        # workers still to place at each depth, for an aggregate capacity prune
+        # workers still to place at each depth: the eviction budget of
+        # _dfs while it has no bound on the plan cost
         self.suffix_workers = [0] * (len(self.order) + 1)
         for d in range(len(self.order) - 1, -1, -1):
             self.suffix_workers[d] = (self.suffix_workers[d + 1]
@@ -421,9 +361,7 @@ class _Search:
         self.floor = floor
         if self.best_cost is not None and self.best_cost <= floor:
             return  # incumbent already meets the lower bound
-        free = _free_capacity(self.instance,
-                              [[0] * self.instance.num_racks
-                               for _ in self.instance.jobs])
+        free = list(self.instance.capacities)
         frag = list(self.instance.base_load)
         assignment: list[tuple[int, ...] | None] = [None] * len(
             self.instance.jobs)
@@ -470,8 +408,6 @@ class _Search:
         if depth == len(self.order):
             self.best = [row for row in assignment]
             self.best_cost = cost
-            return
-        if sum(free) < self.suffix_workers[depth]:
             return
         node_bound = self._bound()
         if (node_bound is not None
@@ -539,11 +475,11 @@ def solve(instance: SolverInstance,
           max_moves: int | None = None) -> MigrationPlan:
     """Exact minimum-move plan meeting the fragmentation threshold.
 
-    Raises InfeasibleError when no placement satisfies the constraints:
-    always when ``base_load`` alone exceeds the threshold on some rack,
-    never when threshold >= 2 * max ring weight, the base load is zero
-    and total demand fits the cluster. Under the time limit, returns the
-    best incumbent with ``stats.optimal`` False.
+    Raises InfeasibleError when no placement satisfies the constraints,
+    up front when ``base_load`` alone exceeds the threshold on some rack
+    or the capacities cannot hold the jobs' workers. The repair
+    incumbent bounds the search; under the time limit, the best plan
+    found so far is returned with ``stats.optimal`` False.
 
     With ``max_moves``, only plans at or below that many worker moves
     are considered; MoveBudgetExceeded is raised when none exists. The
@@ -556,18 +492,14 @@ def solve(instance: SolverInstance,
     if any(load > instance.threshold for load in instance.base_load):
         raise InfeasibleError("the frozen ring load alone exceeds the "
                               "threshold")
+    if sum(instance.capacities) < sum(job.workers for job in instance.jobs):
+        raise InfeasibleError("the capacities cannot hold the jobs' workers")
     if (_capacity_ok(instance, instance.initial)
             and not _violating_racks(instance, instance.initial)):
         stats = SolverStats(0, time.monotonic() - start, 0, True)
         return MigrationPlan(instance.initial, (), 0, stats)
 
-    candidates = [c for c in (_repair_incumbent(instance),
-                              _greedy_incumbent(instance),
-                              _sequential_incumbent(instance))
-                  if c is not None]
-    incumbent = min(candidates, key=lambda c: worker_moves(instance, c),
-                    default=None)
-
+    incumbent = _repair_incumbent(instance)
     search = _Search(instance, deadline)
     search.run(incumbent, search._remaining_lb(0, list(instance.base_load)),
                cap=max_moves)

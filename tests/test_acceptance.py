@@ -54,13 +54,13 @@ def _report(num: int, label: str, passed: bool) -> None:
 
 @pytest.fixture(scope="module")
 def figure_runs():
-    """The five compared algorithms, plus spray, on the shared high-load
-    figure trace."""
+    """The five compared algorithms, plus spray and the two defrag
+    ablations, on the shared high-load figure trace."""
     trace = generate_trace(FIGURE_TOPO, FIGURE_LOAD, seed=FIGURE_SEED,
                            num_jobs=FIGURE_JOBS, cfg=FIGURE_CFG)
     runs = {}
     for algorithm in ("defrag-perfect", "perfect", "sglb", "crux", "ecmp",
-                      "spray"):
+                      "spray", "defrag-ecmp", "defrag-crux"):
         result = run_simulation(FIGURE_TOPO, trace, algorithm,
                                 solver_time_limit=5.0, check_isolation=True)
         runs[algorithm] = summarize(result, FIGURE_LOAD), result
@@ -291,6 +291,8 @@ FIGURE_HASHES = {
     "crux": "d37d8b298ca7790cac473c1a638431b0",
     "ecmp": "3cf90b54594d461e54833b52378d7b04",
     "spray": "45769f67b5a260bbd84d29d7e9d83409",
+    "defrag-ecmp": "4a3808bfbba15d35104431eded9c00ef",
+    "defrag-crux": "60ee6f3ff16044ad7eeef9f5f6603e85",
 }
 
 

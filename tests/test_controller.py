@@ -146,3 +146,25 @@ def test_resolve_plan_respects_host_capacity():
     for rack in range(TOPO.num_racks):
         for host in range(TOPO.hosts_per_rack):
             assert placement.free_slots(rack, host) >= 0
+
+
+def test_controller_retries_full_instance_over_move_budget():
+    # Gathering the fragmented job F needs the room that whole job W
+    # holds. The reduced instance freezes W, so under the move cap it
+    # has no plan; the full instance evicts W and gathers F in 2 moves.
+    topo = make_two_tier(3, 1, 4, 2, 400e9, 400e9, 2)
+    placement = Placement(topo)
+    for job_id, racks in ((1, [0]), (2, [0, 0, 0, 1]), (3, [1, 1, 1]),
+                          (4, [2, 2, 2, 2])):
+        job = make_job(job_id=job_id, workers=len(racks), dp=len(racks))
+        for i, rack in enumerate(racks):
+            placement.assign((job_id, i), rack, 0)
+        placement.jobs[job_id] = job
+    controller = DefragController(
+        placement, ControllerConfig(threshold=0, max_moves=16))
+    decision = controller.check()
+    assert decision is not None
+    assert decision.plan.move_count == 2
+    assert controller.skipped_infeasible == 0
+    apply_moves(placement, decision.moves)
+    assert fragmentation_degree(placement).max_degree == 0

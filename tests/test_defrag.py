@@ -2,10 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defragsim.defrag import (
-    InfeasibleError, MigrationPlan, OracleTooLargeError, SolverInstance,
-    SolverJob, brute_force_min_moves, ring_loads, solve, worker_moves,
+    InfeasibleError, MigrationPlan, MoveBudgetExceeded, OracleTooLargeError,
+    SolverInstance, SolverJob, brute_force_min_moves, ring_loads, solve,
+    worker_moves,
 )
 
 
@@ -182,6 +184,30 @@ def test_infeasible_raises():
         brute_force_min_moves(inst)
 
 
+@pytest.mark.parametrize("max_moves", [None, 16])
+@pytest.mark.parametrize("threshold", [2, 0])
+def test_capacity_short_of_workers_is_infeasible(threshold, max_moves):
+    # 3 workers on two 1-slot racks: no placement fits, whether or not
+    # the initial rows break the threshold
+    inst = SolverInstance(2, (1, 1), threshold, (SolverJob(0, 3),), ((2, 1),))
+    with pytest.raises(InfeasibleError):
+        solve(inst, time_limit=None, max_moves=max_moves)
+    with pytest.raises(InfeasibleError):
+        brute_force_min_moves(inst)
+
+
+@pytest.mark.parametrize("max_moves", [None, 16])
+@pytest.mark.parametrize("threshold", [2, 0])
+def test_initial_rack_overflow_is_repaired(threshold, max_moves):
+    # the capacities hold the job but rack 0 holds one worker too many:
+    # a plan must move it even when no rack breaks the threshold
+    inst = SolverInstance(2, (1, 3), threshold, (SolverJob(0, 3),), ((2, 1),))
+    plan = solve(inst, time_limit=None, max_moves=max_moves)
+    assert_plan_valid(inst, plan)
+    assert plan.stats.optimal
+    assert plan.move_count == brute_force_min_moves(inst)
+
+
 def test_ring_loads_weight_fragmented_rows_only():
     jobs = [SolverJob(0, 2, unit_size=8, ring_weight=8), SolverJob(1, 3),
             SolverJob(2, 2)]
@@ -223,3 +249,67 @@ def test_stats_populated():
     assert plan.stats.solve_time >= 0
     assert plan.stats.optimal
     assert plan.stats.move_count == plan.move_count
+
+
+@st.composite
+def tp_unit_instances(draw):
+    """Instances shaped like the controller's: TP units of 1, 2 or 4
+    workers weighing their unit size, a different capacity on each rack,
+    and frozen ring load below the threshold, nonzero on the rack the
+    jobs load most."""
+    num_racks = draw(st.integers(2, 4))
+    capacities = draw(st.lists(st.integers(0, 8), min_size=num_racks,
+                               max_size=num_racks, unique=True))
+    free = list(capacities)
+    jobs, initial = [], []
+    for key in range(draw(st.integers(2, 5))):
+        unit = draw(st.sampled_from((1, 2, 4)))
+        # mostly one unit per rack while it can, so most jobs start
+        # fragmented like the controller's movable stages
+        spread = draw(st.sampled_from((True, True, False)))
+        row = [0] * num_racks
+        for _ in range(draw(st.integers(2, 4))):
+            fits = [t for t in range(num_racks) if free[t] >= unit]
+            if spread and any(row[t] == 0 for t in fits):
+                fits = [t for t in fits if row[t] == 0]
+            if not fits:
+                break
+            t = draw(st.sampled_from(fits))
+            row[t] += 1
+            free[t] -= unit
+        if sum(row):
+            jobs.append(SolverJob(key, sum(row), unit, unit))
+            initial.append(tuple(row))
+    threshold = draw(st.integers(2, 4))
+    base_load = [draw(st.integers(0, threshold - 1))
+                 for _ in range(num_racks)]
+    loads = ring_loads(jobs, initial, [0] * num_racks)
+    base_load[loads.index(max(loads))] = draw(st.integers(1, threshold - 1))
+    max_moves = draw(st.integers(0, 8))
+    return SolverInstance(num_racks, tuple(capacities), threshold,
+                          tuple(jobs), tuple(initial),
+                          tuple(base_load)), max_moves
+
+
+@settings(max_examples=300, deadline=None)
+@given(tp_unit_instances())
+def test_solve_matches_oracle_on_tp_unit_instances(drawn):
+    inst, max_moves = drawn
+    try:
+        expected = brute_force_min_moves(inst)
+    except InfeasibleError:
+        expected = None
+    for cap in (None, max_moves):
+        if expected is None:
+            errors = InfeasibleError if cap is None else (
+                InfeasibleError, MoveBudgetExceeded)
+            with pytest.raises(errors):
+                solve(inst, time_limit=None, max_moves=cap)
+        elif cap is not None and expected > cap:
+            with pytest.raises(MoveBudgetExceeded):
+                solve(inst, time_limit=None, max_moves=cap)
+        else:
+            plan = solve(inst, time_limit=None, max_moves=cap)
+            assert_plan_valid(inst, plan)
+            assert plan.stats.optimal
+            assert plan.move_count == expected
