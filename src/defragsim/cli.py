@@ -107,7 +107,8 @@ def cmd_sweep(args) -> int:
             threshold = value
         out_dir = base_out / f"sweep_{args.axis}" / f"{value:g}"
         summaries = _run_cells(cell_config, out_dir, cell_config.algorithms,
-                               loads, threshold=threshold)
+                               loads, threshold=threshold,
+                               check_invariants=args.check_invariants)
         write_summary(summaries, out_dir / "summary.json")
         grid.append({"axis": args.axis, "value": value,
                      "runs": [s.as_dict() for s in summaries]})
@@ -159,6 +160,15 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+CHECK_INVARIANTS_HELP = (
+    "audit link capacity conservation and the incremental rates against "
+    "a full max-min solve after every rate recomputation, each cached "
+    "iteration plan and the cached demand list against fresh ones, that "
+    "every skipped SGLB rebalance would move nothing, and at the end of "
+    "every timestamp the slot accounting and that the placed jobs are "
+    "exactly the running ones (exit 3 on a violation)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="defragsim",
@@ -174,13 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of seeds (overrides config)")
     p_run.add_argument("--out", help="output directory (overrides config)")
     p_run.add_argument("--check-invariants", action="store_true",
-                       help="audit link capacity conservation and the "
-                            "incremental rates against a full max-min "
-                            "solve after every rate recomputation, each "
-                            "cached iteration plan and the cached demand "
-                            "list against fresh ones, and that every "
-                            "skipped SGLB rebalance would move nothing "
-                            "(exit 3 on a violation)")
+                       help=CHECK_INVARIANTS_HELP)
     p_run.set_defaults(fn=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep one experiment axis")
@@ -188,6 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", required=True,
                          choices=("load", "oversubscription", "threshold"))
     p_sweep.add_argument("--out", help="output directory (overrides config)")
+    p_sweep.add_argument("--check-invariants", action="store_true",
+                         help=CHECK_INVARIANTS_HELP)
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="check a config file")

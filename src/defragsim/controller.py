@@ -18,6 +18,7 @@ movable one needs.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
 from .defrag import (
@@ -141,14 +142,35 @@ class DefragDecision:
     plan: MigrationPlan
 
 
+# Why a check that found a violation returned no plan.
+SKIP_REASONS = ("not_optimal", "infeasible", "budget", "timeout",
+                "resolution", "memo")
+_FAILURE_REASON = {InfeasibleError: "infeasible",
+                   MoveBudgetExceeded: "budget", SolverTimeout: "timeout",
+                   ResolutionError: "resolution"}
+
+
 class DefragController:
-    """Plans migration batches whenever the placement changes."""
+    """Plans migration batches whenever the placement changes.
+
+    ``outcomes`` counts the checks that found a violation, by outcome:
+    ``applied`` (a decision was returned) or one of ``SKIP_REASONS``:
+    the plan was not proven optimal, the instance was infeasible, over
+    the move cap or out of solver time, the plan could not be packed onto
+    hosts, or the instance was the one last skipped.
+    """
 
     def __init__(self, placement: Placement, config: ControllerConfig):
         self.placement = placement
         self.config = config
-        self.skipped_infeasible = 0
+        self.outcomes: Counter[str] = Counter(
+            dict.fromkeys(("applied",) + SKIP_REASONS, 0))
         self._last_skipped: SolverInstance | None = None
+
+    @property
+    def skipped_infeasible(self) -> int:
+        """Checks that left a violation standing, for every reason."""
+        return sum(self.outcomes[reason] for reason in SKIP_REASONS)
 
     def check(self) -> DefragDecision | None:
         """Return the migration batch restoring the threshold, if needed."""
@@ -159,7 +181,7 @@ class DefragController:
             return None
         if instance == self._last_skipped:
             # identical stuck instance: don't burn solver time again
-            self.skipped_infeasible += 1
+            self.outcomes["memo"] += 1
             return None
         try:
             plan = self._solve_with_fallback(instance)
@@ -168,21 +190,22 @@ class DefragController:
                 # timed-out incumbent is a wholesale re-placement. Leave
                 # the violation standing and retry on the next change.
                 log.warning("defrag skipped: solver hit its time limit")
-                self.skipped_infeasible += 1
-                self._last_skipped = instance
-                return None
+                return self._skip(instance, "not_optimal")
             moves = resolve_plan(self.placement, plan)
         except (InfeasibleError, MoveBudgetExceeded, ResolutionError,
                 SolverTimeout) as exc:
             # No acceptable plan exists right now (or it cannot be
             # packed); leave the violation standing until churn helps.
             log.warning("defrag skipped: %s", exc)
-            self.skipped_infeasible += 1
-            self._last_skipped = instance
-            return None
+            return self._skip(instance, _FAILURE_REASON[type(exc)])
         if not moves:
             return None
+        self.outcomes["applied"] += 1
         return DefragDecision(moves=moves, plan=plan)
+
+    def _skip(self, instance: SolverInstance, reason: str) -> None:
+        self.outcomes[reason] += 1
+        self._last_skipped = instance
 
     def _solve_with_fallback(self, instance: SolverInstance) -> MigrationPlan:
         try:

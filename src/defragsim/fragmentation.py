@@ -37,16 +37,21 @@ def stage_rows(placement: Placement) -> StageRows:
     in job-id order; a stage's TP units are located by their TP rank 0."""
     out = StageRows()
     num_racks = placement.topology.num_racks
-    for job_id in sorted(placement.jobs):
-        job = placement.jobs[job_id]
+    locate = placement.locate
+    jobs = placement.jobs
+    for job_id in sorted(jobs):
+        job = jobs[job_id]
+        units, tp = job.dp_degree, job.tp_degree
+        stride = units * tp
         for stage in range(job.pp_degree):
             row = [0] * num_racks
-            for dp in range(job.dp_degree):
-                unit_worker = (job_id, job.worker_index(stage, dp, 0))
-                row[placement.locate(unit_worker).rack] += 1
+            # worker_index(stage, dp, 0) for dp in range(units)
+            first = stage * stride
+            for worker in range(first, first + stride, tp):
+                row[locate((job_id, worker)).rack] += 1
             out.jobs.append(SolverJob(
-                key=(job_id, stage), units=job.dp_degree,
-                unit_size=job.tp_degree, ring_weight=job.tp_degree))
+                key=(job_id, stage), units=units,
+                unit_size=tp, ring_weight=tp))
             out.rows.append(row)
     return out
 

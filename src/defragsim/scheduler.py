@@ -25,15 +25,24 @@ class SchedulerError(ValueError):
 
 
 class Placement:
-    """Worker-to-GPU-slot assignment plus per-host free-slot accounting."""
+    """Worker-to-GPU-slot assignment plus per-host free-slot accounting.
+
+    Each host keeps an int bitmask of its taken slots (bit s set while
+    slot s holds a worker) next to its free-slot count; ``assign`` takes
+    the lowest clear bit, so workers fill a host's slots from slot 0 up.
+    The ``GpuId`` it records and ``locate`` returns is the topology's
+    interned one (``ClusterTopology.gpu``), so a placement never builds
+    an id of its own.
+    """
 
     def __init__(self, topology: ClusterTopology):
         self.topology = topology
         self._free = [[topology.gpus_per_host
                        for _ in range(topology.hosts_per_rack)]
                       for _ in range(topology.num_racks)]
+        self._taken = [[0] * topology.hosts_per_rack
+                       for _ in range(topology.num_racks)]
         self._workers: dict[WorkerId, GpuId] = {}
-        self._host_slots: dict[tuple[int, int], set[int]] = {}
         self._jobs: dict[int, JobSpec] = {}
 
     # -- queries ---------------------------------------------------------
@@ -54,23 +63,62 @@ class Placement:
     def rack_free_units(self, rack: int, unit: int) -> int:
         return sum(f // unit for f in self._free[rack])
 
+    def check_slots(self) -> None:
+        """Audit the slot bookkeeping; raise AssertionError on a fault.
+
+        Every host's taken bits plus its free count make its GPU count,
+        every located worker holds a taken bit of its own and no bit is
+        taken without one, and every placed job has all its workers
+        located.
+        """
+        topo = self.topology
+        held = [[0] * topo.hosts_per_rack for _ in range(topo.num_racks)]
+        for worker, gpu in self._workers.items():
+            bit = 1 << gpu.slot
+            if not self._taken[gpu.rack][gpu.host] & bit:
+                raise AssertionError(
+                    f"worker {worker} on {gpu} holds no taken slot bit")
+            if held[gpu.rack][gpu.host] & bit:
+                raise AssertionError(f"two workers share slot {gpu}")
+            held[gpu.rack][gpu.host] |= bit
+        for rack in range(topo.num_racks):
+            for host in range(topo.hosts_per_rack):
+                taken = self._taken[rack][host]
+                if taken.bit_count() + self._free[rack][host] \
+                        != topo.gpus_per_host:
+                    raise AssertionError(
+                        f"host ({rack},{host}): {taken.bit_count()} taken "
+                        f"slots plus {self._free[rack][host]} free is not "
+                        f"{topo.gpus_per_host}")
+                if taken != held[rack][host]:
+                    raise AssertionError(
+                        f"host ({rack},{host}) has taken slots no worker "
+                        f"holds")
+        for job_id, job in self._jobs.items():
+            missing = [i for i in range(job.num_workers)
+                       if (job_id, i) not in self._workers]
+            if missing:
+                raise AssertionError(
+                    f"job {job_id} has workers {missing} unplaced")
+
     # -- mutation --------------------------------------------------------
 
     def assign(self, worker: WorkerId, rack: int, host: int) -> GpuId:
-        if self._free[rack][host] < 1:
+        free = self._free[rack]
+        if free[host] < 1:
             raise SchedulerError(f"host ({rack},{host}) has no free slot")
-        taken = self._host_slots.setdefault((rack, host), set())
-        slot = next(s for s in range(self.topology.gpus_per_host)
-                    if s not in taken)
-        taken.add(slot)
-        self._free[rack][host] -= 1
-        gpu = GpuId(rack, host, slot)
+        taken = self._taken[rack]
+        m = taken[host]
+        bit = ~m & (m + 1)  # lowest clear bit
+        taken[host] = m | bit
+        free[host] -= 1
+        gpu = self.topology.gpu(rack, host, bit.bit_length() - 1)
         self._workers[worker] = gpu
         return gpu
 
     def unassign(self, worker: WorkerId) -> None:
         gpu = self._workers.pop(worker)
-        self._host_slots[(gpu.rack, gpu.host)].discard(gpu.slot)
+        self._taken[gpu.rack][gpu.host] &= ~(1 << gpu.slot)
         self._free[gpu.rack][gpu.host] += 1
 
     def add_job(self, job: JobSpec, racks_per_unit: list[int]) -> None:

@@ -189,6 +189,8 @@ class Simulation:
                     # just placement changes
                     self._rebalance()
                 self._recompute_network()
+            if self.check_invariants:
+                self._check_bookkeeping()
 
         assert not self.runs and not self.scheduler.queue, \
             "simulation drained with jobs still active"
@@ -405,8 +407,8 @@ class Simulation:
             src = placement.locate(mv.worker)
             slot = slot_cursor.get((mv.dst_rack, mv.dst_host), 0)
             slot_cursor[(mv.dst_rack, mv.dst_host)] = slot + 1
-            dst = GpuId(mv.dst_rack, mv.dst_host,
-                        slot % self.topology.gpus_per_host)
+            dst = self.topology.gpu(mv.dst_rack, mv.dst_host,
+                                    slot % self.topology.gpus_per_host)
             key = ("mig", batch.batch_id, i)
             demand = FlowDemand(key=key, job_id=mv.worker[0],
                                 src_rack=src.rack, dst_rack=dst.rack,
@@ -566,6 +568,20 @@ class Simulation:
             self.net.check_conservation()
             self.net.check_rates()
 
+    def _check_bookkeeping(self) -> None:
+        """Audit the placement's slot accounting, and that the placed jobs
+        are exactly the running ones and no queued job holds a slot."""
+        placement = self.scheduler.placement
+        placement.check_slots()
+        if placement.jobs.keys() != self.runs.keys():
+            raise AssertionError(
+                f"placed jobs {sorted(placement.jobs)} are not the running "
+                f"jobs {sorted(self.runs)}")
+        placed = [job.job_id for job in self.scheduler.queue
+                  if job.job_id in placement]
+        if placed:
+            raise AssertionError(f"queued jobs {placed} are placed")
+
     # -- observability -------------------------------------------------------------
 
     def _record_fragmentation(self) -> None:
@@ -589,8 +605,10 @@ def run_simulation(topology: ClusterTopology, trace: Trace, algorithm: str,
     """Run one simulation. ``check_invariants`` audits flow conservation
     and the incremental rates against a full solve after every rate
     recomputation, each cached iteration plan and the cached demand list
-    against fresh ones before they are used, and that every skipped SGLB
-    rebalance would have moved nothing; it changes no decision."""
+    against fresh ones before they are used, that every skipped SGLB
+    rebalance would have moved nothing, and at the end of every timestamp
+    the slot accounting and that the placed jobs are exactly the running
+    ones; it changes no decision."""
     sim = Simulation(topology, trace, algorithm, threshold=threshold,
                      solver_time_limit=solver_time_limit,
                      max_moves=max_moves,

@@ -64,6 +64,20 @@ class ClusterTopology:
         return (self.hosts_per_rack * self.gpus_per_host * self.nic_bandwidth
                 ) / (self.uplinks_per_tor * self.uplink_bandwidth)
 
+    # -- GPU ids -------------------------------------------------------------
+
+    @cached_property
+    def gpus(self) -> list[GpuId]:
+        """One interned id per GPU, in global NIC order."""
+        return [GpuId(r, h, s) for r in range(self.num_racks)
+                for h in range(self.hosts_per_rack)
+                for s in range(self.gpus_per_host)]
+
+    def gpu(self, rack: int, host: int, slot: int) -> GpuId:
+        """The interned id of a GPU slot."""
+        return self.gpus[(rack * self.hosts_per_rack + host)
+                         * self.gpus_per_host + slot]
+
     # -- link index ----------------------------------------------------------
     #
     # Every capacity-constrained link direction has a dense int id, so the

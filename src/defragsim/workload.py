@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 from .topology import ClusterTopology, GpuId
@@ -293,15 +293,8 @@ def generate_trace(topology: ClusterTopology, load: float, seed: int,
     timed = []
     for job in jobs:
         t += rng.expovariate(rate)
-        timed.append(_with_arrival(job, t))
+        timed.append(replace(job, arrival_time=t))
     return Trace(jobs=timed, target_load=load, seed=seed)
-
-
-def _with_arrival(job: JobSpec, t: float) -> JobSpec:
-    d = asdict(job)
-    d["template"] = job.template
-    d["arrival_time"] = t
-    return JobSpec(**d)
 
 
 def save_trace(trace: Trace, path: str) -> None:

@@ -9,6 +9,7 @@ from defragsim.defrag import (
     MigrationPlan, SolverInstance, SolverJob, SolverStats, save_instance,
 )
 from defragsim.flowsim import FlowNetwork
+from defragsim.scheduler import Placement
 
 QUICK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "quick.yaml"
 
@@ -136,6 +137,42 @@ def test_sweep_single_cell_matches_run(config_file, tmp_path):
     swept = next(r for r in cell["runs"] if r["algorithm"] == "ecmp")
     assert swept["event_log_hash"] == direct["event_log_hash"]
     assert swept["mean_slowdown"] == direct["mean_slowdown"]
+
+
+def test_sweep_check_invariants_audits_without_changing_cells(
+        config_file, tmp_path, monkeypatch):
+    audits = []
+    real_check = Placement.check_slots
+
+    def counting_check(placement):
+        audits.append(placement)
+        real_check(placement)
+
+    monkeypatch.setattr(Placement, "check_slots", counting_check)
+    grids = []
+    for flags in ([], ["--check-invariants"]):
+        out = tmp_path / ("audited" if flags else "plain")
+        assert main(["sweep", str(config_file), "--axis", "load",
+                     "--out", str(out)] + flags) == 0
+        grids.append(json.loads((out / "sweep_load.json").read_text()))
+        assert bool(audits) == bool(flags)
+    assert [c["value"] for c in grids[1]["cells"]] == [0.9]
+    assert grids[0] == grids[1]
+
+
+def test_sweep_check_invariants_exits_3_on_slot_fault(config_file, tmp_path,
+                                                      monkeypatch, capsys):
+    real_unassign = Placement.unassign
+
+    def unassign_leaving_bit(placement, worker):
+        gpu = placement.locate(worker)
+        real_unassign(placement, worker)
+        placement._taken[gpu.rack][gpu.host] |= 1 << gpu.slot
+
+    monkeypatch.setattr(Placement, "unassign", unassign_leaving_bit)
+    assert main(["sweep", str(config_file), "--axis", "load",
+                 "--out", str(tmp_path), "--check-invariants"]) == 3
+    assert "taken" in capsys.readouterr().err
 
 
 def test_sweep_threshold_axis(config_file, tmp_path):

@@ -1,7 +1,13 @@
+import dataclasses
+
+import pytest
+
+from defragsim import controller as controller_module
 from defragsim.controller import (
-    ControllerConfig, DefragController, build_instance, resolve_plan,
-    stage_rows,
+    SKIP_REASONS, ControllerConfig, DefragController, ResolutionError,
+    build_instance, resolve_plan, stage_rows,
 )
+from defragsim.defrag import SolverTimeout
 from defragsim.fragmentation import fragmentation_degree
 from defragsim.scheduler import Placement
 from defragsim.topology import make_two_tier
@@ -17,6 +23,22 @@ def apply_moves(placement, moves):
         placement.unassign(worker)
     for worker, rack, host in targets:
         placement.assign(worker, rack, host)
+
+
+def outcomes(controller):
+    """The nonzero outcome counts; every reason is always a key."""
+    assert set(controller.outcomes) == {"applied", *SKIP_REASONS}
+    return {k: v for k, v in controller.outcomes.items() if v}
+
+
+def split_job_placement():
+    """One 6-worker DP job split 3/3 over racks 0 and 1 of TOPO."""
+    placement = Placement(TOPO)
+    job = make_job(job_id=1, workers=6, dp=6)
+    for i, rack in enumerate([0, 0, 0, 1, 1, 1]):
+        placement.assign((1, i), rack, 0)
+    placement.jobs[1] = job
+    return placement
 
 
 def test_stage_rows_pure_dp():
@@ -75,16 +97,13 @@ def test_build_instance_reduction_freezes_remote_jobs():
 
 
 def test_controller_restores_threshold():
-    placement = Placement(TOPO)
-    job = make_job(job_id=1, workers=6, dp=6)
-    for i, rack in enumerate([0, 0, 0, 1, 1, 1]):
-        placement.assign((1, i), rack, 0)
-    placement.jobs[1] = job
+    placement = split_job_placement()
     controller = DefragController(placement, ControllerConfig(threshold=0))
     decision = controller.check()
     assert decision is not None
     assert decision.plan.move_count == 3  # gather the smaller half
     assert len(decision.moves) == 3
+    assert outcomes(controller) == {"applied": 1}
     apply_moves(placement, decision.moves)
     assert fragmentation_degree(placement).max_degree == 0
     # placement is now compliant: controller goes quiet
@@ -132,6 +151,17 @@ def test_controller_disabled_and_infeasible_are_quiet():
     stuck = DefragController(full, ControllerConfig(threshold=0))
     assert stuck.check() is None
     assert stuck.skipped_infeasible == 1
+    # under the move cap the solver cannot tell "no plan" from "no plan
+    # within the cap", so the stuck instance counts as over budget
+    assert outcomes(stuck) == {"budget": 1}
+    # the same instance again is skipped without a solve
+    assert stuck.check() is None
+    assert outcomes(stuck) == {"budget": 1, "memo": 1}
+    assert stuck.skipped_infeasible == 2
+    uncapped = DefragController(full, ControllerConfig(threshold=0,
+                                                       max_moves=None))
+    assert uncapped.check() is None
+    assert outcomes(uncapped) == {"infeasible": 1}
 
 
 def test_resolve_plan_respects_host_capacity():
@@ -166,5 +196,54 @@ def test_controller_retries_full_instance_over_move_budget():
     assert decision is not None
     assert decision.plan.move_count == 2
     assert controller.skipped_infeasible == 0
+    assert outcomes(controller) == {"applied": 1}
     apply_moves(placement, decision.moves)
     assert fragmentation_degree(placement).max_degree == 0
+
+
+def test_controller_counts_move_cap_as_budget():
+    # the 3-move plan of test_controller_restores_threshold is over a
+    # 2-move cap, on the reduced and on the full instance
+    controller = DefragController(
+        split_job_placement(), ControllerConfig(threshold=0, max_moves=2))
+    assert controller.check() is None
+    assert outcomes(controller) == {"budget": 1}
+    assert controller.skipped_infeasible == 1
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("name, patch, reason", [
+    ("solve", _raise(SolverTimeout("time limit")), "timeout"),
+    ("resolve_plan", _raise(ResolutionError("no host")), "resolution"),
+])
+def test_controller_counts_failures_by_reason(monkeypatch, name, patch,
+                                              reason):
+    monkeypatch.setattr(controller_module, name, patch)
+    controller = DefragController(split_job_placement(),
+                                  ControllerConfig(threshold=0))
+    assert controller.check() is None
+    assert outcomes(controller) == {reason: 1}
+    assert controller.check() is None
+    assert outcomes(controller) == {reason: 1, "memo": 1}
+    assert controller.skipped_infeasible == 2
+
+
+def test_controller_counts_unproven_plan_as_not_optimal(monkeypatch):
+    real_solve = controller_module.solve
+
+    def unproven_solve(instance, **kwargs):
+        plan = real_solve(instance, **kwargs)
+        return dataclasses.replace(
+            plan, stats=dataclasses.replace(plan.stats, optimal=False))
+
+    monkeypatch.setattr(controller_module, "solve", unproven_solve)
+    controller = DefragController(split_job_placement(),
+                                  ControllerConfig(threshold=0))
+    assert controller.check() is None
+    assert outcomes(controller) == {"not_optimal": 1}
+    assert controller.skipped_infeasible == 1

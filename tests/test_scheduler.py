@@ -1,9 +1,10 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from defragsim.scheduler import Scheduler, SchedulerError
-from defragsim.topology import make_two_tier
+from defragsim.scheduler import Placement, Scheduler, SchedulerError, plan_racks
+from defragsim.topology import GpuId, make_two_tier
 from tests.test_workload import make_job
 
 # 2 racks x 8 hosts x 1 GPU: host-granular like the motivating example
@@ -133,3 +134,131 @@ def test_tp_group_never_crosses_host():
                  sched.placement.locate((1, unit_start + k)).host)
                 for k in range(4)}
         assert len(locs) == 1
+
+
+class SetPlacement:
+    """Reference model for the lockstep test: the slot bookkeeping
+    Placement kept before its bitmasks, one set of taken slots per host
+    and a new GpuId per assignment."""
+
+    def __init__(self, topology):
+        self.topology = topology
+        self.free = [[topology.gpus_per_host] * topology.hosts_per_rack
+                     for _ in range(topology.num_racks)]
+        self.workers = {}
+        self.host_slots = {}
+        self.jobs = {}
+
+    def free_slots(self, rack, host):
+        return self.free[rack][host]
+
+    def rack_free_units(self, rack, unit):
+        return sum(f // unit for f in self.free[rack])
+
+    def assign(self, worker, rack, host):
+        if self.free[rack][host] < 1:
+            raise SchedulerError(f"host ({rack},{host}) has no free slot")
+        taken = self.host_slots.setdefault((rack, host), set())
+        slot = next(s for s in range(self.topology.gpus_per_host)
+                    if s not in taken)
+        taken.add(slot)
+        self.free[rack][host] -= 1
+        gpu = GpuId(rack, host, slot)
+        self.workers[worker] = gpu
+        return gpu
+
+    def unassign(self, worker):
+        gpu = self.workers.pop(worker)
+        self.host_slots[(gpu.rack, gpu.host)].discard(gpu.slot)
+        self.free[gpu.rack][gpu.host] += 1
+
+    def add_job(self, job, racks_per_unit):
+        unit = job.tp_degree
+        next_worker = 0
+        for rack in racks_per_unit:
+            fits = [(f, h) for h, f in enumerate(self.free[rack])
+                    if f >= unit]
+            host = min(fits)[1]
+            for _ in range(unit):
+                self.assign((job.job_id, next_worker), rack, host)
+                next_worker += 1
+        self.jobs[job.job_id] = job
+
+    def remove_job(self, job_id):
+        job = self.jobs.pop(job_id)
+        for i in range(job.num_workers):
+            self.unassign((job_id, i))
+
+
+def assert_lockstep(placement, model):
+    topo = placement.topology
+    for rack in range(topo.num_racks):
+        for host in range(topo.hosts_per_rack):
+            assert placement.free_slots(rack, host) \
+                == model.free_slots(rack, host)
+        for unit in range(1, topo.gpus_per_host + 1):
+            assert placement.rack_free_units(rack, unit) \
+                == model.rack_free_units(rack, unit)
+    assert placement._workers.keys() == model.workers.keys()
+    for worker, gpu in model.workers.items():
+        located = placement.locate(worker)
+        assert located == gpu
+        assert located is topo.gpu(located.rack, located.host, located.slot)
+    assert placement.jobs.keys() == model.jobs.keys()
+    placement.check_slots()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_placement_lockstep_with_set_model(data):
+    """Slot bitmasks and interned ids against the set-based model, over
+    random add_job / remove_job / assign / unassign sequences."""
+    gph = data.draw(st.sampled_from((1, 2, 4, 8)), label="gpus_per_host")
+    topo = make_two_tier(data.draw(st.integers(1, 3), label="racks"),
+                         data.draw(st.integers(1, 3), label="hosts"),
+                         gph, 2, 400e9, 400e9, 2)
+    placement, model = Placement(topo), SetPlacement(topo)
+    loose = []  # workers assigned one by one, outside any job
+    next_id = next_loose = 0
+    for _ in range(data.draw(st.integers(1, 40), label="steps")):
+        op = data.draw(st.sampled_from(
+            ("add_job", "remove_job", "assign", "unassign")))
+        if op == "add_job":
+            tp = data.draw(st.sampled_from([t for t in (1, 2, 4, 8)
+                                            if t <= gph]))
+            units = data.draw(st.integers(1, 4))
+            job = make_job(job_id=next_id, workers=units * tp, dp=units,
+                           tp=tp)
+            racks = plan_racks(placement, job)
+            assert racks == plan_racks(model, job)
+            if racks is None:
+                continue
+            next_id += 1
+            placement.add_job(job, racks)
+            model.add_job(job, racks)
+        elif op == "remove_job":
+            if not model.jobs:
+                continue
+            job_id = data.draw(st.sampled_from(sorted(model.jobs)))
+            placement.remove_job(job_id)
+            model.remove_job(job_id)
+        elif op == "assign":
+            rack = data.draw(st.integers(0, topo.num_racks - 1))
+            host = data.draw(st.integers(0, topo.hosts_per_rack - 1))
+            worker = (-1, next_loose)
+            next_loose += 1
+            if model.free_slots(rack, host) < 1:
+                with pytest.raises(SchedulerError):
+                    placement.assign(worker, rack, host)
+                continue
+            gpu = placement.assign(worker, rack, host)
+            assert gpu == model.assign(worker, rack, host)
+            assert gpu is topo.gpu(rack, host, gpu.slot)
+            loose.append(worker)
+        else:
+            if not loose:
+                continue
+            worker = loose.pop(data.draw(st.integers(0, len(loose) - 1)))
+            placement.unassign(worker)
+            model.unassign(worker)
+        assert_lockstep(placement, model)

@@ -388,3 +388,82 @@ def test_rebalance_skip_audit_catches_missed_reset(monkeypatch):
     with pytest.raises(AssertionError, match="skipped rebalance"):
         run_simulation(SMALL_TOPO, small_trace(seed=0), "sglb",
                        check_invariants=True)
+
+
+def test_bookkeeping_audit_passes_on_defrag_run(monkeypatch):
+    """The slot and run audit holds on a run with migration batches, at
+    the end of every timestamp, and changes nothing."""
+    plain = run_simulation(SMALL_TOPO, small_trace(seed=0), "defrag-perfect",
+                           solver_time_limit=5.0)
+    audits = Counter()
+    real_check = Simulation._check_bookkeeping
+
+    def counting_check(self):
+        audits[self.now] += 1
+        real_check(self)
+
+    monkeypatch.setattr(Simulation, "_check_bookkeeping", counting_check)
+    audited = run_simulation(SMALL_TOPO, small_trace(seed=0),
+                             "defrag-perfect", solver_time_limit=5.0,
+                             check_invariants=True)
+    assert audited.defrag_events
+    assert set(audits.values()) == {1}
+    assert max(audits) == audited.makespan
+    assert audited.event_log_hash == plain.event_log_hash
+    assert audited.records == plain.records
+
+
+def _flip_mask_bit(sim):
+    placement = sim.scheduler.placement
+    gpu = placement.locate(next(iter(placement._workers)))
+    placement._taken[gpu.rack][gpu.host] ^= 1 << gpu.slot
+
+
+def _bump_free_count(sim):
+    placement = sim.scheduler.placement
+    gpu = placement.locate(next(iter(placement._workers)))
+    placement._free[gpu.rack][gpu.host] += 1
+
+
+def _share_a_slot(sim):
+    workers = sim.scheduler.placement._workers
+    first, second = list(workers)[:2]
+    workers[second] = workers[first]
+
+
+def _free_a_worker(sim):
+    placement = sim.scheduler.placement
+    placement.unassign(next(iter(placement._workers)))
+
+
+def _forget_a_job(sim):
+    jobs = sim.scheduler.placement.jobs
+    jobs.pop(next(iter(jobs)))
+
+
+def _queue_a_running_job(sim):
+    sim.scheduler.queue.append(next(iter(sim.runs.values())).job)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_flip_mask_bit, "holds no taken slot bit"),
+    (_bump_free_count, "free is not"),
+    (_share_a_slot, "two workers share slot"),
+    (_free_a_worker, "unplaced"),
+    (_forget_a_job, "are not the running jobs"),
+    (_queue_a_running_job, "queued jobs .* are placed"),
+])
+def test_bookkeeping_audit_catches_corruption(monkeypatch, corrupt, message):
+    """Corrupting the live placement mid-run, once two jobs run, must
+    trip the audit that ends the timestamp."""
+    real_check = Simulation._check_bookkeeping
+
+    def corrupt_then_check(self):
+        if len(self.runs) >= 2:
+            corrupt(self)
+        real_check(self)
+
+    monkeypatch.setattr(Simulation, "_check_bookkeeping", corrupt_then_check)
+    with pytest.raises(AssertionError, match=message):
+        run_simulation(SMALL_TOPO, small_trace(seed=0), "defrag-perfect",
+                       solver_time_limit=5.0, check_invariants=True)

@@ -1,7 +1,11 @@
+import dataclasses
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
+from defragsim.config import load_config
 from defragsim.jobmodel import plan_iteration_flows
 from defragsim.scheduler import Placement
 from defragsim.topology import make_two_tier
@@ -11,6 +15,12 @@ from defragsim.workload import (
 )
 
 TOPO = make_two_tier(4, 4, 8, 4, 400e9, 400e9, 4)
+FIGURE_CONFIG = (Path(__file__).resolve().parents[1] / "configs"
+                 / "figure.yaml")
+# sha256 of every field of every job of the figure trace, one line per
+# job, the template by name and every other field by repr
+FIGURE_TRACE_SHA256 = ("49afb5e1d521651d46dd065972888d98"
+                       "03d75382274e594e1ff280f31356b36e")
 
 
 def make_job(job_id=0, workers=8, dp=8, tp=1, pp=1, dp_bytes=1e9,
@@ -170,3 +180,22 @@ def test_trace_roundtrip(tmp_path):
     loaded = load_trace(str(path))
     assert loaded.jobs == trace.jobs
     assert loaded.seed == trace.seed
+
+
+def test_figure_trace_is_pinned():
+    """The figure trace itself, field by field: trace generation is gated
+    directly, not only through the simulation hashes."""
+    exp = load_config(FIGURE_CONFIG)
+    cfg = exp.trace.trace_config()
+    trace = generate_trace(exp.topology.build(), exp.trace.loads[0],
+                           seed=exp.trace.base_seed,
+                           num_jobs=exp.trace.num_jobs, cfg=cfg)
+    digest = hashlib.sha256()
+    for job in trace.jobs:
+        fields = [job.template.name if f.name == "template"
+                  else repr(getattr(job, f.name))
+                  for f in dataclasses.fields(JobSpec)]
+        digest.update(("|".join(fields) + "\n").encode())
+        assert any(job.template is t for t in cfg.templates)
+    assert len(trace.jobs) == 101
+    assert digest.hexdigest() == FIGURE_TRACE_SHA256
