@@ -16,6 +16,15 @@ the search and is the fallback under a time limit. A brute-force
 enumerator over all rack-level placements validates optimality on small
 instances.
 
+A candidate row at k unit-moves is a removal of k units from the job's
+initial row plus an addition of k units elsewhere. Each node's work is
+kept small by what is built once: per depth, a table of the racks
+holding unplaced fragmented jobs, from which the node bound is one
+pass; per search, the removals of each (job, k); per node, the racks a
+fragmented row may not touch. An addition never overflows a rack, so
+capacity is checked once per removal, and the rows of a removal that
+does not fit are counted as explored nodes in one step.
+
 Jobs are placed in atomic units of ``unit_size`` workers (the TP group,
 which never splits across hosts); pure DP jobs have unit_size 1. A
 fragmented job contributes ``ring_weight`` (its TP degree) to every rack
@@ -26,6 +35,7 @@ shared by the solver, the controller and the fragmentation metric.
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
 import time
@@ -123,7 +133,7 @@ class MigrationPlan:
 
 def is_fragmented(row: Sequence[int]) -> bool:
     """Whether a row of units per rack spans two or more racks."""
-    return sum(1 for v in row if v > 0) >= 2
+    return len(row) - row.count(0) >= 2
 
 
 def ring_loads(jobs: Sequence[SolverJob], rows: Sequence[Sequence[int]],
@@ -157,58 +167,40 @@ def worker_moves(instance: SolverInstance,
 # -- candidate row generation -------------------------------------------
 
 
-def _budgeted_splits(k: int, racks: Sequence[int], limits: Sequence[int],
-                     slacks: Sequence[int], unit: int, budget: int):
-    """All ways to distribute k units over the given racks, placing at
-    most limits[t] units on rack t. Units placed beyond a rack's slack
-    (in workers) draw from a shared eviction budget. Free capacity is
-    globally conserved, so additions beyond current slack are only
-    possible if later moves evict someone -- and those moves are
-    bounded."""
+def _splits(k: int, racks: Sequence[int], limits: Sequence[int],
+            slacks: Sequence[int], unit: int, budget: int,
+            start: int = 0) -> list[tuple[tuple[int, int], ...]]:
+    """All ways to distribute k units over ``racks[start:]``, placing
+    at most limits[t] units on rack t, as ``((rack, units), ...)`` lists
+    ordered by decreasing units on the first rack, then on the next.
+    Units placed beyond a rack's slack (in workers) draw from a shared
+    eviction budget. Free capacity is globally conserved, so additions
+    beyond current slack are only possible if later moves evict
+    someone -- and those moves are bounded. Removals pass each rack's
+    own units as its limit and slack and a zero budget, so they never
+    draw on it."""
     if k == 0:
-        yield ()
-        return
-    if not racks:
-        return
-    head, tail = racks[0], racks[1:]
+        return [()]
+    if start == len(racks):
+        return []
+    head = racks[start]
+    if start == len(racks) - 1:  # the last rack takes all k or nothing fits
+        if k <= limits[head] and k * unit - slacks[head] <= budget:
+            return [((head, k),)]
+        return []
+    out: list[tuple[tuple[int, int], ...]] = []
     for here in range(min(k, limits[head]), -1, -1):
-        over = max(0, here * unit - slacks[head])
+        over = here * unit - slacks[head]
         if over > budget:
             continue
-        for rest in _budgeted_splits(k - here, tail, limits, slacks, unit,
-                                     budget - over):
-            if here:
-                yield ((head, here),) + rest
-            else:
-                yield rest
-
-
-def _candidate_rows(row0: tuple[int, ...], k: int,
-                    add_limits: Sequence[int], slacks: Sequence[int],
-                    unit: int, budget: int):
-    """All rows at exactly k unit-moves from row0 (no rack both gives and
-    receives, which keeps the move count exact and the rows unique).
-    ``add_limits[t]`` caps the units rack t can receive; beyond-slack
-    additions are bounded by the shared eviction ``budget``, so
-    generation collapses instead of exploding on a full cluster."""
-    num_racks = len(row0)
-    support = [t for t in range(num_racks) if row0[t] > 0]
-    # a rack never gives more than it holds, so removals never draw
-    # on the (zero) budget
-    for removal in _budgeted_splits(k, support, row0,
-                                    [unit * v for v in row0], unit, 0):
-        removed = list(row0)
-        for t, cnt in removal:
-            removed[t] -= cnt
-        sources = {t for t, _ in removal}
-        targets = [t for t in range(num_racks)
-                   if t not in sources and add_limits[t] > 0]
-        for addition in _budgeted_splits(k, targets, add_limits, slacks,
-                                         unit, budget):
-            row = list(removed)
-            for t, cnt in addition:
-                row[t] += cnt
-            yield tuple(row)
+        rest = _splits(k - here, racks, limits, slacks, unit,
+                       budget - over if over > 0 else budget, start + 1)
+        if here:
+            item = ((head, here),)
+            out.extend([item + r for r in rest])
+        else:
+            out.extend(rest)
+    return out
 
 
 # -- repair incumbent ----------------------------------------------------
@@ -303,6 +295,13 @@ def _free_capacity(instance, placement) -> list[int]:
 
 
 class _Search:
+    """Depth-first branch-and-bound state for one solve.
+
+    Three things are built once so that each node stays cheap: per depth,
+    the bound table ``_remaining_lb`` reads; per (job, k), the list of
+    ways to remove k units from the job's initial row; and per node, the
+    racks where one more fragmented row would break the threshold."""
+
     def __init__(self, instance: SolverInstance, deadline: float | None):
         self.instance = instance
         self.deadline = deadline
@@ -320,26 +319,33 @@ class _Search:
         for d in range(len(self.order) - 1, -1, -1):
             self.suffix_workers[d] = (self.suffix_workers[d + 1]
                                       + instance.jobs[self.order[d]].workers)
-        # ring load of the jobs still unplaced at each depth, kept at their
-        # initial rows, and per rack the sorted (cheapest own change, ring
-        # weight) of each fragmented one there, for _remaining_lb
-        self.rest_loads = [[0] * instance.num_racks]
-        self.rest_options = [[[] for _ in range(instance.num_racks)]]
+        # per depth, for _remaining_lb: one (rack, ring load of the
+        # unplaced jobs kept at their initial rows, heaviest ring weight,
+        # prefix sums of the sorted cheapest own changes) per rack that
+        # holds an unplaced fragmented job. A rack without an entry has
+        # no excess, since the placed load never passes the threshold.
+        loads = [0] * instance.num_racks
+        options: list[list[tuple[int, int]]] = [
+            [] for _ in range(instance.num_racks)]
+        self.bound_tables: list[list[tuple[int, int, int, list[int]]]] = [
+            []]
         for i in reversed(self.order):
             job, row = instance.jobs[i], instance.initial[i]
-            self.rest_loads.append(
-                ring_loads([job], [row], self.rest_loads[-1]))
-            options = self.rest_options[-1]
+            loads = ring_loads([job], [row], loads)
             if is_fragmented(row):
-                options = [list(o) for o in options]
                 for t, v in enumerate(row):
                     if v:
                         bisect.insort(options[t], (
                             job.unit_size * min(v, job.units - v),
                             job.ring_weight))
-            self.rest_options.append(options)
-        self.rest_loads.reverse()
-        self.rest_options.reverse()
+            self.bound_tables.append([
+                (t, loads[t], max(w for _, w in opts),
+                 list(itertools.accumulate((c for c, _ in opts), initial=0)))
+                for t, opts in enumerate(options) if opts])
+        self.bound_tables.reverse()
+        # (job, k) -> [(row0 less k removed units, racks they left)]
+        self.removal_cache: dict[tuple[int, int],
+                                 list[tuple[tuple[int, ...], set[int]]]] = {}
 
     def run(self, incumbent: list[tuple[int, ...]] | None,
             floor: int, cap: int | None = None) -> None:
@@ -385,18 +391,52 @@ class _Search:
         rack over threshold, at least ceil(excess / heaviest weight) of
         the fragmented jobs there must change, each paying at least its
         cheapest own change (vacate the rack or become whole). Racks may
-        share fixes, so the bound is the max over racks, not the sum."""
+        share fixes, so the bound is the max over racks, not the sum.
+        One pass over the depth's bound table: the sum of the k cheapest
+        changes is the table's prefix sum at k."""
         threshold = self.instance.threshold
         best = 0
-        for t, (load, options) in enumerate(zip(self.rest_loads[depth],
-                                                self.rest_options[depth])):
+        for t, load, max_weight, prefix in self.bound_tables[depth]:
             excess = frag[t] + load - threshold
-            if excess <= 0:
-                continue
-            max_weight = max(w for _, w in options)
-            k_min = math.ceil(excess / max_weight)
-            best = max(best, sum(c for c, _ in options[:k_min]))
+            if excess > 0:
+                k_min = math.ceil(excess / max_weight)
+                cost = prefix[min(k_min, len(prefix) - 1)]
+                if cost > best:
+                    best = cost
         return best
+
+    def _removals(self, job_idx: int, k: int
+                  ) -> list[tuple[tuple[int, ...], set[int]]]:
+        """Every way to take k units off the job's initial row, as the
+        row left behind and the racks the units left; built once per
+        search. A rack never gives more than it holds, so removals never
+        draw on the (zero) eviction budget."""
+        key = (job_idx, k)
+        cached = self.removal_cache.get(key)
+        if cached is None:
+            row0 = self.instance.initial[job_idx]
+            unit = self.instance.jobs[job_idx].unit_size
+            support = [t for t, v in enumerate(row0) if v]
+            cached = []
+            for removal in _splits(k, support, row0,
+                                   [unit * v for v in row0], unit, 0):
+                removed = list(row0)
+                for t, cnt in removal:
+                    removed[t] -= cnt
+                cached.append((tuple(removed), {t for t, _ in removal}))
+            self.removal_cache[key] = cached
+        return cached
+
+    def _count(self, n: int) -> bool:
+        """Count n rows rejected together as explored nodes, checking
+        the deadline if the count crosses a multiple of 1024; True once
+        it has passed."""
+        before = self.nodes
+        self.nodes += n
+        if (self.deadline is not None and self.nodes >> 10 != before >> 10
+                and time.monotonic() > self.deadline):
+            self.timed_out = True
+        return self.timed_out
 
     def _dfs(self, depth, cost, free, frag, assignment):
         self.nodes += 1
@@ -406,6 +446,9 @@ class _Search:
         if self.timed_out:
             return
         if depth == len(self.order):
+            # A leaf replaces the best plan even at equal cost, while
+            # interior nodes prune at >= the bound: among equal-cost
+            # sibling leaves, the last one generated wins.
             self.best = [row for row in assignment]
             self.best_cost = cost
             return
@@ -415,59 +458,77 @@ class _Search:
             return
         job_idx = self.order[depth]
         job = self.instance.jobs[job_idx]
+        unit, weight = job.unit_size, job.ring_weight
         row0 = self.instance.initial[job_idx]
-        k = 0
-        while k <= job.units:
+        num_racks = len(row0)
+        threshold = self.instance.threshold
+        # racks a fragmented row may not touch; frag is restored after
+        # every child, so this holds for the whole node
+        hot = [f + weight > threshold for f in frag]
+        for k in range(job.units + 1):
             bound = self._bound()
-            if bound is not None and cost + k * job.unit_size >= bound:
+            if bound is not None and cost + k * unit >= bound:
                 return  # deeper jobs only cost more; later k too
             if bound is not None:
                 # a rack can absorb its current slack plus at most the
                 # workers the rest of the move budget could still evict
-                b_rem = bound - 1 - cost - k * job.unit_size
+                b_rem = bound - 1 - cost - k * unit
             else:
                 b_rem = self.suffix_workers[depth + 1]
             slacks = [max(0, s) for s in self.slack]
             add_limits = [
-                min(f // job.unit_size - row0[t],
-                    (slacks[t] + b_rem) // job.unit_size)
+                min(f // unit - row0[t], (slacks[t] + b_rem) // unit)
                 for t, f in enumerate(free)]
-            for row in _candidate_rows(row0, k, add_limits, slacks,
-                                       job.unit_size, b_rem):
-                self.nodes += 1
-                if self.deadline is not None and self.nodes % 1024 == 0:
-                    if time.monotonic() > self.deadline:
-                        self.timed_out = True
+            # Rows at exactly k unit-moves from row0: a removal, then an
+            # addition on racks it did not take from, so no rack both
+            # gives and receives and every row is unique.
+            for removed, sources in self._removals(job_idx, k):
+                targets = [t for t in range(num_racks)
+                           if add_limits[t] > 0 and t not in sources]
+                additions = _splits(k, targets, add_limits, slacks, unit,
+                                    b_rem)
+                # add_limits[t] <= free[t] // unit - row0[t], so an
+                # addition never overflows a rack: a row fits exactly
+                # when the removal's row does
+                if any(v and unit * v > f for v, f in zip(removed, free)):
+                    if self._count(len(additions)):
                         return
-                if any(job.unit_size * row[t] > free[t]
-                       for t in range(len(row)) if row[t]):
                     continue
-                fragmented = is_fragmented(row)
-                if fragmented:
-                    if any(frag[t] + job.ring_weight > self.instance.threshold
-                           for t in range(len(row)) if row[t]):
+                # a row touches the removal's racks and the addition's
+                removed_hot = any(h for h, v in zip(hot, removed) if v)
+                for addition in additions:
+                    self.nodes += 1
+                    if self.deadline is not None and self.nodes % 1024 == 0:
+                        if time.monotonic() > self.deadline:
+                            self.timed_out = True
+                            return
+                    row = list(removed)
+                    for t, cnt in addition:
+                        row[t] += cnt
+                    row = tuple(row)
+                    fragmented = is_fragmented(row)
+                    if fragmented and (removed_hot or any(
+                            hot[t] for t, _ in addition)):
                         continue
-                for t, v in enumerate(row):
-                    free[t] -= job.unit_size * v
-                    self.slack[t] += job.unit_size * (row0[t] - v)
-                    if fragmented and v:
-                        frag[t] += job.ring_weight
-                assignment[job_idx] = row
-                self._dfs(depth + 1, cost + k * job.unit_size, free, frag,
-                          assignment)
-                for t, v in enumerate(row):
-                    free[t] += job.unit_size * v
-                    self.slack[t] -= job.unit_size * (row0[t] - v)
-                    if fragmented and v:
-                        frag[t] -= job.ring_weight
-                assignment[job_idx] = None
-                if self.timed_out:
-                    return
-                if self.best_cost is not None and self.best_cost <= self.floor:
-                    return  # proven optimal by the lower bound
-            if self.timed_out:
-                return
-            k += 1
+                    for t, v in enumerate(row):
+                        free[t] -= unit * v
+                        self.slack[t] += unit * (row0[t] - v)
+                        if fragmented and v:
+                            frag[t] += weight
+                    assignment[job_idx] = row
+                    self._dfs(depth + 1, cost + k * unit, free, frag,
+                              assignment)
+                    for t, v in enumerate(row):
+                        free[t] += unit * v
+                        self.slack[t] -= unit * (row0[t] - v)
+                        if fragmented and v:
+                            frag[t] -= weight
+                    assignment[job_idx] = None
+                    if self.timed_out:
+                        return
+                    if (self.best_cost is not None
+                            and self.best_cost <= self.floor):
+                        return  # proven optimal by the lower bound
 
 
 def solve(instance: SolverInstance,

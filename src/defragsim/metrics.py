@@ -2,7 +2,7 @@
 
 One simulation run produces a per-job CSV, a fragmentation/utilization
 time-series CSV, a solver-stats CSV, and a JSON summary with
-nearest-rank percentiles. Files are written atomically (temp file +
+nearest-rank percentiles and the controller's outcome counts. Files are written atomically (temp file +
 rename) so partially written results never shadow a finished run.
 """
 
@@ -57,6 +57,7 @@ class RunSummary:
     isolation_violations: int
     makespan: float
     event_log_hash: str
+    controller_outcomes: dict[str, int]
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -82,6 +83,7 @@ def summarize(result: SimulationResult, load: float) -> RunSummary:
         isolation_violations=result.isolation_violations,
         makespan=result.makespan,
         event_log_hash=result.event_log_hash,
+        controller_outcomes=dict(result.controller_outcomes),
     )
 
 

@@ -99,6 +99,9 @@ class SimulationResult:
     event_log_hash: str
     isolation_violations: int
     makespan: float
+    # DefragController.outcomes at the end of the run: checks that found
+    # a violation, by outcome (all zero when the controller is off)
+    controller_outcomes: dict[str, int]
 
 
 class Simulation:
@@ -203,6 +206,7 @@ class Simulation:
             event_log_hash=self._log.hexdigest(),
             isolation_violations=self.isolation_violations,
             makespan=self.now,
+            controller_outcomes=dict(self.controller.outcomes),
         )
 
     def _dispatch(self, payload) -> None:

@@ -97,6 +97,19 @@ def test_run_check_invariants_audits_without_changing_runs(
     assert summaries[0] == summaries[1]
 
 
+def test_run_writes_controller_outcomes(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", str(QUICK_CONFIG), "--algorithms",
+                 "defrag-perfect,sglb", "--out", str(out)]) == 0
+    runs = {r["algorithm"]: r["controller_outcomes"] for r in
+            json.loads((out / "summary.json").read_text())["runs"]}
+    keys = {"applied", "not_optimal", "infeasible", "budget", "timeout",
+            "resolution", "memo"}
+    assert set(runs["defrag-perfect"]) == set(runs["sglb"]) == keys
+    assert runs["defrag-perfect"]["applied"] >= 1
+    assert set(runs["sglb"].values()) == {0}
+
+
 def test_run_unknown_algorithm_exits_2(config_file, capsys):
     assert main(["run", str(config_file), "--algorithms", "magic"]) == 2
     assert "unknown algorithm" in capsys.readouterr().err
@@ -137,6 +150,7 @@ def test_sweep_single_cell_matches_run(config_file, tmp_path):
     swept = next(r for r in cell["runs"] if r["algorithm"] == "ecmp")
     assert swept["event_log_hash"] == direct["event_log_hash"]
     assert swept["mean_slowdown"] == direct["mean_slowdown"]
+    assert swept["controller_outcomes"] == direct["controller_outcomes"]
 
 
 def test_sweep_check_invariants_audits_without_changing_cells(

@@ -1,13 +1,17 @@
+import bisect
 import itertools
+import math
 import random
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from defragsim import defrag
 from defragsim.defrag import (
     InfeasibleError, MigrationPlan, MoveBudgetExceeded, OracleTooLargeError,
-    SolverInstance, SolverJob, brute_force_min_moves, ring_loads, solve,
-    worker_moves,
+    SolverInstance, SolverJob, SolverStats, SolverTimeout,
+    brute_force_min_moves, is_fragmented, ring_loads, solve, worker_moves,
 )
 
 
@@ -313,3 +317,316 @@ def test_solve_matches_oracle_on_tp_unit_instances(drawn):
             assert_plan_valid(inst, plan)
             assert plan.stats.optimal
             assert plan.move_count == expected
+
+
+# -- reference search --------------------------------------------------------
+#
+# The branch-and-bound as it was before its per-node checks were hoisted:
+# lazy generators, per-row capacity and ring checks, per-depth load and
+# option tables. ``solve`` must explore exactly the same nodes and return
+# exactly the same plan.
+
+
+def _ref_budgeted_splits(k, racks, limits, slacks, unit, budget):
+    if k == 0:
+        yield ()
+        return
+    if not racks:
+        return
+    head, tail = racks[0], racks[1:]
+    for here in range(min(k, limits[head]), -1, -1):
+        over = max(0, here * unit - slacks[head])
+        if over > budget:
+            continue
+        for rest in _ref_budgeted_splits(k - here, tail, limits, slacks, unit,
+                                         budget - over):
+            if here:
+                yield ((head, here),) + rest
+            else:
+                yield rest
+
+
+def _ref_candidate_rows(row0, k, add_limits, slacks, unit, budget):
+    num_racks = len(row0)
+    support = [t for t in range(num_racks) if row0[t] > 0]
+    for removal in _ref_budgeted_splits(k, support, row0,
+                                        [unit * v for v in row0], unit, 0):
+        removed = list(row0)
+        for t, cnt in removal:
+            removed[t] -= cnt
+        sources = {t for t, _ in removal}
+        targets = [t for t in range(num_racks)
+                   if t not in sources and add_limits[t] > 0]
+        for addition in _ref_budgeted_splits(k, targets, add_limits, slacks,
+                                             unit, budget):
+            row = list(removed)
+            for t, cnt in addition:
+                row[t] += cnt
+            yield tuple(row)
+
+
+class _RefSearch:
+    def __init__(self, instance, deadline):
+        self.instance = instance
+        self.deadline = deadline
+        self.nodes = 0
+        self.timed_out = False
+        self.order = sorted(
+            range(len(instance.jobs)),
+            key=lambda i: (not is_fragmented(instance.initial[i]),
+                           -instance.jobs[i].workers, i))
+        self.suffix_workers = [0] * (len(self.order) + 1)
+        for d in range(len(self.order) - 1, -1, -1):
+            self.suffix_workers[d] = (self.suffix_workers[d + 1]
+                                      + instance.jobs[self.order[d]].workers)
+        self.rest_loads = [[0] * instance.num_racks]
+        self.rest_options = [[[] for _ in range(instance.num_racks)]]
+        for i in reversed(self.order):
+            job, row = instance.jobs[i], instance.initial[i]
+            self.rest_loads.append(
+                ring_loads([job], [row], self.rest_loads[-1]))
+            options = self.rest_options[-1]
+            if is_fragmented(row):
+                options = [list(o) for o in options]
+                for t, v in enumerate(row):
+                    if v:
+                        bisect.insort(options[t], (
+                            job.unit_size * min(v, job.units - v),
+                            job.ring_weight))
+            self.rest_options.append(options)
+        self.rest_loads.reverse()
+        self.rest_options.reverse()
+
+    def run(self, incumbent, floor, cap=None):
+        self.best = incumbent
+        self.best_cost = (worker_moves(self.instance, incumbent)
+                          if incumbent is not None else None)
+        if (cap is not None and self.best_cost is not None
+                and self.best_cost > cap):
+            self.best = None
+            self.best_cost = None
+        self.cap = cap
+        self.floor = floor
+        if self.best_cost is not None and self.best_cost <= floor:
+            return
+        free = list(self.instance.capacities)
+        frag = list(self.instance.base_load)
+        assignment = [None] * len(self.instance.jobs)
+        self.slack = defrag._free_capacity(self.instance,
+                                           self.instance.initial)
+        self._dfs(0, 0, free, frag, assignment)
+
+    def _bound(self):
+        if self.best_cost is not None:
+            return self.best_cost
+        if self.cap is not None:
+            return self.cap + 1
+        return None
+
+    def _remaining_lb(self, depth, frag):
+        threshold = self.instance.threshold
+        best = 0
+        for t, (load, options) in enumerate(zip(self.rest_loads[depth],
+                                                self.rest_options[depth])):
+            excess = frag[t] + load - threshold
+            if excess <= 0:
+                continue
+            max_weight = max(w for _, w in options)
+            k_min = math.ceil(excess / max_weight)
+            best = max(best, sum(c for c, _ in options[:k_min]))
+        return best
+
+    def _dfs(self, depth, cost, free, frag, assignment):
+        self.nodes += 1
+        if self.deadline is not None and self.nodes % 1024 == 0:
+            if time.monotonic() > self.deadline:
+                self.timed_out = True
+        if self.timed_out:
+            return
+        if depth == len(self.order):
+            self.best = [row for row in assignment]
+            self.best_cost = cost
+            return
+        node_bound = self._bound()
+        if (node_bound is not None
+                and cost + self._remaining_lb(depth, frag) >= node_bound):
+            return
+        job_idx = self.order[depth]
+        job = self.instance.jobs[job_idx]
+        row0 = self.instance.initial[job_idx]
+        k = 0
+        while k <= job.units:
+            bound = self._bound()
+            if bound is not None and cost + k * job.unit_size >= bound:
+                return
+            if bound is not None:
+                b_rem = bound - 1 - cost - k * job.unit_size
+            else:
+                b_rem = self.suffix_workers[depth + 1]
+            slacks = [max(0, s) for s in self.slack]
+            add_limits = [
+                min(f // job.unit_size - row0[t],
+                    (slacks[t] + b_rem) // job.unit_size)
+                for t, f in enumerate(free)]
+            for row in _ref_candidate_rows(row0, k, add_limits, slacks,
+                                           job.unit_size, b_rem):
+                self.nodes += 1
+                if self.deadline is not None and self.nodes % 1024 == 0:
+                    if time.monotonic() > self.deadline:
+                        self.timed_out = True
+                        return
+                if any(job.unit_size * row[t] > free[t]
+                       for t in range(len(row)) if row[t]):
+                    continue
+                fragmented = is_fragmented(row)
+                if fragmented:
+                    if any(frag[t] + job.ring_weight > self.instance.threshold
+                           for t in range(len(row)) if row[t]):
+                        continue
+                for t, v in enumerate(row):
+                    free[t] -= job.unit_size * v
+                    self.slack[t] += job.unit_size * (row0[t] - v)
+                    if fragmented and v:
+                        frag[t] += job.ring_weight
+                assignment[job_idx] = row
+                self._dfs(depth + 1, cost + k * job.unit_size, free, frag,
+                          assignment)
+                for t, v in enumerate(row):
+                    free[t] += job.unit_size * v
+                    self.slack[t] -= job.unit_size * (row0[t] - v)
+                    if fragmented and v:
+                        frag[t] -= job.ring_weight
+                assignment[job_idx] = None
+                if self.timed_out:
+                    return
+                if self.best_cost is not None and self.best_cost <= self.floor:
+                    return
+            if self.timed_out:
+                return
+            k += 1
+
+
+def reference_solve(instance, max_moves=None):
+    """``solve`` with ``time_limit=None`` over the reference search."""
+    if any(load > instance.threshold for load in instance.base_load):
+        raise InfeasibleError("frozen overload")
+    if sum(instance.capacities) < sum(job.workers for job in instance.jobs):
+        raise InfeasibleError("capacity short of workers")
+    if (defrag._capacity_ok(instance, instance.initial)
+            and not defrag._violating_racks(instance, instance.initial)):
+        return MigrationPlan(instance.initial, (), 0,
+                             SolverStats(0, 0.0, 0, True))
+    incumbent = defrag._repair_incumbent(instance)
+    search = _RefSearch(instance, None)
+    search.run(incumbent, search._remaining_lb(0, list(instance.base_load)),
+               cap=max_moves)
+    if search.best is None:
+        if max_moves is not None:
+            raise MoveBudgetExceeded("no plan within the cap")
+        raise InfeasibleError("no placement satisfies the threshold")
+    return defrag._build_plan(
+        instance, search.best,
+        SolverStats(search.best_cost, 0.0, search.nodes, True))
+
+
+@st.composite
+def lockstep_instances(draw):
+    """TP units of 1, 2, 4 or 8 workers weighing their unit size, a
+    different capacity on each rack, nonzero frozen ring load up to the
+    threshold (so some racks are hot for a fragmented row), and initial
+    rows that may overflow a rack, so whole removals do not fit."""
+    num_racks = draw(st.integers(2, 5))
+    capacities = draw(st.lists(st.integers(0, 24), min_size=num_racks,
+                               max_size=num_racks, unique=True))
+    overflow = draw(st.booleans())
+    free = list(capacities)
+    jobs, initial = [], []
+    for key in range(draw(st.integers(1, 5))):
+        unit = draw(st.sampled_from((1, 2, 4, 8)))
+        row = [0] * num_racks
+        for _ in range(draw(st.integers(1, 4))):
+            fits = [t for t in range(num_racks)
+                    if overflow or free[t] >= unit]
+            if not fits:
+                break
+            t = draw(st.sampled_from(fits))
+            row[t] += 1
+            free[t] -= unit
+        if sum(row):
+            jobs.append(SolverJob(key, sum(row), unit, unit))
+            initial.append(tuple(row))
+    if not jobs:
+        jobs.append(SolverJob(0, 1))
+        initial.append((1,) + (0,) * (num_racks - 1))
+    threshold = draw(st.integers(1, 10))
+    base_load = draw(st.lists(st.integers(0, threshold), min_size=num_racks,
+                              max_size=num_racks).filter(any))
+    max_moves = draw(st.one_of(st.none(), st.integers(0, 16)))
+    return SolverInstance(num_racks, tuple(capacities), threshold,
+                          tuple(jobs), tuple(initial),
+                          tuple(base_load)), max_moves
+
+
+def _outcome(solver, instance, max_moves):
+    try:
+        plan = solver(instance, max_moves)
+    except (InfeasibleError, MoveBudgetExceeded) as exc:
+        return type(exc)
+    return (plan.target, plan.move_count, plan.stats.nodes_explored,
+            plan.stats.optimal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lockstep_instances())
+def test_search_matches_reference_in_lockstep(drawn):
+    inst, max_moves = drawn
+    fast = _outcome(lambda i, m: solve(i, time_limit=None, max_moves=m),
+                    inst, max_moves)
+    assert fast == _outcome(reference_solve, inst, max_moves)
+
+
+def _unit_instance(capacities, threshold, initial):
+    return SolverInstance(
+        len(capacities), tuple(capacities), threshold,
+        tuple(SolverJob(key, sum(row)) for key, row in enumerate(initial)),
+        tuple(tuple(row) for row in initial))
+
+
+# Uncapped, the first explores 6,439 nodes and first crosses 1,024 on a
+# batch of rows whose removal does not fit; the second explores 12,775
+# and has no repair incumbent to fall back on.
+DEEP_WITH_INCUMBENT = _unit_instance(
+    (6, 6, 4, 6), 1,
+    [(1, 0, 0, 1), (2, 1, 1, 0), (0, 2, 1, 1), (0, 2, 1, 0), (1, 0, 1, 2),
+     (2, 1, 0, 1)])
+DEEP_WITHOUT_INCUMBENT = _unit_instance(
+    (4, 3, 4, 3, 4), 1,
+    [(1, 0, 0, 0, 2), (1, 0, 1, 0, 1), (2, 0, 0, 0, 1), (0, 0, 0, 1, 0),
+     (0, 1, 2, 1, 0), (0, 2, 1, 1, 0)])
+
+
+@pytest.mark.parametrize("inst", [DEEP_WITH_INCUMBENT,
+                                  DEEP_WITHOUT_INCUMBENT])
+def test_deadline_stops_search_at_first_node_check(inst, monkeypatch):
+    assert solve(inst, time_limit=None).stats.nodes_explored > 1024
+    reads = []
+
+    def clock():
+        # the deadline passes right after solve reads its start time
+        reads.append(None)
+        return 0.0 if len(reads) == 1 else 1e9
+
+    monkeypatch.setattr(defrag.time, "monotonic", clock)
+    try:
+        plan = solve(inst, time_limit=10.0)
+    except SolverTimeout:
+        assert inst is DEEP_WITHOUT_INCUMBENT
+    else:
+        assert inst is DEEP_WITH_INCUMBENT
+        assert_plan_valid(inst, plan)
+        assert not plan.stats.optimal
+        # a check on a single node stops at exactly 1,024; only the
+        # batch of unfit rows that crosses it can overshoot
+        assert 1024 < plan.stats.nodes_explored < 2048
+    # start, the check at the first crossing of 1,024 nodes, elapsed
+    assert len(reads) == 3
