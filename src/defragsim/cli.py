@@ -15,6 +15,7 @@ invariant violations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -25,7 +26,7 @@ from .defrag import (
     InfeasibleError, OracleTooLargeError, brute_force_min_moves,
     load_instance, solve,
 )
-from .metrics import export_run, write_summary
+from .metrics import export_run, run_tag, write_summary
 from .simulate import ALGORITHMS, run_simulation
 from .workload import generate_trace
 
@@ -34,10 +35,21 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 
 
+def _event_file(events_dir: Path | None, algorithm: str, load: float,
+                seed: int):
+    """The open event-log file of one cell, or None without a directory."""
+    if events_dir is None:
+        return contextlib.nullcontext()
+    events_dir.mkdir(parents=True, exist_ok=True)
+    return open(events_dir / f"events_{run_tag(algorithm, load, seed)}.log",
+                "wb")
+
+
 def _run_cells(config: ExperimentConfig, out_dir: Path,
                algorithms: list[str], loads: list[float],
                threshold: float | None = None,
-               check_invariants: bool = False):
+               check_invariants: bool = False,
+               events_dir: Path | None = None):
     """Run every (load, seed, algorithm) cell; return summary rows."""
     topology = config.topology.build()
     trace_cfg = config.trace.trace_config()
@@ -51,12 +63,15 @@ def _run_cells(config: ExperimentConfig, out_dir: Path,
                                    num_jobs=config.trace.num_jobs,
                                    cfg=trace_cfg)
             for algorithm in algorithms:
-                result = run_simulation(
-                    topology, trace, algorithm, threshold=threshold,
-                    solver_time_limit=config.controller.solver_time_limit,
-                    max_moves=config.controller.max_moves,
-                    check_isolation=True,
-                    check_invariants=check_invariants)
+                with _event_file(events_dir, algorithm, load,
+                                 seed) as event_log:
+                    result = run_simulation(
+                        topology, trace, algorithm, threshold=threshold,
+                        solver_time_limit=config.controller.solver_time_limit,
+                        max_moves=config.controller.max_moves,
+                        check_isolation=True,
+                        check_invariants=check_invariants,
+                        event_log=event_log)
                 summary = export_run(result, load, out_dir)
                 summaries.append(summary)
                 print(f"{algorithm} load={load:g} seed={seed}: "
@@ -79,7 +94,9 @@ def cmd_run(args) -> int:
         config.trace.num_seeds = args.seeds
     out_dir = Path(args.out or config.output_dir)
     summaries = _run_cells(config, out_dir, algorithms, config.trace.loads,
-                           check_invariants=args.check_invariants)
+                           check_invariants=args.check_invariants,
+                           events_dir=Path(args.events) if args.events
+                           else None)
     write_summary(summaries, out_dir / "summary.json")
     print(f"wrote {len(summaries)} run(s) to {out_dir}")
     return EXIT_OK
@@ -163,10 +180,11 @@ def cmd_oracle(args) -> int:
 CHECK_INVARIANTS_HELP = (
     "audit link capacity conservation and the incremental rates against "
     "a full max-min solve after every rate recomputation, each cached "
-    "iteration plan and the cached demand list against fresh ones, that "
-    "every skipped SGLB rebalance would move nothing, and at the end of "
-    "every timestamp the slot accounting and that the placed jobs are "
-    "exactly the running ones (exit 3 on a violation)")
+    "iteration plan, memoised flow path and the cached demand list "
+    "against fresh ones, that every skipped SGLB rebalance would move "
+    "nothing, and at the end of every timestamp the slot accounting and "
+    "that the placed jobs are exactly the running ones (exit 3 on a "
+    "violation)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,6 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="output directory (overrides config)")
     p_run.add_argument("--check-invariants", action="store_true",
                        help=CHECK_INVARIANTS_HELP)
+    p_run.add_argument("--events", metavar="DIR",
+                       help="write each run's event log, the exact lines "
+                            "its event_log_hash is fed, to "
+                            "DIR/events_<algorithm>_load<load>_seed<seed>"
+                            ".log")
     p_run.set_defaults(fn=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep one experiment axis")

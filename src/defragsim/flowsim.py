@@ -9,11 +9,15 @@ rather than removed from the queue.
 
 A recompute re-solves only the flows connected, through shared links, to
 a link an add, remove or path change touched; every other flow keeps its
-rate. Max-min rates decompose over connected components, and the solve
-takes its flows in insertion order, so the bottleneck tie-break sees the
-same relative link order as a solve of every live flow: the rates are
-bit-identical to a full solve. Every flow's ETA is still recomputed with
-the same arithmetic, and only the flows whose ETA moved need a new event.
+rate. Max-min rates decompose over connected components, so each touched
+component is solved on its own. A lone flow's rate is the smallest
+capacity on its path (inf for an empty path), which is what a solve of
+that one flow returns. A component of two or more flows goes to
+``maxmin_rates`` in insertion order, so the bottleneck tie-break sees the
+same relative link order as a solve of every live flow. Either way the
+rates are bit-identical to a full solve. Every flow's ETA is still
+recomputed with the same arithmetic, and only the flows whose ETA moved
+need a new event.
 
 Bits drain lazily: ``settle_to`` only records the clock step, and the
 next recompute drains every live flow, one step at a time at the rate
@@ -125,30 +129,29 @@ class EventQueue:
     caller-chosen ``tie`` and the insertion sequence number as the final
     deterministic tie-breaks. The simulator passes a flow's insertion
     serial as ``tie``, so completions due at the same time pop in flow
-    insertion order whenever each was pushed."""
+    insertion order whenever each was pushed. ``heap[0][0]`` is the next
+    event's time; read it, but change the heap only through ``push`` and
+    ``pop``."""
 
     def __init__(self):
         # (time, rank, tie, seq, payload); seq is unique, so payloads
         # are never compared
-        self._heap: list[tuple[float, int, int, int, object]] = []
+        self.heap: list[tuple[float, int, int, int, object]] = []
         self._seq = 0
 
     def push(self, time: float, rank: int, payload, tie: int = 0) -> None:
-        heapq.heappush(self._heap, (time, rank, tie, self._seq, payload))
+        heapq.heappush(self.heap, (time, rank, tie, self._seq, payload))
         self._seq += 1
 
     def pop(self) -> tuple[float, int, object]:
-        time, rank, _, _, payload = heapq.heappop(self._heap)
+        time, rank, _, _, payload = heapq.heappop(self.heap)
         return time, rank, payload
 
-    def peek_time(self) -> float:
-        return self._heap[0][0]
-
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self.heap)
 
 
 # -- flow bookkeeping --------------------------------------------------------
@@ -176,10 +179,11 @@ class FlowNetwork:
     the rates in force during it; ``add_flow``,
     ``remove_flow`` and ``set_path`` (the only way to change a live
     flow's path) mark the flows they place fresh and the links they leave
-    dirty; ``recompute`` re-solves the flows connected to a fresh flow or
-    a dirty link, in insertion order, and returns the flows whose ETA
-    moved. A flow's queued completion event is live while ``flow.eta``
-    still equals its time.
+    dirty; ``recompute`` re-solves each connected component of the flows
+    reached from a fresh flow or a dirty link on its own, a lone flow in
+    closed form and a larger component in insertion order, and returns
+    the flows whose ETA moved. A flow's queued completion event is live
+    while ``flow.eta`` still equals its time.
     """
 
     def __init__(self, capacities: Sequence[float]):
@@ -234,15 +238,33 @@ class FlowNetwork:
             self._steps.append(dt)
         self.time = max(self.time, time)
 
-    def _touched(self) -> set[Flow]:
-        """Live flows connected to a dirty link or a fresh flow; clears
-        both marks."""
+    def _touched(self) -> tuple[list[list[Flow]], set[Flow]]:
+        """The connected components of the live flows linked to a fresh
+        flow or a dirty link, and the set of all their flows; clears both
+        marks. One search per seed not reached by an earlier one, so no
+        two components share a link."""
         flows = self.flows
-        found = {flow for flow in self._fresh if flows.get(flow.key) is flow}
-        todo = list(self._dirty)
-        for flow in found:
-            todo.extend(flow.path)
-        seen = set()
+        found: set[Flow] = set()
+        seen: set[int] = set()
+        components = []
+        for flow in self._fresh:
+            if flow not in found and flows.get(flow.key) is flow:
+                found.add(flow)
+                components.append(
+                    self._component([flow], list(flow.path), found, seen))
+        for link in self._dirty:
+            if link not in seen:
+                component = self._component([], [link], found, seen)
+                if component:
+                    components.append(component)
+        self._dirty.clear()
+        self._fresh.clear()
+        return components, found
+
+    def _component(self, component: list[Flow], todo: list[int],
+                   found: set[Flow], seen: set[int]) -> list[Flow]:
+        """Grow ``component`` by every flow reachable from the links in
+        ``todo`` through shared links; marks what it reaches."""
         on_link = self._on_link
         while todo:
             link = todo.pop()
@@ -252,48 +274,64 @@ class FlowNetwork:
             for flow in on_link[link]:
                 if flow not in found:
                     found.add(flow)
+                    component.append(flow)
                     todo.extend(flow.path)
-        self._dirty.clear()
-        self._fresh.clear()
-        return found
+        return component
 
     def recompute(self) -> list[tuple[float, Hashable, int]]:
-        """Drain the recorded clock steps, re-solve the touched flows and
-        return (eta, key, serial), in insertion order, for every flow
-        whose ETA moved to a new finite time: each needs a completion
-        event."""
-        touched = self._touched()
+        """Drain the recorded clock steps, re-solve each touched
+        component and return (eta, key, serial), in insertion order, for
+        every flow whose ETA moved to a new finite time: each needs a
+        completion event.
+
+        A lone flow's rate is its path's smallest capacity (inf for an
+        empty path), as ``maxmin_rates`` would give it; a larger
+        component is solved by ``maxmin_rates`` in insertion order."""
+        components, touched = self._touched()
         steps = self._steps
         inf = math.inf
-        if touched:
-            ordered = sorted(touched, key=_serial)
-            for flow in ordered:
-                # max(0, bits - rate * dt) per step, as an eager drain at
-                # each step, at the rate the solve is about to replace
-                rate = flow.rate
-                if steps and 0 < rate < inf:
-                    remaining = flow.remaining_bits
-                    for dt in steps:
-                        remaining -= rate * dt
-                        remaining = remaining if remaining > 0.0 else 0.0
-                    flow.remaining_bits = remaining
-            rates = maxmin_rates([flow.path for flow in ordered],
-                                 self.capacities)
-            for flow, rate in zip(ordered, rates):
-                flow.rate = rate
+        capacity = self.capacities.__getitem__
+        for component in components:
+            if steps:
+                for flow in component:
+                    # max(0, bits - rate * dt) per step, as an eager drain
+                    # at each step, at the rate the solve is about to
+                    # replace
+                    rate = flow.rate
+                    if 0 < rate < inf:
+                        remaining = flow.remaining_bits
+                        for dt in steps:
+                            remaining -= rate * dt
+                            remaining = remaining if remaining > 0.0 else 0.0
+                        flow.remaining_bits = remaining
+            if len(component) == 1:
+                flow = component[0]
+                flow.rate = min(map(capacity, flow.path), default=inf)
+            else:
+                component.sort(key=_serial)
+                rates = maxmin_rates([flow.path for flow in component],
+                                     self.capacities)
+                for flow, rate in zip(component, rates):
+                    flow.rate = rate
+        # the flows the solves kept drain as above, here; one step (the
+        # common case) without the loop
+        step = steps[0] if len(steps) == 1 else None
         moved = []
         now = self.time
         for flow in self.flows.values():
             rate = flow.rate
             if 0 < rate < inf:
+                remaining = flow.remaining_bits
                 if steps and flow not in touched:
-                    # the solve kept this rate: drain as above
-                    remaining = flow.remaining_bits
-                    for dt in steps:
-                        remaining -= rate * dt
+                    if step is not None:
+                        remaining -= rate * step
                         remaining = remaining if remaining > 0.0 else 0.0
+                    else:
+                        for dt in steps:
+                            remaining -= rate * dt
+                            remaining = remaining if remaining > 0.0 else 0.0
                     flow.remaining_bits = remaining
-                eta = now + flow.remaining_bits / rate
+                eta = now + remaining / rate
             elif not flow.path:
                 # unconstrained flow: done immediately
                 flow.remaining_bits = 0.0

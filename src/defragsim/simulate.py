@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass
+from typing import BinaryIO, NamedTuple
 
 from .controller import ControllerConfig, DefragController
 from .flowsim import EventQueue, FlowNetwork
@@ -104,13 +105,24 @@ class SimulationResult:
     controller_outcomes: dict[str, int]
 
 
+class IterationPlan(NamedTuple):
+    """A job's iteration flows under its current placement, with what
+    launching them needs: built once per placement."""
+    flows: list[PlannedFlow]
+    demands: list[FlowDemand]  # of the cross-rack flows
+    labels: dict[tuple, str]  # planned flow key -> its repr, for the log
+    # per flow: colour (None for intra-rack) -> path, filled on launch
+    paths: list[dict]
+
+
 class Simulation:
     def __init__(self, topology: ClusterTopology, trace: Trace,
                  algorithm: str, threshold: float | None = None,
                  solver_time_limit: float = 10.0,
                  max_moves: int | None = 16,
                  check_isolation: bool = False,
-                 check_invariants: bool = False):
+                 check_invariants: bool = False,
+                 event_log: BinaryIO | None = None):
         self.topology = topology
         self.trace = trace
         self.algorithm = algorithm
@@ -128,11 +140,9 @@ class Simulation:
         self.net = FlowNetwork(topology.link_capacities)
         self.queue = EventQueue()
         self.runs: dict[int, JobRun] = {}
-        # job id -> (iteration flows, cross-rack demands) under the job's
-        # current placement; dropped whenever its workers move or leave,
-        # and the demand list with it
-        self._plans: dict[int, tuple[list[PlannedFlow],
-                                     list[FlowDemand]]] = {}
+        # job id -> its plan under the current placement; dropped
+        # whenever its workers move or leave, and the demand list with it
+        self._plans: dict[int, IterationPlan] = {}
         # every running job's demands, then the transfers'; None once a
         # job starts or ends or the transfer demands change
         self._demands: list[FlowDemand] | None = None
@@ -157,12 +167,21 @@ class Simulation:
         self._defrag_events: list[DefragEvent] = []
         self._frag_series: list[tuple[float, int, int]] = []
         self._log = hashlib.blake2b(digest_size=16)
+        self._event_log = event_log  # gets every hashed line, if set
         self.now = 0.0
+        self._stamp: str | None = None  # repr(self.now), once needed
 
     # -- event log -----------------------------------------------------------
 
-    def _trace_event(self, *parts) -> None:
-        self._log.update(("|".join(map(str, parts)) + "\n").encode())
+    def _trace_event(self, kind: str, ident) -> None:
+        """Hash the line ``kind|now|ident``."""
+        stamp = self._stamp
+        if stamp is None:
+            stamp = self._stamp = repr(self.now)
+        line = f"{kind}|{stamp}|{ident}\n".encode()
+        self._log.update(line)
+        if self._event_log is not None:
+            self._event_log.write(line)
 
     # -- main loop -----------------------------------------------------------
 
@@ -173,14 +192,17 @@ class Simulation:
         if isinstance(self.routing, SglbRouting) and self.trace.jobs:
             self.queue.push(SGLB_EPOCH_SECONDS, RANK_EPOCH, ("epoch",))
 
-        while self.queue:
-            t = self.queue.peek_time()
+        heap = self.queue.heap
+        pop = self.queue.pop
+        while heap:
+            t = heap[0][0]
             self.net.settle_to(t)
             self.now = t
+            self._stamp = None
             self._flows_dirty = False
             self._placement_dirty = False
-            while self.queue and self.queue.peek_time() == t:
-                _, _, payload = self.queue.pop()
+            while heap and heap[0][0] == t:
+                _, _, payload = pop()
                 self._dispatch(payload)
             if self._placement_dirty:
                 self._record_fragmentation()
@@ -228,7 +250,7 @@ class Simulation:
 
     def _on_arrival(self, job: JobSpec) -> None:
         self._pending_arrivals -= 1
-        self._trace_event("arrival", self.now, job.job_id)
+        self._trace_event("arrival", job.job_id)
         if self.batch is not None:
             # admissions pause while a migration batch is in flight so the
             # plan's destination slots stay reserved
@@ -243,7 +265,7 @@ class Simulation:
         self.runs[job.job_id] = run
         self._drop_demands()
         self._schedule_compute(run)
-        self._trace_event("start", self.now, job.job_id)
+        self._trace_event("start", job.job_id)
 
     def _schedule_compute(self, run: JobRun) -> None:
         assert run.phase is JobPhase.COMPUTE
@@ -260,27 +282,40 @@ class Simulation:
         if not run.pending_flows:
             self._finish_iteration(run)
 
-    def _plan(self, job: JobSpec) -> tuple[list[PlannedFlow],
-                                           list[FlowDemand]]:
+    def _plan(self, job: JobSpec) -> IterationPlan:
         """The job's iteration plan, built once per placement."""
         locate = self.scheduler.placement.locate
         plan = self._plans.get(job.job_id)
         if plan is None:
             flows = plan_iteration_flows(job, locate)
-            plan = (flows, [pf.demand for pf in flows
-                            if pf.demand is not None])
+            plan = IterationPlan(
+                flows, [pf.demand for pf in flows if pf.demand is not None],
+                {pf.key: repr(pf.key) for pf in flows},
+                [{} for _ in flows])
             self._plans[job.job_id] = plan
         elif self.check_invariants \
-                and plan[0] != plan_iteration_flows(job, locate):
+                and plan.flows != plan_iteration_flows(job, locate):
             raise AssertionError(
                 f"stale iteration plan for job {job.job_id}")
         return plan
 
     def _launch_iteration_flows(self, run: JobRun) -> None:
-        for pf in self._plan(run.job)[0]:
-            key = (pf.key, run.iteration)
+        plan = self._plan(run.job)
+        colors = self.assignment.colors
+        iteration = run.iteration
+        for pf, paths in zip(plan.flows, plan.paths):
             demand_key = pf.demand.key if pf.demand else None
-            path = self._path_for(pf.src, pf.dst, demand_key)
+            color = None if demand_key is None else colors[demand_key]
+            path = paths.get(color)
+            if path is None:
+                path = paths[color] = self._path_for(pf.src, pf.dst,
+                                                     demand_key)
+            elif self.check_invariants \
+                    and path != self._path_for(pf.src, pf.dst, demand_key):
+                raise AssertionError(
+                    f"stale flow path {path} for flow {pf.key} on colour "
+                    f"{color}")
+            key = (pf.key, iteration)
             self.net.add_flow(key, path, pf.size_bytes)
             self._flow_info[key] = (demand_key, pf.src, pf.dst)
             run.pending_flows.add(key)
@@ -307,15 +342,19 @@ class Simulation:
         self.net.remove_flow(key)
         self._flow_info.pop(key, None)
         self._flows_dirty = True
-        self._trace_event("flow", self.now, key)
-        if key[0] == "mig":
+        owner = key[0]
+        if owner == "mig":
+            self._trace_event("flow", key)
             batch = self.batch
             assert batch is not None and batch.phase is BatchPhase.TRANSFER
             batch.pending_transfers.discard(key)
             if not batch.pending_transfers:
                 self._commit_batch()
             return
-        job_id = key[0][0]
+        job_id = owner[0]
+        # the line str(key) would give, from the plan's cached repr
+        self._trace_event(
+            "flow", f"({self._plans[job_id].labels[owner]}, {key[1]})")
         run = self.runs[job_id]
         run.pending_flows.discard(key)
         if run.phase is JobPhase.COMM and not run.pending_flows:
@@ -332,7 +371,7 @@ class Simulation:
 
     def _on_job_done(self, run: JobRun) -> None:
         job = run.job
-        self._trace_event("finish", self.now, job.job_id)
+        self._trace_event("finish", job.job_id)
         del self.runs[job.job_id]
         del self._plans[job.job_id]
         self._drop_demands()
@@ -370,7 +409,7 @@ class Simulation:
         decision = self.controller.check()
         if decision is None:
             return
-        self._trace_event("defrag", self.now, decision.plan.move_count)
+        self._trace_event("defrag", decision.plan.move_count)
         stats = decision.plan.stats
         self._current_event = DefragEvent(
             time=self.now, move_count=stats.move_count,
@@ -449,7 +488,7 @@ class Simulation:
         self._reassign_routing()
         self.queue.push(self.now + REINIT_SECONDS, RANK_REINIT,
                         ("reinit", batch.batch_id))
-        self._trace_event("commit", self.now, batch.batch_id)
+        self._trace_event("commit", batch.batch_id)
 
     def _on_reinit_done(self, batch_id: int) -> None:
         batch = self.batch
@@ -465,7 +504,7 @@ class Simulation:
             if run.phase is JobPhase.BARRIERED:
                 run.resume(self.now)
                 self._schedule_compute(run)
-        self._trace_event("reinit-done", self.now, batch_id)
+        self._trace_event("reinit-done", batch_id)
         # catch up on admissions deferred during the batch
         for job in self.scheduler.admit_queued():
             self._start_job(job)
@@ -476,7 +515,7 @@ class Simulation:
     def _build_demands(self) -> list[FlowDemand]:
         demands: list[FlowDemand] = []
         for job_id in sorted(self.runs):
-            demands.extend(self._plan(self.runs[job_id].job)[1])
+            demands.extend(self._plan(self.runs[job_id].job).demands)
         demands.extend(self._transfer_demands)
         return demands
 
@@ -605,17 +644,21 @@ def run_simulation(topology: ClusterTopology, trace: Trace, algorithm: str,
                    solver_time_limit: float = 10.0,
                    max_moves: int | None = 16,
                    check_isolation: bool = False,
-                   check_invariants: bool = False) -> SimulationResult:
+                   check_invariants: bool = False,
+                   event_log: BinaryIO | None = None) -> SimulationResult:
     """Run one simulation. ``check_invariants`` audits flow conservation
     and the incremental rates against a full solve after every rate
-    recomputation, each cached iteration plan and the cached demand list
-    against fresh ones before they are used, that every skipped SGLB
-    rebalance would have moved nothing, and at the end of every timestamp
-    the slot accounting and that the placed jobs are exactly the running
-    ones; it changes no decision."""
+    recomputation, each cached iteration plan, memoised flow path and the
+    cached demand list against fresh ones before they are used, that
+    every skipped SGLB rebalance would have moved nothing, and at the end
+    of every timestamp the slot accounting and that the placed jobs are
+    exactly the running ones; it changes no decision. ``event_log``, a
+    binary file, receives every line the event log hash is fed, in
+    order."""
     sim = Simulation(topology, trace, algorithm, threshold=threshold,
                      solver_time_limit=solver_time_limit,
                      max_moves=max_moves,
                      check_isolation=check_isolation,
-                     check_invariants=check_invariants)
+                     check_invariants=check_invariants,
+                     event_log=event_log)
     return sim.run()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from .topology import ClusterTopology, GpuId
@@ -159,27 +159,37 @@ def ideal_iteration_seconds(job: JobSpec, topology: ClusterTopology) -> float:
     """Iteration time of the job running alone, best-packed, with every
     flow at line rate. Used for load calibration and as the slowdown
     denominator."""
-    hosts_needed = math.ceil(job.num_workers / topology.gpus_per_host)
+    return _ideal_iteration_seconds(
+        topology, job.compute_time, job.num_workers, job.dp_degree,
+        job.tp_degree, job.pp_degree, job.dp_collective_bytes, job.pp_bytes)
+
+
+def _ideal_iteration_seconds(topology: ClusterTopology, compute_time: float,
+                             num_workers: int, dp_degree: int,
+                             tp_degree: int, pp_degree: int,
+                             dp_collective_bytes: float,
+                             pp_bytes: float) -> float:
+    """``ideal_iteration_seconds`` from a job's fields."""
+    hosts_needed = math.ceil(num_workers / topology.gpus_per_host)
     if hosts_needed <= 1:
-        return job.compute_time
+        return compute_time
     racks_needed = math.ceil(hosts_needed / topology.hosts_per_rack)
     if racks_needed <= 1:
         rate = topology.nic_bandwidth
     else:
         rate = min(topology.nic_bandwidth, topology.uplink_bandwidth)
     dp_time = 0.0
-    if job.dp_degree >= 2:
+    if dp_degree >= 2:
         # Best packing keeps each ring on the fewest hosts; a ring whose
         # members all share one host sends nothing over the network.
-        workers_per_stage = job.dp_degree * job.tp_degree
+        workers_per_stage = dp_degree * tp_degree
         if workers_per_stage > topology.gpus_per_host:
-            per_link = ring_bytes_per_link(job.dp_collective_bytes,
-                                           job.dp_degree)
+            per_link = ring_bytes_per_link(dp_collective_bytes, dp_degree)
             dp_time = per_link * 8.0 / rate
     pp_time = 0.0
-    if job.pp_degree >= 2:
-        pp_time = job.pp_bytes * 8.0 / rate
-    return job.compute_time + max(dp_time, pp_time)
+    if pp_degree >= 2:
+        pp_time = pp_bytes * 8.0 / rate
+    return compute_time + max(dp_time, pp_time)
 
 
 def ideal_duration(job: JobSpec, topology: ClusterTopology) -> float:
@@ -231,8 +241,10 @@ class Trace:
 
 
 def _sample_job(rng: random.Random, cfg: TraceConfig,
-                topology: ClusterTopology, job_id: int,
-                arrival_time: float) -> JobSpec:
+                topology: ClusterTopology, job_id: int
+                ) -> tuple[dict, float]:
+    """A job's ``JobSpec`` fields but its arrival time, and its ideal
+    duration."""
     template = rng.choice(list(cfg.templates))
     max_w = min(cfg.max_workers, topology.total_gpus)
     if cfg.size_choices is not None:
@@ -254,19 +266,17 @@ def _sample_job(rng: random.Random, cfg: TraceConfig,
         dp = workers // (tp * pp)
         break
     fsdp = template.allow_fsdp and (not template.allow_dp or rng.random() < 0.5)
-    return JobSpec(
-        job_id=job_id,
-        template=template,
-        num_workers=workers,
-        dp_degree=dp,
-        tp_degree=tp,
-        pp_degree=pp,
-        fsdp=fsdp,
-        iterations=rng.randint(cfg.iterations_min, cfg.iterations_max),
-        dp_collective_bytes=default_dp_collective_bytes(template, tp, pp),
-        pp_bytes=template.pp_boundary_bytes if pp >= 2 else 0.0,
-        arrival_time=arrival_time,
-    )
+    iterations = rng.randint(cfg.iterations_min, cfg.iterations_max)
+    dp_bytes = default_dp_collective_bytes(template, tp, pp)
+    pp_bytes = template.pp_boundary_bytes if pp >= 2 else 0.0
+    fields = dict(job_id=job_id, template=template, num_workers=workers,
+                  dp_degree=dp, tp_degree=tp, pp_degree=pp, fsdp=fsdp,
+                  iterations=iterations, dp_collective_bytes=dp_bytes,
+                  pp_bytes=pp_bytes)
+    ideal = iterations * _ideal_iteration_seconds(
+        topology, template.compute_seconds, workers, dp, tp, pp, dp_bytes,
+        pp_bytes)
+    return fields, ideal
 
 
 def generate_trace(topology: ClusterTopology, load: float, seed: int,
@@ -282,19 +292,19 @@ def generate_trace(topology: ClusterTopology, load: float, seed: int,
         raise ValueError("load must be positive")
     cfg = cfg or TraceConfig()
     rng = random.Random(seed)
-    jobs = [_sample_job(rng, cfg, topology, job_id=i, arrival_time=0.0)
-            for i in range(num_jobs)]
-    if not jobs:
+    draws = [_sample_job(rng, cfg, topology, job_id=i)
+             for i in range(num_jobs)]
+    if not draws:
         return Trace(jobs=[], target_load=load, seed=seed)
-    mean_gpus = sum(j.num_workers for j in jobs) / len(jobs)
-    mean_ideal = sum(ideal_duration(j, topology) for j in jobs) / len(jobs)
+    mean_gpus = sum(fields["num_workers"] for fields, _ in draws) / len(draws)
+    mean_ideal = sum(ideal for _, ideal in draws) / len(draws)
     rate = load * topology.total_gpus / (mean_gpus * mean_ideal)
     t = 0.0
-    timed = []
-    for job in jobs:
+    jobs = []
+    for fields, _ in draws:
         t += rng.expovariate(rate)
-        timed.append(replace(job, arrival_time=t))
-    return Trace(jobs=timed, target_load=load, seed=seed)
+        jobs.append(JobSpec(**fields, arrival_time=t))
+    return Trace(jobs=jobs, target_load=load, seed=seed)
 
 
 def save_trace(trace: Trace, path: str) -> None:

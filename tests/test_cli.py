@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -108,6 +109,26 @@ def test_run_writes_controller_outcomes(tmp_path):
     assert set(runs["defrag-perfect"]) == set(runs["sglb"]) == keys
     assert runs["defrag-perfect"]["applied"] >= 1
     assert set(runs["sglb"].values()) == {0}
+
+
+def test_run_events_dump_feeds_the_event_log_hash(tmp_path):
+    args = ["run", str(QUICK_CONFIG), "--algorithms", "defrag-perfect,sglb"]
+    plain, dumped, events = (tmp_path / name
+                             for name in ("plain", "dumped", "events"))
+    assert main(args + ["--out", str(plain)]) == 0
+    assert main(args + ["--out", str(dumped), "--events", str(events)]) == 0
+    runs = json.loads((dumped / "summary.json").read_text())["runs"]
+    assert runs == json.loads((plain / "summary.json").read_text())["runs"]
+    assert len(runs) == 2
+    for run in runs:
+        tag = f"{run['algorithm']}_load0.9_seed0"
+        data = (events / f"events_{tag}.log").read_bytes()
+        assert hashlib.blake2b(data, digest_size=16).hexdigest() \
+            == run["event_log_hash"]
+        lines = data.splitlines()
+        assert lines and all(line.count(b"|") == 2 for line in lines)
+        assert (dumped / f"jobs_{tag}.csv").read_text() \
+            == (plain / f"jobs_{tag}.csv").read_text()
 
 
 def test_run_unknown_algorithm_exits_2(config_file, capsys):

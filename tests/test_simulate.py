@@ -151,19 +151,35 @@ def test_ideal_duration_matches_isolated_run():
 
 
 def test_reroute_changes_solved_and_audited_links(monkeypatch):
-    solved, audited = [], []
+    solved, resolved, rate_audits, audited = [], [], [], []
     real_solve = flowsim.maxmin_rates
+    real_touched = flowsim.FlowNetwork._touched
+    real_rates = flowsim.FlowNetwork.check_rates
     real_audit = flowsim.conservation_check
 
     def spy_solve(paths, capacities):
         solved.append((list(paths), capacities))
         return real_solve(paths, capacities)
 
+    def spy_touched(net):
+        components, found = real_touched(net)
+        resolved.append([flow.path for c in components for flow in c])
+        return components, found
+
+    def spy_rates(net):
+        first = len(solved)
+        real_rates(net)
+        # the rate audit makes one solve, of every live flow
+        ((paths, _),) = solved[first:]
+        rate_audits.append(paths)
+
     def spy_audit(paths, capacities, rates, rel_tol=1e-9):
         audited.append((list(paths), capacities))
         return real_audit(paths, capacities, rates, rel_tol)
 
     monkeypatch.setattr(flowsim, "maxmin_rates", spy_solve)
+    monkeypatch.setattr(flowsim.FlowNetwork, "_touched", spy_touched)
+    monkeypatch.setattr(flowsim.FlowNetwork, "check_rates", spy_rates)
     monkeypatch.setattr(flowsim, "conservation_check", spy_audit)
 
     class RerouteOnce(Simulation):
@@ -181,7 +197,7 @@ def test_reroute_changes_solved_and_audited_links(monkeypatch):
             self.recomputes += 1
             live = [flow.path for flow in self.net.flows.values()]
             assert audited[-1][0] == [p for p in live if p]
-            assert solved[-1][0] == live
+            assert rate_audits[-1] == live
 
         def _reroute_one(self):
             for key, (demand_key, src, dst) in self._flow_info.items():
@@ -194,7 +210,7 @@ def test_reroute_changes_solved_and_audited_links(monkeypatch):
                 expected = tuple(path_between(self.topology, src, dst,
                                               1 - color, 1 - color))
                 return before, expected, self.net.flows[key].path, \
-                    len(solved)
+                    len(resolved)
             return None
 
     sim = RerouteOnce(SMALL_TOPO, small_trace(seed=0), "ecmp",
@@ -202,10 +218,10 @@ def test_reroute_changes_solved_and_audited_links(monkeypatch):
     sim.run()
     before, expected, after, call = sim.rerouted
     assert after == expected != before
-    # the first solve after the reroute is the incremental one, and the
-    # rerouted flow's links are dirty, so it re-solves the new path
-    assert after in solved[call][0]
-    assert len(audited) == sim.recomputes
+    # the rerouted flow's links are dirty, so the first recompute after
+    # the reroute re-solves its component on the new path
+    assert after in resolved[call]
+    assert len(audited) == len(rate_audits) == sim.recomputes
     for paths, caps in solved + audited:
         assert caps is SMALL_TOPO.link_capacities
 
@@ -291,6 +307,31 @@ def test_plan_cache_audit_catches_stale_plan(monkeypatch):
     with pytest.raises(AssertionError, match="stale iteration plan"):
         run_simulation(SMALL_TOPO, small_trace(seed=0), "defrag-perfect",
                        solver_time_limit=5.0, check_invariants=True)
+
+
+def test_path_memo_audit_catches_stale_path(monkeypatch):
+    """A memoised flow path that no longer matches its colour's path must
+    trip the audit at the job's next launch."""
+    real_launch = Simulation._launch_iteration_flows
+    corrupted = []
+
+    def launch_corrupting_one_path(self, run):
+        real_launch(self, run)
+        if corrupted:
+            return
+        for memo in self._plans[run.job.job_id].paths:
+            for color, path in memo.items():
+                if len(path) > 1:
+                    memo[color] = path[::-1]
+                    corrupted.append(run.job.job_id)
+                    return
+
+    monkeypatch.setattr(Simulation, "_launch_iteration_flows",
+                        launch_corrupting_one_path)
+    with pytest.raises(AssertionError, match="stale flow path"):
+        run_simulation(SMALL_TOPO, small_trace(seed=0), "perfect",
+                       check_invariants=True)
+    assert len(corrupted) == 1
 
 
 def count_plan_builds(monkeypatch):
