@@ -25,7 +25,7 @@ from .defrag import (
     InfeasibleError, MigrationPlan, MoveBudgetExceeded, SolverInstance,
     SolverTimeout, is_fragmented, ring_loads, solve,
 )
-from .fragmentation import stage_rows
+from .fragmentation import StageRows, stage_rows
 from .jobmodel import WorkerMove
 from .scheduler import Placement
 
@@ -45,13 +45,16 @@ class ControllerConfig:
 
 
 def build_instance(placement: Placement, threshold: float,
-                   reduce: bool = True) -> SolverInstance | None:
+                   reduce: bool = True, stages: StageRows | None = None
+                   ) -> SolverInstance | None:
     """Solver instance for the current placement, or None if compliant.
 
     With ``reduce`` set, frozen stages contribute capacity consumption
-    and ring base load but are not decision variables.
+    and ring base load but are not decision variables. ``stages``, the
+    placement's current ``stage_rows``, saves building them again.
     """
-    stages = stage_rows(placement)
+    if stages is None:
+        stages = stage_rows(placement)
     num_racks = placement.topology.num_racks
     loads = ring_loads(stages.jobs, stages.rows, [0] * num_racks)
     violating = {t for t in range(num_racks) if loads[t] > threshold}
@@ -172,11 +175,17 @@ class DefragController:
         """Checks that left a violation standing, for every reason."""
         return sum(self.outcomes[reason] for reason in SKIP_REASONS)
 
-    def check(self) -> DefragDecision | None:
-        """Return the migration batch restoring the threshold, if needed."""
+    def check(self, stages: StageRows | None = None
+              ) -> DefragDecision | None:
+        """Return the migration batch restoring the threshold, if needed.
+        ``stages``, the placement's current ``stage_rows``, saves
+        building them again."""
         if not self.config.enabled:
             return None
-        instance = build_instance(self.placement, self.config.threshold)
+        if stages is None:
+            stages = stage_rows(self.placement)
+        instance = build_instance(self.placement, self.config.threshold,
+                                  stages=stages)
         if instance is None:
             return None
         if instance == self._last_skipped:
@@ -184,7 +193,7 @@ class DefragController:
             self.outcomes["memo"] += 1
             return None
         try:
-            plan = self._solve_with_fallback(instance)
+            plan = self._solve_with_fallback(instance, stages)
             if not plan.stats.optimal:
                 # Only proven-minimal plans are worth the disruption; a
                 # timed-out incumbent is a wholesale re-placement. Leave
@@ -207,13 +216,14 @@ class DefragController:
         self.outcomes[reason] += 1
         self._last_skipped = instance
 
-    def _solve_with_fallback(self, instance: SolverInstance) -> MigrationPlan:
+    def _solve_with_fallback(self, instance: SolverInstance,
+                             stages: StageRows) -> MigrationPlan:
         try:
             return solve(instance, time_limit=self.config.solver_time_limit,
                          max_moves=self.config.max_moves)
         except (InfeasibleError, MoveBudgetExceeded):
             full = build_instance(self.placement, self.config.threshold,
-                                  reduce=False)
+                                  reduce=False, stages=stages)
             assert full is not None
             return solve(full, time_limit=self.config.solver_time_limit,
                          max_moves=self.config.max_moves)

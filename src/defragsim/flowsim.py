@@ -10,7 +10,10 @@ rather than removed from the queue.
 A recompute re-solves only the flows connected, through shared links, to
 a link an add, remove or path change touched; every other flow keeps its
 rate. Max-min rates decompose over connected components, so each touched
-component is solved on its own. A lone flow's rate is the smallest
+component is solved on its own. A fresh flow that every link of its path
+carries alone is its own component and needs no search, and a link left
+dirty that now carries no flow seeds none; only the other components are
+found by a search over shared links. A lone flow's rate is the smallest
 capacity on its path (inf for an empty path), which is what a solve of
 that one flow returns. A component of two or more flows goes to
 ``maxmin_rates`` in insertion order, so the bottleneck tie-break sees the
@@ -182,7 +185,9 @@ class FlowNetwork:
     dirty; ``recompute`` re-solves each connected component of the flows
     reached from a fresh flow or a dirty link on its own, a lone flow in
     closed form and a larger component in insertion order, and returns
-    the flows whose ETA moved. A flow's queued completion event is live
+    the flows whose ETA moved. A fresh flow alone on every link of its
+    path is taken as its own component without a search, and an empty
+    dirty link is skipped. A flow's queued completion event is live
     while ``flow.eta`` still equals its time.
     """
 
@@ -241,22 +246,33 @@ class FlowNetwork:
     def _touched(self) -> tuple[list[list[Flow]], set[Flow]]:
         """The connected components of the live flows linked to a fresh
         flow or a dirty link, and the set of all their flows; clears both
-        marks. One search per seed not reached by an earlier one, so no
-        two components share a link."""
+        marks. A fresh flow that every link of its path carries alone is
+        its own component, with no search; an emptied dirty link is
+        skipped. Otherwise one search per seed not reached by an earlier
+        one, so no two components share a link."""
         flows = self.flows
+        on_link = self._on_link
         found: set[Flow] = set()
         seen: set[int] = set()
         components = []
         for flow in self._fresh:
-            if flow not in found and flows.get(flow.key) is flow:
-                found.add(flow)
-                components.append(
-                    self._component([flow], list(flow.path), found, seen))
+            if flow in found or flows.get(flow.key) is not flow:
+                continue
+            found.add(flow)
+            path = flow.path
+            for link in path:
+                if len(on_link[link]) != 1:
+                    components.append(
+                        self._component([flow], list(path), found, seen))
+                    break
+            else:
+                seen.update(path)
+                components.append([flow])
         for link in self._dirty:
-            if link not in seen:
-                component = self._component([], [link], found, seen)
-                if component:
-                    components.append(component)
+            # a flow found above has all its links seen, so a link that
+            # is unseen and not empty seeds a new, non-empty component
+            if link not in seen and on_link[link]:
+                components.append(self._component([], [link], found, seen))
         self._dirty.clear()
         self._fresh.clear()
         return components, found

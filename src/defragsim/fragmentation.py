@@ -66,9 +66,13 @@ class FragmentationReport:
         return max(self.per_rack, default=0)
 
 
-def fragmentation_degree(placement: Placement) -> FragmentationReport:
-    """Exact per-rack degrees, recomputed from scratch."""
-    stages = stage_rows(placement)
+def fragmentation_degree(placement: Placement,
+                         stages: StageRows | None = None
+                         ) -> FragmentationReport:
+    """Exact per-rack degrees, recomputed from scratch, or from
+    ``stages``, the placement's current ``stage_rows``."""
+    if stages is None:
+        stages = stage_rows(placement)
     per_rack = ring_loads(stages.jobs, stages.rows,
                           [0] * placement.topology.num_racks)
     fragmented = sum(job.ring_weight

@@ -21,7 +21,7 @@ from typing import BinaryIO, NamedTuple
 
 from .controller import ControllerConfig, DefragController
 from .flowsim import EventQueue, FlowNetwork
-from .fragmentation import fragmentation_degree
+from .fragmentation import StageRows, fragmentation_degree, stage_rows
 from .jobmodel import (
     JobPhase, JobRun, MigrationBatch, BatchPhase, REINIT_SECONDS,
     PlannedFlow, plan_iteration_flows, shard_bytes,
@@ -165,7 +165,7 @@ class Simulation:
         self._pending_arrivals = 0
         self._records: list[JobRecord] = []
         self._defrag_events: list[DefragEvent] = []
-        self._frag_series: list[tuple[float, int, int]] = []
+        self._frag_series: list[tuple[float, int, int, float]] = []
         self._log = hashlib.blake2b(digest_size=16)
         self._event_log = event_log  # gets every hashed line, if set
         self.now = 0.0
@@ -205,8 +205,10 @@ class Simulation:
                 _, _, payload = pop()
                 self._dispatch(payload)
             if self._placement_dirty:
-                self._record_fragmentation()
-                self._maybe_defrag()
+                # one build of the stage rows serves both readers
+                stages = stage_rows(self.scheduler.placement)
+                self._record_fragmentation(stages)
+                self._maybe_defrag(stages)
                 self._reassign_routing()
             if self._flows_dirty:
                 if isinstance(self.routing, SglbRouting):
@@ -403,10 +405,10 @@ class Simulation:
 
     # -- defragmentation -----------------------------------------------------
 
-    def _maybe_defrag(self) -> None:
+    def _maybe_defrag(self, stages: StageRows) -> None:
         if self.batch is not None:
             return
-        decision = self.controller.check()
+        decision = self.controller.check(stages)
         if decision is None:
             return
         self._trace_event("defrag", decision.plan.move_count)
@@ -627,8 +629,8 @@ class Simulation:
 
     # -- observability -------------------------------------------------------------
 
-    def _record_fragmentation(self) -> None:
-        report = fragmentation_degree(self.scheduler.placement)
+    def _record_fragmentation(self, stages: StageRows) -> None:
+        report = fragmentation_degree(self.scheduler.placement, stages)
         capacities = self.topology.link_capacities
         loads = self.net.link_loads()
         max_util = 0.0

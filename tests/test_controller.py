@@ -78,7 +78,9 @@ def test_build_instance_none_when_compliant():
     assert build_instance(placement, threshold=2) is None
 
 
-def test_build_instance_reduction_freezes_remote_jobs():
+def chained_placement():
+    """Jobs 1-3 split over racks 0/1, 1/2 and 2/3, and job 4 whole on
+    rack 3; racks 1 and 2 carry two fragmented jobs each."""
     placement = Placement(TOPO)
     for job_id, racks in ((1, [0, 1]), (2, [1, 2]), (3, [2, 3])):
         job = make_job(job_id=job_id, workers=2, dp=2)
@@ -89,11 +91,30 @@ def test_build_instance_reduction_freezes_remote_jobs():
     for i in range(4):
         placement.assign((4, i), 3, 1)
     placement.jobs[4] = whole
-    # rack 1 carries two fragmented jobs; with threshold 1 every
-    # fragmented stage is movable but job 4 (whole, on rack 3) is frozen
+    return placement
+
+
+def test_build_instance_reduction_freezes_remote_jobs():
+    placement = chained_placement()
+    # with threshold 1 every fragmented stage is movable but job 4
+    # (whole, on rack 3) is frozen
     inst = build_instance(placement, threshold=1)
     assert {j.key for j in inst.jobs} == {(1, 0), (2, 0), (3, 0)}
     assert inst.capacities[3] == TOPO.gpus_per_rack - 4
+
+
+def test_prebuilt_stage_rows_give_the_same_results():
+    placement = chained_placement()
+    stages = stage_rows(placement)
+    assert fragmentation_degree(placement, stages) \
+        == fragmentation_degree(placement)
+    for threshold in (1, 2):
+        for reduce in (True, False):
+            assert build_instance(placement, threshold, reduce,
+                                  stages=stage_rows(placement)) \
+                == build_instance(placement, threshold, reduce)
+    assert build_instance(placement, 1, stages=stages) is not None
+    assert build_instance(placement, 2, stages=stages) is None
 
 
 def test_controller_restores_threshold():
@@ -178,7 +199,7 @@ def test_resolve_plan_respects_host_capacity():
             assert placement.free_slots(rack, host) >= 0
 
 
-def test_controller_retries_full_instance_over_move_budget():
+def test_controller_retries_full_instance_over_move_budget(monkeypatch):
     # Gathering the fragmented job F needs the room that whole job W
     # holds. The reduced instance freezes W, so under the move cap it
     # has no plan; the full instance evicts W and gathers F in 2 moves.
@@ -190,9 +211,19 @@ def test_controller_retries_full_instance_over_move_budget():
         for i, rack in enumerate(racks):
             placement.assign((job_id, i), rack, 0)
         placement.jobs[job_id] = job
+    builds = []
+    real_rows = controller_module.stage_rows
+
+    def rows(placement):
+        builds.append(placement)
+        return real_rows(placement)
+
+    monkeypatch.setattr(controller_module, "stage_rows", rows)
     controller = DefragController(
         placement, ControllerConfig(threshold=0, max_moves=16))
     decision = controller.check()
+    # the reduced and the full instance come from one build of the rows
+    assert builds == [placement]
     assert decision is not None
     assert decision.plan.move_count == 2
     assert controller.skipped_infeasible == 0

@@ -299,22 +299,38 @@ def test_flow_on_unshared_links_is_solved_alone(monkeypatch):
     net.recompute()
     rates = {key: flow.rate for key, flow in net.flows.items()}
     net.settle_to(1.0)
-    solved = []
+    solved, searched = [], []
     real_solve = flowsim.maxmin_rates
+    real_component = FlowNetwork._component
 
     def spy(paths, capacities):
         solved.append(list(paths))
         return real_solve(paths, capacities)
 
+    def spy_component(self, component, todo, found, seen):
+        searched.append(list(todo))
+        return real_component(self, component, todo, found, seen)
+
     monkeypatch.setattr(flowsim, "maxmin_rates", spy)
+    monkeypatch.setattr(FlowNetwork, "_component", spy_component)
     net.add_flow("c", (2, 3), size_bytes=10.0)
     completions = net.recompute()
-    # a lone flow is rated in closed form: its path's smallest capacity
-    assert solved == []
+    # a lone flow is rated in closed form, with no search: its path's
+    # smallest capacity
+    assert solved == searched == []
     assert net.flows["c"].rate == 4.0
     # "a" and "b" keep their rates and their (exactly re-derived) ETAs
     assert {key: net.flows[key].rate for key in rates} == rates
     assert [(key, serial) for _, key, serial in completions] == [("c", 2)]
+    # removing "c" leaves links 2 and 3 dirty but empty: nothing to search
+    net.remove_flow("c")
+    assert net.recompute() == []
+    assert solved == searched == []
+    # removing "b" leaves "a" alone on dirty link 0: searched from there
+    net.remove_flow("b")
+    net.recompute()
+    assert searched == [[0]] and solved == []
+    assert net.flows["a"].rate == 10.0
 
 
 class FullRecomputeNetwork:
@@ -405,6 +421,17 @@ def _adds(*paths):
 @example(([1.0, 1.0], [(_adds((0,), (0,), (0,), (1,), (1,), (1,)),
                         [0.25, 0.25]),
                        (_adds((1,)), [0.0])]))
+# a fresh flow alone on its links, solved without a search, next to a
+# shared component it leaves untouched
+@example(([1.0, 1.0, 1.0], [(_adds((0,), (0,)), [0.25]),
+                            (_adds((1, 2)), [0.25, None])]))
+# the removal leaves one flow on dirty link 0, which speeds up mid-drain
+@example(([1.0, 2.0], [(_adds((0,), (0, 1)), [0.25]),
+                       ([("remove", 0)], [None])]))
+# a path change onto a link another flow already uses; the link it left
+# is dirty and empty
+@example(([1.0, 1.0], [(_adds((0,), (1,)), [0.25]),
+                       ([("set_path", 0, (1,))], [None])]))
 def test_incremental_recompute_matches_full_in_lockstep(instance):
     caps, steps = instance
     net, ref = FlowNetwork(caps), FullRecomputeNetwork(caps)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from defragsim import flowsim, simulate
+from defragsim import controller, flowsim, fragmentation, simulate
 from defragsim.config import load_config
 from defragsim.simulate import (
     ALGORITHMS, REINIT_SECONDS, Simulation, parse_algorithm, run_simulation,
@@ -368,6 +368,33 @@ def test_defrag_rebuilds_plans_only_after_moves(monkeypatch):
     for r in result.records:
         assert 1 <= builds[r.job_id] <= 1 + moved[r.job_id]
     assert set(builds) == {r.job_id for r in result.records}
+
+
+def test_stage_rows_built_once_per_placement_change(monkeypatch):
+    """The fragmentation record and the controller share one build of
+    the stage rows."""
+    builds, instances = [], []
+    real_rows = fragmentation.stage_rows
+    real_build = controller.build_instance
+
+    def rows(placement):
+        builds.append(placement)
+        return real_rows(placement)
+
+    def build(placement, threshold, reduce=True, stages=None):
+        instance = real_build(placement, threshold, reduce, stages)
+        instances.append(instance)
+        return instance
+
+    for module in (fragmentation, controller, simulate):
+        monkeypatch.setattr(module, "stage_rows", rows)
+    monkeypatch.setattr(controller, "build_instance", build)
+    result = run_simulation(SMALL_TOPO, small_trace(seed=0), "defrag-perfect",
+                            solver_time_limit=5.0)
+    assert result.defrag_events and any(instances)
+    # one record per timestamp whose placement changed
+    times = [t for t, *_ in result.frag_series]
+    assert len(set(times)) == len(times) == len(builds)
 
 
 def test_sglb_fast_path_audits_pass_and_skip_rebalances(monkeypatch):
