@@ -198,14 +198,14 @@ class DefragController:
                 # Only proven-minimal plans are worth the disruption; a
                 # timed-out incumbent is a wholesale re-placement. Leave
                 # the violation standing and retry on the next change.
-                log.warning("defrag skipped: solver hit its time limit")
+                log.debug("defrag skipped: solver hit its time limit")
                 return self._skip(instance, "not_optimal")
             moves = resolve_plan(self.placement, plan)
         except (InfeasibleError, MoveBudgetExceeded, ResolutionError,
                 SolverTimeout) as exc:
             # No acceptable plan exists right now (or it cannot be
             # packed); leave the violation standing until churn helps.
-            log.warning("defrag skipped: %s", exc)
+            log.debug("defrag skipped: %s", exc)
             return self._skip(instance, _FAILURE_REASON[type(exc)])
         if not moves:
             return None

@@ -16,14 +16,20 @@ the search and is the fallback under a time limit. A brute-force
 enumerator over all rack-level placements validates optimality on small
 instances.
 
+A node's bound on the cost still to pay sums, over racks the unplaced
+jobs leave over threshold, the cheapest fixes each rack needs, taking
+only racks that share no unplaced job. Separate violations thus pay for
+separate fixes.
+
 A candidate row at k unit-moves is a removal of k units from the job's
 initial row plus an addition of k units elsewhere. Each node's work is
 kept small by what is built once: per depth, a table of the racks
 holding unplaced fragmented jobs, from which the node bound is one
-pass; per search, the removals of each (job, k); per node, the racks a
-fragmented row may not touch. An addition never overflows a rack, so
-capacity is checked once per removal, and the rows of a removal that
-does not fit are counted as explored nodes in one step.
+pass and a sort of the racks in excess; per search, the removals of
+each (job, k); per node, the racks a fragmented row may not touch. An
+addition never overflows a rack, so capacity is checked once per
+removal, and the rows of a removal that does not fit are counted as
+explored nodes in one step.
 
 Jobs are placed in atomic units of ``unit_size`` workers (the TP group,
 which never splits across hosts); pure DP jobs have unit_size 1. A
@@ -298,9 +304,11 @@ class _Search:
     """Depth-first branch-and-bound state for one solve.
 
     Three things are built once so that each node stays cheap: per depth,
-    the bound table ``_remaining_lb`` reads; per (job, k), the list of
-    ways to remove k units from the job's initial row; and per node, the
-    racks where one more fragmented row would break the threshold."""
+    the bound table ``_rack_bounds`` reads, with each rack's unplaced
+    fragmented jobs as a bitmask for ``_remaining_lb``'s disjoint-rack
+    sum; per (job, k), the list of ways to remove k units from the job's
+    initial row; and per node, the racks where one more fragmented row
+    would break the threshold."""
 
     def __init__(self, instance: SolverInstance, deadline: float | None):
         self.instance = instance
@@ -319,16 +327,18 @@ class _Search:
         for d in range(len(self.order) - 1, -1, -1):
             self.suffix_workers[d] = (self.suffix_workers[d + 1]
                                       + instance.jobs[self.order[d]].workers)
-        # per depth, for _remaining_lb: one (rack, ring load of the
+        # per depth, for _rack_bounds: one (rack, ring load of the
         # unplaced jobs kept at their initial rows, heaviest ring weight,
-        # prefix sums of the sorted cheapest own changes) per rack that
-        # holds an unplaced fragmented job. A rack without an entry has
-        # no excess, since the placed load never passes the threshold.
+        # prefix sums of the sorted cheapest own changes, bitmask of the
+        # unplaced fragmented jobs there) per rack that holds an unplaced
+        # fragmented job. A rack without an entry has no excess, since
+        # the placed load never passes the threshold.
         loads = [0] * instance.num_racks
         options: list[list[tuple[int, int]]] = [
             [] for _ in range(instance.num_racks)]
-        self.bound_tables: list[list[tuple[int, int, int, list[int]]]] = [
-            []]
+        masks = [0] * instance.num_racks
+        self.bound_tables: list[
+            list[tuple[int, int, int, list[int], int]]] = [[]]
         for i in reversed(self.order):
             job, row = instance.jobs[i], instance.initial[i]
             loads = ring_loads([job], [row], loads)
@@ -338,9 +348,11 @@ class _Search:
                         bisect.insort(options[t], (
                             job.unit_size * min(v, job.units - v),
                             job.ring_weight))
+                        masks[t] |= 1 << i
             self.bound_tables.append([
                 (t, loads[t], max(w for _, w in opts),
-                 list(itertools.accumulate((c for c, _ in opts), initial=0)))
+                 list(itertools.accumulate((c for c, _ in opts), initial=0)),
+                 masks[t])
                 for t, opts in enumerate(options) if opts])
         self.bound_tables.reverse()
         # (job, k) -> [(row0 less k removed units, racks they left)]
@@ -355,7 +367,17 @@ class _Search:
         optimality; a timeout leaves the current best standing. With a
         move ``cap``, only plans at or below it are considered -- the
         space shrinks drastically and "no small plan exists" is proven
-        fast."""
+        fast.
+
+        The search stops as soon as the best plan costs at most
+        ``floor``. ``solve`` passes the root's per-rack max, not the
+        tighter disjoint-rack sum that interior nodes prune with. An
+        admissible prune cuts only subtrees with no leaf cheaper than
+        the best plan, so the leaves accepted, and with them the plan,
+        do not depend on the node bound. A floor does change the plan:
+        reached at a leaf, it stops the search there, where a search
+        that ran on would accept the last leaf of equal cost. The max
+        keeps the plans the search has always returned."""
         self.best = incumbent
         self.best_cost = (worker_moves(self.instance, incumbent)
                           if incumbent is not None else None)
@@ -384,26 +406,41 @@ class _Search:
             return self.cap + 1
         return None
 
-    def _remaining_lb(self, depth: int, frag: list[int]) -> int:
-        """Admissible bound on the cost the unplaced jobs must still pay.
+    def _rack_bounds(self, depth: int, frag: list[int]
+                     ) -> list[tuple[int, int]]:
+        """(cost, job mask) for every rack that keeping every unplaced
+        job at its initial row would push over threshold.
 
-        If keeping every unplaced job at its initial row would push a
-        rack over threshold, at least ceil(excess / heaviest weight) of
-        the fragmented jobs there must change, each paying at least its
-        cheapest own change (vacate the rack or become whole). Racks may
-        share fixes, so the bound is the max over racks, not the sum.
-        One pass over the depth's bound table: the sum of the k cheapest
-        changes is the table's prefix sum at k."""
+        At least ceil(excess / heaviest weight) of the unplaced
+        fragmented jobs on such a rack (the mask) must change, each
+        paying at least its cheapest own change (vacate the rack or
+        become whole); the cost is the sum of the k cheapest, the depth
+        table's prefix sum at k."""
         threshold = self.instance.threshold
-        best = 0
-        for t, load, max_weight, prefix in self.bound_tables[depth]:
+        out = []
+        for t, load, max_weight, prefix, mask in self.bound_tables[depth]:
             excess = frag[t] + load - threshold
             if excess > 0:
                 k_min = math.ceil(excess / max_weight)
-                cost = prefix[min(k_min, len(prefix) - 1)]
-                if cost > best:
-                    best = cost
-        return best
+                out.append((prefix[min(k_min, len(prefix) - 1)], mask))
+        return out
+
+    def _remaining_lb(self, depth: int, frag: list[int]) -> int:
+        """Admissible bound on the cost the unplaced jobs must still pay:
+        a disjoint-rack sum of the ``_rack_bounds``.
+
+        Racks may share fixes, since one job's change can relieve every
+        rack it spans. Racks whose job masks are disjoint cannot: each
+        pays for its own jobs. So the racks are taken in decreasing
+        cost (then mask), and each one whose jobs meet none of those
+        already taken adds its cost."""
+        racks = sorted(self._rack_bounds(depth, frag), reverse=True)
+        total = taken = 0
+        for cost, mask in racks:
+            if not mask & taken:
+                total += cost
+                taken |= mask
+        return total
 
     def _removals(self, job_idx: int, k: int
                   ) -> list[tuple[tuple[int, ...], set[int]]]:
@@ -562,8 +599,9 @@ def solve(instance: SolverInstance,
 
     incumbent = _repair_incumbent(instance)
     search = _Search(instance, deadline)
-    search.run(incumbent, search._remaining_lb(0, list(instance.base_load)),
-               cap=max_moves)
+    floor = max((cost for cost, _ in
+                 search._rack_bounds(0, list(instance.base_load))), default=0)
+    search.run(incumbent, floor, cap=max_moves)
 
     elapsed = time.monotonic() - start
     if search.best is None:

@@ -15,7 +15,6 @@ baselines; ``defrag-perfect`` is the full system and ``defrag-ecmp`` /
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass
 from typing import BinaryIO, NamedTuple
 
@@ -32,8 +31,6 @@ from .routing import (
 from .scheduler import Scheduler
 from .topology import ClusterTopology, Direction, GpuId, path_between
 from .workload import JobSpec, Trace, ideal_duration
-
-log = logging.getLogger(__name__)
 
 ALGORITHMS = ("defrag-perfect", "perfect", "ecmp", "crux", "sglb", "spray",
               "defrag-ecmp", "defrag-crux")

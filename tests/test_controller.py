@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import pytest
 
@@ -242,6 +243,14 @@ def test_controller_counts_move_cap_as_budget():
     assert controller.skipped_infeasible == 1
 
 
+def assert_skip_logged_at_debug(caplog):
+    """A skip says why at DEBUG, not as a warning: its outcome count is
+    what reports it."""
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage().startswith("defrag skipped: ")
+
+
 def _raise(exc):
     def fail(*args, **kwargs):
         raise exc
@@ -252,19 +261,22 @@ def _raise(exc):
     ("solve", _raise(SolverTimeout("time limit")), "timeout"),
     ("resolve_plan", _raise(ResolutionError("no host")), "resolution"),
 ])
-def test_controller_counts_failures_by_reason(monkeypatch, name, patch,
-                                              reason):
+def test_controller_counts_failures_by_reason(monkeypatch, caplog, name,
+                                              patch, reason):
+    caplog.set_level(logging.DEBUG)
     monkeypatch.setattr(controller_module, name, patch)
     controller = DefragController(split_job_placement(),
                                   ControllerConfig(threshold=0))
     assert controller.check() is None
     assert outcomes(controller) == {reason: 1}
+    assert_skip_logged_at_debug(caplog)
     assert controller.check() is None
     assert outcomes(controller) == {reason: 1, "memo": 1}
     assert controller.skipped_infeasible == 2
 
 
-def test_controller_counts_unproven_plan_as_not_optimal(monkeypatch):
+def test_controller_counts_unproven_plan_as_not_optimal(monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG)
     real_solve = controller_module.solve
 
     def unproven_solve(instance, **kwargs):
@@ -278,3 +290,4 @@ def test_controller_counts_unproven_plan_as_not_optimal(monkeypatch):
     assert controller.check() is None
     assert outcomes(controller) == {"not_optimal": 1}
     assert controller.skipped_infeasible == 1
+    assert_skip_logged_at_debug(caplog)

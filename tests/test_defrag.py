@@ -321,10 +321,11 @@ def test_solve_matches_oracle_on_tp_unit_instances(drawn):
 
 # -- reference search --------------------------------------------------------
 #
-# The branch-and-bound as it was before its per-node checks were hoisted:
-# lazy generators, per-row capacity and ring checks, per-depth load and
-# option tables. ``solve`` must explore exactly the same nodes and return
-# exactly the same plan.
+# The branch-and-bound as it was before its per-node checks were hoisted
+# and its node bound became a disjoint-rack sum: lazy generators, per-row
+# capacity and ring checks, per-depth load and option tables, and the
+# per-rack max as both floor and node bound. ``solve`` must return exactly
+# the same plan, exploring no more nodes.
 
 
 def _ref_budgeted_splits(k, racks, limits, slacks, unit, budget):
@@ -568,21 +569,64 @@ def lockstep_instances(draw):
 
 
 def _outcome(solver, instance, max_moves):
+    """The plan's (target, move count, optimal) and its node count, or
+    the exception type and None."""
     try:
         plan = solver(instance, max_moves)
     except (InfeasibleError, MoveBudgetExceeded) as exc:
-        return type(exc)
-    return (plan.target, plan.move_count, plan.stats.nodes_explored,
-            plan.stats.optimal)
+        return type(exc), None
+    return ((plan.target, plan.move_count, plan.stats.optimal),
+            plan.stats.nodes_explored)
 
 
 @settings(max_examples=300, deadline=None)
 @given(lockstep_instances())
+# the sum prunes where the max cannot: 1 node against 6
+@example((SolverInstance(
+    4, (0, 2, 4, 3), 2, (SolverJob(0, 2, 1, 1), SolverJob(1, 4, 1, 1)),
+    ((0, 1, 0, 1), (0, 1, 3, 0)), (0, 0, 2, 2)), None))
+# a floor at the sum would stop at the first of two 5-move leaves,
+# ((1, 0, 0, 1, 0), (2, 0, 0, 0, 0)), not at the last
+@example((SolverInstance(
+    5, (9, 0, 1, 2, 3), 1, (SolverJob(0, 2, 1, 1), SolverJob(1, 2, 4, 4)),
+    ((1, 0, 1, 0, 0), (1, 1, 0, 0, 0)), (0, 0, 1, 0, 0)), None))
 def test_search_matches_reference_in_lockstep(drawn):
     inst, max_moves = drawn
-    fast = _outcome(lambda i, m: solve(i, time_limit=None, max_moves=m),
-                    inst, max_moves)
-    assert fast == _outcome(reference_solve, inst, max_moves)
+    fast, fast_nodes = _outcome(
+        lambda i, m: solve(i, time_limit=None, max_moves=m), inst, max_moves)
+    ref, ref_nodes = _outcome(reference_solve, inst, max_moves)
+    assert fast == ref
+    if ref_nodes is not None:
+        assert fast_nodes <= ref_nodes
+
+
+def _root_bounds(inst):
+    """The root node bound of ``solve``'s search and of the reference's:
+    the disjoint-rack sum and the per-rack max."""
+    base = list(inst.base_load)
+    return (defrag._Search(inst, None)._remaining_lb(0, base),
+            _RefSearch(inst, None)._remaining_lb(0, base))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tp_unit_instances())
+def test_disjoint_rack_bound_between_max_and_optimum(drawn):
+    inst, _ = drawn
+    disjoint_sum, per_rack_max = _root_bounds(inst)
+    assert disjoint_sum >= per_rack_max
+    try:
+        optimum = brute_force_min_moves(inst)
+    except InfeasibleError:
+        return
+    assert disjoint_sum <= optimum
+
+
+def test_disjoint_rack_bound_adds_racks_without_shared_jobs():
+    # each job breaks threshold 0 on its two racks: one move fixes each
+    # job, and no move fixes both
+    inst = _unit_instance((2, 2, 2, 2), 0, [(1, 1, 0, 0), (0, 0, 1, 1)])
+    assert _root_bounds(inst) == (2, 1)
+    assert brute_force_min_moves(inst) == 2
 
 
 def _unit_instance(capacities, threshold, initial):
@@ -592,13 +636,13 @@ def _unit_instance(capacities, threshold, initial):
         tuple(tuple(row) for row in initial))
 
 
-# Uncapped, the first explores 6,439 nodes and first crosses 1,024 on a
-# batch of rows whose removal does not fit; the second explores 12,775
+# Uncapped, the first explores 2,672 nodes and first crosses 1,024 on a
+# batch of rows whose removal does not fit; the second explores 12,372
 # and has no repair incumbent to fall back on.
 DEEP_WITH_INCUMBENT = _unit_instance(
-    (6, 6, 4, 6), 1,
-    [(1, 0, 0, 1), (2, 1, 1, 0), (0, 2, 1, 1), (0, 2, 1, 0), (1, 0, 1, 2),
-     (2, 1, 0, 1)])
+    (6, 5, 6, 6, 3), 1,
+    [(0, 1, 2, 0, 1), (0, 0, 0, 2, 1), (0, 1, 0, 1, 1), (1, 0, 0, 1, 0),
+     (1, 0, 2, 1, 0), (2, 1, 1, 0, 0)])
 DEEP_WITHOUT_INCUMBENT = _unit_instance(
     (4, 3, 4, 3, 4), 1,
     [(1, 0, 0, 0, 2), (1, 0, 1, 0, 1), (2, 0, 0, 0, 1), (0, 0, 0, 1, 0),
