@@ -2,42 +2,33 @@
 
 The file mirrors the module configs: a topology block, a trace block
 (load levels, job counts, seeds, model menu), the algorithm list, the
-controller block, and an output directory. Unknown keys anywhere are
-rejected so typos fail loudly instead of silently running defaults.
+controller block, and an output directory. Each block is a dataclass
+whose fields are the allowed keys, whose annotations are the types and
+whose defaults are the defaults; one reader checks a mapping against
+it. Unknown keys anywhere are rejected so typos fail loudly instead of
+silently running defaults.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
+from functools import cache
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
+from .controller import ControllerConfig
+from .simulate import ALGORITHMS
 from .topology import ClusterTopology, make_two_tier
-from .workload import DEFAULT_TEMPLATES, ModelTemplate, TraceConfig
+from .workload import (
+    DEFAULT_TEMPLATES, ModelTemplate, TraceConfig, check_menu,
+)
 
 
 class ConfigError(ValueError):
     """Invalid or malformed experiment configuration."""
-
-
-def _require_keys(block: dict, allowed: set[str], context: str) -> None:
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) in {context}: {', '.join(sorted(unknown))}")
-
-
-def _get(block: dict, key: str, kind, default, context: str):
-    value = block.get(key, default)
-    if value is None:
-        return None
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(
-            f"{context}.{key} must be {kind.__name__}, got {value!r}")
-    return value
 
 
 @dataclass
@@ -48,15 +39,13 @@ class TopologyBlock:
     uplinks_per_tor: int = 4
     nic_bandwidth_gbps: float = 400.0
     uplink_bandwidth_gbps: float = 400.0
-    spines: int | None = None  # default: one spine per uplink
 
     def build(self) -> ClusterTopology:
         return make_two_tier(
             racks=self.racks, hosts_per_rack=self.hosts_per_rack,
             gpus_per_host=self.gpus_per_host, uplinks=self.uplinks_per_tor,
             nic_bw=self.nic_bandwidth_gbps * 1e9,
-            uplink_bw=self.uplink_bandwidth_gbps * 1e9,
-            spines=self.spines or self.uplinks_per_tor)
+            uplink_bw=self.uplink_bandwidth_gbps * 1e9)
 
 
 @dataclass
@@ -66,12 +55,14 @@ class TraceBlock:
     base_seed: int = 0
     num_seeds: int = 1
     templates: list[str] | None = None  # names from the default menu
-    min_workers: int = 8
-    max_workers: int = 256
-    pp_choices: list[int] = field(default_factory=lambda: [1, 2, 4])
-    size_choices: list[int] | None = None
-    iterations_min: int = 20
-    iterations_max: int = 60
+    # the menu's defaults are TraceConfig's
+    min_workers: int = TraceConfig.min_workers
+    max_workers: int = TraceConfig.max_workers
+    pp_choices: list[int] = field(
+        default_factory=lambda: list(TraceConfig.pp_choices))
+    size_choices: list[int] | None = TraceConfig.size_choices
+    iterations_min: int = TraceConfig.iterations_min
+    iterations_max: int = TraceConfig.iterations_max
 
     def menu(self) -> tuple[ModelTemplate, ...]:
         if self.templates is None:
@@ -94,13 +85,6 @@ class TraceBlock:
             iterations_max=self.iterations_max,
             size_choices=(tuple(self.size_choices)
                           if self.size_choices is not None else None))
-
-
-@dataclass
-class ControllerBlock:
-    threshold: float | None = None  # default: uplinks per ToR
-    solver_time_limit: float = 10.0
-    max_moves: int | None = 16  # None lifts the migration batch cap
 
 
 @dataclass
@@ -127,121 +111,85 @@ class ExperimentConfig:
     algorithms: list[str] = field(
         default_factory=lambda: ["defrag-perfect", "perfect", "sglb",
                                  "crux", "ecmp"])
-    controller: ControllerBlock = field(default_factory=ControllerBlock)
+    controller: ControllerConfig = field(default_factory=ControllerConfig)
     sweep: SweepBlock = field(default_factory=SweepBlock)
     output_dir: str = "results"
 
 
-_TOPOLOGY_KEYS = {"racks", "hosts_per_rack", "gpus_per_host",
-                  "uplinks_per_tor", "nic_bandwidth_gbps",
-                  "uplink_bandwidth_gbps", "spines"}
-_TRACE_KEYS = {"loads", "num_jobs", "base_seed", "num_seeds", "templates",
-               "min_workers", "max_workers", "pp_choices", "size_choices",
-               "iterations_min", "iterations_max"}
-_CONTROLLER_KEYS = {"threshold", "solver_time_limit", "max_moves"}
-_SWEEP_KEYS = {"load", "oversubscription", "threshold"}
-_TOP_KEYS = {"topology", "trace", "algorithms", "controller", "sweep",
-             "output_dir"}
+@cache
+def _field_types(cls) -> dict[str, object]:
+    """A block's keys and their annotations, resolved once per class."""
+    return get_type_hints(cls)
 
 
-def _number_list(block: dict, key: str, context: str,
-                 default: list | None) -> list | None:
-    values = block.get(key, default)
-    if values is None:
-        return None
-    if (not isinstance(values, list)
-            or not all(isinstance(v, (int, float)) for v in values)):
-        raise ConfigError(f"{context}.{key} must be a list of numbers")
-    return values
+def _read_block(cls, data, where: str):
+    """Build the block dataclass ``cls`` from a mapping, checking every
+    key against its fields; missing keys take the field's default. A
+    null block (a YAML key with nothing under it) is an empty one."""
+    if data is None:
+        data = {}
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where or 'config'} must be a mapping, "
+                          f"got {data!r}")
+    types = _field_types(cls)
+    unknown = sorted(str(k) for k in data if k not in types)
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) in {where or 'config'}: {', '.join(unknown)}")
+    return cls(**{key: _read_value(value, types[key],
+                                   f"{where}.{key}" if where else key)
+                  for key, value in data.items()})
+
+
+def _read_value(value, kind, where: str):
+    """Check ``value`` against the annotation ``kind``: ``X | None``
+    admits null, ``list[X]`` is checked element by element, a dataclass
+    is a nested block. A float setting stores an int as a float; list
+    elements are kept as written."""
+    if get_origin(kind) is UnionType:
+        if value is None:
+            return None
+        kind, = (a for a in get_args(kind) if a is not NoneType)
+    if is_dataclass(kind):
+        return _read_block(kind, value, where)
+    if get_origin(kind) is list:
+        item, = get_args(kind)
+        if not isinstance(value, list):
+            raise ConfigError(
+                f"{where} must be a list of {item.__name__}, got {value!r}")
+        for i, v in enumerate(value):
+            _check_scalar(v, item, f"{where}[{i}]")
+        return value
+    _check_scalar(value, kind, where)
+    return float(value) if kind is float else value
+
+
+def _check_scalar(value, kind: type, where: str) -> None:
+    # bool is an int subclass, but no setting is a flag
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
 
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a parsed YAML mapping into an ExperimentConfig."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    _require_keys(data, _TOP_KEYS, "config")
-
-    topo_block = data.get("topology", {}) or {}
-    _require_keys(topo_block, _TOPOLOGY_KEYS, "topology")
-    topology = TopologyBlock(
-        racks=_get(topo_block, "racks", int, 4, "topology"),
-        hosts_per_rack=_get(topo_block, "hosts_per_rack", int, 4,
-                            "topology"),
-        gpus_per_host=_get(topo_block, "gpus_per_host", int, 8, "topology"),
-        uplinks_per_tor=_get(topo_block, "uplinks_per_tor", int, 4,
-                             "topology"),
-        nic_bandwidth_gbps=_get(topo_block, "nic_bandwidth_gbps", float,
-                                400.0, "topology"),
-        uplink_bandwidth_gbps=_get(topo_block, "uplink_bandwidth_gbps",
-                                   float, 400.0, "topology"),
-        spines=_get(topo_block, "spines", int, None, "topology"))
-
-    trace_block = data.get("trace", {}) or {}
-    _require_keys(trace_block, _TRACE_KEYS, "trace")
-    templates = trace_block.get("templates")
-    if templates is not None and (
-            not isinstance(templates, list)
-            or not all(isinstance(t, str) for t in templates)):
-        raise ConfigError("trace.templates must be a list of names")
-    trace = TraceBlock(
-        loads=_number_list(trace_block, "loads", "trace", [0.9]),
-        num_jobs=_get(trace_block, "num_jobs", int, 100, "trace"),
-        base_seed=_get(trace_block, "base_seed", int, 0, "trace"),
-        num_seeds=_get(trace_block, "num_seeds", int, 1, "trace"),
-        templates=templates,
-        min_workers=_get(trace_block, "min_workers", int, 8, "trace"),
-        max_workers=_get(trace_block, "max_workers", int, 256, "trace"),
-        pp_choices=_number_list(trace_block, "pp_choices", "trace",
-                                [1, 2, 4]),
-        size_choices=_number_list(trace_block, "size_choices", "trace",
-                                  None),
-        iterations_min=_get(trace_block, "iterations_min", int, 20,
-                            "trace"),
-        iterations_max=_get(trace_block, "iterations_max", int, 60,
-                            "trace"))
-    if not trace.loads:
+    config = _read_block(ExperimentConfig, data, "")
+    if not config.trace.loads:
         raise ConfigError("trace.loads must list at least one load level")
-    if trace.num_seeds < 1:
+    if config.trace.num_seeds < 1:
         raise ConfigError("trace.num_seeds must be at least 1")
-    trace.menu()  # fail fast on unknown template names
-
-    ctl_block = data.get("controller", {}) or {}
-    _require_keys(ctl_block, _CONTROLLER_KEYS, "controller")
-    controller = ControllerBlock(
-        threshold=_get(ctl_block, "threshold", float, None, "controller"),
-        solver_time_limit=_get(ctl_block, "solver_time_limit", float, 10.0,
-                               "controller"),
-        max_moves=(_get(ctl_block, "max_moves", int, 16, "controller")
-                   if ctl_block.get("max_moves", 16) is not None else None))
-
-    sweep_block = data.get("sweep", {}) or {}
-    _require_keys(sweep_block, _SWEEP_KEYS, "sweep")
-    sweep = SweepBlock(
-        load=_number_list(sweep_block, "load", "sweep", []),
-        oversubscription=_number_list(sweep_block, "oversubscription",
-                                      "sweep", []),
-        threshold=_number_list(sweep_block, "threshold", "sweep", []))
-
-    algorithms = data.get("algorithms",
-                          ["defrag-perfect", "perfect", "sglb", "crux",
-                           "ecmp"])
-    if (not isinstance(algorithms, list) or not algorithms
-            or not all(isinstance(a, str) for a in algorithms)):
+    if not config.algorithms:
         raise ConfigError("algorithms must be a non-empty list of names")
-    from .simulate import ALGORITHMS
-    unknown = [a for a in algorithms if a not in ALGORITHMS]
+    unknown = [a for a in config.algorithms if a not in ALGORITHMS]
     if unknown:
         raise ConfigError(
             f"unknown algorithm(s): {', '.join(unknown)}; "
             f"available: {', '.join(ALGORITHMS)}")
-
-    output_dir = _get(data, "output_dir", str, "results", "config")
-
-    config = ExperimentConfig(topology=topology, trace=trace,
-                              algorithms=list(algorithms),
-                              controller=controller, sweep=sweep,
-                              output_dir=output_dir)
-    config.topology.build()  # fail fast on impossible topologies
+    menu = config.trace.trace_config()  # fails on unknown template names
+    try:
+        check_menu(menu, config.topology.build())
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return config
 
 
@@ -252,11 +200,4 @@ def load_config(path: str | Path) -> ExperimentConfig:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from exc
-    if data is None:
-        data = {}
-    try:
-        return parse_config(data)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config {path}: {exc}") from exc
+    return parse_config({} if data is None else data)

@@ -36,12 +36,14 @@ StageKey = tuple[int, int]  # (job_id, pipeline stage)
 
 @dataclass
 class ControllerConfig:
-    threshold: float = 2.0  # max ring-weighted fragmented stages per rack
+    """The controller's settings: the config file's ``controller``
+    block, and the defaults of ``Simulation``'s keywords."""
+    # max ring-weighted fragmented stages per rack; None: uplinks per ToR
+    threshold: float | None = None
     solver_time_limit: float = 10.0
     # Migration batches larger than this are never worth the disruption;
-    # the cap also keeps the solver's search space small.
+    # the cap also keeps the solver's search space small. None lifts it.
     max_moves: int | None = 16
-    enabled: bool = True
 
 
 def build_instance(placement: Placement, threshold: float,
@@ -163,9 +165,13 @@ class DefragController:
     hosts, or the instance was the one last skipped.
     """
 
-    def __init__(self, placement: Placement, config: ControllerConfig):
+    def __init__(self, placement: Placement, config: ControllerConfig,
+                 enabled: bool = True):
         self.placement = placement
         self.config = config
+        self.enabled = enabled
+        self.threshold = (float(placement.topology.uplinks_per_tor)
+                          if config.threshold is None else config.threshold)
         self.outcomes: Counter[str] = Counter(
             dict.fromkeys(("applied",) + SKIP_REASONS, 0))
         self._last_skipped: SolverInstance | None = None
@@ -180,11 +186,11 @@ class DefragController:
         """Return the migration batch restoring the threshold, if needed.
         ``stages``, the placement's current ``stage_rows``, saves
         building them again."""
-        if not self.config.enabled:
+        if not self.enabled:
             return None
         if stages is None:
             stages = stage_rows(self.placement)
-        instance = build_instance(self.placement, self.config.threshold,
+        instance = build_instance(self.placement, self.threshold,
                                   stages=stages)
         if instance is None:
             return None
@@ -222,7 +228,7 @@ class DefragController:
             return solve(instance, time_limit=self.config.solver_time_limit,
                          max_moves=self.config.max_moves)
         except (InfeasibleError, MoveBudgetExceeded):
-            full = build_instance(self.placement, self.config.threshold,
+            full = build_instance(self.placement, self.threshold,
                                   reduce=False, stages=stages)
             assert full is not None
             return solve(full, time_limit=self.config.solver_time_limit,

@@ -465,9 +465,9 @@ class _Search:
         return cached
 
     def _count(self, n: int) -> bool:
-        """Count n rows rejected together as explored nodes, checking
-        the deadline if the count crosses a multiple of 1024; True once
-        it has passed."""
+        """Count n explored nodes (one, or rows rejected together),
+        checking the deadline if the count crosses a multiple of 1024;
+        True once it has passed."""
         before = self.nodes
         self.nodes += n
         if (self.deadline is not None and self.nodes >> 10 != before >> 10
@@ -476,11 +476,7 @@ class _Search:
         return self.timed_out
 
     def _dfs(self, depth, cost, free, frag, assignment):
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % 1024 == 0:
-            if time.monotonic() > self.deadline:
-                self.timed_out = True
-        if self.timed_out:
+        if self._count(1):
             return
         if depth == len(self.order):
             # A leaf replaces the best plan even at equal cost, while
@@ -534,11 +530,8 @@ class _Search:
                 # a row touches the removal's racks and the addition's
                 removed_hot = any(h for h, v in zip(hot, removed) if v)
                 for addition in additions:
-                    self.nodes += 1
-                    if self.deadline is not None and self.nodes % 1024 == 0:
-                        if time.monotonic() > self.deadline:
-                            self.timed_out = True
-                            return
+                    if self._count(1):
+                        return
                     row = list(removed)
                     for t, cnt in addition:
                         row[t] += cnt

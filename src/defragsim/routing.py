@@ -1,9 +1,7 @@
 """Uplink selection strategies.
 
 All strategies reduce to picking a color per flow, where color c means
-uplink c at the source ToR and uplink c at the destination ToR (uplink i
-on every ToR attaches to spine i mod num_spines, so one color describes
-a consistent end-to-end path).
+uplink c at the source ToR and uplink c at the destination ToR.
 
 The headline scheme colors the bipartite ToR-to-ToR demand multigraph so
 that no two elephant (DP) flows share a color at any ToR: pad the graph

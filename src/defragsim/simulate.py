@@ -114,17 +114,17 @@ class IterationPlan(NamedTuple):
 
 class Simulation:
     def __init__(self, topology: ClusterTopology, trace: Trace,
-                 algorithm: str, threshold: float | None = None,
-                 solver_time_limit: float = 10.0,
-                 max_moves: int | None = 16,
+                 algorithm: str,
+                 threshold: float | None = ControllerConfig.threshold,
+                 solver_time_limit: float = (
+                     ControllerConfig.solver_time_limit),
+                 max_moves: int | None = ControllerConfig.max_moves,
                  check_isolation: bool = False,
                  check_invariants: bool = False,
                  event_log: BinaryIO | None = None):
         self.topology = topology
         self.trace = trace
         self.algorithm = algorithm
-        if threshold is None:
-            threshold = float(topology.uplinks_per_tor)
         defrag_on, routing_name = parse_algorithm(algorithm)
         self.routing = make_strategy(routing_name)
         self.scheduler = Scheduler(topology)
@@ -132,8 +132,8 @@ class Simulation:
             self.scheduler.placement,
             ControllerConfig(threshold=threshold,
                              solver_time_limit=solver_time_limit,
-                             max_moves=max_moves,
-                             enabled=defrag_on))
+                             max_moves=max_moves),
+            enabled=defrag_on)
         self.net = FlowNetwork(topology.link_capacities)
         self.queue = EventQueue()
         self.runs: dict[int, JobRun] = {}
@@ -639,9 +639,10 @@ class Simulation:
 
 
 def run_simulation(topology: ClusterTopology, trace: Trace, algorithm: str,
-                   threshold: float | None = None,
-                   solver_time_limit: float = 10.0,
-                   max_moves: int | None = 16,
+                   threshold: float | None = ControllerConfig.threshold,
+                   solver_time_limit: float = (
+                       ControllerConfig.solver_time_limit),
+                   max_moves: int | None = ControllerConfig.max_moves,
                    check_isolation: bool = False,
                    check_invariants: bool = False,
                    event_log: BinaryIO | None = None) -> SimulationResult:

@@ -37,19 +37,14 @@ class ClusterTopology:
     uplinks_per_tor: int
     nic_bandwidth: float  # bits/second
     uplink_bandwidth: float  # bits/second
-    num_spines: int
 
     def __post_init__(self):
         for name in ("num_racks", "hosts_per_rack", "gpus_per_host",
-                     "uplinks_per_tor", "num_spines"):
+                     "uplinks_per_tor"):
             if getattr(self, name) < 1:
                 raise TopologyError(f"{name} must be >= 1")
         if self.nic_bandwidth <= 0 or self.uplink_bandwidth <= 0:
             raise TopologyError("bandwidths must be positive")
-        if (self.uplinks_per_tor % self.num_spines != 0
-                and self.num_spines != self.uplinks_per_tor):
-            raise TopologyError(
-                "uplinks_per_tor must be a multiple of num_spines")
 
     @property
     def total_gpus(self) -> int:
@@ -120,8 +115,8 @@ class ClusterTopology:
 
 
 def make_two_tier(racks: int, hosts_per_rack: int, gpus_per_host: int,
-                  uplinks: int, nic_bw: float, uplink_bw: float,
-                  spines: int) -> ClusterTopology:
+                  uplinks: int, nic_bw: float,
+                  uplink_bw: float) -> ClusterTopology:
     """Build a two-tier topology, validating all counts."""
     return ClusterTopology(
         num_racks=racks,
@@ -130,7 +125,6 @@ def make_two_tier(racks: int, hosts_per_rack: int, gpus_per_host: int,
         uplinks_per_tor=uplinks,
         nic_bandwidth=nic_bw,
         uplink_bandwidth=uplink_bw,
-        num_spines=spines,
     )
 
 

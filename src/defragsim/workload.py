@@ -55,10 +55,6 @@ class JobSpec:
             raise ValueError("num_workers must equal dp * tp * pp")
 
     @property
-    def num_replica_groups(self) -> int:
-        return self.tp_degree * self.pp_degree
-
-    @property
     def compute_time(self) -> float:
         return self.template.compute_seconds
 
@@ -240,31 +236,73 @@ class Trace:
             raise ValueError("arrival times must be non-decreasing")
 
 
+def _sizes(cfg: TraceConfig, topology: ClusterTopology) -> list[int]:
+    """The worker counts a job may draw."""
+    max_w = min(cfg.max_workers, topology.total_gpus)
+    if cfg.size_choices is not None:
+        return [s for s in cfg.size_choices if s <= max_w]
+    return [2 ** k for k in range(int(math.log2(cfg.min_workers)),
+                                  int(math.log2(max_w)) + 1)]
+
+
+def _tp_options(template: ModelTemplate,
+                topology: ClusterTopology) -> list[int]:
+    if template.allow_tp and topology.gpus_per_host > 1:
+        return [1, topology.gpus_per_host]
+    return [1]
+
+
+def _pp_options(template: ModelTemplate, cfg: TraceConfig, workers: int,
+                tp: int) -> list[int]:
+    """The PP degrees that split ``workers`` at TP degree ``tp`` into a
+    DP degree of at least 2."""
+    return [p for p in (cfg.pp_choices if template.allow_pp else [1])
+            if workers % (tp * p) == 0 and workers // (tp * p) >= 2]
+
+
+def check_menu(cfg: TraceConfig, topology: ClusterTopology) -> None:
+    """Raise ValueError unless every template of the menu can produce a
+    job on the topology. Draws no random numbers."""
+    if not cfg.templates:
+        raise ValueError("the trace menu lists no model templates")
+    if any(p < 1 for p in cfg.pp_choices):
+        raise ValueError(f"pp_choices must be positive: {cfg.pp_choices}")
+    if (cfg.size_choices is None
+            and min(cfg.min_workers, cfg.max_workers) < 1):
+        raise ValueError("min_workers and max_workers must be positive")
+    if cfg.iterations_min > cfg.iterations_max:
+        raise ValueError("iterations_min must not exceed iterations_max")
+    sizes = _sizes(cfg, topology)
+    if not sizes:
+        raise ValueError(
+            f"no worker count of the menu fits the "
+            f"{topology.total_gpus}-GPU topology and max_workers "
+            f"{cfg.max_workers}")
+    for template in cfg.templates:
+        if not any(_pp_options(template, cfg, workers, tp)
+                   for workers in sizes
+                   for tp in _tp_options(template, topology)):
+            raise ValueError(
+                f"model template {template.name} can never produce a job: "
+                f"no worker count in {sizes} splits into a DP degree of "
+                "at least 2")
+
+
 def _sample_job(rng: random.Random, cfg: TraceConfig,
                 topology: ClusterTopology, job_id: int
                 ) -> tuple[dict, float]:
     """A job's ``JobSpec`` fields but its arrival time, and its ideal
-    duration."""
+    duration. The menu must pass ``check_menu``."""
     template = rng.choice(list(cfg.templates))
-    max_w = min(cfg.max_workers, topology.total_gpus)
-    if cfg.size_choices is not None:
-        sizes = [s for s in cfg.size_choices if s <= max_w]
-    else:
-        sizes = [2 ** k for k in range(int(math.log2(cfg.min_workers)),
-                                       int(math.log2(max_w)) + 1)]
+    sizes = _sizes(cfg, topology)
     while True:
         workers = rng.choice(sizes)
-        tp_options = [1]
-        if template.allow_tp and topology.gpus_per_host > 1:
-            tp_options.append(topology.gpus_per_host)
-        tp = rng.choice(tp_options)
-        pp_options = [p for p in (cfg.pp_choices if template.allow_pp else [1])
-                      if workers % (tp * p) == 0 and workers // (tp * p) >= 2]
-        if not pp_options:
-            continue
-        pp = rng.choice(pp_options)
-        dp = workers // (tp * pp)
-        break
+        tp = rng.choice(_tp_options(template, topology))
+        pp_options = _pp_options(template, cfg, workers, tp)
+        if pp_options:
+            break
+    pp = rng.choice(pp_options)
+    dp = workers // (tp * pp)
     fsdp = template.allow_fsdp and (not template.allow_dp or rng.random() < 0.5)
     iterations = rng.randint(cfg.iterations_min, cfg.iterations_max)
     dp_bytes = default_dp_collective_bytes(template, tp, pp)
@@ -286,11 +324,13 @@ def generate_trace(topology: ClusterTopology, load: float, seed: int,
     The arrival rate is calibrated so that, in the long run, expected GPU
     occupancy is load * total_gpus (Little's law): rate = load * total /
     (E[job gpus] * E[ideal duration]), with the expectations taken over
-    the generated jobs themselves.
+    the generated jobs themselves. A menu that fails ``check_menu``
+    raises ValueError before anything is drawn.
     """
     if load <= 0:
         raise ValueError("load must be positive")
     cfg = cfg or TraceConfig()
+    check_menu(cfg, topology)
     rng = random.Random(seed)
     draws = [_sample_job(rng, cfg, topology, job_id=i)
              for i in range(num_jobs)]

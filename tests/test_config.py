@@ -1,6 +1,12 @@
+import dataclasses
+from pathlib import Path
+
 import pytest
+import yaml
 
 from defragsim.config import ConfigError, load_config, parse_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_empty_config_uses_defaults():
@@ -28,6 +34,30 @@ def test_unknown_nested_key_rejected():
 def test_wrong_type_rejected():
     with pytest.raises(ConfigError, match="must be int"):
         parse_config({"trace": {"num_jobs": "many"}})
+
+
+@pytest.mark.parametrize("data", [
+    {"topology": {"racks": True}},
+    {"trace": {"num_jobs": True}},
+    {"controller": {"max_moves": False}},
+    {"trace": {"loads": [True]}},
+    {"trace": {"pp_choices": [1.5]}},
+    {"trace": {"size_choices": [10.5]}},
+    {"topology": {"racks": None}},
+    {"output_dir": None},
+], ids=repr)
+def test_mistyped_value_rejected(data):
+    with pytest.raises(ConfigError, match="must be"):
+        parse_config(data)
+
+
+# On 64 GPUs: one worker cannot form a DP ring of two, and 128 do not fit.
+@pytest.mark.parametrize("sizes, message", [
+    ([1], "can never produce a job"), ([128], "no worker count")])
+def test_menu_that_cannot_produce_a_job_rejected(sizes, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config({"topology": {"racks": 4, "hosts_per_rack": 2},
+                      "trace": {"size_choices": sizes}})
 
 
 def test_unknown_algorithm_rejected():
@@ -111,3 +141,17 @@ def test_load_config_non_mapping(tmp_path):
     path.write_text("- a\n- b\n")
     with pytest.raises(ConfigError, match="mapping"):
         load_config(path)
+
+
+def test_readme_configuration_block_lists_the_defaults():
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Configuration"):]
+    start = section.index("```yaml\n") + len("```yaml\n")
+    block = yaml.safe_load(section[start:section.index("```", start)])
+    assert block == dataclasses.asdict(parse_config({}))
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")),
+                         ids=lambda p: p.name)
+def test_shipped_config_validates(path):
+    load_config(path)

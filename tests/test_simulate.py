@@ -15,7 +15,7 @@ from defragsim.workload import (
 )
 
 QUICK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "quick.yaml"
-SMALL_TOPO = make_two_tier(4, 2, 8, 2, 400e9, 400e9, 2)
+SMALL_TOPO = make_two_tier(4, 2, 8, 2, 400e9, 400e9)
 SMALL_CFG = TraceConfig(templates=DEFAULT_TEMPLATES[:4], max_workers=8,
                         pp_choices=(1,), size_choices=(5, 6, 7, 8),
                         iterations_min=20, iterations_max=40)
@@ -130,7 +130,7 @@ def test_parse_algorithm_names():
 def test_spray_full_bisection_ideal_speed():
     """With uplink capacity matching aggregate NIC capacity and packet
     spraying, a lightly loaded cluster runs every job at line rate."""
-    topo = make_two_tier(4, 2, 8, 2, 400e9, 3200e9, 2)
+    topo = make_two_tier(4, 2, 8, 2, 400e9, 3200e9)
     cfg = TraceConfig(templates=DEFAULT_TEMPLATES[:2], max_workers=16,
                       pp_choices=(1,), size_choices=(9, 12, 16))
     trace = generate_trace(topo, 0.5, seed=1, num_jobs=10, cfg=cfg)

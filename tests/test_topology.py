@@ -6,19 +6,19 @@ from defragsim.topology import (
 
 
 def test_paper_scale_cluster():
-    topo = make_two_tier(16, 8, 8, 16, 400e9, 400e9, 16)
+    topo = make_two_tier(16, 8, 8, 16, 400e9, 400e9)
     assert topo.total_gpus == 1024
     assert topo.oversubscription_ratio == pytest.approx(4.0)
 
 
 def test_degenerate_singleton():
-    topo = make_two_tier(1, 1, 1, 1, 1e9, 1e9, 1)
+    topo = make_two_tier(1, 1, 1, 1, 1e9, 1e9)
     assert topo.total_gpus == 1
     assert topo.oversubscription_ratio == pytest.approx(1.0)
 
 
 def test_motivating_example_cluster():
-    topo = make_two_tier(8, 4, 1, 2, 1.0, 1.0, 2)
+    topo = make_two_tier(8, 4, 1, 2, 1.0, 1.0)
     assert topo.total_gpus == 32
     assert topo.num_racks == 8
     assert topo.uplinks_per_tor == 2
@@ -26,26 +26,19 @@ def test_motivating_example_cluster():
 
 def test_zero_counts_rejected():
     with pytest.raises(TopologyError):
-        make_two_tier(0, 8, 8, 16, 400e9, 400e9, 16)
+        make_two_tier(0, 8, 8, 16, 400e9, 400e9)
     with pytest.raises(TopologyError):
-        make_two_tier(16, 8, 8, 16, 0.0, 400e9, 16)
-
-
-def test_uplinks_spine_divisibility():
-    with pytest.raises(TopologyError):
-        make_two_tier(2, 2, 2, 3, 1e9, 1e9, 2)
-    # equal counts always fine
-    make_two_tier(2, 2, 2, 3, 1e9, 1e9, 3)
+        make_two_tier(16, 8, 8, 16, 0.0, 400e9)
 
 
 def test_same_host_path_is_empty():
-    topo = make_two_tier(2, 2, 8, 2, 400e9, 400e9, 2)
+    topo = make_two_tier(2, 2, 8, 2, 400e9, 400e9)
     path = path_between(topo, GpuId(0, 0, 0), GpuId(0, 0, 5))
     assert path == []
 
 
 def test_same_rack_path_two_links():
-    topo = make_two_tier(2, 2, 8, 2, 400e9, 400e9, 2)
+    topo = make_two_tier(2, 2, 8, 2, 400e9, 400e9)
     src, dst = GpuId(0, 0, 0), GpuId(0, 1, 3)
     path = path_between(topo, src, dst)
     assert path == [topo.nic_link(src, Direction.UP),
@@ -55,7 +48,7 @@ def test_same_rack_path_two_links():
 
 def test_cross_rack_path_structure():
     # Enumerate all cross-rack pairs in a 2-rack toy topology.
-    topo = make_two_tier(2, 2, 2, 2, 400e9, 400e9, 2)
+    topo = make_two_tier(2, 2, 2, 2, 400e9, 400e9)
     for src_host in range(2):
         for dst_host in range(2):
             for s in range(2):
@@ -71,7 +64,7 @@ def test_cross_rack_path_structure():
 
 
 def test_link_ids_dense_and_capacities():
-    topo = make_two_tier(3, 2, 4, 2, 100.0, 50.0, 2)
+    topo = make_two_tier(3, 2, 4, 2, 100.0, 50.0)
     nics = [topo.nic_link(GpuId(r, h, g), d)
             for r in range(3) for h in range(2) for g in range(4)
             for d in Direction]
@@ -87,13 +80,13 @@ def test_link_ids_dense_and_capacities():
 
 
 def test_uplink_out_of_range():
-    topo = make_two_tier(2, 2, 2, 2, 400e9, 400e9, 2)
+    topo = make_two_tier(2, 2, 2, 2, 400e9, 400e9)
     with pytest.raises(TopologyError):
         path_between(topo, GpuId(0, 0, 0), GpuId(1, 0, 0), 5, 0)
 
 
 def test_src_equals_dst_rejected():
-    topo = make_two_tier(2, 2, 2, 2, 400e9, 400e9, 2)
+    topo = make_two_tier(2, 2, 2, 2, 400e9, 400e9)
     with pytest.raises(TopologyError):
         path_between(topo, GpuId(0, 0, 0), GpuId(0, 0, 0))
 
@@ -105,5 +98,5 @@ def test_src_equals_dst_rejected():
     (8, 4, 8, 8, 4.0),
 ])
 def test_oversubscription_grid(racks, hosts, gpus, uplinks, ratio):
-    topo = make_two_tier(racks, hosts, gpus, uplinks, 400e9, 400e9, uplinks)
+    topo = make_two_tier(racks, hosts, gpus, uplinks, 400e9, 400e9)
     assert topo.oversubscription_ratio == pytest.approx(ratio)

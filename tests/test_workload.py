@@ -10,11 +10,11 @@ from defragsim.jobmodel import plan_iteration_flows
 from defragsim.scheduler import Placement
 from defragsim.topology import make_two_tier
 from defragsim.workload import (
-    JobSpec, ModelTemplate, generate_trace,
+    JobSpec, ModelTemplate, TraceConfig, check_menu, generate_trace,
     ideal_duration, load_trace, pp_traffic, replica_groups, save_trace,
 )
 
-TOPO = make_two_tier(4, 4, 8, 4, 400e9, 400e9, 4)
+TOPO = make_two_tier(4, 4, 8, 4, 400e9, 400e9)
 FIGURE_CONFIG = (Path(__file__).resolve().parents[1] / "configs"
                  / "figure.yaml")
 # sha256 of every field of every job of the figure trace, one line per
@@ -142,6 +142,18 @@ def test_pp_traffic_llama_total():
 def test_generate_trace_rejects_bad_load():
     with pytest.raises(ValueError):
         generate_trace(TOPO, 0.0, seed=1, num_jobs=5)
+
+
+# On 64 GPUs: one worker cannot form a DP ring of two, and 128 do not fit.
+@pytest.mark.parametrize("sizes, message", [
+    ((1,), "can never produce a job"), ((128,), "no worker count")])
+def test_generate_trace_rejects_menu_without_jobs(sizes, message):
+    topo = make_two_tier(4, 2, 8, 2, 400e9, 400e9)
+    cfg = TraceConfig(size_choices=sizes)
+    with pytest.raises(ValueError, match=message):
+        check_menu(cfg, topo)
+    with pytest.raises(ValueError, match=message):
+        generate_trace(topo, 0.9, seed=0, num_jobs=5, cfg=cfg)
 
 
 def test_generate_trace_deterministic():
