@@ -28,8 +28,10 @@ holding unplaced fragmented jobs, from which the node bound is one
 pass and a sort of the racks in excess; per search, the removals of
 each (job, k); per node, the racks a fragmented row may not touch. An
 addition never overflows a rack, so capacity is checked once per
-removal, and the rows of a removal that does not fit are counted as
-explored nodes in one step.
+removal, and the splitter leaves out the units a hot rack would take,
+so no row is built that the ring check rejects. Each ``_dfs`` entry, the
+root or a row searched, is one node; depth 0's table is all a solve
+builds when the incumbent already meets the floor.
 
 Jobs are placed in atomic units of ``unit_size`` workers (the TP group,
 which never splits across hosts); pure DP jobs have unit_size 1. A
@@ -175,6 +177,7 @@ def worker_moves(instance: SolverInstance,
 
 def _splits(k: int, racks: Sequence[int], limits: Sequence[int],
             slacks: Sequence[int], unit: int, budget: int,
+            hot: Sequence[bool] | None = None, whole: bool = False,
             start: int = 0) -> list[tuple[tuple[int, int], ...]]:
     """All ways to distribute k units over ``racks[start:]``, placing
     at most limits[t] units on rack t, as ``((rack, units), ...)`` lists
@@ -184,12 +187,23 @@ def _splits(k: int, racks: Sequence[int], limits: Sequence[int],
     beyond current slack are only possible if later moves evict
     someone -- and those moves are bounded. Removals pass each rack's
     own units as its limit and slack and a zero budget, so they never
-    draw on it."""
+    draw on it.
+
+    A rack flagged in ``hot`` takes no units, except all k when
+    ``whole`` and no earlier rack took any: the ring check accepts a
+    row on a hot rack only if the row is whole there. Leaving out the
+    choices it rejects keeps the order of the rest."""
     if k == 0:
         return [()]
     if start == len(racks):
         return []
     head = racks[start]
+    if hot is not None and hot[head]:
+        rest = _splits(k, racks, limits, slacks, unit, budget, hot, whole,
+                       start + 1)
+        if whole and k <= limits[head] and k * unit - slacks[head] <= budget:
+            return [((head, k),)] + rest
+        return rest
     if start == len(racks) - 1:  # the last rack takes all k or nothing fits
         if k <= limits[head] and k * unit - slacks[head] <= budget:
             return [((head, k),)]
@@ -200,13 +214,40 @@ def _splits(k: int, racks: Sequence[int], limits: Sequence[int],
         if over > budget:
             continue
         rest = _splits(k - here, racks, limits, slacks, unit,
-                       budget - over if over > 0 else budget, start + 1)
+                       budget - over if over > 0 else budget, hot,
+                       whole and not here, start + 1)
         if here:
             item = ((head, here),)
             out.extend([item + r for r in rest])
         else:
             out.extend(rest)
     return out
+
+
+def _additions(k: int, sources: set[int], kept: Sequence[int],
+               limits: Sequence[int], slacks: Sequence[int], unit: int,
+               budget: int, hot: Sequence[bool]
+               ) -> list[tuple[tuple[int, int], ...]]:
+    """The ways to add k units back to a removal's row that give a row
+    the ring check accepts, in ``_splits`` order. ``sources`` are the
+    racks the k units left and ``kept`` the racks still holding units;
+    an addition goes to racks with a positive limit outside ``sources``,
+    so no rack both gives and receives and every row is unique.
+
+    A fragmented row may touch no hot rack. A removal that keeps units
+    on two racks or more makes every row fragmented, so a hot one among
+    them yields nothing, and a lone hot rack yields only the row whole
+    on it. Otherwise hot racks take no units, unless the addition is
+    the whole row (k is all the job's units) and puts it on one of
+    them."""
+    if not any(hot[t] for t in kept):
+        targets = [t for t, limit in enumerate(limits)
+                   if limit > 0 and t not in sources]
+        return _splits(k, targets, limits, slacks, unit, budget, hot,
+                       not kept)
+    if len(kept) == 1 and kept[0] not in sources:
+        return _splits(k, kept, limits, slacks, unit, budget)
+    return []
 
 
 # -- repair incumbent ----------------------------------------------------
@@ -308,7 +349,11 @@ class _Search:
     fragmented jobs as a bitmask for ``_remaining_lb``'s disjoint-rack
     sum; per (job, k), the list of ways to remove k units from the job's
     initial row; and per node, the racks where one more fragmented row
-    would break the threshold."""
+    would break the threshold. Only depth 0's table exists until ``run``
+    starts a search, so a solve the incumbent settles builds no more.
+    The candidate rows are generated already through the capacity and
+    ring checks, so each row built is entered as a node unless the
+    search stops first, and ``nodes`` counts ``_dfs`` entries."""
 
     def __init__(self, instance: SolverInstance, deadline: float | None):
         self.instance = instance
@@ -327,19 +372,33 @@ class _Search:
         for d in range(len(self.order) - 1, -1, -1):
             self.suffix_workers[d] = (self.suffix_workers[d + 1]
                                       + instance.jobs[self.order[d]].workers)
-        # per depth, for _rack_bounds: one (rack, ring load of the
-        # unplaced jobs kept at their initial rows, heaviest ring weight,
-        # prefix sums of the sorted cheapest own changes, bitmask of the
-        # unplaced fragmented jobs there) per rack that holds an unplaced
-        # fragmented job. A rack without an entry has no excess, since
-        # the placed load never passes the threshold.
+        self.bound_tables = self._bound_tables(1)
+        # (job, k) -> [(row0 less k removed units, racks they left,
+        # racks still holding units)]
+        self.removal_cache: dict[
+            tuple[int, int],
+            list[tuple[tuple[int, ...], set[int], tuple[int, ...]]]] = {}
+
+    def _bound_tables(self, depths: int
+                      ) -> list[list[tuple[int, int, int, list[int], int]]]:
+        """The tables ``_rack_bounds`` reads at depths below ``depths``.
+
+        A depth's table holds one (rack, ring load of the unplaced jobs
+        kept at their initial rows, heaviest ring weight, prefix sums of
+        the sorted cheapest own changes, bitmask of the unplaced
+        fragmented jobs there) per rack that holds an unplaced fragmented
+        job. A rack without an entry has no excess, since the placed
+        load never passes the threshold. The jobs are added from the
+        deepest up, so the tables asked for come last."""
+        instance = self.instance
         loads = [0] * instance.num_racks
         options: list[list[tuple[int, int]]] = [
             [] for _ in range(instance.num_racks)]
         masks = [0] * instance.num_racks
-        self.bound_tables: list[
-            list[tuple[int, int, int, list[int], int]]] = [[]]
-        for i in reversed(self.order):
+        # at the leaves nothing is unplaced
+        tables = [[]] if len(self.order) < depths else []
+        for depth in range(len(self.order) - 1, -1, -1):
+            i = self.order[depth]
             job, row = instance.jobs[i], instance.initial[i]
             loads = ring_loads([job], [row], loads)
             if is_fragmented(row):
@@ -349,15 +408,15 @@ class _Search:
                             job.unit_size * min(v, job.units - v),
                             job.ring_weight))
                         masks[t] |= 1 << i
-            self.bound_tables.append([
-                (t, loads[t], max(w for _, w in opts),
-                 list(itertools.accumulate((c for c, _ in opts), initial=0)),
-                 masks[t])
-                for t, opts in enumerate(options) if opts])
-        self.bound_tables.reverse()
-        # (job, k) -> [(row0 less k removed units, racks they left)]
-        self.removal_cache: dict[tuple[int, int],
-                                 list[tuple[tuple[int, ...], set[int]]]] = {}
+            if depth < depths:
+                tables.append([
+                    (t, loads[t], max(w for _, w in opts),
+                     list(itertools.accumulate((c for c, _ in opts),
+                                               initial=0)),
+                     masks[t])
+                    for t, opts in enumerate(options) if opts])
+        tables.reverse()
+        return tables
 
     def run(self, incumbent: list[tuple[int, ...]] | None,
             floor: int, cap: int | None = None) -> None:
@@ -377,7 +436,9 @@ class _Search:
         do not depend on the node bound. A floor does change the plan:
         reached at a leaf, it stops the search there, where a search
         that ran on would accept the last leaf of equal cost. The max
-        keeps the plans the search has always returned."""
+        keeps the plans the search has always returned.
+
+        The deeper bound tables are built only once the search starts."""
         self.best = incumbent
         self.best_cost = (worker_moves(self.instance, incumbent)
                           if incumbent is not None else None)
@@ -389,6 +450,7 @@ class _Search:
         self.floor = floor
         if self.best_cost is not None and self.best_cost <= floor:
             return  # incumbent already meets the lower bound
+        self.bound_tables = self._bound_tables(len(self.order) + 1)
         free = list(self.instance.capacities)
         frag = list(self.instance.base_load)
         assignment: list[tuple[int, ...] | None] = [None] * len(
@@ -443,11 +505,12 @@ class _Search:
         return total
 
     def _removals(self, job_idx: int, k: int
-                  ) -> list[tuple[tuple[int, ...], set[int]]]:
+                  ) -> list[tuple[tuple[int, ...], set[int], tuple[int, ...]]]:
         """Every way to take k units off the job's initial row, as the
-        row left behind and the racks the units left; built once per
-        search. A rack never gives more than it holds, so removals never
-        draw on the (zero) eviction budget."""
+        row left behind, the racks the units left and the racks still
+        holding units; built once per search. A rack never gives more
+        than it holds, so removals never draw on the (zero) eviction
+        budget."""
         key = (job_idx, k)
         cached = self.removal_cache.get(key)
         if cached is None:
@@ -460,23 +523,19 @@ class _Search:
                 removed = list(row0)
                 for t, cnt in removal:
                     removed[t] -= cnt
-                cached.append((tuple(removed), {t for t, _ in removal}))
+                cached.append((tuple(removed), {t for t, _ in removal},
+                               tuple(t for t in support if removed[t])))
             self.removal_cache[key] = cached
         return cached
 
-    def _count(self, n: int) -> bool:
-        """Count n explored nodes (one, or rows rejected together),
-        checking the deadline if the count crosses a multiple of 1024;
-        True once it has passed."""
-        before = self.nodes
-        self.nodes += n
-        if (self.deadline is not None and self.nodes >> 10 != before >> 10
+    def _dfs(self, depth, cost, free, frag, assignment):
+        """One search node: every row of the job at ``depth`` that fits
+        and passes the ring check, in increasing move count, each
+        searched in turn. The deadline is read once every 1024 nodes."""
+        self.nodes += 1
+        if (self.deadline is not None and not self.nodes % 1024
                 and time.monotonic() > self.deadline):
             self.timed_out = True
-        return self.timed_out
-
-    def _dfs(self, depth, cost, free, frag, assignment):
-        if self._count(1):
             return
         if depth == len(self.order):
             # A leaf replaces the best plan even at equal cost, while
@@ -493,7 +552,6 @@ class _Search:
         job = self.instance.jobs[job_idx]
         unit, weight = job.unit_size, job.ring_weight
         row0 = self.instance.initial[job_idx]
-        num_racks = len(row0)
         threshold = self.instance.threshold
         # racks a fragmented row may not touch; frag is restored after
         # every child, so this holds for the whole node
@@ -513,33 +571,20 @@ class _Search:
                 min(f // unit - row0[t], (slacks[t] + b_rem) // unit)
                 for t, f in enumerate(free)]
             # Rows at exactly k unit-moves from row0: a removal, then an
-            # addition on racks it did not take from, so no rack both
-            # gives and receives and every row is unique.
-            for removed, sources in self._removals(job_idx, k):
-                targets = [t for t in range(num_racks)
-                           if add_limits[t] > 0 and t not in sources]
-                additions = _splits(k, targets, add_limits, slacks, unit,
-                                    b_rem)
+            # addition on racks it did not take from.
+            for removed, sources, kept in self._removals(job_idx, k):
                 # add_limits[t] <= free[t] // unit - row0[t], so an
                 # addition never overflows a rack: a row fits exactly
                 # when the removal's row does
-                if any(v and unit * v > f for v, f in zip(removed, free)):
-                    if self._count(len(additions)):
-                        return
+                if any(unit * removed[t] > free[t] for t in kept):
                     continue
-                # a row touches the removal's racks and the addition's
-                removed_hot = any(h for h, v in zip(hot, removed) if v)
-                for addition in additions:
-                    if self._count(1):
-                        return
+                for addition in _additions(k, sources, kept, add_limits,
+                                           slacks, unit, b_rem, hot):
                     row = list(removed)
                     for t, cnt in addition:
                         row[t] += cnt
                     row = tuple(row)
                     fragmented = is_fragmented(row)
-                    if fragmented and (removed_hot or any(
-                            hot[t] for t, _ in addition)):
-                        continue
                     for t, v in enumerate(row):
                         free[t] -= unit * v
                         self.slack[t] += unit * (row0[t] - v)

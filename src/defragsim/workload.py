@@ -241,8 +241,8 @@ def _sizes(cfg: TraceConfig, topology: ClusterTopology) -> list[int]:
     max_w = min(cfg.max_workers, topology.total_gpus)
     if cfg.size_choices is not None:
         return [s for s in cfg.size_choices if s <= max_w]
-    return [2 ** k for k in range(int(math.log2(cfg.min_workers)),
-                                  int(math.log2(max_w)) + 1)]
+    return [2 ** k for k in range((cfg.min_workers - 1).bit_length(),
+                                  max_w.bit_length())]
 
 
 def _tp_options(template: ModelTemplate,

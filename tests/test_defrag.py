@@ -366,6 +366,76 @@ def _ref_candidate_rows(row0, k, add_limits, slacks, unit, budget):
             yield tuple(row)
 
 
+def _ref_ring_checked_additions(k, removed, sources, limits, slacks, unit,
+                                budget, hot):
+    """The additions to one removal's row that the search accepted when
+    it generated every row and then ran the ring check on it."""
+    targets = [t for t in range(len(removed))
+               if t not in sources and limits[t] > 0]
+    removed_hot = any(h for h, v in zip(hot, removed) if v)
+    out = []
+    for addition in _ref_budgeted_splits(k, targets, limits, slacks, unit,
+                                         budget):
+        row = list(removed)
+        for t, cnt in addition:
+            row[t] += cnt
+        if is_fragmented(row) and (removed_hot or any(
+                hot[t] for t, _ in addition)):
+            continue
+        out.append(addition)
+    return out
+
+
+@st.composite
+def removal_rows(draw):
+    """A removal of k units from an initial row, with the addition
+    limits, slacks and budget of a node and its hot racks."""
+    num_racks = draw(st.integers(1, 6))
+    unit = draw(st.integers(1, 8))
+    row0 = draw(st.lists(st.integers(0, 4), min_size=num_racks,
+                         max_size=num_racks).filter(any))
+    k = draw(st.integers(0, sum(row0)))
+    support = [t for t, v in enumerate(row0) if v]
+    removal = draw(st.sampled_from(list(_ref_budgeted_splits(
+        k, support, row0, [unit * v for v in row0], unit, 0))))
+    removed = list(row0)
+    for t, cnt in removal:
+        removed[t] -= cnt
+    racks = st.lists(st.integers(-2, 6), min_size=num_racks,
+                     max_size=num_racks)
+    limits = draw(racks)
+    slacks = [unit * max(0, v) for v in draw(racks)]
+    budget = draw(st.integers(0, 24))
+    threshold = draw(st.integers(0, 8))
+    weight = draw(st.integers(1, 8))
+    frag = draw(st.lists(st.integers(0, 8), min_size=num_racks,
+                         max_size=num_racks))
+    hot = [f + weight > threshold for f in frag]
+    return (k, tuple(removed), {t for t, _ in removal}, limits, slacks,
+            unit, budget, hot)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(removal_rows())
+# k == 0: the initial row, whole on a hot rack, is accepted
+@example((0, (0, 3, 0), set(), [2, 2, 2], [0, 0, 0], 1, 4,
+          [False, True, False]))
+# k == units: a whole row may land on a hot rack, a split one may not
+@example((2, (0, 0, 0, 0), {0, 1}, [2, 2, 2, 2], [4, 4, 4, 4], 2, 8,
+          [False, False, True, False]))
+@example((2, (0, 0, 0, 0), {0, 1}, [2, 2, 2, 2], [4, 4, 4, 4], 2, 8,
+          [False, False, False, True]))
+# a lone hot rack left by the removal takes the whole row back
+@example((1, (0, 2, 0), {0}, [2, 2, 2], [0, 4, 4], 1, 4,
+          [False, True, False]))
+def test_additions_are_the_ring_checked_splits(drawn):
+    k, removed, sources, limits, slacks, unit, budget, hot = drawn
+    kept = tuple(t for t, v in enumerate(removed) if v)
+    assert defrag._additions(k, sources, kept, limits, slacks, unit, budget,
+                             hot) == _ref_ring_checked_additions(
+        k, removed, sources, limits, slacks, unit, budget, hot)
+
+
 class _RefSearch:
     def __init__(self, instance, deadline):
         self.instance = instance
@@ -636,17 +706,44 @@ def _unit_instance(capacities, threshold, initial):
         tuple(tuple(row) for row in initial))
 
 
-# Uncapped, the first explores 2,672 nodes and first crosses 1,024 on a
-# batch of rows whose removal does not fit; the second explores 12,372
-# and has no repair incumbent to fall back on.
+def test_settled_solve_builds_only_the_root_table(monkeypatch):
+    searches = []
+
+    class RecordingSearch(defrag._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(defrag, "_Search", RecordingSearch)
+    # job 0 breaks threshold 0 on racks 0 and 1; the repair's one move
+    # meets the floor, so nothing is searched
+    settled = _unit_instance((2, 2, 2), 0, [(1, 1, 0), (0, 0, 2)])
+    plan = solve(settled, time_limit=None)
+    assert (plan.move_count, plan.stats.nodes_explored) == (1, 0)
+    assert len(searches[0].bound_tables) == 1
+    assert searches[0].removal_cache == {}
+    # the repair's two moves are over the floor of 1, so this one is
+    # searched (the root's disjoint-rack sum of 2 prunes it), with a
+    # table for every depth
+    searched = _unit_instance((2, 2, 2, 2), 0, [(1, 1, 0, 0), (0, 0, 1, 1)])
+    assert solve(searched, time_limit=None).stats.nodes_explored == 1
+    assert len(searches[1].bound_tables) == 3
+    # a fresh search still bounds the root with the disjoint-rack sum
+    fresh = defrag._Search(searched, None)
+    assert len(fresh.bound_tables) == 1
+    assert fresh._remaining_lb(0, [0] * 4) == 2
+
+
+# Uncapped, the first explores 1,965 nodes and the second 2,772; the
+# second has no repair incumbent to fall back on.
 DEEP_WITH_INCUMBENT = _unit_instance(
-    (6, 5, 6, 6, 3), 1,
-    [(0, 1, 2, 0, 1), (0, 0, 0, 2, 1), (0, 1, 0, 1, 1), (1, 0, 0, 1, 0),
-     (1, 0, 2, 1, 0), (2, 1, 1, 0, 0)])
+    (5, 6, 6, 5, 4), 1,
+    [(1, 2, 0, 1, 0), (1, 0, 0, 1, 0), (1, 2, 0, 0, 0), (0, 0, 0, 1, 2),
+     (1, 1, 0, 0, 2), (1, 0, 1, 1, 0)])
 DEEP_WITHOUT_INCUMBENT = _unit_instance(
-    (4, 3, 4, 3, 4), 1,
-    [(1, 0, 0, 0, 2), (1, 0, 1, 0, 1), (2, 0, 0, 0, 1), (0, 0, 0, 1, 0),
-     (0, 1, 2, 1, 0), (0, 2, 1, 1, 0)])
+    (3, 4, 5, 4, 6), 1,
+    [(1, 2, 0, 0, 1), (0, 0, 1, 1, 1), (0, 0, 1, 0, 2), (0, 2, 0, 1, 1),
+     (0, 0, 0, 2, 1), (2, 0, 2, 0, 0), (0, 0, 1, 0, 0)])
 
 
 @pytest.mark.parametrize("inst", [DEEP_WITH_INCUMBENT,
@@ -669,8 +766,8 @@ def test_deadline_stops_search_at_first_node_check(inst, monkeypatch):
         assert inst is DEEP_WITH_INCUMBENT
         assert_plan_valid(inst, plan)
         assert not plan.stats.optimal
-        # a check on a single node stops at exactly 1,024; only the
-        # batch of unfit rows that crosses it can overshoot
-        assert 1024 < plan.stats.nodes_explored < 2048
-    # start, the check at the first crossing of 1,024 nodes, elapsed
+        # one node per _dfs entry, and the check reads the clock on
+        # the 1,024th
+        assert plan.stats.nodes_explored == 1024
+    # start, the check at the 1,024th node, elapsed
     assert len(reads) == 3

@@ -156,6 +156,14 @@ def test_generate_trace_rejects_menu_without_jobs(sizes, message):
         generate_trace(topo, 0.9, seed=0, num_jobs=5, cfg=cfg)
 
 
+def test_default_sizes_round_min_workers_up():
+    # 10 is no power of two: the menu starts at 16, never at 8
+    trace = generate_trace(TOPO, 0.9, seed=0, num_jobs=50,
+                           cfg=TraceConfig(min_workers=10))
+    assert TOPO.total_gpus == 128
+    assert min(job.num_workers for job in trace.jobs) >= 10
+
+
 def test_generate_trace_deterministic():
     t1 = generate_trace(TOPO, 0.8, seed=42, num_jobs=30)
     t2 = generate_trace(TOPO, 0.8, seed=42, num_jobs=30)
