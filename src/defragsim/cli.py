@@ -182,9 +182,10 @@ CHECK_INVARIANTS_HELP = (
     "a full max-min solve after every rate recomputation, each cached "
     "iteration plan, memoised flow path and the cached demand list "
     "against fresh ones, that every skipped SGLB rebalance would move "
-    "nothing, and at the end of every timestamp the slot accounting and "
-    "that the placed jobs are exactly the running ones (exit 3 on a "
-    "violation)")
+    "nothing, and at the end of every timestamp the slot accounting, "
+    "that the placed jobs are exactly the running ones and, with no "
+    "migration batch in flight, that the queue's head does not fit "
+    "(exit 3 on a violation)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,10 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AssertionError as exc:

@@ -168,6 +168,7 @@ class Flow:
     serial: int  # insertion order: solves and same-time events follow it
     rate: float = 0.0
     eta: float = math.inf  # pending completion time; inf while none
+    tag: object = None  # the owner's data, kept and never read here
 
 
 _serial = attrgetter("serial")
@@ -202,10 +203,11 @@ class FlowNetwork:
         self._steps: list[float] = []  # clock steps not yet drained
 
     def add_flow(self, key: Hashable, path: Iterable[int],
-                 size_bytes: float) -> Flow:
+                 size_bytes: float, tag: object = None) -> Flow:
         if key in self.flows:
             raise ValueError(f"duplicate flow key {key!r}")
-        flow = Flow(key, tuple(path), size_bytes * 8.0, self._serial)
+        flow = Flow(key, tuple(path), size_bytes * 8.0, self._serial,
+                    tag=tag)
         self._serial += 1
         self.flows[key] = flow
         self._attach(flow)

@@ -120,11 +120,9 @@ class JobRun:
         else:
             self.phase = JobPhase.COMPUTE
 
-    def pause_if_idle(self, now: float) -> bool:
+    def pause_if_idle(self) -> bool:
         """Barrier immediately when no iteration is in flight."""
         if self.phase is JobPhase.BARRIERED:
-            return True
-        if self.phase is JobPhase.DONE:
             return True
         self.barrier_requested = True
         return False
@@ -147,7 +145,6 @@ class BatchPhase(enum.Enum):
     BARRIER = "barrier"
     TRANSFER = "transfer"
     REINIT = "reinit"
-    DONE = "done"
 
 
 @dataclass
@@ -156,19 +153,10 @@ class MigrationBatch:
 
     batch_id: int
     moves: list[WorkerMove]
-    created_at: float
     phase: BatchPhase = BatchPhase.BARRIER
     waiting_jobs: set = field(default_factory=set)
     pending_transfers: set = field(default_factory=set)
-    transfer_started_at: float | None = None
-    committed_at: float | None = None
-    finished_at: float | None = None
 
     @property
     def affected_jobs(self) -> set:
         return {mv.worker[0] for mv in self.moves}
-
-    @property
-    def duration(self) -> float:
-        assert self.finished_at is not None
-        return self.finished_at - self.created_at

@@ -149,16 +149,3 @@ def export_run(result: SimulationResult, load: float,
     write_time_series(result, out_dir / f"series_{tag}.csv")
     write_solver_stats(result, out_dir / f"solver_{tag}.csv")
     return summarize(result, load)
-
-
-def read_job_table(path: Path) -> list[dict]:
-    """Round-trip helper: per-job rows as dicts with parsed numbers."""
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    for row in rows:
-        for key in JOB_COLUMNS:
-            if key == "model":
-                continue
-            value = row[key]
-            row[key] = int(value) if value.isdigit() else float(value)
-    return rows

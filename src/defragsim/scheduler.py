@@ -25,11 +25,12 @@ class SchedulerError(ValueError):
 
 
 class Placement:
-    """Worker-to-GPU-slot assignment plus per-host free-slot accounting.
+    """Worker-to-GPU-slot assignment plus per-host slot accounting.
 
     Each host keeps an int bitmask of its taken slots (bit s set while
-    slot s holds a worker) next to its free-slot count; ``assign`` takes
-    the lowest clear bit, so workers fill a host's slots from slot 0 up.
+    slot s holds a worker), and its free count is the clear bits left;
+    ``assign`` takes the lowest clear bit, so workers fill a host's slots
+    from slot 0 up.
     The ``GpuId`` it records and ``locate`` returns is the topology's
     interned one (``ClusterTopology.gpu``), so a placement never builds
     an id of its own.
@@ -37,9 +38,6 @@ class Placement:
 
     def __init__(self, topology: ClusterTopology):
         self.topology = topology
-        self._free = [[topology.gpus_per_host
-                       for _ in range(topology.hosts_per_rack)]
-                      for _ in range(topology.num_racks)]
         self._taken = [[0] * topology.hosts_per_rack
                        for _ in range(topology.num_racks)]
         self._workers: dict[WorkerId, GpuId] = {}
@@ -58,16 +56,17 @@ class Placement:
         return self._jobs
 
     def free_slots(self, rack: int, host: int) -> int:
-        return self._free[rack][host]
+        taken = self._taken[rack][host]
+        return self.topology.gpus_per_host - taken.bit_count()
 
     def rack_free_units(self, rack: int, unit: int) -> int:
-        return sum(f // unit for f in self._free[rack])
+        gpus = self.topology.gpus_per_host
+        return sum((gpus - m.bit_count()) // unit for m in self._taken[rack])
 
     def check_slots(self) -> None:
         """Audit the slot bookkeeping; raise AssertionError on a fault.
 
-        Every host's taken bits plus its free count make its GPU count,
-        every located worker holds a taken bit of its own and no bit is
+        Every located worker holds a taken bit of its own and no bit is
         taken without one, and every placed job has all its workers
         located.
         """
@@ -83,14 +82,7 @@ class Placement:
             held[gpu.rack][gpu.host] |= bit
         for rack in range(topo.num_racks):
             for host in range(topo.hosts_per_rack):
-                taken = self._taken[rack][host]
-                if taken.bit_count() + self._free[rack][host] \
-                        != topo.gpus_per_host:
-                    raise AssertionError(
-                        f"host ({rack},{host}): {taken.bit_count()} taken "
-                        f"slots plus {self._free[rack][host]} free is not "
-                        f"{topo.gpus_per_host}")
-                if taken != held[rack][host]:
+                if self._taken[rack][host] != held[rack][host]:
                     raise AssertionError(
                         f"host ({rack},{host}) has taken slots no worker "
                         f"holds")
@@ -104,22 +96,19 @@ class Placement:
     # -- mutation --------------------------------------------------------
 
     def assign(self, worker: WorkerId, rack: int, host: int) -> GpuId:
-        free = self._free[rack]
-        if free[host] < 1:
-            raise SchedulerError(f"host ({rack},{host}) has no free slot")
         taken = self._taken[rack]
         m = taken[host]
-        bit = ~m & (m + 1)  # lowest clear bit
-        taken[host] = m | bit
-        free[host] -= 1
-        gpu = self.topology.gpu(rack, host, bit.bit_length() - 1)
+        slot = (~m & (m + 1)).bit_length() - 1  # lowest clear bit
+        if slot >= self.topology.gpus_per_host:
+            raise SchedulerError(f"host ({rack},{host}) has no free slot")
+        taken[host] = m | 1 << slot
+        gpu = self.topology.gpu(rack, host, slot)
         self._workers[worker] = gpu
         return gpu
 
     def unassign(self, worker: WorkerId) -> None:
         gpu = self._workers.pop(worker)
         self._taken[gpu.rack][gpu.host] &= ~(1 << gpu.slot)
-        self._free[gpu.rack][gpu.host] += 1
 
     def add_job(self, job: JobSpec, racks_per_unit: list[int]) -> None:
         """Materialize a job given the target rack of each TP unit."""
@@ -135,13 +124,14 @@ class Placement:
 
     def _pick_host(self, rack: int, unit: int) -> int:
         # Pack onto the fewest hosts: prefer the already-started host with
-        # the least remaining room that still fits the unit.
-        best, best_key = None, None
-        for h, f in enumerate(self._free[rack]):
-            if f >= unit:
-                key = (f, h)
-                if best_key is None or key < best_key:
-                    best, best_key = h, key
+        # the least remaining room that still fits the unit, the lowest
+        # index on a tie.
+        most = self.topology.gpus_per_host - unit  # taken, still fitting
+        best, best_taken = None, -1
+        for h, m in enumerate(self._taken[rack]):
+            taken = m.bit_count()
+            if best_taken < taken <= most:
+                best, best_taken = h, taken
         if best is None:
             raise SchedulerError(f"rack {rack} cannot fit a unit of {unit}")
         return best
@@ -192,20 +182,13 @@ class Scheduler:
         self.placement = Placement(topology)
         self.queue: deque[JobSpec] = deque()
 
-    def place_job(self, job: JobSpec) -> bool:
-        """Place an arriving job; returns False if it was queued."""
+    def place_job(self, job: JobSpec) -> list[JobSpec]:
+        """Queue an arriving job behind the waiting ones and admit what
+        fits; returns the admitted jobs."""
         if job.job_id in self.placement:
             raise SchedulerError(f"job {job.job_id} already placed")
-        if self.queue:
-            # Strict FIFO: arrivals never jump ahead of waiting jobs.
-            self.queue.append(job)
-            return False
-        racks = plan_racks(self.placement, job)
-        if racks is None:
-            self.queue.append(job)
-            return False
-        self.placement.add_job(job, racks)
-        return True
+        self.queue.append(job)
+        return self.admit_queued()
 
     def release_job(self, job_id: int) -> list[JobSpec]:
         """Free a finished job's slots and admit what now fits."""

@@ -28,7 +28,7 @@ from .jobmodel import (
 from .routing import (
     SPRAY_COLOR, FlowDemand, RoutingAssignment, SglbRouting, make_strategy,
 )
-from .scheduler import Scheduler
+from .scheduler import Scheduler, plan_racks
 from .topology import ClusterTopology, Direction, GpuId, path_between
 from .workload import JobSpec, Trace, ideal_duration
 
@@ -113,6 +113,18 @@ class IterationPlan(NamedTuple):
 
 
 class Simulation:
+    """One simulation of ``trace`` on ``topology`` under ``algorithm``;
+    ``run`` runs it once. ``check_invariants`` audits flow conservation
+    and the incremental rates against a full solve after every rate
+    recomputation, each cached iteration plan, memoised flow path and the
+    cached demand list against fresh ones before they are used, that
+    every skipped SGLB rebalance would have moved nothing, and at the end
+    of every timestamp the slot accounting, that the placed jobs are
+    exactly the running ones and, with no batch in flight, that the
+    queue's head does not fit; it changes no decision. ``event_log``, a
+    binary file, receives every line the event log hash is fed, in
+    order."""
+
     def __init__(self, topology: ClusterTopology, trace: Trace,
                  algorithm: str,
                  threshold: float | None = ControllerConfig.threshold,
@@ -151,15 +163,9 @@ class Simulation:
         self.check_invariants = check_invariants
         self.isolation_violations = 0
 
+        # the batch in flight; its id is its DefragEvent's index
         self.batch: MigrationBatch | None = None
-        self._batch_seq = 0
-        self._batch_jobs: dict[int, JobSpec] = {}  # specs per active batch
-        self._current_event: DefragEvent | None = None
-
-        # flow key -> (demand key or None, src, dst) for path rebuilds
-        self._flow_info: dict = {}
         self._transfer_demands: list[FlowDemand] = []
-        self._pending_arrivals = 0
         self._records: list[JobRecord] = []
         self._defrag_events: list[DefragEvent] = []
         self._frag_series: list[tuple[float, int, int, float]] = []
@@ -185,7 +191,6 @@ class Simulation:
     def run(self) -> SimulationResult:
         for job in self.trace.jobs:
             self.queue.push(job.arrival_time, RANK_ARRIVAL, ("arrival", job))
-            self._pending_arrivals += 1
         if isinstance(self.routing, SglbRouting) and self.trace.jobs:
             self.queue.push(SGLB_EPOCH_SECONDS, RANK_EPOCH, ("epoch",))
 
@@ -248,15 +253,16 @@ class Simulation:
     # -- event handlers --------------------------------------------------------
 
     def _on_arrival(self, job: JobSpec) -> None:
-        self._pending_arrivals -= 1
         self._trace_event("arrival", job.job_id)
         if self.batch is not None:
             # admissions pause while a migration batch is in flight so the
             # plan's destination slots stay reserved
             self.scheduler.queue.append(job)
             return
-        if self.scheduler.place_job(job):
-            self._start_job(job)
+        admitted = self.scheduler.place_job(job)
+        for new_job in admitted:
+            self._start_job(new_job)
+        if admitted:
             self._placement_dirty = True
 
     def _start_job(self, job: JobSpec) -> None:
@@ -315,8 +321,8 @@ class Simulation:
                     f"stale flow path {path} for flow {pf.key} on colour "
                     f"{color}")
             key = (pf.key, iteration)
-            self.net.add_flow(key, path, pf.size_bytes)
-            self._flow_info[key] = (demand_key, pf.src, pf.dst)
+            self.net.add_flow(key, path, pf.size_bytes,
+                              (demand_key, pf.src, pf.dst))
             run.pending_flows.add(key)
         self._flows_dirty = True
 
@@ -332,14 +338,13 @@ class Simulation:
                 topo.spray_link(dst.rack, Direction.DOWN),
                 topo.nic_link(dst, Direction.DOWN),
             )
-        return tuple(path_between(self.topology, src, dst, color, color))
+        return tuple(path_between(self.topology, src, dst, color))
 
     def _on_flow_done(self, key) -> None:
         flow = self.net.flows.get(key)
         if flow is None or flow.eta != self.now:
             return  # superseded: a later recompute moved its completion
         self.net.remove_flow(key)
-        self._flow_info.pop(key, None)
         self._flows_dirty = True
         owner = key[0]
         if owner == "mig":
@@ -364,7 +369,7 @@ class Simulation:
         if run.phase is JobPhase.COMPUTE:
             self._schedule_compute(run)
         elif run.phase is JobPhase.BARRIERED:
-            self._on_job_barriered(run)
+            self._stop_waiting(run.job.job_id)
         elif run.phase is JobPhase.DONE:
             self._on_job_done(run)
 
@@ -387,13 +392,10 @@ class Simulation:
         ))
         if self.batch is not None:
             # a departing job's pending moves are moot
-            self.batch.waiting_jobs.discard(job.job_id)
             self.batch.moves = [mv for mv in self.batch.moves
                                 if mv.worker[0] != job.job_id]
             self.scheduler.placement.remove_job(job.job_id)
-            if not self.batch.waiting_jobs \
-                    and self.batch.phase is BatchPhase.BARRIER:
-                self._start_transfers()
+            self._stop_waiting(job.job_id)
             return
         admitted = self.scheduler.release_job(job.job_id)
         for new_job in admitted:
@@ -410,32 +412,29 @@ class Simulation:
             return
         self._trace_event("defrag", decision.plan.move_count)
         stats = decision.plan.stats
-        self._current_event = DefragEvent(
+        self._defrag_events.append(DefragEvent(
             time=self.now, move_count=stats.move_count,
             solve_time=stats.solve_time,
-            nodes_explored=stats.nodes_explored, optimal=stats.optimal)
-        self.batch = MigrationBatch(batch_id=self._batch_seq,
-                                    moves=list(decision.moves),
-                                    created_at=self.now)
-        self._batch_seq += 1
+            nodes_explored=stats.nodes_explored, optimal=stats.optimal))
+        self.batch = MigrationBatch(batch_id=len(self._defrag_events) - 1,
+                                    moves=list(decision.moves))
         for job_id in sorted(self.batch.affected_jobs):
-            run = self.runs[job_id]
-            if not run.pause_if_idle(self.now):
+            if not self.runs[job_id].pause_if_idle():
                 self.batch.waiting_jobs.add(job_id)
         if not self.batch.waiting_jobs:
             self._start_transfers()
 
-    def _on_job_barriered(self, run: JobRun) -> None:
+    def _stop_waiting(self, job_id: int) -> None:
+        """The batch no longer waits on ``job_id``, which reached its
+        barrier or left; the transfers start once it waits on no job."""
         batch = self.batch
-        assert batch is not None
-        batch.waiting_jobs.discard(run.job.job_id)
+        batch.waiting_jobs.discard(job_id)
         if not batch.waiting_jobs and batch.phase is BatchPhase.BARRIER:
             self._start_transfers()
 
     def _start_transfers(self) -> None:
         batch = self.batch
         batch.phase = BatchPhase.TRANSFER
-        batch.transfer_started_at = self.now
         if not batch.moves:
             self._commit_batch()
             return
@@ -462,9 +461,8 @@ class Simulation:
         self._drop_demands()
         self._reassign_routing()  # allocate mice colors for the transfers
         for key, src, dst, size in flows:
-            path = self._path_for(src, dst, key)
-            self.net.add_flow(key, path, size)
-            self._flow_info[key] = (key, src, dst)
+            self.net.add_flow(key, self._path_for(src, dst, key), size,
+                              (key, src, dst))
             batch.pending_transfers.add(key)
         self._flows_dirty = True
 
@@ -479,7 +477,6 @@ class Simulation:
         for job_id in batch.affected_jobs:
             del self._plans[job_id]
         batch.phase = BatchPhase.REINIT
-        batch.committed_at = self.now
         self._transfer_demands = []
         self._drop_demands()
         # colors must match the new placement before any flow launched
@@ -490,15 +487,10 @@ class Simulation:
         self._trace_event("commit", batch.batch_id)
 
     def _on_reinit_done(self, batch_id: int) -> None:
-        batch = self.batch
-        assert batch is not None and batch.batch_id == batch_id
-        batch.phase = BatchPhase.DONE
-        batch.finished_at = self.now
+        assert self.batch is not None and self.batch.batch_id == batch_id
         self.batch = None
-        if self._current_event is not None:
-            self._current_event.duration = batch.duration
-            self._defrag_events.append(self._current_event)
-            self._current_event = None
+        event = self._defrag_events[batch_id]
+        event.duration = self.now - event.time
         for run in self.runs.values():
             if run.phase is JobPhase.BARRIERED:
                 run.resume(self.now)
@@ -546,12 +538,13 @@ class Simulation:
 
     def _reroute_live_flows(self) -> None:
         changed = False
-        for key, (demand_key, src, dst) in self._flow_info.items():
+        for flow in self.net.flows.values():
+            demand_key, src, dst = flow.tag
             if demand_key is None or demand_key not in self.assignment.colors:
                 continue
             path = self._path_for(src, dst, demand_key)
-            if self.net.flows[key].path != path:
-                self.net.set_path(key, path)
+            if flow.path != path:
+                self.net.set_path(flow.key, path)
                 changed = True
         if changed:
             self._flows_dirty = True
@@ -575,7 +568,7 @@ class Simulation:
         self._balanced = True
 
     def _on_epoch(self) -> None:
-        if self.runs or self.scheduler.queue or self._pending_arrivals:
+        if len(self._records) < len(self.trace.jobs):
             # the epoch event stays even when it moves nothing: it splits
             # the settle intervals the event log hash depends on
             self._rebalance()
@@ -588,18 +581,18 @@ class Simulation:
         coloring."""
         uplink_base = self.topology.uplink_base
         seen: dict[int, tuple] = {}
-        for key, (demand_key, src, dst) in self._flow_info.items():
-            if demand_key is None or key[0] == "mig":
+        for flow in self.net.flows.values():
+            # None within a rack; a transfer's is its own flow key
+            demand_key = flow.tag[0]
+            if demand_key is None or demand_key[1] != "dp":
                 continue
-            if not isinstance(demand_key, tuple) or demand_key[1] != "dp":
-                continue
-            for link in self.net.flows[key].path:
+            for link in flow.path:
                 if link < uplink_base:
                     continue
-                if link in seen and seen[link] != key:
+                if link in seen and seen[link] != flow.key:
                     self.isolation_violations += 1
                 else:
-                    seen[link] = key
+                    seen[link] = flow.key
 
     # -- network -----------------------------------------------------------------
 
@@ -611,18 +604,23 @@ class Simulation:
             self.net.check_rates()
 
     def _check_bookkeeping(self) -> None:
-        """Audit the placement's slot accounting, and that the placed jobs
-        are exactly the running ones and no queued job holds a slot."""
+        """Audit the placement's slot accounting, that the placed jobs
+        are exactly the running ones and no queued job holds a slot, and,
+        with no batch in flight, that the queue's head does not fit."""
         placement = self.scheduler.placement
         placement.check_slots()
         if placement.jobs.keys() != self.runs.keys():
             raise AssertionError(
                 f"placed jobs {sorted(placement.jobs)} are not the running "
                 f"jobs {sorted(self.runs)}")
-        placed = [job.job_id for job in self.scheduler.queue
-                  if job.job_id in placement]
+        queue = self.scheduler.queue
+        placed = [job.job_id for job in queue if job.job_id in placement]
         if placed:
             raise AssertionError(f"queued jobs {placed} are placed")
+        if self.batch is None and queue \
+                and plan_racks(placement, queue[0]) is not None:
+            raise AssertionError(
+                f"queued job {queue[0].job_id} fits but is not admitted")
 
     # -- observability -------------------------------------------------------------
 
@@ -638,27 +636,6 @@ class Simulation:
              max_util))
 
 
-def run_simulation(topology: ClusterTopology, trace: Trace, algorithm: str,
-                   threshold: float | None = ControllerConfig.threshold,
-                   solver_time_limit: float = (
-                       ControllerConfig.solver_time_limit),
-                   max_moves: int | None = ControllerConfig.max_moves,
-                   check_isolation: bool = False,
-                   check_invariants: bool = False,
-                   event_log: BinaryIO | None = None) -> SimulationResult:
-    """Run one simulation. ``check_invariants`` audits flow conservation
-    and the incremental rates against a full solve after every rate
-    recomputation, each cached iteration plan, memoised flow path and the
-    cached demand list against fresh ones before they are used, that
-    every skipped SGLB rebalance would have moved nothing, and at the end
-    of every timestamp the slot accounting and that the placed jobs are
-    exactly the running ones; it changes no decision. ``event_log``, a
-    binary file, receives every line the event log hash is fed, in
-    order."""
-    sim = Simulation(topology, trace, algorithm, threshold=threshold,
-                     solver_time_limit=solver_time_limit,
-                     max_moves=max_moves,
-                     check_isolation=check_isolation,
-                     check_invariants=check_invariants,
-                     event_log=event_log)
-    return sim.run()
+def run_simulation(*args, **kwargs) -> SimulationResult:
+    """Run one simulation; the arguments are ``Simulation``'s."""
+    return Simulation(*args, **kwargs).run()

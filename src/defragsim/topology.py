@@ -129,15 +129,14 @@ def make_two_tier(racks: int, hosts_per_rack: int, gpus_per_host: int,
 
 
 def path_between(topology: ClusterTopology, src: GpuId, dst: GpuId,
-                 chosen_uplink_src: int = 0,
-                 chosen_uplink_dst: int = 0) -> list[int]:
+                 uplink: int = 0) -> list[int]:
     """Return the ids of the capacity-constrained links from src to dst.
 
     Same host: empty path (intra-host interconnect is out of model).
     Same rack: src NIC up, dst NIC down.
     Cross rack: src NIC up, src-ToR uplink up, dst-ToR uplink down,
-    dst NIC down. The uplink choice on each side is the caller's routing
-    decision.
+    dst NIC down. ``uplink``, the caller's routing colour, is the uplink
+    taken at both ToRs.
     """
     if src == dst:
         raise TopologyError("src and dst must differ")
@@ -150,7 +149,7 @@ def path_between(topology: ClusterTopology, src: GpuId, dst: GpuId,
         ]
     return [
         topology.nic_link(src, Direction.UP),
-        topology.uplink_link(src.rack, chosen_uplink_src, Direction.UP),
-        topology.uplink_link(dst.rack, chosen_uplink_dst, Direction.DOWN),
+        topology.uplink_link(src.rack, uplink, Direction.UP),
+        topology.uplink_link(dst.rack, uplink, Direction.DOWN),
         topology.nic_link(dst, Direction.DOWN),
     ]

@@ -9,10 +9,9 @@ are small point-to-point transfers between stage boundaries.
 
 from __future__ import annotations
 
-import json
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .topology import ClusterTopology, GpuId
@@ -345,25 +344,3 @@ def generate_trace(topology: ClusterTopology, load: float, seed: int,
         t += rng.expovariate(rate)
         jobs.append(JobSpec(**fields, arrival_time=t))
     return Trace(jobs=jobs, target_load=load, seed=seed)
-
-
-def save_trace(trace: Trace, path: str) -> None:
-    """Write a trace as line-delimited JSON, one job per record."""
-    with open(path, "w") as f:
-        f.write(json.dumps({"target_load": trace.target_load,
-                            "seed": trace.seed}) + "\n")
-        for job in trace.jobs:
-            rec = asdict(job)
-            f.write(json.dumps(rec) + "\n")
-
-
-def load_trace(path: str) -> Trace:
-    with open(path) as f:
-        header = json.loads(f.readline())
-        jobs = []
-        for line in f:
-            rec = json.loads(line)
-            rec["template"] = ModelTemplate(**rec["template"])
-            jobs.append(JobSpec(**rec))
-    return Trace(jobs=jobs, target_load=header["target_load"],
-                 seed=header["seed"])

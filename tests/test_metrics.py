@@ -5,7 +5,7 @@ import pytest
 
 from defragsim.metrics import (
     JOB_COLUMNS, SERIES_COLUMNS, SOLVER_COLUMNS, export_run, nearest_rank,
-    read_job_table, run_tag, summarize, write_summary,
+    run_tag, summarize, write_summary,
 )
 from defragsim.simulate import run_simulation
 from tests.test_simulate import SMALL_TOPO, small_trace
@@ -78,15 +78,17 @@ def test_export_run_writes_all_files(result, tmp_path):
 def test_job_table_round_trip(result, tmp_path):
     export_run(result, 0.9, tmp_path)
     tag = run_tag(result.algorithm, 0.9, result.seed)
-    rows = read_job_table(tmp_path / f"jobs_{tag}.csv")
+    with open(tmp_path / f"jobs_{tag}.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == len(result.records)
     by_id = {r.job_id: r for r in result.records}
     for row in rows:
-        record = by_id[row["job_id"]]
+        record = by_id[int(row["job_id"])]
         assert row["model"] == record.model
-        assert row["num_workers"] == record.num_workers
-        assert row["slowdown"] == pytest.approx(record.slowdown, abs=1e-6)
-        assert row["migrations"] == record.migrations
+        assert int(row["num_workers"]) == record.num_workers
+        assert float(row["slowdown"]) == pytest.approx(record.slowdown,
+                                                       abs=1e-6)
+        assert int(row["migrations"]) == record.migrations
 
 
 def test_write_summary_json(result, tmp_path):

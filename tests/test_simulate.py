@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
@@ -5,14 +6,19 @@ import pytest
 
 from defragsim import controller, flowsim, fragmentation, simulate
 from defragsim.config import load_config
+from defragsim.controller import DefragDecision
+from defragsim.defrag import MigrationPlan, SolverStats
+from defragsim.jobmodel import BatchPhase, WorkerMove
+from defragsim.scheduler import plan_racks
 from defragsim.simulate import (
     ALGORITHMS, REINIT_SECONDS, Simulation, parse_algorithm, run_simulation,
 )
 from defragsim.routing import SglbRouting
 from defragsim.topology import make_two_tier, path_between
 from defragsim.workload import (
-    DEFAULT_TEMPLATES, TraceConfig, generate_trace, ideal_duration,
+    DEFAULT_TEMPLATES, Trace, TraceConfig, generate_trace, ideal_duration,
 )
+from tests.test_workload import make_job
 
 QUICK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "quick.yaml"
 SMALL_TOPO = make_two_tier(4, 2, 8, 2, 400e9, 400e9)
@@ -200,17 +206,17 @@ def test_reroute_changes_solved_and_audited_links(monkeypatch):
             assert rate_audits[-1] == live
 
         def _reroute_one(self):
-            for key, (demand_key, src, dst) in self._flow_info.items():
+            for flow in self.net.flows.values():
+                demand_key, src, dst = flow.tag
                 color = self.assignment.colors.get(demand_key)
                 if src.rack == dst.rack or color not in (0, 1):
                     continue
-                before = self.net.flows[key].path
+                before = flow.path
                 self.assignment.colors[demand_key] = 1 - color
                 self._reroute_live_flows()
                 expected = tuple(path_between(self.topology, src, dst,
-                                              1 - color, 1 - color))
-                return before, expected, self.net.flows[key].path, \
-                    len(resolved)
+                                              1 - color))
+                return before, expected, flow.path, len(resolved)
             return None
 
     sim = RerouteOnce(SMALL_TOPO, small_trace(seed=0), "ecmp",
@@ -487,12 +493,6 @@ def _flip_mask_bit(sim):
     placement._taken[gpu.rack][gpu.host] ^= 1 << gpu.slot
 
 
-def _bump_free_count(sim):
-    placement = sim.scheduler.placement
-    gpu = placement.locate(next(iter(placement._workers)))
-    placement._free[gpu.rack][gpu.host] += 1
-
-
 def _share_a_slot(sim):
     workers = sim.scheduler.placement._workers
     first, second = list(workers)[:2]
@@ -513,13 +513,19 @@ def _queue_a_running_job(sim):
     sim.scheduler.queue.append(next(iter(sim.runs.values())).job)
 
 
+def _queue_a_job_that_fits(sim):
+    job = make_job(job_id=-1, workers=1, dp=1)
+    if sim.batch is None and plan_racks(sim.scheduler.placement, job):
+        sim.scheduler.queue.appendleft(job)
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_flip_mask_bit, "holds no taken slot bit"),
-    (_bump_free_count, "free is not"),
     (_share_a_slot, "two workers share slot"),
     (_free_a_worker, "unplaced"),
     (_forget_a_job, "are not the running jobs"),
     (_queue_a_running_job, "queued jobs .* are placed"),
+    (_queue_a_job_that_fits, "queued job -1 fits but is not admitted"),
 ])
 def test_bookkeeping_audit_catches_corruption(monkeypatch, corrupt, message):
     """Corrupting the live placement mid-run, once two jobs run, must
@@ -535,3 +541,51 @@ def test_bookkeeping_audit_catches_corruption(monkeypatch, corrupt, message):
     with pytest.raises(AssertionError, match=message):
         run_simulation(SMALL_TOPO, small_trace(seed=0), "defrag-perfect",
                        solver_time_limit=5.0, check_invariants=True)
+
+
+def test_waited_on_job_that_finishes_in_the_barrier_leaves_the_batch():
+    """A job the batch waits on whose in-flight iteration is its last
+    finishes instead of pausing: the batch drops its moves, its slots are
+    freed, and the transfers start once the batch waits on no job."""
+    short = make_job(job_id=0, workers=2, dp=2, iterations=1)
+    long = make_job(job_id=1, workers=2, dp=2, iterations=3)
+    long = dataclasses.replace(long, template=dataclasses.replace(
+        long.template, compute_seconds=3.0))
+    move_short = WorkerMove((0, 0), 1, 0)
+    move_long = WorkerMove((1, 0), 1, 0)
+    decision = DefragDecision(
+        moves=[move_short, move_long],
+        plan=MigrationPlan(target=(), moves=(), move_count=2,
+                           stats=SolverStats(2, 0.0, 0, True)))
+    seen = []
+
+    class Probe(Simulation):
+        def _on_job_done(self, run):
+            super()._on_job_done(run)
+            batch, placement = self.batch, self.scheduler.placement
+            if batch is not None:
+                seen.append(("done", self.now, run.job.job_id, batch.phase,
+                             set(batch.waiting_jobs), list(batch.moves),
+                             run.job.job_id in placement,
+                             placement.free_slots(0, 0)))
+
+        def _start_transfers(self):
+            seen.append(("transfers", self.now, set(self.batch.waiting_jobs),
+                         list(self.batch.moves)))
+            super()._start_transfers()
+
+    sim = Probe(SMALL_TOPO, Trace([short, long], 0.9, 0), "defrag-perfect",
+                check_invariants=True)
+    decisions = iter([decision])
+    sim.controller.check = lambda stages: next(decisions, None)
+    result = sim.run()
+    # both jobs share host (0, 0); the short one ends at 1 s, in the
+    # barrier, and the long one pauses at 3 s
+    assert seen == [
+        ("done", 1.0, 0, BatchPhase.BARRIER, {1}, [move_long], False, 6),
+        ("transfers", 3.0, set(), [move_long]),
+    ]
+    migrations = {r.job_id: r.migrations for r in result.records}
+    assert migrations == {0: 0, 1: 1}
+    (event,) = result.defrag_events
+    assert event.time == 0.0 and event.duration > 3.0 + REINIT_SECONDS

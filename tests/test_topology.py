@@ -54,11 +54,11 @@ def test_cross_rack_path_structure():
             for s in range(2):
                 for d in range(2):
                     src, dst = GpuId(0, src_host, s), GpuId(1, dst_host, d)
-                    path = path_between(topo, src, dst, 1, 0)
+                    path = path_between(topo, src, dst, 1)
                     assert path == [
                         topo.nic_link(src, Direction.UP),
                         topo.uplink_link(0, 1, Direction.UP),
-                        topo.uplink_link(1, 0, Direction.DOWN),
+                        topo.uplink_link(1, 1, Direction.DOWN),
                         topo.nic_link(dst, Direction.DOWN),
                     ]
 
@@ -82,7 +82,7 @@ def test_link_ids_dense_and_capacities():
 def test_uplink_out_of_range():
     topo = make_two_tier(2, 2, 2, 2, 400e9, 400e9)
     with pytest.raises(TopologyError):
-        path_between(topo, GpuId(0, 0, 0), GpuId(1, 0, 0), 5, 0)
+        path_between(topo, GpuId(0, 0, 0), GpuId(1, 0, 0), 5)
 
 
 def test_src_equals_dst_rejected():

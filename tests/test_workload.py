@@ -11,7 +11,7 @@ from defragsim.scheduler import Placement
 from defragsim.topology import make_two_tier
 from defragsim.workload import (
     JobSpec, ModelTemplate, TraceConfig, check_menu, generate_trace,
-    ideal_duration, load_trace, pp_traffic, replica_groups, save_trace,
+    ideal_duration, pp_traffic, replica_groups,
 )
 
 TOPO = make_two_tier(4, 4, 8, 4, 400e9, 400e9)
@@ -191,15 +191,6 @@ def test_generate_trace_occupancy_little_law():
         busy += max(0.0, end - job.arrival_time) * job.num_workers
     occupancy = busy / horizon / TOPO.total_gpus
     assert occupancy == pytest.approx(load, rel=0.10)
-
-
-def test_trace_roundtrip(tmp_path):
-    trace = generate_trace(TOPO, 0.7, seed=5, num_jobs=20)
-    path = tmp_path / "trace.jsonl"
-    save_trace(trace, str(path))
-    loaded = load_trace(str(path))
-    assert loaded.jobs == trace.jobs
-    assert loaded.seed == trace.seed
 
 
 def test_figure_trace_is_pinned():
