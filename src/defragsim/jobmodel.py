@@ -4,6 +4,8 @@ A job alternates between a compute phase (fixed duration) and a
 communication phase in which all of its DP ring edges and PP boundary
 transfers run concurrently as network flows; the next iteration starts
 when every flow of the previous one has drained.
+``plan_iteration_flows`` builds those transfers, one ``FlowDemand``
+each: the record routing colors and the flow table carries.
 
 Migration happens in batches. Every affected job first completes its
 in-flight iteration (barrier), then all checkpoint transfers run as mice
@@ -21,7 +23,7 @@ from typing import Callable
 
 from .routing import FlowDemand
 from .topology import GpuId
-from .workload import JobSpec, WorkerId, pp_traffic, replica_groups, ring_edges
+from .workload import JobSpec, WorkerId, ring_bytes_per_link
 
 REINIT_SECONDS = 10.0
 # Checkpoint payload per worker relative to its parameter shard: weights
@@ -35,54 +37,45 @@ def shard_bytes(job: JobSpec) -> float:
     return job.template.parameter_bytes / shards * CHECKPOINT_MULTIPLIER
 
 
-@dataclass(frozen=True)
-class PlannedFlow:
-    """One iteration flow before uplink selection.
-
-    ``demand`` is set only for cross-rack flows, which need a color from
-    the routing strategy; intra-rack flows have a fixed two-link path and
-    same-host transfers never reach the network at all (``src == dst``
-    host) but still appear here so the iteration accounting is uniform.
-    """
-    key: tuple
-    src: GpuId
-    dst: GpuId
-    size_bytes: float
-    demand: FlowDemand | None = None
-
-
 def plan_iteration_flows(job: JobSpec,
                          locate: Callable[[WorkerId], GpuId]
-                         ) -> list[PlannedFlow]:
+                         ) -> list[FlowDemand]:
     """All network transfers of one iteration of ``job``.
 
-    Keys are stable for a fixed placement, so routing colors persist
-    across iterations until the job is migrated.
+    Each (pipeline stage, TP rank) pair is one DP ring, ordered by
+    (rack, host, slot) so same-rack and same-host members sit together,
+    and each hop of it carries ``ring_bytes_per_link`` of the job's DP
+    volume. Each boundary between adjacent stages carries one PP transfer
+    each way between the stages' (dp 0, tp 0) workers. Same-host hops
+    never reach the network and are left out. A ring hop's key is
+    ``(job_id, "dp", stage * tp_degree + tp_rank, i)`` with ``i`` its ring
+    position, and a PP transfer's is ``(job_id, "pp", i)`` with ``i``
+    counting both directions. Keys are stable for a fixed placement, so
+    routing colors persist across iterations until the job is migrated.
     """
-    flows: list[PlannedFlow] = []
-    for group in replica_groups(job):
-        for i, (src, dst, nbytes) in enumerate(ring_edges(group, locate)):
-            sg, dg = locate(src), locate(dst)
-            if (sg.rack, sg.host) == (dg.rack, dg.host):
-                continue  # intra-host hop, out of model
-            key = (job.job_id, "dp", group.group_index, i)
-            demand = None
-            if sg.rack != dg.rack:
-                demand = FlowDemand(key=key, job_id=job.job_id,
-                                    src_rack=sg.rack, dst_rack=dg.rack,
-                                    kind="dp")
-            flows.append(PlannedFlow(key, sg, dg, nbytes, demand))
-    for i, (src, dst, nbytes) in enumerate(pp_traffic(job)):
-        sg, dg = locate(src), locate(dst)
-        if (sg.rack, sg.host) == (dg.rack, dg.host):
-            continue
-        key = (job.job_id, "pp", i)
-        demand = None
-        if sg.rack != dg.rack:
-            demand = FlowDemand(key=key, job_id=job.job_id,
-                                src_rack=sg.rack, dst_rack=dg.rack,
-                                kind="pp")
-        flows.append(PlannedFlow(key, sg, dg, nbytes, demand))
+    job_id, dp, tp = job.job_id, job.dp_degree, job.tp_degree
+    per_link = ring_bytes_per_link(job.dp_collective_bytes, dp)
+    flows = []
+    for stage in range(job.pp_degree):
+        for rank in range(tp):
+            ring = sorted(
+                (locate((job_id, job.worker_index(stage, d, rank)))
+                 for d in range(dp)),
+                key=lambda g: (g.rack, g.host, g.slot))
+            for i in range(dp):
+                src, dst = ring[i], ring[(i + 1) % dp]
+                if (src.rack, src.host) != (dst.rack, dst.host):
+                    flows.append(FlowDemand(
+                        (job_id, "dp", stage * tp + rank, i), job_id, src,
+                        dst, per_link))
+    for stage in range(job.pp_degree - 1):
+        a = locate((job_id, job.worker_index(stage, 0, 0)))
+        b = locate((job_id, job.worker_index(stage + 1, 0, 0)))
+        if (a.rack, a.host) != (b.rack, b.host):
+            flows.append(FlowDemand((job_id, "pp", 2 * stage), job_id, a, b,
+                                    job.pp_bytes, "pp"))
+            flows.append(FlowDemand((job_id, "pp", 2 * stage + 1), job_id,
+                                    b, a, job.pp_bytes, "pp"))
     return flows
 
 

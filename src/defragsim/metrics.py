@@ -65,7 +65,7 @@ class RunSummary:
 
 def summarize(result: SimulationResult, load: float) -> RunSummary:
     slowdowns = sorted(r.slowdown for r in result.records)
-    moves = [e.move_count for e in result.defrag_events]
+    moves = [e.stats.move_count for e in result.defrag_events]
     return RunSummary(
         algorithm=result.algorithm,
         seed=result.seed,
@@ -122,9 +122,11 @@ def write_solver_stats(result: SimulationResult, path: Path) -> None:
         writer = csv.writer(f)
         writer.writerow(SOLVER_COLUMNS)
         for e in result.defrag_events:
+            stats = e.stats
             writer.writerow([
-                f"{e.time:.6f}", e.move_count, f"{e.solve_time:.6f}",
-                e.nodes_explored, int(e.optimal), f"{e.duration:.6f}"])
+                f"{e.time:.6f}", stats.move_count, f"{stats.solve_time:.6f}",
+                stats.nodes_explored, int(stats.optimal),
+                f"{e.duration:.6f}"])
     _atomic_write(path, body)
 
 

@@ -1,7 +1,9 @@
 """Uplink selection strategies.
 
 All strategies reduce to picking a color per flow, where color c means
-uplink c at the source ToR and uplink c at the destination ToR.
+uplink c at the source ToR and uplink c at the destination ToR. A
+strategy reads ``FlowDemand`` records, the same records the simulator
+puts on the wire, and returns a dict of flow key -> color.
 
 The headline scheme colors the bipartite ToR-to-ToR demand multigraph so
 that no two elephant (DP) flows share a color at any ToR: pad the graph
@@ -16,28 +18,26 @@ from __future__ import annotations
 
 import hashlib
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
-SPRAY_COLOR = -1  # fluid split across every uplink of the ToR
+from .topology import SPRAY_COLOR, GpuId
 
 
 @dataclass(frozen=True)
 class FlowDemand:
-    key: tuple  # stable identity: (job_id, group/kind tag, src, dst, ...)
+    """One network transfer: an iteration's ring hop or PP transfer, or a
+    migration checkpoint."""
+    key: tuple  # stable identity, (job_id, "dp"|"pp", ...) or ("mig", ...)
     job_id: int
-    src_rack: int
-    dst_rack: int
+    src: GpuId
+    dst: GpuId
+    size_bytes: float
     kind: str = "dp"  # dp | pp | migration
 
     @property
     def is_elephant(self) -> bool:
         return self.kind == "dp"
-
-
-@dataclass
-class RoutingAssignment:
-    colors: dict[tuple, int] = field(default_factory=dict)
 
 
 # -- Hopcroft-Karp maximum bipartite matching -----------------------------
@@ -190,9 +190,9 @@ class RoutingStrategy:
     name = "base"
 
     def assign(self, flows: Sequence[FlowDemand], uplinks: int,
-               previous: RoutingAssignment | None = None,
+               previous: dict[tuple, int] | None = None,
                utilization: dict[int, float] | None = None
-               ) -> RoutingAssignment:
+               ) -> dict[tuple, int]:
         raise NotImplementedError
 
 
@@ -203,17 +203,17 @@ class PerfectRouting(RoutingStrategy):
     name = "perfect"
 
     def assign(self, flows, uplinks, previous=None, utilization=None):
-        assignment = RoutingAssignment()
+        assignment = {}
         elephants = [f for f in flows if f.is_elephant]
-        edges = [(f.src_rack, f.dst_rack) for f in elephants]
+        edges = [(f.src.rack, f.dst.rack) for f in elephants]
         colors, delta = edge_color(edges)
         for f, c in zip(elephants, colors):
-            assignment.colors[f.key] = c % uplinks if delta > uplinks else c
+            assignment[f.key] = c % uplinks if delta > uplinks else c
         cursor: dict[int, int] = defaultdict(int)
         for f in flows:
             if not f.is_elephant:
-                assignment.colors[f.key] = cursor[f.src_rack] % uplinks
-                cursor[f.src_rack] += 1
+                assignment[f.key] = cursor[f.src.rack] % uplinks
+                cursor[f.src.rack] += 1
         return assignment
 
 
@@ -223,10 +223,7 @@ class EcmpRouting(RoutingStrategy):
     name = "ecmp"
 
     def assign(self, flows, uplinks, previous=None, utilization=None):
-        assignment = RoutingAssignment()
-        for f in flows:
-            assignment.colors[f.key] = stable_hash(f.key) % uplinks
-        return assignment
+        return {f.key: stable_hash(f.key) % uplinks for f in flows}
 
 
 class CruxRouting(RoutingStrategy):
@@ -240,7 +237,8 @@ class CruxRouting(RoutingStrategy):
 
     def assign(self, flows, uplinks, previous=None, utilization=None):
         utilization = utilization or {}
-        assignment = RoutingAssignment()
+        previous = previous or {}
+        assignment = {}
         up: dict[tuple[int, int], int] = defaultdict(int)
         down: dict[tuple[int, int], int] = defaultdict(int)
         by_job: dict[int, list[FlowDemand]] = defaultdict(list)
@@ -250,21 +248,20 @@ class CruxRouting(RoutingStrategy):
         fresh: list[FlowDemand] = []
         for job_id in order:
             for f in by_job[job_id]:
-                prev = (previous.colors.get(f.key)
-                        if previous is not None else None)
+                prev = previous.get(f.key)
                 if prev is not None:
-                    assignment.colors[f.key] = prev
-                    up[(f.src_rack, prev)] += 1
-                    down[(f.dst_rack, prev)] += 1
+                    assignment[f.key] = prev
+                    up[(f.src.rack, prev)] += 1
+                    down[(f.dst.rack, prev)] += 1
                 else:
                     fresh.append(f)
         for f in fresh:
             best = min(range(uplinks),
-                       key=lambda c: (up[(f.src_rack, c)]
-                                      + down[(f.dst_rack, c)], c))
-            assignment.colors[f.key] = best
-            up[(f.src_rack, best)] += 1
-            down[(f.dst_rack, best)] += 1
+                       key=lambda c: (up[(f.src.rack, c)]
+                                      + down[(f.dst.rack, c)], c))
+            assignment[f.key] = best
+            up[(f.src.rack, best)] += 1
+            down[(f.dst.rack, best)] += 1
         return assignment
 
 
@@ -275,51 +272,45 @@ class SglbRouting(RoutingStrategy):
     name = "sglb"
 
     def assign(self, flows, uplinks, previous=None, utilization=None):
-        assignment = RoutingAssignment()
-        for f in flows:
-            if previous is not None and f.key in previous.colors:
-                assignment.colors[f.key] = previous.colors[f.key]
-            else:
-                assignment.colors[f.key] = stable_hash(f.key) % uplinks
-        return assignment
+        previous = previous or {}
+        return {f.key: previous[f.key] if f.key in previous
+                else stable_hash(f.key) % uplinks for f in flows}
 
     def rebalance(self, flows: Sequence[FlowDemand], uplinks: int,
-                  assignment: RoutingAssignment) -> bool:
+                  colors: dict[tuple, int]) -> bool:
         """One epoch of local search: each elephant moves to the uplink
         pair (source and destination side) with the lowest observed load
-        if that strictly improves it; passes repeat until the assignment
-        is stable. Returns True if anything moved."""
+        if that strictly improves it; passes repeat until ``colors`` is
+        stable. Returns True if anything moved."""
         src_load: dict[tuple[int, int], int] = defaultdict(int)
         dst_load: dict[tuple[int, int], int] = defaultdict(int)
-        elephants = [f for f in flows
-                     if f.is_elephant and f.key in assignment.colors]
-        for f in elephants:
-            c = assignment.colors[f.key]
-            src_load[(f.src_rack, c)] += 1
-            dst_load[(f.dst_rack, c)] += 1
-        ordered = sorted(elephants, key=lambda f: repr(f.key))
+        elephants = [(f.key, f.src.rack, f.dst.rack) for f in flows
+                     if f.is_elephant and f.key in colors]
+        for key, src, dst in elephants:
+            c = colors[key]
+            src_load[(src, c)] += 1
+            dst_load[(dst, c)] += 1
+        ordered = sorted(elephants, key=lambda e: repr(e[0]))
         moved = False
         improving = True
         while improving:
             improving = False
-            for f in ordered:
-                c = assignment.colors[f.key]
-                current = (src_load[(f.src_rack, c)]
-                           + dst_load[(f.dst_rack, c)])
+            for key, src, dst in ordered:
+                c = colors[key]
+                current = src_load[(src, c)] + dst_load[(dst, c)]
                 best, best_cost = c, current
                 for c2 in range(uplinks):
                     if c2 == c:
                         continue
-                    cost = (src_load[(f.src_rack, c2)]
-                            + dst_load[(f.dst_rack, c2)] + 2)
+                    cost = src_load[(src, c2)] + dst_load[(dst, c2)] + 2
                     if cost < best_cost:
                         best, best_cost = c2, cost
                 if best != c:
-                    src_load[(f.src_rack, c)] -= 1
-                    dst_load[(f.dst_rack, c)] -= 1
-                    src_load[(f.src_rack, best)] += 1
-                    dst_load[(f.dst_rack, best)] += 1
-                    assignment.colors[f.key] = best
+                    src_load[(src, c)] -= 1
+                    dst_load[(dst, c)] -= 1
+                    src_load[(src, best)] += 1
+                    dst_load[(dst, best)] += 1
+                    colors[key] = best
                     moved = improving = True
         return moved
 
@@ -331,10 +322,7 @@ class SprayRouting(RoutingStrategy):
     name = "spray"
 
     def assign(self, flows, uplinks, previous=None, utilization=None):
-        assignment = RoutingAssignment()
-        for f in flows:
-            assignment.colors[f.key] = SPRAY_COLOR
-        return assignment
+        return {f.key: SPRAY_COLOR for f in flows}
 
 
 STRATEGIES = {

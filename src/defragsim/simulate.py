@@ -19,17 +19,16 @@ from dataclasses import dataclass
 from typing import BinaryIO, NamedTuple
 
 from .controller import ControllerConfig, DefragController
+from .defrag import SolverStats
 from .flowsim import EventQueue, FlowNetwork
 from .fragmentation import StageRows, fragmentation_degree, stage_rows
 from .jobmodel import (
     JobPhase, JobRun, MigrationBatch, BatchPhase, REINIT_SECONDS,
-    PlannedFlow, plan_iteration_flows, shard_bytes,
+    plan_iteration_flows, shard_bytes,
 )
-from .routing import (
-    SPRAY_COLOR, FlowDemand, RoutingAssignment, SglbRouting, make_strategy,
-)
+from .routing import FlowDemand, SglbRouting, make_strategy
 from .scheduler import Scheduler, plan_racks
-from .topology import ClusterTopology, Direction, GpuId, path_between
+from .topology import ClusterTopology, path_between
 from .workload import JobSpec, Trace, ideal_duration
 
 ALGORITHMS = ("defrag-perfect", "perfect", "ecmp", "crux", "sglb", "spray",
@@ -79,10 +78,7 @@ class JobRecord:
 @dataclass
 class DefragEvent:
     time: float
-    move_count: int
-    solve_time: float
-    nodes_explored: int
-    optimal: bool
+    stats: SolverStats  # of the plan the batch carries out
     duration: float = 0.0  # barrier start to resume
 
 
@@ -105,9 +101,9 @@ class SimulationResult:
 class IterationPlan(NamedTuple):
     """A job's iteration flows under its current placement, with what
     launching them needs: built once per placement."""
-    flows: list[PlannedFlow]
-    demands: list[FlowDemand]  # of the cross-rack flows
-    labels: dict[tuple, str]  # planned flow key -> its repr, for the log
+    flows: list[FlowDemand]
+    demands: list[FlowDemand]  # the cross-rack flows, which take a colour
+    labels: dict[tuple, str]  # flow key -> its repr, for the log
     # per flow: colour (None for intra-rack) -> path, filled on launch
     paths: list[dict]
 
@@ -155,7 +151,7 @@ class Simulation:
         # every running job's demands, then the transfers'; None once a
         # job starts or ends or the transfer demands change
         self._demands: list[FlowDemand] | None = None
-        self.assignment = RoutingAssignment()
+        self.colors: dict[tuple, int] = {}  # demand key -> routing colour
         # set once SGLB's rebalance has run on the current demands and
         # colors: running it again would move nothing
         self._balanced = False
@@ -165,7 +161,7 @@ class Simulation:
 
         # the batch in flight; its id is its DefragEvent's index
         self.batch: MigrationBatch | None = None
-        self._transfer_demands: list[FlowDemand] = []
+        self._transfers: list[FlowDemand] = []  # the batch's, if any
         self._records: list[JobRecord] = []
         self._defrag_events: list[DefragEvent] = []
         self._frag_series: list[tuple[float, int, int, float]] = []
@@ -294,9 +290,8 @@ class Simulation:
         if plan is None:
             flows = plan_iteration_flows(job, locate)
             plan = IterationPlan(
-                flows, [pf.demand for pf in flows if pf.demand is not None],
-                {pf.key: repr(pf.key) for pf in flows},
-                [{} for _ in flows])
+                flows, [f for f in flows if f.src.rack != f.dst.rack],
+                {f.key: repr(f.key) for f in flows}, [{} for _ in flows])
             self._plans[job.job_id] = plan
         elif self.check_invariants \
                 and plan.flows != plan_iteration_flows(job, locate):
@@ -306,39 +301,28 @@ class Simulation:
 
     def _launch_iteration_flows(self, run: JobRun) -> None:
         plan = self._plan(run.job)
-        colors = self.assignment.colors
+        colors = self.colors
         iteration = run.iteration
-        for pf, paths in zip(plan.flows, plan.paths):
-            demand_key = pf.demand.key if pf.demand else None
-            color = None if demand_key is None else colors[demand_key]
+        for flow, paths in zip(plan.flows, plan.paths):
+            color = (colors[flow.key] if flow.src.rack != flow.dst.rack
+                     else None)
             path = paths.get(color)
             if path is None:
-                path = paths[color] = self._path_for(pf.src, pf.dst,
-                                                     demand_key)
-            elif self.check_invariants \
-                    and path != self._path_for(pf.src, pf.dst, demand_key):
+                path = paths[color] = self._path_for(flow)
+            elif self.check_invariants and path != self._path_for(flow):
                 raise AssertionError(
-                    f"stale flow path {path} for flow {pf.key} on colour "
+                    f"stale flow path {path} for flow {flow.key} on colour "
                     f"{color}")
-            key = (pf.key, iteration)
-            self.net.add_flow(key, path, pf.size_bytes,
-                              (demand_key, pf.src, pf.dst))
+            key = (flow.key, iteration)
+            self.net.add_flow(key, path, flow.size_bytes, flow)
             run.pending_flows.add(key)
         self._flows_dirty = True
 
-    def _path_for(self, src: GpuId, dst: GpuId, demand_key) -> tuple:
-        if src.rack == dst.rack:
-            return tuple(path_between(self.topology, src, dst))
-        color = self.assignment.colors[demand_key]
-        if color == SPRAY_COLOR:
-            topo = self.topology
-            return (
-                topo.nic_link(src, Direction.UP),
-                topo.spray_link(src.rack, Direction.UP),
-                topo.spray_link(dst.rack, Direction.DOWN),
-                topo.nic_link(dst, Direction.DOWN),
-            )
-        return tuple(path_between(self.topology, src, dst, color))
+    def _path_for(self, flow: FlowDemand) -> tuple:
+        """The flow's links; a cross-rack flow takes its colour's."""
+        color = (self.colors[flow.key] if flow.src.rack != flow.dst.rack
+                 else 0)
+        return tuple(path_between(self.topology, flow.src, flow.dst, color))
 
     def _on_flow_done(self, key) -> None:
         flow = self.net.flows.get(key)
@@ -411,11 +395,7 @@ class Simulation:
         if decision is None:
             return
         self._trace_event("defrag", decision.plan.move_count)
-        stats = decision.plan.stats
-        self._defrag_events.append(DefragEvent(
-            time=self.now, move_count=stats.move_count,
-            solve_time=stats.solve_time,
-            nodes_explored=stats.nodes_explored, optimal=stats.optimal))
+        self._defrag_events.append(DefragEvent(self.now, decision.plan.stats))
         self.batch = MigrationBatch(batch_id=len(self._defrag_events) - 1,
                                     moves=list(decision.moves))
         for job_id in sorted(self.batch.affected_jobs):
@@ -442,28 +422,25 @@ class Simulation:
         # one checkpoint flow per moving worker, to a provisional slot on
         # the destination host
         slot_cursor: dict[tuple[int, int], int] = {}
-        demands = []
-        flows = []
+        transfers = []
         for i, mv in enumerate(batch.moves):
-            src = placement.locate(mv.worker)
+            job_id = mv.worker[0]
             slot = slot_cursor.get((mv.dst_rack, mv.dst_host), 0)
             slot_cursor[(mv.dst_rack, mv.dst_host)] = slot + 1
             dst = self.topology.gpu(mv.dst_rack, mv.dst_host,
                                     slot % self.topology.gpus_per_host)
-            key = ("mig", batch.batch_id, i)
-            demand = FlowDemand(key=key, job_id=mv.worker[0],
-                                src_rack=src.rack, dst_rack=dst.rack,
-                                kind="migration")
-            demands.append(demand)
-            flows.append((key, src, dst, shard_bytes(
-                placement.jobs[mv.worker[0]])))
-        self._transfer_demands = demands
+            transfers.append(FlowDemand(
+                ("mig", batch.batch_id, i), job_id,
+                placement.locate(mv.worker), dst,
+                shard_bytes(placement.jobs[job_id]), "migration"))
+        # every transfer takes a mice colour, an intra-rack one too
+        self._transfers = transfers
         self._drop_demands()
-        self._reassign_routing()  # allocate mice colors for the transfers
-        for key, src, dst, size in flows:
-            self.net.add_flow(key, self._path_for(src, dst, key), size,
-                              (key, src, dst))
-            batch.pending_transfers.add(key)
+        self._reassign_routing()
+        for flow in transfers:
+            self.net.add_flow(flow.key, self._path_for(flow), flow.size_bytes,
+                              flow)
+            batch.pending_transfers.add(flow.key)
         self._flows_dirty = True
 
     def _commit_batch(self) -> None:
@@ -477,7 +454,7 @@ class Simulation:
         for job_id in batch.affected_jobs:
             del self._plans[job_id]
         batch.phase = BatchPhase.REINIT
-        self._transfer_demands = []
+        self._transfers = []
         self._drop_demands()
         # colors must match the new placement before any flow launched
         # later in this same timestamp looks them up
@@ -507,11 +484,13 @@ class Simulation:
         demands: list[FlowDemand] = []
         for job_id in sorted(self.runs):
             demands.extend(self._plan(self.runs[job_id].job).demands)
-        demands.extend(self._transfer_demands)
+        demands.extend(self._transfers)
         return demands
 
     def _current_demands(self) -> list[FlowDemand]:
-        """Every cross-rack demand, built once per change of the set."""
+        """Every demand routing colours: the running jobs' cross-rack
+        flows and the batch's transfers, built once per change of the
+        set."""
         demands = self._demands
         if demands is None:
             demands = self._demands = self._build_demands()
@@ -527,9 +506,9 @@ class Simulation:
         demands = self._current_demands()
         utilization = {job_id: float(run.job.num_workers)
                        for job_id, run in self.runs.items()}
-        self.assignment = self.routing.assign(
+        self.colors = self.routing.assign(
             demands, self.topology.uplinks_per_tor,
-            previous=self.assignment, utilization=utilization)
+            previous=self.colors, utilization=utilization)
         self._balanced = False
         self._reroute_live_flows()
         if self.check_isolation and self.batch is None:
@@ -538,13 +517,13 @@ class Simulation:
 
     def _reroute_live_flows(self) -> None:
         changed = False
-        for flow in self.net.flows.values():
-            demand_key, src, dst = flow.tag
-            if demand_key is None or demand_key not in self.assignment.colors:
+        for live in self.net.flows.values():
+            flow = live.tag
+            if flow.src.rack == flow.dst.rack or flow.key not in self.colors:
                 continue
-            path = self._path_for(src, dst, demand_key)
-            if flow.path != path:
-                self.net.set_path(flow.key, path)
+            path = self._path_for(flow)
+            if live.path != path:
+                self.net.set_path(live.key, path)
                 changed = True
         if changed:
             self._flows_dirty = True
@@ -556,14 +535,13 @@ class Simulation:
         uplinks = self.topology.uplinks_per_tor
         if self._balanced:
             if self.check_invariants and self.routing.rebalance(
-                    self._current_demands(), uplinks,
-                    RoutingAssignment(dict(self.assignment.colors))):
+                    self._current_demands(), uplinks, dict(self.colors)):
                 raise AssertionError("skipped rebalance would have moved "
                                      "a flow")
             return
         demands = self._current_demands()
         if demands and self.routing.rebalance(demands, uplinks,
-                                              self.assignment):
+                                              self.colors):
             self._reroute_live_flows()
         self._balanced = True
 
@@ -581,18 +559,17 @@ class Simulation:
         coloring."""
         uplink_base = self.topology.uplink_base
         seen: dict[int, tuple] = {}
-        for flow in self.net.flows.values():
-            # None within a rack; a transfer's is its own flow key
-            demand_key = flow.tag[0]
-            if demand_key is None or demand_key[1] != "dp":
+        for live in self.net.flows.values():
+            flow = live.tag
+            if flow.kind != "dp" or flow.src.rack == flow.dst.rack:
                 continue
-            for link in flow.path:
+            for link in live.path:
                 if link < uplink_base:
                     continue
-                if link in seen and seen[link] != flow.key:
+                if link in seen and seen[link] != live.key:
                     self.isolation_violations += 1
                 else:
-                    seen[link] = flow.key
+                    seen[link] = live.key
 
     # -- network -----------------------------------------------------------------
 

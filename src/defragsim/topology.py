@@ -13,6 +13,11 @@ from enum import Enum
 from functools import cached_property
 
 
+# The routing colour of a flow split fluidly across every uplink of its
+# ToRs, as packet spraying does.
+SPRAY_COLOR = -1
+
+
 class Direction(Enum):
     UP = "up"
     DOWN = "down"
@@ -93,17 +98,14 @@ class ClusterTopology:
 
     def uplink_link(self, rack: int, uplink: int,
                     direction: Direction) -> int:
-        if not 0 <= uplink < self.uplinks_per_tor:
+        """Uplink ``uplink`` of the rack's ToR; ``SPRAY_COLOR`` names the
+        fluid aggregate of all of them."""
+        if uplink == SPRAY_COLOR:
+            uplink = self.uplinks_per_tor
+        elif not 0 <= uplink < self.uplinks_per_tor:
             raise TopologyError(f"uplink index {uplink} out of range")
-        return self._tor_link(rack, uplink, direction)
-
-    def spray_link(self, rack: int, direction: Direction) -> int:
-        """The fluid aggregate of every uplink on the rack's ToR."""
-        return self._tor_link(rack, self.uplinks_per_tor, direction)
-
-    def _tor_link(self, rack: int, slot: int, direction: Direction) -> int:
         return self.uplink_base + 2 * (
-            rack * (self.uplinks_per_tor + 1) + slot) \
+            rack * (self.uplinks_per_tor + 1) + uplink) \
             + (direction is Direction.DOWN)
 
     @cached_property
@@ -136,7 +138,7 @@ def path_between(topology: ClusterTopology, src: GpuId, dst: GpuId,
     Same rack: src NIC up, dst NIC down.
     Cross rack: src NIC up, src-ToR uplink up, dst-ToR uplink down,
     dst NIC down. ``uplink``, the caller's routing colour, is the uplink
-    taken at both ToRs.
+    taken at both ToRs, or their spray aggregate for ``SPRAY_COLOR``.
     """
     if src == dst:
         raise TopologyError("src and dst must differ")

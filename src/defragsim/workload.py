@@ -4,7 +4,10 @@ A job is parameterized by its parallelism degrees. Tensor-parallel (TP)
 shards stay inside one host and never touch the network; each (pipeline
 stage, TP rank) pair forms an independent data-parallel ring whose
 all-reduce dominates network traffic. Pipeline-parallel (PP) activations
-are small point-to-point transfers between stage boundaries.
+are small point-to-point transfers between stage boundaries. This module
+gives the volumes (``dp_collective_bytes``, ``pp_bytes`` and
+``ring_bytes_per_link``); ``jobmodel.plan_iteration_flows`` lays them out
+on a placement as flows.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .topology import ClusterTopology, GpuId
+from .topology import ClusterTopology
 
 
 @dataclass(frozen=True)
@@ -65,82 +68,11 @@ class JobSpec:
 WorkerId = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ReplicaGroup:
-    job_id: int
-    group_index: int  # flattened (pp_stage, tp_rank)
-    members: tuple[WorkerId, ...]  # ordered ring
-    bytes_per_iteration: float
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("replica group may not be empty")
-
-
-def replica_groups(job: JobSpec) -> list[ReplicaGroup]:
-    """DP rings of a job: one per (pipeline stage, TP rank)."""
-    groups = []
-    for pp in range(job.pp_degree):
-        for tp in range(job.tp_degree):
-            members = tuple(
-                (job.job_id, (pp * job.dp_degree + dp) * job.tp_degree + tp)
-                for dp in range(job.dp_degree))
-            groups.append(ReplicaGroup(
-                job_id=job.job_id,
-                group_index=pp * job.tp_degree + tp,
-                members=members,
-                bytes_per_iteration=job.dp_collective_bytes,
-            ))
-    return groups
-
-
 def ring_bytes_per_link(group_bytes: float, ring_size: int) -> float:
     """Per-link volume of a bandwidth-optimal ring all-reduce."""
     if ring_size < 2:
         return 0.0
     return 2.0 * group_bytes * (ring_size - 1) / ring_size
-
-
-def rank_ring(members: Sequence[WorkerId],
-              locate: Callable[[WorkerId], GpuId]) -> list[WorkerId]:
-    """Re-rank a replica group so same-rack (and same-host) members are
-    contiguous. Workers within a group are order-insensitive, so the
-    controller is free to pick this ordering."""
-    return sorted(members, key=lambda w: (locate(w).rack, locate(w).host,
-                                          locate(w).slot, w))
-
-
-def ring_edges(group: ReplicaGroup,
-               locate: Callable[[WorkerId], GpuId]
-               ) -> list[tuple[WorkerId, WorkerId, float]]:
-    """Concrete directed ring edges after re-ranking, with per-link bytes.
-
-    Edges between workers on the same host carry bytes too, but their
-    path is empty (intra-host interconnect is out of model).
-    """
-    n = len(group.members)
-    if n < 2:
-        return []
-    ordered = rank_ring(group.members, locate)
-    per_link = ring_bytes_per_link(group.bytes_per_iteration, n)
-    return [(ordered[i], ordered[(i + 1) % n], per_link) for i in range(n)]
-
-
-def pp_traffic(job: JobSpec) -> list[tuple[WorkerId, WorkerId, float]]:
-    """Point-to-point activation demands between adjacent pipeline stages.
-
-    One forward and one backward demand per boundary per iteration,
-    between stage representatives (dp_rank 0, tp_rank 0).
-    """
-    if job.pp_degree < 2:
-        return []
-    demands = []
-    for stage in range(job.pp_degree - 1):
-        a = (job.job_id, (stage * job.dp_degree) * job.tp_degree)
-        b = (job.job_id, ((stage + 1) * job.dp_degree) * job.tp_degree)
-        demands.append((a, b, job.pp_bytes))
-        demands.append((b, a, job.pp_bytes))
-    return demands
 
 
 def default_dp_collective_bytes(template: ModelTemplate, tp_degree: int,

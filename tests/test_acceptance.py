@@ -316,7 +316,7 @@ def test_criterion_07_slowdown_ordering(figure_runs):
 
 
 def test_criterion_08_move_count_distribution(steady_state_run):
-    moves = [e.move_count for e in steady_state_run.defrag_events]
+    moves = [e.stats.move_count for e in steady_state_run.defrag_events]
     assert moves, "steady-state trace is expected to trigger defrag events"
     mean = statistics.fmean(moves)
     small = sum(1 for m in moves if m <= 2) / len(moves)
@@ -328,7 +328,8 @@ def test_criterion_08_move_count_distribution(steady_state_run):
 def test_criterion_09_solve_time_grows_with_move_count(pooled_solver_log):
     by_moves = {}
     for e in pooled_solver_log:
-        by_moves.setdefault(e.move_count, []).append(e.solve_time)
+        by_moves.setdefault(e.stats.move_count, []).append(
+            e.stats.solve_time)
     # medians are only meaningful for decently populated groups
     medians = [(k, statistics.median(v)) for k, v in sorted(by_moves.items())
                if len(v) >= 3]

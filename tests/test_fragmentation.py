@@ -7,7 +7,6 @@ from defragsim.controller import build_instance
 from defragsim.fragmentation import fragmentation_degree, sequential_placement
 from defragsim.scheduler import Placement, Scheduler, SchedulerError
 from defragsim.topology import make_two_tier
-from defragsim.workload import replica_groups
 from tests.test_workload import make_job, place_on_racks
 
 TOPO = make_two_tier(4, 4, 8, 4, 400e9, 400e9)
@@ -92,12 +91,15 @@ def ring_span_degrees(placement):
     per_rack = [0] * placement.topology.num_racks
     fragmented = 0
     for job in placement.jobs.values():
-        for group in replica_groups(job):
-            span = {placement.locate(w).rack for w in group.members}
-            if len(span) >= 2:
-                fragmented += 1
-                for rack in span:
-                    per_rack[rack] += 1
+        for stage in range(job.pp_degree):
+            for rank in range(job.tp_degree):
+                ring = [(job.job_id, job.worker_index(stage, d, rank))
+                        for d in range(job.dp_degree)]
+                span = {placement.locate(w).rack for w in ring}
+                if len(span) >= 2:
+                    fragmented += 1
+                    for rack in span:
+                        per_rack[rack] += 1
     return tuple(per_rack), fragmented
 
 

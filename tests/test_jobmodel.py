@@ -27,15 +27,14 @@ def test_plan_flows_two_rack_ring():
     # rack 0 holds 10 workers (8 + 2 across two hosts), rack 1 holds 2
     placement = place_on_racks(job, [0] * 10 + [1] * 2)
     flows = plan_iteration_flows(job, placement.locate)
-    cross = [f for f in flows if f.demand is not None]
-    intra = [f for f in flows if f.demand is None]
+    cross = [f for f in flows if f.src.rack != f.dst.rack]
+    intra = [f for f in flows if f.src.rack == f.dst.rack]
     assert len(cross) == 2  # one hop each way between the racks
-    assert {(f.demand.src_rack, f.demand.dst_rack) for f in cross} \
-        == {(0, 1), (1, 0)}
+    assert {(f.src.rack, f.dst.rack) for f in cross} == {(0, 1), (1, 0)}
     assert len(intra) == 1  # host boundary inside rack 0
     per_link = 2 * 8e9 * 11 / 12
     assert all(f.size_bytes == pytest.approx(per_link) for f in flows)
-    assert all(f.demand is None or f.demand.is_elephant for f in flows)
+    assert all(f.is_elephant and f.job_id == 1 for f in flows)
 
 
 def test_plan_flows_keys_stable_across_calls():
@@ -52,7 +51,7 @@ def test_plan_flows_pp_demands_are_mice():
     flows = plan_iteration_flows(job, placement.locate)
     pp = [f for f in flows if f.key[1] == "pp"]
     assert len(pp) == 2  # forward + backward across the stage boundary
-    assert all(f.demand is not None and f.demand.kind == "pp" for f in pp)
+    assert all(f.kind == "pp" and not f.is_elephant for f in pp)
     assert all(f.size_bytes == 1e8 for f in pp)
 
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from defragsim.routing import (
-    FlowDemand, RoutingAssignment, SPRAY_COLOR, check_proper_coloring,
-    edge_color, hopcroft_karp, make_strategy, stable_hash,
+    FlowDemand, check_proper_coloring, edge_color, hopcroft_karp,
+    make_strategy, stable_hash,
 )
+from defragsim.topology import SPRAY_COLOR, GpuId
 
 
 def test_hopcroft_karp_perfect_matching():
@@ -60,15 +61,17 @@ def test_edge_color_random_multigraphs_delta_optimal():
         assert check_proper_coloring(edges, colors)
 
 
-def dp(key, job, src, dst):
-    return FlowDemand(key=key, job_id=job, src_rack=src, dst_rack=dst)
+def dp(key, job, src, dst, kind="dp"):
+    """A demand from the first GPU of rack ``src`` to that of ``dst``."""
+    return FlowDemand(key=key, job_id=job, src=GpuId(src, 0, 0),
+                      dst=GpuId(dst, 0, 0), size_bytes=1e9, kind=kind)
 
 
 def test_perfect_routing_isolates_within_uplinks():
     strategy = make_strategy("perfect")
     flows = [dp((1, i), 1, 0, i + 1) for i in range(3)]
     a = strategy.assign(flows, uplinks=4)
-    used = [a.colors[f.key] for f in flows]
+    used = [a[f.key] for f in flows]
     assert len(set(used)) == 3  # star: pairwise distinct at the hub
 
 
@@ -76,19 +79,18 @@ def test_perfect_routing_collapses_when_overloaded():
     strategy = make_strategy("perfect")
     flows = [dp((1, i), 1, 0, i + 1) for i in range(6)]
     a = strategy.assign(flows, uplinks=2)
-    assert all(0 <= a.colors[f.key] < 2 for f in flows)
+    assert all(0 <= a[f.key] < 2 for f in flows)
     per_uplink = defaultdict(int)
     for f in flows:
-        per_uplink[a.colors[f.key]] += 1
+        per_uplink[a[f.key]] += 1
     assert max(per_uplink.values()) == 3  # round-robin collapse is even
 
 
 def test_perfect_routing_mice_round_robin():
     strategy = make_strategy("perfect")
-    mice = [FlowDemand(key=("pp", i), job_id=1, src_rack=0, dst_rack=1,
-                       kind="pp") for i in range(4)]
+    mice = [dp(("pp", i), 1, 0, 1, kind="pp") for i in range(4)]
     a = strategy.assign(mice, uplinks=2)
-    assert [a.colors[m.key] for m in mice] == [0, 1, 0, 1]
+    assert [a[m.key] for m in mice] == [0, 1, 0, 1]
 
 
 def test_ecmp_deterministic():
@@ -96,14 +98,14 @@ def test_ecmp_deterministic():
     flows = [dp((7, i), 7, 0, 1) for i in range(10)]
     a1 = strategy.assign(flows, uplinks=4)
     a2 = strategy.assign(flows, uplinks=4)
-    assert a1.colors == a2.colors
+    assert a1 == a2
 
 
 def test_ecmp_single_uplink_all_collide():
     strategy = make_strategy("ecmp")
     flows = [dp((7, i), 7, 0, 1) for i in range(5)]
     a = strategy.assign(flows, uplinks=1)
-    assert all(c == 0 for c in a.colors.values())
+    assert all(c == 0 for c in a.values())
 
 
 def test_ecmp_collision_probability_half():
@@ -123,14 +125,14 @@ def test_crux_single_job_no_sharing():
     strategy = make_strategy("crux")
     flows = [dp((1, i), 1, 0, 1) for i in range(2)]
     a = strategy.assign(flows, uplinks=2, utilization={1: 0.9})
-    assert a.colors[(1, 0)] != a.colors[(1, 1)]
+    assert a[(1, 0)] != a[(1, 1)]
 
 
 def test_crux_two_jobs_same_tor_pair_disjoint():
     strategy = make_strategy("crux")
     flows = [dp((1, 0), 1, 0, 1), dp((2, 0), 2, 0, 1)]
     a = strategy.assign(flows, uplinks=2, utilization={1: 0.5, 2: 0.5})
-    assert a.colors[(1, 0)] != a.colors[(2, 0)]
+    assert a[(1, 0)] != a[(2, 0)]
 
 
 def test_crux_greedy_can_miss_isolation():
@@ -149,39 +151,39 @@ def test_crux_greedy_can_miss_isolation():
     # perfect always isolates here (max degree 3 <= 3 uplinks)
     src_seen, dst_seen = set(), set()
     for f in flows:
-        c = perfect.colors[f.key]
-        assert (f.src_rack, c) not in src_seen
-        assert (f.dst_rack, c) not in dst_seen
-        src_seen.add((f.src_rack, c))
-        dst_seen.add((f.dst_rack, c))
+        c = perfect[f.key]
+        assert (f.src.rack, c) not in src_seen
+        assert (f.dst.rack, c) not in dst_seen
+        src_seen.add((f.src.rack, c))
+        dst_seen.add((f.dst.rack, c))
 
 
 def test_sglb_balanced_no_moves():
     strategy = make_strategy("sglb")
     flows = [dp((1, 0), 1, 0, 1), dp((2, 0), 2, 0, 1)]
-    a = RoutingAssignment(colors={(1, 0): 0, (2, 0): 1})
-    assert strategy.rebalance(flows, uplinks=2, assignment=a) is False
+    a = {(1, 0): 0, (2, 0): 1}
+    assert strategy.rebalance(flows, uplinks=2, colors=a) is False
 
 
 def test_sglb_drains_overloaded_uplink():
     strategy = make_strategy("sglb")
     flows = [dp((1, 0), 1, 0, 1), dp((2, 0), 2, 0, 1)]
-    a = RoutingAssignment(colors={(1, 0): 0, (2, 0): 0})
-    assert strategy.rebalance(flows, uplinks=2, assignment=a) is True
-    assert sorted(a.colors.values()) == [0, 1]
-    assert strategy.rebalance(flows, uplinks=2, assignment=a) is False
+    a = {(1, 0): 0, (2, 0): 0}
+    assert strategy.rebalance(flows, uplinks=2, colors=a) is True
+    assert sorted(a.values()) == [0, 1]
+    assert strategy.rebalance(flows, uplinks=2, colors=a) is False
 
 
 def test_sglb_converges_from_collided_start():
     strategy = make_strategy("sglb")
     flows = [dp((1, i), 1, 0, 1) for i in range(8)]
-    a = RoutingAssignment(colors={f.key: 0 for f in flows})
+    a = {f.key: 0 for f in flows}
     for _ in range(len(flows) * 4):
-        if not strategy.rebalance(flows, uplinks=4, assignment=a):
+        if not strategy.rebalance(flows, uplinks=4, colors=a):
             break
     loads = defaultdict(int)
     for f in flows:
-        loads[a.colors[f.key]] += 1
+        loads[a[f.key]] += 1
     assert max(loads.values()) <= 2  # ceil(8 / 4)
 
 
@@ -192,8 +194,7 @@ def sglb_instances(draw):
     uplinks = draw(st.integers(1, 4))
     racks = st.integers(0, 4)
     kinds = st.sampled_from(["dp", "dp", "dp", "pp", "migration"])
-    flows = [FlowDemand(key=(i, kind), job_id=i % 3, src_rack=src,
-                        dst_rack=dst, kind=kind)
+    flows = [dp((i, kind), i % 3, src, dst, kind)
              for i, (src, dst, kind) in enumerate(draw(st.lists(
                  st.tuples(racks, racks, kinds), max_size=16)))]
     color = st.one_of(st.integers(0, uplinks - 1), st.integers(0, uplinks - 1),
@@ -214,18 +215,17 @@ def test_sglb_rebalance_again_moves_nothing(instance):
     and writes nothing."""
     flows, uplinks, colors = instance
     strategy = make_strategy("sglb")
-    a = RoutingAssignment(colors=colors)
-    strategy.rebalance(flows, uplinks=uplinks, assignment=a)
-    settled = dict(a.colors)
-    assert strategy.rebalance(flows, uplinks=uplinks, assignment=a) is False
-    assert a.colors == settled
+    strategy.rebalance(flows, uplinks=uplinks, colors=colors)
+    settled = dict(colors)
+    assert strategy.rebalance(flows, uplinks=uplinks, colors=colors) is False
+    assert colors == settled
 
 
 def test_spray_assigns_aggregate_color():
     strategy = make_strategy("spray")
     flows = [dp((1, 0), 1, 0, 1)]
     a = strategy.assign(flows, uplinks=4)
-    assert a.colors[(1, 0)] == SPRAY_COLOR
+    assert a[(1, 0)] == SPRAY_COLOR
 
 
 def test_unknown_strategy_rejected():

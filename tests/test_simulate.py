@@ -74,20 +74,66 @@ def test_different_seeds_differ():
     assert a.event_log_hash != b.event_log_hash
 
 
+HYBRID_TOPO = make_two_tier(8, 4, 8, 2, 400e9, 400e9)
+HYBRID_CFG = TraceConfig(templates=DEFAULT_TEMPLATES, max_workers=32,
+                         pp_choices=(1, 2, 4), size_choices=(16, 24, 32),
+                         iterations_min=10, iterations_max=30)
+# seed -> (TP-8 jobs, PP jobs, {algorithm: (event log hash, isolation
+# violations)}) of a 40-job hybrid-parallel trace at load 0.9
+HYBRID_PINS = {
+    2: (6, 7, {
+        "defrag-perfect": ("607a4e3daa27e899ef6ef098ba81dfbf", 26),
+        "perfect": ("83e57735300c7953b0823a05d51dee52", 110),
+        "sglb": ("ece7e8dc126ac201583bc982d408e1a1", 31),
+        "crux": ("a21c5ae90c08a30d568516895cdca3ad", 42),
+        "ecmp": ("5770cc285b3a0dd728392d532a08ddbe", 79),
+        "spray": ("558b1ffd5280c1a5f2ec2e29a896fe01", 206),
+    }),
+    3: (7, 7, {
+        "defrag-perfect": ("f87b4c90e928b8c0a3499d12265225e4", 0),
+        "perfect": ("4c113489e1b0afad0ad78427fe32b754", 78),
+        "sglb": ("763c4d0feb2f8aff65dda34231def682", 78),
+        "crux": ("44b06142c9296620442ab81e1c3f545c", 78),
+        "ecmp": ("a126753a3535478a344a1079068653af", 188),
+        "spray": ("c10b2afb8abdf0b87f36e4e55581d793", 148),
+    }),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HYBRID_PINS))
+def test_hybrid_parallel_traffic_pinned(seed):
+    """TP-8 rings, PP boundary transfers and migrations of hybrid jobs
+    give the pinned event log and isolation count under every routing
+    scheme."""
+    tp8_jobs, pp_jobs, pins = HYBRID_PINS[seed]
+    trace = generate_trace(HYBRID_TOPO, 0.9, seed=seed, num_jobs=40,
+                           cfg=HYBRID_CFG)
+    assert sum(j.tp_degree == 8 for j in trace.jobs) == tp8_jobs
+    assert sum(j.pp_degree > 1 for j in trace.jobs) == pp_jobs
+    got = {}
+    for algorithm in pins:
+        result = run_simulation(HYBRID_TOPO, trace, algorithm, max_moves=16,
+                                solver_time_limit=None, check_isolation=True)
+        got[algorithm] = (result.event_log_hash,
+                          result.isolation_violations)
+    assert got == pins
+
+
 def test_defrag_events_recorded(defrag_result):
     events = defrag_result.defrag_events
     assert events, "fixture trace is expected to trigger migration batches"
     for e in events:
-        assert e.move_count >= 1
-        assert e.solve_time >= 0.0
-        assert e.optimal
+        assert e.stats.move_count >= 1
+        assert e.stats.solve_time >= 0.0
+        assert e.stats.optimal
         # barrier + checkpoint transfer + reinitialization
         assert e.duration >= REINIT_SECONDS
 
 
 def test_migration_counts_match_batches(defrag_result):
     moved = sum(r.migrations for r in defrag_result.records)
-    assert moved == sum(e.move_count for e in defrag_result.defrag_events)
+    assert moved == sum(e.stats.move_count
+                        for e in defrag_result.defrag_events)
 
 
 def test_downtime_only_on_migrated_jobs(defrag_result):
@@ -206,17 +252,17 @@ def test_reroute_changes_solved_and_audited_links(monkeypatch):
             assert rate_audits[-1] == live
 
         def _reroute_one(self):
-            for flow in self.net.flows.values():
-                demand_key, src, dst = flow.tag
-                color = self.assignment.colors.get(demand_key)
-                if src.rack == dst.rack or color not in (0, 1):
+            for live in self.net.flows.values():
+                flow = live.tag
+                color = self.colors.get(flow.key)
+                if flow.src.rack == flow.dst.rack or color not in (0, 1):
                     continue
-                before = flow.path
-                self.assignment.colors[demand_key] = 1 - color
+                before = live.path
+                self.colors[flow.key] = 1 - color
                 self._reroute_live_flows()
-                expected = tuple(path_between(self.topology, src, dst,
-                                              1 - color))
-                return before, expected, flow.path, len(resolved)
+                expected = tuple(path_between(self.topology, flow.src,
+                                              flow.dst, 1 - color))
+                return before, expected, live.path, len(resolved)
             return None
 
     sim = RerouteOnce(SMALL_TOPO, small_trace(seed=0), "ecmp",

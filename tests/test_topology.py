@@ -1,7 +1,7 @@
 import pytest
 
 from defragsim.topology import (
-    Direction, GpuId, TopologyError, make_two_tier, path_between,
+    SPRAY_COLOR, Direction, GpuId, TopologyError, make_two_tier, path_between,
 )
 
 
@@ -63,6 +63,27 @@ def test_cross_rack_path_structure():
                     ]
 
 
+def test_spray_path_takes_the_tor_aggregates():
+    topo = make_two_tier(3, 2, 2, 2, 400.0, 50.0)
+    src, dst = GpuId(0, 1, 0), GpuId(2, 0, 1)
+    path = path_between(topo, src, dst, SPRAY_COLOR)
+    aggregate_base = topo.uplink_base + 2 * topo.uplinks_per_tor
+    per_rack = 2 * (topo.uplinks_per_tor + 1)
+    assert path == [
+        topo.nic_link(src, Direction.UP),
+        aggregate_base,  # rack 0, up
+        aggregate_base + 2 * per_rack + 1,  # rack 2, down
+        topo.nic_link(dst, Direction.DOWN),
+    ]
+    # each aggregate carries both uplinks' capacity
+    assert [topo.link_capacities[l] for l in path] == [400.0, 100.0,
+                                                       100.0, 400.0]
+    # a same-rack path ignores the colour
+    assert path_between(topo, src, GpuId(0, 0, 0), SPRAY_COLOR) == [
+        topo.nic_link(src, Direction.UP),
+        topo.nic_link(GpuId(0, 0, 0), Direction.DOWN)]
+
+
 def test_link_ids_dense_and_capacities():
     topo = make_two_tier(3, 2, 4, 2, 100.0, 50.0)
     nics = [topo.nic_link(GpuId(r, h, g), d)
@@ -70,7 +91,8 @@ def test_link_ids_dense_and_capacities():
             for d in Direction]
     tor = [topo.uplink_link(r, u, d) for r in range(3) for u in range(2)
            for d in Direction]
-    spray = [topo.spray_link(r, d) for r in range(3) for d in Direction]
+    spray = [topo.uplink_link(r, SPRAY_COLOR, d) for r in range(3)
+             for d in Direction]
     caps = topo.link_capacities
     assert sorted(nics + tor + spray) == list(range(len(caps)))
     assert max(nics) < topo.uplink_base <= min(tor + spray)

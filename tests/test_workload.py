@@ -11,7 +11,7 @@ from defragsim.scheduler import Placement
 from defragsim.topology import make_two_tier
 from defragsim.workload import (
     JobSpec, ModelTemplate, TraceConfig, check_menu, generate_trace,
-    ideal_duration, pp_traffic, replica_groups,
+    ideal_duration,
 )
 
 TOPO = make_two_tier(4, 4, 8, 4, 400e9, 400e9)
@@ -47,22 +47,35 @@ def place_on_racks(job, rack_of_worker):
     return placement
 
 
+def flows_of(job, placement, kind):
+    return [f for f in plan_iteration_flows(job, placement.locate)
+            if f.kind == kind]
+
+
 def test_replica_group_count():
+    """One DP ring per (stage, TP rank), holding every worker of the pair:
+    with each ring's two members on racks 0 and 1, every ring has two
+    cross-rack hops and every worker sends one."""
     job = make_job(workers=32, dp=2, tp=8, pp=2)
-    groups = replica_groups(job)
-    assert len(groups) == 16  # tp * pp
-    seen = set()
-    for g in groups:
-        seen.update(g.members)
-    assert len(seen) == 32  # every worker in exactly one group
+    placement = place_on_racks(job, [(w // 8) % 2 for w in range(32)])
+    hops = flows_of(job, placement, "dp")
+    assert sorted(f.key for f in hops) == [
+        (0, "dp", group, i) for group in range(16) for i in range(2)]
+    for f in hops:
+        stage, rank = divmod(f.key[2], job.tp_degree)
+        assert {f.src, f.dst} == {
+            placement.locate((0, job.worker_index(stage, d, rank)))
+            for d in range(2)}
+    assert {f.src for f in hops} == {placement.locate((0, w))
+                                     for w in range(32)}
 
 
 def cross_rack_demands(job, placement):
     """(src_rack, dst_rack, bytes) of each cross-rack flow of one
-    iteration: the flows that carry a routing demand."""
-    return [(f.demand.src_rack, f.demand.dst_rack, f.size_bytes)
+    iteration: the flows that take a routing colour."""
+    return [(f.src.rack, f.dst.rack, f.size_bytes)
             for f in plan_iteration_flows(job, placement.locate)
-            if f.demand is not None]
+            if f.src.rack != f.dst.rack]
 
 
 def test_ring_traffic_single_rack():
@@ -112,31 +125,41 @@ def test_ring_traffic_flow_count_equals_rack_span():
 
 
 def test_dp_bytes_placement_invariant():
+    """Every ring hop carries the same bytes wherever the ring lies."""
     job = make_job(workers=8, dp=8, dp_bytes=5e9)
-    totals = []
-    for racks in ([0] * 8, [0, 1] * 4, [0, 1, 2, 3] * 2):
+    sizes = set()
+    for racks in ([0] * 4 + [1] * 4, [0, 1] * 4, [0, 1, 2, 3] * 2):
         placement = place_on_racks(job, list(racks))
-        total = sum(g.bytes_per_iteration for g in replica_groups(job))
-        totals.append(total)
-    assert len(set(totals)) == 1
+        sizes.update(f.size_bytes for f in flows_of(job, placement, "dp"))
+    assert sizes == {2 * 5e9 * 7 / 8}
 
 
 def test_pp_traffic_empty_without_pp():
     job = make_job(workers=8, dp=8, pp=1)
-    assert pp_traffic(job) == []
+    placement = place_on_racks(job, [0, 1] * 4)
+    assert flows_of(job, placement, "pp") == []
 
 
 def test_pp_traffic_two_stage_toy():
     job = make_job(workers=4, dp=2, pp=2, pp_bytes=1e9)
-    demands = pp_traffic(job)
-    assert len(demands) == 2  # one forward, one backward
+    placement = place_on_racks(job, [0, 0, 1, 1])
+    first, second = placement.locate((0, 0)), placement.locate((0, 2))
+    # one forward, one backward, between the stages' (dp 0, tp 0) workers
+    assert [(f.key, f.src, f.dst, f.size_bytes)
+            for f in flows_of(job, placement, "pp")] == [
+        ((0, "pp", 0), first, second, 1e9),
+        ((0, "pp", 1), second, first, 1e9)]
+    # on one host they never reach the network
+    assert flows_of(job, place_on_racks(job, [0] * 4), "pp") == []
 
 
 def test_pp_traffic_llama_total():
     # pp=4 -> 3 boundaries, forward+backward each: 6 * 8 GB = 48 GB
     job = make_job(workers=32, dp=8, pp=4, pp_bytes=8e9)
-    demands = pp_traffic(job)
-    assert sum(b for _, _, b in demands) == pytest.approx(48e9)
+    placement = place_on_racks(job, [w // 8 for w in range(32)])
+    pp = flows_of(job, placement, "pp")
+    assert [f.key for f in pp] == [(0, "pp", i) for i in range(6)]
+    assert sum(f.size_bytes for f in pp) == pytest.approx(48e9)
 
 
 def test_generate_trace_rejects_bad_load():
