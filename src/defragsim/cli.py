@@ -152,7 +152,7 @@ def cmd_oracle(args) -> int:
     except InfeasibleError:
         print("infeasible: no placement satisfies the threshold")
         try:
-            plan = solve(instance, time_limit=args.time_limit)
+            plan = solve(instance)
         except InfeasibleError:
             print("solver agrees: infeasible")
             return EXIT_OK
@@ -164,7 +164,7 @@ def cmd_oracle(args) -> int:
         print(f"instance too large for exhaustive enumeration: {exc}",
               file=sys.stderr)
         return EXIT_CONFIG
-    plan = solve(instance, time_limit=args.time_limit)
+    plan = solve(instance)
     print(f"oracle minimum moves: {optimum}")
     print(f"solver moves: {plan.move_count} "
           f"(optimal={plan.stats.optimal}, "
@@ -227,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser(
         "oracle", help="brute-force a solver instance file")
     p_oracle.add_argument("instance")
-    p_oracle.add_argument("--time-limit", type=float, default=60.0)
     p_oracle.set_defaults(fn=cmd_oracle)
     return parser
 

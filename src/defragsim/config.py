@@ -178,6 +178,14 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("trace.loads must list at least one load level")
     if config.trace.num_seeds < 1:
         raise ConfigError("trace.num_seeds must be at least 1")
+    if config.trace.num_jobs < 1:
+        raise ConfigError("trace.num_jobs must be at least 1")
+    for where, values in (("trace.loads", config.trace.loads),
+                          ("sweep.load", config.sweep.load),
+                          ("sweep.oversubscription",
+                           config.sweep.oversubscription)):
+        if any(v <= 0 for v in values):
+            raise ConfigError(f"{where} must be positive, got {values}")
     if not config.algorithms:
         raise ConfigError("algorithms must be a non-empty list of names")
     unknown = [a for a in config.algorithms if a not in ALGORITHMS]

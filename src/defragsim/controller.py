@@ -213,8 +213,6 @@ class DefragController:
             # packed); leave the violation standing until churn helps.
             log.debug("defrag skipped: %s", exc)
             return self._skip(instance, _FAILURE_REASON[type(exc)])
-        if not moves:
-            return None
         self.outcomes["applied"] += 1
         return DefragDecision(moves=moves, plan=plan)
 

@@ -607,15 +607,17 @@ class _Search:
 
 
 def solve(instance: SolverInstance,
-          time_limit: float | None = 30.0,
+          time_limit: float | None = None,
           max_moves: int | None = None) -> MigrationPlan:
     """Exact minimum-move plan meeting the fragmentation threshold.
 
     Raises InfeasibleError when no placement satisfies the constraints,
     up front when ``base_load`` alone exceeds the threshold on some rack
     or the capacities cannot hold the jobs' workers. The repair
-    incumbent bounds the search; under the time limit, the best plan
-    found so far is returned with ``stats.optimal`` False.
+    incumbent bounds the search. With no ``time_limit`` (the default)
+    the result does not depend on wall-clock time; a search that reaches
+    the limit returns the best plan found so far with ``stats.optimal``
+    False, or raises SolverTimeout when it found none.
 
     With ``max_moves``, only plans at or below that many worker moves
     are considered; MoveBudgetExceeded is raised when none exists. The

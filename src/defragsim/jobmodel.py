@@ -7,9 +7,12 @@ when every flow of the previous one has drained.
 ``plan_iteration_flows`` builds those transfers, one ``FlowDemand``
 each: the record routing colors and the flow table carries.
 
-Migration happens in batches. Every affected job first completes its
-in-flight iteration (barrier), then all checkpoint transfers run as mice
-flows, then the placement moves commit atomically and the affected jobs
+Migration happens in batches. The barrier rule: a batch waits until
+each job it moves has finished its in-flight iteration, and each such
+job pauses there; a job whose in-flight iteration is its last finishes
+instead and leaves the batch, its moves dropped. Once every job the
+batch still moves has paused, all checkpoint transfers run as mice
+flows, then the placement moves commit atomically and the moved jobs
 pay a fixed reinitialization delay before resuming. Committing the whole
 batch at once sidesteps ordering constraints between moves whose source
 and destination slots overlap.
@@ -18,7 +21,7 @@ and destination slots overlap.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .routing import FlowDemand
@@ -94,31 +97,24 @@ class JobRun:
     start_time: float
     iteration: int = 0  # completed iterations
     phase: JobPhase = JobPhase.COMPUTE
-    pending_flows: set = field(default_factory=set)
-    barrier_requested: bool = False
+    pending_flows: int = 0  # flows of the in-flight iteration not done
     paused_at: float | None = None
     downtime: float = 0.0
     migrations: int = 0  # workers of this job moved by committed batches
 
-    def finish_iteration(self, now: float) -> None:
-        """Close out the comm phase; the caller decides what runs next."""
+    def finish_iteration(self, now: float, pause: bool = False) -> None:
+        """Close out the comm phase: the job is done after its last
+        iteration, else it pauses at the barrier if ``pause`` is set, else
+        it computes again; the caller decides what runs next."""
         assert self.phase is JobPhase.COMM and not self.pending_flows
         self.iteration += 1
         if self.iteration >= self.job.iterations:
             self.phase = JobPhase.DONE
-        elif self.barrier_requested:
+        elif pause:
             self.phase = JobPhase.BARRIERED
             self.paused_at = now
-            self.barrier_requested = False
         else:
             self.phase = JobPhase.COMPUTE
-
-    def pause_if_idle(self) -> bool:
-        """Barrier immediately when no iteration is in flight."""
-        if self.phase is JobPhase.BARRIERED:
-            return True
-        self.barrier_requested = True
-        return False
 
     def resume(self, now: float) -> None:
         assert self.phase is JobPhase.BARRIERED
@@ -134,21 +130,18 @@ class WorkerMove:
     dst_host: int
 
 
-class BatchPhase(enum.Enum):
-    BARRIER = "barrier"
-    TRANSFER = "transfer"
-    REINIT = "reinit"
-
-
 @dataclass
 class MigrationBatch:
-    """One defragmentation event: a set of worker moves applied together."""
+    """One defragmentation event: a set of worker moves applied together.
+
+    ``moves`` loses the moves of a job that finishes before the commit.
+    ``transfers`` is None while the batch is at its barrier; from then to
+    the commit it holds the checkpoint transfers, and after it is empty."""
 
     batch_id: int
     moves: list[WorkerMove]
-    phase: BatchPhase = BatchPhase.BARRIER
-    waiting_jobs: set = field(default_factory=set)
-    pending_transfers: set = field(default_factory=set)
+    transfers: list[FlowDemand] | None = None
+    pending_transfers: int = 0  # transfers not yet done
 
     @property
     def affected_jobs(self) -> set:

@@ -94,39 +94,11 @@ def _atomic_write(path: Path, write_fn) -> None:
     os.replace(tmp, path)
 
 
-def write_job_table(result: SimulationResult, path: Path) -> None:
+def _write_csv(path: Path, columns: Sequence[str], rows) -> None:
     def body(f):
         writer = csv.writer(f)
-        writer.writerow(JOB_COLUMNS)
-        for r in sorted(result.records, key=lambda r: r.job_id):
-            writer.writerow([
-                r.job_id, r.model, r.num_workers,
-                f"{r.arrival:.6f}", f"{r.started:.6f}", f"{r.finished:.6f}",
-                f"{r.ideal:.6f}", f"{r.finished - r.started:.6f}",
-                f"{r.slowdown:.6f}", f"{r.queue_wait:.6f}",
-                r.migrations, f"{r.downtime:.6f}"])
-    _atomic_write(path, body)
-
-
-def write_time_series(result: SimulationResult, path: Path) -> None:
-    def body(f):
-        writer = csv.writer(f)
-        writer.writerow(SERIES_COLUMNS)
-        for t, max_deg, groups, util in result.frag_series:
-            writer.writerow([f"{t:.6f}", max_deg, groups, f"{util:.6f}"])
-    _atomic_write(path, body)
-
-
-def write_solver_stats(result: SimulationResult, path: Path) -> None:
-    def body(f):
-        writer = csv.writer(f)
-        writer.writerow(SOLVER_COLUMNS)
-        for e in result.defrag_events:
-            stats = e.stats
-            writer.writerow([
-                f"{e.time:.6f}", stats.move_count, f"{stats.solve_time:.6f}",
-                stats.nodes_explored, int(stats.optimal),
-                f"{e.duration:.6f}"])
+        writer.writerow(columns)
+        writer.writerows(rows)
     _atomic_write(path, body)
 
 
@@ -147,7 +119,18 @@ def export_run(result: SimulationResult, load: float,
     """Write all per-run files; return the aggregate summary row."""
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = run_tag(result.algorithm, load, result.seed)
-    write_job_table(result, out_dir / f"jobs_{tag}.csv")
-    write_time_series(result, out_dir / f"series_{tag}.csv")
-    write_solver_stats(result, out_dir / f"solver_{tag}.csv")
+    _write_csv(out_dir / f"jobs_{tag}.csv", JOB_COLUMNS, (
+        [r.job_id, r.model, r.num_workers,
+         f"{r.arrival:.6f}", f"{r.started:.6f}", f"{r.finished:.6f}",
+         f"{r.ideal:.6f}", f"{r.finished - r.started:.6f}",
+         f"{r.slowdown:.6f}", f"{r.queue_wait:.6f}",
+         r.migrations, f"{r.downtime:.6f}"]
+        for r in sorted(result.records, key=lambda r: r.job_id)))
+    _write_csv(out_dir / f"series_{tag}.csv", SERIES_COLUMNS, (
+        [f"{t:.6f}", max_deg, groups, f"{util:.6f}"]
+        for t, max_deg, groups, util in result.frag_series))
+    _write_csv(out_dir / f"solver_{tag}.csv", SOLVER_COLUMNS, (
+        [f"{e.time:.6f}", e.stats.move_count, f"{e.stats.solve_time:.6f}",
+         e.stats.nodes_explored, int(e.stats.optimal), f"{e.duration:.6f}"]
+        for e in result.defrag_events))
     return summarize(result, load)

@@ -23,7 +23,7 @@ from .defrag import SolverStats
 from .flowsim import EventQueue, FlowNetwork
 from .fragmentation import StageRows, fragmentation_degree, stage_rows
 from .jobmodel import (
-    JobPhase, JobRun, MigrationBatch, BatchPhase, REINIT_SECONDS,
+    JobPhase, JobRun, MigrationBatch, REINIT_SECONDS,
     plan_iteration_flows, shard_bytes,
 )
 from .routing import FlowDemand, SglbRouting, make_strategy
@@ -161,7 +161,6 @@ class Simulation:
 
         # the batch in flight; its id is its DefragEvent's index
         self.batch: MigrationBatch | None = None
-        self._transfers: list[FlowDemand] = []  # the batch's, if any
         self._records: list[JobRecord] = []
         self._defrag_events: list[DefragEvent] = []
         self._frag_series: list[tuple[float, int, int, float]] = []
@@ -236,7 +235,7 @@ class Simulation:
         if kind == "arrival":
             self._on_arrival(payload[1])
         elif kind == "compute":
-            self._on_compute_done(payload[1], payload[2])
+            self._on_compute_done(payload[1])
         elif kind == "flow":
             self._on_flow_done(payload[1])
         elif kind == "reinit":
@@ -271,13 +270,12 @@ class Simulation:
     def _schedule_compute(self, run: JobRun) -> None:
         assert run.phase is JobPhase.COMPUTE
         self.queue.push(self.now + run.job.compute_time, RANK_COMPUTE,
-                        ("compute", run.job.job_id, run.iteration))
+                        ("compute", run.job.job_id))
 
-    def _on_compute_done(self, job_id: int, iteration: int) -> None:
-        run = self.runs.get(job_id)
-        if run is None or run.phase is not JobPhase.COMPUTE \
-                or run.iteration != iteration:
-            return  # stale (job migrated or finished meanwhile)
+    def _on_compute_done(self, job_id: int) -> None:
+        # never stale: a job pauses, moves or leaves only between
+        # iterations, so never with a compute event queued
+        run = self.runs[job_id]
         run.phase = JobPhase.COMM
         self._launch_iteration_flows(run)
         if not run.pending_flows:
@@ -315,7 +313,7 @@ class Simulation:
                     f"{color}")
             key = (flow.key, iteration)
             self.net.add_flow(key, path, flow.size_bytes, flow)
-            run.pending_flows.add(key)
+        run.pending_flows = len(plan.flows)
         self._flows_dirty = True
 
     def _path_for(self, flow: FlowDemand) -> tuple:
@@ -334,8 +332,7 @@ class Simulation:
         if owner == "mig":
             self._trace_event("flow", key)
             batch = self.batch
-            assert batch is not None and batch.phase is BatchPhase.TRANSFER
-            batch.pending_transfers.discard(key)
+            batch.pending_transfers -= 1
             if not batch.pending_transfers:
                 self._commit_batch()
             return
@@ -344,17 +341,20 @@ class Simulation:
         self._trace_event(
             "flow", f"({self._plans[job_id].labels[owner]}, {key[1]})")
         run = self.runs[job_id]
-        run.pending_flows.discard(key)
-        if run.phase is JobPhase.COMM and not run.pending_flows:
+        run.pending_flows -= 1
+        if not run.pending_flows:
             self._finish_iteration(run)
 
     def _finish_iteration(self, run: JobRun) -> None:
-        run.finish_iteration(self.now)
+        batch = self.batch
+        at_barrier = batch is not None and batch.transfers is None
+        run.finish_iteration(self.now, pause=at_barrier
+                             and run.job.job_id in batch.affected_jobs)
         if run.phase is JobPhase.COMPUTE:
             self._schedule_compute(run)
         elif run.phase is JobPhase.BARRIERED:
-            self._stop_waiting(run.job.job_id)
-        elif run.phase is JobPhase.DONE:
+            self._start_transfers_once_paused()
+        else:
             self._on_job_done(run)
 
     def _on_job_done(self, run: JobRun) -> None:
@@ -379,7 +379,7 @@ class Simulation:
             self.batch.moves = [mv for mv in self.batch.moves
                                 if mv.worker[0] != job.job_id]
             self.scheduler.placement.remove_job(job.job_id)
-            self._stop_waiting(job.job_id)
+            self._start_transfers_once_paused()
             return
         admitted = self.scheduler.release_job(job.job_id)
         for new_job in admitted:
@@ -396,25 +396,20 @@ class Simulation:
             return
         self._trace_event("defrag", decision.plan.move_count)
         self._defrag_events.append(DefragEvent(self.now, decision.plan.stats))
+        # no job is paused outside a batch, so the batch waits for every
+        # job it moves to finish its in-flight iteration
         self.batch = MigrationBatch(batch_id=len(self._defrag_events) - 1,
                                     moves=list(decision.moves))
-        for job_id in sorted(self.batch.affected_jobs):
-            if not self.runs[job_id].pause_if_idle():
-                self.batch.waiting_jobs.add(job_id)
-        if not self.batch.waiting_jobs:
-            self._start_transfers()
 
-    def _stop_waiting(self, job_id: int) -> None:
-        """The batch no longer waits on ``job_id``, which reached its
-        barrier or left; the transfers start once it waits on no job."""
+    def _start_transfers_once_paused(self) -> None:
+        """Start the batch's transfers, if it is at its barrier and every
+        job it still moves has paused; with no move left, commit."""
         batch = self.batch
-        batch.waiting_jobs.discard(job_id)
-        if not batch.waiting_jobs and batch.phase is BatchPhase.BARRIER:
-            self._start_transfers()
-
-    def _start_transfers(self) -> None:
-        batch = self.batch
-        batch.phase = BatchPhase.TRANSFER
+        runs = self.runs
+        if batch.transfers is not None or any(
+                runs[mv.worker[0]].phase is not JobPhase.BARRIERED
+                for mv in batch.moves):
+            return
         if not batch.moves:
             self._commit_batch()
             return
@@ -434,13 +429,13 @@ class Simulation:
                 placement.locate(mv.worker), dst,
                 shard_bytes(placement.jobs[job_id]), "migration"))
         # every transfer takes a mice colour, an intra-rack one too
-        self._transfers = transfers
+        batch.transfers = transfers
         self._drop_demands()
         self._reassign_routing()
         for flow in transfers:
             self.net.add_flow(flow.key, self._path_for(flow), flow.size_bytes,
                               flow)
-            batch.pending_transfers.add(flow.key)
+        batch.pending_transfers = len(transfers)
         self._flows_dirty = True
 
     def _commit_batch(self) -> None:
@@ -453,8 +448,7 @@ class Simulation:
             self.runs[mv.worker[0]].migrations += 1
         for job_id in batch.affected_jobs:
             del self._plans[job_id]
-        batch.phase = BatchPhase.REINIT
-        self._transfers = []
+        batch.transfers = []
         self._drop_demands()
         # colors must match the new placement before any flow launched
         # later in this same timestamp looks them up
@@ -484,7 +478,8 @@ class Simulation:
         demands: list[FlowDemand] = []
         for job_id in sorted(self.runs):
             demands.extend(self._plan(self.runs[job_id].job).demands)
-        demands.extend(self._transfers)
+        if self.batch is not None and self.batch.transfers:
+            demands.extend(self.batch.transfers)
         return demands
 
     def _current_demands(self) -> list[FlowDemand]:

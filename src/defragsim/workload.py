@@ -201,6 +201,8 @@ def check_menu(cfg: TraceConfig, topology: ClusterTopology) -> None:
     if (cfg.size_choices is None
             and min(cfg.min_workers, cfg.max_workers) < 1):
         raise ValueError("min_workers and max_workers must be positive")
+    if cfg.iterations_min < 1:
+        raise ValueError("iterations_min must be at least 1")
     if cfg.iterations_min > cfg.iterations_max:
         raise ValueError("iterations_min must not exceed iterations_max")
     sizes = _sizes(cfg, topology)

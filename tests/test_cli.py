@@ -148,6 +148,14 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_config_with_zero_load_exits_2(config_file, command, capsys):
+    config_file.write_text(CONFIG_YAML.replace("loads: [0.9]",
+                                               "loads: [0.0]"))
+    assert main([command, str(config_file)]) == 2
+    assert "trace.loads must be positive" in capsys.readouterr().err
+
+
 def test_validate_prints_resolved_config(config_file, capsys):
     assert main(["validate", str(config_file)]) == 0
     out = capsys.readouterr().out

@@ -60,6 +60,24 @@ def test_menu_that_cannot_produce_a_job_rejected(sizes, message):
                       "trace": {"size_choices": sizes}})
 
 
+# each would pass the reader but fail, or run nothing, once run
+@pytest.mark.parametrize("data, message", [
+    ({"trace": {"loads": [0.9, 0.0]}}, "trace.loads must be positive"),
+    ({"trace": {"loads": [-0.5]}}, "trace.loads must be positive"),
+    ({"sweep": {"load": [0.7, 0]}}, "sweep.load must be positive"),
+    ({"sweep": {"oversubscription": [4, 0]}},
+     "sweep.oversubscription must be positive"),
+    ({"sweep": {"oversubscription": [-1]}},
+     "sweep.oversubscription must be positive"),
+    ({"trace": {"num_jobs": 0}}, "num_jobs must be at least 1"),
+    ({"trace": {"num_jobs": -3}}, "num_jobs must be at least 1"),
+    ({"trace": {"iterations_min": 0}}, "iterations_min must be at least 1"),
+], ids=repr)
+def test_value_that_cannot_run_rejected(data, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(data)
+
+
 def test_unknown_algorithm_rejected():
     with pytest.raises(ConfigError, match="unknown algorithm"):
         parse_config({"algorithms": ["perfect", "quantum"]})

@@ -771,3 +771,17 @@ def test_deadline_stops_search_at_first_node_check(inst, monkeypatch):
         assert plan.stats.nodes_explored == 1024
     # start, the check at the 1,024th node, elapsed
     assert len(reads) == 3
+
+
+@pytest.mark.parametrize("inst", [DEEP_WITH_INCUMBENT,
+                                  DEEP_WITHOUT_INCUMBENT])
+def test_default_solve_ignores_the_clock(inst, monkeypatch):
+    """With no time limit given, a clock that jumps by a day on every
+    read changes nothing: the plan is the proven optimum."""
+    want = solve(inst, time_limit=None)
+    day = iter(range(0, 10**9, 86_400))
+    monkeypatch.setattr(defrag.time, "monotonic", lambda: float(next(day)))
+    plan = solve(inst)
+    assert plan.stats.optimal
+    assert (plan.move_count, plan.target, plan.stats.nodes_explored) == (
+        want.move_count, want.target, want.stats.nodes_explored)

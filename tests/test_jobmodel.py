@@ -1,7 +1,7 @@
 import pytest
 
 from defragsim.jobmodel import (
-    BatchPhase, CHECKPOINT_MULTIPLIER, JobPhase, JobRun, MigrationBatch,
+    CHECKPOINT_MULTIPLIER, JobPhase, JobRun, MigrationBatch,
     REINIT_SECONDS, WorkerMove, plan_iteration_flows, shard_bytes,
 )
 from tests.test_workload import make_job, place_on_racks
@@ -69,10 +69,8 @@ def test_job_run_iteration_lifecycle():
 def test_job_run_barrier_and_resume():
     run = JobRun(job=make_job(iterations=5), start_time=0.0)
     run.phase = JobPhase.COMM
-    assert run.pause_if_idle() is False  # mid-iteration: deferred
-    run.finish_iteration(now=2.5)
-    assert run.phase is JobPhase.BARRIERED
-    assert run.pause_if_idle() is True
+    run.finish_iteration(now=2.5, pause=True)
+    assert run.phase is JobPhase.BARRIERED and run.paused_at == 2.5
     run.resume(now=14.0)
     assert run.phase is JobPhase.COMPUTE
     assert run.downtime == pytest.approx(11.5)
@@ -83,4 +81,5 @@ def test_migration_batch_bookkeeping():
         batch_id=0,
         moves=[WorkerMove((7, 0), 1, 0), WorkerMove((9, 3), 2, 1)])
     assert batch.affected_jobs == {7, 9}
-    assert batch.phase is BatchPhase.BARRIER
+    # at its barrier until the transfers start
+    assert batch.transfers is None and batch.pending_transfers == 0

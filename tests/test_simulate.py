@@ -1,4 +1,5 @@
 import dataclasses
+import io
 from collections import Counter
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from defragsim import controller, flowsim, fragmentation, simulate
 from defragsim.config import load_config
 from defragsim.controller import DefragDecision
 from defragsim.defrag import MigrationPlan, SolverStats
-from defragsim.jobmodel import BatchPhase, WorkerMove
+from defragsim.jobmodel import JobPhase, WorkerMove
 from defragsim.scheduler import plan_racks
 from defragsim.simulate import (
     ALGORITHMS, REINIT_SECONDS, Simulation, parse_algorithm, run_simulation,
@@ -605,20 +606,27 @@ def test_waited_on_job_that_finishes_in_the_barrier_leaves_the_batch():
                            stats=SolverStats(2, 0.0, 0, True)))
     seen = []
 
+    def waiting(sim):
+        """The moved jobs the batch still waits on."""
+        return {job_id for job_id in sim.batch.affected_jobs
+                if sim.runs[job_id].phase is not JobPhase.BARRIERED}
+
     class Probe(Simulation):
         def _on_job_done(self, run):
             super()._on_job_done(run)
             batch, placement = self.batch, self.scheduler.placement
             if batch is not None:
-                seen.append(("done", self.now, run.job.job_id, batch.phase,
-                             set(batch.waiting_jobs), list(batch.moves),
-                             run.job.job_id in placement,
+                seen.append(("done", self.now, run.job.job_id,
+                             batch.transfers is None, waiting(self),
+                             list(batch.moves), run.job.job_id in placement,
                              placement.free_slots(0, 0)))
 
-        def _start_transfers(self):
-            seen.append(("transfers", self.now, set(self.batch.waiting_jobs),
-                         list(self.batch.moves)))
-            super()._start_transfers()
+        def _start_transfers_once_paused(self):
+            at_barrier = self.batch.transfers is None
+            super()._start_transfers_once_paused()
+            if at_barrier and self.batch.transfers is not None:
+                seen.append(("transfers", self.now, waiting(self),
+                             list(self.batch.moves)))
 
     sim = Probe(SMALL_TOPO, Trace([short, long], 0.9, 0), "defrag-perfect",
                 check_invariants=True)
@@ -628,10 +636,40 @@ def test_waited_on_job_that_finishes_in_the_barrier_leaves_the_batch():
     # both jobs share host (0, 0); the short one ends at 1 s, in the
     # barrier, and the long one pauses at 3 s
     assert seen == [
-        ("done", 1.0, 0, BatchPhase.BARRIER, {1}, [move_long], False, 6),
+        ("done", 1.0, 0, True, {1}, [move_long], False, 6),
         ("transfers", 3.0, set(), [move_long]),
     ]
     migrations = {r.job_id: r.migrations for r in result.records}
     assert migrations == {0: 0, 1: 1}
     (event,) = result.defrag_events
     assert event.time == 0.0 and event.duration > 3.0 + REINIT_SECONDS
+
+
+def test_batch_whose_moved_jobs_all_leave_in_the_barrier_commits_empty():
+    """Both moved jobs are in their last iteration when the batch is
+    planned: each leaves instead of pausing, and the batch, with no move
+    left, commits without a checkpoint transfer and re-initializes from
+    the later departure."""
+    first = make_job(job_id=0, workers=2, dp=2, iterations=1)
+    last = make_job(job_id=1, workers=2, dp=2, iterations=1)
+    last = dataclasses.replace(last, template=dataclasses.replace(
+        last.template, compute_seconds=3.0))
+    decision = DefragDecision(
+        moves=[WorkerMove((0, 0), 1, 0), WorkerMove((1, 0), 1, 0)],
+        plan=MigrationPlan(target=(), moves=(), move_count=2,
+                           stats=SolverStats(2, 0.0, 0, True)))
+    log = io.BytesIO()
+    sim = Simulation(SMALL_TOPO, Trace([first, last], 0.9, 0),
+                     "defrag-perfect", check_invariants=True, event_log=log)
+    decisions = iter([decision])
+    sim.controller.check = lambda stages: next(decisions, None)
+    result = sim.run()
+    lines = log.getvalue().decode().splitlines()
+    # the jobs share host (0, 0), so they finish at 1 s and 3 s
+    assert [line for line in lines if not line.startswith("start")] == [
+        "arrival|0.0|0", "arrival|0.0|1", "defrag|0.0|2", "finish|1.0|0",
+        "finish|3.0|1", "commit|3.0|0",
+        f"reinit-done|{3.0 + REINIT_SECONDS}|0"]
+    assert {r.job_id: r.migrations for r in result.records} == {0: 0, 1: 0}
+    (event,) = result.defrag_events
+    assert (event.time, event.duration) == (0.0, 3.0 + REINIT_SECONDS)

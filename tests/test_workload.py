@@ -179,6 +179,12 @@ def test_generate_trace_rejects_menu_without_jobs(sizes, message):
         generate_trace(topo, 0.9, seed=0, num_jobs=5, cfg=cfg)
 
 
+def test_generate_trace_rejects_zero_iterations():
+    cfg = TraceConfig(iterations_min=0)
+    with pytest.raises(ValueError, match="iterations_min must be at least 1"):
+        generate_trace(TOPO, 0.9, seed=0, num_jobs=5, cfg=cfg)
+
+
 def test_default_sizes_round_min_workers_up():
     # 10 is no power of two: the menu starts at 16, never at 8
     trace = generate_trace(TOPO, 0.9, seed=0, num_jobs=50,
