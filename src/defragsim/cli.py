@@ -8,8 +8,8 @@ Subcommands:
   oracle    run the brute-force minimum-move oracle on a solver
             instance file and compare it with the exact solver
 
-Exit status: 0 on success, 2 on configuration errors, 3 on internal
-invariant violations.
+Exit status: 0 on success, 2 on configuration errors (a bad config or
+instance file), 3 on internal invariant violations.
 """
 
 from __future__ import annotations
@@ -46,29 +46,27 @@ def _event_file(events_dir: Path | None, algorithm: str, load: float,
 
 
 def _run_cells(config: ExperimentConfig, out_dir: Path,
-               algorithms: list[str], loads: list[float],
-               threshold: float | None = None,
                check_invariants: bool = False,
                events_dir: Path | None = None):
-    """Run every (load, seed, algorithm) cell; return summary rows."""
+    """Run every (load, seed, algorithm) cell of the config; return
+    summary rows."""
     topology = config.topology.build()
     trace_cfg = config.trace.trace_config()
-    if threshold is None:
-        threshold = config.controller.threshold
+    ctl = config.controller
     summaries = []
-    for load in loads:
+    for load in config.trace.loads:
         for run_index in range(config.trace.num_seeds):
             seed = config.trace.base_seed + run_index
             trace = generate_trace(topology, load, seed=seed,
                                    num_jobs=config.trace.num_jobs,
                                    cfg=trace_cfg)
-            for algorithm in algorithms:
+            for algorithm in config.algorithms:
                 with _event_file(events_dir, algorithm, load,
                                  seed) as event_log:
                     result = run_simulation(
-                        topology, trace, algorithm, threshold=threshold,
-                        solver_time_limit=config.controller.solver_time_limit,
-                        max_moves=config.controller.max_moves,
+                        topology, trace, algorithm, threshold=ctl.threshold,
+                        solver_time_limit=ctl.solver_time_limit,
+                        max_moves=ctl.max_moves,
                         check_isolation=True,
                         check_invariants=check_invariants,
                         event_log=event_log)
@@ -83,17 +81,17 @@ def _run_cells(config: ExperimentConfig, out_dir: Path,
 
 def cmd_run(args) -> int:
     config = load_config(args.config)
-    algorithms = (args.algorithms.split(",") if args.algorithms
-                  else config.algorithms)
-    unknown = [a for a in algorithms if a not in ALGORITHMS]
-    if unknown:
-        raise ConfigError(f"unknown algorithm(s): {', '.join(unknown)}")
+    if args.algorithms:
+        config.algorithms = args.algorithms.split(",")
+        unknown = [a for a in config.algorithms if a not in ALGORITHMS]
+        if unknown:
+            raise ConfigError(f"unknown algorithm(s): {', '.join(unknown)}")
     if args.seeds is not None:
         if args.seeds < 1:
             raise ConfigError("--seeds must be at least 1")
         config.trace.num_seeds = args.seeds
     out_dir = Path(args.out or config.output_dir)
-    summaries = _run_cells(config, out_dir, algorithms, config.trace.loads,
+    summaries = _run_cells(config, out_dir,
                            check_invariants=args.check_invariants,
                            events_dir=Path(args.events) if args.events
                            else None)
@@ -109,10 +107,8 @@ def cmd_sweep(args) -> int:
     grid = []
     for value in values:
         cell_config = load_config(args.config)  # fresh copy per cell
-        threshold = None
-        loads = cell_config.trace.loads
         if args.axis == "load":
-            loads = [value]
+            cell_config.trace.loads = [value]
         elif args.axis == "oversubscription":
             # oversubscription = aggregate NIC capacity / uplink capacity
             nic_total = (cell_config.topology.hosts_per_rack
@@ -121,10 +117,9 @@ def cmd_sweep(args) -> int:
             cell_config.topology.uplink_bandwidth_gbps = nic_total / (
                 cell_config.topology.uplinks_per_tor * value)
         elif args.axis == "threshold":
-            threshold = value
+            cell_config.controller.threshold = value
         out_dir = base_out / f"sweep_{args.axis}" / f"{value:g}"
-        summaries = _run_cells(cell_config, out_dir, cell_config.algorithms,
-                               loads, threshold=threshold,
+        summaries = _run_cells(cell_config, out_dir,
                                check_invariants=args.check_invariants)
         write_summary(summaries, out_dir / "summary.json")
         grid.append({"axis": args.axis, "value": value,
@@ -146,7 +141,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    instance = load_instance(args.instance)
+    try:
+        instance = load_instance(args.instance)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{args.instance} is not a solver instance: "
+                          f"{type(exc).__name__}: {exc}") from exc
     try:
         optimum = brute_force_min_moves(instance)
     except InfeasibleError:

@@ -21,7 +21,7 @@ import yaml
 
 from .controller import ControllerConfig
 from .simulate import ALGORITHMS
-from .topology import ClusterTopology, make_two_tier
+from .topology import ClusterTopology
 from .workload import (
     DEFAULT_TEMPLATES, ModelTemplate, TraceConfig, check_menu,
 )
@@ -41,11 +41,10 @@ class TopologyBlock:
     uplink_bandwidth_gbps: float = 400.0
 
     def build(self) -> ClusterTopology:
-        return make_two_tier(
-            racks=self.racks, hosts_per_rack=self.hosts_per_rack,
-            gpus_per_host=self.gpus_per_host, uplinks=self.uplinks_per_tor,
-            nic_bw=self.nic_bandwidth_gbps * 1e9,
-            uplink_bw=self.uplink_bandwidth_gbps * 1e9)
+        return ClusterTopology(
+            self.racks, self.hosts_per_rack, self.gpus_per_host,
+            self.uplinks_per_tor, self.nic_bandwidth_gbps * 1e9,
+            self.uplink_bandwidth_gbps * 1e9)
 
 
 @dataclass
@@ -56,11 +55,11 @@ class TraceBlock:
     num_seeds: int = 1
     templates: list[str] | None = None  # names from the default menu
     # the menu's defaults are TraceConfig's
-    min_workers: int = TraceConfig.min_workers
     max_workers: int = TraceConfig.max_workers
     pp_choices: list[int] = field(
         default_factory=lambda: list(TraceConfig.pp_choices))
-    size_choices: list[int] | None = TraceConfig.size_choices
+    size_choices: list[int] = field(
+        default_factory=lambda: list(TraceConfig.size_choices))
     iterations_min: int = TraceConfig.iterations_min
     iterations_max: int = TraceConfig.iterations_max
 
@@ -78,13 +77,11 @@ class TraceBlock:
     def trace_config(self) -> TraceConfig:
         return TraceConfig(
             templates=self.menu(),
-            min_workers=self.min_workers,
             max_workers=self.max_workers,
             pp_choices=tuple(self.pp_choices),
             iterations_min=self.iterations_min,
             iterations_max=self.iterations_max,
-            size_choices=(tuple(self.size_choices)
-                          if self.size_choices is not None else None))
+            size_choices=tuple(self.size_choices))
 
 
 @dataclass
@@ -186,6 +183,19 @@ def parse_config(data: dict) -> ExperimentConfig:
                            config.sweep.oversubscription)):
         if any(v <= 0 for v in values):
             raise ConfigError(f"{where} must be positive, got {values}")
+    ctl = config.controller
+    if ctl.threshold is not None and ctl.threshold < 0:
+        raise ConfigError(f"controller.threshold must not be negative, "
+                          f"got {ctl.threshold}")
+    if any(v < 0 for v in config.sweep.threshold):
+        raise ConfigError(f"sweep.threshold must not be negative, "
+                          f"got {config.sweep.threshold}")
+    if ctl.max_moves is not None and ctl.max_moves < 1:
+        raise ConfigError(f"controller.max_moves must be at least 1 or "
+                          f"null, got {ctl.max_moves}")
+    if ctl.solver_time_limit <= 0:
+        raise ConfigError(f"controller.solver_time_limit must be positive, "
+                          f"got {ctl.solver_time_limit}")
     if not config.algorithms:
         raise ConfigError("algorithms must be a non-empty list of names")
     unknown = [a for a in config.algorithms if a not in ALGORITHMS]

@@ -14,10 +14,10 @@ component is solved on its own. A fresh flow that every link of its path
 carries alone is its own component and needs no search, and a link left
 dirty that now carries no flow seeds none; only the other components are
 found by a search over shared links. A lone flow's rate is the smallest
-capacity on its path (inf for an empty path), which is what a solve of
-that one flow returns. A component of two or more flows goes to
-``maxmin_rates`` in insertion order, so the bottleneck tie-break sees the
-same relative link order as a solve of every live flow. Either way the
+capacity on its path, which is what a solve of that one flow returns. A
+component of two or more flows goes to ``maxmin_rates`` in insertion
+order, so the bottleneck tie-break sees the same relative link order as
+a solve of every live flow. Either way the
 rates are bit-identical to a full solve. Every flow's ETA is still
 recomputed with the same arithmetic, and only the flows whose ETA moved
 need a new event.
@@ -32,7 +32,11 @@ bit-identical to an eager drain at every recompute. A removed flow is
 never drained.
 
 Links are dense int ids (``ClusterTopology`` assigns them), so a path is
-a tuple of ints and capacities are one list indexed by link id.
+a tuple of ints and capacities are one list indexed by link id. Every
+path crosses at least one link: the paths come from
+``topology.path_between``, which rejects intra-host pairs, so every rate
+the network solves is finite and positive and every flow has an ETA.
+``maxmin_rates`` itself still accepts an empty path.
 """
 
 from __future__ import annotations
@@ -149,12 +153,6 @@ class EventQueue:
     def pop(self) -> tuple[float, int, object]:
         time, rank, _, _, payload = heapq.heappop(self.heap)
         return time, rank, payload
-
-    def __len__(self) -> int:
-        return len(self.heap)
-
-    def __bool__(self) -> bool:
-        return bool(self.heap)
 
 
 # -- flow bookkeeping --------------------------------------------------------
@@ -299,24 +297,22 @@ class FlowNetwork:
     def recompute(self) -> list[tuple[float, Hashable, int]]:
         """Drain the recorded clock steps, re-solve each touched
         component and return (eta, key, serial), in insertion order, for
-        every flow whose ETA moved to a new finite time: each needs a
-        completion event.
+        every flow whose ETA moved: each needs a completion event.
 
-        A lone flow's rate is its path's smallest capacity (inf for an
-        empty path), as ``maxmin_rates`` would give it; a larger
-        component is solved by ``maxmin_rates`` in insertion order."""
+        A lone flow's rate is its path's smallest capacity, as
+        ``maxmin_rates`` would give it; a larger component is solved by
+        ``maxmin_rates`` in insertion order."""
         components, touched = self._touched()
         steps = self._steps
-        inf = math.inf
         capacity = self.capacities.__getitem__
         for component in components:
             if steps:
                 for flow in component:
                     # max(0, bits - rate * dt) per step, as an eager drain
                     # at each step, at the rate the solve is about to
-                    # replace
+                    # replace; a fresh flow's 0.0 has nothing to drain
                     rate = flow.rate
-                    if 0 < rate < inf:
+                    if rate:
                         remaining = flow.remaining_bits
                         for dt in steps:
                             remaining -= rate * dt
@@ -324,7 +320,7 @@ class FlowNetwork:
                         flow.remaining_bits = remaining
             if len(component) == 1:
                 flow = component[0]
-                flow.rate = min(map(capacity, flow.path), default=inf)
+                flow.rate = min(map(capacity, flow.path))
             else:
                 component.sort(key=_serial)
                 rates = maxmin_rates([flow.path for flow in component],
@@ -338,37 +334,27 @@ class FlowNetwork:
         now = self.time
         for flow in self.flows.values():
             rate = flow.rate
-            if 0 < rate < inf:
-                remaining = flow.remaining_bits
-                if steps and flow not in touched:
-                    if step is not None:
-                        remaining -= rate * step
+            remaining = flow.remaining_bits
+            if steps and flow not in touched:
+                if step is not None:
+                    remaining -= rate * step
+                    remaining = remaining if remaining > 0.0 else 0.0
+                else:
+                    for dt in steps:
+                        remaining -= rate * dt
                         remaining = remaining if remaining > 0.0 else 0.0
-                    else:
-                        for dt in steps:
-                            remaining -= rate * dt
-                            remaining = remaining if remaining > 0.0 else 0.0
-                    flow.remaining_bits = remaining
-                eta = now + remaining / rate
-            elif not flow.path:
-                # unconstrained flow: done immediately
-                flow.remaining_bits = 0.0
-                eta = now
-            else:
-                eta = inf
+                flow.remaining_bits = remaining
+            eta = now + remaining / rate
             if eta != flow.eta:
                 flow.eta = eta
-                if eta != inf:
-                    moved.append((eta, flow.key, flow.serial))
+                moved.append((eta, flow.key, flow.serial))
         steps.clear()
         return moved
 
     def link_loads(self) -> list[float]:
-        """Carried rate per link id, over flows with a finite rate."""
+        """Carried rate per link id."""
         loads = [0.0] * len(self.capacities)
         for flow in self.flows.values():
-            if not math.isfinite(flow.rate):
-                continue
             for link in flow.path:
                 loads[link] += flow.rate
         return loads
@@ -386,6 +372,6 @@ class FlowNetwork:
 
     def check_conservation(self, rel_tol: float = 1e-9) -> None:
         """Audit the paths and capacities ``recompute`` solves over."""
-        finite = [f for f in self.flows.values() if math.isfinite(f.rate)]
-        conservation_check([f.path for f in finite], self.capacities,
-                           [f.rate for f in finite], rel_tol)
+        flows = self.flows.values()
+        conservation_check([f.path for f in flows], self.capacities,
+                           [f.rate for f in flows], rel_tol)

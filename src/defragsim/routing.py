@@ -2,8 +2,10 @@
 
 All strategies reduce to picking a color per flow, where color c means
 uplink c at the source ToR and uplink c at the destination ToR. A
-strategy reads ``FlowDemand`` records, the same records the simulator
-puts on the wire, and returns a dict of flow key -> color.
+strategy is a class in ``STRATEGIES``, keyed by its algorithm name; its
+``assign(flows, uplinks, previous=None, utilization=None)`` reads
+``FlowDemand`` records, the same records the simulator puts on the
+wire, and returns the full dict of flow key -> color for the active set.
 
 The headline scheme colors the bipartite ToR-to-ToR demand multigraph so
 that no two elephant (DP) flows share a color at any ToR: pad the graph
@@ -184,23 +186,9 @@ def stable_hash(key: tuple) -> int:
     return int.from_bytes(digest, "big")
 
 
-class RoutingStrategy:
-    """Recomputes the full color assignment for the active flow set."""
-
-    name = "base"
-
-    def assign(self, flows: Sequence[FlowDemand], uplinks: int,
-               previous: dict[tuple, int] | None = None,
-               utilization: dict[int, float] | None = None
-               ) -> dict[tuple, int]:
-        raise NotImplementedError
-
-
-class PerfectRouting(RoutingStrategy):
+class PerfectRouting:
     """Dedicated uplink per DP flow via bipartite edge coloring; mice
     flows round-robin across uplinks independently of DP colors."""
-
-    name = "perfect"
 
     def assign(self, flows, uplinks, previous=None, utilization=None):
         assignment = {}
@@ -217,23 +205,19 @@ class PerfectRouting(RoutingStrategy):
         return assignment
 
 
-class EcmpRouting(RoutingStrategy):
+class EcmpRouting:
     """Pseudorandom spreading via a stable hash of the flow 5-tuple."""
-
-    name = "ecmp"
 
     def assign(self, flows, uplinks, previous=None, utilization=None):
         return {f.key: stable_hash(f.key) % uplinks for f in flows}
 
 
-class CruxRouting(RoutingStrategy):
+class CruxRouting:
     """Greedy per-flow routing, highest expected GPU utilization first:
     each new flow takes the uplink least loaded at its source and
     destination ToRs. One-shot: a color is fixed when the flow first
     appears and never revisited, so decisions go stale as the mix
     churns."""
-
-    name = "crux"
 
     def assign(self, flows, uplinks, previous=None, utilization=None):
         utilization = utilization or {}
@@ -265,11 +249,9 @@ class CruxRouting(RoutingStrategy):
         return assignment
 
 
-class SglbRouting(RoutingStrategy):
+class SglbRouting:
     """Adaptive load balancing: new flows start on their hash uplink and
     a periodic rebalance epoch migrates flows off congested uplinks."""
-
-    name = "sglb"
 
     def assign(self, flows, uplinks, previous=None, utilization=None):
         previous = previous or {}
@@ -315,11 +297,9 @@ class SglbRouting(RoutingStrategy):
         return moved
 
 
-class SprayRouting(RoutingStrategy):
+class SprayRouting:
     """Full-bisection packet spraying: every flow is split fluidly over
     all uplinks, modeled as one aggregate uplink per ToR."""
-
-    name = "spray"
 
     def assign(self, flows, uplinks, previous=None, utilization=None):
         return {f.key: SPRAY_COLOR for f in flows}
@@ -333,9 +313,3 @@ STRATEGIES = {
     "spray": SprayRouting,
 }
 
-
-def make_strategy(name: str) -> RoutingStrategy:
-    try:
-        return STRATEGIES[name]()
-    except KeyError:
-        raise ValueError(f"unknown routing strategy {name!r}") from None

@@ -26,7 +26,7 @@ from .jobmodel import (
     JobPhase, JobRun, MigrationBatch, REINIT_SECONDS,
     plan_iteration_flows, shard_bytes,
 )
-from .routing import FlowDemand, SglbRouting, make_strategy
+from .routing import STRATEGIES, FlowDemand, SglbRouting
 from .scheduler import Scheduler, plan_racks
 from .topology import ClusterTopology, path_between
 from .workload import JobSpec, Trace, ideal_duration
@@ -134,7 +134,7 @@ class Simulation:
         self.trace = trace
         self.algorithm = algorithm
         defrag_on, routing_name = parse_algorithm(algorithm)
-        self.routing = make_strategy(routing_name)
+        self.routing = STRATEGIES[routing_name]()
         self.scheduler = Scheduler(topology)
         self.controller = DefragController(
             self.scheduler.placement,

@@ -116,34 +116,22 @@ class ClusterTopology:
         return [self.nic_bandwidth] * self.uplink_base + tor * self.num_racks
 
 
-def make_two_tier(racks: int, hosts_per_rack: int, gpus_per_host: int,
-                  uplinks: int, nic_bw: float,
-                  uplink_bw: float) -> ClusterTopology:
-    """Build a two-tier topology, validating all counts."""
-    return ClusterTopology(
-        num_racks=racks,
-        hosts_per_rack=hosts_per_rack,
-        gpus_per_host=gpus_per_host,
-        uplinks_per_tor=uplinks,
-        nic_bandwidth=nic_bw,
-        uplink_bandwidth=uplink_bw,
-    )
-
-
 def path_between(topology: ClusterTopology, src: GpuId, dst: GpuId,
                  uplink: int = 0) -> list[int]:
     """Return the ids of the capacity-constrained links from src to dst.
 
-    Same host: empty path (intra-host interconnect is out of model).
+    Every path crosses at least one link. Intra-host traffic is out of
+    model, so two GPUs of one host (or one GPU twice) raise
+    ``TopologyError``.
+
     Same rack: src NIC up, dst NIC down.
     Cross rack: src NIC up, src-ToR uplink up, dst-ToR uplink down,
     dst NIC down. ``uplink``, the caller's routing colour, is the uplink
     taken at both ToRs, or their spray aggregate for ``SPRAY_COLOR``.
     """
-    if src == dst:
-        raise TopologyError("src and dst must differ")
     if src.rack == dst.rack and src.host == dst.host:
-        return []
+        raise TopologyError(f"{src} and {dst} share a host: intra-host "
+                            "traffic is out of model")
     if src.rack == dst.rack:
         return [
             topology.nic_link(src, Direction.UP),

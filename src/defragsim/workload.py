@@ -145,14 +145,13 @@ DEFAULT_TEMPLATES: tuple[ModelTemplate, ...] = (
 class TraceConfig:
     """Menu the trace generator draws from."""
     templates: Sequence[ModelTemplate] = DEFAULT_TEMPLATES
-    min_workers: int = 8
     max_workers: int = 256
     pp_choices: Sequence[int] = (1, 2, 4)
     iterations_min: int = 20
     iterations_max: int = 60
-    # Explicit worker-count menu; None means powers of two within
-    # [min_workers, max_workers].
-    size_choices: Sequence[int] | None = None
+    # the worker counts a job may draw, those above max_workers or the
+    # topology's GPU count left out
+    size_choices: Sequence[int] = (8, 16, 32, 64, 128, 256)
 
 
 @dataclass
@@ -170,10 +169,7 @@ class Trace:
 def _sizes(cfg: TraceConfig, topology: ClusterTopology) -> list[int]:
     """The worker counts a job may draw."""
     max_w = min(cfg.max_workers, topology.total_gpus)
-    if cfg.size_choices is not None:
-        return [s for s in cfg.size_choices if s <= max_w]
-    return [2 ** k for k in range((cfg.min_workers - 1).bit_length(),
-                                  max_w.bit_length())]
+    return [s for s in cfg.size_choices if s <= max_w]
 
 
 def _tp_options(template: ModelTemplate,
@@ -198,9 +194,6 @@ def check_menu(cfg: TraceConfig, topology: ClusterTopology) -> None:
         raise ValueError("the trace menu lists no model templates")
     if any(p < 1 for p in cfg.pp_choices):
         raise ValueError(f"pp_choices must be positive: {cfg.pp_choices}")
-    if (cfg.size_choices is None
-            and min(cfg.min_workers, cfg.max_workers) < 1):
-        raise ValueError("min_workers and max_workers must be positive")
     if cfg.iterations_min < 1:
         raise ValueError("iterations_min must be at least 1")
     if cfg.iterations_min > cfg.iterations_max:

@@ -24,14 +24,14 @@ from defragsim.fragmentation import (
 from defragsim.metrics import summarize
 from defragsim.routing import edge_color
 from defragsim.simulate import REINIT_SECONDS, run_simulation
-from defragsim.topology import make_two_tier
+from defragsim.topology import ClusterTopology
 from defragsim.workload import DEFAULT_TEMPLATES, TraceConfig, generate_trace
 from tests.test_defrag import random_instance
 from tests.test_flowsim import waterfill_oracle
 from tests.test_workload import make_job
 
 # The desk-scale reproduction cluster: 256 GPUs, two uplinks per ToR.
-FIGURE_TOPO = make_two_tier(8, 4, 8, 2, 400e9, 400e9)
+FIGURE_TOPO = ClusterTopology(8, 4, 8, 2, 400e9, 400e9)
 FIGURE_CFG = TraceConfig(templates=DEFAULT_TEMPLATES[:4], max_workers=16,
                          pp_choices=(1,), size_choices=tuple(range(10, 17)),
                          iterations_min=40, iterations_max=100)
@@ -39,7 +39,7 @@ FIGURE_SEED = 2
 FIGURE_LOAD = 0.9
 FIGURE_JOBS = 101
 
-SMALL_TOPO = make_two_tier(4, 2, 8, 2, 400e9, 400e9)
+SMALL_TOPO = ClusterTopology(4, 2, 8, 2, 400e9, 400e9)
 SMALL_CFG = TraceConfig(templates=DEFAULT_TEMPLATES[:4], max_workers=8,
                         pp_choices=(1,), size_choices=(5, 6, 7, 8),
                         iterations_min=20, iterations_max=40)
@@ -101,7 +101,7 @@ def test_criterion_01_sequential_placement_bound():
         racks = rng.randint(2, 6)
         hosts = rng.randint(1, 3)
         gpus = rng.choice((4, 8))
-        topo = make_two_tier(racks, hosts, gpus, 2, 400e9, 400e9)
+        topo = ClusterTopology(racks, hosts, gpus, 2, 400e9, 400e9)
         with_tp = trial >= 700
         # one TP degree per instance: unit sizes divide the host size, so
         # sequential packing wastes no slots and demand <= capacity is
@@ -341,7 +341,7 @@ def test_criterion_09_solve_time_grows_with_move_count(pooled_solver_log):
 
 
 def test_criterion_10_threshold_sweep():
-    topo = make_two_tier(8, 4, 8, 4, 400e9, 400e9)
+    topo = ClusterTopology(8, 4, 8, 4, 400e9, 400e9)
     trace = generate_trace(topo, 0.9, seed=FIGURE_SEED, num_jobs=60,
                            cfg=FIGURE_CFG)
     migrations, means = [], []
@@ -362,7 +362,7 @@ def test_criterion_10_threshold_sweep():
 def test_criterion_11_spray_at_full_bisection_is_ideal():
     # two 3.2 Tb/s uplinks carry a full rack of 16 400G NICs: no
     # oversubscription, so sprayed traffic never queues
-    topo = make_two_tier(4, 2, 8, 2, 400e9, 3200e9)
+    topo = ClusterTopology(4, 2, 8, 2, 400e9, 3200e9)
     cfg = TraceConfig(templates=DEFAULT_TEMPLATES[:4], max_workers=16,
                       pp_choices=(1,), size_choices=tuple(range(9, 17)))
     trace = generate_trace(topo, 0.5, seed=1, num_jobs=12, cfg=cfg)

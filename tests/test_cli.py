@@ -267,3 +267,18 @@ def test_oracle_catches_plan_for_infeasible_instance(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "solve", wrong_solve)
     assert main(["oracle", str(path)]) == 3
     assert "MISMATCH" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '{"num_racks": 2}',
+    "not json",
+    # job 0's row holds 3 units, not its 4
+    json.dumps({"num_racks": 2, "capacities": [4, 4], "threshold": 2,
+                "jobs": [{"key": 0, "units": 4, "initial": [2, 1]}]}),
+], ids=["no jobs", "not json", "row sum"])
+def test_oracle_malformed_instance_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    assert main(["oracle", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(path) in err

@@ -72,6 +72,14 @@ def test_menu_that_cannot_produce_a_job_rejected(sizes, message):
     ({"trace": {"num_jobs": 0}}, "num_jobs must be at least 1"),
     ({"trace": {"num_jobs": -3}}, "num_jobs must be at least 1"),
     ({"trace": {"iterations_min": 0}}, "iterations_min must be at least 1"),
+    ({"controller": {"threshold": -1}},
+     "controller.threshold must not be negative"),
+    ({"sweep": {"threshold": [-2]}}, "sweep.threshold must not be negative"),
+    ({"controller": {"max_moves": 0}}, "max_moves must be at least 1"),
+    ({"controller": {"solver_time_limit": -3}},
+     "solver_time_limit must be positive"),
+    ({"controller": {"solver_time_limit": 0}},
+     "solver_time_limit must be positive"),
 ], ids=repr)
 def test_value_that_cannot_run_rejected(data, message):
     with pytest.raises(ConfigError, match=message):
@@ -173,3 +181,9 @@ def test_readme_configuration_block_lists_the_defaults():
                          ids=lambda p: p.name)
 def test_shipped_config_validates(path):
     load_config(path)
+
+
+def test_threshold_zero_is_valid():
+    config = parse_config({"controller": {"threshold": 0},
+                           "sweep": {"threshold": [0, 2]}})
+    assert config.controller.threshold == 0

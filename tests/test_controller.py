@@ -11,10 +11,10 @@ from defragsim.controller import (
 from defragsim.defrag import SolverTimeout
 from defragsim.fragmentation import fragmentation_degree
 from defragsim.scheduler import Placement
-from defragsim.topology import make_two_tier
+from defragsim.topology import ClusterTopology
 from tests.test_workload import make_job, place_on_racks
 
-TOPO = make_two_tier(4, 4, 8, 4, 400e9, 400e9)
+TOPO = ClusterTopology(4, 4, 8, 4, 400e9, 400e9)
 
 
 def apply_moves(placement, moves):
@@ -133,7 +133,7 @@ def test_controller_restores_threshold():
 
 
 def test_controller_moves_whole_tp_units():
-    topo = make_two_tier(2, 2, 8, 4, 400e9, 400e9)
+    topo = ClusterTopology(2, 2, 8, 4, 400e9, 400e9)
     placement = Placement(topo)
     job = make_job(job_id=1, workers=16, dp=2, tp=8)
     for dp, rack in enumerate([0, 1]):
@@ -161,7 +161,7 @@ def test_controller_disabled_and_infeasible_are_quiet():
     assert off.check() is None
 
     # fill the cluster so nothing can move, then demand the impossible
-    small = make_two_tier(2, 1, 2, 2, 400e9, 400e9)
+    small = ClusterTopology(2, 1, 2, 2, 400e9, 400e9)
     full = Placement(small)
     j1 = make_job(job_id=1, workers=3, dp=3)
     j2 = make_job(job_id=2, workers=1, dp=1)
@@ -204,7 +204,7 @@ def test_controller_retries_full_instance_over_move_budget(monkeypatch):
     # Gathering the fragmented job F needs the room that whole job W
     # holds. The reduced instance freezes W, so under the move cap it
     # has no plan; the full instance evicts W and gathers F in 2 moves.
-    topo = make_two_tier(3, 1, 4, 2, 400e9, 400e9)
+    topo = ClusterTopology(3, 1, 4, 2, 400e9, 400e9)
     placement = Placement(topo)
     for job_id, racks in ((1, [0]), (2, [0, 0, 0, 1]), (3, [1, 1, 1]),
                           (4, [2, 2, 2, 2])):

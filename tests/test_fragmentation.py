@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from defragsim.controller import build_instance
 from defragsim.fragmentation import fragmentation_degree, sequential_placement
 from defragsim.scheduler import Placement, Scheduler, SchedulerError
-from defragsim.topology import make_two_tier
+from defragsim.topology import ClusterTopology
 from tests.test_workload import make_job, place_on_racks
 
-TOPO = make_two_tier(4, 4, 8, 4, 400e9, 400e9)
+TOPO = ClusterTopology(4, 4, 8, 4, 400e9, 400e9)
 
 
 def test_contained_job_contributes_zero():
@@ -34,7 +34,7 @@ def test_two_jobs_spanning_same_rack():
 
 
 def test_tp_job_contributes_tp_degree():
-    topo = make_two_tier(2, 2, 8, 16, 400e9, 400e9)
+    topo = ClusterTopology(2, 2, 8, 16, 400e9, 400e9)
     placement = Placement(topo)
     job = make_job(job_id=1, workers=16, dp=2, tp=8)
     for dp in range(2):
@@ -109,7 +109,7 @@ def test_stage_degrees_match_per_ring_definition(data):
     racks = data.draw(st.integers(2, 5))
     hosts = data.draw(st.integers(1, 3))
     gpus = data.draw(st.sampled_from([1, 2, 4]))
-    topo = make_two_tier(racks, hosts, gpus, 2, 400e9, 400e9)
+    topo = ClusterTopology(racks, hosts, gpus, 2, 400e9, 400e9)
     sched = Scheduler(topo)
     placed, job_id = [], 0
     for _ in range(data.draw(st.integers(1, 12))):
@@ -138,7 +138,7 @@ def test_theorem_sequential_bound_pure_dp(data):
     racks = data.draw(st.integers(2, 6))
     hosts = data.draw(st.integers(1, 4))
     gpus = data.draw(st.integers(1, 4))
-    topo = make_two_tier(racks, hosts, gpus, 2, 400e9, 400e9)
+    topo = ClusterTopology(racks, hosts, gpus, 2, 400e9, 400e9)
     capacity = topo.total_gpus
     sizes = []
     remaining = capacity
@@ -153,7 +153,7 @@ def test_theorem_sequential_bound_pure_dp(data):
 
 
 def test_theorem_bound_tight_two_oversized_jobs():
-    topo = make_two_tier(3, 4, 1, 2, 400e9, 400e9)
+    topo = ClusterTopology(3, 4, 1, 2, 400e9, 400e9)
     jobs = [make_job(job_id=0, workers=5, dp=5),
             make_job(job_id=1, workers=5, dp=5)]
     placement = sequential_placement(jobs, topo)
@@ -162,7 +162,7 @@ def test_theorem_bound_tight_two_oversized_jobs():
 
 
 def test_sequential_small_jobs_low_degrees():
-    topo = make_two_tier(4, 4, 1, 2, 400e9, 400e9)
+    topo = ClusterTopology(4, 4, 1, 2, 400e9, 400e9)
     jobs = [make_job(job_id=i, workers=3, dp=3) for i in range(5)]
     placement = sequential_placement(jobs, topo)
     report = fragmentation_degree(placement)
@@ -170,7 +170,7 @@ def test_sequential_small_jobs_low_degrees():
 
 
 def test_corollary_bound_with_tp():
-    topo = make_two_tier(4, 2, 8, 16, 400e9, 400e9)
+    topo = ClusterTopology(4, 2, 8, 16, 400e9, 400e9)
     rng = random.Random(9)
     for _ in range(50):
         sizes = []
@@ -187,6 +187,6 @@ def test_corollary_bound_with_tp():
 
 
 def test_sequential_capacity_exceeded():
-    topo = make_two_tier(2, 1, 1, 1, 400e9, 400e9)
+    topo = ClusterTopology(2, 1, 1, 1, 400e9, 400e9)
     with pytest.raises(SchedulerError):
         sequential_placement([make_job(job_id=0, workers=3, dp=3)], topo)

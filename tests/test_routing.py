@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from defragsim.routing import (
-    FlowDemand, check_proper_coloring, edge_color, hopcroft_karp,
-    make_strategy, stable_hash,
+    STRATEGIES, FlowDemand, check_proper_coloring, edge_color,
+    hopcroft_karp, stable_hash,
 )
 from defragsim.topology import SPRAY_COLOR, GpuId
 
@@ -68,7 +68,7 @@ def dp(key, job, src, dst, kind="dp"):
 
 
 def test_perfect_routing_isolates_within_uplinks():
-    strategy = make_strategy("perfect")
+    strategy = STRATEGIES["perfect"]()
     flows = [dp((1, i), 1, 0, i + 1) for i in range(3)]
     a = strategy.assign(flows, uplinks=4)
     used = [a[f.key] for f in flows]
@@ -76,7 +76,7 @@ def test_perfect_routing_isolates_within_uplinks():
 
 
 def test_perfect_routing_collapses_when_overloaded():
-    strategy = make_strategy("perfect")
+    strategy = STRATEGIES["perfect"]()
     flows = [dp((1, i), 1, 0, i + 1) for i in range(6)]
     a = strategy.assign(flows, uplinks=2)
     assert all(0 <= a[f.key] < 2 for f in flows)
@@ -87,14 +87,14 @@ def test_perfect_routing_collapses_when_overloaded():
 
 
 def test_perfect_routing_mice_round_robin():
-    strategy = make_strategy("perfect")
+    strategy = STRATEGIES["perfect"]()
     mice = [dp(("pp", i), 1, 0, 1, kind="pp") for i in range(4)]
     a = strategy.assign(mice, uplinks=2)
     assert [a[m.key] for m in mice] == [0, 1, 0, 1]
 
 
 def test_ecmp_deterministic():
-    strategy = make_strategy("ecmp")
+    strategy = STRATEGIES["ecmp"]()
     flows = [dp((7, i), 7, 0, 1) for i in range(10)]
     a1 = strategy.assign(flows, uplinks=4)
     a2 = strategy.assign(flows, uplinks=4)
@@ -102,7 +102,7 @@ def test_ecmp_deterministic():
 
 
 def test_ecmp_single_uplink_all_collide():
-    strategy = make_strategy("ecmp")
+    strategy = STRATEGIES["ecmp"]()
     flows = [dp((7, i), 7, 0, 1) for i in range(5)]
     a = strategy.assign(flows, uplinks=1)
     assert all(c == 0 for c in a.values())
@@ -122,14 +122,14 @@ def test_ecmp_collision_probability_half():
 
 
 def test_crux_single_job_no_sharing():
-    strategy = make_strategy("crux")
+    strategy = STRATEGIES["crux"]()
     flows = [dp((1, i), 1, 0, 1) for i in range(2)]
     a = strategy.assign(flows, uplinks=2, utilization={1: 0.9})
     assert a[(1, 0)] != a[(1, 1)]
 
 
 def test_crux_two_jobs_same_tor_pair_disjoint():
-    strategy = make_strategy("crux")
+    strategy = STRATEGIES["crux"]()
     flows = [dp((1, 0), 1, 0, 1), dp((2, 0), 2, 0, 1)]
     a = strategy.assign(flows, uplinks=2, utilization={1: 0.5, 2: 0.5})
     assert a[(1, 0)] != a[(2, 0)]
@@ -139,7 +139,7 @@ def test_crux_greedy_can_miss_isolation():
     # Three ToRs, 2 uplinks. The high-utilization job uses colors at ToRs
     # 0 and 1 first; a constructed follow-up job then cannot avoid
     # sharing at ToR 0 under greedy order, while edge coloring isolates.
-    strategy = make_strategy("crux")
+    strategy = STRATEGIES["crux"]()
     flows = [
         dp((1, 0), 1, 0, 1), dp((1, 1), 1, 1, 0),
         dp((2, 0), 2, 0, 2), dp((2, 1), 2, 2, 0),
@@ -147,7 +147,7 @@ def test_crux_greedy_can_miss_isolation():
     ]
     a = strategy.assign(flows, uplinks=3,
                         utilization={1: 0.9, 2: 0.8, 3: 0.7})
-    perfect = make_strategy("perfect").assign(flows, uplinks=3)
+    perfect = STRATEGIES["perfect"]().assign(flows, uplinks=3)
     # perfect always isolates here (max degree 3 <= 3 uplinks)
     src_seen, dst_seen = set(), set()
     for f in flows:
@@ -159,14 +159,14 @@ def test_crux_greedy_can_miss_isolation():
 
 
 def test_sglb_balanced_no_moves():
-    strategy = make_strategy("sglb")
+    strategy = STRATEGIES["sglb"]()
     flows = [dp((1, 0), 1, 0, 1), dp((2, 0), 2, 0, 1)]
     a = {(1, 0): 0, (2, 0): 1}
     assert strategy.rebalance(flows, uplinks=2, colors=a) is False
 
 
 def test_sglb_drains_overloaded_uplink():
-    strategy = make_strategy("sglb")
+    strategy = STRATEGIES["sglb"]()
     flows = [dp((1, 0), 1, 0, 1), dp((2, 0), 2, 0, 1)]
     a = {(1, 0): 0, (2, 0): 0}
     assert strategy.rebalance(flows, uplinks=2, colors=a) is True
@@ -175,7 +175,7 @@ def test_sglb_drains_overloaded_uplink():
 
 
 def test_sglb_converges_from_collided_start():
-    strategy = make_strategy("sglb")
+    strategy = STRATEGIES["sglb"]()
     flows = [dp((1, i), 1, 0, 1) for i in range(8)]
     a = {f.key: 0 for f in flows}
     for _ in range(len(flows) * 4):
@@ -214,7 +214,7 @@ def test_sglb_rebalance_again_moves_nothing(instance):
     returns, a second call on the same demands and colors returns False
     and writes nothing."""
     flows, uplinks, colors = instance
-    strategy = make_strategy("sglb")
+    strategy = STRATEGIES["sglb"]()
     strategy.rebalance(flows, uplinks=uplinks, colors=colors)
     settled = dict(colors)
     assert strategy.rebalance(flows, uplinks=uplinks, colors=colors) is False
@@ -222,12 +222,7 @@ def test_sglb_rebalance_again_moves_nothing(instance):
 
 
 def test_spray_assigns_aggregate_color():
-    strategy = make_strategy("spray")
+    strategy = STRATEGIES["spray"]()
     flows = [dp((1, 0), 1, 0, 1)]
     a = strategy.assign(flows, uplinks=4)
     assert a[(1, 0)] == SPRAY_COLOR
-
-
-def test_unknown_strategy_rejected():
-    with pytest.raises(ValueError):
-        make_strategy("nope")

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defragsim.scheduler import Placement, Scheduler, SchedulerError, plan_racks
-from defragsim.topology import GpuId, make_two_tier
+from defragsim.topology import ClusterTopology, GpuId
 from tests.test_workload import make_job
 
 # 2 racks x 8 hosts x 1 GPU: host-granular like the motivating example
-TOPO = make_two_tier(2, 8, 1, 2, 400e9, 400e9)
+TOPO = ClusterTopology(2, 8, 1, 2, 400e9, 400e9)
 
 
 def workers_of(placement, job_id):
@@ -36,7 +36,7 @@ def test_fewest_available_fitting_rack():
 
 
 def test_split_across_racks_largest_free_first():
-    topo = make_two_tier(3, 4, 1, 2, 400e9, 400e9)
+    topo = ClusterTopology(3, 4, 1, 2, 400e9, 400e9)
     sched = Scheduler(topo)
     sched.placement.add_job(make_job(job_id=100, workers=2, dp=2), [0, 0])
     sched.placement.add_job(make_job(job_id=101, workers=3, dp=3), [1] * 3)
@@ -112,7 +112,7 @@ def test_capacity_invariant_after_operations():
 
 
 def test_whole_host_granularity_for_full_tp():
-    topo = make_two_tier(2, 2, 8, 2, 400e9, 400e9)
+    topo = ClusterTopology(2, 2, 8, 2, 400e9, 400e9)
     sched = Scheduler(topo)
     job = make_job(job_id=1, workers=16, dp=2, tp=8)
     assert sched.place_job(job)
@@ -125,7 +125,7 @@ def test_whole_host_granularity_for_full_tp():
 
 
 def test_tp_group_never_crosses_host():
-    topo = make_two_tier(2, 4, 8, 2, 400e9, 400e9)
+    topo = ClusterTopology(2, 4, 8, 2, 400e9, 400e9)
     sched = Scheduler(topo)
     job = make_job(job_id=1, workers=16, dp=2, tp=4, pp=2)
     assert sched.place_job(job)
@@ -214,9 +214,9 @@ def test_placement_lockstep_with_set_model(data):
     """Slot bitmasks and interned ids against the set-based model, over
     random add_job / remove_job / assign / unassign sequences."""
     gph = data.draw(st.sampled_from((1, 2, 4, 8)), label="gpus_per_host")
-    topo = make_two_tier(data.draw(st.integers(1, 3), label="racks"),
-                         data.draw(st.integers(1, 3), label="hosts"),
-                         gph, 2, 400e9, 400e9)
+    topo = ClusterTopology(data.draw(st.integers(1, 3), label="racks"),
+                           data.draw(st.integers(1, 3), label="hosts"),
+                           gph, 2, 400e9, 400e9)
     placement, model = Placement(topo), SetPlacement(topo)
     loose = []  # workers assigned one by one, outside any job
     next_id = next_loose = 0

@@ -15,14 +15,14 @@ from defragsim.simulate import (
     ALGORITHMS, REINIT_SECONDS, Simulation, parse_algorithm, run_simulation,
 )
 from defragsim.routing import SglbRouting
-from defragsim.topology import make_two_tier, path_between
+from defragsim.topology import ClusterTopology, path_between
 from defragsim.workload import (
     DEFAULT_TEMPLATES, Trace, TraceConfig, generate_trace, ideal_duration,
 )
 from tests.test_workload import make_job
 
 QUICK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "quick.yaml"
-SMALL_TOPO = make_two_tier(4, 2, 8, 2, 400e9, 400e9)
+SMALL_TOPO = ClusterTopology(4, 2, 8, 2, 400e9, 400e9)
 SMALL_CFG = TraceConfig(templates=DEFAULT_TEMPLATES[:4], max_workers=8,
                         pp_choices=(1,), size_choices=(5, 6, 7, 8),
                         iterations_min=20, iterations_max=40)
@@ -75,7 +75,7 @@ def test_different_seeds_differ():
     assert a.event_log_hash != b.event_log_hash
 
 
-HYBRID_TOPO = make_two_tier(8, 4, 8, 2, 400e9, 400e9)
+HYBRID_TOPO = ClusterTopology(8, 4, 8, 2, 400e9, 400e9)
 HYBRID_CFG = TraceConfig(templates=DEFAULT_TEMPLATES, max_workers=32,
                          pp_choices=(1, 2, 4), size_choices=(16, 24, 32),
                          iterations_min=10, iterations_max=30)
@@ -183,7 +183,7 @@ def test_parse_algorithm_names():
 def test_spray_full_bisection_ideal_speed():
     """With uplink capacity matching aggregate NIC capacity and packet
     spraying, a lightly loaded cluster runs every job at line rate."""
-    topo = make_two_tier(4, 2, 8, 2, 400e9, 3200e9)
+    topo = ClusterTopology(4, 2, 8, 2, 400e9, 3200e9)
     cfg = TraceConfig(templates=DEFAULT_TEMPLATES[:2], max_workers=16,
                       pp_choices=(1,), size_choices=(9, 12, 16))
     trace = generate_trace(topo, 0.5, seed=1, num_jobs=10, cfg=cfg)
@@ -305,7 +305,7 @@ def test_same_time_completions_pop_in_flow_insertion_order():
     sim.net.settle_to(8.0)
     sim.net.remove_flow("c")
     sim._recompute_network()  # "a": 32 bits left at 8 bit/s, due at 12 s
-    popped = [sim.queue.pop() for _ in range(len(sim.queue))]
+    popped = [sim.queue.pop() for _ in range(len(sim.queue.heap))]
     assert [(t, payload[1]) for t, _, payload in popped[:2]] == [
         (12.0, "a"), (12.0, "b")]
 

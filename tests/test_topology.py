@@ -1,24 +1,25 @@
 import pytest
 
 from defragsim.topology import (
-    SPRAY_COLOR, Direction, GpuId, TopologyError, make_two_tier, path_between,
+    SPRAY_COLOR, ClusterTopology, Direction, GpuId, TopologyError,
+    path_between,
 )
 
 
 def test_paper_scale_cluster():
-    topo = make_two_tier(16, 8, 8, 16, 400e9, 400e9)
+    topo = ClusterTopology(16, 8, 8, 16, 400e9, 400e9)
     assert topo.total_gpus == 1024
     assert topo.oversubscription_ratio == pytest.approx(4.0)
 
 
 def test_degenerate_singleton():
-    topo = make_two_tier(1, 1, 1, 1, 1e9, 1e9)
+    topo = ClusterTopology(1, 1, 1, 1, 1e9, 1e9)
     assert topo.total_gpus == 1
     assert topo.oversubscription_ratio == pytest.approx(1.0)
 
 
 def test_motivating_example_cluster():
-    topo = make_two_tier(8, 4, 1, 2, 1.0, 1.0)
+    topo = ClusterTopology(8, 4, 1, 2, 1.0, 1.0)
     assert topo.total_gpus == 32
     assert topo.num_racks == 8
     assert topo.uplinks_per_tor == 2
@@ -26,19 +27,20 @@ def test_motivating_example_cluster():
 
 def test_zero_counts_rejected():
     with pytest.raises(TopologyError):
-        make_two_tier(0, 8, 8, 16, 400e9, 400e9)
+        ClusterTopology(0, 8, 8, 16, 400e9, 400e9)
     with pytest.raises(TopologyError):
-        make_two_tier(16, 8, 8, 16, 0.0, 400e9)
+        ClusterTopology(16, 8, 8, 16, 0.0, 400e9)
 
 
-def test_same_host_path_is_empty():
-    topo = make_two_tier(2, 2, 8, 2, 400e9, 400e9)
-    path = path_between(topo, GpuId(0, 0, 0), GpuId(0, 0, 5))
-    assert path == []
+def test_same_host_path_rejected():
+    # intra-host traffic is out of model: no path crosses zero links
+    topo = ClusterTopology(2, 2, 8, 2, 400e9, 400e9)
+    with pytest.raises(TopologyError):
+        path_between(topo, GpuId(0, 0, 0), GpuId(0, 0, 5))
 
 
 def test_same_rack_path_two_links():
-    topo = make_two_tier(2, 2, 8, 2, 400e9, 400e9)
+    topo = ClusterTopology(2, 2, 8, 2, 400e9, 400e9)
     src, dst = GpuId(0, 0, 0), GpuId(0, 1, 3)
     path = path_between(topo, src, dst)
     assert path == [topo.nic_link(src, Direction.UP),
@@ -48,7 +50,7 @@ def test_same_rack_path_two_links():
 
 def test_cross_rack_path_structure():
     # Enumerate all cross-rack pairs in a 2-rack toy topology.
-    topo = make_two_tier(2, 2, 2, 2, 400e9, 400e9)
+    topo = ClusterTopology(2, 2, 2, 2, 400e9, 400e9)
     for src_host in range(2):
         for dst_host in range(2):
             for s in range(2):
@@ -64,7 +66,7 @@ def test_cross_rack_path_structure():
 
 
 def test_spray_path_takes_the_tor_aggregates():
-    topo = make_two_tier(3, 2, 2, 2, 400.0, 50.0)
+    topo = ClusterTopology(3, 2, 2, 2, 400.0, 50.0)
     src, dst = GpuId(0, 1, 0), GpuId(2, 0, 1)
     path = path_between(topo, src, dst, SPRAY_COLOR)
     aggregate_base = topo.uplink_base + 2 * topo.uplinks_per_tor
@@ -85,7 +87,7 @@ def test_spray_path_takes_the_tor_aggregates():
 
 
 def test_link_ids_dense_and_capacities():
-    topo = make_two_tier(3, 2, 4, 2, 100.0, 50.0)
+    topo = ClusterTopology(3, 2, 4, 2, 100.0, 50.0)
     nics = [topo.nic_link(GpuId(r, h, g), d)
             for r in range(3) for h in range(2) for g in range(4)
             for d in Direction]
@@ -102,13 +104,13 @@ def test_link_ids_dense_and_capacities():
 
 
 def test_uplink_out_of_range():
-    topo = make_two_tier(2, 2, 2, 2, 400e9, 400e9)
+    topo = ClusterTopology(2, 2, 2, 2, 400e9, 400e9)
     with pytest.raises(TopologyError):
         path_between(topo, GpuId(0, 0, 0), GpuId(1, 0, 0), 5)
 
 
 def test_src_equals_dst_rejected():
-    topo = make_two_tier(2, 2, 2, 2, 400e9, 400e9)
+    topo = ClusterTopology(2, 2, 2, 2, 400e9, 400e9)
     with pytest.raises(TopologyError):
         path_between(topo, GpuId(0, 0, 0), GpuId(0, 0, 0))
 
@@ -120,5 +122,5 @@ def test_src_equals_dst_rejected():
     (8, 4, 8, 8, 4.0),
 ])
 def test_oversubscription_grid(racks, hosts, gpus, uplinks, ratio):
-    topo = make_two_tier(racks, hosts, gpus, uplinks, 400e9, 400e9)
+    topo = ClusterTopology(racks, hosts, gpus, uplinks, 400e9, 400e9)
     assert topo.oversubscription_ratio == pytest.approx(ratio)

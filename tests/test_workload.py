@@ -8,13 +8,13 @@ import pytest
 from defragsim.config import load_config
 from defragsim.jobmodel import plan_iteration_flows
 from defragsim.scheduler import Placement
-from defragsim.topology import make_two_tier
+from defragsim.topology import ClusterTopology
 from defragsim.workload import (
     JobSpec, ModelTemplate, TraceConfig, check_menu, generate_trace,
     ideal_duration,
 )
 
-TOPO = make_two_tier(4, 4, 8, 4, 400e9, 400e9)
+TOPO = ClusterTopology(4, 4, 8, 4, 400e9, 400e9)
 FIGURE_CONFIG = (Path(__file__).resolve().parents[1] / "configs"
                  / "figure.yaml")
 # sha256 of every field of every job of the figure trace, one line per
@@ -171,7 +171,7 @@ def test_generate_trace_rejects_bad_load():
 @pytest.mark.parametrize("sizes, message", [
     ((1,), "can never produce a job"), ((128,), "no worker count")])
 def test_generate_trace_rejects_menu_without_jobs(sizes, message):
-    topo = make_two_tier(4, 2, 8, 2, 400e9, 400e9)
+    topo = ClusterTopology(4, 2, 8, 2, 400e9, 400e9)
     cfg = TraceConfig(size_choices=sizes)
     with pytest.raises(ValueError, match=message):
         check_menu(cfg, topo)
@@ -183,14 +183,6 @@ def test_generate_trace_rejects_zero_iterations():
     cfg = TraceConfig(iterations_min=0)
     with pytest.raises(ValueError, match="iterations_min must be at least 1"):
         generate_trace(TOPO, 0.9, seed=0, num_jobs=5, cfg=cfg)
-
-
-def test_default_sizes_round_min_workers_up():
-    # 10 is no power of two: the menu starts at 16, never at 8
-    trace = generate_trace(TOPO, 0.9, seed=0, num_jobs=50,
-                           cfg=TraceConfig(min_workers=10))
-    assert TOPO.total_gpus == 128
-    assert min(job.num_workers for job in trace.jobs) >= 10
 
 
 def test_generate_trace_deterministic():
