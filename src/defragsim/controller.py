@@ -13,6 +13,9 @@ ring base load. If the reduced instance has no plan within the move cap
 (infeasible, or over budget) the controller retries with every stage
 movable before giving up: evicting a frozen stage can open the room a
 movable one needs.
+
+A plan is the solver's target row, units per rack, for each movable
+stage; ``resolve_plan`` turns the rows into per-worker host moves.
 """
 
 from __future__ import annotations
@@ -23,15 +26,13 @@ from dataclasses import dataclass
 
 from .defrag import (
     InfeasibleError, MigrationPlan, MoveBudgetExceeded, SolverInstance,
-    SolverTimeout, is_fragmented, ring_loads, solve,
+    SolverStats, SolverTimeout, is_fragmented, ring_loads, solve,
 )
 from .fragmentation import StageRows, stage_rows
 from .jobmodel import WorkerMove
 from .scheduler import Placement
 
 log = logging.getLogger(__name__)
-
-StageKey = tuple[int, int]  # (job_id, pipeline stage)
 
 
 @dataclass
@@ -89,48 +90,52 @@ def build_instance(placement: Placement, threshold: float,
 
 
 class ResolutionError(RuntimeError):
-    """A rack-level plan could not be packed onto concrete hosts."""
+    """A plan's target rows could not be packed onto concrete hosts."""
 
 
-def resolve_plan(placement: Placement, plan: MigrationPlan
-                 ) -> list[WorkerMove]:
-    """Turn rack-level moves into per-worker host assignments.
+def resolve_plan(placement: Placement, instance: SolverInstance,
+                 plan: MigrationPlan) -> list[WorkerMove]:
+    """Turn the plan's target rows into per-worker host assignments.
 
-    All departing units are released first, then destinations are packed
-    best-fit, largest units first, against the post-release free map --
-    consistent with the batch committing atomically.
+    A stage whose row differs from its ``instance`` row sends the TP
+    units it leaves, lowest dp rank first and racks in ascending order,
+    to the racks it gains, in rack order. All leaving units are released
+    first, then destinations are packed best-fit, largest units first,
+    against the post-release free map -- consistent with the batch
+    committing atomically.
     """
+    topology = placement.topology
     free = [[placement.free_slots(r, h)
-             for h in range(placement.topology.hosts_per_rack)]
-            for r in range(placement.topology.num_racks)]
+             for h in range(topology.hosts_per_rack)]
+            for r in range(topology.num_racks)]
 
-    # pick which concrete TP units leave each rack: lowest dp rank first
     unit_moves: list[tuple[int, list, int]] = []  # (unit_size, workers, dst)
-    available: dict[tuple[StageKey, int], list[int]] = {}
-    for mv in plan.moves:
-        job_id, stage = mv.key
+    for solver_job, row0, row in zip(instance.jobs, instance.initial,
+                                     plan.target):
+        if row == row0:
+            continue
+        job_id, stage = solver_job.key
         job = placement.jobs[job_id]
-        pool_key = (mv.key, mv.from_rack)
-        if pool_key not in available:
-            available[pool_key] = [
-                dp for dp in range(job.dp_degree)
-                if placement.locate(
-                    (job_id, job.worker_index(stage, dp, 0))
-                ).rack == mv.from_rack]
-        pool = available[pool_key]
-        for _ in range(mv.workers // job.tp_degree):
-            dp = pool.pop(0)
+        ranks: list[list[int]] = [[] for _ in range(topology.num_racks)]
+        for dp in range(job.dp_degree):
+            ranks[placement.locate(
+                (job_id, job.worker_index(stage, dp, 0))).rack].append(dp)
+        leaving = [dp for t in range(topology.num_racks)
+                   for dp in ranks[t][:max(0, row0[t] - row[t])]]
+        arriving = [t for t in range(topology.num_racks)
+                    for _ in range(row[t] - row0[t])]
+        for dp, dst_rack in zip(leaving, arriving, strict=True):
             workers = [(job_id, job.worker_index(stage, dp, tp))
                        for tp in range(job.tp_degree)]
             src = placement.locate(workers[0])
             free[src.rack][src.host] += job.tp_degree
-            unit_moves.append((job.tp_degree, workers, mv.to_rack))
+            unit_moves.append((job.tp_degree, workers, dst_rack))
 
     moves: list[WorkerMove] = []
     for unit_size, workers, dst_rack in sorted(
             unit_moves, key=lambda m: (-m[0], m[1][0])):
         fitting = [(free[dst_rack][h], h)
-                   for h in range(placement.topology.hosts_per_rack)
+                   for h in range(topology.hosts_per_rack)
                    if free[dst_rack][h] >= unit_size]
         if not fitting:
             raise ResolutionError(
@@ -144,7 +149,7 @@ def resolve_plan(placement: Placement, plan: MigrationPlan
 @dataclass
 class DefragDecision:
     moves: list[WorkerMove]
-    plan: MigrationPlan
+    stats: SolverStats
 
 
 # Why a check that found a violation returned no plan.
@@ -199,14 +204,14 @@ class DefragController:
             self.outcomes["memo"] += 1
             return None
         try:
-            plan = self._solve_with_fallback(instance, stages)
+            solved, plan = self._solve_with_fallback(instance, stages)
             if not plan.stats.optimal:
                 # Only proven-minimal plans are worth the disruption; a
                 # timed-out incumbent is a wholesale re-placement. Leave
                 # the violation standing and retry on the next change.
                 log.debug("defrag skipped: solver hit its time limit")
                 return self._skip(instance, "not_optimal")
-            moves = resolve_plan(self.placement, plan)
+            moves = resolve_plan(self.placement, solved, plan)
         except (InfeasibleError, MoveBudgetExceeded, ResolutionError,
                 SolverTimeout) as exc:
             # No acceptable plan exists right now (or it cannot be
@@ -214,20 +219,24 @@ class DefragController:
             log.debug("defrag skipped: %s", exc)
             return self._skip(instance, _FAILURE_REASON[type(exc)])
         self.outcomes["applied"] += 1
-        return DefragDecision(moves=moves, plan=plan)
+        return DefragDecision(moves=moves, stats=plan.stats)
 
     def _skip(self, instance: SolverInstance, reason: str) -> None:
         self.outcomes[reason] += 1
         self._last_skipped = instance
 
     def _solve_with_fallback(self, instance: SolverInstance,
-                             stages: StageRows) -> MigrationPlan:
+                             stages: StageRows
+                             ) -> tuple[SolverInstance, MigrationPlan]:
+        """The instance solved, reduced or full, and its plan."""
         try:
-            return solve(instance, time_limit=self.config.solver_time_limit,
-                         max_moves=self.config.max_moves)
+            return instance, solve(
+                instance, time_limit=self.config.solver_time_limit,
+                max_moves=self.config.max_moves)
         except (InfeasibleError, MoveBudgetExceeded):
             full = build_instance(self.placement, self.threshold,
                                   reduce=False, stages=stages)
             assert full is not None
-            return solve(full, time_limit=self.config.solver_time_limit,
-                         max_moves=self.config.max_moves)
+            return full, solve(full,
+                               time_limit=self.config.solver_time_limit,
+                               max_moves=self.config.max_moves)

@@ -124,19 +124,14 @@ class SolverStats:
 
 
 @dataclass(frozen=True)
-class RackMove:
-    key: Hashable
-    workers: int
-    from_rack: int
-    to_rack: int
-
-
-@dataclass(frozen=True)
 class MigrationPlan:
     target: tuple[tuple[int, ...], ...]  # units per (job, rack)
-    moves: tuple[RackMove, ...]
-    move_count: int  # total workers moved
     stats: SolverStats
+
+    @property
+    def move_count(self) -> int:
+        """Total workers moved."""
+        return self.stats.move_count
 
 
 def is_fragmented(row: Sequence[int]) -> bool:
@@ -635,7 +630,7 @@ def solve(instance: SolverInstance,
     if (_capacity_ok(instance, instance.initial)
             and not _violating_racks(instance, instance.initial)):
         stats = SolverStats(0, time.monotonic() - start, 0, True)
-        return MigrationPlan(instance.initial, (), 0, stats)
+        return MigrationPlan(instance.initial, stats)
 
     incumbent = _repair_incumbent(instance)
     search = _Search(instance, deadline)
@@ -653,35 +648,9 @@ def solve(instance: SolverInstance,
                 f"no plan within {max_moves} worker moves"
                 + (" (larger plans exist)" if feasible else ""))
         raise InfeasibleError("no placement satisfies the threshold")
-    moves = search.best_cost
-    stats = SolverStats(moves, elapsed, search.nodes,
+    stats = SolverStats(search.best_cost, elapsed, search.nodes,
                         not search.timed_out)
-    return _build_plan(instance, search.best, stats)
-
-
-def _build_plan(instance: SolverInstance,
-                placement: Sequence[tuple[int, ...]],
-                stats: SolverStats) -> MigrationPlan:
-    moves = []
-    for job, row0, row in zip(instance.jobs, instance.initial, placement):
-        deltas = [a - b for a, b in zip(row, row0)]
-        givers = [(t, -d) for t, d in enumerate(deltas) if d < 0]
-        takers = [(t, d) for t, d in enumerate(deltas) if d > 0]
-        gi = 0
-        for to_rack, need in takers:
-            while need > 0:
-                from_rack, avail = givers[gi]
-                take = min(need, avail)
-                moves.append(RackMove(job.key, take * job.unit_size,
-                                      from_rack, to_rack))
-                need -= take
-                avail -= take
-                if avail == 0:
-                    gi += 1
-                else:
-                    givers[gi] = (from_rack, avail)
-    return MigrationPlan(tuple(tuple(row) for row in placement),
-                         tuple(moves), stats.move_count, stats)
+    return MigrationPlan(tuple(search.best), stats)
 
 
 # -- brute-force oracle --------------------------------------------------
@@ -776,24 +745,44 @@ def save_instance(instance: SolverInstance, path: str) -> None:
         f.write("\n")
 
 
+def _count(value, name: str, least: int = 0) -> int:
+    """``value`` if it is an int (not a bool) of at least ``least``."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, "
+                         f"not {value!r}")
+    return value
+
+
+def _counts(values, name: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a list, not {values!r}")
+    return tuple(_count(v, name) for v in values)
+
+
 def load_instance(path: str) -> SolverInstance:
-    """Read a solver instance written by save_instance."""
+    """Read a solver instance written by save_instance. Raises
+    ValueError for a count that is not a non-negative int (a unit size
+    or ring weight below 1) or a threshold that is not a number."""
     with open(path) as f:
         data = json.load(f)
+    threshold = data["threshold"]
+    if type(threshold) not in (int, float):
+        raise ValueError(f"threshold must be a number, not {threshold!r}")
     jobs = []
     initial = []
     for rec in data["jobs"]:
         key = rec["key"]
         jobs.append(SolverJob(
             key=tuple(key) if isinstance(key, list) else key,
-            units=rec["units"], unit_size=rec.get("unit_size", 1),
-            ring_weight=rec.get("ring_weight", 1)))
-        initial.append(tuple(rec["initial"]))
+            units=_count(rec["units"], "units"),
+            unit_size=_count(rec.get("unit_size", 1), "unit_size", 1),
+            ring_weight=_count(rec.get("ring_weight", 1), "ring_weight", 1)))
+        initial.append(_counts(rec["initial"], "initial"))
     return SolverInstance(
-        num_racks=data["num_racks"],
-        capacities=tuple(data["capacities"]),
-        threshold=data["threshold"],
+        num_racks=_count(data["num_racks"], "num_racks"),
+        capacities=_counts(data["capacities"], "capacities"),
+        threshold=threshold,
         jobs=tuple(jobs),
         initial=tuple(initial),
-        base_load=tuple(data.get("base_load", ())),
+        base_load=_counts(data.get("base_load", []), "base_load"),
     )

@@ -35,11 +35,7 @@ class FlowDemand:
     src: GpuId
     dst: GpuId
     size_bytes: float
-    kind: str = "dp"  # dp | pp | migration
-
-    @property
-    def is_elephant(self) -> bool:
-        return self.kind == "dp"
+    kind: str = "dp"  # dp (an elephant) | pp | migration
 
 
 # -- Hopcroft-Karp maximum bipartite matching -----------------------------
@@ -192,14 +188,14 @@ class PerfectRouting:
 
     def assign(self, flows, uplinks, previous=None, utilization=None):
         assignment = {}
-        elephants = [f for f in flows if f.is_elephant]
+        elephants = [f for f in flows if f.kind == "dp"]
         edges = [(f.src.rack, f.dst.rack) for f in elephants]
         colors, delta = edge_color(edges)
         for f, c in zip(elephants, colors):
             assignment[f.key] = c % uplinks if delta > uplinks else c
         cursor: dict[int, int] = defaultdict(int)
         for f in flows:
-            if not f.is_elephant:
+            if f.kind != "dp":
                 assignment[f.key] = cursor[f.src.rack] % uplinks
                 cursor[f.src.rack] += 1
         return assignment
@@ -267,7 +263,7 @@ class SglbRouting:
         src_load: dict[tuple[int, int], int] = defaultdict(int)
         dst_load: dict[tuple[int, int], int] = defaultdict(int)
         elephants = [(f.key, f.src.rack, f.dst.rack) for f in flows
-                     if f.is_elephant and f.key in colors]
+                     if f.kind == "dp" and f.key in colors]
         for key, src, dst in elephants:
             c = colors[key]
             src_load[(src, c)] += 1

@@ -394,8 +394,8 @@ class Simulation:
         decision = self.controller.check(stages)
         if decision is None:
             return
-        self._trace_event("defrag", decision.plan.move_count)
-        self._defrag_events.append(DefragEvent(self.now, decision.plan.stats))
+        self._trace_event("defrag", decision.stats.move_count)
+        self._defrag_events.append(DefragEvent(self.now, decision.stats))
         # no job is paused outside a batch, so the batch waits for every
         # job it moves to finish its in-flight iteration
         self.batch = MigrationBatch(batch_id=len(self._defrag_events) - 1,

@@ -28,7 +28,7 @@ class ModelTemplate:
     allow_fsdp: bool = False
     allow_tp: bool = False
     allow_pp: bool = False
-    compute_seconds: float = 2.0  # per-iteration compute, config override
+    compute_seconds: float = 2.0  # per-iteration compute
     pp_boundary_bytes: float = 0.0  # activation bytes per stage boundary
 
     def __post_init__(self):

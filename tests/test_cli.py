@@ -261,8 +261,7 @@ def test_oracle_catches_plan_for_infeasible_instance(tmp_path, monkeypatch,
     path = frozen_overload_instance(tmp_path)
 
     def wrong_solve(instance, time_limit=None, max_moves=None):
-        return MigrationPlan(instance.initial, (), 0,
-                             SolverStats(0, 0.0, 0, True))
+        return MigrationPlan(instance.initial, SolverStats(0, 0.0, 0, True))
 
     monkeypatch.setattr(cli, "solve", wrong_solve)
     assert main(["oracle", str(path)]) == 3
@@ -275,7 +274,14 @@ def test_oracle_catches_plan_for_infeasible_instance(tmp_path, monkeypatch,
     # job 0's row holds 3 units, not its 4
     json.dumps({"num_racks": 2, "capacities": [4, 4], "threshold": 2,
                 "jobs": [{"key": 0, "units": 4, "initial": [2, 1]}]}),
-], ids=["no jobs", "not json", "row sum"])
+    json.dumps({"num_racks": 2, "capacities": [4, 4], "threshold": "x",
+                "jobs": [{"key": 0, "units": 4, "initial": [2, 2]}]}),
+    json.dumps({"num_racks": 2, "capacities": [4, "4"], "threshold": 2,
+                "jobs": [{"key": 0, "units": 4, "initial": [2, 2]}]}),
+    json.dumps({"num_racks": 2, "capacities": [4, 4], "threshold": 2,
+                "jobs": [{"key": 0, "units": -1, "initial": [1, -2]}]}),
+], ids=["no jobs", "not json", "row sum", "string threshold",
+        "string capacity", "negative units"])
 def test_oracle_malformed_instance_exits_2(tmp_path, capsys, text):
     path = tmp_path / "instance.json"
     path.write_text(text)

@@ -10,6 +10,7 @@ from defragsim.controller import (
 )
 from defragsim.defrag import SolverTimeout
 from defragsim.fragmentation import fragmentation_degree
+from defragsim.jobmodel import WorkerMove
 from defragsim.scheduler import Placement
 from defragsim.topology import ClusterTopology
 from tests.test_workload import make_job, place_on_racks
@@ -123,7 +124,7 @@ def test_controller_restores_threshold():
     controller = DefragController(placement, ControllerConfig(threshold=0))
     decision = controller.check()
     assert decision is not None
-    assert decision.plan.move_count == 3  # gather the smaller half
+    assert decision.stats.move_count == 3  # gather the smaller half
     assert len(decision.moves) == 3
     assert outcomes(controller) == {"applied": 1}
     apply_moves(placement, decision.moves)
@@ -143,7 +144,7 @@ def test_controller_moves_whole_tp_units():
     controller = DefragController(placement, ControllerConfig(threshold=7))
     decision = controller.check()
     assert decision is not None
-    assert decision.plan.move_count == 8  # one whole TP unit
+    assert decision.stats.move_count == 8  # one whole TP unit
     dst_hosts = {(mv.dst_rack, mv.dst_host) for mv in decision.moves}
     assert len(dst_hosts) == 1  # the unit lands on a single host
     apply_moves(placement, decision.moves)
@@ -200,6 +201,42 @@ def test_resolve_plan_respects_host_capacity():
             assert placement.free_slots(rack, host) >= 0
 
 
+def test_resolve_plan_pairs_leaving_units_with_arriving_racks_in_order():
+    # Job 1 (4 DP ranks) shares racks 0 and 1 with job 2, whose TP units
+    # weigh 4 each, so both racks are over threshold 4. Whole jobs 5 and
+    # 6 fill racks 0 and 1, and jobs 3 and 4 leave two slots on each of
+    # racks 2 and 3, so the only minimum plan moves job 1 from row
+    # [3, 1, 0, 0] to [0, 0, 2, 2].
+    topo = ClusterTopology(4, 2, 4, 4, 400e9, 400e9)
+    placement = Placement(topo)
+    frag = make_job(job_id=1, workers=4, dp=4)
+    for dp, rack in enumerate([0, 1, 0, 0]):
+        placement.assign((1, frag.worker_index(0, dp, 0)), rack, 1)
+    wide = make_job(job_id=2, workers=8, dp=2, tp=4)
+    for dp in range(2):
+        for tp in range(4):
+            placement.assign((2, wide.worker_index(0, dp, tp)), dp, 0)
+    placement.jobs[1], placement.jobs[2] = frag, wide
+    for job_id, rack, hosts in ((3, 2, [0, 0, 0, 1, 1, 1]),
+                                (4, 3, [0, 0, 0, 0, 1, 1]),
+                                (5, 0, [1]), (6, 1, [1, 1, 1])):
+        placement.jobs[job_id] = make_job(job_id=job_id, workers=len(hosts),
+                                          dp=len(hosts))
+        for i, host in enumerate(hosts):
+            placement.assign((job_id, i), rack, host)
+    controller = DefragController(placement, ControllerConfig(threshold=4))
+    decision = controller.check()
+    assert decision.stats.move_count == 4
+    # leaving, racks in order and lowest dp rank first: 0, 2, 3 from
+    # rack 0, then 1 from rack 1; arriving: rack 2 twice, rack 3 twice.
+    # In worker order, each unit takes the fitting host with least room.
+    assert decision.moves == [
+        WorkerMove((1, 0), 2, 0), WorkerMove((1, 1), 3, 1),
+        WorkerMove((1, 2), 2, 1), WorkerMove((1, 3), 3, 1)]
+    apply_moves(placement, decision.moves)
+    assert fragmentation_degree(placement).max_degree <= 4
+
+
 def test_controller_retries_full_instance_over_move_budget(monkeypatch):
     # Gathering the fragmented job F needs the room that whole job W
     # holds. The reduced instance freezes W, so under the move cap it
@@ -226,7 +263,7 @@ def test_controller_retries_full_instance_over_move_budget(monkeypatch):
     # the reduced and the full instance come from one build of the rows
     assert builds == [placement]
     assert decision is not None
-    assert decision.plan.move_count == 2
+    assert decision.stats.move_count == 2
     assert controller.skipped_infeasible == 0
     assert outcomes(controller) == {"applied": 1}
     apply_moves(placement, decision.moves)

@@ -59,16 +59,6 @@ def assert_plan_valid(instance, plan: MigrationPlan):
         assert load <= instance.threshold
     # move count is half the l1 distance
     assert plan.move_count == worker_moves(instance, plan.target)
-    # applying the move list to the initial placement yields the target
-    state = [list(row) for row in instance.initial]
-    index = {job.key: i for i, job in enumerate(instance.jobs)}
-    for mv in plan.moves:
-        i = index[mv.key]
-        units = mv.workers // instance.jobs[i].unit_size
-        state[i][mv.from_rack] -= units
-        state[i][mv.to_rack] += units
-    assert tuple(tuple(r) for r in state) == plan.target
-    assert sum(mv.workers for mv in plan.moves) == plan.move_count
 
 
 def test_compliant_instance_zero_moves():
@@ -585,8 +575,7 @@ def reference_solve(instance, max_moves=None):
         raise InfeasibleError("capacity short of workers")
     if (defrag._capacity_ok(instance, instance.initial)
             and not defrag._violating_racks(instance, instance.initial)):
-        return MigrationPlan(instance.initial, (), 0,
-                             SolverStats(0, 0.0, 0, True))
+        return MigrationPlan(instance.initial, SolverStats(0, 0.0, 0, True))
     incumbent = defrag._repair_incumbent(instance)
     search = _RefSearch(instance, None)
     search.run(incumbent, search._remaining_lb(0, list(instance.base_load)),
@@ -595,8 +584,8 @@ def reference_solve(instance, max_moves=None):
         if max_moves is not None:
             raise MoveBudgetExceeded("no plan within the cap")
         raise InfeasibleError("no placement satisfies the threshold")
-    return defrag._build_plan(
-        instance, search.best,
+    return MigrationPlan(
+        tuple(search.best),
         SolverStats(search.best_cost, 0.0, search.nodes, True))
 
 

@@ -34,7 +34,7 @@ def test_plan_flows_two_rack_ring():
     assert len(intra) == 1  # host boundary inside rack 0
     per_link = 2 * 8e9 * 11 / 12
     assert all(f.size_bytes == pytest.approx(per_link) for f in flows)
-    assert all(f.is_elephant and f.job_id == 1 for f in flows)
+    assert all(f.kind == "dp" and f.job_id == 1 for f in flows)
 
 
 def test_plan_flows_keys_stable_across_calls():
@@ -51,7 +51,7 @@ def test_plan_flows_pp_demands_are_mice():
     flows = plan_iteration_flows(job, placement.locate)
     pp = [f for f in flows if f.key[1] == "pp"]
     assert len(pp) == 2  # forward + backward across the stage boundary
-    assert all(f.kind == "pp" and not f.is_elephant for f in pp)
+    assert all(f.kind == "pp" for f in pp)
     assert all(f.size_bytes == 1e8 for f in pp)
 
 

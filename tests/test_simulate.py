@@ -8,7 +8,7 @@ import pytest
 from defragsim import controller, flowsim, fragmentation, simulate
 from defragsim.config import load_config
 from defragsim.controller import DefragDecision
-from defragsim.defrag import MigrationPlan, SolverStats
+from defragsim.defrag import SolverStats
 from defragsim.jobmodel import JobPhase, WorkerMove
 from defragsim.scheduler import plan_racks
 from defragsim.simulate import (
@@ -602,8 +602,7 @@ def test_waited_on_job_that_finishes_in_the_barrier_leaves_the_batch():
     move_long = WorkerMove((1, 0), 1, 0)
     decision = DefragDecision(
         moves=[move_short, move_long],
-        plan=MigrationPlan(target=(), moves=(), move_count=2,
-                           stats=SolverStats(2, 0.0, 0, True)))
+        stats=SolverStats(2, 0.0, 0, True))
     seen = []
 
     def waiting(sim):
@@ -656,8 +655,7 @@ def test_batch_whose_moved_jobs_all_leave_in_the_barrier_commits_empty():
         last.template, compute_seconds=3.0))
     decision = DefragDecision(
         moves=[WorkerMove((0, 0), 1, 0), WorkerMove((1, 0), 1, 0)],
-        plan=MigrationPlan(target=(), moves=(), move_count=2,
-                           stats=SolverStats(2, 0.0, 0, True)))
+        stats=SolverStats(2, 0.0, 0, True))
     log = io.BytesIO()
     sim = Simulation(SMALL_TOPO, Trace([first, last], 0.9, 0),
                      "defrag-perfect", check_invariants=True, event_log=log)
