@@ -26,12 +26,16 @@ initial row plus an addition of k units elsewhere. Each node's work is
 kept small by what is built once: per depth, a table of the racks
 holding unplaced fragmented jobs, from which the node bound is one
 pass and a sort of the racks in excess; per search, the removals of
-each (job, k); per node, the racks a fragmented row may not touch. An
-addition never overflows a rack, so capacity is checked once per
-removal, and the splitter leaves out the units a hot rack would take,
-so no row is built that the ring check rejects. Each ``_dfs`` entry, the
-root or a row searched, is one node; depth 0's table is all a solve
-builds when the incumbent already meets the floor.
+each (job, k); per node, the racks a fragmented row may not touch and
+each rack's room and slack. An addition never overflows a rack, so
+capacity is checked once per removal, and the splitter leaves out the
+units a hot rack would take, so no row is built that the ring check
+rejects. Each candidate row is bounded in its parent before the search
+descends: that bound reads only the ring loads, so a node computes it
+once per fragmented support (the racks a split row touches), and a row
+it prunes is never built or applied. The root and every candidate row
+bounded is one node; depth 0's table is all a solve builds when the
+incumbent already meets the floor.
 
 Jobs are placed in atomic units of ``unit_size`` workers (the TP group,
 which never splits across hosts); pure DP jobs have unit_size 1. A
@@ -344,11 +348,14 @@ class _Search:
     fragmented jobs as a bitmask for ``_remaining_lb``'s disjoint-rack
     sum; per (job, k), the list of ways to remove k units from the job's
     initial row; and per node, the racks where one more fragmented row
-    would break the threshold. Only depth 0's table exists until ``run``
-    starts a search, so a solve the incumbent settles builds no more.
-    The candidate rows are generated already through the capacity and
-    ring checks, so each row built is entered as a node unless the
-    search stops first, and ``nodes`` counts ``_dfs`` entries."""
+    would break the threshold, each rack's room and slack, and the bound
+    of a child per fragmented support. Only depth 0's table exists until
+    ``run`` starts a search, so a solve the incumbent settles builds no
+    more. The candidate rows are generated already through the capacity
+    and ring checks, and each is bounded in its parent before the search
+    descends into it. ``nodes`` counts the root and every candidate row
+    bounded, pruned or entered; ``_dfs`` runs only for the entered
+    ones."""
 
     def __init__(self, instance: SolverInstance, deadline: float | None):
         self.instance = instance
@@ -453,7 +460,10 @@ class _Search:
         # slack under "everything sits at its current row": placed jobs at
         # their assigned rows, unplaced ones at their initial rows
         self.slack = _free_capacity(self.instance, self.instance.initial)
-        self._dfs(0, 0, free, frag, assignment)
+        self.nodes += 1  # the root; node 1 never reads the clock
+        bound = self._bound()
+        if bound is None or self._remaining_lb(0, frag) < bound:
+            self._dfs(0, 0, free, frag, assignment)
 
     def _bound(self) -> int | None:
         """Exclusive upper bound on acceptable plan cost."""
@@ -524,24 +534,25 @@ class _Search:
         return cached
 
     def _dfs(self, depth, cost, free, frag, assignment):
-        """One search node: every row of the job at ``depth`` that fits
-        and passes the ring check, in increasing move count, each
-        searched in turn. The deadline is read once every 1024 nodes."""
-        self.nodes += 1
-        if (self.deadline is not None and not self.nodes % 1024
-                and time.monotonic() > self.deadline):
-            self.timed_out = True
-            return
+        """One search node, entered already counted and bounded by its
+        parent: every row of the job at ``depth`` that fits and passes
+        the ring check, in increasing move count, is a child.
+
+        Each child is one node, counted here, and the deadline is read
+        on every 1024th. An interior child is bounded before it is
+        entered: its bound reads only ``frag``, so the parent adds the
+        job's ring weight on the row's fragmented support, reads
+        ``_remaining_lb`` one depth down and restores ``frag``. ``frag``
+        is also restored after every child searched, so within a node
+        that bound depends only on the support and is memoised by it. A
+        child it prunes gets no ``free``, ``slack`` or ``assignment``
+        update; the rest are entered. Leaves are not bounded."""
         if depth == len(self.order):
             # A leaf replaces the best plan even at equal cost, while
             # interior nodes prune at >= the bound: among equal-cost
             # sibling leaves, the last one generated wins.
             self.best = [row for row in assignment]
             self.best_cost = cost
-            return
-        node_bound = self._bound()
-        if (node_bound is not None
-                and cost + self._remaining_lb(depth, frag) >= node_bound):
             return
         job_idx = self.order[depth]
         job = self.instance.jobs[job_idx]
@@ -551,43 +562,68 @@ class _Search:
         # racks a fragmented row may not touch; frag is restored after
         # every child, so this holds for the whole node
         hot = [f + weight > threshold for f in frag]
+        # free and slack are restored after every child too, so each
+        # rack's room for units beyond row0 and its slack hold for the
+        # whole node
+        room = [f // unit - v for f, v in zip(free, row0)]
+        slacks = [max(0, s) for s in self.slack]
+        leaf = depth + 1 == len(self.order)
+        child_lbs: dict[frozenset[int], int] = {}
         for k in range(job.units + 1):
+            child_cost = cost + k * unit
             bound = self._bound()
-            if bound is not None and cost + k * unit >= bound:
+            if bound is not None and child_cost >= bound:
                 return  # deeper jobs only cost more; later k too
             if bound is not None:
                 # a rack can absorb its current slack plus at most the
                 # workers the rest of the move budget could still evict
-                b_rem = bound - 1 - cost - k * unit
+                b_rem = bound - 1 - child_cost
             else:
                 b_rem = self.suffix_workers[depth + 1]
-            slacks = [max(0, s) for s in self.slack]
-            add_limits = [
-                min(f // unit - row0[t], (slacks[t] + b_rem) // unit)
-                for t, f in enumerate(free)]
+            add_limits = [min(r, (s + b_rem) // unit)
+                          for r, s in zip(room, slacks)]
             # Rows at exactly k unit-moves from row0: a removal, then an
             # addition on racks it did not take from.
             for removed, sources, kept in self._removals(job_idx, k):
-                # add_limits[t] <= free[t] // unit - row0[t], so an
-                # addition never overflows a rack: a row fits exactly
-                # when the removal's row does
+                # add_limits[t] <= room[t], so an addition never
+                # overflows a rack: a row fits exactly when the
+                # removal's row does
                 if any(unit * removed[t] > free[t] for t in kept):
                     continue
                 for addition in _additions(k, sources, kept, add_limits,
                                            slacks, unit, b_rem, hot):
+                    self.nodes += 1
+                    if (self.deadline is not None and not self.nodes % 1024
+                            and time.monotonic() > self.deadline):
+                        self.timed_out = True
+                        return
+                    # the racks the row touches; a row whole on one rack
+                    # adds no ring load
+                    support = frozenset([*kept, *[t for t, _ in addition]])
+                    fragmented = len(support) >= 2
+                    if not leaf and bound is not None:
+                        key = support if fragmented else frozenset()
+                        lb = child_lbs.get(key)
+                        if lb is None:
+                            for t in key:
+                                frag[t] += weight
+                            lb = self._remaining_lb(depth + 1, frag)
+                            for t in key:
+                                frag[t] -= weight
+                            child_lbs[key] = lb
+                        if child_cost + lb >= bound:
+                            continue
                     row = list(removed)
                     for t, cnt in addition:
                         row[t] += cnt
                     row = tuple(row)
-                    fragmented = is_fragmented(row)
                     for t, v in enumerate(row):
                         free[t] -= unit * v
                         self.slack[t] += unit * (row0[t] - v)
                         if fragmented and v:
                             frag[t] += weight
                     assignment[job_idx] = row
-                    self._dfs(depth + 1, cost + k * unit, free, frag,
-                              assignment)
+                    self._dfs(depth + 1, child_cost, free, frag, assignment)
                     for t, v in enumerate(row):
                         free[t] += unit * v
                         self.slack[t] -= unit * (row0[t] - v)
@@ -599,6 +635,7 @@ class _Search:
                     if (self.best_cost is not None
                             and self.best_cost <= self.floor):
                         return  # proven optimal by the lower bound
+                    bound = self._bound()  # the child may have lowered it
 
 
 def solve(instance: SolverInstance,

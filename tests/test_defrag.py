@@ -723,8 +723,8 @@ def test_settled_solve_builds_only_the_root_table(monkeypatch):
     assert fresh._remaining_lb(0, [0] * 4) == 2
 
 
-# Uncapped, the first explores 1,965 nodes and the second 2,772; the
-# second has no repair incumbent to fall back on.
+# Deep enough that a search passes the 1,024th node, where a deadline
+# is read; the second has no repair incumbent to fall back on.
 DEEP_WITH_INCUMBENT = _unit_instance(
     (5, 6, 6, 5, 4), 1,
     [(1, 2, 0, 1, 0), (1, 0, 0, 1, 0), (1, 2, 0, 0, 0), (0, 0, 0, 1, 2),
@@ -733,12 +733,46 @@ DEEP_WITHOUT_INCUMBENT = _unit_instance(
     (3, 4, 5, 4, 6), 1,
     [(1, 2, 0, 0, 1), (0, 0, 1, 1, 1), (0, 0, 1, 0, 2), (0, 2, 0, 1, 1),
      (0, 0, 0, 2, 1), (2, 0, 2, 0, 0), (0, 0, 1, 0, 0)])
+DEEP_WITH_TARGET = (
+    (1, 2, 0, 1, 0), (2, 0, 0, 0, 0), (0, 3, 0, 0, 0), (0, 0, 0, 3, 0),
+    (0, 0, 2, 0, 2), (0, 0, 3, 0, 0))
+DEEP_WITHOUT_TARGET = (
+    (0, 4, 0, 0, 0), (0, 0, 3, 0, 0), (0, 0, 0, 0, 3), (0, 0, 0, 1, 3),
+    (0, 0, 0, 3, 0), (2, 0, 2, 0, 0), (1, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("inst, max_moves, want", [
+    (DEEP_WITH_INCUMBENT, None, (8, DEEP_WITH_TARGET, 1965)),
+    (DEEP_WITH_INCUMBENT, 16, (8, DEEP_WITH_TARGET, 1965)),
+    (DEEP_WITHOUT_INCUMBENT, None, (9, DEEP_WITHOUT_TARGET, 2772)),
+    # the cap bounds the search before its first plan: two nodes fewer
+    (DEEP_WITHOUT_INCUMBENT, 16, (9, DEEP_WITHOUT_TARGET, 2770)),
+])
+def test_deep_solves_pinned(inst, max_moves, want):
+    """Plan and node count of the deep instances: a change to the search
+    that is meant to keep every row, node and plan keeps these."""
+    plan = solve(inst, time_limit=None, max_moves=max_moves)
+    assert plan.stats.optimal
+    assert (plan.move_count, plan.target, plan.stats.nodes_explored) == want
 
 
 @pytest.mark.parametrize("inst", [DEEP_WITH_INCUMBENT,
                                   DEEP_WITHOUT_INCUMBENT])
 def test_deadline_stops_search_at_first_node_check(inst, monkeypatch):
-    assert solve(inst, time_limit=None).stats.nodes_explored > 1024
+    entered = set()
+    dfs = defrag._Search._dfs
+
+    def recording_dfs(self, *args):
+        entered.add(self.nodes)
+        return dfs(self, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(defrag._Search, "_dfs", recording_dfs)
+        assert solve(inst, time_limit=None).stats.nodes_explored > 1024
+    # Uncapped, the 1,024th node of the first is a row its parent prunes
+    # without descending, so the clock read in the parent's loop is what
+    # stops that search; the second enters its 1,024th node.
+    assert (1024 in entered) == (inst is DEEP_WITHOUT_INCUMBENT)
     reads = []
 
     def clock():
@@ -755,8 +789,8 @@ def test_deadline_stops_search_at_first_node_check(inst, monkeypatch):
         assert inst is DEEP_WITH_INCUMBENT
         assert_plan_valid(inst, plan)
         assert not plan.stats.optimal
-        # one node per _dfs entry, and the check reads the clock on
-        # the 1,024th
+        # one node per row bounded, and the check reads the clock on the
+        # 1,024th
         assert plan.stats.nodes_explored == 1024
     # start, the check at the 1,024th node, elapsed
     assert len(reads) == 3
