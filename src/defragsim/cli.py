@@ -21,13 +21,15 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import (
+    ConfigError, ExperimentConfig, check_algorithms, load_config,
+)
 from .defrag import (
     InfeasibleError, OracleTooLargeError, brute_force_min_moves,
     load_instance, solve,
 )
 from .metrics import export_run, run_tag, write_summary
-from .simulate import ALGORITHMS, run_simulation
+from .simulate import run_simulation
 from .workload import generate_trace
 
 EXIT_OK = 0
@@ -83,9 +85,7 @@ def cmd_run(args) -> int:
     config = load_config(args.config)
     if args.algorithms:
         config.algorithms = args.algorithms.split(",")
-        unknown = [a for a in config.algorithms if a not in ALGORITHMS]
-        if unknown:
-            raise ConfigError(f"unknown algorithm(s): {', '.join(unknown)}")
+        check_algorithms(config.algorithms)
     if args.seeds is not None:
         if args.seeds < 1:
             raise ConfigError("--seeds must be at least 1")

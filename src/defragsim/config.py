@@ -168,6 +168,24 @@ def _check_scalar(value, kind: type, where: str) -> None:
         raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
 
 
+def _check_unique(values: list, where: str) -> None:
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigError(f"{where} lists {repeated[0]} more than once")
+
+
+def check_algorithms(algorithms: list[str]) -> None:
+    """Reject an empty list, an unknown name or a repeated one."""
+    if not algorithms:
+        raise ConfigError("algorithms must be a non-empty list of names")
+    unknown = [a for a in algorithms if a not in ALGORITHMS]
+    if unknown:
+        raise ConfigError(
+            f"unknown algorithm(s): {', '.join(unknown)}; "
+            f"available: {', '.join(ALGORITHMS)}")
+    _check_unique(algorithms, "algorithms")
+
+
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a parsed YAML mapping into an ExperimentConfig."""
     config = _read_block(ExperimentConfig, data, "")
@@ -196,13 +214,15 @@ def parse_config(data: dict) -> ExperimentConfig:
     if ctl.solver_time_limit <= 0:
         raise ConfigError(f"controller.solver_time_limit must be positive, "
                           f"got {ctl.solver_time_limit}")
-    if not config.algorithms:
-        raise ConfigError("algorithms must be a non-empty list of names")
-    unknown = [a for a in config.algorithms if a not in ALGORITHMS]
-    if unknown:
-        raise ConfigError(
-            f"unknown algorithm(s): {', '.join(unknown)}; "
-            f"available: {', '.join(ALGORITHMS)}")
+    check_algorithms(config.algorithms)
+    # a repeated value names one output cell twice; the second run
+    # would overwrite the first
+    for where, values in (("trace.loads", config.trace.loads),
+                          ("sweep.load", config.sweep.load),
+                          ("sweep.oversubscription",
+                           config.sweep.oversubscription),
+                          ("sweep.threshold", config.sweep.threshold)):
+        _check_unique(values, where)
     menu = config.trace.trace_config()  # fails on unknown template names
     try:
         check_menu(menu, config.topology.build())

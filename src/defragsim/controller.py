@@ -8,11 +8,9 @@ TP rank on every rack it touches).
 
 Violations are local, so the instance is reduced before solving: only
 fragmented stages that occupy an over-threshold rack are movable;
-everything else is frozen into per-rack capacity and
-ring base load. If the reduced instance has no plan within the move cap
-(infeasible, or over budget) the controller retries with every stage
-movable before giving up: evicting a frozen stage can open the room a
-movable one needs.
+everything else is frozen into per-rack capacity and ring base load.
+Each check solves that one instance once. If it has no plan within the
+move cap, the violation stands until the placement changes.
 
 A plan is the solver's target row, units per rack, for each movable
 stage; ``resolve_plan`` turns the rows into per-worker host moves.
@@ -48,13 +46,14 @@ class ControllerConfig:
 
 
 def build_instance(placement: Placement, threshold: float,
-                   reduce: bool = True, stages: StageRows | None = None
+                   stages: StageRows | None = None
                    ) -> SolverInstance | None:
     """Solver instance for the current placement, or None if compliant.
 
-    With ``reduce`` set, frozen stages contribute capacity consumption
-    and ring base load but are not decision variables. ``stages``, the
-    placement's current ``stage_rows``, saves building them again.
+    The fragmented stages on over-threshold racks are the decision
+    variables; every other stage is frozen into capacity consumption and
+    ring base load. ``stages``, the placement's current ``stage_rows``,
+    saves building them again.
     """
     if stages is None:
         stages = stage_rows(placement)
@@ -64,11 +63,8 @@ def build_instance(placement: Placement, threshold: float,
     if not violating:
         return None
 
-    if reduce:
-        movable = [i for i, row in enumerate(stages.rows)
-                   if is_fragmented(row) and any(row[t] for t in violating)]
-    else:
-        movable = list(range(len(stages.jobs)))
+    movable = [i for i, row in enumerate(stages.rows)
+               if is_fragmented(row) and any(row[t] for t in violating)]
     movable_set = set(movable)
     frozen = [i for i in range(len(stages.jobs)) if i not in movable_set]
 
@@ -193,8 +189,6 @@ class DefragController:
         building them again."""
         if not self.enabled:
             return None
-        if stages is None:
-            stages = stage_rows(self.placement)
         instance = build_instance(self.placement, self.threshold,
                                   stages=stages)
         if instance is None:
@@ -204,14 +198,16 @@ class DefragController:
             self.outcomes["memo"] += 1
             return None
         try:
-            solved, plan = self._solve_with_fallback(instance, stages)
+            plan = solve(instance,
+                         time_limit=self.config.solver_time_limit,
+                         max_moves=self.config.max_moves)
             if not plan.stats.optimal:
                 # Only proven-minimal plans are worth the disruption; a
                 # timed-out incumbent is a wholesale re-placement. Leave
                 # the violation standing and retry on the next change.
                 log.debug("defrag skipped: solver hit its time limit")
                 return self._skip(instance, "not_optimal")
-            moves = resolve_plan(self.placement, solved, plan)
+            moves = resolve_plan(self.placement, instance, plan)
         except (InfeasibleError, MoveBudgetExceeded, ResolutionError,
                 SolverTimeout) as exc:
             # No acceptable plan exists right now (or it cannot be
@@ -224,19 +220,3 @@ class DefragController:
     def _skip(self, instance: SolverInstance, reason: str) -> None:
         self.outcomes[reason] += 1
         self._last_skipped = instance
-
-    def _solve_with_fallback(self, instance: SolverInstance,
-                             stages: StageRows
-                             ) -> tuple[SolverInstance, MigrationPlan]:
-        """The instance solved, reduced or full, and its plan."""
-        try:
-            return instance, solve(
-                instance, time_limit=self.config.solver_time_limit,
-                max_moves=self.config.max_moves)
-        except (InfeasibleError, MoveBudgetExceeded):
-            full = build_instance(self.placement, self.threshold,
-                                  reduce=False, stages=stages)
-            assert full is not None
-            return full, solve(full,
-                               time_limit=self.config.solver_time_limit,
-                               max_moves=self.config.max_moves)

@@ -157,11 +157,6 @@ def ring_loads(jobs: Sequence[SolverJob], rows: Sequence[Sequence[int]],
     return loads
 
 
-def _capacity_ok(instance: SolverInstance,
-                 placement: Sequence[Sequence[int]]) -> bool:
-    return all(f >= 0 for f in _free_capacity(instance, placement))
-
-
 def worker_moves(instance: SolverInstance,
                  placement: Sequence[Sequence[int]]) -> int:
     """Half the l1 distance from the initial placement, in workers."""
@@ -292,8 +287,9 @@ def _repair_incumbent(instance: SolverInstance
     for _ in range(4 * len(jobs) + 4):
         violating = _violating_racks(instance, placement)
         if not violating:
-            rows = [tuple(row) for row in placement]
-            return rows if _capacity_ok(instance, rows) else None
+            if any(f < 0 for f in free):
+                return None
+            return [tuple(row) for row in placement]
         t = min(violating)
         best: tuple[int, int, int, str] | None = None  # cost, i, arg, kind
         for i, row in enumerate(placement):
@@ -646,10 +642,12 @@ def solve(instance: SolverInstance,
     Raises InfeasibleError when no placement satisfies the constraints,
     up front when ``base_load`` alone exceeds the threshold on some rack
     or the capacities cannot hold the jobs' workers. The repair
-    incumbent bounds the search. With no ``time_limit`` (the default)
-    the result does not depend on wall-clock time; a search that reaches
-    the limit returns the best plan found so far with ``stats.optimal``
-    False, or raises SolverTimeout when it found none.
+    incumbent bounds the search, and one that meets the root's floor
+    ends it before any node: a compliant instance is returned as its
+    initial rows, 0 moves and 0 nodes. With no ``time_limit`` (the
+    default) the result does not depend on wall-clock time; a search
+    that reaches the limit returns the best plan found so far with
+    ``stats.optimal`` False, or raises SolverTimeout when it found none.
 
     With ``max_moves``, only plans at or below that many worker moves
     are considered; MoveBudgetExceeded is raised when none exists. The
@@ -664,11 +662,6 @@ def solve(instance: SolverInstance,
                               "threshold")
     if sum(instance.capacities) < sum(job.workers for job in instance.jobs):
         raise InfeasibleError("the capacities cannot hold the jobs' workers")
-    if (_capacity_ok(instance, instance.initial)
-            and not _violating_racks(instance, instance.initial)):
-        stats = SolverStats(0, time.monotonic() - start, 0, True)
-        return MigrationPlan(instance.initial, stats)
-
     incumbent = _repair_incumbent(instance)
     search = _Search(instance, deadline)
     floor = max((cost for cost, _ in

@@ -136,6 +136,14 @@ def test_run_unknown_algorithm_exits_2(config_file, capsys):
     assert "unknown algorithm" in capsys.readouterr().err
 
 
+def test_run_repeated_algorithm_exits_2(config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", str(config_file), "--algorithms", "ecmp,ecmp",
+                 "--out", str(out)]) == 2
+    assert "algorithms lists ecmp more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.yaml")]) == 2
     assert "config error" in capsys.readouterr().err

@@ -80,6 +80,17 @@ def test_menu_that_cannot_produce_a_job_rejected(sizes, message):
      "solver_time_limit must be positive"),
     ({"controller": {"solver_time_limit": 0}},
      "solver_time_limit must be positive"),
+    # a repeated cell would overwrite the first one's outputs
+    ({"algorithms": ["ecmp", "sglb", "ecmp"]},
+     "algorithms lists ecmp more than once"),
+    ({"trace": {"loads": [0.5, 0.9, 0.5]}},
+     "trace.loads lists 0.5 more than once"),
+    ({"trace": {"loads": [1, 1.0]}}, "trace.loads lists 1.0 more than once"),
+    ({"sweep": {"load": [0.7, 0.7]}}, "sweep.load lists 0.7 more than once"),
+    ({"sweep": {"oversubscription": [2, 4, 2]}},
+     "sweep.oversubscription lists 2 more than once"),
+    ({"sweep": {"threshold": [2, 2]}},
+     "sweep.threshold lists 2 more than once"),
 ], ids=repr)
 def test_value_that_cannot_run_rejected(data, message):
     with pytest.raises(ConfigError, match=message):

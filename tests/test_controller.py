@@ -111,10 +111,9 @@ def test_prebuilt_stage_rows_give_the_same_results():
     assert fragmentation_degree(placement, stages) \
         == fragmentation_degree(placement)
     for threshold in (1, 2):
-        for reduce in (True, False):
-            assert build_instance(placement, threshold, reduce,
-                                  stages=stage_rows(placement)) \
-                == build_instance(placement, threshold, reduce)
+        assert build_instance(placement, threshold,
+                              stages=stage_rows(placement)) \
+            == build_instance(placement, threshold)
     assert build_instance(placement, 1, stages=stages) is not None
     assert build_instance(placement, 2, stages=stages) is None
 
@@ -237,10 +236,10 @@ def test_resolve_plan_pairs_leaving_units_with_arriving_racks_in_order():
     assert fragmentation_degree(placement).max_degree <= 4
 
 
-def test_controller_retries_full_instance_over_move_budget(monkeypatch):
+def test_controller_solves_only_the_reduced_instance(monkeypatch):
     # Gathering the fragmented job F needs the room that whole job W
-    # holds. The reduced instance freezes W, so under the move cap it
-    # has no plan; the full instance evicts W and gathers F in 2 moves.
+    # holds. The instance freezes W, so it has no plan: evicting W is
+    # not a move the controller considers, and it solves once.
     topo = ClusterTopology(3, 1, 4, 2, 400e9, 400e9)
     placement = Placement(topo)
     for job_id, racks in ((1, [0]), (2, [0, 0, 0, 1]), (3, [1, 1, 1]),
@@ -249,30 +248,36 @@ def test_controller_retries_full_instance_over_move_budget(monkeypatch):
         for i, rack in enumerate(racks):
             placement.assign((job_id, i), rack, 0)
         placement.jobs[job_id] = job
-    builds = []
+    builds, solved = [], []
     real_rows = controller_module.stage_rows
+    real_solve = controller_module.solve
 
     def rows(placement):
         builds.append(placement)
         return real_rows(placement)
 
+    def solve(instance, **kwargs):
+        solved.append(instance)
+        return real_solve(instance, **kwargs)
+
     monkeypatch.setattr(controller_module, "stage_rows", rows)
-    controller = DefragController(
-        placement, ControllerConfig(threshold=0, max_moves=16))
-    decision = controller.check()
-    # the reduced and the full instance come from one build of the rows
-    assert builds == [placement]
-    assert decision is not None
-    assert decision.stats.move_count == 2
-    assert controller.skipped_infeasible == 0
-    assert outcomes(controller) == {"applied": 1}
-    apply_moves(placement, decision.moves)
-    assert fragmentation_degree(placement).max_degree == 0
+    monkeypatch.setattr(controller_module, "solve", solve)
+    # the cap turns "no plan at all" into "none within the cap"
+    for max_moves, reason in ((16, "budget"), (None, "infeasible")):
+        builds.clear()
+        solved.clear()
+        controller = DefragController(
+            placement, ControllerConfig(threshold=0, max_moves=max_moves))
+        assert controller.check() is None
+        assert builds == [placement]
+        [instance] = solved
+        assert [job.key for job in instance.jobs] == [(2, 0)]
+        assert outcomes(controller) == {reason: 1}
 
 
 def test_controller_counts_move_cap_as_budget():
     # the 3-move plan of test_controller_restores_threshold is over a
-    # 2-move cap, on the reduced and on the full instance
+    # 2-move cap, and the split job is the instance's only stage
     controller = DefragController(
         split_job_placement(), ControllerConfig(threshold=0, max_moves=2))
     assert controller.check() is None

@@ -68,6 +68,8 @@ def test_compliant_instance_zero_moves():
     assert plan.move_count == 0
     assert plan.target == inst.initial
     assert plan.stats.optimal
+    # the repair incumbent meets the root floor: no node is searched
+    assert plan.stats.nodes_explored == 0
 
 
 def test_single_split_job_one_move():
@@ -573,9 +575,6 @@ def reference_solve(instance, max_moves=None):
         raise InfeasibleError("frozen overload")
     if sum(instance.capacities) < sum(job.workers for job in instance.jobs):
         raise InfeasibleError("capacity short of workers")
-    if (defrag._capacity_ok(instance, instance.initial)
-            and not defrag._violating_racks(instance, instance.initial)):
-        return MigrationPlan(instance.initial, SolverStats(0, 0.0, 0, True))
     incumbent = defrag._repair_incumbent(instance)
     search = _RefSearch(instance, None)
     search.run(incumbent, search._remaining_lb(0, list(instance.base_load)),

@@ -80,10 +80,23 @@ HYBRID_CFG = TraceConfig(templates=DEFAULT_TEMPLATES, max_workers=32,
                          pp_choices=(1, 2, 4), size_choices=(16, 24, 32),
                          iterations_min=10, iterations_max=30)
 # seed -> (TP-8 jobs, PP jobs, {algorithm: (event log hash, isolation
-# violations)}) of a 40-job hybrid-parallel trace at load 0.9
+# violations)}) of a 40-job hybrid-parallel trace at load 0.9, under
+# every algorithm, the controller's three included
 HYBRID_PINS = {
+    1: (12, 3, {
+        "defrag-perfect": ("8a9e4d22c21660295dfce14061f56de2", 261),
+        "defrag-ecmp": ("fbaa6d51581893e27d7996800f9abce3", 202),
+        "defrag-crux": ("9c71898a182f6937c55012f20bd0d18a", 192),
+        "perfect": ("a6b5e6f3c6fccf1972831f9a4a481e81", 241),
+        "sglb": ("b99d9f3f76bbc837a66c4e295a3f8362", 192),
+        "crux": ("9c71898a182f6937c55012f20bd0d18a", 192),
+        "ecmp": ("582c513a83e3d6cd0afc5709fa65b33d", 247),
+        "spray": ("79496435b33448b5e2a5544a6978d4f6", 270),
+    }),
     2: (6, 7, {
         "defrag-perfect": ("607a4e3daa27e899ef6ef098ba81dfbf", 26),
+        "defrag-ecmp": ("141aa548965665ac13229289626d439c", 95),
+        "defrag-crux": ("bb6550c0d12d5a3c62330f2765acbc5d", 28),
         "perfect": ("83e57735300c7953b0823a05d51dee52", 110),
         "sglb": ("ece7e8dc126ac201583bc982d408e1a1", 31),
         "crux": ("a21c5ae90c08a30d568516895cdca3ad", 42),
@@ -92,6 +105,8 @@ HYBRID_PINS = {
     }),
     3: (7, 7, {
         "defrag-perfect": ("f87b4c90e928b8c0a3499d12265225e4", 0),
+        "defrag-ecmp": ("5177f1af605f37a409a40461fcbfa97c", 144),
+        "defrag-crux": ("e0893e84ab002b19d3eca7fbe49fded1", 0),
         "perfect": ("4c113489e1b0afad0ad78427fe32b754", 78),
         "sglb": ("763c4d0feb2f8aff65dda34231def682", 78),
         "crux": ("44b06142c9296620442ab81e1c3f545c", 78),
@@ -434,8 +449,8 @@ def test_stage_rows_built_once_per_placement_change(monkeypatch):
         builds.append(placement)
         return real_rows(placement)
 
-    def build(placement, threshold, reduce=True, stages=None):
-        instance = real_build(placement, threshold, reduce, stages)
+    def build(placement, threshold, stages=None):
+        instance = real_build(placement, threshold, stages)
         instances.append(instance)
         return instance
 
