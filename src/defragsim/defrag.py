@@ -8,13 +8,16 @@ or below the threshold.
 
 The solver is an exact branch-and-bound: depth-first over jobs, each
 branching over candidate placement rows in increasing per-job move
-count, every node pruned against the best plan found so far. One local
-repair supplies the first incumbent: while a rack is over threshold it
-applies the cheaper of two fixes to a fragmented job there, vacating
-that rack or consolidating the job onto one rack. The incumbent bounds
-the search and is the fallback under a time limit. A brute-force
-enumerator over all rack-level placements validates optimality on small
-instances.
+count, every node pruned against one integer bound that every plan
+still acceptable costs less than. The bound starts one above the move
+cap; with no cap, one above the workers the jobs hold, since no plan
+moves more. One local repair supplies the first incumbent: while a rack
+is over threshold it applies the cheaper of two fixes to a fragmented
+job there, vacating that rack or consolidating the job onto one rack.
+An incumbent within the cap lowers the bound to its cost, as does every
+plan the search accepts, and the incumbent is the fallback under a time
+limit. A brute-force enumerator over all rack-level placements
+validates optimality on small instances.
 
 A node's bound on the cost still to pay sums, over racks the unplaced
 jobs leave over threshold, the cheapest fixes each rack needs, taking
@@ -339,6 +342,10 @@ def _free_capacity(instance, placement) -> list[int]:
 class _Search:
     """Depth-first branch-and-bound state for one solve.
 
+    One integer bounds the plans it may still accept, exclusively:
+    ``bound``, one above the move cap or, with no cap, the jobs' workers,
+    lowered to the cost of an incumbent within it and of each leaf taken.
+
     Three things are built once so that each node stays cheap: per depth,
     the bound table ``_rack_bounds`` reads, with each rack's unplaced
     fragmented jobs as a bitmask for ``_remaining_lb``'s disjoint-rack
@@ -364,12 +371,14 @@ class _Search:
             range(len(instance.jobs)),
             key=lambda i: (not is_fragmented(instance.initial[i]),
                            -instance.jobs[i].workers, i))
-        # workers still to place at each depth: the eviction budget of
-        # _dfs while it has no bound on the plan cost
-        self.suffix_workers = [0] * (len(self.order) + 1)
-        for d in range(len(self.order) - 1, -1, -1):
-            self.suffix_workers[d] = (self.suffix_workers[d + 1]
-                                      + instance.jobs[self.order[d]].workers)
+        # per depth, each rack's workers of the jobs at that depth or
+        # deeper, at their initial rows
+        self.unplaced = [[0] * instance.num_racks]
+        for i in reversed(self.order):
+            unit = instance.jobs[i].unit_size
+            self.unplaced.append([w + unit * v for w, v in zip(
+                self.unplaced[-1], instance.initial[i])])
+        self.unplaced.reverse()
         self.bound_tables = self._bound_tables(1)
         # (job, k) -> [(row0 less k removed units, racks they left,
         # racks still holding units)]
@@ -417,17 +426,18 @@ class _Search:
         return tables
 
     def run(self, incumbent: list[tuple[int, ...]] | None,
-            floor: int, cap: int | None = None) -> None:
+            cap: int | None = None) -> None:
         """Anytime branch-and-bound: depth-first over jobs, rows tried in
-        increasing per-job move count, every branch pruned against the
-        best solution found so far. Exhausting the tree proves
-        optimality; a timeout leaves the current best standing. With a
-        move ``cap``, only plans at or below it are considered -- the
-        space shrinks drastically and "no small plan exists" is proven
-        fast.
+        increasing per-job move count, every branch pruned against
+        ``bound``. That starts at ``cap + 1``, or with no cap at one
+        above the jobs' workers, since no plan moves more, and an
+        ``incumbent`` below it lowers it to its cost. Exhausting the tree
+        proves optimality; a timeout leaves the current best standing. A
+        small cap shrinks the space drastically, so "no small plan
+        exists" is proven fast.
 
         The search stops as soon as the best plan costs at most
-        ``floor``. ``solve`` passes the root's per-rack max, not the
+        ``floor``, set here to the root's per-rack max, not the
         tighter disjoint-rack sum that interior nodes prune with. An
         admissible prune cuts only subtrees with no leaf cheaper than
         the best plan, so the leaves accepted, and with them the plan,
@@ -437,37 +447,25 @@ class _Search:
         keeps the plans the search has always returned.
 
         The deeper bound tables are built only once the search starts."""
-        self.best = incumbent
-        self.best_cost = (worker_moves(self.instance, incumbent)
-                          if incumbent is not None else None)
-        if (cap is not None and self.best_cost is not None
-                and self.best_cost > cap):
-            self.best = None
-            self.best_cost = None
-        self.cap = cap
-        self.floor = floor
-        if self.best_cost is not None and self.best_cost <= floor:
-            return  # incumbent already meets the lower bound
+        instance = self.instance
+        self.best = None
+        self.bound = 1 + (sum(job.workers for job in instance.jobs)
+                          if cap is None else cap)
+        if incumbent is not None:
+            cost = worker_moves(instance, incumbent)
+            if cost < self.bound:
+                self.best, self.bound = incumbent, cost
+        frag = list(instance.base_load)
+        self.floor = max((cost for cost, _ in self._rack_bounds(0, frag)),
+                         default=0)
+        if self.bound <= self.floor:
+            return  # no plan costs less than the incumbent or the cap
         self.bound_tables = self._bound_tables(len(self.order) + 1)
-        free = list(self.instance.capacities)
-        frag = list(self.instance.base_load)
         assignment: list[tuple[int, ...] | None] = [None] * len(
-            self.instance.jobs)
-        # slack under "everything sits at its current row": placed jobs at
-        # their assigned rows, unplaced ones at their initial rows
-        self.slack = _free_capacity(self.instance, self.instance.initial)
+            instance.jobs)
         self.nodes += 1  # the root; node 1 never reads the clock
-        bound = self._bound()
-        if bound is None or self._remaining_lb(0, frag) < bound:
-            self._dfs(0, 0, free, frag, assignment)
-
-    def _bound(self) -> int | None:
-        """Exclusive upper bound on acceptable plan cost."""
-        if self.best_cost is not None:
-            return self.best_cost
-        if self.cap is not None:
-            return self.cap + 1
-        return None
+        if self._remaining_lb(0, frag) < self.bound:
+            self._dfs(0, 0, list(instance.capacities), frag, assignment)
 
     def _rack_bounds(self, depth: int, frag: list[int]
                      ) -> list[tuple[int, int]]:
@@ -541,14 +539,14 @@ class _Search:
         ``_remaining_lb`` one depth down and restores ``frag``. ``frag``
         is also restored after every child searched, so within a node
         that bound depends only on the support and is memoised by it. A
-        child it prunes gets no ``free``, ``slack`` or ``assignment``
-        update; the rest are entered. Leaves are not bounded."""
+        child it prunes gets no ``free`` or ``assignment`` update; the
+        rest are entered. Leaves are not bounded."""
         if depth == len(self.order):
             # A leaf replaces the best plan even at equal cost, while
             # interior nodes prune at >= the bound: among equal-cost
             # sibling leaves, the last one generated wins.
             self.best = [row for row in assignment]
-            self.best_cost = cost
+            self.bound = cost
             return
         job_idx = self.order[depth]
         job = self.instance.jobs[job_idx]
@@ -558,24 +556,20 @@ class _Search:
         # racks a fragmented row may not touch; frag is restored after
         # every child, so this holds for the whole node
         hot = [f + weight > threshold for f in frag]
-        # free and slack are restored after every child too, so each
-        # rack's room for units beyond row0 and its slack hold for the
-        # whole node
+        # free is restored after every child too, so each rack's room
+        # for units beyond row0 and its slack (its free workers less the
+        # unplaced jobs' there) hold for the whole node
         room = [f // unit - v for f, v in zip(free, row0)]
-        slacks = [max(0, s) for s in self.slack]
+        slacks = [max(0, f - u) for f, u in zip(free, self.unplaced[depth])]
         leaf = depth + 1 == len(self.order)
         child_lbs: dict[frozenset[int], int] = {}
         for k in range(job.units + 1):
             child_cost = cost + k * unit
-            bound = self._bound()
-            if bound is not None and child_cost >= bound:
+            if child_cost >= self.bound:
                 return  # deeper jobs only cost more; later k too
-            if bound is not None:
-                # a rack can absorb its current slack plus at most the
-                # workers the rest of the move budget could still evict
-                b_rem = bound - 1 - child_cost
-            else:
-                b_rem = self.suffix_workers[depth + 1]
+            # a rack can absorb its slack plus at most the workers the
+            # rest of the move budget could evict
+            b_rem = self.bound - 1 - child_cost
             add_limits = [min(r, (s + b_rem) // unit)
                           for r, s in zip(room, slacks)]
             # Rows at exactly k unit-moves from row0: a removal, then an
@@ -597,7 +591,7 @@ class _Search:
                     # adds no ring load
                     support = frozenset([*kept, *[t for t, _ in addition]])
                     fragmented = len(support) >= 2
-                    if not leaf and bound is not None:
+                    if not leaf:
                         key = support if fragmented else frozenset()
                         lb = child_lbs.get(key)
                         if lb is None:
@@ -607,7 +601,7 @@ class _Search:
                             for t in key:
                                 frag[t] -= weight
                             child_lbs[key] = lb
-                        if child_cost + lb >= bound:
+                        if child_cost + lb >= self.bound:
                             continue
                     row = list(removed)
                     for t, cnt in addition:
@@ -615,23 +609,19 @@ class _Search:
                     row = tuple(row)
                     for t, v in enumerate(row):
                         free[t] -= unit * v
-                        self.slack[t] += unit * (row0[t] - v)
                         if fragmented and v:
                             frag[t] += weight
                     assignment[job_idx] = row
                     self._dfs(depth + 1, child_cost, free, frag, assignment)
                     for t, v in enumerate(row):
                         free[t] += unit * v
-                        self.slack[t] -= unit * (row0[t] - v)
                         if fragmented and v:
                             frag[t] -= weight
                     assignment[job_idx] = None
                     if self.timed_out:
                         return
-                    if (self.best_cost is not None
-                            and self.best_cost <= self.floor):
+                    if self.bound <= self.floor:
                         return  # proven optimal by the lower bound
-                    bound = self._bound()  # the child may have lowered it
 
 
 def solve(instance: SolverInstance,
@@ -650,9 +640,10 @@ def solve(instance: SolverInstance,
     ``stats.optimal`` False, or raises SolverTimeout when it found none.
 
     With ``max_moves``, only plans at or below that many worker moves
-    are considered; MoveBudgetExceeded is raised when none exists. The
-    restricted search is far cheaper than the unbounded one, so callers
-    that would never apply a large plan anyway should always set a cap.
+    are considered; MoveBudgetExceeded is raised when none exists.
+    Without it the cap is the workers the jobs hold, which no plan
+    exceeds. A small cap makes the search far cheaper, so callers that
+    would never apply a large plan anyway should always set one.
     """
     start = time.monotonic()
     deadline = None if time_limit is None else start + time_limit
@@ -664,9 +655,7 @@ def solve(instance: SolverInstance,
         raise InfeasibleError("the capacities cannot hold the jobs' workers")
     incumbent = _repair_incumbent(instance)
     search = _Search(instance, deadline)
-    floor = max((cost for cost, _ in
-                 search._rack_bounds(0, list(instance.base_load))), default=0)
-    search.run(incumbent, floor, cap=max_moves)
+    search.run(incumbent, cap=max_moves)
 
     elapsed = time.monotonic() - start
     if search.best is None:
@@ -678,7 +667,7 @@ def solve(instance: SolverInstance,
                 f"no plan within {max_moves} worker moves"
                 + (" (larger plans exist)" if feasible else ""))
         raise InfeasibleError("no placement satisfies the threshold")
-    stats = SolverStats(search.best_cost, elapsed, search.nodes,
+    stats = SolverStats(search.bound, elapsed, search.nodes,
                         not search.timed_out)
     return MigrationPlan(tuple(search.best), stats)
 
@@ -791,10 +780,12 @@ def _counts(values, name: str) -> tuple[int, ...]:
 
 def load_instance(path: str) -> SolverInstance:
     """Read a solver instance written by save_instance. Raises
-    ValueError for a count that is not a non-negative int (a unit size
-    or ring weight below 1) or a threshold that is not a number."""
+    ValueError for a count that is not a non-negative int (a rack count,
+    job units, unit size or ring weight below 1) or a threshold that is
+    not a number."""
     with open(path) as f:
         data = json.load(f)
+    num_racks = _count(data["num_racks"], "num_racks", 1)
     threshold = data["threshold"]
     if type(threshold) not in (int, float):
         raise ValueError(f"threshold must be a number, not {threshold!r}")
@@ -804,12 +795,12 @@ def load_instance(path: str) -> SolverInstance:
         key = rec["key"]
         jobs.append(SolverJob(
             key=tuple(key) if isinstance(key, list) else key,
-            units=_count(rec["units"], "units"),
+            units=_count(rec["units"], "units", 1),
             unit_size=_count(rec.get("unit_size", 1), "unit_size", 1),
             ring_weight=_count(rec.get("ring_weight", 1), "ring_weight", 1)))
         initial.append(_counts(rec["initial"], "initial"))
     return SolverInstance(
-        num_racks=_count(data["num_racks"], "num_racks"),
+        num_racks=num_racks,
         capacities=_counts(data["capacities"], "capacities"),
         threshold=threshold,
         jobs=tuple(jobs),

@@ -288,8 +288,12 @@ def test_oracle_catches_plan_for_infeasible_instance(tmp_path, monkeypatch,
                 "jobs": [{"key": 0, "units": 4, "initial": [2, 2]}]}),
     json.dumps({"num_racks": 2, "capacities": [4, 4], "threshold": 2,
                 "jobs": [{"key": 0, "units": -1, "initial": [1, -2]}]}),
+    json.dumps({"num_racks": 0, "capacities": [], "threshold": 1,
+                "jobs": [{"key": 0, "units": 0, "initial": []}]}),
+    json.dumps({"num_racks": 2, "capacities": [4, 4], "threshold": 2,
+                "jobs": [{"key": 0, "units": 0, "initial": [0, 0]}]}),
 ], ids=["no jobs", "not json", "row sum", "string threshold",
-        "string capacity", "negative units"])
+        "string capacity", "negative units", "no racks", "zero units"])
 def test_oracle_malformed_instance_exits_2(tmp_path, capsys, text):
     path = tmp_path / "instance.json"
     path.write_text(text)

@@ -648,6 +648,11 @@ def _outcome(solver, instance, max_moves):
 @example((SolverInstance(
     5, (9, 0, 1, 2, 3), 1, (SolverJob(0, 2, 1, 1), SolverJob(1, 2, 4, 4)),
     ((1, 0, 1, 0, 0), (1, 1, 0, 0, 0)), (0, 0, 1, 0, 0)), None))
+# rack 0 overflows, so the repair has no incumbent and, with no cap,
+# nothing bounds the search but the jobs' workers
+@example((SolverInstance(
+    4, (0, 1, 2, 3), 1, tuple(SolverJob(key, 1) for key in range(3)),
+    ((1, 0, 0, 0),) * 3, (0, 0, 0, 1)), None))
 def test_search_matches_reference_in_lockstep(drawn):
     inst, max_moves = drawn
     fast, fast_nodes = _outcome(
@@ -656,6 +661,26 @@ def test_search_matches_reference_in_lockstep(drawn):
     assert fast == ref
     if ref_nodes is not None:
         assert fast_nodes <= ref_nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(lockstep_instances())
+def test_no_cap_is_the_worker_count_cap(drawn):
+    """No plan moves more workers than the jobs hold, so a solve with no
+    cap is the one capped there: same plan, same nodes. Only the error
+    for no plan differs, once the up-front capacity check has passed."""
+    inst, _ = drawn
+    workers = sum(job.workers for job in inst.jobs)
+
+    def outcome(max_moves):
+        return _outcome(lambda i, m: solve(i, time_limit=None, max_moves=m),
+                        inst, max_moves)
+
+    uncapped, capped = outcome(None), outcome(workers)
+    if uncapped[0] is InfeasibleError and sum(inst.capacities) >= workers:
+        assert capped == (MoveBudgetExceeded, None)
+    else:
+        assert capped == uncapped
 
 
 def _root_bounds(inst):
