@@ -80,7 +80,7 @@ def build_instance(placement: Placement, threshold: float,
         capacities=tuple(capacities),
         threshold=threshold,
         jobs=tuple(stages.jobs[i] for i in movable),
-        initial=tuple(tuple(stages.rows[i]) for i in movable),
+        initial=tuple(stages.rows[i] for i in movable),
         base_load=tuple(base_load),
     )
 

@@ -29,30 +29,34 @@ from .workload import JobSpec
 class StageRows:
     """Per-stage unit counts per rack, plus the owning solver jobs."""
     jobs: list[SolverJob] = field(default_factory=list)
-    rows: list[list[int]] = field(default_factory=list)
+    rows: list[tuple[int, ...]] = field(default_factory=list)
 
 
 def stage_rows(placement: Placement) -> StageRows:
     """One solver job and one row per pipeline stage of each placed job,
-    in job-id order; a stage's TP units are located by their TP rank 0."""
+    in job-id order; a stage's TP units are located by their TP rank 0.
+
+    A job's stages are walked once and kept in ``placement.kept_stages``
+    until one of its workers moves, so a read walks only the jobs that
+    changed. The lists returned are fresh and the rows are tuples, so a
+    caller may change them without touching the kept ones.
+    """
     out = StageRows()
-    num_racks = placement.topology.num_racks
-    locate = placement.locate
+    kept = placement.kept_stages
     jobs = placement.jobs
     for job_id in sorted(jobs):
-        job = jobs[job_id]
-        units, tp = job.dp_degree, job.tp_degree
-        stride = units * tp
-        for stage in range(job.pp_degree):
-            row = [0] * num_racks
-            # worker_index(stage, dp, 0) for dp in range(units)
-            first = stage * stride
-            for worker in range(first, first + stride, tp):
-                row[locate((job_id, worker)).rack] += 1
-            out.jobs.append(SolverJob(
-                key=(job_id, stage), units=units,
-                unit_size=tp, ring_weight=tp))
-            out.rows.append(row)
+        entry = kept.get(job_id)
+        if entry is None:
+            job = jobs[job_id]
+            units, tp = job.dp_degree, job.tp_degree
+            # SolverJob(key, units, unit_size, ring_weight): positional
+            # arguments and a list build it measurably faster
+            entry = kept[job_id] = (
+                tuple([SolverJob((job_id, stage), units, tp, tp)
+                       for stage in range(job.pp_degree)]),
+                placement.stage_racks(job))
+        out.jobs.extend(entry[0])
+        out.rows.extend(entry[1])
     return out
 
 

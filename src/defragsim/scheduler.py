@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .defrag import SolverJob
 from .topology import ClusterTopology, GpuId
 from .workload import JobSpec, WorkerId
 
@@ -27,26 +28,42 @@ class SchedulerError(ValueError):
 class Placement:
     """Worker-to-GPU-slot assignment plus per-host slot accounting.
 
-    Each host keeps an int bitmask of its taken slots (bit s set while
-    slot s holds a worker), and its free count is the clear bits left;
-    ``assign`` takes the lowest clear bit, so workers fill a host's slots
-    from slot 0 up.
+    Each job's workers are one list of GPUs, indexed by worker index,
+    with None for a worker not placed. Each host keeps an int bitmask of
+    its taken slots (bit s set while slot s holds a worker), and its free
+    count is the clear bits left; ``assign`` takes the lowest clear bit,
+    so workers fill a host's slots from slot 0 up.
     The ``GpuId`` it records and ``locate`` returns is the topology's
     interned one (``ClusterTopology.gpu``), so a placement never builds
     an id of its own.
+
+    ``kept_stages`` maps a job id to the job's stages as solver jobs and
+    rack rows, both tuples; ``fragmentation.stage_rows`` fills an entry
+    the first time it reads the job, and any ``assign`` or ``unassign``
+    of one of the job's workers, or ``remove_job``, drops it.
     """
 
     def __init__(self, topology: ClusterTopology):
         self.topology = topology
         self._taken = [[0] * topology.hosts_per_rack
                        for _ in range(topology.num_racks)]
-        self._workers: dict[WorkerId, GpuId] = {}
+        self._workers: dict[int, list[GpuId | None]] = {}
         self._jobs: dict[int, JobSpec] = {}
+        self.kept_stages: dict[
+            int, tuple[tuple[SolverJob, ...], tuple[tuple[int, ...], ...]]
+        ] = {}
 
     # -- queries ---------------------------------------------------------
 
     def locate(self, worker: WorkerId) -> GpuId:
-        return self._workers[worker]
+        """The worker's GPU; KeyError if the worker is not placed."""
+        job_id, index = worker
+        gpus = self._workers.get(job_id)
+        if gpus is not None and 0 <= index < len(gpus):
+            gpu = gpus[index]
+            if gpu is not None:
+                return gpu
+        raise KeyError(worker)
 
     def __contains__(self, job_id: int) -> bool:
         return job_id in self._jobs
@@ -63,23 +80,47 @@ class Placement:
         gpus = self.topology.gpus_per_host
         return sum((gpus - m.bit_count()) // unit for m in self._taken[rack])
 
+    def stage_racks(self, job: JobSpec) -> tuple[tuple[int, ...], ...]:
+        """Each pipeline stage's TP units per rack, a unit located by its
+        TP rank 0; KeyError if one of those workers is not placed."""
+        gpus = self._workers.get(job.job_id, ())
+        if len(gpus) < job.num_workers:
+            raise KeyError((job.job_id, len(gpus)))
+        num_racks = self.topology.num_racks
+        tp = job.tp_degree
+        stride = job.dp_degree * tp
+        rows = []
+        for first in range(0, job.num_workers, stride):
+            row = [0] * num_racks
+            # worker_index(stage, dp, 0) for dp in range(dp_degree)
+            for gpu in gpus[first:first + stride:tp]:
+                if gpu is None:
+                    raise KeyError((job.job_id, gpus.index(None)))
+                row[gpu.rack] += 1
+            rows.append(tuple(row))
+        return tuple(rows)
+
     def check_slots(self) -> None:
         """Audit the slot bookkeeping; raise AssertionError on a fault.
 
         Every located worker holds a taken bit of its own and no bit is
-        taken without one, and every placed job has all its workers
-        located.
+        taken without one, every placed job has all its workers located,
+        and every kept stage row of a placed job matches a fresh walk.
         """
         topo = self.topology
         held = [[0] * topo.hosts_per_rack for _ in range(topo.num_racks)]
-        for worker, gpu in self._workers.items():
-            bit = 1 << gpu.slot
-            if not self._taken[gpu.rack][gpu.host] & bit:
-                raise AssertionError(
-                    f"worker {worker} on {gpu} holds no taken slot bit")
-            if held[gpu.rack][gpu.host] & bit:
-                raise AssertionError(f"two workers share slot {gpu}")
-            held[gpu.rack][gpu.host] |= bit
+        for job_id, gpus in self._workers.items():
+            for index, gpu in enumerate(gpus):
+                if gpu is None:
+                    continue
+                bit = 1 << gpu.slot
+                if not self._taken[gpu.rack][gpu.host] & bit:
+                    raise AssertionError(
+                        f"worker {(job_id, index)} on {gpu} holds no taken "
+                        f"slot bit")
+                if held[gpu.rack][gpu.host] & bit:
+                    raise AssertionError(f"two workers share slot {gpu}")
+                held[gpu.rack][gpu.host] |= bit
         for rack in range(topo.num_racks):
             for host in range(topo.hosts_per_rack):
                 if self._taken[rack][host] != held[rack][host]:
@@ -87,15 +128,32 @@ class Placement:
                         f"host ({rack},{host}) has taken slots no worker "
                         f"holds")
         for job_id, job in self._jobs.items():
+            gpus = self._workers.get(job_id, ())
             missing = [i for i in range(job.num_workers)
-                       if (job_id, i) not in self._workers]
+                       if i >= len(gpus) or gpus[i] is None]
             if missing:
                 raise AssertionError(
                     f"job {job_id} has workers {missing} unplaced")
+        for job_id, (_, rows) in self.kept_stages.items():
+            if job_id not in self._jobs:
+                continue
+            walked = self.stage_racks(self._jobs[job_id])
+            if rows != walked:
+                raise AssertionError(
+                    f"job {job_id} has a stale kept stage row: kept {rows}, "
+                    f"walked {walked}")
 
     # -- mutation --------------------------------------------------------
 
     def assign(self, worker: WorkerId, rack: int, host: int) -> GpuId:
+        """Place an unplaced worker on the host's lowest free slot;
+        SchedulerError if the worker is placed or the host is full."""
+        job_id, index = worker
+        if index < 0:
+            raise SchedulerError(f"worker {worker} has a negative index")
+        gpus = self._workers.get(job_id, [])
+        if index < len(gpus) and gpus[index] is not None:
+            raise SchedulerError(f"worker {worker} is already placed")
         taken = self._taken[rack]
         m = taken[host]
         slot = (~m & (m + 1)).bit_length() - 1  # lowest clear bit
@@ -103,12 +161,20 @@ class Placement:
             raise SchedulerError(f"host ({rack},{host}) has no free slot")
         taken[host] = m | 1 << slot
         gpu = self.topology.gpu(rack, host, slot)
-        self._workers[worker] = gpu
+        if index >= len(gpus):
+            gpus.extend([None] * (index + 1 - len(gpus)))
+        gpus[index] = gpu
+        self._workers[job_id] = gpus
+        self.kept_stages.pop(job_id, None)
         return gpu
 
     def unassign(self, worker: WorkerId) -> None:
-        gpu = self._workers.pop(worker)
+        """Free the worker's slot; KeyError if it is not placed."""
+        gpu = self.locate(worker)
+        job_id, index = worker
+        self._workers[job_id][index] = None
         self._taken[gpu.rack][gpu.host] &= ~(1 << gpu.slot)
+        self.kept_stages.pop(job_id, None)
 
     def add_job(self, job: JobSpec, racks_per_unit: list[int]) -> None:
         """Materialize a job given the target rack of each TP unit."""
@@ -142,6 +208,10 @@ class Placement:
         job = self._jobs.pop(job_id)
         for i in range(job.num_workers):
             self.unassign((job_id, i))
+        # the list goes too, unless a worker placed outside the job's
+        # own indices still holds a slot
+        if not any(self._workers[job_id]):
+            del self._workers[job_id]
 
 
 def plan_racks(placement: Placement, job: JobSpec) -> list[int] | None:

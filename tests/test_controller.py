@@ -51,7 +51,7 @@ def test_stage_rows_pure_dp():
     assert len(stages.jobs) == 1
     assert stages.jobs[0].key == (1, 0)
     assert stages.jobs[0].unit_size == 1 and stages.jobs[0].ring_weight == 1
-    assert stages.rows[0] == [5, 3, 0, 0]
+    assert stages.rows[0] == (5, 3, 0, 0)
 
 
 def test_stage_rows_tp_and_pp():
@@ -70,7 +70,7 @@ def test_stage_rows_tp_and_pp():
     assert [j.key for j in stages.jobs] == [(2, 0), (2, 1)]
     assert all(j.units == 2 and j.unit_size == 8 and j.ring_weight == 8
                for j in stages.jobs)
-    assert stages.rows == [[1, 1, 0, 0], [0, 0, 2, 0]]
+    assert stages.rows == [(1, 1, 0, 0), (0, 0, 2, 0)]
 
 
 def test_build_instance_none_when_compliant():

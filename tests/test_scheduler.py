@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from defragsim.fragmentation import stage_rows
 from defragsim.scheduler import Placement, Scheduler, SchedulerError, plan_racks
 from defragsim.topology import ClusterTopology, GpuId
 from tests.test_workload import make_job
@@ -156,6 +157,8 @@ class SetPlacement:
         return sum(f // unit for f in self.free[rack])
 
     def assign(self, worker, rack, host):
+        if worker in self.workers:
+            raise SchedulerError(f"worker {worker} is already placed")
         if self.free[rack][host] < 1:
             raise SchedulerError(f"host ({rack},{host}) has no free slot")
         taken = self.host_slots.setdefault((rack, host), set())
@@ -199,20 +202,58 @@ def assert_lockstep(placement, model):
         for unit in range(1, topo.gpus_per_host + 1):
             assert placement.rack_free_units(rack, unit) \
                 == model.rack_free_units(rack, unit)
-    assert placement._workers.keys() == model.workers.keys()
+    assert {(job_id, index)
+            for job_id, gpus in placement._workers.items()
+            for index, gpu in enumerate(gpus) if gpu is not None} \
+        == model.workers.keys()
     for worker, gpu in model.workers.items():
         located = placement.locate(worker)
         assert located == gpu
         assert located is topo.gpu(located.rack, located.host, located.slot)
     assert placement.jobs.keys() == model.jobs.keys()
+    assert placement.kept_stages.keys() <= placement.jobs.keys()
     placement.check_slots()
+
+
+def model_stage_rows(model):
+    """(key, units, unit size, ring weight, row) per stage of each job,
+    walked from the set model's workers."""
+    out = []
+    for job_id in sorted(model.jobs):
+        job = model.jobs[job_id]
+        for stage in range(job.pp_degree):
+            row = [0] * model.topology.num_racks
+            for dp in range(job.dp_degree):
+                gpu = model.workers[(job_id, job.worker_index(stage, dp, 0))]
+                row[gpu.rack] += 1
+            out.append(((job_id, stage), job.dp_degree, job.tp_degree,
+                        job.tp_degree, tuple(row)))
+    return out
+
+
+def stage_view(stages):
+    return [(job.key, job.units, job.unit_size, job.ring_weight, row)
+            for job, row in zip(stages.jobs, stages.rows, strict=True)]
+
+
+def assert_stage_rows(placement, model):
+    """The placement's stage rows, kept or walked, match the model's, and
+    changing a returned StageRows leaves the next read as it was."""
+    expected = model_stage_rows(model)
+    stages = stage_rows(placement)
+    assert stage_view(stages) == expected
+    assert all(type(row) is tuple for row in stages.rows)
+    stages.jobs.reverse()
+    stages.rows.clear()
+    assert stage_view(stage_rows(placement)) == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_placement_lockstep_with_set_model(data):
-    """Slot bitmasks and interned ids against the set-based model, over
-    random add_job / remove_job / assign / unassign sequences."""
+    """Slot bitmasks, interned ids and stage rows against the set-based
+    model, over random add_job / remove_job / assign / unassign / move
+    sequences, with stage rows read after every operation."""
     gph = data.draw(st.sampled_from((1, 2, 4, 8)), label="gpus_per_host")
     topo = ClusterTopology(data.draw(st.integers(1, 3), label="racks"),
                            data.draw(st.integers(1, 3), label="hosts"),
@@ -222,13 +263,15 @@ def test_placement_lockstep_with_set_model(data):
     next_id = next_loose = 0
     for _ in range(data.draw(st.integers(1, 40), label="steps")):
         op = data.draw(st.sampled_from(
-            ("add_job", "remove_job", "assign", "unassign")))
+            ("add_job", "remove_job", "assign", "unassign", "move",
+             "reassign")))
         if op == "add_job":
             tp = data.draw(st.sampled_from([t for t in (1, 2, 4, 8)
                                             if t <= gph]))
             units = data.draw(st.integers(1, 4))
-            job = make_job(job_id=next_id, workers=units * tp, dp=units,
-                           tp=tp)
+            pp = data.draw(st.integers(1, 2))
+            job = make_job(job_id=next_id, workers=units * tp * pp,
+                           dp=units, tp=tp, pp=pp)
             racks = plan_racks(placement, job)
             assert racks == plan_racks(model, job)
             if racks is None:
@@ -255,10 +298,77 @@ def test_placement_lockstep_with_set_model(data):
             assert gpu == model.assign(worker, rack, host)
             assert gpu is topo.gpu(rack, host, gpu.slot)
             loose.append(worker)
-        else:
+        elif op == "unassign":
             if not loose:
                 continue
             worker = loose.pop(data.draw(st.integers(0, len(loose) - 1)))
             placement.unassign(worker)
             model.unassign(worker)
+        elif op == "move":
+            # a job's worker to another host; its stages are read between
+            # the unassign and the assign, and each drops the kept entry
+            if not model.jobs:
+                continue
+            job_id = data.draw(st.sampled_from(sorted(model.jobs)))
+            job = model.jobs[job_id]
+            worker = (job_id, data.draw(st.integers(0, job.num_workers - 1)))
+            rack = data.draw(st.integers(0, topo.num_racks - 1))
+            host = data.draw(st.integers(0, topo.hosts_per_rack - 1))
+            if model.free_slots(rack, host) < 1:
+                continue
+            placement.unassign(worker)
+            model.unassign(worker)
+            assert job_id not in placement.kept_stages
+            if worker[1] % job.tp_degree == 0:
+                # a stage row locates its units by TP rank 0
+                with pytest.raises(KeyError):
+                    stage_rows(placement)
+            else:
+                assert stage_view(stage_rows(placement)) \
+                    == model_stage_rows(model)
+            gpu = placement.assign(worker, rack, host)
+            assert gpu == model.assign(worker, rack, host)
+            assert job_id not in placement.kept_stages
+        else:
+            # assigning a placed worker again is refused by both
+            if not model.workers:
+                continue
+            worker = data.draw(st.sampled_from(sorted(model.workers)))
+            rack = data.draw(st.integers(0, topo.num_racks - 1))
+            host = data.draw(st.integers(0, topo.hosts_per_rack - 1))
+            for side in (placement, model):
+                with pytest.raises(SchedulerError, match="already placed"):
+                    side.assign(worker, rack, host)
         assert_lockstep(placement, model)
+        assert_stage_rows(placement, model)
+
+
+def test_assign_of_a_placed_worker_raises():
+    """A second assign of a placed worker takes no slot and leaves its
+    record; after the unassign its host is whole again."""
+    topo = ClusterTopology(2, 2, 4, 2, 400e9, 400e9)
+    placement = Placement(topo)
+    gpu = placement.assign((7, 0), 0, 0)
+    with pytest.raises(SchedulerError, match="already placed"):
+        placement.assign((7, 0), 1, 1)
+    assert placement.locate((7, 0)) is gpu
+    assert placement.free_slots(1, 1) == 4
+    placement.unassign((7, 0))
+    assert placement.free_slots(0, 0) == 4
+    placement.check_slots()
+
+
+@pytest.mark.parametrize("worker", [(8, 0), (7, 2), (7, 0), (7, -1)],
+                         ids=["never placed", "past the list",
+                              "already unassigned", "negative index"])
+def test_locate_and_unassign_of_an_unplaced_worker_raise_keyerror(worker):
+    placement = Placement(TOPO)
+    placement.assign((7, 0), 0, 0)
+    placement.assign((7, 1), 0, 1)
+    placement.unassign((7, 0))
+    with pytest.raises(KeyError):
+        placement.locate(worker)
+    with pytest.raises(KeyError):
+        placement.unassign(worker)
+    assert placement.locate((7, 1)) == GpuId(0, 1, 0)
+    placement.check_slots()

@@ -549,21 +549,44 @@ def test_bookkeeping_audit_passes_on_defrag_run(monkeypatch):
     assert audited.records == plain.records
 
 
+def _placed_workers(placement):
+    """The placed workers, in the placement's storage order."""
+    return [(job_id, index)
+            for job_id, gpus in placement._workers.items()
+            for index, gpu in enumerate(gpus) if gpu is not None]
+
+
 def _flip_mask_bit(sim):
     placement = sim.scheduler.placement
-    gpu = placement.locate(next(iter(placement._workers)))
+    gpu = placement.locate(_placed_workers(placement)[0])
     placement._taken[gpu.rack][gpu.host] ^= 1 << gpu.slot
 
 
 def _share_a_slot(sim):
-    workers = sim.scheduler.placement._workers
-    first, second = list(workers)[:2]
-    workers[second] = workers[first]
+    placement = sim.scheduler.placement
+    (first_job, first), (second_job, second) = \
+        _placed_workers(placement)[:2]
+    workers = placement._workers
+    workers[second_job][second] = workers[first_job][first]
 
 
 def _free_a_worker(sim):
     placement = sim.scheduler.placement
-    placement.unassign(next(iter(placement._workers)))
+    placement.unassign(_placed_workers(placement)[0])
+
+
+def _stale_kept_row(sim):
+    # a kept row that a move forgot to drop: one unit off by a rack
+    kept = sim.scheduler.placement.kept_stages
+    if not kept:
+        return
+    job_id = next(iter(kept))
+    solver_jobs, rows = kept[job_id]
+    row = list(rows[0])
+    rack = next(t for t, v in enumerate(row) if v)
+    row[rack] -= 1
+    row[(rack + 1) % len(row)] += 1
+    kept[job_id] = (solver_jobs, (tuple(row),) + rows[1:])
 
 
 def _forget_a_job(sim):
@@ -585,6 +608,7 @@ def _queue_a_job_that_fits(sim):
     (_flip_mask_bit, "holds no taken slot bit"),
     (_share_a_slot, "two workers share slot"),
     (_free_a_worker, "unplaced"),
+    (_stale_kept_row, "stale kept stage row"),
     (_forget_a_job, "are not the running jobs"),
     (_queue_a_running_job, "queued jobs .* are placed"),
     (_queue_a_job_that_fits, "queued job -1 fits but is not admitted"),
