@@ -111,11 +111,10 @@ def cmd_sweep(args) -> int:
             cell_config.trace.loads = [value]
         elif args.axis == "oversubscription":
             # oversubscription = aggregate NIC capacity / uplink capacity
-            nic_total = (cell_config.topology.hosts_per_rack
-                         * cell_config.topology.gpus_per_host
-                         * cell_config.topology.nic_bandwidth_gbps)
-            cell_config.topology.uplink_bandwidth_gbps = nic_total / (
-                cell_config.topology.uplinks_per_tor * value)
+            topo = cell_config.topology
+            topo.uplink_bandwidth_gbps = (
+                topo.hosts_per_rack * topo.gpus_per_host
+                * topo.nic_bandwidth_gbps / (topo.uplinks_per_tor * value))
         elif args.axis == "threshold":
             cell_config.controller.threshold = value
         out_dir = base_out / f"sweep_{args.axis}" / f"{value:g}"
@@ -163,8 +162,12 @@ def cmd_oracle(args) -> int:
         print(f"instance too large for exhaustive enumeration: {exc}",
               file=sys.stderr)
         return EXIT_CONFIG
-    plan = solve(instance)
     print(f"oracle minimum moves: {optimum}")
+    try:
+        plan = solve(instance)
+    except InfeasibleError:
+        print("MISMATCH: solver finds it infeasible", file=sys.stderr)
+        return EXIT_INVARIANT
     print(f"solver moves: {plan.move_count} "
           f"(optimal={plan.stats.optimal}, "
           f"nodes={plan.stats.nodes_explored}, "

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .defrag import (
     InfeasibleError, MigrationPlan, MoveBudgetExceeded, SolverInstance,
-    SolverStats, SolverTimeout, is_fragmented, ring_loads, solve,
+    SolverStats, SolverTimeout, is_fragmented, solve,
 )
 from .fragmentation import StageRows, stage_rows
 from .jobmodel import WorkerMove
@@ -51,38 +51,35 @@ def build_instance(placement: Placement, threshold: float,
     """Solver instance for the current placement, or None if compliant.
 
     The fragmented stages on over-threshold racks are the decision
-    variables; every other stage is frozen into capacity consumption and
-    ring base load. ``stages``, the placement's current ``stage_rows``,
-    saves building them again.
+    variables. One pass over the rows takes every other stage's units
+    off the rack capacities and each movable stage's ring weight off the
+    ring loads, leaving the frozen base load. ``stages``, the
+    placement's current ``stage_rows``, saves building them again.
     """
     if stages is None:
         stages = stage_rows(placement)
     num_racks = placement.topology.num_racks
-    loads = ring_loads(stages.jobs, stages.rows, [0] * num_racks)
-    violating = {t for t in range(num_racks) if loads[t] > threshold}
+    base_load = list(stages.loads)
+    violating = [t for t in range(num_racks) if base_load[t] > threshold]
     if not violating:
         return None
 
-    movable = [i for i, row in enumerate(stages.rows)
-               if is_fragmented(row) and any(row[t] for t in violating)]
-    movable_set = set(movable)
-    frozen = [i for i in range(len(stages.jobs)) if i not in movable_set]
-
     capacities = [placement.topology.gpus_per_rack] * num_racks
-    for i in frozen:
-        for t, v in enumerate(stages.rows[i]):
-            capacities[t] -= stages.jobs[i].unit_size * v
-    base_load = ring_loads([stages.jobs[i] for i in frozen],
-                           [stages.rows[i] for i in frozen],
-                           [0] * num_racks)
+    jobs, initial = [], []
+    for job, row in zip(stages.jobs, stages.rows):
+        if is_fragmented(row) and any(row[t] for t in violating):
+            jobs.append(job)
+            initial.append(row)
+            for t, v in enumerate(row):
+                if v:
+                    base_load[t] -= job.ring_weight
+        else:
+            for t, v in enumerate(row):
+                capacities[t] -= job.unit_size * v
     return SolverInstance(
-        num_racks=num_racks,
-        capacities=tuple(capacities),
-        threshold=threshold,
-        jobs=tuple(stages.jobs[i] for i in movable),
-        initial=tuple(stages.rows[i] for i in movable),
-        base_load=tuple(base_load),
-    )
+        num_racks=num_racks, capacities=tuple(capacities),
+        threshold=threshold, jobs=tuple(jobs), initial=tuple(initial),
+        base_load=tuple(base_load))
 
 
 class ResolutionError(RuntimeError):

@@ -44,7 +44,8 @@ Jobs are placed in atomic units of ``unit_size`` workers (the TP group,
 which never splits across hosts); pure DP jobs have unit_size 1. A
 fragmented job contributes ``ring_weight`` (its TP degree) to every rack
 it spans; ``ring_loads`` is the one computation of that per-rack load,
-shared by the solver, the controller and the fragmentation metric.
+used by the solver and summed once per placement change by
+``fragmentation.stage_rows`` for the metric and the controller.
 """
 
 from __future__ import annotations

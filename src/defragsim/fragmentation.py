@@ -16,7 +16,7 @@ racks as the stage's row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .defrag import SolverJob, is_fragmented, ring_loads
@@ -27,37 +27,28 @@ from .workload import JobSpec
 
 @dataclass
 class StageRows:
-    """Per-stage unit counts per rack, plus the owning solver jobs."""
-    jobs: list[SolverJob] = field(default_factory=list)
-    rows: list[tuple[int, ...]] = field(default_factory=list)
+    """Per-stage unit counts per rack, the owning solver jobs, and each
+    rack's ring load over them."""
+    jobs: list[SolverJob]
+    rows: list[tuple[int, ...]]
+    loads: list[int]
 
 
 def stage_rows(placement: Placement) -> StageRows:
     """One solver job and one row per pipeline stage of each placed job,
-    in job-id order; a stage's TP units are located by their TP rank 0.
+    in job-id order, as ``Placement.job_stages`` keeps them, and the ring
+    loads they put on each rack, summed once here.
 
-    A job's stages are walked once and kept in ``placement.kept_stages``
-    until one of its workers moves, so a read walks only the jobs that
-    changed. The lists returned are fresh and the rows are tuples, so a
-    caller may change them without touching the kept ones.
+    The lists returned are fresh and the rows are tuples, so a caller
+    may change them without touching the placement's kept ones.
     """
-    out = StageRows()
-    kept = placement.kept_stages
-    jobs = placement.jobs
-    for job_id in sorted(jobs):
-        entry = kept.get(job_id)
-        if entry is None:
-            job = jobs[job_id]
-            units, tp = job.dp_degree, job.tp_degree
-            # SolverJob(key, units, unit_size, ring_weight): positional
-            # arguments and a list build it measurably faster
-            entry = kept[job_id] = (
-                tuple([SolverJob((job_id, stage), units, tp, tp)
-                       for stage in range(job.pp_degree)]),
-                placement.stage_racks(job))
-        out.jobs.extend(entry[0])
-        out.rows.extend(entry[1])
-    return out
+    jobs, rows = [], []
+    for job_id in sorted(placement.jobs):
+        solver_jobs, job_rows = placement.job_stages(job_id)
+        jobs.extend(solver_jobs)
+        rows.extend(job_rows)
+    return StageRows(jobs, rows, ring_loads(
+        jobs, rows, [0] * placement.topology.num_racks))
 
 
 @dataclass(frozen=True)
@@ -73,17 +64,13 @@ class FragmentationReport:
 def fragmentation_degree(placement: Placement,
                          stages: StageRows | None = None
                          ) -> FragmentationReport:
-    """Exact per-rack degrees, recomputed from scratch, or from
-    ``stages``, the placement's current ``stage_rows``."""
+    """Exact per-rack degrees, the ring loads of ``stages``, the
+    placement's current ``stage_rows``, built here if not given."""
     if stages is None:
         stages = stage_rows(placement)
-    per_rack = ring_loads(stages.jobs, stages.rows,
-                          [0] * placement.topology.num_racks)
-    fragmented = sum(job.ring_weight
-                     for job, row in zip(stages.jobs, stages.rows)
-                     if is_fragmented(row))
-    return FragmentationReport(per_rack=tuple(per_rack),
-                               total_fragmented_groups=fragmented)
+    return FragmentationReport(tuple(stages.loads), sum(
+        job.ring_weight for job, row in zip(stages.jobs, stages.rows)
+        if is_fragmented(row)))
 
 
 def sequential_placement(jobs: Iterable[JobSpec],

@@ -14,7 +14,6 @@ tensor parallelism never crosses a server boundary.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .defrag import SolverJob
 from .topology import ClusterTopology, GpuId
@@ -36,11 +35,6 @@ class Placement:
     The ``GpuId`` it records and ``locate`` returns is the topology's
     interned one (``ClusterTopology.gpu``), so a placement never builds
     an id of its own.
-
-    ``kept_stages`` maps a job id to the job's stages as solver jobs and
-    rack rows, both tuples; ``fragmentation.stage_rows`` fills an entry
-    the first time it reads the job, and any ``assign`` or ``unassign``
-    of one of the job's workers, or ``remove_job``, drops it.
     """
 
     def __init__(self, topology: ClusterTopology):
@@ -49,7 +43,7 @@ class Placement:
                        for _ in range(topology.num_racks)]
         self._workers: dict[int, list[GpuId | None]] = {}
         self._jobs: dict[int, JobSpec] = {}
-        self.kept_stages: dict[
+        self._kept_stages: dict[
             int, tuple[tuple[SolverJob, ...], tuple[tuple[int, ...], ...]]
         ] = {}
 
@@ -80,15 +74,31 @@ class Placement:
         gpus = self.topology.gpus_per_host
         return sum((gpus - m.bit_count()) // unit for m in self._taken[rack])
 
-    def stage_racks(self, job: JobSpec) -> tuple[tuple[int, ...], ...]:
+    def job_stages(self, job_id: int) -> tuple[
+            tuple[SolverJob, ...], tuple[tuple[int, ...], ...]]:
+        """The placed job's stages as solver jobs and rack rows, kept
+        until ``assign``, ``unassign`` or ``remove_job`` touches the job;
+        KeyError as ``_stage_racks`` raises it."""
+        entry = self._kept_stages.get(job_id)
+        if entry is None:
+            job = self._jobs[job_id]
+            units, tp = job.dp_degree, job.tp_degree
+            # SolverJob(key, units, unit_size, ring_weight): positional
+            # arguments and a list build it measurably faster
+            entry = self._kept_stages[job_id] = (
+                tuple([SolverJob((job_id, stage), units, tp, tp)
+                       for stage in range(job.pp_degree)]),
+                self._stage_racks(job))
+        return entry
+
+    def _stage_racks(self, job: JobSpec) -> tuple[tuple[int, ...], ...]:
         """Each pipeline stage's TP units per rack, a unit located by its
         TP rank 0; KeyError if one of those workers is not placed."""
         gpus = self._workers.get(job.job_id, ())
         if len(gpus) < job.num_workers:
             raise KeyError((job.job_id, len(gpus)))
         num_racks = self.topology.num_racks
-        tp = job.tp_degree
-        stride = job.dp_degree * tp
+        tp, stride = job.tp_degree, job.dp_degree * job.tp_degree
         rows = []
         for first in range(0, job.num_workers, stride):
             row = [0] * num_racks
@@ -134,10 +144,10 @@ class Placement:
             if missing:
                 raise AssertionError(
                     f"job {job_id} has workers {missing} unplaced")
-        for job_id, (_, rows) in self.kept_stages.items():
+        for job_id, (_, rows) in self._kept_stages.items():
             if job_id not in self._jobs:
                 continue
-            walked = self.stage_racks(self._jobs[job_id])
+            walked = self._stage_racks(self._jobs[job_id])
             if rows != walked:
                 raise AssertionError(
                     f"job {job_id} has a stale kept stage row: kept {rows}, "
@@ -165,7 +175,7 @@ class Placement:
             gpus.extend([None] * (index + 1 - len(gpus)))
         gpus[index] = gpu
         self._workers[job_id] = gpus
-        self.kept_stages.pop(job_id, None)
+        self._kept_stages.pop(job_id, None)
         return gpu
 
     def unassign(self, worker: WorkerId) -> None:
@@ -174,7 +184,7 @@ class Placement:
         job_id, index = worker
         self._workers[job_id][index] = None
         self._taken[gpu.rack][gpu.host] &= ~(1 << gpu.slot)
-        self.kept_stages.pop(job_id, None)
+        self._kept_stages.pop(job_id, None)
 
     def add_job(self, job: JobSpec, racks_per_unit: list[int]) -> None:
         """Materialize a job given the target rack of each TP unit."""

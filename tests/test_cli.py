@@ -7,7 +7,8 @@ import pytest
 from defragsim import cli
 from defragsim.cli import main
 from defragsim.defrag import (
-    MigrationPlan, SolverInstance, SolverJob, SolverStats, save_instance,
+    InfeasibleError, MigrationPlan, SolverInstance, SolverJob, SolverStats,
+    save_instance,
 )
 from defragsim.flowsim import FlowNetwork
 from defragsim.scheduler import Placement
@@ -234,6 +235,30 @@ def test_sweep_threshold_axis(config_file, tmp_path):
     assert [c["value"] for c in grid["cells"]] == [2, 3]
 
 
+def test_sweep_oversubscription_axis(config_file, tmp_path, monkeypatch):
+    """Each cell's uplinks are resized to the axis value's ratio; the
+    uplink count stays as configured."""
+    config_file.write_text(CONFIG_YAML.replace(
+        "  threshold: [2, 3]", "  threshold: [2, 3]\n"
+        "  oversubscription: [1, 2.5, 4]"))
+    cells = []
+
+    def capture_cells(config, out_dir, check_invariants=False,
+                      events_dir=None):
+        cells.append(config)
+        out_dir.mkdir(parents=True)
+        return []
+
+    monkeypatch.setattr(cli, "_run_cells", capture_cells)
+    assert main(["sweep", str(config_file), "--axis", "oversubscription",
+                 "--out", str(tmp_path)]) == 0
+    assert len(cells) == 3
+    for value, config in zip((1, 2.5, 4), cells, strict=True):
+        assert config.topology.build().oversubscription_ratio \
+            == pytest.approx(value)
+        assert config.topology.uplinks_per_tor == 2
+
+
 def test_oracle_agrees_with_solver(tmp_path, capsys):
     instance = SolverInstance(
         num_racks=3, capacities=(8, 8, 8), threshold=2.0,
@@ -274,6 +299,24 @@ def test_oracle_catches_plan_for_infeasible_instance(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "solve", wrong_solve)
     assert main(["oracle", str(path)]) == 3
     assert "MISMATCH" in capsys.readouterr().err
+
+
+def test_oracle_catches_solver_infeasible_for_solvable_instance(
+        tmp_path, monkeypatch, capsys):
+    instance = SolverInstance(
+        num_racks=2, capacities=(4, 4), threshold=0,
+        jobs=(SolverJob(key=0, units=2),), initial=((1, 1),))
+    path = tmp_path / "instance.json"
+    save_instance(instance, path)
+
+    def infeasible_solve(instance, time_limit=None, max_moves=None):
+        raise InfeasibleError("no placement satisfies the threshold")
+
+    monkeypatch.setattr(cli, "solve", infeasible_solve)
+    assert main(["oracle", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "oracle minimum moves: 1" in captured.out
+    assert "MISMATCH" in captured.err
 
 
 @pytest.mark.parametrize("text", [

@@ -1,14 +1,18 @@
 import dataclasses
 import logging
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defragsim import controller as controller_module
 from defragsim.controller import (
     SKIP_REASONS, ControllerConfig, DefragController, ResolutionError,
     build_instance, resolve_plan, stage_rows,
 )
-from defragsim.defrag import SolverTimeout
+from defragsim.defrag import (
+    SolverInstance, SolverTimeout, is_fragmented, ring_loads,
+)
 from defragsim.fragmentation import fragmentation_degree
 from defragsim.jobmodel import WorkerMove
 from defragsim.scheduler import Placement
@@ -116,6 +120,68 @@ def test_prebuilt_stage_rows_give_the_same_results():
             == build_instance(placement, threshold)
     assert build_instance(placement, 1, stages=stages) is not None
     assert build_instance(placement, 2, stages=stages) is None
+
+
+def three_pass_instance(placement, threshold):
+    """The reduction written out the long way: ring loads over every
+    stage, the movable filter, then capacities and ring loads over the
+    frozen stages."""
+    stages = stage_rows(placement)
+    num_racks = placement.topology.num_racks
+    loads = ring_loads(stages.jobs, stages.rows, [0] * num_racks)
+    violating = {t for t in range(num_racks) if loads[t] > threshold}
+    if not violating:
+        return None
+    movable = [i for i, row in enumerate(stages.rows)
+               if is_fragmented(row) and any(row[t] for t in violating)]
+    frozen = [i for i in range(len(stages.jobs)) if i not in movable]
+    capacities = [placement.topology.gpus_per_rack] * num_racks
+    for i in frozen:
+        for t, v in enumerate(stages.rows[i]):
+            capacities[t] -= stages.jobs[i].unit_size * v
+    base_load = ring_loads([stages.jobs[i] for i in frozen],
+                           [stages.rows[i] for i in frozen], [0] * num_racks)
+    return SolverInstance(
+        num_racks=num_racks, capacities=tuple(capacities),
+        threshold=threshold,
+        jobs=tuple(stages.jobs[i] for i in movable),
+        initial=tuple(stages.rows[i] for i in movable),
+        base_load=tuple(base_load))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_pass_reduction_matches_three_passes(data):
+    """build_instance's one pass over the rows gives the instance the
+    three-pass reduction gives, on random TP and PP placements."""
+    gph = data.draw(st.sampled_from((1, 2, 4, 8)), label="gpus_per_host")
+    topo = ClusterTopology(data.draw(st.integers(1, 5), label="racks"),
+                           data.draw(st.integers(1, 3), label="hosts"),
+                           gph, 2, 400e9, 400e9)
+    placement = Placement(topo)
+    for job_id in range(data.draw(st.integers(0, 10), label="jobs")):
+        tp = data.draw(st.sampled_from([t for t in (1, 2, 4) if t <= gph]))
+        dp, pp = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        job = make_job(job_id=job_id, workers=dp * tp * pp, dp=dp, tp=tp,
+                       pp=pp)
+        free = [placement.rack_free_units(r, tp)
+                for r in range(topo.num_racks)]
+        if sum(free) < dp * pp:
+            continue
+        racks = []
+        for _ in range(dp * pp):
+            rack = data.draw(st.sampled_from(
+                [r for r in range(topo.num_racks) if free[r]]))
+            free[rack] -= 1
+            racks.append(rack)
+        placement.add_job(job, racks)
+    threshold = data.draw(st.one_of(
+        st.integers(0, 12), st.floats(0, 12), st.just(math.inf)),
+        label="threshold")
+    expected = three_pass_instance(placement, threshold)
+    assert build_instance(placement, threshold) == expected
+    assert build_instance(placement, threshold,
+                          stages=stage_rows(placement)) == expected
 
 
 def test_controller_restores_threshold():

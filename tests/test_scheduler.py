@@ -211,7 +211,7 @@ def assert_lockstep(placement, model):
         assert located == gpu
         assert located is topo.gpu(located.rack, located.host, located.slot)
     assert placement.jobs.keys() == model.jobs.keys()
-    assert placement.kept_stages.keys() <= placement.jobs.keys()
+    assert placement._kept_stages.keys() <= placement.jobs.keys()
     placement.check_slots()
 
 
@@ -236,16 +236,34 @@ def stage_view(stages):
             for job, row in zip(stages.jobs, stages.rows, strict=True)]
 
 
+def model_ring_loads(model, expected):
+    """Each rack's ring load over the model's stage rows: the ring
+    weight of every stage spanning two or more racks, on each of them."""
+    loads = [0] * model.topology.num_racks
+    for _, _, _, weight, row in expected:
+        racks = [t for t, v in enumerate(row) if v]
+        if len(racks) >= 2:
+            for t in racks:
+                loads[t] += weight
+    return loads
+
+
 def assert_stage_rows(placement, model):
-    """The placement's stage rows, kept or walked, match the model's, and
-    changing a returned StageRows leaves the next read as it was."""
+    """The placement's stage rows, kept or walked, and their ring loads
+    match the model's, and changing a returned StageRows leaves the next
+    read as it was."""
     expected = model_stage_rows(model)
+    loads = model_ring_loads(model, expected)
     stages = stage_rows(placement)
     assert stage_view(stages) == expected
+    assert stages.loads == loads
     assert all(type(row) is tuple for row in stages.rows)
     stages.jobs.reverse()
     stages.rows.clear()
-    assert stage_view(stage_rows(placement)) == expected
+    stages.loads[:] = [load + 1 for load in stages.loads]
+    again = stage_rows(placement)
+    assert stage_view(again) == expected
+    assert again.loads == loads
 
 
 @settings(max_examples=200, deadline=None)
@@ -318,7 +336,7 @@ def test_placement_lockstep_with_set_model(data):
                 continue
             placement.unassign(worker)
             model.unassign(worker)
-            assert job_id not in placement.kept_stages
+            assert job_id not in placement._kept_stages
             if worker[1] % job.tp_degree == 0:
                 # a stage row locates its units by TP rank 0
                 with pytest.raises(KeyError):
@@ -328,7 +346,7 @@ def test_placement_lockstep_with_set_model(data):
                     == model_stage_rows(model)
             gpu = placement.assign(worker, rack, host)
             assert gpu == model.assign(worker, rack, host)
-            assert job_id not in placement.kept_stages
+            assert job_id not in placement._kept_stages
         else:
             # assigning a placed worker again is refused by both
             if not model.workers:

@@ -440,14 +440,19 @@ def test_defrag_rebuilds_plans_only_after_moves(monkeypatch):
 
 def test_stage_rows_built_once_per_placement_change(monkeypatch):
     """The fragmentation record and the controller share one build of
-    the stage rows."""
-    builds, instances = [], []
+    the stage rows, and one sum of its ring loads."""
+    builds, instances, sums = [], [], []
     real_rows = fragmentation.stage_rows
     real_build = controller.build_instance
+    real_loads = fragmentation.ring_loads
 
     def rows(placement):
         builds.append(placement)
         return real_rows(placement)
+
+    def loads(jobs, rows, base):
+        sums.append(len(rows))
+        return real_loads(jobs, rows, base)
 
     def build(placement, threshold, stages=None):
         instance = real_build(placement, threshold, stages)
@@ -457,12 +462,15 @@ def test_stage_rows_built_once_per_placement_change(monkeypatch):
     for module in (fragmentation, controller, simulate):
         monkeypatch.setattr(module, "stage_rows", rows)
     monkeypatch.setattr(controller, "build_instance", build)
+    for module in (fragmentation, controller):
+        # raising=False: the controller reads the loads, it sums none
+        monkeypatch.setattr(module, "ring_loads", loads, raising=False)
     result = run_simulation(SMALL_TOPO, small_trace(seed=0), "defrag-perfect",
                             solver_time_limit=5.0)
     assert result.defrag_events and any(instances)
     # one record per timestamp whose placement changed
     times = [t for t, *_ in result.frag_series]
-    assert len(set(times)) == len(times) == len(builds)
+    assert len(set(times)) == len(times) == len(builds) == len(sums)
 
 
 def test_sglb_fast_path_audits_pass_and_skip_rebalances(monkeypatch):
@@ -577,7 +585,7 @@ def _free_a_worker(sim):
 
 def _stale_kept_row(sim):
     # a kept row that a move forgot to drop: one unit off by a rack
-    kept = sim.scheduler.placement.kept_stages
+    kept = sim.scheduler.placement._kept_stages
     if not kept:
         return
     job_id = next(iter(kept))
