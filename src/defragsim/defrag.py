@@ -33,12 +33,17 @@ each (job, k); per node, the racks a fragmented row may not touch and
 each rack's room and slack. An addition never overflows a rack, so
 capacity is checked once per removal, and the splitter leaves out the
 units a hot rack would take, so no row is built that the ring check
-rejects. Each candidate row is bounded in its parent before the search
-descends: that bound reads only the ring loads, so a node computes it
-once per fragmented support (the racks a split row touches), and a row
-it prunes is never built or applied. The root and every candidate row
-bounded is one node; depth 0's table is all a solve builds when the
-incumbent already meets the floor.
+rejects. Additions are generated one at a time as the search asks for
+them, so a node that stops (on a better plan, the floor or the clock)
+builds no more rows. A node first bounds the child of a row that adds
+no ring load, which bounds every child; it stops at the first k where
+that bound and the k moves reach the best plan's cost, before building
+a row at that k. Each candidate row is bounded in its parent before
+the search descends: that bound reads only the ring loads, so a node
+computes it once per fragmented support (the racks a split row
+touches), and a row it prunes is never applied. The root and every
+candidate row built is one node; depth 0's table is all a solve builds
+when the incumbent already meets the floor.
 
 Jobs are placed in atomic units of ``unit_size`` workers (the TP group,
 which never splits across hosts); pure DP jobs have unit_size 1. A
@@ -56,7 +61,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterator, Sequence
 
 
 class InfeasibleError(Exception):
@@ -176,37 +181,38 @@ def worker_moves(instance: SolverInstance,
 def _splits(k: int, racks: Sequence[int], limits: Sequence[int],
             slacks: Sequence[int], unit: int, budget: int,
             hot: Sequence[bool] | None = None, whole: bool = False,
-            start: int = 0) -> list[tuple[tuple[int, int], ...]]:
-    """All ways to distribute k units over ``racks[start:]``, placing
-    at most limits[t] units on rack t, as ``((rack, units), ...)`` lists
-    ordered by decreasing units on the first rack, then on the next.
-    Units placed beyond a rack's slack (in workers) draw from a shared
-    eviction budget. Free capacity is globally conserved, so additions
-    beyond current slack are only possible if later moves evict
-    someone -- and those moves are bounded. Removals pass each rack's
-    own units as its limit and slack and a zero budget, so they never
-    draw on it.
+            start: int = 0) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Yield all ways to distribute k units over ``racks[start:]``,
+    placing at most limits[t] units on rack t, as ``((rack, units), ...)``
+    tuples ordered by decreasing units on the first rack, then on the
+    next. Each is built only when the caller asks for it, so a caller
+    that stops early builds no more. Units placed beyond a rack's slack
+    (in workers) draw from a shared eviction budget. Free capacity is
+    globally conserved, so additions beyond current slack are only
+    possible if later moves evict someone -- and those moves are
+    bounded. Removals pass each rack's own units as its limit and slack
+    and a zero budget, so they never draw on it.
 
     A rack flagged in ``hot`` takes no units, except all k when
     ``whole`` and no earlier rack took any: the ring check accepts a
     row on a hot rack only if the row is whole there. Leaving out the
     choices it rejects keeps the order of the rest."""
     if k == 0:
-        return [()]
+        yield ()
+        return
     if start == len(racks):
-        return []
+        return
     head = racks[start]
     if hot is not None and hot[head]:
-        rest = _splits(k, racks, limits, slacks, unit, budget, hot, whole,
-                       start + 1)
         if whole and k <= limits[head] and k * unit - slacks[head] <= budget:
-            return [((head, k),)] + rest
-        return rest
+            yield ((head, k),)
+        yield from _splits(k, racks, limits, slacks, unit, budget, hot,
+                           whole, start + 1)
+        return
     if start == len(racks) - 1:  # the last rack takes all k or nothing fits
         if k <= limits[head] and k * unit - slacks[head] <= budget:
-            return [((head, k),)]
-        return []
-    out: list[tuple[tuple[int, int], ...]] = []
+            yield ((head, k),)
+        return
     for here in range(min(k, limits[head]), -1, -1):
         over = here * unit - slacks[head]
         if over > budget:
@@ -216,21 +222,22 @@ def _splits(k: int, racks: Sequence[int], limits: Sequence[int],
                        whole and not here, start + 1)
         if here:
             item = ((head, here),)
-            out.extend([item + r for r in rest])
+            for r in rest:
+                yield item + r
         else:
-            out.extend(rest)
-    return out
+            yield from rest
 
 
 def _additions(k: int, sources: set[int], kept: Sequence[int],
                limits: Sequence[int], slacks: Sequence[int], unit: int,
                budget: int, hot: Sequence[bool]
-               ) -> list[tuple[tuple[int, int], ...]]:
-    """The ways to add k units back to a removal's row that give a row
-    the ring check accepts, in ``_splits`` order. ``sources`` are the
-    racks the k units left and ``kept`` the racks still holding units;
-    an addition goes to racks with a positive limit outside ``sources``,
-    so no rack both gives and receives and every row is unique.
+               ) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Yield the ways to add k units back to a removal's row that give a
+    row the ring check accepts, in ``_splits`` order and built as asked.
+    ``sources`` are the racks the k units left and ``kept`` the racks
+    still holding units; an addition goes to racks with a positive limit
+    outside ``sources``, so no rack both gives and receives and every row
+    is unique.
 
     A fragmented row may touch no hot rack. A removal that keeps units
     on two racks or more makes every row fragmented, so a hot one among
@@ -241,11 +248,10 @@ def _additions(k: int, sources: set[int], kept: Sequence[int],
     if not any(hot[t] for t in kept):
         targets = [t for t, limit in enumerate(limits)
                    if limit > 0 and t not in sources]
-        return _splits(k, targets, limits, slacks, unit, budget, hot,
-                       not kept)
-    if len(kept) == 1 and kept[0] not in sources:
-        return _splits(k, kept, limits, slacks, unit, budget)
-    return []
+        yield from _splits(k, targets, limits, slacks, unit, budget, hot,
+                           not kept)
+    elif len(kept) == 1 and kept[0] not in sources:
+        yield from _splits(k, kept, limits, slacks, unit, budget)
 
 
 # -- repair incumbent ----------------------------------------------------
@@ -355,11 +361,12 @@ class _Search:
     would break the threshold, each rack's room and slack, and the bound
     of a child per fragmented support. Only depth 0's table exists until
     ``run`` starts a search, so a solve the incumbent settles builds no
-    more. The candidate rows are generated already through the capacity
-    and ring checks, and each is bounded in its parent before the search
-    descends into it. ``nodes`` counts the root and every candidate row
-    bounded, pruned or entered; ``_dfs`` runs only for the entered
-    ones."""
+    more. The candidate rows are generated lazily, already through the
+    capacity and ring checks, and each is bounded in its parent before
+    the search descends into it. ``nodes`` counts the root and every
+    candidate row built, pruned or entered; ``_dfs`` runs only for the
+    entered ones. Rows at a k the node cuts are never built, so never
+    counted."""
 
     def __init__(self, instance: SolverInstance, deadline: float | None):
         self.instance = instance
@@ -533,15 +540,33 @@ class _Search:
         parent: every row of the job at ``depth`` that fits and passes
         the ring check, in increasing move count, is a child.
 
-        Each child is one node, counted here, and the deadline is read
-        on every 1024th. An interior child is bounded before it is
-        entered: its bound reads only ``frag``, so the parent adds the
-        job's ring weight on the row's fragmented support, reads
-        ``_remaining_lb`` one depth down and restores ``frag``. ``frag``
-        is also restored after every child searched, so within a node
-        that bound depends only on the support and is memoised by it. A
-        child it prunes gets no ``free`` or ``assignment`` update; the
-        rest are entered. Leaves are not bounded."""
+        Each child is one node, counted here as it is built, and the
+        deadline is read on every 1024th. An interior child is bounded
+        before it is entered: its bound reads only ``frag``, so the
+        parent adds the job's ring weight on the row's fragmented
+        support, reads ``_remaining_lb`` one depth down and restores
+        ``frag``. ``frag`` is also restored after every child searched,
+        so within a node that bound depends only on the support and is
+        memoised by it. A child it prunes gets no ``free`` or
+        ``assignment`` update; the rest are entered. Leaves are not
+        bounded.
+
+        Before the rows at k are built, the node stops once k moves plus
+        ``whole_lb`` reach the bound. ``whole_lb`` is the bound of a
+        child that adds no ring load (support key ``frozenset()``), and
+        it bounds every child: the node bound ignores capacity, a row
+        only adds ring load, and the cheapest completion of the deeper
+        jobs never costs less under more load. The greedy disjoint-rack
+        sum itself is not monotone in ``frag``: with racks B and C in
+        excess, costing 3 each for jobs {1} and {2}, it is 6, and load
+        that also puts rack A in excess, costing 5 for jobs {1, 2},
+        makes it 5. So ``whole_lb`` may exceed a row's own bound, but it
+        still bounds that row's cheapest completion, and a cut subtree
+        holds no leaf below the bound. A leaf at equal cost is taken
+        only after a sibling leaf below the bound of its time, and the
+        bound only falls, so the cut changes no plan. A leaf-parent
+        keeps ``whole_lb`` 0: its tie rule and the floor stop are as
+        before."""
         if depth == len(self.order):
             # A leaf replaces the best plan even at equal cost, while
             # interior nodes prune at >= the bound: among equal-cost
@@ -563,11 +588,14 @@ class _Search:
         room = [f // unit - v for f, v in zip(free, row0)]
         slacks = [max(0, f - u) for f, u in zip(free, self.unplaced[depth])]
         leaf = depth + 1 == len(self.order)
-        child_lbs: dict[frozenset[int], int] = {}
+        # the bound of a child that adds no ring load bounds every child
+        # (see the docstring); a leaf-parent's children are not bounded
+        whole_lb = 0 if leaf else self._remaining_lb(depth + 1, frag)
+        child_lbs: dict[frozenset[int], int] = {frozenset(): whole_lb}
         for k in range(job.units + 1):
             child_cost = cost + k * unit
-            if child_cost >= self.bound:
-                return  # deeper jobs only cost more; later k too
+            if child_cost + whole_lb >= self.bound:
+                return  # no row at this k or later leads to a cheaper plan
             # a rack can absorb its slack plus at most the workers the
             # rest of the move budget could evict
             b_rem = self.bound - 1 - child_cost

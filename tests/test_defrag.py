@@ -423,8 +423,8 @@ def removal_rows(draw):
 def test_additions_are_the_ring_checked_splits(drawn):
     k, removed, sources, limits, slacks, unit, budget, hot = drawn
     kept = tuple(t for t, v in enumerate(removed) if v)
-    assert defrag._additions(k, sources, kept, limits, slacks, unit, budget,
-                             hot) == _ref_ring_checked_additions(
+    assert list(defrag._additions(k, sources, kept, limits, slacks, unit,
+                                  budget, hot)) == _ref_ring_checked_additions(
         k, removed, sources, limits, slacks, unit, budget, hot)
 
 
@@ -653,6 +653,11 @@ def _outcome(solver, instance, max_moves):
 @example((SolverInstance(
     4, (0, 1, 2, 3), 1, tuple(SolverJob(key, 1) for key in range(3)),
     ((1, 0, 0, 0),) * 3, (0, 0, 0, 1)), None))
+# the whole-row cut ends a node before it builds a row: 4 nodes against
+# the reference's 18, and 5 with the k-loop cut at the move cost alone
+@example((SolverInstance(
+    4, (0, 1, 2, 3), 1, (SolverJob(0, 1), SolverJob(1, 2), SolverJob(2, 2)),
+    ((1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0)), (0, 0, 1, 0)), None))
 def test_search_matches_reference_in_lockstep(drawn):
     inst, max_moves = drawn
     fast, fast_nodes = _outcome(
@@ -747,8 +752,8 @@ def test_settled_solve_builds_only_the_root_table(monkeypatch):
     assert fresh._remaining_lb(0, [0] * 4) == 2
 
 
-# Deep enough that a search passes the 1,024th node, where a deadline
-# is read; the second has no repair incumbent to fall back on.
+# Deep solves; the second has no repair incumbent to fall back on. It
+# and the third pass the 1,024th node, where a deadline is read.
 DEEP_WITH_INCUMBENT = _unit_instance(
     (5, 6, 6, 5, 4), 1,
     [(1, 2, 0, 1, 0), (1, 0, 0, 1, 0), (1, 2, 0, 0, 0), (0, 0, 0, 1, 2),
@@ -757,20 +762,31 @@ DEEP_WITHOUT_INCUMBENT = _unit_instance(
     (3, 4, 5, 4, 6), 1,
     [(1, 2, 0, 0, 1), (0, 0, 1, 1, 1), (0, 0, 1, 0, 2), (0, 2, 0, 1, 1),
      (0, 0, 0, 2, 1), (2, 0, 2, 0, 0), (0, 0, 1, 0, 0)])
+DEEPER_WITH_INCUMBENT = _unit_instance(
+    (6, 5, 6, 6, 5), 1,
+    [(0, 1, 0, 1, 2), (1, 1, 0, 1, 1), (1, 2, 0, 0, 0), (0, 1, 1, 0, 1),
+     (0, 0, 1, 1, 1), (0, 0, 1, 1, 0)])
+DEEP_INSTANCES = (DEEP_WITH_INCUMBENT, DEEP_WITHOUT_INCUMBENT,
+                  DEEPER_WITH_INCUMBENT)
 DEEP_WITH_TARGET = (
     (1, 2, 0, 1, 0), (2, 0, 0, 0, 0), (0, 3, 0, 0, 0), (0, 0, 0, 3, 0),
     (0, 0, 2, 0, 2), (0, 0, 3, 0, 0))
 DEEP_WITHOUT_TARGET = (
     (0, 4, 0, 0, 0), (0, 0, 3, 0, 0), (0, 0, 0, 0, 3), (0, 0, 0, 1, 3),
     (0, 0, 0, 3, 0), (2, 0, 2, 0, 0), (1, 0, 0, 0, 0))
+DEEPER_WITH_TARGET = (
+    (0, 0, 0, 0, 4), (1, 1, 0, 1, 1), (0, 3, 0, 0, 0), (0, 0, 3, 0, 0),
+    (0, 0, 0, 3, 0), (0, 0, 2, 0, 0))
 
 
 @pytest.mark.parametrize("inst, max_moves, want", [
-    (DEEP_WITH_INCUMBENT, None, (8, DEEP_WITH_TARGET, 1965)),
-    (DEEP_WITH_INCUMBENT, 16, (8, DEEP_WITH_TARGET, 1965)),
-    (DEEP_WITHOUT_INCUMBENT, None, (9, DEEP_WITHOUT_TARGET, 2772)),
+    (DEEP_WITH_INCUMBENT, None, (8, DEEP_WITH_TARGET, 593)),
+    (DEEP_WITH_INCUMBENT, 16, (8, DEEP_WITH_TARGET, 593)),
+    (DEEP_WITHOUT_INCUMBENT, None, (9, DEEP_WITHOUT_TARGET, 2250)),
     # the cap bounds the search before its first plan: two nodes fewer
-    (DEEP_WITHOUT_INCUMBENT, 16, (9, DEEP_WITHOUT_TARGET, 2770)),
+    (DEEP_WITHOUT_INCUMBENT, 16, (9, DEEP_WITHOUT_TARGET, 2248)),
+    (DEEPER_WITH_INCUMBENT, None, (8, DEEPER_WITH_TARGET, 1206)),
+    (DEEPER_WITH_INCUMBENT, 16, (8, DEEPER_WITH_TARGET, 1206)),
 ])
 def test_deep_solves_pinned(inst, max_moves, want):
     """Plan and node count of the deep instances: a change to the search
@@ -780,7 +796,28 @@ def test_deep_solves_pinned(inst, max_moves, want):
     assert (plan.move_count, plan.target, plan.stats.nodes_explored) == want
 
 
-@pytest.mark.parametrize("inst", [DEEP_WITH_INCUMBENT,
+def _count_addition_rows(monkeypatch) -> list[int]:
+    """Wrap ``defrag._additions`` to count, in the returned one-item
+    list, the rows it yields; a list it returns yields all of its rows
+    at once, since they are built before the first is read."""
+    yielded = [0]
+    additions = defrag._additions
+
+    def counting(*args):
+        rows = additions(*args)
+        if isinstance(rows, list):
+            yielded[0] += len(rows)
+            yield from rows
+            return
+        for row in rows:
+            yielded[0] += 1
+            yield row
+
+    monkeypatch.setattr(defrag, "_additions", counting)
+    return yielded
+
+
+@pytest.mark.parametrize("inst", [DEEPER_WITH_INCUMBENT,
                                   DEEP_WITHOUT_INCUMBENT])
 def test_deadline_stops_search_at_first_node_check(inst, monkeypatch):
     entered = set()
@@ -797,6 +834,7 @@ def test_deadline_stops_search_at_first_node_check(inst, monkeypatch):
     # without descending, so the clock read in the parent's loop is what
     # stops that search; the second enters its 1,024th node.
     assert (1024 in entered) == (inst is DEEP_WITHOUT_INCUMBENT)
+    yielded = _count_addition_rows(monkeypatch)
     reads = []
 
     def clock():
@@ -810,7 +848,7 @@ def test_deadline_stops_search_at_first_node_check(inst, monkeypatch):
     except SolverTimeout:
         assert inst is DEEP_WITHOUT_INCUMBENT
     else:
-        assert inst is DEEP_WITH_INCUMBENT
+        assert inst is DEEPER_WITH_INCUMBENT
         assert_plan_valid(inst, plan)
         assert not plan.stats.optimal
         # one node per row bounded, and the check reads the clock on the
@@ -818,10 +856,21 @@ def test_deadline_stops_search_at_first_node_check(inst, monkeypatch):
         assert plan.stats.nodes_explored == 1024
     # start, the check at the 1,024th node, elapsed
     assert len(reads) == 3
+    # the check stops a row list midway: no row after the 1,024th node
+    # was built
+    assert yielded[0] == 1023
 
 
-@pytest.mark.parametrize("inst", [DEEP_WITH_INCUMBENT,
-                                  DEEP_WITHOUT_INCUMBENT])
+@pytest.mark.parametrize("inst", DEEP_INSTANCES)
+def test_every_row_built_is_a_node(inst, monkeypatch):
+    """Rows are built on demand: every row yielded is bounded as a node,
+    and the root is the one node that is not a row."""
+    yielded = _count_addition_rows(monkeypatch)
+    plan = solve(inst, time_limit=None)
+    assert yielded[0] == plan.stats.nodes_explored - 1
+
+
+@pytest.mark.parametrize("inst", DEEP_INSTANCES)
 def test_default_solve_ignores_the_clock(inst, monkeypatch):
     """With no time limit given, a clock that jumps by a day on every
     read changes nothing: the plan is the proven optimum."""
