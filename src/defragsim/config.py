@@ -11,6 +11,7 @@ silently running defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, is_dataclass
 from functools import cache
 from pathlib import Path
@@ -166,6 +167,10 @@ def _check_scalar(value, kind: type, where: str) -> None:
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
+    # NaN compares false, so it would pass every range check in
+    # parse_config; and no setting has a meaning at infinity
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
 def _check_unique(values: list, where: str) -> None:

@@ -30,7 +30,7 @@ kept small by what is built once: per depth, a table of the racks
 holding unplaced fragmented jobs, from which the node bound is one
 pass and a sort of the racks in excess; per search, the removals of
 each (job, k); per node, the racks a fragmented row may not touch and
-each rack's room and slack. An addition never overflows a rack, so
+each rack's room. An addition never overflows a rack's room, so
 capacity is checked once per removal, and the splitter leaves out the
 units a hot rack would take, so no row is built that the ring check
 rejects. Additions are generated one at a time as the search asks for
@@ -179,19 +179,13 @@ def worker_moves(instance: SolverInstance,
 
 
 def _splits(k: int, racks: Sequence[int], limits: Sequence[int],
-            slacks: Sequence[int], unit: int, budget: int,
             hot: Sequence[bool] | None = None, whole: bool = False,
             start: int = 0) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield all ways to distribute k units over ``racks[start:]``,
     placing at most limits[t] units on rack t, as ``((rack, units), ...)``
     tuples ordered by decreasing units on the first rack, then on the
     next. Each is built only when the caller asks for it, so a caller
-    that stops early builds no more. Units placed beyond a rack's slack
-    (in workers) draw from a shared eviction budget. Free capacity is
-    globally conserved, so additions beyond current slack are only
-    possible if later moves evict someone -- and those moves are
-    bounded. Removals pass each rack's own units as its limit and slack
-    and a zero budget, so they never draw on it.
+    that stops early builds no more.
 
     A rack flagged in ``hot`` takes no units, except all k when
     ``whole`` and no earlier rack took any: the ring check accepts a
@@ -204,22 +198,17 @@ def _splits(k: int, racks: Sequence[int], limits: Sequence[int],
         return
     head = racks[start]
     if hot is not None and hot[head]:
-        if whole and k <= limits[head] and k * unit - slacks[head] <= budget:
+        if whole and k <= limits[head]:
             yield ((head, k),)
-        yield from _splits(k, racks, limits, slacks, unit, budget, hot,
-                           whole, start + 1)
+        yield from _splits(k, racks, limits, hot, whole, start + 1)
         return
     if start == len(racks) - 1:  # the last rack takes all k or nothing fits
-        if k <= limits[head] and k * unit - slacks[head] <= budget:
+        if k <= limits[head]:
             yield ((head, k),)
         return
     for here in range(min(k, limits[head]), -1, -1):
-        over = here * unit - slacks[head]
-        if over > budget:
-            continue
-        rest = _splits(k - here, racks, limits, slacks, unit,
-                       budget - over if over > 0 else budget, hot,
-                       whole and not here, start + 1)
+        rest = _splits(k - here, racks, limits, hot, whole and not here,
+                       start + 1)
         if here:
             item = ((head, here),)
             for r in rest:
@@ -229,8 +218,7 @@ def _splits(k: int, racks: Sequence[int], limits: Sequence[int],
 
 
 def _additions(k: int, sources: set[int], kept: Sequence[int],
-               limits: Sequence[int], slacks: Sequence[int], unit: int,
-               budget: int, hot: Sequence[bool]
+               limits: Sequence[int], hot: Sequence[bool]
                ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield the ways to add k units back to a removal's row that give a
     row the ring check accepts, in ``_splits`` order and built as asked.
@@ -248,10 +236,9 @@ def _additions(k: int, sources: set[int], kept: Sequence[int],
     if not any(hot[t] for t in kept):
         targets = [t for t, limit in enumerate(limits)
                    if limit > 0 and t not in sources]
-        yield from _splits(k, targets, limits, slacks, unit, budget, hot,
-                           not kept)
+        yield from _splits(k, targets, limits, hot, not kept)
     elif len(kept) == 1 and kept[0] not in sources:
-        yield from _splits(k, kept, limits, slacks, unit, budget)
+        yield from _splits(k, kept, limits)
 
 
 # -- repair incumbent ----------------------------------------------------
@@ -358,7 +345,7 @@ class _Search:
     fragmented jobs as a bitmask for ``_remaining_lb``'s disjoint-rack
     sum; per (job, k), the list of ways to remove k units from the job's
     initial row; and per node, the racks where one more fragmented row
-    would break the threshold, each rack's room and slack, and the bound
+    would break the threshold, each rack's room, and the bound
     of a child per fragmented support. Only depth 0's table exists until
     ``run`` starts a search, so a solve the incumbent settles builds no
     more. The candidate rows are generated lazily, already through the
@@ -379,14 +366,6 @@ class _Search:
             range(len(instance.jobs)),
             key=lambda i: (not is_fragmented(instance.initial[i]),
                            -instance.jobs[i].workers, i))
-        # per depth, each rack's workers of the jobs at that depth or
-        # deeper, at their initial rows
-        self.unplaced = [[0] * instance.num_racks]
-        for i in reversed(self.order):
-            unit = instance.jobs[i].unit_size
-            self.unplaced.append([w + unit * v for w, v in zip(
-                self.unplaced[-1], instance.initial[i])])
-        self.unplaced.reverse()
         self.bound_tables = self._bound_tables(1)
         # (job, k) -> [(row0 less k removed units, racks they left,
         # racks still holding units)]
@@ -516,17 +495,14 @@ class _Search:
         """Every way to take k units off the job's initial row, as the
         row left behind, the racks the units left and the racks still
         holding units; built once per search. A rack never gives more
-        than it holds, so removals never draw on the (zero) eviction
-        budget."""
+        than it holds."""
         key = (job_idx, k)
         cached = self.removal_cache.get(key)
         if cached is None:
             row0 = self.instance.initial[job_idx]
-            unit = self.instance.jobs[job_idx].unit_size
             support = [t for t, v in enumerate(row0) if v]
             cached = []
-            for removal in _splits(k, support, row0,
-                                   [unit * v for v in row0], unit, 0):
+            for removal in _splits(k, support, row0):
                 removed = list(row0)
                 for t, cnt in removal:
                     removed[t] -= cnt
@@ -566,7 +542,19 @@ class _Search:
         only after a sibling leaf below the bound of its time, and the
         bound only falls, so the cut changes no plan. A leaf-parent
         keeps ``whole_lb`` 0: its tie rule and the floor stop are as
-        before."""
+        before.
+
+        An addition is capped by each rack's room alone. Capping it also
+        by the rack's slack (its free workers less the unplaced jobs')
+        plus the workers the moves left could evict would change no
+        plan either: at a leaf-parent the room of a rack is at most its
+        slack, so that cap cuts no leaf, and an interior row past it
+        needs more evictions than the moves left, so its subtree holds
+        no leaf below the bound. A cut that removes no accepted leaf
+        keeps the plan, since an equal-cost leaf is taken only after a
+        sibling in the same leaf-parent has lowered the bound, and the
+        floor stop happens only at accepted leaves. Only node counts
+        and the rows the clock check lands on would move."""
         if depth == len(self.order):
             # A leaf replaces the best plan even at equal cost, while
             # interior nodes prune at >= the bound: among equal-cost
@@ -583,10 +571,8 @@ class _Search:
         # every child, so this holds for the whole node
         hot = [f + weight > threshold for f in frag]
         # free is restored after every child too, so each rack's room
-        # for units beyond row0 and its slack (its free workers less the
-        # unplaced jobs' there) hold for the whole node
+        # for units beyond row0 holds for the whole node
         room = [f // unit - v for f, v in zip(free, row0)]
-        slacks = [max(0, f - u) for f, u in zip(free, self.unplaced[depth])]
         leaf = depth + 1 == len(self.order)
         # the bound of a child that adds no ring load bounds every child
         # (see the docstring); a leaf-parent's children are not bounded
@@ -596,21 +582,14 @@ class _Search:
             child_cost = cost + k * unit
             if child_cost + whole_lb >= self.bound:
                 return  # no row at this k or later leads to a cheaper plan
-            # a rack can absorb its slack plus at most the workers the
-            # rest of the move budget could evict
-            b_rem = self.bound - 1 - child_cost
-            add_limits = [min(r, (s + b_rem) // unit)
-                          for r, s in zip(room, slacks)]
             # Rows at exactly k unit-moves from row0: a removal, then an
             # addition on racks it did not take from.
             for removed, sources, kept in self._removals(job_idx, k):
-                # add_limits[t] <= room[t], so an addition never
-                # overflows a rack: a row fits exactly when the
-                # removal's row does
+                # an addition never overflows a rack's room, so a row
+                # fits exactly when the removal's row does
                 if any(unit * removed[t] > free[t] for t in kept):
                     continue
-                for addition in _additions(k, sources, kept, add_limits,
-                                           slacks, unit, b_rem, hot):
+                for addition in _additions(k, sources, kept, room, hot):
                     self.nodes += 1
                     if (self.deadline is not None and not self.nodes % 1024
                             and time.monotonic() > self.deadline):
@@ -811,13 +790,14 @@ def load_instance(path: str) -> SolverInstance:
     """Read a solver instance written by save_instance. Raises
     ValueError for a count that is not a non-negative int (a rack count,
     job units, unit size or ring weight below 1) or a threshold that is
-    not a number."""
+    not a finite number."""
     with open(path) as f:
         data = json.load(f)
     num_racks = _count(data["num_racks"], "num_racks", 1)
     threshold = data["threshold"]
-    if type(threshold) not in (int, float):
-        raise ValueError(f"threshold must be a number, not {threshold!r}")
+    if type(threshold) not in (int, float) or not math.isfinite(threshold):
+        raise ValueError(f"threshold must be a finite number, "
+                         f"not {threshold!r}")
     jobs = []
     initial = []
     for rec in data["jobs"]:

@@ -250,11 +250,13 @@ def generate_trace(topology: ClusterTopology, load: float, seed: int,
     The arrival rate is calibrated so that, in the long run, expected GPU
     occupancy is load * total_gpus (Little's law): rate = load * total /
     (E[job gpus] * E[ideal duration]), with the expectations taken over
-    the generated jobs themselves. A menu that fails ``check_menu``
-    raises ValueError before anything is drawn.
+    the generated jobs themselves. A load that is not a positive finite
+    number, or a menu that fails ``check_menu``, raises ValueError
+    before anything is drawn.
     """
-    if load <= 0:
-        raise ValueError("load must be positive")
+    if not (math.isfinite(load) and load > 0):
+        raise ValueError(f"load must be a positive finite number, "
+                         f"not {load!r}")
     cfg = cfg or TraceConfig()
     check_menu(cfg, topology)
     rng = random.Random(seed)

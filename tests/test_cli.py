@@ -165,6 +165,15 @@ def test_config_with_zero_load_exits_2(config_file, command, capsys):
     assert "trace.loads must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_config_with_nan_load_exits_2(config_file, command, capsys):
+    config_file.write_text(CONFIG_YAML.replace("loads: [0.9]",
+                                               "loads: [.nan]"))
+    assert main([command, str(config_file)]) == 2
+    assert "trace.loads[0] must be a finite number" in (
+        capsys.readouterr().err)
+
+
 def test_validate_prints_resolved_config(config_file, capsys):
     assert main(["validate", str(config_file)]) == 0
     out = capsys.readouterr().out
@@ -335,8 +344,13 @@ def test_oracle_catches_solver_infeasible_for_solvable_instance(
                 "jobs": [{"key": 0, "units": 0, "initial": []}]}),
     json.dumps({"num_racks": 2, "capacities": [4, 4], "threshold": 2,
                 "jobs": [{"key": 0, "units": 0, "initial": [0, 0]}]}),
+    # json writes NaN for float("nan"), and reads it back
+    json.dumps({"num_racks": 2, "capacities": [4, 4],
+                "threshold": float("nan"),
+                "jobs": [{"key": 0, "units": 4, "initial": [2, 2]}]}),
 ], ids=["no jobs", "not json", "row sum", "string threshold",
-        "string capacity", "negative units", "no racks", "zero units"])
+        "string capacity", "negative units", "no racks", "zero units",
+        "nan threshold"])
 def test_oracle_malformed_instance_exits_2(tmp_path, capsys, text):
     path = tmp_path / "instance.json"
     path.write_text(text)

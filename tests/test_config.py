@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,22 @@ def test_menu_that_cannot_produce_a_job_rejected(sizes, message):
      "sweep.oversubscription lists 2 more than once"),
     ({"sweep": {"threshold": [2, 2]}},
      "sweep.threshold lists 2 more than once"),
+    # YAML's .nan and .inf: NaN passes every range check, and a NaN
+    # arrival time never comes due, so the run would never end
+    ({"trace": {"loads": [math.nan]}},
+     r"trace.loads\[0\] must be a finite number"),
+    ({"trace": {"loads": [0.9, math.inf]}},
+     r"trace.loads\[1\] must be a finite number"),
+    ({"controller": {"threshold": math.nan}},
+     "controller.threshold must be a finite number"),
+    ({"controller": {"solver_time_limit": math.nan}},
+     "controller.solver_time_limit must be a finite number"),
+    ({"controller": {"solver_time_limit": math.inf}},
+     "controller.solver_time_limit must be a finite number"),
+    ({"sweep": {"threshold": [-math.inf]}},
+     r"sweep.threshold\[0\] must be a finite number"),
+    ({"topology": {"nic_bandwidth_gbps": math.inf}},
+     "topology.nic_bandwidth_gbps must be a finite number"),
 ], ids=repr)
 def test_value_that_cannot_run_rejected(data, message):
     with pytest.raises(ConfigError, match=message):

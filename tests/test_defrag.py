@@ -1,5 +1,7 @@
 import bisect
+import hashlib
 import itertools
+import json
 import math
 import random
 import time
@@ -315,12 +317,13 @@ def test_solve_matches_oracle_on_tp_unit_instances(drawn):
 #
 # The branch-and-bound as it was before its per-node checks were hoisted
 # and its node bound became a disjoint-rack sum: lazy generators, per-row
-# capacity and ring checks, per-depth load and option tables, and the
-# per-rack max as both floor and node bound. ``solve`` must return exactly
-# the same plan, exploring no more nodes.
+# capacity and ring checks, per-depth load and option tables, additions
+# capped by each rack's room alone, and the per-rack max as both floor and
+# node bound. ``solve`` must return exactly the same plan, exploring no
+# more nodes.
 
 
-def _ref_budgeted_splits(k, racks, limits, slacks, unit, budget):
+def _ref_splits(k, racks, limits):
     if k == 0:
         yield ()
         return
@@ -328,46 +331,38 @@ def _ref_budgeted_splits(k, racks, limits, slacks, unit, budget):
         return
     head, tail = racks[0], racks[1:]
     for here in range(min(k, limits[head]), -1, -1):
-        over = max(0, here * unit - slacks[head])
-        if over > budget:
-            continue
-        for rest in _ref_budgeted_splits(k - here, tail, limits, slacks, unit,
-                                         budget - over):
+        for rest in _ref_splits(k - here, tail, limits):
             if here:
                 yield ((head, here),) + rest
             else:
                 yield rest
 
 
-def _ref_candidate_rows(row0, k, add_limits, slacks, unit, budget):
+def _ref_candidate_rows(row0, k, add_limits):
     num_racks = len(row0)
     support = [t for t in range(num_racks) if row0[t] > 0]
-    for removal in _ref_budgeted_splits(k, support, row0,
-                                        [unit * v for v in row0], unit, 0):
+    for removal in _ref_splits(k, support, row0):
         removed = list(row0)
         for t, cnt in removal:
             removed[t] -= cnt
         sources = {t for t, _ in removal}
         targets = [t for t in range(num_racks)
                    if t not in sources and add_limits[t] > 0]
-        for addition in _ref_budgeted_splits(k, targets, add_limits, slacks,
-                                             unit, budget):
+        for addition in _ref_splits(k, targets, add_limits):
             row = list(removed)
             for t, cnt in addition:
                 row[t] += cnt
             yield tuple(row)
 
 
-def _ref_ring_checked_additions(k, removed, sources, limits, slacks, unit,
-                                budget, hot):
+def _ref_ring_checked_additions(k, removed, sources, limits, hot):
     """The additions to one removal's row that the search accepted when
     it generated every row and then ran the ring check on it."""
     targets = [t for t in range(len(removed))
                if t not in sources and limits[t] > 0]
     removed_hot = any(h for h, v in zip(hot, removed) if v)
     out = []
-    for addition in _ref_budgeted_splits(k, targets, limits, slacks, unit,
-                                         budget):
+    for addition in _ref_splits(k, targets, limits):
         row = list(removed)
         for t, cnt in addition:
             row[t] += cnt
@@ -381,51 +376,40 @@ def _ref_ring_checked_additions(k, removed, sources, limits, slacks, unit,
 @st.composite
 def removal_rows(draw):
     """A removal of k units from an initial row, with the addition
-    limits, slacks and budget of a node and its hot racks."""
+    limits of a node and its hot racks."""
     num_racks = draw(st.integers(1, 6))
-    unit = draw(st.integers(1, 8))
     row0 = draw(st.lists(st.integers(0, 4), min_size=num_racks,
                          max_size=num_racks).filter(any))
     k = draw(st.integers(0, sum(row0)))
     support = [t for t, v in enumerate(row0) if v]
-    removal = draw(st.sampled_from(list(_ref_budgeted_splits(
-        k, support, row0, [unit * v for v in row0], unit, 0))))
+    removal = draw(st.sampled_from(list(_ref_splits(k, support, row0))))
     removed = list(row0)
     for t, cnt in removal:
         removed[t] -= cnt
-    racks = st.lists(st.integers(-2, 6), min_size=num_racks,
-                     max_size=num_racks)
-    limits = draw(racks)
-    slacks = [unit * max(0, v) for v in draw(racks)]
-    budget = draw(st.integers(0, 24))
+    limits = draw(st.lists(st.integers(-2, 6), min_size=num_racks,
+                           max_size=num_racks))
     threshold = draw(st.integers(0, 8))
     weight = draw(st.integers(1, 8))
     frag = draw(st.lists(st.integers(0, 8), min_size=num_racks,
                          max_size=num_racks))
     hot = [f + weight > threshold for f in frag]
-    return (k, tuple(removed), {t for t, _ in removal}, limits, slacks,
-            unit, budget, hot)
+    return k, tuple(removed), {t for t, _ in removal}, limits, hot
 
 
 @settings(max_examples=1000, deadline=None)
 @given(removal_rows())
 # k == 0: the initial row, whole on a hot rack, is accepted
-@example((0, (0, 3, 0), set(), [2, 2, 2], [0, 0, 0], 1, 4,
-          [False, True, False]))
+@example((0, (0, 3, 0), set(), [2, 2, 2], [False, True, False]))
 # k == units: a whole row may land on a hot rack, a split one may not
-@example((2, (0, 0, 0, 0), {0, 1}, [2, 2, 2, 2], [4, 4, 4, 4], 2, 8,
-          [False, False, True, False]))
-@example((2, (0, 0, 0, 0), {0, 1}, [2, 2, 2, 2], [4, 4, 4, 4], 2, 8,
-          [False, False, False, True]))
+@example((2, (0, 0, 0, 0), {0, 1}, [2, 2, 2, 2], [False, False, True, False]))
+@example((2, (0, 0, 0, 0), {0, 1}, [2, 2, 2, 2], [False, False, False, True]))
 # a lone hot rack left by the removal takes the whole row back
-@example((1, (0, 2, 0), {0}, [2, 2, 2], [0, 4, 4], 1, 4,
-          [False, True, False]))
+@example((1, (0, 2, 0), {0}, [2, 2, 2], [False, True, False]))
 def test_additions_are_the_ring_checked_splits(drawn):
-    k, removed, sources, limits, slacks, unit, budget, hot = drawn
+    k, removed, sources, limits, hot = drawn
     kept = tuple(t for t, v in enumerate(removed) if v)
-    assert list(defrag._additions(k, sources, kept, limits, slacks, unit,
-                                  budget, hot)) == _ref_ring_checked_additions(
-        k, removed, sources, limits, slacks, unit, budget, hot)
+    assert list(defrag._additions(k, sources, kept, limits, hot)) == (
+        _ref_ring_checked_additions(k, removed, sources, limits, hot))
 
 
 class _RefSearch:
@@ -438,10 +422,6 @@ class _RefSearch:
             range(len(instance.jobs)),
             key=lambda i: (not is_fragmented(instance.initial[i]),
                            -instance.jobs[i].workers, i))
-        self.suffix_workers = [0] * (len(self.order) + 1)
-        for d in range(len(self.order) - 1, -1, -1):
-            self.suffix_workers[d] = (self.suffix_workers[d + 1]
-                                      + instance.jobs[self.order[d]].workers)
         self.rest_loads = [[0] * instance.num_racks]
         self.rest_options = [[[] for _ in range(instance.num_racks)]]
         for i in reversed(self.order):
@@ -475,8 +455,6 @@ class _RefSearch:
         free = list(self.instance.capacities)
         frag = list(self.instance.base_load)
         assignment = [None] * len(self.instance.jobs)
-        self.slack = defrag._free_capacity(self.instance,
-                                           self.instance.initial)
         self._dfs(0, 0, free, frag, assignment)
 
     def _bound(self):
@@ -522,17 +500,9 @@ class _RefSearch:
             bound = self._bound()
             if bound is not None and cost + k * job.unit_size >= bound:
                 return
-            if bound is not None:
-                b_rem = bound - 1 - cost - k * job.unit_size
-            else:
-                b_rem = self.suffix_workers[depth + 1]
-            slacks = [max(0, s) for s in self.slack]
-            add_limits = [
-                min(f // job.unit_size - row0[t],
-                    (slacks[t] + b_rem) // job.unit_size)
-                for t, f in enumerate(free)]
-            for row in _ref_candidate_rows(row0, k, add_limits, slacks,
-                                           job.unit_size, b_rem):
+            add_limits = [f // job.unit_size - row0[t]
+                          for t, f in enumerate(free)]
+            for row in _ref_candidate_rows(row0, k, add_limits):
                 self.nodes += 1
                 if self.deadline is not None and self.nodes % 1024 == 0:
                     if time.monotonic() > self.deadline:
@@ -548,7 +518,6 @@ class _RefSearch:
                         continue
                 for t, v in enumerate(row):
                     free[t] -= job.unit_size * v
-                    self.slack[t] += job.unit_size * (row0[t] - v)
                     if fragmented and v:
                         frag[t] += job.ring_weight
                 assignment[job_idx] = row
@@ -556,7 +525,6 @@ class _RefSearch:
                           assignment)
                 for t, v in enumerate(row):
                     free[t] += job.unit_size * v
-                    self.slack[t] -= job.unit_size * (row0[t] - v)
                     if fragmented and v:
                         frag[t] -= job.ring_weight
                 assignment[job_idx] = None
@@ -658,6 +626,16 @@ def _outcome(solver, instance, max_moves):
 @example((SolverInstance(
     4, (0, 1, 2, 3), 1, (SolverJob(0, 1), SolverJob(1, 2), SolverJob(2, 2)),
     ((1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0)), (0, 0, 1, 0)), None))
+# a rack's room alone caps each addition, not its slack plus the workers
+# the moves left could evict: the reference's plan, in 4 nodes to its 10
+@example((SolverInstance(
+    3, (4, 0, 6), 2, (SolverJob(0, 2, 1, 1), SolverJob(1, 2, 2, 2),
+                      SolverJob(2, 1, 2, 2)),
+    ((1, 0, 1), (1, 0, 1), (0, 0, 1)), (1, 0, 0)), 3))
+# capped by room alone, this takes 2 nodes where the slack cap took 1
+@example((SolverInstance(
+    3, (0, 2, 2), 0, (SolverJob(0, 2), SolverJob(1, 1)),
+    ((1, 0, 1), (0, 0, 1))), None))
 def test_search_matches_reference_in_lockstep(drawn):
     inst, max_moves = drawn
     fast, fast_nodes = _outcome(
@@ -780,13 +758,12 @@ DEEPER_WITH_TARGET = (
 
 
 @pytest.mark.parametrize("inst, max_moves, want", [
-    (DEEP_WITH_INCUMBENT, None, (8, DEEP_WITH_TARGET, 593)),
-    (DEEP_WITH_INCUMBENT, 16, (8, DEEP_WITH_TARGET, 593)),
-    (DEEP_WITHOUT_INCUMBENT, None, (9, DEEP_WITHOUT_TARGET, 2250)),
-    # the cap bounds the search before its first plan: two nodes fewer
-    (DEEP_WITHOUT_INCUMBENT, 16, (9, DEEP_WITHOUT_TARGET, 2248)),
-    (DEEPER_WITH_INCUMBENT, None, (8, DEEPER_WITH_TARGET, 1206)),
-    (DEEPER_WITH_INCUMBENT, 16, (8, DEEPER_WITH_TARGET, 1206)),
+    (DEEP_WITH_INCUMBENT, None, (8, DEEP_WITH_TARGET, 594)),
+    (DEEP_WITH_INCUMBENT, 16, (8, DEEP_WITH_TARGET, 594)),
+    (DEEP_WITHOUT_INCUMBENT, None, (9, DEEP_WITHOUT_TARGET, 2304)),
+    (DEEP_WITHOUT_INCUMBENT, 16, (9, DEEP_WITHOUT_TARGET, 2304)),
+    (DEEPER_WITH_INCUMBENT, None, (8, DEEPER_WITH_TARGET, 1215)),
+    (DEEPER_WITH_INCUMBENT, 16, (8, DEEPER_WITH_TARGET, 1215)),
 ])
 def test_deep_solves_pinned(inst, max_moves, want):
     """Plan and node count of the deep instances: a change to the search
@@ -794,6 +771,60 @@ def test_deep_solves_pinned(inst, max_moves, want):
     plan = solve(inst, time_limit=None, max_moves=max_moves)
     assert plan.stats.optimal
     assert (plan.move_count, plan.target, plan.stats.nodes_explored) == want
+
+
+def _seeded_tp_instance(rng):
+    """A ``lockstep_instances`` shape from stdlib ``random``: TP units of
+    1, 2, 4 or 8 workers weighing their unit size, capacities drawn per
+    rack, initial rows that may overflow them, and frozen ring load up
+    to the threshold."""
+    num_racks = rng.randint(2, 5)
+    capacities = tuple(rng.randint(0, 24) for _ in range(num_racks))
+    overflow = rng.random() < 0.3
+    free = list(capacities)
+    jobs, initial = [], []
+    for key in range(rng.randint(1, 5)):
+        unit = rng.choice((1, 2, 4, 8))
+        row = [0] * num_racks
+        for _ in range(rng.randint(1, 4)):
+            fits = [t for t in range(num_racks)
+                    if overflow or free[t] >= unit]
+            if not fits:
+                break
+            t = rng.choice(fits)
+            row[t] += 1
+            free[t] -= unit
+        if sum(row):
+            jobs.append(SolverJob(key, sum(row), unit, unit))
+            initial.append(tuple(row))
+    if not jobs:
+        jobs.append(SolverJob(0, 1))
+        initial.append((1,) + (0,) * (num_racks - 1))
+    threshold = rng.randint(1, 10)
+    base_load = tuple(rng.randint(0, threshold) for _ in range(num_racks))
+    return SolverInstance(num_racks, capacities, threshold, tuple(jobs),
+                          tuple(initial), base_load)
+
+
+def test_seeded_batch_plans_pinned():
+    """The plans of 2,000 seeded instances, each solved uncapped and at a
+    cap of 0 to 8 moves: a change to the search that is meant to keep
+    every plan keeps this digest, whatever it does to node counts."""
+    rng = random.Random(27)
+    outcomes = []
+    for _ in range(2000):
+        inst = _seeded_tp_instance(rng)
+        cap = rng.randint(0, 8)
+        for max_moves in (None, cap):
+            try:
+                plan = solve(inst, time_limit=None, max_moves=max_moves)
+            except (InfeasibleError, MoveBudgetExceeded) as exc:
+                outcomes.append(type(exc).__name__)
+            else:
+                outcomes.append([plan.target, plan.move_count])
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == ("d5b4dc91bf5159a83d0eb3aba733bdf4"
+                      "9d0ac4878c8a0854b0f5da86e6cf827e")
 
 
 def _count_addition_rows(monkeypatch) -> list[int]:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 from pathlib import Path
 
@@ -165,6 +166,13 @@ def test_pp_traffic_llama_total():
 def test_generate_trace_rejects_bad_load():
     with pytest.raises(ValueError):
         generate_trace(TOPO, 0.0, seed=1, num_jobs=5)
+
+
+# a NaN load makes every arrival time NaN, which never comes due
+@pytest.mark.parametrize("load", [math.nan, math.inf])
+def test_generate_trace_rejects_non_finite_load(load):
+    with pytest.raises(ValueError, match="positive finite"):
+        generate_trace(TOPO, load, seed=1, num_jobs=5)
 
 
 # On 64 GPUs: one worker cannot form a DP ring of two, and 128 do not fit.
