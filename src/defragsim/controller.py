@@ -147,7 +147,7 @@ class DefragDecision:
 
 # Why a check that found a violation returned no plan.
 SKIP_REASONS = ("not_optimal", "infeasible", "budget", "timeout",
-                "resolution", "memo")
+                "resolution")
 _FAILURE_REASON = {InfeasibleError: "infeasible",
                    MoveBudgetExceeded: "budget", SolverTimeout: "timeout",
                    ResolutionError: "resolution"}
@@ -159,8 +159,8 @@ class DefragController:
     ``outcomes`` counts the checks that found a violation, by outcome:
     ``applied`` (a decision was returned) or one of ``SKIP_REASONS``:
     the plan was not proven optimal, the instance was infeasible, over
-    the move cap or out of solver time, the plan could not be packed onto
-    hosts, or the instance was the one last skipped.
+    the move cap or out of solver time, or the plan could not be packed
+    onto hosts.
     """
 
     def __init__(self, placement: Placement, config: ControllerConfig,
@@ -172,7 +172,6 @@ class DefragController:
                           if config.threshold is None else config.threshold)
         self.outcomes: Counter[str] = Counter(
             dict.fromkeys(("applied",) + SKIP_REASONS, 0))
-        self._last_skipped: SolverInstance | None = None
 
     @property
     def skipped_infeasible(self) -> int:
@@ -190,10 +189,6 @@ class DefragController:
                                   stages=stages)
         if instance is None:
             return None
-        if instance == self._last_skipped:
-            # identical stuck instance: don't burn solver time again
-            self.outcomes["memo"] += 1
-            return None
         try:
             plan = solve(instance,
                          time_limit=self.config.solver_time_limit,
@@ -203,17 +198,15 @@ class DefragController:
                 # timed-out incumbent is a wholesale re-placement. Leave
                 # the violation standing and retry on the next change.
                 log.debug("defrag skipped: solver hit its time limit")
-                return self._skip(instance, "not_optimal")
+                self.outcomes["not_optimal"] += 1
+                return None
             moves = resolve_plan(self.placement, instance, plan)
         except (InfeasibleError, MoveBudgetExceeded, ResolutionError,
                 SolverTimeout) as exc:
             # No acceptable plan exists right now (or it cannot be
             # packed); leave the violation standing until churn helps.
             log.debug("defrag skipped: %s", exc)
-            return self._skip(instance, _FAILURE_REASON[type(exc)])
+            self.outcomes[_FAILURE_REASON[type(exc)]] += 1
+            return None
         self.outcomes["applied"] += 1
         return DefragDecision(moves=moves, stats=plan.stats)
-
-    def _skip(self, instance: SolverInstance, reason: str) -> None:
-        self.outcomes[reason] += 1
-        self._last_skipped = instance

@@ -247,8 +247,6 @@ def plan_racks(placement: Placement, job: JobSpec) -> list[int] | None:
             # No rack fits the remainder: take the roomiest rack whole.
             best = max(range(len(free)), key=lambda r: (free[r], -r))
             take = free[best]
-            if take == 0:
-                return None
             racks.extend([best] * take)
             free[best] = 0
             remaining -= take

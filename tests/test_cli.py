@@ -106,7 +106,7 @@ def test_run_writes_controller_outcomes(tmp_path):
     runs = {r["algorithm"]: r["controller_outcomes"] for r in
             json.loads((out / "summary.json").read_text())["runs"]}
     keys = {"applied", "not_optimal", "infeasible", "budget", "timeout",
-            "resolution", "memo"}
+            "resolution"}
     assert set(runs["defrag-perfect"]) == set(runs["sglb"]) == keys
     assert runs["defrag-perfect"]["applied"] >= 1
     assert set(runs["sglb"].values()) == {0}

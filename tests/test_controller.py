@@ -242,9 +242,9 @@ def test_controller_disabled_and_infeasible_are_quiet():
     # under the move cap the solver cannot tell "no plan" from "no plan
     # within the cap", so the stuck instance counts as over budget
     assert outcomes(stuck) == {"budget": 1}
-    # the same instance again is skipped without a solve
+    # the same instance is solved again and counts its own reason
     assert stuck.check() is None
-    assert outcomes(stuck) == {"budget": 1, "memo": 1}
+    assert outcomes(stuck) == {"budget": 2}
     assert stuck.skipped_infeasible == 2
     uncapped = DefragController(full, ControllerConfig(threshold=0,
                                                        max_moves=None))
@@ -379,8 +379,36 @@ def test_controller_counts_failures_by_reason(monkeypatch, caplog, name,
     assert outcomes(controller) == {reason: 1}
     assert_skip_logged_at_debug(caplog)
     assert controller.check() is None
-    assert outcomes(controller) == {reason: 1, "memo": 1}
+    assert outcomes(controller) == {reason: 2}
     assert controller.skipped_infeasible == 2
+
+
+def test_controller_counts_unpackable_plan_as_resolution():
+    # TP-8 jobs 1 and 2 each put one unit on rack 1 (hosts 0 and 1) and
+    # the other on host 0 of rack 2 or 3, so rack 1's ring load of 16 is
+    # over threshold 8. TP-1 fillers hold host 1 of racks 2 and 3, and
+    # one more is split 4/4 over rack 0's hosts. The only plan moves a
+    # TP-8 unit onto rack 0, which has 8 free slots but no free host.
+    topo = ClusterTopology(4, 2, 8, 2, 400e9, 400e9)
+    placement = Placement(topo)
+    for job_id, far_rack in ((1, 2), (2, 3)):
+        job = make_job(job_id=job_id, workers=16, dp=2, tp=8)
+        for dp, (rack, host) in enumerate([(1, job_id - 1), (far_rack, 0)]):
+            for tp in range(8):
+                placement.assign((job_id, job.worker_index(0, dp, tp)),
+                                 rack, host)
+        placement.jobs[job_id] = job
+    for job_id, hosts in ((3, [(2, 1)] * 8), (4, [(3, 1)] * 8),
+                          (5, [(0, 0)] * 4 + [(0, 1)] * 4)):
+        placement.jobs[job_id] = make_job(job_id=job_id, workers=8, dp=8)
+        for i, (rack, host) in enumerate(hosts):
+            placement.assign((job_id, i), rack, host)
+    controller = DefragController(placement, ControllerConfig(threshold=8))
+    assert controller.check() is None
+    assert outcomes(controller) == {"resolution": 1}
+    # an unchanged placement is solved again and fails the same way
+    assert controller.check() is None
+    assert outcomes(controller) == {"resolution": 2}
 
 
 def test_controller_counts_unproven_plan_as_not_optimal(monkeypatch, caplog):
