@@ -6,10 +6,12 @@ Subcommands:
             threshold) and collect a grid of summaries
   validate  parse and validate a config, printing the resolved values
   oracle    run the brute-force minimum-move oracle on a solver
-            instance file and compare it with the exact solver
+            instance file, check the exact solver's plan and compare
+            its move count with the oracle's
 
 Exit status: 0 on success, 2 on configuration errors (a bad config or
-instance file), 3 on internal invariant violations.
+instance file, or one that cannot be read), 3 on internal invariant
+violations (including a solver plan that ``oracle`` finds invalid).
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .config import (
     ConfigError, ExperimentConfig, check_algorithms, load_config,
 )
 from .defrag import (
-    InfeasibleError, OracleTooLargeError, brute_force_min_moves,
-    load_instance, solve,
+    InfeasibleError, MigrationPlan, OracleTooLargeError, SolverInstance,
+    brute_force_min_moves, load_instance, ring_loads, solve, worker_moves,
 )
 from .metrics import export_run, run_tag, write_summary
 from .simulate import run_simulation
@@ -139,6 +141,40 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _plan_faults(instance: SolverInstance, plan: MigrationPlan) -> list[str]:
+    """What is wrong with ``plan`` as a plan of ``instance``: a row that
+    does not place its job's units, a rack over its capacity or over the
+    threshold (with the frozen base load), or a move count that is not
+    the plan's worker moves."""
+    faults = []
+    if len(plan.target) != len(instance.jobs):
+        return [f"{len(plan.target)} rows for {len(instance.jobs)} jobs"]
+    used = [0] * instance.num_racks
+    for job, row in zip(instance.jobs, plan.target):
+        if (len(row) != instance.num_racks or min(row) < 0
+                or sum(row) != job.units):
+            faults.append(f"job {job.key}: row {list(row)} does not place "
+                          f"its {job.units} units")
+            continue
+        for t, v in enumerate(row):
+            used[t] += job.unit_size * v
+    if faults:
+        return faults
+    for t, (u, cap) in enumerate(zip(used, instance.capacities)):
+        if u > cap:
+            faults.append(f"rack {t}: {u} workers over its capacity {cap}")
+    loads = ring_loads(instance.jobs, plan.target, instance.base_load)
+    for t, load in enumerate(loads):
+        if load > instance.threshold:
+            faults.append(f"rack {t}: ring load {load} over the threshold "
+                          f"{instance.threshold:g}")
+    moves = worker_moves(instance, plan.target)
+    if plan.move_count != moves:
+        faults.append(f"move count {plan.move_count}, but the plan moves "
+                      f"{moves} workers")
+    return faults
+
+
 def cmd_oracle(args) -> int:
     try:
         instance = load_instance(args.instance)
@@ -172,6 +208,11 @@ def cmd_oracle(args) -> int:
           f"(optimal={plan.stats.optimal}, "
           f"nodes={plan.stats.nodes_explored}, "
           f"time={plan.stats.solve_time:.3f}s)")
+    faults = _plan_faults(instance, plan)
+    if faults:
+        for fault in faults:
+            print(f"INVALID PLAN: {fault}", file=sys.stderr)
+        return EXIT_INVARIANT
     if plan.stats.optimal and plan.move_count != optimum:
         print("MISMATCH: solver claims optimality but disagrees with "
               "the oracle", file=sys.stderr)
@@ -237,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AssertionError as exc:

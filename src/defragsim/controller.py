@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .defrag import (
     InfeasibleError, MigrationPlan, MoveBudgetExceeded, SolverInstance,
-    SolverStats, SolverTimeout, is_fragmented, solve,
+    SolverStats, SolverTimeout, solve,
 )
 from .fragmentation import StageRows, stage_rows
 from .jobmodel import WorkerMove
@@ -51,10 +51,11 @@ def build_instance(placement: Placement, threshold: float,
     """Solver instance for the current placement, or None if compliant.
 
     The fragmented stages on over-threshold racks are the decision
-    variables. One pass over the rows takes every other stage's units
-    off the rack capacities and each movable stage's ring weight off the
-    ring loads, leaving the frozen base load. ``stages``, the
-    placement's current ``stage_rows``, saves building them again.
+    variables. One pass over the rows, reading each row's fragmented
+    flag from ``stages``, takes every other stage's units off the
+    capacities of the racks it occupies and each movable stage's ring
+    weight off the ring loads, leaving the frozen base load. ``stages``,
+    the placement's current ``stage_rows``, saves building them again.
     """
     if stages is None:
         stages = stage_rows(placement)
@@ -66,16 +67,24 @@ def build_instance(placement: Placement, threshold: float,
 
     capacities = [placement.topology.gpus_per_rack] * num_racks
     jobs, initial = [], []
-    for job, row in zip(stages.jobs, stages.rows):
-        if is_fragmented(row) and any(row[t] for t in violating):
-            jobs.append(job)
-            initial.append(row)
-            for t, v in enumerate(row):
-                if v:
-                    base_load[t] -= job.ring_weight
+    for job, row, fragmented in zip(stages.jobs, stages.rows,
+                                    stages.fragmented):
+        if not fragmented:
+            # a whole row holds all the job's units on one rack
+            capacities[row.index(job.units)] -= job.unit_size * job.units
+            continue
+        for t in violating:
+            if row[t]:  # movable: fragmented on an over-threshold rack
+                jobs.append(job)
+                initial.append(row)
+                for u, v in enumerate(row):
+                    if v:
+                        base_load[u] -= job.ring_weight
+                break
         else:
             for t, v in enumerate(row):
-                capacities[t] -= job.unit_size * v
+                if v:
+                    capacities[t] -= job.unit_size * v
     return SolverInstance(
         num_racks=num_racks, capacities=tuple(capacities),
         threshold=threshold, jobs=tuple(jobs), initial=tuple(initial),

@@ -13,11 +13,12 @@ still acceptable costs less than. The bound starts one above the move
 cap; with no cap, one above the workers the jobs hold, since no plan
 moves more. One local repair supplies the first incumbent: while a rack
 is over threshold it applies the cheaper of two fixes to a fragmented
-job there, vacating that rack or consolidating the job onto one rack.
-An incumbent within the cap lowers the bound to its cost, as does every
-plan the search accepts, and the incumbent is the fallback under a time
-limit. A brute-force enumerator over all rack-level placements
-validates optimality on small instances.
+job there, vacating that rack or consolidating the job onto one rack,
+and updates the ring loads only on the fixed job's racks. An incumbent
+within the cap lowers the bound to its cost, as does every plan the
+search accepts, and the incumbent is the fallback under a time limit. A
+brute-force enumerator over all rack-level placements validates
+optimality on small instances.
 
 A node's bound on the cost still to pay sums, over racks the unplaced
 jobs leave over threshold, the cheapest fixes each rack needs, taking
@@ -26,9 +27,9 @@ separate fixes.
 
 A candidate row at k unit-moves is a removal of k units from the job's
 initial row plus an addition of k units elsewhere. Each node's work is
-kept small by what is built once: per depth, a table of the racks
-holding unplaced fragmented jobs, from which the node bound is one
-pass and a sort of the racks in excess; per search, the removals of
+kept small by what is built once: per depth (all in one walk), a table
+of the racks holding unplaced fragmented jobs, from which the node bound
+is one pass and a sort of the racks in excess; per search, the removals of
 each (job, k); per node, the racks a fragmented row may not touch and
 each rack's room. An addition never overflows a rack's room, so
 capacity is checked once per removal, and the splitter leaves out the
@@ -55,12 +56,12 @@ used by the solver and summed once per placement change by
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import math
 import time
 from dataclasses import dataclass
+from operator import sub
 from typing import Hashable, Iterator, Sequence
 
 
@@ -109,6 +110,8 @@ class SolverInstance:
             raise ValueError("capacity vector length mismatch")
         if len(self.base_load) != self.num_racks:
             raise ValueError("base_load vector length mismatch")
+        if len(self.initial) != len(self.jobs):
+            raise ValueError("initial needs one row per job")
         for job, row in zip(self.jobs, self.initial):
             if len(row) != self.num_racks:
                 raise ValueError("initial row length mismatch")
@@ -171,7 +174,8 @@ def worker_moves(instance: SolverInstance,
     """Half the l1 distance from the initial placement, in workers."""
     total = 0
     for job, row0, row in zip(instance.jobs, instance.initial, placement):
-        total += job.unit_size * sum(abs(a - b) for a, b in zip(row0, row))
+        if row != row0:
+            total += job.unit_size * sum(map(abs, map(sub, row0, row)))
     return total // 2
 
 
@@ -250,11 +254,27 @@ def _repair_incumbent(instance: SolverInstance
     cheapest of two fixes to one fragmented job present there -- vacate
     that rack into the job's other racks (never adds ring load anywhere)
     or consolidate the whole job onto a single rack. Usually lands within
-    a few unit moves of the optimum, giving the search a tight bound."""
+    a few unit moves of the optimum, giving the search a tight bound.
+    The ring loads are summed once, then a fix moves only the fixed
+    job's share."""
     jobs = instance.jobs
     num_racks = instance.num_racks
+    threshold = instance.threshold
     placement = [list(row) for row in instance.initial]
-    free = _free_capacity(instance, placement)
+    free = list(instance.capacities)
+    for job, row in zip(jobs, placement):
+        for t, v in enumerate(row):
+            if v:
+                free[t] -= job.unit_size * v
+    loads = ring_loads(jobs, placement, instance.base_load)
+
+    def shift_load(i: int, sign: int) -> None:
+        row = placement[i]
+        if is_fragmented(row):
+            weight = sign * jobs[i].ring_weight
+            for t, v in enumerate(row):
+                if v:
+                    loads[t] += weight
 
     def vacate(i: int, t: int) -> None:
         job = jobs[i]
@@ -282,37 +302,39 @@ def _repair_incumbent(instance: SolverInstance
         free[u] -= job.workers
 
     for _ in range(4 * len(jobs) + 4):
-        violating = _violating_racks(instance, placement)
-        if not violating:
+        t = next((t for t, load in enumerate(loads) if load > threshold),
+                 None)
+        if t is None:
             if any(f < 0 for f in free):
                 return None
             return [tuple(row) for row in placement]
-        t = min(violating)
-        best: tuple[int, int, int, str] | None = None  # cost, i, arg, kind
+        best: tuple[int, int, str] | None = None  # i, arg, kind
+        best_cost = 0
         for i, row in enumerate(placement):
-            job = jobs[i]
-            if row[t] == 0 or not is_fragmented(row):
+            here = row[t]
+            if here == 0 or not is_fragmented(row):
                 continue
-            room = sum(free[u] // job.unit_size
-                       for u in range(num_racks)
-                       if u != t and row[u] > 0)
-            if room >= row[t]:
-                cost = row[t] * job.unit_size
-                if best is None or cost < best[0]:
-                    best = (cost, i, t, "vacate")
-            for u in range(num_racks):
-                need = (job.units - row[u]) * job.unit_size
-                if free[u] >= need:
-                    cost = need
-                    if best is None or cost < best[0]:
-                        best = (cost, i, u, "consolidate")
+            job = jobs[i]
+            unit, units = job.unit_size, job.units
+            room = 0
+            for u, v in enumerate(row):
+                if v and u != t:
+                    room += free[u] // unit
+            if room >= here and (best is None or here * unit < best_cost):
+                best, best_cost = (i, t, "vacate"), here * unit
+            for u, v in enumerate(row):
+                need = (units - v) * unit
+                if free[u] >= need and (best is None or need < best_cost):
+                    best, best_cost = (i, u, "consolidate"), need
         if best is None:
             return None
-        _, i, arg, kind = best
+        i, arg, kind = best
+        shift_load(i, -1)
         if kind == "vacate":
             vacate(i, arg)
         else:
             consolidate(i, arg)
+        shift_load(i, 1)
     return None
 
 
@@ -320,14 +342,6 @@ def _violating_racks(instance, placement) -> set[int]:
     return {t for t, load in enumerate(
                 ring_loads(instance.jobs, placement, instance.base_load))
             if load > instance.threshold}
-
-
-def _free_capacity(instance, placement) -> list[int]:
-    free = list(instance.capacities)
-    for job, row in zip(instance.jobs, placement):
-        for t, v in enumerate(row):
-            free[t] -= job.unit_size * v
-    return free
 
 
 # -- exact branch and bound ---------------------------------------------
@@ -340,20 +354,20 @@ class _Search:
     ``bound``, one above the move cap or, with no cap, the jobs' workers,
     lowered to the cost of an incumbent within it and of each leaf taken.
 
-    Three things are built once so that each node stays cheap: per depth,
-    the bound table ``_rack_bounds`` reads, with each rack's unplaced
-    fragmented jobs as a bitmask for ``_remaining_lb``'s disjoint-rack
-    sum; per (job, k), the list of ways to remove k units from the job's
-    initial row; and per node, the racks where one more fragmented row
-    would break the threshold, each rack's room, and the bound
-    of a child per fragmented support. Only depth 0's table exists until
-    ``run`` starts a search, so a solve the incumbent settles builds no
-    more. The candidate rows are generated lazily, already through the
-    capacity and ring checks, and each is bounded in its parent before
-    the search descends into it. ``nodes`` counts the root and every
-    candidate row built, pruned or entered; ``_dfs`` runs only for the
-    entered ones. Rows at a k the node cuts are never built, so never
-    counted."""
+    Three things are built once so that each node stays cheap: per
+    depth, the bound table ``_rack_bounds`` reads, with each rack's
+    unplaced fragmented jobs as a bitmask for ``_remaining_lb``'s
+    disjoint-rack sum, all from one walk; per (job, k), the list of ways
+    to remove k units from the job's initial row; and per node, the
+    racks where one more fragmented row would break the threshold, each
+    rack's room, and the bound of a child per fragmented support. Only
+    depth 0's table exists until ``run`` starts a search, so a solve the
+    incumbent settles builds no more. The candidate rows are generated
+    lazily, already through the capacity and ring checks, and each is
+    bounded in its parent before the search descends into it. ``nodes``
+    counts the root and every candidate row built, pruned or entered;
+    ``_dfs`` runs only for the entered ones. Rows at a k the node cuts
+    are never built, so never counted."""
 
     def __init__(self, instance: SolverInstance, deadline: float | None):
         self.instance = instance
@@ -382,33 +396,47 @@ class _Search:
         the sorted cheapest own changes, bitmask of the unplaced
         fragmented jobs there) per rack that holds an unplaced fragmented
         job. A rack without an entry has no excess, since the placed
-        load never passes the threshold. The jobs are added from the
-        deepest up, so the tables asked for come last."""
+        load never passes the threshold. One walk adds the jobs from the
+        deepest up, updating the rack totals in place, so the tables
+        asked for come last; a table rebuilds only the entries the jobs
+        since the one below it touched."""
         instance = self.instance
-        loads = [0] * instance.num_racks
-        options: list[list[tuple[int, int]]] = [
-            [] for _ in range(instance.num_racks)]
-        masks = [0] * instance.num_racks
-        # at the leaves nothing is unplaced
-        tables = [[]] if len(self.order) < depths else []
+        num_racks = instance.num_racks
+        loads = [0] * num_racks
+        weights = [0] * num_racks
+        costs: list[list[int]] = [[] for _ in range(num_racks)]
+        masks = [0] * num_racks
+        entries: list[tuple | None] = [None] * num_racks
+        changed: set[int] = set()
+        table: list[tuple] = []  # at the leaves nothing is unplaced
+        tables = [table] if len(self.order) < depths else []
         for depth in range(len(self.order) - 1, -1, -1):
             i = self.order[depth]
-            job, row = instance.jobs[i], instance.initial[i]
-            loads = ring_loads([job], [row], loads)
+            row = instance.initial[i]
             if is_fragmented(row):
+                job = instance.jobs[i]
+                weight, unit, units = job.ring_weight, job.unit_size, job.units
+                bit = 1 << i
                 for t, v in enumerate(row):
                     if v:
-                        bisect.insort(options[t], (
-                            job.unit_size * min(v, job.units - v),
-                            job.ring_weight))
-                        masks[t] |= 1 << i
+                        loads[t] += weight
+                        if weight > weights[t]:
+                            weights[t] = weight
+                        # the cheaper own change: vacate t or gather on t
+                        costs[t].append(
+                            unit * (v if 2 * v <= units else units - v))
+                        masks[t] |= bit
+                        changed.add(t)
             if depth < depths:
-                tables.append([
-                    (t, loads[t], max(w for _, w in opts),
-                     list(itertools.accumulate((c for c, _ in opts),
-                                               initial=0)),
-                     masks[t])
-                    for t, opts in enumerate(options) if opts])
+                if changed:
+                    for t in changed:
+                        costs[t].sort()
+                        entries[t] = (t, loads[t], weights[t], list(
+                            itertools.accumulate(costs[t], initial=0)),
+                            masks[t])
+                    changed.clear()
+                    table = [entry for entry in entries if entry]
+                tables.append(table)
         tables.reverse()
         return tables
 
@@ -542,19 +570,7 @@ class _Search:
         only after a sibling leaf below the bound of its time, and the
         bound only falls, so the cut changes no plan. A leaf-parent
         keeps ``whole_lb`` 0: its tie rule and the floor stop are as
-        before.
-
-        An addition is capped by each rack's room alone. Capping it also
-        by the rack's slack (its free workers less the unplaced jobs')
-        plus the workers the moves left could evict would change no
-        plan either: at a leaf-parent the room of a rack is at most its
-        slack, so that cap cuts no leaf, and an interior row past it
-        needs more evictions than the moves left, so its subtree holds
-        no leaf below the bound. A cut that removes no accepted leaf
-        keeps the plan, since an equal-cost leaf is taken only after a
-        sibling in the same leaf-parent has lowered the bound, and the
-        floor stop happens only at accepted leaves. Only node counts
-        and the rows the clock check lands on would move."""
+        before. An addition is capped by each rack's room alone."""
         if depth == len(self.order):
             # A leaf replaces the best plan even at equal cost, while
             # interior nodes prune at >= the bound: among equal-cost

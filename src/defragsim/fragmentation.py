@@ -17,6 +17,7 @@ racks as the stage's row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 from .defrag import SolverJob, is_fragmented, ring_loads
@@ -27,17 +28,19 @@ from .workload import JobSpec
 
 @dataclass
 class StageRows:
-    """Per-stage unit counts per rack, the owning solver jobs, and each
-    rack's ring load over them."""
+    """Per-stage unit counts per rack, the owning solver jobs, whether
+    each row is fragmented, and each rack's ring load over them."""
     jobs: list[SolverJob]
     rows: list[tuple[int, ...]]
+    fragmented: list[bool]
     loads: list[int]
 
 
 def stage_rows(placement: Placement) -> StageRows:
     """One solver job and one row per pipeline stage of each placed job,
-    in job-id order, as ``Placement.job_stages`` keeps them, and the ring
-    loads they put on each rack, summed once here.
+    in job-id order, as ``Placement.job_stages`` keeps them, whether
+    each row is fragmented, tested once here, and the ring loads the
+    fragmented rows put on each rack, summed once here.
 
     The lists returned are fresh and the rows are tuples, so a caller
     may change them without touching the placement's kept ones.
@@ -47,8 +50,10 @@ def stage_rows(placement: Placement) -> StageRows:
         solver_jobs, job_rows = placement.job_stages(job_id)
         jobs.extend(solver_jobs)
         rows.extend(job_rows)
-    return StageRows(jobs, rows, ring_loads(
-        jobs, rows, [0] * placement.topology.num_racks))
+    fragmented = list(map(is_fragmented, rows))
+    return StageRows(jobs, rows, fragmented, ring_loads(
+        list(compress(jobs, fragmented)), list(compress(rows, fragmented)),
+        [0] * placement.topology.num_racks))
 
 
 @dataclass(frozen=True)
@@ -69,8 +74,7 @@ def fragmentation_degree(placement: Placement,
     if stages is None:
         stages = stage_rows(placement)
     return FragmentationReport(tuple(stages.loads), sum(
-        job.ring_weight for job, row in zip(stages.jobs, stages.rows)
-        if is_fragmented(row)))
+        job.ring_weight for job in compress(stages.jobs, stages.fragmented)))
 
 
 def sequential_placement(jobs: Iterable[JobSpec],

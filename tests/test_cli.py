@@ -150,6 +150,14 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_unreadable_path_exits_2(tmp_path, capsys, command):
+    # a directory where a config or instance file is expected
+    assert main([command, str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(tmp_path) in err
+
+
 def test_bad_config_key_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("trace:\n  jobs: 10\n")
@@ -326,6 +334,35 @@ def test_oracle_catches_solver_infeasible_for_solvable_instance(
     captured = capsys.readouterr()
     assert "oracle minimum moves: 1" in captured.out
     assert "MISMATCH" in captured.err
+
+
+# Two racks of 1 and 4 slots at threshold 0; job 0's two units start
+# split, so moving the one on rack 0 to rack 1 is the 1-move optimum.
+BAD_PLAN_INSTANCE = SolverInstance(
+    num_racks=2, capacities=(1, 4), threshold=0,
+    jobs=(SolverJob(key=0, units=2),), initial=((1, 1),))
+
+
+@pytest.mark.parametrize("target, move_count, fault", [
+    (((1, 0),), 0, "does not place its 2 units"),
+    (((2, 0),), 1, "over its capacity 1"),
+    (((1, 1),), 0, "over the threshold 0"),
+    (((0, 2),), 3, "move count 3, but the plan moves 1 workers"),
+], ids=["row sum", "capacity", "threshold", "move count"])
+def test_oracle_catches_invalid_plan(tmp_path, monkeypatch, capsys, target,
+                                     move_count, fault):
+    path = tmp_path / "instance.json"
+    save_instance(BAD_PLAN_INSTANCE, path)
+
+    def bad_solve(instance, time_limit=None, max_moves=None):
+        # not claimed optimal, so the move count is not held to the
+        # oracle's minimum
+        return MigrationPlan(target, SolverStats(move_count, 0.0, 0, False))
+
+    monkeypatch.setattr(cli, "solve", bad_solve)
+    assert main(["oracle", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "INVALID PLAN" in err and fault in err
 
 
 @pytest.mark.parametrize("text", [

@@ -56,6 +56,7 @@ def test_stage_rows_pure_dp():
     assert stages.jobs[0].key == (1, 0)
     assert stages.jobs[0].unit_size == 1 and stages.jobs[0].ring_weight == 1
     assert stages.rows[0] == (5, 3, 0, 0)
+    assert stages.fragmented == [True]
 
 
 def test_stage_rows_tp_and_pp():
@@ -75,6 +76,7 @@ def test_stage_rows_tp_and_pp():
     assert all(j.units == 2 and j.unit_size == 8 and j.ring_weight == 8
                for j in stages.jobs)
     assert stages.rows == [(1, 1, 0, 0), (0, 0, 2, 0)]
+    assert stages.fragmented == [True, False]
 
 
 def test_build_instance_none_when_compliant():
@@ -180,8 +182,12 @@ def test_one_pass_reduction_matches_three_passes(data):
         label="threshold")
     expected = three_pass_instance(placement, threshold)
     assert build_instance(placement, threshold) == expected
-    assert build_instance(placement, threshold,
-                          stages=stage_rows(placement)) == expected
+    stages = stage_rows(placement)
+    # the flags and loads stage_rows keeps are those of every row
+    assert stages.fragmented == [is_fragmented(row) for row in stages.rows]
+    assert stages.loads == ring_loads(stages.jobs, stages.rows,
+                                      [0] * topo.num_racks)
+    assert build_instance(placement, threshold, stages=stages) == expected
 
 
 def test_controller_restores_threshold():

@@ -214,6 +214,17 @@ def test_ring_loads_weight_fragmented_rows_only():
     assert ring_loads(jobs, rows, [2, 0, 5]) == [10, 9, 6]
 
 
+@pytest.mark.parametrize("jobs, initial", [
+    # a stray row would come back as a row of the plan
+    ((SolverJob(0, 2),), ((1, 1), (2, 0))),
+    # a job without a row would fail inside the search
+    ((SolverJob(0, 2), SolverJob(1, 2)), ((1, 1),)),
+])
+def test_one_initial_row_per_job(jobs, initial):
+    with pytest.raises(ValueError, match="one row per job"):
+        SolverInstance(2, (4, 4), 0, jobs, initial)
+
+
 @pytest.mark.parametrize("max_moves", [None, 4])
 def test_frozen_overload_is_infeasible(max_moves):
     # rack 0 is over the threshold from frozen load alone; no move of
@@ -537,13 +548,114 @@ class _RefSearch:
             k += 1
 
 
+def _ref_violating_racks(instance, placement):
+    return {t for t, load in enumerate(
+                ring_loads(instance.jobs, placement, instance.base_load))
+            if load > instance.threshold}
+
+
+def _ref_repair_incumbent(instance):
+    """The repair written with a full ring-load sum over every job on
+    every pass: the reference ``defrag._repair_incumbent`` must match."""
+    jobs = instance.jobs
+    num_racks = instance.num_racks
+    placement = [list(row) for row in instance.initial]
+    free = list(instance.capacities)
+    for job, row in zip(jobs, placement):
+        for t, v in enumerate(row):
+            free[t] -= job.unit_size * v
+
+    def vacate(i, t):
+        job = jobs[i]
+        move = placement[i][t]
+        placement[i][t] = 0
+        free[t] += move * job.unit_size
+        others = sorted((u for u in range(num_racks)
+                         if u != t and placement[i][u] > 0),
+                        key=lambda u: (-free[u], u))
+        for u in others:
+            take = min(move, free[u] // job.unit_size)
+            placement[i][u] += take
+            free[u] -= take * job.unit_size
+            move -= take
+            if move == 0:
+                return
+        raise AssertionError("vacate target capacity vanished")
+
+    def consolidate(i, u):
+        job = jobs[i]
+        for t, v in enumerate(placement[i]):
+            free[t] += job.unit_size * v
+        placement[i] = [0] * num_racks
+        placement[i][u] = job.units
+        free[u] -= job.workers
+
+    for _ in range(4 * len(jobs) + 4):
+        violating = _ref_violating_racks(instance, placement)
+        if not violating:
+            if any(f < 0 for f in free):
+                return None
+            return [tuple(row) for row in placement]
+        t = min(violating)
+        best = None  # cost, i, arg, kind
+        for i, row in enumerate(placement):
+            job = jobs[i]
+            if row[t] == 0 or not is_fragmented(row):
+                continue
+            room = sum(free[u] // job.unit_size
+                       for u in range(num_racks)
+                       if u != t and row[u] > 0)
+            if room >= row[t]:
+                cost = row[t] * job.unit_size
+                if best is None or cost < best[0]:
+                    best = (cost, i, t, "vacate")
+            for u in range(num_racks):
+                need = (job.units - row[u]) * job.unit_size
+                if free[u] >= need:
+                    if best is None or need < best[0]:
+                        best = (need, i, u, "consolidate")
+        if best is None:
+            return None
+        _, i, arg, kind = best
+        if kind == "vacate":
+            vacate(i, arg)
+        else:
+            consolidate(i, arg)
+    return None
+
+
+def _ref_bound_table(instance, order, depth):
+    """The bound table of ``depth``, rebuilt from ``ring_loads`` over the
+    unplaced jobs and each rack's sorted options."""
+    unplaced = order[depth:]
+    loads = ring_loads([instance.jobs[i] for i in unplaced],
+                       [instance.initial[i] for i in unplaced],
+                       [0] * instance.num_racks)
+    table = []
+    for t in range(instance.num_racks):
+        options = sorted(
+            (instance.jobs[i].unit_size
+             * min(instance.initial[i][t],
+                   instance.jobs[i].units - instance.initial[i][t]),
+             instance.jobs[i].ring_weight, i)
+            for i in unplaced
+            if instance.initial[i][t] and is_fragmented(instance.initial[i]))
+        if options:
+            table.append((
+                t, loads[t], max(w for _, w, _ in options),
+                list(itertools.accumulate((c for c, _, _ in options),
+                                          initial=0)),
+                sum(1 << i for _, _, i in options)))
+    return table
+
+
 def reference_solve(instance, max_moves=None):
     """``solve`` with ``time_limit=None`` over the reference search."""
     if any(load > instance.threshold for load in instance.base_load):
         raise InfeasibleError("frozen overload")
     if sum(instance.capacities) < sum(job.workers for job in instance.jobs):
         raise InfeasibleError("capacity short of workers")
-    incumbent = defrag._repair_incumbent(instance)
+    incumbent = _ref_repair_incumbent(instance)
     search = _RefSearch(instance, None)
     search.run(incumbent, search._remaining_lb(0, list(instance.base_load)),
                cap=max_moves)
@@ -664,6 +776,26 @@ def test_no_cap_is_the_worker_count_cap(drawn):
         assert capped == (MoveBudgetExceeded, None)
     else:
         assert capped == uncapped
+
+
+@settings(max_examples=300, deadline=None)
+@given(lockstep_instances())
+def test_repair_keeps_the_rows_of_the_full_recompute(drawn):
+    inst, _ = drawn
+    assert defrag._repair_incumbent(inst) == _ref_repair_incumbent(inst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lockstep_instances())
+def test_bound_tables_are_the_rebuilt_ones(drawn):
+    inst, _ = drawn
+    search = defrag._Search(inst, None)
+    depths = len(search.order) + 1
+    want = [_ref_bound_table(inst, search.order, depth)
+            for depth in range(depths)]
+    # only depth 0's table until a search starts, then every depth's
+    assert search.bound_tables == want[:1]
+    assert search._bound_tables(depths) == want
 
 
 def _root_bounds(inst):
