@@ -6,14 +6,18 @@ as possible on the rack with the most free units and recurse on the
 remainder. Jobs that do not fit anywhere wait in a FIFO queue with no
 backfilling.
 
-Allocation granularity is one TP group: tp_degree consecutive GPU slots
-on a single host (a whole host when tp_degree == gpus_per_host), since
-tensor parallelism never crosses a server boundary.
+Allocation granularity is one TP group: tp_degree GPU slots on a single
+host (a whole host when tp_degree == gpus_per_host), since tensor
+parallelism never crosses a server boundary. A job is placed by whole
+units: the units bound for one host take its lowest free slots in one
+step, and the job's stage rows are recorded from the units' racks as
+it is placed.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from itertools import groupby
 
 from .defrag import SolverJob
 from .topology import ClusterTopology, GpuId
@@ -30,8 +34,8 @@ class Placement:
     Each job's workers are one list of GPUs, indexed by worker index,
     with None for a worker not placed. Each host keeps an int bitmask of
     its taken slots (bit s set while slot s holds a worker), and its free
-    count is the clear bits left; ``assign`` takes the lowest clear bit,
-    so workers fill a host's slots from slot 0 up.
+    count is the clear bits left; ``assign`` and ``add_job`` take the
+    lowest clear bits, so workers fill a host's slots from slot 0 up.
     The ``GpuId`` it records and ``locate`` returns is the topology's
     interned one (``ClusterTopology.gpu``), so a placement never builds
     an id of its own.
@@ -77,18 +81,26 @@ class Placement:
     def job_stages(self, job_id: int) -> tuple[
             tuple[SolverJob, ...], tuple[tuple[int, ...], ...]]:
         """The placed job's stages as solver jobs and rack rows, kept
-        until ``assign``, ``unassign`` or ``remove_job`` touches the job;
-        KeyError as ``_stage_racks`` raises it."""
+        from ``add_job`` or a walk until ``assign``, ``unassign`` or
+        ``remove_job`` touches the job; KeyError as ``_stage_racks``
+        raises it."""
         entry = self._kept_stages.get(job_id)
         if entry is None:
             job = self._jobs[job_id]
-            units, tp = job.dp_degree, job.tp_degree
-            # SolverJob(key, units, unit_size, ring_weight): positional
-            # arguments and a list build it measurably faster
-            entry = self._kept_stages[job_id] = (
-                tuple([SolverJob((job_id, stage), units, tp, tp)
-                       for stage in range(job.pp_degree)]),
-                self._stage_racks(job))
+            entry = self._keep_stages(job, self._stage_racks(job))
+        return entry
+
+    def _keep_stages(self, job: JobSpec, rows: tuple[tuple[int, ...], ...]
+                     ) -> tuple[tuple[SolverJob, ...],
+                                tuple[tuple[int, ...], ...]]:
+        """Keep the job's stage rows with one solver job per stage."""
+        units, tp = job.dp_degree, job.tp_degree
+        # SolverJob(key, units, unit_size, ring_weight): positional
+        # arguments and a list build it measurably faster
+        entry = self._kept_stages[job.job_id] = (
+            tuple([SolverJob((job.job_id, stage), units, tp, tp)
+                   for stage in range(job.pp_degree)]),
+            rows)
         return entry
 
     def _stage_racks(self, job: JobSpec) -> tuple[tuple[int, ...], ...]:
@@ -164,13 +176,7 @@ class Placement:
         gpus = self._workers.get(job_id, [])
         if index < len(gpus) and gpus[index] is not None:
             raise SchedulerError(f"worker {worker} is already placed")
-        taken = self._taken[rack]
-        m = taken[host]
-        slot = (~m & (m + 1)).bit_length() - 1  # lowest clear bit
-        if slot >= self.topology.gpus_per_host:
-            raise SchedulerError(f"host ({rack},{host}) has no free slot")
-        taken[host] = m | 1 << slot
-        gpu = self.topology.gpu(rack, host, slot)
+        [gpu] = self._take(rack, host, 1)
         if index >= len(gpus):
             gpus.extend([None] * (index + 1 - len(gpus)))
         gpus[index] = gpu
@@ -186,17 +192,70 @@ class Placement:
         self._taken[gpu.rack][gpu.host] &= ~(1 << gpu.slot)
         self._kept_stages.pop(job_id, None)
 
+    def _take(self, rack: int, host: int, count: int) -> list[GpuId]:
+        """Take the host's ``count`` lowest free slots in one mask update;
+        their ids in slot order. SchedulerError if fewer are free."""
+        taken = self._taken[rack]
+        m = taken[host]
+        gph = self.topology.gpus_per_host
+        if gph - m.bit_count() < count:
+            raise SchedulerError(f"host ({rack},{host}) has no free slot")
+        ids = self.topology.gpus
+        base = (rack * self.topology.hosts_per_rack + host) * gph
+        gpus = []
+        for _ in range(count):
+            low = ~m & (m + 1)  # lowest clear bit
+            m |= low
+            gpus.append(ids[base + low.bit_length() - 1])
+        taken[host] = m
+        return gpus
+
     def add_job(self, job: JobSpec, racks_per_unit: list[int]) -> None:
-        """Materialize a job given the target rack of each TP unit."""
-        unit = job.tp_degree
-        next_worker = 0
-        for rack in racks_per_unit:
-            host = self._pick_host(rack, unit)
-            for _ in range(unit):
-                self.assign((job.job_id, next_worker), rack, host)
-                next_worker += 1
-        assert next_worker == job.num_workers
-        self._jobs[job.job_id] = job
+        """Materialize a job given the target rack of each TP unit: each
+        unit takes the lowest free slots of the host ``_pick_host``
+        picks, and stage s's row counts the racks of units s*dp to
+        (s+1)*dp - 1. SchedulerError, with the placement unchanged,
+        unless the list names one rack of the topology per unit, each
+        rack fits its units and no worker of the job is placed."""
+        job_id, unit, num_workers = job.job_id, job.tp_degree, job.num_workers
+        if len(racks_per_unit) * unit != num_workers:
+            raise SchedulerError(
+                f"job {job_id} has {num_workers // unit} TP units, but "
+                f"{len(racks_per_unit)} racks are given")
+        held = self._workers.get(job_id, [])
+        if any(held[:num_workers]):
+            raise SchedulerError(f"job {job_id} has a worker already placed")
+        for rack, units in Counter(racks_per_unit).items():
+            # each unit a host takes lowers its free // unit by exactly
+            # one, so the rack fits iff the sum of those covers its units
+            if not (0 <= rack < self.topology.num_racks
+                    and self.rack_free_units(rack, unit) >= units):
+                raise SchedulerError(
+                    f"rack {rack} cannot fit {units} units of {unit}")
+        # a worker assigned past the job's own indices keeps its place
+        gpus = self._workers[job_id] = [None] * num_workers + held[num_workers:]
+        placed = 0
+        for rack, run in groupby(racks_per_unit):
+            units = len(list(run))
+            while units:
+                # taking a unit only raises the host's taken count, so the
+                # host picked stays the pick for as many of the run's
+                # units as it fits, and takes them in one step
+                host = self._pick_host(rack, unit)
+                count = min(units, self.free_slots(rack, host) // unit)
+                gpus[placed:placed + count * unit] = self._take(
+                    rack, host, count * unit)
+                placed += count * unit
+                units -= count
+        self._jobs[job_id] = job
+        dp, num_racks = job.dp_degree, self.topology.num_racks
+        rows = []
+        for first in range(0, len(racks_per_unit), dp):
+            row = [0] * num_racks
+            for rack in racks_per_unit[first:first + dp]:
+                row[rack] += 1
+            rows.append(tuple(row))
+        self._keep_stages(job, tuple(rows))
 
     def _pick_host(self, rack: int, unit: int) -> int:
         # Pack onto the fewest hosts: prefer the already-started host with

@@ -187,13 +187,23 @@ def _pp_options(template: ModelTemplate, cfg: TraceConfig, workers: int,
             if workers % (tp * p) == 0 and workers // (tp * p) >= 2]
 
 
-def check_menu(cfg: TraceConfig, topology: ClusterTopology) -> None:
-    """Raise ValueError unless every template of the menu can produce a
-    job on the topology. Draws no random numbers."""
+# One menu entry per template: the template, its TP options, and its PP
+# options per (workers, TP).
+_Entry = tuple[ModelTemplate, list[int], dict[tuple[int, int], list[int]]]
+
+
+def _menu(cfg: TraceConfig, topology: ClusterTopology
+          ) -> tuple[list[_Entry], list[int]]:
+    """The menu's entries and worker counts, worked out once; ValueError
+    unless every template of the menu can produce a job on the
+    topology. Draws no random numbers."""
     if not cfg.templates:
         raise ValueError("the trace menu lists no model templates")
     if any(p < 1 for p in cfg.pp_choices):
         raise ValueError(f"pp_choices must be positive: {cfg.pp_choices}")
+    if any(s < 1 for s in cfg.size_choices):
+        raise ValueError(
+            f"size_choices must be positive: {cfg.size_choices}")
     if cfg.iterations_min < 1:
         raise ValueError("iterations_min must be at least 1")
     if cfg.iterations_min > cfg.iterations_max:
@@ -204,30 +214,39 @@ def check_menu(cfg: TraceConfig, topology: ClusterTopology) -> None:
             f"no worker count of the menu fits the "
             f"{topology.total_gpus}-GPU topology and max_workers "
             f"{cfg.max_workers}")
+    entries = []
     for template in cfg.templates:
-        if not any(_pp_options(template, cfg, workers, tp)
-                   for workers in sizes
-                   for tp in _tp_options(template, topology)):
+        tps = _tp_options(template, topology)
+        pp_options = {(workers, tp): _pp_options(template, cfg, workers, tp)
+                      for workers in sizes for tp in tps}
+        if not any(pp_options.values()):
             raise ValueError(
                 f"model template {template.name} can never produce a job: "
                 f"no worker count in {sizes} splits into a DP degree of "
                 "at least 2")
+        entries.append((template, tps, pp_options))
+    return entries, sizes
+
+
+def check_menu(cfg: TraceConfig, topology: ClusterTopology) -> None:
+    """Raise ValueError unless every template of the menu can produce a
+    job on the topology. Draws no random numbers."""
+    _menu(cfg, topology)
 
 
 def _sample_job(rng: random.Random, cfg: TraceConfig,
-                topology: ClusterTopology, job_id: int
-                ) -> tuple[dict, float]:
+                topology: ClusterTopology, entries: list[_Entry],
+                sizes: list[int], job_id: int) -> tuple[dict, float]:
     """A job's ``JobSpec`` fields but its arrival time, and its ideal
-    duration. The menu must pass ``check_menu``."""
-    template = rng.choice(list(cfg.templates))
-    sizes = _sizes(cfg, topology)
+    duration, drawn from the menu ``_menu`` built."""
+    template, tps, pp_options = rng.choice(entries)
     while True:
         workers = rng.choice(sizes)
-        tp = rng.choice(_tp_options(template, topology))
-        pp_options = _pp_options(template, cfg, workers, tp)
-        if pp_options:
+        tp = rng.choice(tps)
+        options = pp_options[workers, tp]
+        if options:
             break
-    pp = rng.choice(pp_options)
+    pp = rng.choice(options)
     dp = workers // (tp * pp)
     fsdp = template.allow_fsdp and (not template.allow_dp or rng.random() < 0.5)
     iterations = rng.randint(cfg.iterations_min, cfg.iterations_max)
@@ -258,9 +277,9 @@ def generate_trace(topology: ClusterTopology, load: float, seed: int,
         raise ValueError(f"load must be a positive finite number, "
                          f"not {load!r}")
     cfg = cfg or TraceConfig()
-    check_menu(cfg, topology)
+    entries, sizes = _menu(cfg, topology)
     rng = random.Random(seed)
-    draws = [_sample_job(rng, cfg, topology, job_id=i)
+    draws = [_sample_job(rng, cfg, topology, entries, sizes, job_id=i)
              for i in range(num_jobs)]
     if not draws:
         return Trace(jobs=[], target_load=load, seed=seed)

@@ -182,6 +182,15 @@ def test_config_with_nan_load_exits_2(config_file, command, capsys):
         capsys.readouterr().err)
 
 
+# a worker count below 1 is never drawn, but each draw of it is a retry
+@pytest.mark.parametrize("sizes", ["[0, 8]", "[-8, 8]"])
+def test_config_with_nonpositive_size_exits_2(config_file, sizes, capsys):
+    config_file.write_text(CONFIG_YAML.replace("size_choices: [5, 6, 7, 8]",
+                                               f"size_choices: {sizes}"))
+    assert main(["validate", str(config_file)]) == 2
+    assert "size_choices must be positive" in capsys.readouterr().err
+
+
 def test_validate_prints_resolved_config(config_file, capsys):
     assert main(["validate", str(config_file)]) == 0
     out = capsys.readouterr().out

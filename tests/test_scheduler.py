@@ -271,7 +271,10 @@ def assert_stage_rows(placement, model):
 def test_placement_lockstep_with_set_model(data):
     """Slot bitmasks, interned ids and stage rows against the set-based
     model, over random add_job / remove_job / assign / unassign / move
-    sequences, with stage rows read after every operation."""
+    sequences, with the slots audited and stage rows read after every
+    operation. add_job takes planned rack lists and drawn ones; a drawn
+    list that overfills a rack or names too few or too many racks must
+    raise and change nothing."""
     gph = data.draw(st.sampled_from((1, 2, 4, 8)), label="gpus_per_host")
     topo = ClusterTopology(data.draw(st.integers(1, 3), label="racks"),
                            data.draw(st.integers(1, 3), label="hosts"),
@@ -290,13 +293,27 @@ def test_placement_lockstep_with_set_model(data):
             pp = data.draw(st.integers(1, 2))
             job = make_job(job_id=next_id, workers=units * tp * pp,
                            dp=units, tp=tp, pp=pp)
-            racks = plan_racks(placement, job)
-            assert racks == plan_racks(model, job)
-            if racks is None:
-                continue
-            next_id += 1
-            placement.add_job(job, racks)
-            model.add_job(job, racks)
+            extra = data.draw(st.sampled_from((None, 0, -1, 1)),
+                              label="extra racks")
+            if extra is None:
+                racks = plan_racks(placement, job)
+                assert racks == plan_racks(model, job)
+                if racks is None:
+                    continue
+            else:
+                count = units * pp + extra
+                racks = data.draw(st.lists(
+                    st.integers(0, topo.num_racks - 1),
+                    min_size=count, max_size=count), label="racks")
+            if len(racks) == units * pp and all(
+                    racks.count(r) <= model.rack_free_units(r, tp)
+                    for r in racks):
+                next_id += 1
+                placement.add_job(job, racks)
+                model.add_job(job, racks)
+            else:
+                with pytest.raises(SchedulerError):
+                    placement.add_job(job, racks)
         elif op == "remove_job":
             if not model.jobs:
                 continue
@@ -311,11 +328,11 @@ def test_placement_lockstep_with_set_model(data):
             if model.free_slots(rack, host) < 1:
                 with pytest.raises(SchedulerError):
                     placement.assign(worker, rack, host)
-                continue
-            gpu = placement.assign(worker, rack, host)
-            assert gpu == model.assign(worker, rack, host)
-            assert gpu is topo.gpu(rack, host, gpu.slot)
-            loose.append(worker)
+            else:
+                gpu = placement.assign(worker, rack, host)
+                assert gpu == model.assign(worker, rack, host)
+                assert gpu is topo.gpu(rack, host, gpu.slot)
+                loose.append(worker)
         elif op == "unassign":
             if not loose:
                 continue
@@ -359,6 +376,50 @@ def test_placement_lockstep_with_set_model(data):
                     side.assign(worker, rack, host)
         assert_lockstep(placement, model)
         assert_stage_rows(placement, model)
+        placement.check_slots()
+
+
+# 2 racks of one 4-GPU host: job 7 has 6 DP units of one worker
+@pytest.mark.parametrize("racks, message", [
+    ([0] * 6, "cannot fit"), ([0, 1, 1, 1, 1, 0], "cannot fit"),
+    ([0, 0, 0, 1, 1], "6 TP units"), ([0, 0, 0, 1, 1, 1, 1], "6 TP units"),
+    ([0, 0, 0, 2, 2, 2], "rack 2 cannot fit"),
+    ([0, 0, 0, -1, -1, -1], "rack -1 cannot fit"),
+], ids=["overfull", "overfull split", "short", "long", "no such rack",
+        "negative rack"])
+def test_failed_add_job_takes_no_slot(racks, message):
+    """A rack list that overfills a rack, names a rack the topology does
+    not have or names the wrong number of racks raises before any slot
+    is taken: no worker of the job is placed, and the job can then be
+    placed and removed."""
+    topo = ClusterTopology(2, 1, 4, 1, 100e9, 100e9)
+    placement = Placement(topo)
+    placement.add_job(make_job(job_id=1, workers=1, dp=1), [1])
+    job = make_job(job_id=7, workers=6, dp=6)
+    with pytest.raises(SchedulerError, match=message):
+        placement.add_job(job, racks)
+    assert 7 not in placement and 7 not in placement._workers
+    assert [placement.free_slots(r, 0) for r in range(2)] == [4, 3]
+    placement.check_slots()
+    placement.remove_job(1)
+    placement.add_job(job, [0, 0, 0, 0, 1, 1])
+    assert placement.job_stages(7)[1] == ((4, 2),)
+    placement.remove_job(7)
+    assert [placement.free_slots(r, 0) for r in range(2)] == [4, 4]
+    placement.check_slots()
+
+
+def test_add_job_with_a_worker_placed_takes_no_slot():
+    """A job one of whose workers is already assigned is refused whole;
+    the assigned worker keeps its slot."""
+    topo = ClusterTopology(2, 1, 4, 1, 100e9, 100e9)
+    placement = Placement(topo)
+    gpu = placement.assign((7, 2), 1, 0)
+    with pytest.raises(SchedulerError, match="already placed"):
+        placement.add_job(make_job(job_id=7, workers=4, dp=4), [0] * 4)
+    assert 7 not in placement and placement.locate((7, 2)) is gpu
+    assert [placement.free_slots(r, 0) for r in range(2)] == [4, 3]
+    placement.check_slots()
 
 
 def test_assign_of_a_placed_worker_raises():

@@ -5,14 +5,16 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defragsim.config import load_config
 from defragsim.jobmodel import plan_iteration_flows
 from defragsim.scheduler import Placement
 from defragsim.topology import ClusterTopology
 from defragsim.workload import (
-    JobSpec, ModelTemplate, TraceConfig, check_menu, generate_trace,
-    ideal_duration,
+    DEFAULT_TEMPLATES, JobSpec, ModelTemplate, Trace, TraceConfig,
+    _ideal_iteration_seconds, check_menu, default_dp_collective_bytes,
+    generate_trace, ideal_duration,
 )
 
 TOPO = ClusterTopology(4, 4, 8, 4, 400e9, 400e9)
@@ -239,3 +241,160 @@ def test_figure_trace_is_pinned():
         assert any(job.template is t for t in cfg.templates)
     assert len(trace.jobs) == 101
     assert digest.hexdigest() == FIGURE_TRACE_SHA256
+
+
+def _ref_sizes(cfg, topology):
+    max_w = min(cfg.max_workers, topology.total_gpus)
+    return [s for s in cfg.size_choices if s <= max_w]
+
+
+def _ref_tp_options(template, topology):
+    if template.allow_tp and topology.gpus_per_host > 1:
+        return [1, topology.gpus_per_host]
+    return [1]
+
+
+def _ref_pp_options(template, cfg, workers, tp):
+    return [p for p in (cfg.pp_choices if template.allow_pp else [1])
+            if workers % (tp * p) == 0 and workers // (tp * p) >= 2]
+
+
+def _ref_check_menu(cfg, topology):
+    """Reference for the trace oracle: the menu checks as made before the
+    menu was built once per trace, plus the non-positive size check."""
+    if not cfg.templates:
+        raise ValueError("the trace menu lists no model templates")
+    if any(p < 1 for p in cfg.pp_choices):
+        raise ValueError(f"pp_choices must be positive: {cfg.pp_choices}")
+    if any(s < 1 for s in cfg.size_choices):
+        raise ValueError(
+            f"size_choices must be positive: {cfg.size_choices}")
+    if cfg.iterations_min < 1:
+        raise ValueError("iterations_min must be at least 1")
+    if cfg.iterations_min > cfg.iterations_max:
+        raise ValueError("iterations_min must not exceed iterations_max")
+    sizes = _ref_sizes(cfg, topology)
+    if not sizes:
+        raise ValueError(
+            f"no worker count of the menu fits the "
+            f"{topology.total_gpus}-GPU topology and max_workers "
+            f"{cfg.max_workers}")
+    for template in cfg.templates:
+        if not any(_ref_pp_options(template, cfg, workers, tp)
+                   for workers in sizes
+                   for tp in _ref_tp_options(template, topology)):
+            raise ValueError(
+                f"model template {template.name} can never produce a job: "
+                f"no worker count in {sizes} splits into a DP degree of "
+                "at least 2")
+
+
+def _ref_sample_job(rng, cfg, topology, job_id):
+    """Reference for the trace oracle: one job drawn as the generator
+    drew it before its menu was built once per trace, working out the
+    worker counts, TP options and PP options again for every draw."""
+    template = rng.choice(list(cfg.templates))
+    sizes = _ref_sizes(cfg, topology)
+    while True:
+        workers = rng.choice(sizes)
+        tp = rng.choice(_ref_tp_options(template, topology))
+        pp_options = _ref_pp_options(template, cfg, workers, tp)
+        if pp_options:
+            break
+    pp = rng.choice(pp_options)
+    dp = workers // (tp * pp)
+    fsdp = template.allow_fsdp and (not template.allow_dp or rng.random() < 0.5)
+    iterations = rng.randint(cfg.iterations_min, cfg.iterations_max)
+    dp_bytes = default_dp_collective_bytes(template, tp, pp)
+    pp_bytes = template.pp_boundary_bytes if pp >= 2 else 0.0
+    fields = dict(job_id=job_id, template=template, num_workers=workers,
+                  dp_degree=dp, tp_degree=tp, pp_degree=pp, fsdp=fsdp,
+                  iterations=iterations, dp_collective_bytes=dp_bytes,
+                  pp_bytes=pp_bytes)
+    ideal = iterations * _ideal_iteration_seconds(
+        topology, template.compute_seconds, workers, dp, tp, pp, dp_bytes,
+        pp_bytes)
+    return fields, ideal
+
+
+def _ref_generate_trace(topology, load, seed, num_jobs, cfg):
+    _ref_check_menu(cfg, topology)
+    rng = random.Random(seed)
+    draws = [_ref_sample_job(rng, cfg, topology, job_id=i)
+             for i in range(num_jobs)]
+    if not draws:
+        return Trace(jobs=[], target_load=load, seed=seed)
+    mean_gpus = sum(fields["num_workers"] for fields, _ in draws) / len(draws)
+    mean_ideal = sum(ideal for _, ideal in draws) / len(draws)
+    rate = load * topology.total_gpus / (mean_gpus * mean_ideal)
+    t = 0.0
+    jobs = []
+    for fields, _ in draws:
+        t += rng.expovariate(rate)
+        jobs.append(JobSpec(**fields, arrival_time=t))
+    return Trace(jobs=jobs, target_load=load, seed=seed)
+
+
+@st.composite
+def _drawn_template(draw):
+    allow_dp, allow_fsdp = draw(st.sampled_from(
+        ((True, False), (False, True), (True, True))))
+    return ModelTemplate(
+        "drawn", parameter_bytes=draw(st.floats(1e6, 1e12)),
+        allow_dp=allow_dp, allow_fsdp=allow_fsdp,
+        allow_tp=draw(st.booleans()), allow_pp=draw(st.booleans()),
+        compute_seconds=draw(st.floats(0.1, 10.0)),
+        pp_boundary_bytes=draw(st.floats(0.0, 1e10)))
+
+
+_templates = st.one_of(st.sampled_from(DEFAULT_TEMPLATES), _drawn_template())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_trace_matches_the_per_draw_reference(data):
+    """The trace drawn from the menu built once per call equals, job
+    field by job field and arrival by arrival, the one drawn by the
+    per-draw reference, over random topologies and menus; a menu the
+    reference refuses is refused too."""
+    topo = ClusterTopology(data.draw(st.integers(1, 4), label="racks"),
+                           data.draw(st.integers(1, 4), label="hosts"),
+                           data.draw(st.sampled_from((1, 2, 4, 8)),
+                                     label="gpus_per_host"),
+                           2, 400e9, 400e9)
+    iterations_min = data.draw(st.integers(1, 60), label="iterations_min")
+    cfg = TraceConfig(
+        templates=data.draw(st.lists(_templates, min_size=1, max_size=6),
+                            label="templates"),
+        max_workers=data.draw(st.one_of(st.just(256), st.integers(1, 160)),
+                              label="max_workers"),
+        pp_choices=data.draw(st.lists(st.integers(1, 4), max_size=3),
+                             label="pp_choices"),
+        iterations_min=iterations_min,
+        iterations_max=iterations_min + data.draw(st.integers(0, 60),
+                                                  label="extra iterations"),
+        # mostly small counts, so that most menus can produce a job, and
+        # about one menu in ten with a count below 1, which is refused
+        size_choices=data.draw(st.lists(
+            st.one_of(st.integers(2, 16), st.integers(1, 200)), min_size=1,
+            max_size=7), label="sizes") + data.draw(
+                st.integers(0, 9).flatmap(
+                    lambda k: st.lists(st.integers(-16, 0), min_size=1,
+                                       max_size=2) if k == 0
+                    else st.just([])), label="non-positive sizes"))
+    load = data.draw(st.floats(0.05, 1.5), label="load")
+    seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+    num_jobs = data.draw(st.integers(0, 40), label="num_jobs")
+    try:
+        ref = _ref_generate_trace(topo, load, seed, num_jobs, cfg)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            generate_trace(topo, load, seed, num_jobs, cfg)
+        assert str(refused.value) == str(exc)
+        return
+    trace = generate_trace(topo, load, seed, num_jobs, cfg)
+    assert (trace.target_load, trace.seed) == (ref.target_load, ref.seed)
+    assert len(trace.jobs) == len(ref.jobs)
+    for job, ref_job in zip(trace.jobs, ref.jobs):
+        for f in dataclasses.fields(JobSpec):
+            assert getattr(job, f.name) == getattr(ref_job, f.name), f.name
