@@ -173,10 +173,17 @@ def _check_scalar(value, kind: type, where: str) -> None:
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
-def _check_unique(values: list, where: str) -> None:
-    repeated = [v for i, v in enumerate(values) if v in values[:i]]
-    if repeated:
-        raise ConfigError(f"{where} lists {repeated[0]} more than once")
+def _check_unique(values: list, where: str, name=str) -> None:
+    """Reject a list two of whose values have one name."""
+    first = {}
+    for v in values:
+        key = name(v)
+        if key in first:
+            if first[key] == v:
+                raise ConfigError(f"{where} lists {v} more than once")
+            raise ConfigError(f"{where} lists {first[key]} and {v}, which "
+                              f"both name the output cell {key}")
+        first[key] = v
 
 
 def check_algorithms(algorithms: list[str]) -> None:
@@ -220,14 +227,15 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"controller.solver_time_limit must be positive, "
                           f"got {ctl.solver_time_limit}")
     check_algorithms(config.algorithms)
-    # a repeated value names one output cell twice; the second run
-    # would overwrite the first
+    # two values with one name in output paths (``metrics.run_tag`` and
+    # ``cli.cmd_sweep`` format a value with :g) write the same outputs;
+    # the second run would overwrite the first
     for where, values in (("trace.loads", config.trace.loads),
                           ("sweep.load", config.sweep.load),
                           ("sweep.oversubscription",
                            config.sweep.oversubscription),
                           ("sweep.threshold", config.sweep.threshold)):
-        _check_unique(values, where)
+        _check_unique(values, where, lambda v: f"{v:g}")
     menu = config.trace.trace_config()  # fails on unknown template names
     try:
         check_menu(menu, config.topology.build())

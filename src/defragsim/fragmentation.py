@@ -1,5 +1,4 @@
-"""Stage rows, per-rack fragmentation degrees, and the constructive
-placement bound.
+"""Stage rows and per-rack fragmentation degrees.
 
 Each pipeline stage of a job is one row: its DP replicas (TP units) per
 rack. A stage spanning two or more racks is fragmented, and each of its
@@ -18,12 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable
 
 from .defrag import SolverJob, is_fragmented, ring_loads
-from .scheduler import Placement, SchedulerError
-from .topology import ClusterTopology
-from .workload import JobSpec
+from .scheduler import Placement
 
 
 @dataclass
@@ -76,34 +72,3 @@ def fragmentation_degree(placement: Placement,
     return FragmentationReport(tuple(stages.loads), sum(
         job.ring_weight for job in compress(stages.jobs, stages.fragmented)))
 
-
-def sequential_placement(jobs: Iterable[JobSpec],
-                         topology: ClusterTopology) -> Placement:
-    """Place jobs' workers sequentially across the cluster left to right.
-
-    For pure DP jobs this guarantees a max per-rack fragmentation degree
-    of two: each rack sees at most one job spilling in from the left and
-    one spilling out to the right. With TP the bound becomes 2 * max TP
-    degree, one ring per TP rank.
-    """
-    placement = Placement(topology)
-    rack, host = 0, 0
-    for job in jobs:
-        unit = job.tp_degree
-        units = job.num_workers // unit
-        placed = 0
-        while placed < units:
-            if rack >= topology.num_racks:
-                raise SchedulerError("total job size exceeds cluster capacity")
-            if placement.free_slots(rack, host) >= unit:
-                base = placed * unit
-                for k in range(unit):
-                    placement.assign((job.job_id, base + k), rack, host)
-                placed += 1
-            else:
-                host += 1
-                if host >= topology.hosts_per_rack:
-                    host = 0
-                    rack += 1
-        placement.jobs[job.job_id] = job
-    return placement

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from itertools import groupby
+from types import MappingProxyType
 
 from .defrag import SolverJob
 from .topology import ClusterTopology, GpuId
@@ -31,8 +32,10 @@ class SchedulerError(ValueError):
 class Placement:
     """Worker-to-GPU-slot assignment plus per-host slot accounting.
 
-    Each job's workers are one list of GPUs, indexed by worker index,
-    with None for a worker not placed. Each host keeps an int bitmask of
+    ``add_job`` is the only way a job enters, and ``jobs`` is a read-only
+    view of the placed jobs. Each placed job's workers are one list of
+    GPUs, exactly ``num_workers`` long and indexed by worker index, with
+    None for a worker not placed. Each host keeps an int bitmask of
     its taken slots (bit s set while slot s holds a worker), and its free
     count is the clear bits left; ``assign`` and ``add_job`` take the
     lowest clear bits, so workers fill a host's slots from slot 0 up.
@@ -47,6 +50,7 @@ class Placement:
                        for _ in range(topology.num_racks)]
         self._workers: dict[int, list[GpuId | None]] = {}
         self._jobs: dict[int, JobSpec] = {}
+        self._jobs_view = MappingProxyType(self._jobs)
         self._kept_stages: dict[
             int, tuple[tuple[SolverJob, ...], tuple[tuple[int, ...], ...]]
         ] = {}
@@ -67,8 +71,8 @@ class Placement:
         return job_id in self._jobs
 
     @property
-    def jobs(self) -> dict[int, JobSpec]:
-        return self._jobs
+    def jobs(self) -> MappingProxyType[int, JobSpec]:
+        return self._jobs_view
 
     def free_slots(self, rack: int, host: int) -> int:
         taken = self._taken[rack][host]
@@ -106,9 +110,7 @@ class Placement:
     def _stage_racks(self, job: JobSpec) -> tuple[tuple[int, ...], ...]:
         """Each pipeline stage's TP units per rack, a unit located by its
         TP rank 0; KeyError if one of those workers is not placed."""
-        gpus = self._workers.get(job.job_id, ())
-        if len(gpus) < job.num_workers:
-            raise KeyError((job.job_id, len(gpus)))
+        gpus = self._workers[job.job_id]
         num_racks = self.topology.num_racks
         tp, stride = job.tp_degree, job.dp_degree * job.tp_degree
         rows = []
@@ -126,7 +128,8 @@ class Placement:
         """Audit the slot bookkeeping; raise AssertionError on a fault.
 
         Every located worker holds a taken bit of its own and no bit is
-        taken without one, every placed job has all its workers located,
+        taken without one, the worker lists are keyed by exactly the
+        placed jobs, each ``num_workers`` long with every worker located,
         and every kept stage row of a placed job matches a fresh walk.
         """
         topo = self.topology
@@ -149,10 +152,17 @@ class Placement:
                     raise AssertionError(
                         f"host ({rack},{host}) has taken slots no worker "
                         f"holds")
+        if self._workers.keys() != self._jobs.keys():
+            raise AssertionError(
+                f"worker lists are kept for jobs {sorted(self._workers)}, "
+                f"but jobs {sorted(self._jobs)} are placed")
         for job_id, job in self._jobs.items():
-            gpus = self._workers.get(job_id, ())
-            missing = [i for i in range(job.num_workers)
-                       if i >= len(gpus) or gpus[i] is None]
+            gpus = self._workers[job_id]
+            if len(gpus) != job.num_workers:
+                raise AssertionError(
+                    f"job {job_id} has {len(gpus)} worker entries for "
+                    f"{job.num_workers} workers")
+            missing = [i for i, gpu in enumerate(gpus) if gpu is None]
             if missing:
                 raise AssertionError(
                     f"job {job_id} has workers {missing} unplaced")
@@ -168,19 +178,19 @@ class Placement:
     # -- mutation --------------------------------------------------------
 
     def assign(self, worker: WorkerId, rack: int, host: int) -> GpuId:
-        """Place an unplaced worker on the host's lowest free slot;
-        SchedulerError if the worker is placed or the host is full."""
+        """Place an unplaced worker of a placed job on the host's lowest
+        free slot; SchedulerError, with the placement unchanged, if the
+        job is not placed, the index is not one of its workers', the
+        worker is placed or the host is full."""
         job_id, index = worker
-        if index < 0:
-            raise SchedulerError(f"worker {worker} has a negative index")
-        gpus = self._workers.get(job_id, [])
-        if index < len(gpus) and gpus[index] is not None:
+        gpus = self._workers.get(job_id)
+        if gpus is None or not 0 <= index < len(gpus):
+            raise SchedulerError(
+                f"worker {worker} is not a worker of a placed job")
+        if gpus[index] is not None:
             raise SchedulerError(f"worker {worker} is already placed")
         [gpu] = self._take(rack, host, 1)
-        if index >= len(gpus):
-            gpus.extend([None] * (index + 1 - len(gpus)))
         gpus[index] = gpu
-        self._workers[job_id] = gpus
         self._kept_stages.pop(job_id, None)
         return gpu
 
@@ -216,15 +226,14 @@ class Placement:
         picks, and stage s's row counts the racks of units s*dp to
         (s+1)*dp - 1. SchedulerError, with the placement unchanged,
         unless the list names one rack of the topology per unit, each
-        rack fits its units and no worker of the job is placed."""
+        rack fits its units and the job is not placed."""
         job_id, unit, num_workers = job.job_id, job.tp_degree, job.num_workers
         if len(racks_per_unit) * unit != num_workers:
             raise SchedulerError(
                 f"job {job_id} has {num_workers // unit} TP units, but "
                 f"{len(racks_per_unit)} racks are given")
-        held = self._workers.get(job_id, [])
-        if any(held[:num_workers]):
-            raise SchedulerError(f"job {job_id} has a worker already placed")
+        if job_id in self._jobs:
+            raise SchedulerError(f"job {job_id} is already placed")
         for rack, units in Counter(racks_per_unit).items():
             # each unit a host takes lowers its free // unit by exactly
             # one, so the rack fits iff the sum of those covers its units
@@ -232,8 +241,7 @@ class Placement:
                     and self.rack_free_units(rack, unit) >= units):
                 raise SchedulerError(
                     f"rack {rack} cannot fit {units} units of {unit}")
-        # a worker assigned past the job's own indices keeps its place
-        gpus = self._workers[job_id] = [None] * num_workers + held[num_workers:]
+        gpus = self._workers[job_id] = [None] * num_workers
         placed = 0
         for rack, run in groupby(racks_per_unit):
             units = len(list(run))
@@ -277,10 +285,7 @@ class Placement:
         job = self._jobs.pop(job_id)
         for i in range(job.num_workers):
             self.unassign((job_id, i))
-        # the list goes too, unless a worker placed outside the job's
-        # own indices still holds a slot
-        if not any(self._workers[job_id]):
-            del self._workers[job_id]
+        del self._workers[job_id]
 
 
 def plan_racks(placement: Placement, job: JobSpec) -> list[int] | None:

@@ -18,9 +18,7 @@ from defragsim.defrag import (
     InfeasibleError, SolverInstance, SolverJob, brute_force_min_moves, solve,
 )
 from defragsim.flowsim import maxmin_rates
-from defragsim.fragmentation import (
-    fragmentation_degree, sequential_placement,
-)
+from defragsim.fragmentation import fragmentation_degree
 from defragsim.metrics import summarize
 from defragsim.routing import edge_color
 from defragsim.simulate import REINIT_SECONDS, run_simulation
@@ -28,6 +26,7 @@ from defragsim.topology import ClusterTopology
 from defragsim.workload import DEFAULT_TEMPLATES, TraceConfig, generate_trace
 from tests.test_defrag import random_instance
 from tests.test_flowsim import waterfill_oracle
+from tests.test_fragmentation import left_to_right
 from tests.test_workload import make_job
 
 # The desk-scale reproduction cluster: 256 GPUs, two uplinks per ToR.
@@ -125,8 +124,7 @@ def test_criterion_01_sequential_placement_bound():
             job_id += 1
             if rng.random() < 0.2:
                 break
-        placement = sequential_placement(jobs, topo)
-        placement.jobs.update({j.job_id: j for j in jobs})
+        placement = left_to_right(jobs, topo)
         degree = fragmentation_degree(placement).max_degree
         if with_tp:
             assert degree <= 2 * tp, (jobs, degree)

@@ -182,6 +182,24 @@ def test_config_with_nan_load_exits_2(config_file, command, capsys):
         capsys.readouterr().err)
 
 
+# values that differ past the sixth significant digit name one output
+# cell ("load0.8", "sweep_threshold/1"), so the second run would
+# overwrite the first
+@pytest.mark.parametrize("old, new, message", [
+    ("loads: [0.9]", "loads: [0.8000001, 0.8000002]",
+     "trace.loads lists 0.8000001 and 0.8000002, which both name the "
+     "output cell 0.8"),
+    ("threshold: [2, 3]", "threshold: [1.0000001, 1.0000002]",
+     "sweep.threshold lists 1.0000001 and 1.0000002, which both name the "
+     "output cell 1"),
+], ids=["trace.loads", "sweep.threshold"])
+def test_config_with_values_naming_one_cell_exits_2(config_file, old, new,
+                                                     message, capsys):
+    config_file.write_text(CONFIG_YAML.replace(old, new))
+    assert main(["validate", str(config_file)]) == 2
+    assert message in capsys.readouterr().err
+
+
 # a worker count below 1 is never drawn, but each draw of it is a retry
 @pytest.mark.parametrize("sizes", ["[0, 8]", "[-8, 8]"])
 def test_config_with_nonpositive_size_exits_2(config_file, sizes, capsys):

@@ -17,7 +17,7 @@ from defragsim.fragmentation import fragmentation_degree
 from defragsim.jobmodel import WorkerMove
 from defragsim.scheduler import Placement
 from defragsim.topology import ClusterTopology
-from tests.test_workload import make_job, place_on_racks
+from tests.test_workload import make_job, place_on_hosts, place_on_racks
 
 TOPO = ClusterTopology(4, 4, 8, 4, 400e9, 400e9)
 
@@ -40,17 +40,13 @@ def outcomes(controller):
 def split_job_placement():
     """One 6-worker DP job split 3/3 over racks 0 and 1 of TOPO."""
     placement = Placement(TOPO)
-    job = make_job(job_id=1, workers=6, dp=6)
-    for i, rack in enumerate([0, 0, 0, 1, 1, 1]):
-        placement.assign((1, i), rack, 0)
-    placement.jobs[1] = job
+    placement.add_job(make_job(job_id=1, workers=6, dp=6), [0, 0, 0, 1, 1, 1])
     return placement
 
 
 def test_stage_rows_pure_dp():
     job = make_job(job_id=1, workers=8, dp=8)
     placement = place_on_racks(job, [0] * 5 + [1] * 3)
-    placement.jobs[1] = job
     stages = stage_rows(placement)
     assert len(stages.jobs) == 1
     assert stages.jobs[0].key == (1, 0)
@@ -63,14 +59,7 @@ def test_stage_rows_tp_and_pp():
     job = make_job(job_id=2, workers=32, dp=2, tp=8, pp=2)
     placement = Placement(TOPO)
     # stage 0 split across racks 0/1, stage 1 whole on rack 2
-    rack_of_unit = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 2}
-    next_host = {}
-    for (stage, dp), rack in rack_of_unit.items():
-        host = next_host.get(rack, 0)
-        for tp in range(8):
-            placement.assign((2, job.worker_index(stage, dp, tp)), rack, host)
-        next_host[rack] = host + 1
-    placement.jobs[2] = job
+    placement.add_job(job, [0, 1, 2, 2])
     stages = stage_rows(placement)
     assert [j.key for j in stages.jobs] == [(2, 0), (2, 1)]
     assert all(j.units == 2 and j.unit_size == 8 and j.ring_weight == 8
@@ -82,7 +71,6 @@ def test_stage_rows_tp_and_pp():
 def test_build_instance_none_when_compliant():
     job = make_job(job_id=1, workers=8, dp=8)
     placement = place_on_racks(job, [0] * 8)
-    placement.jobs[1] = job
     assert build_instance(placement, threshold=2) is None
 
 
@@ -91,14 +79,9 @@ def chained_placement():
     rack 3; racks 1 and 2 carry two fragmented jobs each."""
     placement = Placement(TOPO)
     for job_id, racks in ((1, [0, 1]), (2, [1, 2]), (3, [2, 3])):
-        job = make_job(job_id=job_id, workers=2, dp=2)
-        for i, rack in enumerate(racks):
-            placement.assign((job_id, i), rack, 0)
-        placement.jobs[job_id] = job
-    whole = make_job(job_id=4, workers=4, dp=4)
-    for i in range(4):
-        placement.assign((4, i), 3, 1)
-    placement.jobs[4] = whole
+        placement.add_job(make_job(job_id=job_id, workers=2, dp=2), racks)
+    place_on_hosts(placement, make_job(job_id=4, workers=4, dp=4),
+                   [(3, 1)] * 4)
     return placement
 
 
@@ -207,11 +190,7 @@ def test_controller_restores_threshold():
 def test_controller_moves_whole_tp_units():
     topo = ClusterTopology(2, 2, 8, 4, 400e9, 400e9)
     placement = Placement(topo)
-    job = make_job(job_id=1, workers=16, dp=2, tp=8)
-    for dp, rack in enumerate([0, 1]):
-        for tp in range(8):
-            placement.assign((1, job.worker_index(0, dp, tp)), rack, 0)
-    placement.jobs[1] = job
+    placement.add_job(make_job(job_id=1, workers=16, dp=2, tp=8), [0, 1])
     controller = DefragController(placement, ControllerConfig(threshold=7))
     decision = controller.check()
     assert decision is not None
@@ -225,23 +204,15 @@ def test_controller_moves_whole_tp_units():
 
 def test_controller_disabled_and_infeasible_are_quiet():
     placement = Placement(TOPO)
-    job = make_job(job_id=1, workers=2, dp=2)
-    placement.assign((1, 0), 0, 0)
-    placement.assign((1, 1), 1, 0)
-    placement.jobs[1] = job
+    placement.add_job(make_job(job_id=1, workers=2, dp=2), [0, 1])
     off = DefragController(placement, ControllerConfig(), enabled=False)
     assert off.check() is None
 
     # fill the cluster so nothing can move, then demand the impossible
     small = ClusterTopology(2, 1, 2, 2, 400e9, 400e9)
     full = Placement(small)
-    j1 = make_job(job_id=1, workers=3, dp=3)
-    j2 = make_job(job_id=2, workers=1, dp=1)
-    full.assign((1, 0), 0, 0)
-    full.assign((1, 1), 0, 0)
-    full.assign((1, 2), 1, 0)
-    full.assign((2, 0), 1, 0)
-    full.jobs[1], full.jobs[2] = j1, j2
+    full.add_job(make_job(job_id=1, workers=3, dp=3), [0, 0, 1])
+    full.add_job(make_job(job_id=2, workers=1, dp=1), [1])
     stuck = DefragController(full, ControllerConfig(threshold=0))
     assert stuck.check() is None
     assert stuck.skipped_infeasible == 1
@@ -260,10 +231,8 @@ def test_controller_disabled_and_infeasible_are_quiet():
 
 def test_resolve_plan_respects_host_capacity():
     placement = Placement(TOPO)
-    job = make_job(job_id=1, workers=6, dp=6)
-    for i, rack in enumerate([0, 0, 0, 0, 1, 1]):
-        placement.assign((1, i), rack, i % 4)
-    placement.jobs[1] = job
+    place_on_hosts(placement, make_job(job_id=1, workers=6, dp=6),
+                   [(rack, i % 4) for i, rack in enumerate([0, 0, 0, 0, 1, 1])])
     controller = DefragController(placement, ControllerConfig(threshold=0))
     decision = controller.check()
     apply_moves(placement, decision.moves)
@@ -280,21 +249,15 @@ def test_resolve_plan_pairs_leaving_units_with_arriving_racks_in_order():
     # [3, 1, 0, 0] to [0, 0, 2, 2].
     topo = ClusterTopology(4, 2, 4, 4, 400e9, 400e9)
     placement = Placement(topo)
-    frag = make_job(job_id=1, workers=4, dp=4)
-    for dp, rack in enumerate([0, 1, 0, 0]):
-        placement.assign((1, frag.worker_index(0, dp, 0)), rack, 1)
-    wide = make_job(job_id=2, workers=8, dp=2, tp=4)
-    for dp in range(2):
-        for tp in range(4):
-            placement.assign((2, wide.worker_index(0, dp, tp)), dp, 0)
-    placement.jobs[1], placement.jobs[2] = frag, wide
+    place_on_hosts(placement, make_job(job_id=1, workers=4, dp=4),
+                   [(rack, 1) for rack in [0, 1, 0, 0]])
+    placement.add_job(make_job(job_id=2, workers=8, dp=2, tp=4), [0, 1])
     for job_id, rack, hosts in ((3, 2, [0, 0, 0, 1, 1, 1]),
                                 (4, 3, [0, 0, 0, 0, 1, 1]),
                                 (5, 0, [1]), (6, 1, [1, 1, 1])):
-        placement.jobs[job_id] = make_job(job_id=job_id, workers=len(hosts),
-                                          dp=len(hosts))
-        for i, host in enumerate(hosts):
-            placement.assign((job_id, i), rack, host)
+        place_on_hosts(placement, make_job(job_id=job_id, workers=len(hosts),
+                                           dp=len(hosts)),
+                       [(rack, host) for host in hosts])
     controller = DefragController(placement, ControllerConfig(threshold=4))
     decision = controller.check()
     assert decision.stats.move_count == 4
@@ -316,10 +279,8 @@ def test_controller_solves_only_the_reduced_instance(monkeypatch):
     placement = Placement(topo)
     for job_id, racks in ((1, [0]), (2, [0, 0, 0, 1]), (3, [1, 1, 1]),
                           (4, [2, 2, 2, 2])):
-        job = make_job(job_id=job_id, workers=len(racks), dp=len(racks))
-        for i, rack in enumerate(racks):
-            placement.assign((job_id, i), rack, 0)
-        placement.jobs[job_id] = job
+        placement.add_job(make_job(job_id=job_id, workers=len(racks),
+                                   dp=len(racks)), racks)
     builds, solved = [], []
     real_rows = controller_module.stage_rows
     real_solve = controller_module.solve
@@ -398,17 +359,12 @@ def test_controller_counts_unpackable_plan_as_resolution():
     topo = ClusterTopology(4, 2, 8, 2, 400e9, 400e9)
     placement = Placement(topo)
     for job_id, far_rack in ((1, 2), (2, 3)):
-        job = make_job(job_id=job_id, workers=16, dp=2, tp=8)
-        for dp, (rack, host) in enumerate([(1, job_id - 1), (far_rack, 0)]):
-            for tp in range(8):
-                placement.assign((job_id, job.worker_index(0, dp, tp)),
-                                 rack, host)
-        placement.jobs[job_id] = job
+        placement.add_job(make_job(job_id=job_id, workers=16, dp=2, tp=8),
+                          [1, far_rack])
     for job_id, hosts in ((3, [(2, 1)] * 8), (4, [(3, 1)] * 8),
                           (5, [(0, 0)] * 4 + [(0, 1)] * 4)):
-        placement.jobs[job_id] = make_job(job_id=job_id, workers=8, dp=8)
-        for i, (rack, host) in enumerate(hosts):
-            placement.assign((job_id, i), rack, host)
+        place_on_hosts(placement, make_job(job_id=job_id, workers=8, dp=8),
+                       hosts)
     controller = DefragController(placement, ControllerConfig(threshold=8))
     assert controller.check() is None
     assert outcomes(controller) == {"resolution": 1}

@@ -1,21 +1,40 @@
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from defragsim.controller import build_instance
-from defragsim.fragmentation import fragmentation_degree, sequential_placement
-from defragsim.scheduler import Placement, Scheduler, SchedulerError
+from defragsim.fragmentation import fragmentation_degree
+from defragsim.scheduler import Placement, Scheduler
 from defragsim.topology import ClusterTopology
 from tests.test_workload import make_job, place_on_racks
 
 TOPO = ClusterTopology(4, 4, 8, 4, 400e9, 400e9)
 
 
+def left_to_right(jobs, topology):
+    """Place the jobs in order across the cluster, left to right: each
+    TP unit goes to the current host if it fits there, else to the next
+    host, rack by rack. The layout is built as per-unit rack lists and
+    placed with ``add_job``."""
+    placement = Placement(topology)
+    rack = host = 0
+    free = topology.gpus_per_host
+    for job in jobs:
+        racks = []
+        for _ in range(job.num_workers // job.tp_degree):
+            if free < job.tp_degree:
+                host, free = host + 1, topology.gpus_per_host
+                if host == topology.hosts_per_rack:
+                    rack, host = rack + 1, 0
+            racks.append(rack)
+            free -= job.tp_degree
+        placement.add_job(job, racks)
+    return placement
+
+
 def test_contained_job_contributes_zero():
     job = make_job(job_id=1, workers=4, dp=4)
     placement = place_on_racks(job, [2, 2, 2, 2])
-    placement.jobs[1] = job
     report = fragmentation_degree(placement)
     assert report.per_rack == (0, 0, 0, 0)
     assert report.total_fragmented_groups == 0
@@ -24,10 +43,7 @@ def test_contained_job_contributes_zero():
 def test_two_jobs_spanning_same_rack():
     placement = Placement(TOPO)
     for job_id, racks in ((1, [0, 1]), (2, [1, 2])):
-        job = make_job(job_id=job_id, workers=2, dp=2)
-        for i, rack in enumerate(racks):
-            placement.assign((job_id, i), rack, 0)
-        placement.jobs[job_id] = job
+        placement.add_job(make_job(job_id=job_id, workers=2, dp=2), racks)
     report = fragmentation_degree(placement)
     assert report.per_rack[1] == 2
     assert report.per_rack[0] == 1 and report.per_rack[2] == 1
@@ -36,11 +52,8 @@ def test_two_jobs_spanning_same_rack():
 def test_tp_job_contributes_tp_degree():
     topo = ClusterTopology(2, 2, 8, 16, 400e9, 400e9)
     placement = Placement(topo)
-    job = make_job(job_id=1, workers=16, dp=2, tp=8)
-    for dp in range(2):
-        for tp in range(8):
-            placement.assign((1, dp * 8 + tp), dp, 0)  # one replica per rack
-    placement.jobs[1] = job
+    # one replica per rack
+    placement.add_job(make_job(job_id=1, workers=16, dp=2, tp=8), [0, 1])
     report = fragmentation_degree(placement)
     assert report.per_rack == (8, 8)
     assert report.total_fragmented_groups == 8
@@ -51,7 +64,6 @@ def test_pp_stages_counted_independently():
     # stage 1 contained.
     job = make_job(job_id=1, workers=4, dp=2, pp=2)
     placement = place_on_racks(job, [0, 1, 2, 2])
-    placement.jobs[1] = job
     report = fragmentation_degree(placement)
     assert report.per_rack == (1, 1, 0, 0)
 
@@ -64,7 +76,6 @@ def test_degree_invariant_under_member_permutation():
     for _ in range(10):
         rng.shuffle(racks)
         placement = place_on_racks(job, racks)
-        placement.jobs[1] = job
         report = fragmentation_degree(placement)
         spans = len(set(racks))
         assert report.per_rack == tuple(
@@ -76,7 +87,6 @@ def test_threshold_violated_basic():
     # and then the split stage is the controller's decision variable
     job = make_job(job_id=1, workers=2, dp=2)
     placement = place_on_racks(job, [0, 1])
-    placement.jobs[1] = job
     assert fragmentation_degree(placement).per_rack == (1, 1, 0, 0)
     assert build_instance(placement, 2) is None
     assert build_instance(placement, float("inf")) is None
@@ -147,7 +157,7 @@ def test_theorem_sequential_bound_pure_dp(data):
         sizes.append(size)
         remaining -= size
     jobs = [make_job(job_id=i, workers=s, dp=s) for i, s in enumerate(sizes)]
-    placement = sequential_placement(jobs, topo)
+    placement = left_to_right(jobs, topo)
     report = fragmentation_degree(placement)
     assert report.max_degree <= 2
 
@@ -156,7 +166,7 @@ def test_theorem_bound_tight_two_oversized_jobs():
     topo = ClusterTopology(3, 4, 1, 2, 400e9, 400e9)
     jobs = [make_job(job_id=0, workers=5, dp=5),
             make_job(job_id=1, workers=5, dp=5)]
-    placement = sequential_placement(jobs, topo)
+    placement = left_to_right(jobs, topo)
     report = fragmentation_degree(placement)
     assert report.max_degree == 2
 
@@ -164,7 +174,7 @@ def test_theorem_bound_tight_two_oversized_jobs():
 def test_sequential_small_jobs_low_degrees():
     topo = ClusterTopology(4, 4, 1, 2, 400e9, 400e9)
     jobs = [make_job(job_id=i, workers=3, dp=3) for i in range(5)]
-    placement = sequential_placement(jobs, topo)
+    placement = left_to_right(jobs, topo)
     report = fragmentation_degree(placement)
     assert all(d in (0, 1, 2) for d in report.per_rack)
 
@@ -181,12 +191,7 @@ def test_corollary_bound_with_tp():
             remaining_hosts -= units
         jobs = [make_job(job_id=i, workers=u * 8, dp=u, tp=8)
                 for i, u in enumerate(sizes)]
-        placement = sequential_placement(jobs, topo)
+        placement = left_to_right(jobs, topo)
         report = fragmentation_degree(placement)
         assert report.max_degree <= 2 * 8
 
-
-def test_sequential_capacity_exceeded():
-    topo = ClusterTopology(2, 1, 1, 1, 400e9, 400e9)
-    with pytest.raises(SchedulerError):
-        sequential_placement([make_job(job_id=0, workers=3, dp=3)], topo)

@@ -270,22 +270,21 @@ def assert_stage_rows(placement, model):
 @given(st.data())
 def test_placement_lockstep_with_set_model(data):
     """Slot bitmasks, interned ids and stage rows against the set-based
-    model, over random add_job / remove_job / assign / unassign / move
-    sequences, with the slots audited and stage rows read after every
-    operation. add_job takes planned rack lists and drawn ones; a drawn
-    list that overfills a rack or names too few or too many racks must
-    raise and change nothing."""
+    model, over random add_job / remove_job / move / assign sequences,
+    with the slots audited and stage rows read after every operation.
+    add_job takes planned rack lists and drawn ones; a drawn list that
+    overfills a rack or names too few or too many racks must raise and
+    change nothing, as must an assign of a worker outside the placed
+    jobs."""
     gph = data.draw(st.sampled_from((1, 2, 4, 8)), label="gpus_per_host")
     topo = ClusterTopology(data.draw(st.integers(1, 3), label="racks"),
                            data.draw(st.integers(1, 3), label="hosts"),
                            gph, 2, 400e9, 400e9)
     placement, model = Placement(topo), SetPlacement(topo)
-    loose = []  # workers assigned one by one, outside any job
-    next_id = next_loose = 0
+    next_id = 0
     for _ in range(data.draw(st.integers(1, 40), label="steps")):
         op = data.draw(st.sampled_from(
-            ("add_job", "remove_job", "assign", "unassign", "move",
-             "reassign")))
+            ("add_job", "remove_job", "assign", "move", "reassign")))
         if op == "add_job":
             tp = data.draw(st.sampled_from([t for t in (1, 2, 4, 8)
                                             if t <= gph]))
@@ -321,24 +320,21 @@ def test_placement_lockstep_with_set_model(data):
             placement.remove_job(job_id)
             model.remove_job(job_id)
         elif op == "assign":
+            # a worker of a job not placed (never, or no longer), or an
+            # index outside a placed job's workers, is refused
             rack = data.draw(st.integers(0, topo.num_racks - 1))
             host = data.draw(st.integers(0, topo.hosts_per_rack - 1))
-            worker = (-1, next_loose)
-            next_loose += 1
-            if model.free_slots(rack, host) < 1:
-                with pytest.raises(SchedulerError):
-                    placement.assign(worker, rack, host)
+            if model.jobs and data.draw(st.booleans(), label="placed job"):
+                job_id = data.draw(st.sampled_from(sorted(model.jobs)))
+                workers = model.jobs[job_id].num_workers
+                index = data.draw(st.sampled_from((-1, workers, workers + 1)))
             else:
-                gpu = placement.assign(worker, rack, host)
-                assert gpu == model.assign(worker, rack, host)
-                assert gpu is topo.gpu(rack, host, gpu.slot)
-                loose.append(worker)
-        elif op == "unassign":
-            if not loose:
-                continue
-            worker = loose.pop(data.draw(st.integers(0, len(loose) - 1)))
-            placement.unassign(worker)
-            model.unassign(worker)
+                job_id = data.draw(st.sampled_from(
+                    [j for j in range(-1, next_id + 1) if j not in model.jobs]),
+                    label="unplaced job")
+                index = data.draw(st.integers(-1, 4))
+            with pytest.raises(SchedulerError, match="not a worker"):
+                placement.assign((job_id, index), rack, host)
         elif op == "move":
             # a job's worker to another host; its stages are read between
             # the unassign and the assign, and each drops the kept entry
@@ -391,7 +387,7 @@ def test_failed_add_job_takes_no_slot(racks, message):
     """A rack list that overfills a rack, names a rack the topology does
     not have or names the wrong number of racks raises before any slot
     is taken: no worker of the job is placed, and the job can then be
-    placed and removed."""
+    placed once and removed."""
     topo = ClusterTopology(2, 1, 4, 1, 100e9, 100e9)
     placement = Placement(topo)
     placement.add_job(make_job(job_id=1, workers=1, dp=1), [1])
@@ -404,21 +400,10 @@ def test_failed_add_job_takes_no_slot(racks, message):
     placement.remove_job(1)
     placement.add_job(job, [0, 0, 0, 0, 1, 1])
     assert placement.job_stages(7)[1] == ((4, 2),)
+    with pytest.raises(SchedulerError, match="already placed"):
+        placement.add_job(job, [0, 0, 0, 0, 1, 1])
     placement.remove_job(7)
     assert [placement.free_slots(r, 0) for r in range(2)] == [4, 4]
-    placement.check_slots()
-
-
-def test_add_job_with_a_worker_placed_takes_no_slot():
-    """A job one of whose workers is already assigned is refused whole;
-    the assigned worker keeps its slot."""
-    topo = ClusterTopology(2, 1, 4, 1, 100e9, 100e9)
-    placement = Placement(topo)
-    gpu = placement.assign((7, 2), 1, 0)
-    with pytest.raises(SchedulerError, match="already placed"):
-        placement.add_job(make_job(job_id=7, workers=4, dp=4), [0] * 4)
-    assert 7 not in placement and placement.locate((7, 2)) is gpu
-    assert [placement.free_slots(r, 0) for r in range(2)] == [4, 3]
     placement.check_slots()
 
 
@@ -427,13 +412,15 @@ def test_assign_of_a_placed_worker_raises():
     record; after the unassign its host is whole again."""
     topo = ClusterTopology(2, 2, 4, 2, 400e9, 400e9)
     placement = Placement(topo)
-    gpu = placement.assign((7, 0), 0, 0)
+    placement.add_job(make_job(job_id=7, workers=1, dp=1), [0])
+    gpu = placement.locate((7, 0))
     with pytest.raises(SchedulerError, match="already placed"):
         placement.assign((7, 0), 1, 1)
     assert placement.locate((7, 0)) is gpu
     assert placement.free_slots(1, 1) == 4
     placement.unassign((7, 0))
     assert placement.free_slots(0, 0) == 4
+    placement.assign((7, 0), 1, 1)
     placement.check_slots()
 
 
@@ -442,12 +429,28 @@ def test_assign_of_a_placed_worker_raises():
                               "already unassigned", "negative index"])
 def test_locate_and_unassign_of_an_unplaced_worker_raise_keyerror(worker):
     placement = Placement(TOPO)
-    placement.assign((7, 0), 0, 0)
-    placement.assign((7, 1), 0, 1)
+    placement.add_job(make_job(job_id=7, workers=2, dp=2), [0, 0])
     placement.unassign((7, 0))
     with pytest.raises(KeyError):
         placement.locate(worker)
     with pytest.raises(KeyError):
         placement.unassign(worker)
     assert placement.locate((7, 1)) == GpuId(0, 1, 0)
+    placement.assign((7, 0), 0, 0)
     placement.check_slots()
+
+
+def test_jobs_is_a_read_only_view():
+    """Jobs enter only through add_job: the jobs view refuses writes and
+    follows the placement."""
+    placement = Placement(TOPO)
+    job = make_job(job_id=1, workers=1, dp=1)
+    with pytest.raises(TypeError):
+        placement.jobs[1] = job
+    assert 1 not in placement.jobs
+    placement.add_job(job, [0])
+    assert placement.jobs == {1: job}
+    with pytest.raises(TypeError):
+        del placement.jobs[1]
+    placement.remove_job(1)
+    assert placement.jobs == {}

@@ -598,8 +598,20 @@ def _stale_kept_row(sim):
 
 
 def _forget_a_job(sim):
-    jobs = sim.scheduler.placement.jobs
-    jobs.pop(next(iter(jobs)))
+    # the job leaves the placement behind the simulator's back
+    placement = sim.scheduler.placement
+    placement.remove_job(next(iter(placement.jobs)))
+
+
+def _leave_a_worker_list(sim):
+    # a worker list kept for a job that is not placed
+    sim.scheduler.placement._workers[-1] = [None]
+
+
+def _grow_a_worker_list(sim):
+    # a placed job's list one entry past its workers
+    workers = sim.scheduler.placement._workers
+    workers[next(iter(workers))].append(None)
 
 
 def _queue_a_running_job(sim):
@@ -618,6 +630,8 @@ def _queue_a_job_that_fits(sim):
     (_free_a_worker, "unplaced"),
     (_stale_kept_row, "stale kept stage row"),
     (_forget_a_job, "are not the running jobs"),
+    (_leave_a_worker_list, "worker lists are kept for jobs"),
+    (_grow_a_worker_list, "worker entries for"),
     (_queue_a_running_job, "queued jobs .* are placed"),
     (_queue_a_job_that_fits, "queued job -1 fits but is not admitted"),
 ])

@@ -38,16 +38,24 @@ def make_job(job_id=0, workers=8, dp=8, tp=1, pp=1, dp_bytes=1e9,
 
 
 def place_on_racks(job, rack_of_worker):
-    """Build a placement mapping each worker to a host on the given rack."""
+    """Place the job alone with ``add_job``, each TP unit on the rack of
+    its workers."""
     placement = Placement(TOPO)
-    next_host = {}
-    for i, rack in enumerate(rack_of_worker):
-        host = next_host.get(rack, 0)
-        while placement.free_slots(rack, host) == 0:
-            host += 1
-        next_host[rack] = host
-        placement.assign((job.job_id, i), rack, host)
+    placement.add_job(job, rack_of_worker[::job.tp_degree])
     return placement
+
+
+def place_on_hosts(placement, job, hosts):
+    """Place the job with ``add_job`` on its units' racks, then move
+    worker i to the (rack, host) ``hosts[i]``, in worker order. The job's
+    own slots are released first, as a committed migration batch does, so
+    each worker takes the slot a direct assignment would give it."""
+    placement.add_job(job, [rack for rack, _ in hosts[::job.tp_degree]])
+    workers = [(job.job_id, i) for i in range(job.num_workers)]
+    for worker in workers:
+        placement.unassign(worker)
+    for worker, (rack, host) in zip(workers, hosts, strict=True):
+        placement.assign(worker, rack, host)
 
 
 def flows_of(job, placement, kind):
