@@ -275,7 +275,7 @@ def test_placement_lockstep_with_set_model(data):
     add_job takes planned rack lists and drawn ones; a drawn list that
     overfills a rack or names too few or too many racks must raise and
     change nothing, as must an assign of a worker outside the placed
-    jobs."""
+    jobs or onto a full host."""
     gph = data.draw(st.sampled_from((1, 2, 4, 8)), label="gpus_per_host")
     topo = ClusterTopology(data.draw(st.integers(1, 3), label="racks"),
                            data.draw(st.integers(1, 3), label="hosts"),
@@ -345,8 +345,7 @@ def test_placement_lockstep_with_set_model(data):
             worker = (job_id, data.draw(st.integers(0, job.num_workers - 1)))
             rack = data.draw(st.integers(0, topo.num_racks - 1))
             host = data.draw(st.integers(0, topo.hosts_per_rack - 1))
-            if model.free_slots(rack, host) < 1:
-                continue
+            old = placement.locate(worker)
             placement.unassign(worker)
             model.unassign(worker)
             assert job_id not in placement._kept_stages
@@ -357,6 +356,16 @@ def test_placement_lockstep_with_set_model(data):
             else:
                 assert stage_view(stage_rows(placement)) \
                     == model_stage_rows(model)
+            if model.free_slots(rack, host) < 1:
+                # a full host is refused with the worker still unplaced;
+                # it then goes back to its old host in both models
+                for side in (placement, model):
+                    with pytest.raises(SchedulerError, match="no free slot"):
+                        side.assign(worker, rack, host)
+                assert worker not in model.workers
+                with pytest.raises(KeyError):
+                    placement.locate(worker)
+                rack, host = old.rack, old.host
             gpu = placement.assign(worker, rack, host)
             assert gpu == model.assign(worker, rack, host)
             assert job_id not in placement._kept_stages
