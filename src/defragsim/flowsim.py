@@ -7,34 +7,36 @@ completion time (ETA); a queued completion event is live only while it
 still names that time, so superseded events are dropped when popped
 rather than removed from the queue.
 
-A recompute re-solves only the flows connected, through shared links, to
-a link an add, remove or path change touched; every other flow keeps its
-rate. Max-min rates decompose over connected components, so each touched
-component is solved on its own. A fresh flow that every link of its path
-carries alone is its own component and needs no search, and a link left
-dirty that now carries no flow seeds none; only the other components are
-found by a search over shared links. A lone flow's rate is the smallest
-capacity on its path, which is what a solve of that one flow returns. A
-component of two or more flows goes to ``maxmin_rates`` in insertion
-order, so the bottleneck tie-break sees the same relative link order as
-a solve of every live flow. Either way the
-rates are bit-identical to a full solve. Every flow's ETA is still
-recomputed with the same arithmetic, and only the flows whose ETA moved
-need a new event.
+Bits drain lazily: ``settle_to`` only records the clock step. A
+recompute then makes three plain passes over the live flows:
 
-Bits drain lazily: ``settle_to`` only records the clock step, and the
-next recompute drains every live flow, one step at a time at the rate
-it had during the steps, with the arithmetic an eager drain at each step
-would use. The touched flows drain before the re-solve replaces their
-rates; every other flow drains in the pass that derives its ETA. So a
-recompute walks the live flows once, and ``remaining_bits`` is
-bit-identical to an eager drain at every recompute. A removed flow is
-never drained.
+1. Drain. Every live flow drains each recorded step at the rate it held
+   during it, with the arithmetic an eager drain at each step would use,
+   so ``remaining_bits`` is bit-identical to an eager drain at every
+   recompute. A fresh flow's rate of 0.0 drains nothing, and a removed
+   flow is never drained.
+2. Re-solve. Only the flows connected, through shared links, to a link
+   an add, remove or path change touched are re-solved; every other flow
+   keeps its rate. Max-min rates decompose over connected components, so
+   each touched component is solved on its own. A fresh flow that every
+   link of its path carries alone is its own component: it is rated
+   where it is found, with no search, and its links count as reached. A
+   link left dirty that now carries no flow seeds nothing; only the
+   other components are found by a search over shared links. A lone
+   flow's rate is the smallest capacity on its path, which is what a
+   solve of that one flow returns. A component of two or more flows goes
+   to ``maxmin_rates`` in insertion order, so the bottleneck tie-break
+   sees the same relative link order as a solve of every live flow.
+   Either way the rates are bit-identical to a full solve.
+3. ETAs. Every live flow's ETA is derived from its bits and rate with
+   the same arithmetic, and only the flows whose ETA moved need a new
+   event.
 
 Links are dense int ids (``ClusterTopology`` assigns them), so a path is
 a tuple of ints and capacities are one list indexed by link id. Every
-path crosses at least one link: the paths come from
-``topology.path_between``, which rejects intra-host pairs, so every rate
+path crosses at least one link, and no link twice: ``add_flow`` and
+``set_path`` refuse any other path, and the paths come from
+``topology.path_between``, which rejects intra-host pairs. So every rate
 the network solves is finite and positive and every flow has an ETA.
 ``maxmin_rates`` itself still accepts an empty path.
 """
@@ -176,18 +178,18 @@ class FlowNetwork:
     """Tracks active flows and their max-min rates over simulated time.
 
     ``capacities[link]`` is the capacity of int link id ``link``; flow
-    paths are tuples of those ids. The owner drives the clock:
-    ``settle_to`` records a step that the next ``recompute`` drains at
-    the rates in force during it; ``add_flow``,
-    ``remove_flow`` and ``set_path`` (the only way to change a live
-    flow's path) mark the flows they place fresh and the links they leave
-    dirty; ``recompute`` re-solves each connected component of the flows
-    reached from a fresh flow or a dirty link on its own, a lone flow in
-    closed form and a larger component in insertion order, and returns
-    the flows whose ETA moved. A fresh flow alone on every link of its
-    path is taken as its own component without a search, and an empty
-    dirty link is skipped. A flow's queued completion event is live
-    while ``flow.eta`` still equals its time.
+    paths are tuples of those ids, each non-empty with no link twice.
+    The owner drives the clock: ``settle_to`` records a step that the
+    next ``recompute`` drains at the rates in force during it;
+    ``add_flow``, ``remove_flow`` and ``set_path`` (the only way to
+    change a live flow's path) mark the flows they place fresh and the
+    links they leave dirty. ``recompute`` makes three passes: it drains
+    every live flow; it re-solves the connected components of the flows
+    reached from a fresh flow or a dirty link, a fresh flow alone on
+    every link of its path rated where it is found, a larger component
+    in insertion order; and it derives every ETA, returning the flows
+    whose ETA moved. An empty dirty link is skipped. A flow's queued
+    completion event is live while ``flow.eta`` still equals its time.
     """
 
     def __init__(self, capacities: Sequence[float]):
@@ -196,78 +198,105 @@ class FlowNetwork:
         self.time = 0.0
         self._serial = 0
         self._on_link: list[set[Flow]] = [set() for _ in capacities]
+        self._links = frozenset(range(len(capacities)))
+        self._valid: set[tuple[int, ...]] = set()  # paths that passed
         self._dirty: set[int] = set()  # links left since the last solve
         self._fresh: list[Flow] = []  # flows added or re-pathed since then
         self._steps: list[float] = []  # clock steps not yet drained
 
+    def _check_path(self, path: tuple) -> None:
+        """ValueError unless ``path`` is non-empty, names each link once
+        and every link exists; a path that passes is remembered."""
+        if not path or len(self._links.intersection(path)) != len(path):
+            raise ValueError(
+                f"bad path {path!r}: a path names one or more of the "
+                f"{len(self._links)} link ids, each at most once")
+        self._valid.add(path)
+
     def add_flow(self, key: Hashable, path: Iterable[int],
                  size_bytes: float, tag: object = None) -> Flow:
+        """Start flow ``key`` of ``size_bytes`` on ``path``. ValueError,
+        with the network unchanged, for a live key, a bad path or a size
+        that is not finite and at least 0."""
         if key in self.flows:
             raise ValueError(f"duplicate flow key {key!r}")
-        flow = Flow(key, tuple(path), size_bytes * 8.0, self._serial,
-                    tag=tag)
+        path = tuple(path)
+        if path not in self._valid:
+            self._check_path(path)
+        if not 0.0 <= size_bytes < math.inf:
+            raise ValueError(f"flow {key!r}: size {size_bytes!r} bytes is "
+                             f"not finite and at least 0")
+        flow = Flow(key, path, size_bytes * 8.0, self._serial, tag=tag)
         self._serial += 1
         self.flows[key] = flow
-        self._attach(flow)
+        on_link = self._on_link
+        for link in path:
+            on_link[link].add(flow)
+        self._fresh.append(flow)
         return flow
 
     def remove_flow(self, key: Hashable) -> Flow:
         flow = self.flows.pop(key)
-        self._detach(flow)
+        on_link = self._on_link
+        for link in flow.path:
+            on_link[link].discard(flow)
+        self._dirty.update(flow.path)
         return flow
 
     def set_path(self, key: Hashable, path: Iterable[int]) -> None:
-        """Move a live flow onto ``path``."""
+        """Move a live flow onto ``path``; on a bad path, ValueError with
+        the flow left on its old one."""
         flow = self.flows[key]
-        self._detach(flow)
-        flow.path = tuple(path)
-        self._attach(flow)
-
-    def _attach(self, flow: Flow) -> None:
+        path = tuple(path)
+        if path not in self._valid:
+            self._check_path(path)
+        on_link = self._on_link
         for link in flow.path:
-            self._on_link[link].add(flow)
-        self._fresh.append(flow)
-
-    def _detach(self, flow: Flow) -> None:
-        for link in flow.path:
-            self._on_link[link].discard(flow)
+            on_link[link].discard(flow)
         self._dirty.update(flow.path)
+        flow.path = path
+        for link in path:
+            on_link[link].add(flow)
+        self._fresh.append(flow)
 
     def settle_to(self, time: float) -> None:
         """Advance the clock. The step is recorded, not drained: the
         next ``recompute`` drains it at the rates in force until then."""
         dt = time - self.time
-        if dt < -1e-9:
-            raise ValueError(f"time went backwards: {self.time} -> {time}")
         if dt > 0:
             self._steps.append(dt)
-        self.time = max(self.time, time)
+            self.time = time
+        elif dt < -1e-9:
+            raise ValueError(f"time went backwards: {self.time} -> {time}")
 
-    def _touched(self) -> tuple[list[list[Flow]], set[Flow]]:
-        """The connected components of the live flows linked to a fresh
-        flow or a dirty link, and the set of all their flows; clears both
-        marks. A fresh flow that every link of its path carries alone is
-        its own component, with no search; an emptied dirty link is
-        skipped. Otherwise one search per seed not reached by an earlier
-        one, so no two components share a link."""
-        flows = self.flows
+    def _touched(self) -> list[list[Flow]]:
+        """Rate the fresh flows that every link of their path carries
+        alone, and return the other connected components of the live
+        flows linked to a fresh flow or a dirty link, each to be solved;
+        clears both marks. A lone fresh flow gets its path's smallest
+        capacity with no search, and its links count as reached; an
+        emptied dirty link is skipped. Otherwise one search per seed not
+        reached by an earlier one, so no two components share a link."""
         on_link = self._on_link
+        capacity = self.capacities.__getitem__
         found: set[Flow] = set()
         seen: set[int] = set()
         components = []
         for flow in self._fresh:
-            if flow in found or flows.get(flow.key) is not flow:
-                continue
-            found.add(flow)
             path = flow.path
+            # a live flow is on its path's links; a removed one is on none
+            if flow in found or flow not in on_link[path[0]]:
+                continue
             for link in path:
                 if len(on_link[link]) != 1:
+                    found.add(flow)
                     components.append(
                         self._component([flow], list(path), found, seen))
                     break
             else:
+                # alone on links now seen, so no search reaches it
                 seen.update(path)
-                components.append([flow])
+                flow.rate = min(map(capacity, path))
         for link in self._dirty:
             # a flow found above has all its links seen, so a link that
             # is unseen and not empty seeds a new, non-empty component
@@ -275,7 +304,7 @@ class FlowNetwork:
                 components.append(self._component([], [link], found, seen))
         self._dirty.clear()
         self._fresh.clear()
-        return components, found
+        return components
 
     def _component(self, component: list[Flow], todo: list[int],
                    found: set[Flow], seen: set[int]) -> list[Flow]:
@@ -295,29 +324,41 @@ class FlowNetwork:
         return component
 
     def recompute(self) -> list[tuple[float, Hashable, int]]:
-        """Drain the recorded clock steps, re-solve each touched
-        component and return (eta, key, serial), in insertion order, for
-        every flow whose ETA moved: each needs a completion event.
+        """Drain the recorded clock steps, re-solve the touched flows and
+        return (eta, key, serial), in insertion order, for every flow
+        whose ETA moved: each needs a completion event.
 
-        A lone flow's rate is its path's smallest capacity, as
-        ``maxmin_rates`` would give it; a larger component is solved by
-        ``maxmin_rates`` in insertion order."""
-        components, touched = self._touched()
+        Three passes. First every live flow drains each step, at the rate
+        it held during the steps, as max(0, bits - rate * dt): the
+        arithmetic an eager drain at each step would use. Then the
+        touched flows are re-solved: ``_touched`` rates a lone fresh
+        flow, a component of one flow found by a search gets its path's
+        smallest capacity, as ``maxmin_rates`` would give it, and a
+        larger component is solved by ``maxmin_rates`` in insertion
+        order. Last every live flow's ETA is derived from its bits and
+        rate."""
+        flows = self.flows.values()
         steps = self._steps
+        if len(steps) == 1:
+            step = steps[0]
+            for flow in flows:
+                # a fresh flow's 0.0 has nothing to drain
+                rate = flow.rate
+                if rate:
+                    remaining = flow.remaining_bits - rate * step
+                    flow.remaining_bits = remaining if remaining > 0.0 else 0.0
+        elif steps:
+            for flow in flows:
+                rate = flow.rate
+                if rate:
+                    remaining = flow.remaining_bits
+                    for dt in steps:
+                        remaining -= rate * dt
+                        remaining = remaining if remaining > 0.0 else 0.0
+                    flow.remaining_bits = remaining
+        steps.clear()
         capacity = self.capacities.__getitem__
-        for component in components:
-            if steps:
-                for flow in component:
-                    # max(0, bits - rate * dt) per step, as an eager drain
-                    # at each step, at the rate the solve is about to
-                    # replace; a fresh flow's 0.0 has nothing to drain
-                    rate = flow.rate
-                    if rate:
-                        remaining = flow.remaining_bits
-                        for dt in steps:
-                            remaining -= rate * dt
-                            remaining = remaining if remaining > 0.0 else 0.0
-                        flow.remaining_bits = remaining
+        for component in self._touched():
             if len(component) == 1:
                 flow = component[0]
                 flow.rate = min(map(capacity, flow.path))
@@ -327,28 +368,13 @@ class FlowNetwork:
                                      self.capacities)
                 for flow, rate in zip(component, rates):
                     flow.rate = rate
-        # the flows the solves kept drain as above, here; one step (the
-        # common case) without the loop
-        step = steps[0] if len(steps) == 1 else None
         moved = []
         now = self.time
-        for flow in self.flows.values():
-            rate = flow.rate
-            remaining = flow.remaining_bits
-            if steps and flow not in touched:
-                if step is not None:
-                    remaining -= rate * step
-                    remaining = remaining if remaining > 0.0 else 0.0
-                else:
-                    for dt in steps:
-                        remaining -= rate * dt
-                        remaining = remaining if remaining > 0.0 else 0.0
-                flow.remaining_bits = remaining
-            eta = now + remaining / rate
+        for flow in flows:
+            eta = now + flow.remaining_bits / flow.rate
             if eta != flow.eta:
                 flow.eta = eta
                 moved.append((eta, flow.key, flow.serial))
-        steps.clear()
         return moved
 
     def link_loads(self) -> list[float]:
@@ -375,3 +401,16 @@ class FlowNetwork:
         flows = self.flows.values()
         conservation_check([f.path for f in flows], self.capacities,
                            [f.rate for f in flows], rel_tol)
+
+    def check_progress(self) -> None:
+        """Audit that no live flow has negative bits left or an ETA
+        before the clock; run it after a ``recompute``."""
+        now = self.time
+        for flow in self.flows.values():
+            if not flow.remaining_bits >= 0.0:
+                raise AssertionError(
+                    f"flow {flow.key!r}: {flow.remaining_bits} bits left")
+            if not flow.eta >= now:
+                raise AssertionError(
+                    f"flow {flow.key!r}: ETA {flow.eta} before the clock "
+                    f"{now}")

@@ -110,8 +110,9 @@ class IterationPlan(NamedTuple):
 
 class Simulation:
     """One simulation of ``trace`` on ``topology`` under ``algorithm``;
-    ``run`` runs it once. ``check_invariants`` audits flow conservation
-    and the incremental rates against a full solve after every rate
+    ``run`` runs it once. ``check_invariants`` audits flow conservation,
+    the incremental rates against a full solve and that no live flow has
+    negative bits left or an ETA before the clock after every rate
     recomputation, each cached iteration plan, memoised flow path and the
     cached demand list against fresh ones before they are used, that
     every skipped SGLB rebalance would have moved nothing, and at the end
@@ -184,23 +185,30 @@ class Simulation:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> SimulationResult:
+        queue = self.queue
+        heap, pop, push = queue.heap, queue.pop, queue.push
+        settle_to = self.net.settle_to
         for job in self.trace.jobs:
-            self.queue.push(job.arrival_time, RANK_ARRIVAL, ("arrival", job))
+            push(job.arrival_time, RANK_ARRIVAL, ("arrival", job))
         if isinstance(self.routing, SglbRouting) and self.trace.jobs:
-            self.queue.push(SGLB_EPOCH_SECONDS, RANK_EPOCH, ("epoch",))
+            push(SGLB_EPOCH_SECONDS, RANK_EPOCH, ("epoch", None))
+        # payload kind -> its handler, which takes the payload's argument
+        handlers = {"arrival": self._on_arrival,
+                    "compute": self._on_compute_done,
+                    "flow": self._on_flow_done,
+                    "reinit": self._on_reinit_done,
+                    "epoch": self._on_epoch}
 
-        heap = self.queue.heap
-        pop = self.queue.pop
         while heap:
             t = heap[0][0]
-            self.net.settle_to(t)
+            settle_to(t)
             self.now = t
             self._stamp = None
             self._flows_dirty = False
             self._placement_dirty = False
             while heap and heap[0][0] == t:
-                _, _, payload = pop()
-                self._dispatch(payload)
+                kind, arg = pop()[2]
+                handlers[kind](arg)
             if self._placement_dirty:
                 # one build of the stage rows serves both readers
                 stages = stage_rows(self.scheduler.placement)
@@ -229,21 +237,6 @@ class Simulation:
             makespan=self.now,
             controller_outcomes=dict(self.controller.outcomes),
         )
-
-    def _dispatch(self, payload) -> None:
-        kind = payload[0]
-        if kind == "arrival":
-            self._on_arrival(payload[1])
-        elif kind == "compute":
-            self._on_compute_done(payload[1])
-        elif kind == "flow":
-            self._on_flow_done(payload[1])
-        elif kind == "reinit":
-            self._on_reinit_done(payload[1])
-        elif kind == "epoch":
-            self._on_epoch()
-        else:  # pragma: no cover
-            raise AssertionError(f"unknown event {kind}")
 
     # -- event handlers --------------------------------------------------------
 
@@ -301,6 +294,7 @@ class Simulation:
         plan = self._plan(run.job)
         colors = self.colors
         iteration = run.iteration
+        add_flow = self.net.add_flow
         for flow, paths in zip(plan.flows, plan.paths):
             color = (colors[flow.key] if flow.src.rack != flow.dst.rack
                      else None)
@@ -311,8 +305,7 @@ class Simulation:
                 raise AssertionError(
                     f"stale flow path {path} for flow {flow.key} on colour "
                     f"{color}")
-            key = (flow.key, iteration)
-            self.net.add_flow(key, path, flow.size_bytes, flow)
+            add_flow((flow.key, iteration), path, flow.size_bytes, flow)
         run.pending_flows = len(plan.flows)
         self._flows_dirty = True
 
@@ -540,13 +533,13 @@ class Simulation:
             self._reroute_live_flows()
         self._balanced = True
 
-    def _on_epoch(self) -> None:
+    def _on_epoch(self, _: None) -> None:
         if len(self._records) < len(self.trace.jobs):
             # the epoch event stays even when it moves nothing: it splits
             # the settle intervals the event log hash depends on
             self._rebalance()
             self.queue.push(self.now + SGLB_EPOCH_SECONDS, RANK_EPOCH,
-                            ("epoch",))
+                            ("epoch", None))
 
     def _check_isolation(self) -> None:
         """Count elephant flows sharing an uplink; with the threshold at
@@ -569,11 +562,13 @@ class Simulation:
     # -- network -----------------------------------------------------------------
 
     def _recompute_network(self) -> None:
+        push = self.queue.push
         for eta, key, serial in self.net.recompute():
-            self.queue.push(eta, RANK_FLOW, ("flow", key), serial)
+            push(eta, RANK_FLOW, ("flow", key), serial)
         if self.check_invariants:
             self.net.check_conservation()
             self.net.check_rates()
+            self.net.check_progress()
 
     def _check_bookkeeping(self) -> None:
         """Audit the placement's slot accounting, that the placed jobs

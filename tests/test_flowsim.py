@@ -258,6 +258,90 @@ def test_flow_network_settle_partial_then_speedup():
     assert completions[0][0] == pytest.approx(12.0)  # 400 bits at full rate
 
 
+def _network_state(net):
+    """Everything a refused call must leave as it was."""
+    return ([(key, f.path, f.remaining_bits, f.serial, f.rate, f.eta)
+             for key, f in net.flows.items()],
+            [sorted(f.key for f in flows) for flows in net._on_link],
+            sorted(net._dirty), [f.key for f in net._fresh],
+            list(net._steps), net._serial, net.time)
+
+
+def _shared_network():
+    """Three links; "a" on 0 and 1, "b" on 1, "c" removed from 2, and a
+    clock step pending."""
+    net = FlowNetwork([1.0, 2.0, 3.0])
+    net.add_flow("a", (0, 1), 1.0)
+    net.add_flow("b", (1,), 2.0)
+    net.add_flow("c", (2,), 1.0)
+    net.recompute()
+    net.settle_to(0.5)
+    net.remove_flow("c")
+    return net
+
+
+BAD_PATHS = [(), [], (0, 0), (1, 0, 1), (3,), (0, 3), (-1,), (1, -3),
+             ("x",)]
+
+
+@pytest.mark.parametrize("path", BAD_PATHS)
+def test_add_flow_refuses_a_bad_path_and_changes_nothing(path):
+    net = _shared_network()
+    before = _network_state(net)
+    with pytest.raises(ValueError, match="bad path"):
+        net.add_flow("d", path, 1.0)
+    assert _network_state(net) == before
+    # the refused key is free, and the network solves as before
+    net.add_flow("d", (2,), 1.0)
+    net.recompute()
+    net.check_rates()
+    assert net.flows["d"].rate == 3.0
+
+
+@pytest.mark.parametrize("size", [-5.0, -1e-300, math.inf, -math.inf,
+                                  math.nan])
+def test_add_flow_refuses_a_bad_size_and_changes_nothing(size):
+    net = _shared_network()
+    before = _network_state(net)
+    with pytest.raises(ValueError, match="not finite and at least 0"):
+        net.add_flow("d", (2,), size)
+    assert _network_state(net) == before
+
+
+def test_add_flow_takes_a_zero_size():
+    net = FlowNetwork([4.0])
+    net.add_flow("a", [0], 0)
+    ((eta, key, _),) = net.recompute()
+    assert (eta, key) == (0.0, "a")
+
+
+@pytest.mark.parametrize("path", BAD_PATHS)
+def test_refused_set_path_leaves_the_flow_on_its_old_path(path):
+    net = _shared_network()
+    before = _network_state(net)
+    with pytest.raises(ValueError, match="bad path"):
+        net.set_path("a", path)
+    assert _network_state(net) == before
+    assert net.flows["a"].path == (0, 1)
+    net.recompute()
+    net.check_rates()
+    assert [net.flows[key].rate for key in "ab"] == [1.0, 1.0]
+
+
+def test_progress_audit_names_the_flow():
+    net = _shared_network()
+    net.recompute()
+    net.check_progress()
+    net.flows["b"].remaining_bits = -1.0
+    with pytest.raises(AssertionError, match="flow 'b': -1.0 bits left"):
+        net.check_progress()
+    net.flows["b"].remaining_bits = 0.0
+    net.flows["a"].eta = net.time - 0.25
+    with pytest.raises(AssertionError,
+                       match="flow 'a': ETA 0.25 before the clock 0.5"):
+        net.check_progress()
+
+
 def test_flow_network_rejects_time_reversal_and_dup_keys():
     net = FlowNetwork([1.0])
     net.settle_to(5.0)
@@ -320,6 +404,33 @@ def test_flow_on_unshared_links_is_solved_alone(monkeypatch):
     net.recompute()
     assert searched == [[0]] and solved == []
     assert net.flows["a"].rate == 10.0
+
+
+def test_lone_flow_on_links_a_removal_left_dirty_is_solved_once(
+        monkeypatch):
+    """A fresh flow alone on the links a removal in the same step left
+    dirty is rated where it is found; those links seed no search."""
+    net = FlowNetwork([10.0, 10.0, 4.0])
+    net.add_flow("a", (0,), size_bytes=10.0)
+    net.add_flow("c", (1, 2), size_bytes=10.0)
+    net.recompute()
+    net.settle_to(1.0)
+    searched = []
+    real_component = FlowNetwork._component
+
+    def spy_component(self, component, todo, found, seen):
+        searched.append(list(todo))
+        return real_component(self, component, todo, found, seen)
+
+    monkeypatch.setattr(flowsim, "maxmin_rates", None)  # no solve may run
+    monkeypatch.setattr(FlowNetwork, "_component", spy_component)
+    net.remove_flow("c")
+    net.add_flow("d", (2, 1), size_bytes=10.0)
+    assert [key for _, key, _ in net.recompute()] == ["d"]
+    assert searched == []
+    assert net.flows["d"].rate == 4.0
+    monkeypatch.undo()  # the rate audit makes a real solve
+    net.check_rates()
 
 
 class FullRecomputeNetwork:
@@ -422,6 +533,17 @@ def _adds(*paths):
 # is dirty and empty
 @example(([1.0, 1.0], [(_adds((0,), (1,)), [0.25]),
                        ([("set_path", 0, (1,))], [None])]))
+# a fresh flow alone on link 0, which the removal in the same step left
+# dirty: it is rated where it is found and the dirty link seeds nothing
+@example(([1.0, 2.0], [(_adds((0,), (1,)), [0.25]),
+                       ([("remove", 0), ("add", (0,), 1)], [None])]))
+# a flow re-pathed after two recorded steps drains both at its old rate,
+# 1/3, before its new path re-rates it
+@example(([1.0, 1.0], [(_adds((0,), (0,), (0,)), [0.25, 0.5]),
+                       ([("set_path", 0, (1,))], [None])]))
+# a flow added while two steps are pending drains neither
+@example(([1.0, 1.0], [(_adds((0,), (0,), (0,)), [0.25, 0.5]),
+                       (_adds((1,)), [None])]))
 def test_incremental_recompute_matches_full_in_lockstep(instance):
     caps, steps = instance
     net, ref = FlowNetwork(caps), FullRecomputeNetwork(caps)

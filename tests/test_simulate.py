@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -230,9 +231,16 @@ def test_reroute_changes_solved_and_audited_links(monkeypatch):
         return real_solve(paths, capacities)
 
     def spy_touched(net):
-        components, found = real_touched(net)
-        resolved.append([flow.path for c in components for flow in c])
-        return components, found
+        # the drain is done: blank each fresh flow's rate, so a lone one
+        # that ``_touched`` rates in place shows it was re-rated
+        fresh = [flow for flow in net._fresh if flow.key in net.flows]
+        for flow in fresh:
+            flow.rate = math.nan
+        components = real_touched(net)
+        resolved.append([flow.path for c in components for flow in c]
+                        + [flow.path for flow in fresh
+                           if not math.isnan(flow.rate)])
+        return components
 
     def spy_rates(net):
         first = len(solved)
@@ -307,6 +315,32 @@ def test_rate_audit_catches_path_written_around_set_path(monkeypatch):
                        check_invariants=True)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("remaining_bits", -1.0, "-1.0 bits left"),
+    ("eta", -1.0, "ETA -1.0 before the clock"),
+])
+def test_progress_audit_runs_after_every_recompute(monkeypatch, field,
+                                                   value, message):
+    """A recompute that leaves a flow with negative bits or an ETA in the
+    past trips the audit, which names the flow."""
+    real_recompute = flowsim.FlowNetwork.recompute
+    corrupted = []
+
+    def recompute(net):
+        moved = real_recompute(net)
+        if net.time > 0 and net.flows and not corrupted:
+            flow = next(iter(net.flows.values()))
+            setattr(flow, field, value)
+            corrupted.append(flow.key)
+        return moved
+
+    monkeypatch.setattr(flowsim.FlowNetwork, "recompute", recompute)
+    with pytest.raises(AssertionError, match=message) as raised:
+        run_simulation(SMALL_TOPO, small_trace(seed=0), "perfect",
+                       check_invariants=True)
+    assert f"flow {corrupted[0]!r}" in str(raised.value)
+
+
 def test_same_time_completions_pop_in_flow_insertion_order():
     """"a" and "b" both come due at 12 s and only "a" is re-pushed, after
     "b"; they still pop in insertion order, as they did when every
@@ -353,6 +387,50 @@ def test_few_stale_flow_events_on_quick_config(monkeypatch):
     stale = counts["flow pops"] - counts["live"]
     assert counts["live"] > 0
     assert stale <= 0.1 * counts["flow pops"]
+
+
+def test_tracer_counters_see_every_event_and_completion(monkeypatch):
+    """The benchmark's tracer counts events at ``EventQueue.push`` and
+    ``pop`` and completions at ``FlowNetwork.remove_flow``: every event
+    the run handles and every flow it completes must pass through them."""
+    config = load_config(QUICK_CONFIG)
+    topology = config.topology.build()
+    trace = generate_trace(topology, config.trace.loads[0], seed=0,
+                           num_jobs=config.trace.num_jobs,
+                           cfg=config.trace.trace_config())
+    counts = Counter()
+    real_push = flowsim.EventQueue.push
+    real_pop = flowsim.EventQueue.pop
+    real_remove = flowsim.FlowNetwork.remove_flow
+
+    def push(queue, *args, **kwargs):
+        counts["pushes"] += 1
+        return real_push(queue, *args, **kwargs)
+
+    def pop(queue):
+        entry = real_pop(queue)
+        counts["pops"] += 1
+        counts["flow pops"] += entry[2][0] == "flow"
+        return entry
+
+    def remove_flow(net, key):
+        counts["removes"] += 1
+        return real_remove(net, key)
+
+    monkeypatch.setattr(flowsim.EventQueue, "push", push)
+    monkeypatch.setattr(flowsim.EventQueue, "pop", pop)
+    monkeypatch.setattr(flowsim.FlowNetwork, "remove_flow", remove_flow)
+    log = io.BytesIO()
+    result = run_simulation(
+        topology, trace, "defrag-perfect",
+        solver_time_limit=config.controller.solver_time_limit,
+        event_log=log)
+    completions = sum(line.startswith(b"flow|")
+                      for line in log.getvalue().splitlines())
+    assert result.defrag_events and completions > 0
+    assert counts["pushes"] == counts["pops"] > 0
+    assert counts["removes"] == completions
+    assert counts["flow pops"] >= completions
 
 
 def test_plan_cache_audit_passes_across_committed_batches():
