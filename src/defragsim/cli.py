@@ -221,15 +221,8 @@ def cmd_oracle(args) -> int:
 
 
 CHECK_INVARIANTS_HELP = (
-    "audit link capacity conservation, the incremental rates against "
-    "a full max-min solve and that no flow has negative bits left or a "
-    "completion time in the past after every rate recomputation, each "
-    "cached iteration plan, memoised flow path and the cached demand list "
-    "against fresh ones, that every skipped SGLB rebalance would move "
-    "nothing, and at the end of every timestamp the slot accounting, "
-    "that the placed jobs are exactly the running ones and, with no "
-    "migration batch in flight, that the queue's head does not fit "
-    "(exit 3 on a violation)")
+    "audit the run's internal invariants, as listed in README's "
+    "\"Command line\" section; exit 3 on a violation")
 
 
 def build_parser() -> argparse.ArgumentParser:

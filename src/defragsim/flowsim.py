@@ -199,19 +199,23 @@ class FlowNetwork:
         self._serial = 0
         self._on_link: list[set[Flow]] = [set() for _ in capacities]
         self._links = frozenset(range(len(capacities)))
-        self._valid: set[tuple[int, ...]] = set()  # paths that passed
+        # path -> the very tuple that passed; an equal tuple of other
+        # ids (1.0 or True for 1) is checked afresh
+        self._valid: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._dirty: set[int] = set()  # links left since the last solve
         self._fresh: list[Flow] = []  # flows added or re-pathed since then
         self._steps: list[float] = []  # clock steps not yet drained
 
     def _check_path(self, path: tuple) -> None:
         """ValueError unless ``path`` is non-empty, names each link once
-        and every link exists; a path that passes is remembered."""
-        if not path or len(self._links.intersection(path)) != len(path):
+        and every link exists as an int; a path that passes is
+        remembered."""
+        if not path or any(type(link) is not int for link in path) \
+                or len(self._links.intersection(path)) != len(path):
             raise ValueError(
                 f"bad path {path!r}: a path names one or more of the "
-                f"{len(self._links)} link ids, each at most once")
-        self._valid.add(path)
+                f"{len(self._links)} int link ids, each at most once")
+        self._valid[path] = path
 
     def add_flow(self, key: Hashable, path: Iterable[int],
                  size_bytes: float, tag: object = None) -> Flow:
@@ -221,7 +225,7 @@ class FlowNetwork:
         if key in self.flows:
             raise ValueError(f"duplicate flow key {key!r}")
         path = tuple(path)
-        if path not in self._valid:
+        if self._valid.get(path) is not path:
             self._check_path(path)
         if not 0.0 <= size_bytes < math.inf:
             raise ValueError(f"flow {key!r}: size {size_bytes!r} bytes is "
@@ -248,7 +252,7 @@ class FlowNetwork:
         the flow left on its old one."""
         flow = self.flows[key]
         path = tuple(path)
-        if path not in self._valid:
+        if self._valid.get(path) is not path:
             self._check_path(path)
         on_link = self._on_link
         for link in flow.path:

@@ -113,14 +113,13 @@ class Simulation:
     ``run`` runs it once. ``check_invariants`` audits flow conservation,
     the incremental rates against a full solve and that no live flow has
     negative bits left or an ETA before the clock after every rate
-    recomputation, each cached iteration plan, memoised flow path and the
-    cached demand list against fresh ones before they are used, that
-    every skipped SGLB rebalance would have moved nothing, and at the end
-    of every timestamp the slot accounting, that the placed jobs are
-    exactly the running ones and, with no batch in flight, that the
-    queue's head does not fit; it changes no decision. ``event_log``, a
-    binary file, receives every line the event log hash is fed, in
-    order."""
+    recomputation, each cached iteration plan and memoised flow path
+    against fresh ones before they are used, that every skipped SGLB
+    rebalance would have moved nothing, and at the end of every
+    timestamp the slot accounting, that the placed jobs are exactly the
+    running ones and, with no batch in flight, that the queue's head
+    does not fit; it changes no decision. ``event_log``, a binary file,
+    receives every line the event log hash is fed, in order."""
 
     def __init__(self, topology: ClusterTopology, trace: Trace,
                  algorithm: str,
@@ -147,14 +146,12 @@ class Simulation:
         self.queue = EventQueue()
         self.runs: dict[int, JobRun] = {}
         # job id -> its plan under the current placement; dropped
-        # whenever its workers move or leave, and the demand list with it
+        # whenever its workers move or leave
         self._plans: dict[int, IterationPlan] = {}
-        # every running job's demands, then the transfers'; None once a
-        # job starts or ends or the transfer demands change
-        self._demands: list[FlowDemand] | None = None
         self.colors: dict[tuple, int] = {}  # demand key -> routing colour
         # set once SGLB's rebalance has run on the current demands and
-        # colors: running it again would move nothing
+        # colors: running it again would move nothing; cleared when a job
+        # starts or ends and when the colors are reassigned
         self._balanced = False
         self.check_isolation = check_isolation
         self.check_invariants = check_invariants
@@ -256,7 +253,7 @@ class Simulation:
     def _start_job(self, job: JobSpec) -> None:
         run = JobRun(job=job, start_time=self.now)
         self.runs[job.job_id] = run
-        self._drop_demands()
+        self._balanced = False
         self._schedule_compute(run)
         self._trace_event("start", job.job_id)
 
@@ -355,7 +352,7 @@ class Simulation:
         self._trace_event("finish", job.job_id)
         del self.runs[job.job_id]
         del self._plans[job.job_id]
-        self._drop_demands()
+        self._balanced = False
         self._records.append(JobRecord(
             job_id=job.job_id,
             model=job.template.name,
@@ -423,7 +420,6 @@ class Simulation:
                 shard_bytes(placement.jobs[job_id]), "migration"))
         # every transfer takes a mice colour, an intra-rack one too
         batch.transfers = transfers
-        self._drop_demands()
         self._reassign_routing()
         for flow in transfers:
             self.net.add_flow(flow.key, self._path_for(flow), flow.size_bytes,
@@ -442,7 +438,6 @@ class Simulation:
         for job_id in batch.affected_jobs:
             del self._plans[job_id]
         batch.transfers = []
-        self._drop_demands()
         # colors must match the new placement before any flow launched
         # later in this same timestamp looks them up
         self._reassign_routing()
@@ -467,28 +462,15 @@ class Simulation:
 
     # -- routing ---------------------------------------------------------------
 
-    def _build_demands(self) -> list[FlowDemand]:
+    def _current_demands(self) -> list[FlowDemand]:
+        """Every demand routing colours: the running jobs' cross-rack
+        flows in job-id order, then the batch's transfers."""
         demands: list[FlowDemand] = []
         for job_id in sorted(self.runs):
             demands.extend(self._plan(self.runs[job_id].job).demands)
         if self.batch is not None and self.batch.transfers:
             demands.extend(self.batch.transfers)
         return demands
-
-    def _current_demands(self) -> list[FlowDemand]:
-        """Every demand routing colours: the running jobs' cross-rack
-        flows and the batch's transfers, built once per change of the
-        set."""
-        demands = self._demands
-        if demands is None:
-            demands = self._demands = self._build_demands()
-        elif self.check_invariants and demands != self._build_demands():
-            raise AssertionError("stale cached demand list")
-        return demands
-
-    def _drop_demands(self) -> None:
-        self._demands = None
-        self._balanced = False
 
     def _reassign_routing(self) -> None:
         demands = self._current_demands()
@@ -507,7 +489,7 @@ class Simulation:
         changed = False
         for live in self.net.flows.values():
             flow = live.tag
-            if flow.src.rack == flow.dst.rack or flow.key not in self.colors:
+            if flow.src.rack == flow.dst.rack:
                 continue
             path = self._path_for(flow)
             if live.path != path:

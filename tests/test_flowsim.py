@@ -280,8 +280,10 @@ def _shared_network():
     return net
 
 
+# (1.0,), (True,) and (0, 1.0) equal paths the shared network has already
+# taken; (0.0,) equals none
 BAD_PATHS = [(), [], (0, 0), (1, 0, 1), (3,), (0, 3), (-1,), (1, -3),
-             ("x",)]
+             ("x",), (0.0,), (1.0,), (True,), (0, 1.0)]
 
 
 @pytest.mark.parametrize("path", BAD_PATHS)

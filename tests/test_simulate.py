@@ -1,6 +1,10 @@
 import dataclasses
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -15,14 +19,15 @@ from defragsim.scheduler import plan_racks
 from defragsim.simulate import (
     ALGORITHMS, REINIT_SECONDS, Simulation, parse_algorithm, run_simulation,
 )
-from defragsim.routing import SglbRouting
+from defragsim.routing import FlowDemand, SglbRouting
 from defragsim.topology import ClusterTopology, path_between
 from defragsim.workload import (
     DEFAULT_TEMPLATES, Trace, TraceConfig, generate_trace, ideal_duration,
 )
 from tests.test_workload import make_job
 
-QUICK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "quick.yaml"
+REPO = Path(__file__).resolve().parents[1]
+QUICK_CONFIG = REPO / "configs" / "quick.yaml"
 SMALL_TOPO = ClusterTopology(4, 2, 8, 2, 400e9, 400e9)
 SMALL_CFG = TraceConfig(templates=DEFAULT_TEMPLATES[:4], max_workers=8,
                         pp_choices=(1,), size_choices=(5, 6, 7, 8),
@@ -134,6 +139,56 @@ def test_hybrid_parallel_traffic_pinned(seed):
         got[algorithm] = (result.event_log_hash,
                           result.isolation_violations)
     assert got == pins
+
+
+def seeded_cell_hashes() -> dict[str, str]:
+    """The event log hash of the quick config under defrag-perfect, sglb
+    and defrag-crux, and of the seed-2 defrag-perfect hybrid pin."""
+    config = load_config(QUICK_CONFIG)
+    topology = config.topology.build()
+    trace = generate_trace(topology, config.trace.loads[0], seed=0,
+                           num_jobs=config.trace.num_jobs,
+                           cfg=config.trace.trace_config())
+    hashes = {}
+    for algorithm in ("defrag-perfect", "sglb", "defrag-crux"):
+        hashes[f"quick {algorithm}"] = run_simulation(
+            topology, trace, algorithm,
+            solver_time_limit=config.controller.solver_time_limit,
+        ).event_log_hash
+    trace = generate_trace(HYBRID_TOPO, 0.9, seed=2, num_jobs=40,
+                           cfg=HYBRID_CFG)
+    hashes["hybrid 2 defrag-perfect"] = run_simulation(
+        HYBRID_TOPO, trace, "defrag-perfect", max_moves=16,
+        solver_time_limit=None).event_log_hash
+    return hashes
+
+
+def test_runs_do_not_depend_on_the_hash_seed():
+    """The iteration order of a set of str keys follows PYTHONHASHSEED;
+    no event log may. One child process per seed runs every cell."""
+    path = os.pathsep.join(
+        [str(REPO / "src"), str(REPO)]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+           if p])
+    code = ("import json; from tests.test_simulate import "
+            "seeded_cell_hashes; print(json.dumps(seeded_cell_hashes()))")
+    children = [
+        subprocess.Popen([sys.executable, "-c", code], cwd=REPO,
+                         stdout=subprocess.PIPE, text=True,
+                         env={**os.environ, "PYTHONPATH": path,
+                              "PYTHONHASHSEED": seed})
+        for seed in ("0", "1")]
+    try:
+        outputs = [child.communicate(timeout=300)[0] for child in children]
+    finally:
+        for child in children:
+            child.kill()
+    assert [child.returncode for child in children] == [0, 0]
+    first, second = (json.loads(out) for out in outputs)
+    assert len(first) == 4
+    assert first == second
+    assert first["hybrid 2 defrag-perfect"] == (
+        HYBRID_PINS[2][2]["defrag-perfect"][0])
 
 
 def test_defrag_events_recorded(defrag_result):
@@ -552,8 +607,8 @@ def test_stage_rows_built_once_per_placement_change(monkeypatch):
 
 
 def test_sglb_fast_path_audits_pass_and_skip_rebalances(monkeypatch):
-    """The cached demand list and the skipped rebalances hold their
-    audits on an sglb run, which they leave unchanged."""
+    """An sglb run skips rebalances that would move nothing, the skip
+    audit holds on every one, and the audited run is the plain one."""
     calls = Counter()
     real_rebalance = SglbRouting.rebalance
     real_helper = Simulation._rebalance
@@ -576,40 +631,36 @@ def test_sglb_fast_path_audits_pass_and_skip_rebalances(monkeypatch):
     assert audited.records == plain.records
 
 
-def test_demand_cache_audit_catches_missed_drop(monkeypatch):
-    """A job start that keeps the old demand list must trip the audit."""
-    real_start = Simulation._start_job
-
-    def start_keeping_demands(self, job):
-        demands = self._demands
-        real_start(self, job)
-        self._demands = demands
-
-    monkeypatch.setattr(Simulation, "_start_job", start_keeping_demands)
-    with pytest.raises(AssertionError, match="stale cached demand list"):
-        run_simulation(SMALL_TOPO, small_trace(seed=0), "sglb",
-                       check_invariants=True)
-
-
 def test_rebalance_skip_audit_catches_missed_reset(monkeypatch):
-    """Skipping the rebalance after new colors were assigned must trip
+    """Skipping the rebalance after a job start and new colors must trip
     the audit."""
-    real_reassign = Simulation._reassign_routing
+    def keeping_flag(method):
+        def call(self, *args):
+            balanced = self._balanced
+            method(self, *args)
+            self._balanced = balanced
+        return call
 
-    def reassign_keeping_flag(self):
-        balanced = self._balanced
-        real_reassign(self)
-        self._balanced = balanced
-
-    def drop_keeping_flag(self):
-        self._demands = None
-
-    monkeypatch.setattr(Simulation, "_reassign_routing",
-                        reassign_keeping_flag)
-    monkeypatch.setattr(Simulation, "_drop_demands", drop_keeping_flag)
+    for name in ("_reassign_routing", "_start_job"):
+        monkeypatch.setattr(Simulation, name,
+                            keeping_flag(getattr(Simulation, name)))
     with pytest.raises(AssertionError, match="skipped rebalance"):
         run_simulation(SMALL_TOPO, small_trace(seed=0), "sglb",
                        check_invariants=True)
+
+
+def test_reroute_of_a_flow_without_a_colour_raises_keyerror():
+    """Every live cross-rack flow is a current demand, and every strategy
+    colours every demand: a flow with no colour is a fault, raised rather
+    than left on its old uplink."""
+    sim = Simulation(SMALL_TOPO, small_trace(seed=0), "perfect")
+    src, dst = SMALL_TOPO.gpu(0, 0, 0), SMALL_TOPO.gpu(1, 0, 0)
+    flow = FlowDemand((7, "dp", 0), 7, src, dst, 1e6)
+    sim.net.add_flow((flow.key, 0), path_between(SMALL_TOPO, src, dst, 0),
+                     flow.size_bytes, flow)
+    with pytest.raises(KeyError) as raised:
+        sim._reroute_live_flows()
+    assert raised.value.args == (flow.key,)
 
 
 def test_bookkeeping_audit_passes_on_defrag_run(monkeypatch):
