@@ -28,7 +28,7 @@ from .defrag import (
 )
 from .fragmentation import StageRows, stage_rows
 from .jobmodel import WorkerMove
-from .scheduler import Placement
+from .scheduler import Placement, best_fit_host
 
 log = logging.getLogger(__name__)
 
@@ -102,9 +102,9 @@ def resolve_plan(placement: Placement, instance: SolverInstance,
     A stage whose row differs from its ``instance`` row sends the TP
     units it leaves, lowest dp rank first and racks in ascending order,
     to the racks it gains, in rack order. All leaving units are released
-    first, then destinations are packed best-fit, largest units first,
-    against the post-release free map -- consistent with the batch
-    committing atomically.
+    first, then destinations are packed by ``best_fit_host``, largest
+    units first, against the post-release free map -- consistent with
+    the batch committing atomically.
     """
     topology = placement.topology
     free = [[placement.free_slots(r, h)
@@ -136,13 +136,10 @@ def resolve_plan(placement: Placement, instance: SolverInstance,
     moves: list[WorkerMove] = []
     for unit_size, workers, dst_rack in sorted(
             unit_moves, key=lambda m: (-m[0], m[1][0])):
-        fitting = [(free[dst_rack][h], h)
-                   for h in range(topology.hosts_per_rack)
-                   if free[dst_rack][h] >= unit_size]
-        if not fitting:
+        host = best_fit_host(free[dst_rack], unit_size)
+        if host is None:
             raise ResolutionError(
                 f"no host in rack {dst_rack} fits a unit of {unit_size}")
-        _, host = min(fitting)
         free[dst_rack][host] -= unit_size
         moves.extend(WorkerMove(w, dst_rack, host) for w in workers)
     return moves

@@ -20,14 +20,13 @@ recompute then makes three plain passes over the live flows:
    keeps its rate. Max-min rates decompose over connected components, so
    each touched component is solved on its own. A fresh flow that every
    link of its path carries alone is its own component: it is rated
-   where it is found, with no search, and its links count as reached. A
-   link left dirty that now carries no flow seeds nothing; only the
-   other components are found by a search over shared links. A lone
-   flow's rate is the smallest capacity on its path, which is what a
-   solve of that one flow returns. A component of two or more flows goes
-   to ``maxmin_rates`` in insertion order, so the bottleneck tie-break
-   sees the same relative link order as a solve of every live flow.
-   Either way the rates are bit-identical to a full solve.
+   where it is found, with no search, at its path's smallest capacity
+   (what a solve of that one flow returns), and its links count as
+   reached. A link left dirty that now carries no flow seeds nothing.
+   Every other component is found by a search over shared links and
+   goes to ``maxmin_rates`` in insertion order, so the bottleneck
+   tie-break sees the same relative link order as a solve of every live
+   flow. Either way the rates are bit-identical to a full solve.
 3. ETAs. Every live flow's ETA is derived from its bits and rate with
    the same arithmetic, and only the flows whose ETA moved need a new
    event.
@@ -186,10 +185,11 @@ class FlowNetwork:
     links they leave dirty. ``recompute`` makes three passes: it drains
     every live flow; it re-solves the connected components of the flows
     reached from a fresh flow or a dirty link, a fresh flow alone on
-    every link of its path rated where it is found, a larger component
-    in insertion order; and it derives every ETA, returning the flows
-    whose ETA moved. An empty dirty link is skipped. A flow's queued
-    completion event is live while ``flow.eta`` still equals its time.
+    every link of its path rated where it is found, every other
+    component by ``maxmin_rates`` in insertion order; and it derives
+    every ETA, returning the flows whose ETA moved. An empty dirty link
+    is skipped. A flow's queued completion event is live while
+    ``flow.eta`` still equals its time.
     """
 
     def __init__(self, capacities: Sequence[float]):
@@ -336,11 +336,9 @@ class FlowNetwork:
         it held during the steps, as max(0, bits - rate * dt): the
         arithmetic an eager drain at each step would use. Then the
         touched flows are re-solved: ``_touched`` rates a lone fresh
-        flow, a component of one flow found by a search gets its path's
-        smallest capacity, as ``maxmin_rates`` would give it, and a
-        larger component is solved by ``maxmin_rates`` in insertion
-        order. Last every live flow's ETA is derived from its bits and
-        rate."""
+        flow, and every component it returns is solved by
+        ``maxmin_rates`` in insertion order. Last every live flow's ETA
+        is derived from its bits and rate."""
         flows = self.flows.values()
         steps = self._steps
         if len(steps) == 1:
@@ -361,17 +359,12 @@ class FlowNetwork:
                         remaining = remaining if remaining > 0.0 else 0.0
                     flow.remaining_bits = remaining
         steps.clear()
-        capacity = self.capacities.__getitem__
         for component in self._touched():
-            if len(component) == 1:
-                flow = component[0]
-                flow.rate = min(map(capacity, flow.path))
-            else:
-                component.sort(key=_serial)
-                rates = maxmin_rates([flow.path for flow in component],
-                                     self.capacities)
-                for flow, rate in zip(component, rates):
-                    flow.rate = rate
+            component.sort(key=_serial)
+            rates = maxmin_rates([flow.path for flow in component],
+                                 self.capacities)
+            for flow, rate in zip(component, rates):
+                flow.rate = rate
         moved = []
         now = self.time
         for flow in flows:

@@ -9,13 +9,13 @@ backfilling.
 Allocation granularity is one TP group: tp_degree GPU slots on a single
 host (a whole host when tp_degree == gpus_per_host), since tensor
 parallelism never crosses a server boundary. A job is placed by whole
-units: the units bound for one host take its lowest free slots in one
-step, and the job's stage rows are recorded from the units' racks as
-it is placed.
+units: each unit goes to its rack's ``best_fit_host``, and the units
+bound for one host take its lowest free slots in one step.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from itertools import groupby
 from types import MappingProxyType
@@ -27,6 +27,17 @@ from .workload import JobSpec, WorkerId
 
 class SchedulerError(ValueError):
     pass
+
+
+def best_fit_host(free: list[int], unit: int) -> int | None:
+    """The host with the fewest free slots, ``free[host]``, that still
+    fit a unit of ``unit`` slots, the lowest index on a tie; None if no
+    host fits."""
+    best, best_free = None, math.inf
+    for host, slots in enumerate(free):
+        if unit <= slots < best_free:
+            best, best_free = host, slots
+    return best
 
 
 class Placement:
@@ -67,9 +78,6 @@ class Placement:
                 return gpu
         raise KeyError(worker)
 
-    def __contains__(self, job_id: int) -> bool:
-        return job_id in self._jobs
-
     @property
     def jobs(self) -> MappingProxyType[int, JobSpec]:
         return self._jobs_view
@@ -84,27 +92,20 @@ class Placement:
 
     def job_stages(self, job_id: int) -> tuple[
             tuple[SolverJob, ...], tuple[tuple[int, ...], ...]]:
-        """The placed job's stages as solver jobs and rack rows, kept
-        from ``add_job`` or a walk until ``assign``, ``unassign`` or
+        """The placed job's stages as solver jobs and rack rows, walked
+        on first use and kept until ``assign``, ``unassign`` or
         ``remove_job`` touches the job; KeyError as ``_stage_racks``
         raises it."""
         entry = self._kept_stages.get(job_id)
         if entry is None:
             job = self._jobs[job_id]
-            entry = self._keep_stages(job, self._stage_racks(job))
-        return entry
-
-    def _keep_stages(self, job: JobSpec, rows: tuple[tuple[int, ...], ...]
-                     ) -> tuple[tuple[SolverJob, ...],
-                                tuple[tuple[int, ...], ...]]:
-        """Keep the job's stage rows with one solver job per stage."""
-        units, tp = job.dp_degree, job.tp_degree
-        # SolverJob(key, units, unit_size, ring_weight): positional
-        # arguments and a list build it measurably faster
-        entry = self._kept_stages[job.job_id] = (
-            tuple([SolverJob((job.job_id, stage), units, tp, tp)
-                   for stage in range(job.pp_degree)]),
-            rows)
+            units, tp = job.dp_degree, job.tp_degree
+            # SolverJob(key, units, unit_size, ring_weight): positional
+            # arguments and a list build it measurably faster
+            entry = self._kept_stages[job_id] = (
+                tuple([SolverJob((job_id, stage), units, tp, tp)
+                       for stage in range(job.pp_degree)]),
+                self._stage_racks(job))
         return entry
 
     def _stage_racks(self, job: JobSpec) -> tuple[tuple[int, ...], ...]:
@@ -223,8 +224,7 @@ class Placement:
     def add_job(self, job: JobSpec, racks_per_unit: list[int]) -> None:
         """Materialize a job given the target rack of each TP unit: each
         unit takes the lowest free slots of the host ``_pick_host``
-        picks, and stage s's row counts the racks of units s*dp to
-        (s+1)*dp - 1. SchedulerError, with the placement unchanged,
+        picks. SchedulerError, with the placement unchanged,
         unless the list names one rack of the topology per unit, each
         rack fits its units and the job is not placed."""
         job_id, unit, num_workers = job.job_id, job.tp_degree, job.num_workers
@@ -256,28 +256,16 @@ class Placement:
                 placed += count * unit
                 units -= count
         self._jobs[job_id] = job
-        dp, num_racks = job.dp_degree, self.topology.num_racks
-        rows = []
-        for first in range(0, len(racks_per_unit), dp):
-            row = [0] * num_racks
-            for rack in racks_per_unit[first:first + dp]:
-                row[rack] += 1
-            rows.append(tuple(row))
-        self._keep_stages(job, tuple(rows))
 
     def _pick_host(self, rack: int, unit: int) -> int:
-        # Pack onto the fewest hosts: prefer the already-started host with
-        # the least remaining room that still fits the unit, the lowest
-        # index on a tie.
-        most = self.topology.gpus_per_host - unit  # taken, still fitting
-        best, best_taken = None, -1
-        for h, m in enumerate(self._taken[rack]):
-            taken = m.bit_count()
-            if best_taken < taken <= most:
-                best, best_taken = h, taken
-        if best is None:
+        """The rack's ``best_fit_host`` for a unit, which packs jobs
+        onto the fewest hosts."""
+        gph = self.topology.gpus_per_host
+        host = best_fit_host([gph - m.bit_count() for m in self._taken[rack]],
+                             unit)
+        if host is None:
             raise SchedulerError(f"rack {rack} cannot fit a unit of {unit}")
-        return best
+        return host
 
     def remove_job(self, job_id: int) -> None:
         if job_id not in self._jobs:
@@ -327,7 +315,7 @@ class Scheduler:
     def place_job(self, job: JobSpec) -> list[JobSpec]:
         """Queue an arriving job behind the waiting ones and admit what
         fits; returns the admitted jobs."""
-        if job.job_id in self.placement:
+        if job.job_id in self.placement.jobs:
             raise SchedulerError(f"job {job.job_id} already placed")
         self.queue.append(job)
         return self.admit_queued()

@@ -292,25 +292,21 @@ class Simulation:
         colors = self.colors
         iteration = run.iteration
         add_flow = self.net.add_flow
+        topology = self.topology
         for flow, paths in zip(plan.flows, plan.paths):
-            color = (colors[flow.key] if flow.src.rack != flow.dst.rack
-                     else None)
+            src, dst = flow.src, flow.dst
+            color = colors[flow.key] if src.rack != dst.rack else None
             path = paths.get(color)
             if path is None:
-                path = paths[color] = self._path_for(flow)
-            elif self.check_invariants and path != self._path_for(flow):
+                path = paths[color] = path_between(topology, src, dst, color)
+            elif self.check_invariants \
+                    and path != path_between(topology, src, dst, color):
                 raise AssertionError(
                     f"stale flow path {path} for flow {flow.key} on colour "
                     f"{color}")
             add_flow((flow.key, iteration), path, flow.size_bytes, flow)
         run.pending_flows = len(plan.flows)
         self._flows_dirty = True
-
-    def _path_for(self, flow: FlowDemand) -> tuple:
-        """The flow's links; a cross-rack flow takes its colour's."""
-        color = (self.colors[flow.key] if flow.src.rack != flow.dst.rack
-                 else 0)
-        return tuple(path_between(self.topology, flow.src, flow.dst, color))
 
     def _on_flow_done(self, key) -> None:
         flow = self.net.flows.get(key)
@@ -422,8 +418,9 @@ class Simulation:
         batch.transfers = transfers
         self._reassign_routing()
         for flow in transfers:
-            self.net.add_flow(flow.key, self._path_for(flow), flow.size_bytes,
-                              flow)
+            self.net.add_flow(flow.key, path_between(
+                self.topology, flow.src, flow.dst, self.colors[flow.key]),
+                flow.size_bytes, flow)
         batch.pending_transfers = len(transfers)
         self._flows_dirty = True
 
@@ -491,7 +488,8 @@ class Simulation:
             flow = live.tag
             if flow.src.rack == flow.dst.rack:
                 continue
-            path = self._path_for(flow)
+            path = path_between(self.topology, flow.src, flow.dst,
+                                self.colors[flow.key])
             if live.path != path:
                 self.net.set_path(live.key, path)
                 changed = True
@@ -563,7 +561,8 @@ class Simulation:
                 f"placed jobs {sorted(placement.jobs)} are not the running "
                 f"jobs {sorted(self.runs)}")
         queue = self.scheduler.queue
-        placed = [job.job_id for job in queue if job.job_id in placement]
+        placed = [job.job_id for job in queue
+                  if job.job_id in placement.jobs]
         if placed:
             raise AssertionError(f"queued jobs {placed} are placed")
         if self.batch is None and queue \

@@ -9,18 +9,12 @@ non-blocking. Intra-host traffic (NVLink) is not modeled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 
 # The routing colour of a flow split fluidly across every uplink of its
 # ToRs, as packet spraying does.
 SPRAY_COLOR = -1
-
-
-class Direction(Enum):
-    UP = "up"
-    DOWN = "down"
 
 
 @dataclass(frozen=True)
@@ -81,32 +75,16 @@ class ClusterTopology:
     # -- link index ----------------------------------------------------------
     #
     # Every capacity-constrained link direction has a dense int id, so the
-    # flow core can index plain lists. Ids 0 .. uplink_base - 1 are host
-    # NICs, two per GPU (up, down) in global NIC order. From uplink_base on,
-    # each rack owns uplinks_per_tor + 1 slots of two directions each: its
+    # flow core can index plain lists; ``path_between`` alone turns GPUs
+    # and colours into ids. Ids 0 .. uplink_base - 1 are host NICs, two
+    # per GPU (up, down) in global NIC order. From uplink_base on, each
+    # rack owns uplinks_per_tor + 1 slots of two directions each: its
     # physical uplinks, then the fluid spray aggregate of all of them.
 
     @property
     def uplink_base(self) -> int:
         """Id of the first ToR-side link; every id at or above it is one."""
         return 2 * self.total_gpus
-
-    def nic_link(self, gpu: GpuId, direction: Direction) -> int:
-        nic = (gpu.rack * self.hosts_per_rack + gpu.host) \
-            * self.gpus_per_host + gpu.slot
-        return 2 * nic + (direction is Direction.DOWN)
-
-    def uplink_link(self, rack: int, uplink: int,
-                    direction: Direction) -> int:
-        """Uplink ``uplink`` of the rack's ToR; ``SPRAY_COLOR`` names the
-        fluid aggregate of all of them."""
-        if uplink == SPRAY_COLOR:
-            uplink = self.uplinks_per_tor
-        elif not 0 <= uplink < self.uplinks_per_tor:
-            raise TopologyError(f"uplink index {uplink} out of range")
-        return self.uplink_base + 2 * (
-            rack * (self.uplinks_per_tor + 1) + uplink) \
-            + (direction is Direction.DOWN)
 
     @cached_property
     def link_capacities(self) -> list[float]:
@@ -117,29 +95,36 @@ class ClusterTopology:
 
 
 def path_between(topology: ClusterTopology, src: GpuId, dst: GpuId,
-                 uplink: int = 0) -> list[int]:
+                 uplink: int | None = 0) -> tuple[int, ...]:
     """Return the ids of the capacity-constrained links from src to dst.
 
     Every path crosses at least one link. Intra-host traffic is out of
     model, so two GPUs of one host (or one GPU twice) raise
     ``TopologyError``.
 
-    Same rack: src NIC up, dst NIC down.
+    Same rack: src NIC up, dst NIC down; ``uplink`` is not read.
     Cross rack: src NIC up, src-ToR uplink up, dst-ToR uplink down,
     dst NIC down. ``uplink``, the caller's routing colour, is the uplink
     taken at both ToRs, or their spray aggregate for ``SPRAY_COLOR``.
+    A NIC's id is 2 * nic + down, ``nic`` being the GPU's index in
+    ``topology.gpus``; a ToR link's is uplink_base + 2 * (rack *
+    (uplinks_per_tor + 1) + uplink) + down, the aggregate taking slot
+    uplinks_per_tor.
     """
-    if src.rack == dst.rack and src.host == dst.host:
-        raise TopologyError(f"{src} and {dst} share a host: intra-host "
-                            "traffic is out of model")
+    gph, hosts = topology.gpus_per_host, topology.hosts_per_rack
+    up = 2 * ((src.rack * hosts + src.host) * gph + src.slot)
+    down = 2 * ((dst.rack * hosts + dst.host) * gph + dst.slot) + 1
     if src.rack == dst.rack:
-        return [
-            topology.nic_link(src, Direction.UP),
-            topology.nic_link(dst, Direction.DOWN),
-        ]
-    return [
-        topology.nic_link(src, Direction.UP),
-        topology.uplink_link(src.rack, uplink, Direction.UP),
-        topology.uplink_link(dst.rack, uplink, Direction.DOWN),
-        topology.nic_link(dst, Direction.DOWN),
-    ]
+        if src.host == dst.host:
+            raise TopologyError(f"{src} and {dst} share a host: intra-host "
+                                "traffic is out of model")
+        return (up, down)
+    uplinks = topology.uplinks_per_tor
+    if uplink == SPRAY_COLOR:
+        uplink = uplinks
+    elif not 0 <= uplink < uplinks:
+        raise TopologyError(f"uplink index {uplink} out of range")
+    tor = topology.uplink_base + 2 * uplink
+    per_rack = 2 * (uplinks + 1)
+    return (up, tor + per_rack * src.rack, tor + per_rack * dst.rack + 1,
+            down)

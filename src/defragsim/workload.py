@@ -82,21 +82,14 @@ def default_dp_collective_bytes(template: ModelTemplate, tp_degree: int,
     return template.parameter_bytes / (tp_degree * pp_degree)
 
 
-def ideal_iteration_seconds(job: JobSpec, topology: ClusterTopology) -> float:
-    """Iteration time of the job running alone, best-packed, with every
-    flow at line rate. Used for load calibration and as the slowdown
-    denominator."""
-    return _ideal_iteration_seconds(
-        topology, job.compute_time, job.num_workers, job.dp_degree,
-        job.tp_degree, job.pp_degree, job.dp_collective_bytes, job.pp_bytes)
-
-
 def _ideal_iteration_seconds(topology: ClusterTopology, compute_time: float,
                              num_workers: int, dp_degree: int,
                              tp_degree: int, pp_degree: int,
                              dp_collective_bytes: float,
                              pp_bytes: float) -> float:
-    """``ideal_iteration_seconds`` from a job's fields."""
+    """Iteration time of a job running alone, best-packed, with every
+    flow at line rate, from the job's fields; trace generation
+    calibrates load with it."""
     hosts_needed = math.ceil(num_workers / topology.gpus_per_host)
     if hosts_needed <= 1:
         return compute_time
@@ -120,7 +113,11 @@ def _ideal_iteration_seconds(topology: ClusterTopology, compute_time: float,
 
 
 def ideal_duration(job: JobSpec, topology: ClusterTopology) -> float:
-    return job.iterations * ideal_iteration_seconds(job, topology)
+    """The job's runtime alone, ``iterations`` ideal iterations: the
+    slowdown denominator."""
+    return job.iterations * _ideal_iteration_seconds(
+        topology, job.compute_time, job.num_workers, job.dp_degree,
+        job.tp_degree, job.pp_degree, job.dp_collective_bytes, job.pp_bytes)
 
 
 DEFAULT_TEMPLATES: tuple[ModelTemplate, ...] = (

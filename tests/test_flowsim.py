@@ -401,10 +401,11 @@ def test_flow_on_unshared_links_is_solved_alone(monkeypatch):
     net.remove_flow("c")
     assert net.recompute() == []
     assert solved == searched == []
-    # removing "b" leaves "a" alone on dirty link 0: searched from there
+    # removing "b" leaves "a" alone on dirty link 0: searched from
+    # there, and the one-flow component is solved like any other
     net.remove_flow("b")
     net.recompute()
-    assert searched == [[0]] and solved == []
+    assert searched == [[0]] and solved == [[(0, 1)]]
     assert net.flows["a"].rate == 10.0
 
 

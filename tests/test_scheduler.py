@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defragsim.fragmentation import stage_rows
-from defragsim.scheduler import Placement, Scheduler, SchedulerError, plan_racks
+from defragsim.scheduler import (
+    Placement, Scheduler, SchedulerError, best_fit_host, plan_racks,
+)
 from defragsim.topology import ClusterTopology, GpuId
 from tests.test_workload import make_job
 
@@ -84,7 +86,19 @@ def test_queued_job_admitted_on_release():
     sched.place_job(make_job(job_id=2, workers=4, dp=4))
     admitted = sched.release_job(1)
     assert [j.job_id for j in admitted] == [2]
-    assert 2 in sched.placement
+    assert 2 in sched.placement.jobs
+
+
+@pytest.mark.parametrize("free, unit, host", [
+    ([4, 2, 3, 1], 2, 1),  # the fewest free slots that fit
+    ([1, 3, 2, 2], 2, 2),  # a tie goes to the lowest index
+    ([0, 3, 3], 3, 1),
+    ([1, 0, 1], 2, None),  # no host fits
+    ([], 1, None),
+], ids=["least free that fits", "tie to lowest index", "exact fit",
+        "none fits", "no host"])
+def test_best_fit_host(free, unit, host):
+    assert best_fit_host(free, unit) == host
 
 
 def test_fifo_no_backfill():
@@ -403,7 +417,7 @@ def test_failed_add_job_takes_no_slot(racks, message):
     job = make_job(job_id=7, workers=6, dp=6)
     with pytest.raises(SchedulerError, match=message):
         placement.add_job(job, racks)
-    assert 7 not in placement and 7 not in placement._workers
+    assert 7 not in placement.jobs and 7 not in placement._workers
     assert [placement.free_slots(r, 0) for r in range(2)] == [4, 3]
     placement.check_slots()
     placement.remove_job(1)

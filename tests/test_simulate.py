@@ -807,7 +807,8 @@ def test_waited_on_job_that_finishes_in_the_barrier_leaves_the_batch():
             if batch is not None:
                 seen.append(("done", self.now, run.job.job_id,
                              batch.transfers is None, waiting(self),
-                             list(batch.moves), run.job.job_id in placement,
+                             list(batch.moves),
+                             run.job.job_id in placement.jobs,
                              placement.free_slots(0, 0)))
 
         def _start_transfers_once_paused(self):

@@ -1,7 +1,7 @@
 import pytest
 
 from defragsim.topology import (
-    SPRAY_COLOR, ClusterTopology, Direction, GpuId, TopologyError,
+    SPRAY_COLOR, ClusterTopology, GpuId, TopologyError,
     path_between,
 )
 
@@ -41,15 +41,16 @@ def test_same_host_path_rejected():
 
 def test_same_rack_path_two_links():
     topo = ClusterTopology(2, 2, 8, 2, 400e9, 400e9)
-    src, dst = GpuId(0, 0, 0), GpuId(0, 1, 3)
-    path = path_between(topo, src, dst)
-    assert path == [topo.nic_link(src, Direction.UP),
-                    topo.nic_link(dst, Direction.DOWN)]
+    # GPU (0, 0, 0) is NIC 0, GPU (0, 1, 3) NIC 11: ids 2*nic + down
+    path = path_between(topo, GpuId(0, 0, 0), GpuId(0, 1, 3))
+    assert path == (0, 23)
     assert all(link < topo.uplink_base for link in path)
 
 
 def test_cross_rack_path_structure():
-    # Enumerate all cross-rack pairs in a 2-rack toy topology.
+    # Enumerate all cross-rack pairs in a 2-rack toy topology: NICs are
+    # 0-15, rack 0's ToR links 16-21 and rack 1's 22-27, uplink 1 up at
+    # rack 0 and down at rack 1.
     topo = ClusterTopology(2, 2, 2, 2, 400e9, 400e9)
     for src_host in range(2):
         for dst_host in range(2):
@@ -57,50 +58,69 @@ def test_cross_rack_path_structure():
                 for d in range(2):
                     src, dst = GpuId(0, src_host, s), GpuId(1, dst_host, d)
                     path = path_between(topo, src, dst, 1)
-                    assert path == [
-                        topo.nic_link(src, Direction.UP),
-                        topo.uplink_link(0, 1, Direction.UP),
-                        topo.uplink_link(1, 1, Direction.DOWN),
-                        topo.nic_link(dst, Direction.DOWN),
-                    ]
+                    assert path == (2 * (2 * src_host + s), 18, 25,
+                                    2 * (4 + 2 * dst_host + d) + 1)
 
 
 def test_spray_path_takes_the_tor_aggregates():
+    # 12 GPUs: NICs 0-23, then 6 ToR ids per rack, the last two of each
+    # rack (28-29, 34-35, 40-41) its spray aggregate
     topo = ClusterTopology(3, 2, 2, 2, 400.0, 50.0)
     src, dst = GpuId(0, 1, 0), GpuId(2, 0, 1)
     path = path_between(topo, src, dst, SPRAY_COLOR)
-    aggregate_base = topo.uplink_base + 2 * topo.uplinks_per_tor
-    per_rack = 2 * (topo.uplinks_per_tor + 1)
-    assert path == [
-        topo.nic_link(src, Direction.UP),
-        aggregate_base,  # rack 0, up
-        aggregate_base + 2 * per_rack + 1,  # rack 2, down
-        topo.nic_link(dst, Direction.DOWN),
-    ]
+    assert path == (4, 28, 41, 19)
     # each aggregate carries both uplinks' capacity
     assert [topo.link_capacities[l] for l in path] == [400.0, 100.0,
                                                        100.0, 400.0]
     # a same-rack path ignores the colour
-    assert path_between(topo, src, GpuId(0, 0, 0), SPRAY_COLOR) == [
-        topo.nic_link(src, Direction.UP),
-        topo.nic_link(GpuId(0, 0, 0), Direction.DOWN)]
+    assert path_between(topo, src, GpuId(0, 0, 0), SPRAY_COLOR) == (4, 1)
 
 
 def test_link_ids_dense_and_capacities():
-    topo = ClusterTopology(3, 2, 4, 2, 100.0, 50.0)
-    nics = [topo.nic_link(GpuId(r, h, g), d)
-            for r in range(3) for h in range(2) for g in range(4)
-            for d in Direction]
-    tor = [topo.uplink_link(r, u, d) for r in range(3) for u in range(2)
-           for d in Direction]
-    spray = [topo.uplink_link(r, SPRAY_COLOR, d) for r in range(3)
-             for d in Direction]
+    # 2 racks x 1 host x 2 GPUs, 2 uplinks: NICs 0-7, rack 0's uplinks
+    # 8-11 and its spray pair 12-13, rack 1's links 14-19
+    topo = ClusterTopology(2, 1, 2, 2, 100.0, 50.0)
+    gpu = topo.gpu
+    assert topo.uplink_base == 8
+    assert path_between(topo, gpu(0, 0, 0), gpu(1, 0, 1), 0) == (0, 8, 15, 7)
+    assert path_between(topo, gpu(0, 0, 1), gpu(1, 0, 0), 1) \
+        == (2, 10, 17, 5)
+    assert path_between(topo, gpu(1, 0, 0), gpu(0, 0, 1), SPRAY_COLOR) \
+        == (4, 18, 13, 3)
+    assert topo.link_capacities \
+        == [100.0] * 8 + ([50.0] * 4 + [100.0] * 2) * 2
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 2, 2), (3, 2, 2, 3), (2, 3, 1, 1)])
+def test_paths_cover_every_link_with_its_capacity(shape):
+    """Over every GPU pair on different hosts and every colour, spray
+    included, the paths name every link id exactly as link_capacities
+    lays them out: a flow leaves on even ids and arrives on odd ones,
+    ids below uplink_base are NICs, and a spray pair carries all of its
+    ToR's uplinks."""
+    topo = ClusterTopology(*shape, 100.0, 30.0)
     caps = topo.link_capacities
-    assert sorted(nics + tor + spray) == list(range(len(caps)))
-    assert max(nics) < topo.uplink_base <= min(tor + spray)
-    assert {caps[l] for l in nics} == {100.0}
-    assert {caps[l] for l in tor} == {50.0}
-    assert {caps[l] for l in spray} == {100.0}  # both uplinks together
+    uplinks = topo.uplinks_per_tor
+    colors = [*range(uplinks), SPRAY_COLOR]
+    seen = set()
+    for src in topo.gpus:
+        for dst in topo.gpus:
+            if (src.rack, src.host) == (dst.rack, dst.host):
+                continue
+            for color in colors:
+                path = path_between(topo, src, dst, color)
+                assert type(path) is tuple
+                half = len(path) // 2
+                assert [link % 2 for link in path] == [0] * half + [1] * half
+                assert path[0] < topo.uplink_base and caps[path[0]] == 100.0
+                assert path[-1] < topo.uplink_base and caps[path[-1]] == 100.0
+                if src.rack != dst.rack:
+                    tor = 30.0 * uplinks if color == SPRAY_COLOR else 30.0
+                    assert topo.uplink_base <= min(path[1:3])
+                    assert [caps[path[1]], caps[path[2]]] == [tor, tor]
+                seen.update(path)
+    assert seen == set(range(len(caps)))
+    assert set(caps[:topo.uplink_base]) == {100.0}
 
 
 def test_uplink_out_of_range():
