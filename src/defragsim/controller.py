@@ -151,16 +151,17 @@ class DefragDecision:
     stats: SolverStats
 
 
-# Why a check that found a violation returned no plan.
-SKIP_REASONS = ("not_optimal", "infeasible", "budget", "timeout",
-                "resolution")
+# The reason each failure of a check's solve or packing is counted as.
 _FAILURE_REASON = {InfeasibleError: "infeasible",
                    MoveBudgetExceeded: "budget", SolverTimeout: "timeout",
                    ResolutionError: "resolution"}
+# Why a check that found a violation returned no plan.
+SKIP_REASONS = ("not_optimal", *_FAILURE_REASON.values())
 
 
 class DefragController:
-    """Plans migration batches whenever the placement changes.
+    """Plans a migration batch for the placement on each ``check``; the
+    simulator decides whether to call it.
 
     ``outcomes`` counts the checks that found a violation, by outcome:
     ``applied`` (a decision was returned) or one of ``SKIP_REASONS``:
@@ -169,11 +170,9 @@ class DefragController:
     onto hosts.
     """
 
-    def __init__(self, placement: Placement, config: ControllerConfig,
-                 enabled: bool = True):
+    def __init__(self, placement: Placement, config: ControllerConfig):
         self.placement = placement
         self.config = config
-        self.enabled = enabled
         self.threshold = (float(placement.topology.uplinks_per_tor)
                           if config.threshold is None else config.threshold)
         self.outcomes: Counter[str] = Counter(
@@ -189,8 +188,6 @@ class DefragController:
         """Return the migration batch restoring the threshold, if needed.
         ``stages``, the placement's current ``stage_rows``, saves
         building them again."""
-        if not self.enabled:
-            return None
         instance = build_instance(self.placement, self.threshold,
                                   stages=stages)
         if instance is None:
@@ -207,8 +204,7 @@ class DefragController:
                 self.outcomes["not_optimal"] += 1
                 return None
             moves = resolve_plan(self.placement, instance, plan)
-        except (InfeasibleError, MoveBudgetExceeded, ResolutionError,
-                SolverTimeout) as exc:
+        except tuple(_FAILURE_REASON) as exc:
             # No acceptable plan exists right now (or it cannot be
             # packed); leave the violation standing until churn helps.
             log.debug("defrag skipped: %s", exc)

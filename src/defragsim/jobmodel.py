@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .routing import FlowDemand
 from .topology import GpuId
@@ -82,6 +82,16 @@ def plan_iteration_flows(job: JobSpec,
     return flows
 
 
+class IterationPlan(NamedTuple):
+    """A job's iteration flows under its current placement, with what
+    launching them needs: built once per placement."""
+    flows: list[FlowDemand]
+    demands: list[FlowDemand]  # the cross-rack flows, which take a colour
+    labels: dict[tuple, str]  # flow key -> its repr, for the log
+    # per flow: colour (None for intra-rack) -> path, filled on launch
+    paths: list[dict]
+
+
 class JobPhase(enum.Enum):
     COMPUTE = "compute"
     COMM = "comm"
@@ -91,7 +101,8 @@ class JobPhase(enum.Enum):
 
 @dataclass
 class JobRun:
-    """Mutable execution state of one placed job."""
+    """Mutable execution state of one placed job, with its iteration
+    plan under the current placement once built."""
 
     job: JobSpec
     start_time: float
@@ -101,6 +112,7 @@ class JobRun:
     paused_at: float | None = None
     downtime: float = 0.0
     migrations: int = 0  # workers of this job moved by committed batches
+    plan: IterationPlan | None = None
 
     def finish_iteration(self, now: float, pause: bool = False) -> None:
         """Close out the comm phase: the job is done after its last

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import BinaryIO, NamedTuple
+from typing import BinaryIO
 
 from .controller import ControllerConfig, DefragController
 from .defrag import SolverStats
 from .flowsim import EventQueue, FlowNetwork
 from .fragmentation import StageRows, fragmentation_degree, stage_rows
 from .jobmodel import (
-    JobPhase, JobRun, MigrationBatch, REINIT_SECONDS,
+    IterationPlan, JobPhase, JobRun, MigrationBatch, REINIT_SECONDS,
     plan_iteration_flows, shard_bytes,
 )
 from .routing import STRATEGIES, FlowDemand, SglbRouting
@@ -98,16 +98,6 @@ class SimulationResult:
     controller_outcomes: dict[str, int]
 
 
-class IterationPlan(NamedTuple):
-    """A job's iteration flows under its current placement, with what
-    launching them needs: built once per placement."""
-    flows: list[FlowDemand]
-    demands: list[FlowDemand]  # the cross-rack flows, which take a colour
-    labels: dict[tuple, str]  # flow key -> its repr, for the log
-    # per flow: colour (None for intra-rack) -> path, filled on launch
-    paths: list[dict]
-
-
 class Simulation:
     """One simulation of ``trace`` on ``topology`` under ``algorithm``;
     ``run`` runs it once. ``check_invariants`` audits flow conservation,
@@ -119,7 +109,9 @@ class Simulation:
     timestamp the slot accounting, that the placed jobs are exactly the
     running ones and, with no batch in flight, that the queue's head
     does not fit; it changes no decision. ``event_log``, a binary file,
-    receives every line the event log hash is fed, in order."""
+    receives every line the event log hash is fed, in order.
+    ``defrag_on`` alone decides whether the controller is asked for a
+    batch; a job's iteration plan is its ``JobRun.plan``."""
 
     def __init__(self, topology: ClusterTopology, trace: Trace,
                  algorithm: str,
@@ -133,21 +125,18 @@ class Simulation:
         self.topology = topology
         self.trace = trace
         self.algorithm = algorithm
-        defrag_on, routing_name = parse_algorithm(algorithm)
+        self.defrag_on, routing_name = parse_algorithm(algorithm)
         self.routing = STRATEGIES[routing_name]()
         self.scheduler = Scheduler(topology)
+        # built for every algorithm: a routing-only run reports its zeros
         self.controller = DefragController(
             self.scheduler.placement,
             ControllerConfig(threshold=threshold,
                              solver_time_limit=solver_time_limit,
-                             max_moves=max_moves),
-            enabled=defrag_on)
+                             max_moves=max_moves))
         self.net = FlowNetwork(topology.link_capacities)
         self.queue = EventQueue()
         self.runs: dict[int, JobRun] = {}
-        # job id -> its plan under the current placement; dropped
-        # whenever its workers move or leave
-        self._plans: dict[int, IterationPlan] = {}
         self.colors: dict[tuple, int] = {}  # demand key -> routing colour
         # set once SGLB's rebalance has run on the current demands and
         # colors: running it again would move nothing; cleared when a job
@@ -166,6 +155,9 @@ class Simulation:
         self._event_log = event_log  # gets every hashed line, if set
         self.now = 0.0
         self._stamp: str | None = None  # repr(self.now), once needed
+        # what the current timestamp's handlers changed
+        self._flows_dirty = False
+        self._placement_dirty = False
 
     # -- event log -----------------------------------------------------------
 
@@ -206,10 +198,10 @@ class Simulation:
             while heap and heap[0][0] == t:
                 kind, arg = pop()[2]
                 handlers[kind](arg)
+            stages = None
             if self._placement_dirty:
                 # one build of the stage rows serves both readers
                 stages = stage_rows(self.scheduler.placement)
-                self._record_fragmentation(stages)
                 self._maybe_defrag(stages)
                 self._reassign_routing()
             if self._flows_dirty:
@@ -218,6 +210,9 @@ class Simulation:
                     # just placement changes
                     self._rebalance()
                 self._recompute_network()
+            if stages is not None:
+                # sampled under the rates in force from now on
+                self._record_fragmentation(stages)
             if self.check_invariants:
                 self._check_bookkeeping()
 
@@ -271,24 +266,23 @@ class Simulation:
         if not run.pending_flows:
             self._finish_iteration(run)
 
-    def _plan(self, job: JobSpec) -> IterationPlan:
+    def _plan(self, run: JobRun) -> IterationPlan:
         """The job's iteration plan, built once per placement."""
         locate = self.scheduler.placement.locate
-        plan = self._plans.get(job.job_id)
+        plan = run.plan
         if plan is None:
-            flows = plan_iteration_flows(job, locate)
-            plan = IterationPlan(
+            flows = plan_iteration_flows(run.job, locate)
+            plan = run.plan = IterationPlan(
                 flows, [f for f in flows if f.src.rack != f.dst.rack],
                 {f.key: repr(f.key) for f in flows}, [{} for _ in flows])
-            self._plans[job.job_id] = plan
         elif self.check_invariants \
-                and plan.flows != plan_iteration_flows(job, locate):
+                and plan.flows != plan_iteration_flows(run.job, locate):
             raise AssertionError(
-                f"stale iteration plan for job {job.job_id}")
+                f"stale iteration plan for job {run.job.job_id}")
         return plan
 
     def _launch_iteration_flows(self, run: JobRun) -> None:
-        plan = self._plan(run.job)
+        plan = self._plan(run)
         colors = self.colors
         iteration = run.iteration
         add_flow = self.net.add_flow
@@ -322,11 +316,9 @@ class Simulation:
             if not batch.pending_transfers:
                 self._commit_batch()
             return
-        job_id = owner[0]
+        run = self.runs[owner[0]]
         # the line str(key) would give, from the plan's cached repr
-        self._trace_event(
-            "flow", f"({self._plans[job_id].labels[owner]}, {key[1]})")
-        run = self.runs[job_id]
+        self._trace_event("flow", f"({run.plan.labels[owner]}, {key[1]})")
         run.pending_flows -= 1
         if not run.pending_flows:
             self._finish_iteration(run)
@@ -347,7 +339,6 @@ class Simulation:
         job = run.job
         self._trace_event("finish", job.job_id)
         del self.runs[job.job_id]
-        del self._plans[job.job_id]
         self._balanced = False
         self._records.append(JobRecord(
             job_id=job.job_id,
@@ -375,7 +366,7 @@ class Simulation:
     # -- defragmentation -----------------------------------------------------
 
     def _maybe_defrag(self, stages: StageRows) -> None:
-        if self.batch is not None:
+        if not self.defrag_on or self.batch is not None:
             return
         decision = self.controller.check(stages)
         if decision is None:
@@ -431,9 +422,9 @@ class Simulation:
             placement.unassign(mv.worker)
         for mv in batch.moves:
             placement.assign(mv.worker, mv.dst_rack, mv.dst_host)
-            self.runs[mv.worker[0]].migrations += 1
-        for job_id in batch.affected_jobs:
-            del self._plans[job_id]
+            run = self.runs[mv.worker[0]]
+            run.migrations += 1
+            run.plan = None
         batch.transfers = []
         # colors must match the new placement before any flow launched
         # later in this same timestamp looks them up
@@ -464,7 +455,7 @@ class Simulation:
         flows in job-id order, then the batch's transfers."""
         demands: list[FlowDemand] = []
         for job_id in sorted(self.runs):
-            demands.extend(self._plan(self.runs[job_id].job).demands)
+            demands.extend(self._plan(self.runs[job_id]).demands)
         if self.batch is not None and self.batch.transfers:
             demands.extend(self.batch.transfers)
         return demands
@@ -526,18 +517,12 @@ class Simulation:
         or below the uplink count this should never happen under edge
         coloring."""
         uplink_base = self.topology.uplink_base
-        seen: dict[int, tuple] = {}
-        for live in self.net.flows.values():
-            flow = live.tag
-            if flow.kind != "dp" or flow.src.rack == flow.dst.rack:
-                continue
-            for link in live.path:
-                if link < uplink_base:
-                    continue
-                if link in seen and seen[link] != live.key:
-                    self.isolation_violations += 1
-                else:
-                    seen[link] = live.key
+        uplinks = [link for live in self.net.flows.values()
+                   if live.tag.kind == "dp"
+                   for link in live.path if link >= uplink_base]
+        # a path names each link once, so each repeat is one more flow
+        # on an uplink another already takes
+        self.isolation_violations += len(uplinks) - len(set(uplinks))
 
     # -- network -----------------------------------------------------------------
 

@@ -46,7 +46,6 @@ class JobSpec:
     dp_degree: int
     tp_degree: int
     pp_degree: int
-    fsdp: bool
     iterations: int
     dp_collective_bytes: float  # per replica group per iteration
     pp_bytes: float  # per stage boundary per iteration
@@ -245,12 +244,13 @@ def _sample_job(rng: random.Random, cfg: TraceConfig,
             break
     pp = rng.choice(options)
     dp = workers // (tp * pp)
-    fsdp = template.allow_fsdp and (not template.allow_dp or rng.random() < 0.5)
+    if template.allow_dp and template.allow_fsdp:
+        rng.random()  # the DP-or-FSDP coin, unread; drawn to keep traces
     iterations = rng.randint(cfg.iterations_min, cfg.iterations_max)
     dp_bytes = default_dp_collective_bytes(template, tp, pp)
     pp_bytes = template.pp_boundary_bytes if pp >= 2 else 0.0
     fields = dict(job_id=job_id, template=template, num_workers=workers,
-                  dp_degree=dp, tp_degree=tp, pp_degree=pp, fsdp=fsdp,
+                  dp_degree=dp, tp_degree=tp, pp_degree=pp,
                   iterations=iterations, dp_collective_bytes=dp_bytes,
                   pp_bytes=pp_bytes)
     ideal = iterations * _ideal_iteration_seconds(

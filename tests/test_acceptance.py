@@ -10,10 +10,12 @@ import itertools
 import math
 import random
 import statistics
+from pathlib import Path
 
 import conftest
 import pytest
 
+from defragsim.config import load_config
 from defragsim.defrag import (
     InfeasibleError, SolverInstance, SolverJob, brute_force_min_moves, solve,
 )
@@ -27,21 +29,18 @@ from defragsim.workload import DEFAULT_TEMPLATES, TraceConfig, generate_trace
 from tests.test_defrag import random_instance
 from tests.test_flowsim import waterfill_oracle
 from tests.test_fragmentation import left_to_right
+from tests.test_simulate import SMALL_CFG, SMALL_TOPO
 from tests.test_workload import make_job
 
-# The desk-scale reproduction cluster: 256 GPUs, two uplinks per ToR.
-FIGURE_TOPO = ClusterTopology(8, 4, 8, 2, 400e9, 400e9)
-FIGURE_CFG = TraceConfig(templates=DEFAULT_TEMPLATES[:4], max_workers=16,
-                         pp_choices=(1,), size_choices=tuple(range(10, 17)),
-                         iterations_min=40, iterations_max=100)
-FIGURE_SEED = 2
-FIGURE_LOAD = 0.9
-FIGURE_JOBS = 101
-
-SMALL_TOPO = ClusterTopology(4, 2, 8, 2, 400e9, 400e9)
-SMALL_CFG = TraceConfig(templates=DEFAULT_TEMPLATES[:4], max_workers=8,
-                        pp_choices=(1,), size_choices=(5, 6, 7, 8),
-                        iterations_min=20, iterations_max=40)
+# The desk-scale reproduction cluster (256 GPUs, two uplinks per ToR) and
+# its trace, as the shipped figure config gives them.
+FIGURE = load_config(Path(__file__).resolve().parents[1] / "configs"
+                     / "figure.yaml")
+FIGURE_TOPO = FIGURE.topology.build()
+FIGURE_CFG = FIGURE.trace.trace_config()
+FIGURE_SEED = FIGURE.trace.base_seed
+FIGURE_LOAD = FIGURE.trace.loads[0]
+FIGURE_JOBS = FIGURE.trace.num_jobs
 
 
 def _report(num: int, label: str, passed: bool) -> None:
@@ -298,6 +297,16 @@ def test_figure_trace_event_log_hashes(figure_runs):
     hashes = {a: result.event_log_hash
               for a, (_, result) in figure_runs.items()}
     assert hashes == FIGURE_HASHES
+
+
+def test_series_samples_the_recomputed_rates(figure_runs):
+    """Each fragmentation sample reads the uplink utilisation under the
+    rates in force from its timestamp on: under ecmp, these two samples
+    read 0.5 when they were taken before the timestamp's recompute."""
+    _, result = figure_runs["ecmp"]
+    util = {t: u for t, _, _, u in result.frag_series}
+    assert util[1084.2985206500323] == 1.0
+    assert util[1645.3538858627444] == 1.0
 
 
 def test_criterion_07_slowdown_ordering(figure_runs):

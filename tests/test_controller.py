@@ -203,11 +203,6 @@ def test_controller_moves_whole_tp_units():
 
 
 def test_controller_disabled_and_infeasible_are_quiet():
-    placement = Placement(TOPO)
-    placement.add_job(make_job(job_id=1, workers=2, dp=2), [0, 1])
-    off = DefragController(placement, ControllerConfig(), enabled=False)
-    assert off.check() is None
-
     # fill the cluster so nothing can move, then demand the impossible
     small = ClusterTopology(2, 1, 2, 2, 400e9, 400e9)
     full = Placement(small)

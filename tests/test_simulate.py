@@ -12,7 +12,7 @@ import pytest
 
 from defragsim import controller, flowsim, fragmentation, simulate
 from defragsim.config import load_config
-from defragsim.controller import DefragDecision
+from defragsim.controller import SKIP_REASONS, DefragDecision
 from defragsim.defrag import SolverStats
 from defragsim.jobmodel import JobPhase, WorkerMove
 from defragsim.scheduler import plan_racks
@@ -28,10 +28,10 @@ from tests.test_workload import make_job
 
 REPO = Path(__file__).resolve().parents[1]
 QUICK_CONFIG = REPO / "configs" / "quick.yaml"
-SMALL_TOPO = ClusterTopology(4, 2, 8, 2, 400e9, 400e9)
-SMALL_CFG = TraceConfig(templates=DEFAULT_TEMPLATES[:4], max_workers=8,
-                        pp_choices=(1,), size_choices=(5, 6, 7, 8),
-                        iterations_min=20, iterations_max=40)
+# the shipped quick config's 64-GPU cluster and trace menu
+_QUICK = load_config(QUICK_CONFIG)
+SMALL_TOPO = _QUICK.topology.build()
+SMALL_CFG = _QUICK.trace.trace_config()
 
 
 def small_trace(seed=0, load=0.9, num_jobs=25):
@@ -225,7 +225,7 @@ def test_frag_series_shape(defrag_result):
     for t, max_degree, groups, util in defrag_result.frag_series:
         assert t >= 0.0
         assert max_degree >= 0 and groups >= 0
-        assert util >= 0.0
+        assert 0.0 <= util <= 1 + 1e-9
 
 
 def test_defrag_restores_threshold(defrag_result):
@@ -240,6 +240,27 @@ def test_disabled_defrag_never_migrates():
     assert not result.defrag_events
     assert all(r.migrations == 0 and r.downtime == 0.0
                for r in result.records)
+
+
+def test_routing_only_run_never_checks(monkeypatch):
+    """The simulator alone switches the controller: a routing-only run
+    never asks it for a batch, and reports every outcome as zero."""
+    checks = []
+    real_check = controller.DefragController.check
+
+    def spy(self, stages=None):
+        checks.append(stages)
+        return real_check(self, stages)
+
+    monkeypatch.setattr(controller.DefragController, "check", spy)
+    result = run_simulation(SMALL_TOPO, small_trace(seed=0), "perfect")
+    assert not checks
+    assert result.controller_outcomes == dict.fromkeys(
+        ("applied", *SKIP_REASONS), 0)
+    # the spy does see a defrag run's checks
+    run_simulation(SMALL_TOPO, small_trace(seed=0, num_jobs=8),
+                   "defrag-perfect", solver_time_limit=5.0)
+    assert checks
 
 
 def test_parse_algorithm_names():
@@ -500,9 +521,10 @@ def test_plan_cache_audit_catches_stale_plan(monkeypatch):
     real_commit = Simulation._commit_batch
 
     def commit_keeping_plans(self):
-        stale = dict(self._plans)
+        stale = {job_id: run.plan for job_id, run in self.runs.items()}
         real_commit(self)
-        self._plans.update(stale)
+        for job_id, plan in stale.items():
+            self.runs[job_id].plan = plan
 
     monkeypatch.setattr(Simulation, "_commit_batch", commit_keeping_plans)
     with pytest.raises(AssertionError, match="stale iteration plan"):
@@ -520,7 +542,7 @@ def test_path_memo_audit_catches_stale_path(monkeypatch):
         real_launch(self, run)
         if corrupted:
             return
-        for memo in self._plans[run.job.job_id].paths:
+        for memo in run.plan.paths:
             for color, path in memo.items():
                 if len(path) > 1:
                     memo[color] = path[::-1]

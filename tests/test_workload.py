@@ -22,8 +22,8 @@ FIGURE_CONFIG = (Path(__file__).resolve().parents[1] / "configs"
                  / "figure.yaml")
 # sha256 of every field of every job of the figure trace, one line per
 # job, the template by name and every other field by repr
-FIGURE_TRACE_SHA256 = ("49afb5e1d521651d46dd065972888d98"
-                       "03d75382274e594e1ff280f31356b36e")
+FIGURE_TRACE_SHA256 = ("ac58fad69957b0ecfcff9eb4ad32d42e"
+                       "c816e8a2e5c1e67e5e4ea0f265e5a6c6")
 
 
 def make_job(job_id=0, workers=8, dp=8, tp=1, pp=1, dp_bytes=1e9,
@@ -32,7 +32,7 @@ def make_job(job_id=0, workers=8, dp=8, tp=1, pp=1, dp_bytes=1e9,
                          allow_tp=True, allow_pp=True,
                          compute_seconds=1.0)
     return JobSpec(job_id=job_id, template=tmpl, num_workers=workers,
-                   dp_degree=dp, tp_degree=tp, pp_degree=pp, fsdp=False,
+                   dp_degree=dp, tp_degree=tp, pp_degree=pp,
                    iterations=iterations, dp_collective_bytes=dp_bytes,
                    pp_bytes=pp_bytes, arrival_time=arrival)
 
@@ -311,12 +311,14 @@ def _ref_sample_job(rng, cfg, topology, job_id):
             break
     pp = rng.choice(pp_options)
     dp = workers // (tp * pp)
-    fsdp = template.allow_fsdp and (not template.allow_dp or rng.random() < 0.5)
+    # the DP-or-FSDP coin, drawn as the generator drew it when a job
+    # field kept it
+    template.allow_fsdp and (not template.allow_dp or rng.random() < 0.5)
     iterations = rng.randint(cfg.iterations_min, cfg.iterations_max)
     dp_bytes = default_dp_collective_bytes(template, tp, pp)
     pp_bytes = template.pp_boundary_bytes if pp >= 2 else 0.0
     fields = dict(job_id=job_id, template=template, num_workers=workers,
-                  dp_degree=dp, tp_degree=tp, pp_degree=pp, fsdp=fsdp,
+                  dp_degree=dp, tp_degree=tp, pp_degree=pp,
                   iterations=iterations, dp_collective_bytes=dp_bytes,
                   pp_bytes=pp_bytes)
     ideal = iterations * _ideal_iteration_seconds(
