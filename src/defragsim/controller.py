@@ -151,7 +151,7 @@ class DefragDecision:
     stats: SolverStats
 
 
-# The reason each failure of a check's solve or packing is counted as.
+# The skip reason each failure of a check's solve or packing counts as.
 _FAILURE_REASON = {InfeasibleError: "infeasible",
                    MoveBudgetExceeded: "budget", SolverTimeout: "timeout",
                    ResolutionError: "resolution"}
