@@ -21,12 +21,16 @@ recompute then makes three plain passes over the live flows:
    each touched component is solved on its own. A fresh flow that every
    link of its path carries alone is its own component: it is rated
    where it is found, with no search, at its path's smallest capacity
-   (what a solve of that one flow returns), and its links count as
-   reached. A link left dirty that now carries no flow seeds nothing.
-   Every other component is found by a search over shared links and
-   goes to ``maxmin_rates`` in insertion order, so the bottleneck
-   tie-break sees the same relative link order as a solve of every live
-   flow. Either way the rates are bit-identical to a full solve.
+   (what a solve of that one flow returns), worked out once, when the
+   path is first checked. A link is marked dirty only if it still
+   carries a flow once a flow leaves it, so an emptied link is never
+   marked and removing a lone flow leaves nothing to walk; a dirty link
+   emptied later seeds nothing. A recompute with nothing fresh and
+   nothing dirty sets up no search at all. Every other component is
+   found by a search over shared links and goes to ``maxmin_rates`` in
+   insertion order, so the bottleneck tie-break sees the same relative
+   link order as a solve of every live flow. Either way the rates are
+   bit-identical to a full solve.
 3. ETAs. Every live flow's ETA is derived from its bits and rate with
    the same arithmetic, and only the flows whose ETA moved need a new
    event.
@@ -165,6 +169,7 @@ class Flow:
     path: tuple[int, ...]
     remaining_bits: float
     serial: int  # insertion order: solves and same-time events follow it
+    bottleneck: float  # the path's smallest capacity
     rate: float = 0.0
     eta: float = math.inf  # pending completion time; inf while none
     tag: object = None  # the owner's data, kept and never read here
@@ -176,20 +181,23 @@ _serial = attrgetter("serial")
 class FlowNetwork:
     """Tracks active flows and their max-min rates over simulated time.
 
-    ``capacities[link]`` is the capacity of int link id ``link``; flow
-    paths are tuples of those ids, each non-empty with no link twice.
-    The owner drives the clock: ``settle_to`` records a step that the
-    next ``recompute`` drains at the rates in force during it;
-    ``add_flow``, ``remove_flow`` and ``set_path`` (the only way to
-    change a live flow's path) mark the flows they place fresh and the
-    links they leave dirty. ``recompute`` makes three passes: it drains
-    every live flow; it re-solves the connected components of the flows
-    reached from a fresh flow or a dirty link, a fresh flow alone on
-    every link of its path rated where it is found, every other
-    component by ``maxmin_rates`` in insertion order; and it derives
-    every ETA, returning the flows whose ETA moved. An empty dirty link
-    is skipped. A flow's queued completion event is live while
-    ``flow.eta`` still equals its time.
+    ``capacities[link]`` is the capacity of int link id ``link``, fixed
+    for the network's life; flow paths are tuples of those ids, each
+    non-empty with no link twice. A path's smallest capacity is worked
+    out once, when the path is first checked, and each flow on it keeps
+    a copy as ``flow.bottleneck``. The owner drives the clock:
+    ``settle_to`` records a step that the next ``recompute`` drains at
+    the rates in force during it; ``add_flow``, ``remove_flow`` and
+    ``set_path`` (the only way to change a live flow's path) mark the
+    flows they place fresh and the links they leave dirty, an emptied
+    link never. ``recompute`` makes three passes: it drains every live
+    flow; it re-solves the connected components of the flows reached
+    from a fresh flow or a dirty link, a fresh flow alone on every link
+    of its path rated where it is found, every other component by
+    ``maxmin_rates`` in insertion order; and it derives every ETA,
+    returning the flows whose ETA moved. A dirty link emptied since it
+    was marked is skipped. A flow's queued completion event is live
+    while ``flow.eta`` still equals its time.
     """
 
     def __init__(self, capacities: Sequence[float]):
@@ -199,23 +207,26 @@ class FlowNetwork:
         self._serial = 0
         self._on_link: list[set[Flow]] = [set() for _ in capacities]
         self._links = frozenset(range(len(capacities)))
-        # path -> the very tuple that passed; an equal tuple of other
-        # ids (1.0 or True for 1) is checked afresh
-        self._valid: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._dirty: set[int] = set()  # links left since the last solve
+        # path -> (the very tuple that passed, its smallest capacity); an
+        # equal tuple of other ids (1.0 or True for 1) is checked afresh
+        self._valid: dict[tuple[int, ...], tuple[tuple[int, ...], float]] = {}
+        # links left since the last solve that still carry a flow
+        self._dirty: set[int] = set()
         self._fresh: list[Flow] = []  # flows added or re-pathed since then
         self._steps: list[float] = []  # clock steps not yet drained
 
-    def _check_path(self, path: tuple) -> None:
+    def _check_path(self, path: tuple) -> tuple[tuple[int, ...], float]:
         """ValueError unless ``path`` is non-empty, names each link once
         and every link exists as an int; a path that passes is
-        remembered."""
+        remembered with its smallest capacity, and both are returned."""
         if not path or any(type(link) is not int for link in path) \
                 or len(self._links.intersection(path)) != len(path):
             raise ValueError(
                 f"bad path {path!r}: a path names one or more of the "
                 f"{len(self._links)} int link ids, each at most once")
-        self._valid[path] = path
+        valid = self._valid[path] = (
+            path, min(map(self.capacities.__getitem__, path)))
+        return valid
 
     def add_flow(self, key: Hashable, path: Iterable[int],
                  size_bytes: float, tag: object = None) -> Flow:
@@ -225,12 +236,14 @@ class FlowNetwork:
         if key in self.flows:
             raise ValueError(f"duplicate flow key {key!r}")
         path = tuple(path)
-        if self._valid.get(path) is not path:
-            self._check_path(path)
+        valid = self._valid.get(path)
+        if valid is None or valid[0] is not path:
+            valid = self._check_path(path)
         if not 0.0 <= size_bytes < math.inf:
             raise ValueError(f"flow {key!r}: size {size_bytes!r} bytes is "
                              f"not finite and at least 0")
-        flow = Flow(key, path, size_bytes * 8.0, self._serial, tag=tag)
+        flow = Flow(key, path, size_bytes * 8.0, self._serial, valid[1],
+                    tag=tag)
         self._serial += 1
         self.flows[key] = flow
         on_link = self._on_link
@@ -240,11 +253,17 @@ class FlowNetwork:
         return flow
 
     def remove_flow(self, key: Hashable) -> Flow:
+        """Take flow ``key`` off the network and return it. Each link it
+        leaves is marked dirty only if it still carries a flow: an
+        emptied link holds no rate to re-solve."""
         flow = self.flows.pop(key)
         on_link = self._on_link
+        dirty = self._dirty
         for link in flow.path:
-            on_link[link].discard(flow)
-        self._dirty.update(flow.path)
+            others = on_link[link]
+            others.discard(flow)
+            if others:
+                dirty.add(link)
         return flow
 
     def set_path(self, key: Hashable, path: Iterable[int]) -> None:
@@ -252,13 +271,18 @@ class FlowNetwork:
         the flow left on its old one."""
         flow = self.flows[key]
         path = tuple(path)
-        if self._valid.get(path) is not path:
-            self._check_path(path)
+        valid = self._valid.get(path)
+        if valid is None or valid[0] is not path:
+            valid = self._check_path(path)
         on_link = self._on_link
+        dirty = self._dirty
         for link in flow.path:
-            on_link[link].discard(flow)
-        self._dirty.update(flow.path)
+            others = on_link[link]
+            others.discard(flow)
+            if others:
+                dirty.add(link)
         flow.path = path
+        flow.bottleneck = valid[1]
         for link in path:
             on_link[link].add(flow)
         self._fresh.append(flow)
@@ -277,16 +301,21 @@ class FlowNetwork:
         """Rate the fresh flows that every link of their path carries
         alone, and return the other connected components of the live
         flows linked to a fresh flow or a dirty link, each to be solved;
-        clears both marks. A lone fresh flow gets its path's smallest
-        capacity with no search, and its links count as reached; an
-        emptied dirty link is skipped. Otherwise one search per seed not
+        clears both marks. With neither mark there is nothing to do. A
+        lone fresh flow gets its path's smallest capacity, kept since
+        the path was checked, with no search; its links count as reached
+        when some link is dirty (no search can reach a link one flow
+        holds alone, so only a dirty seed could). A dirty link emptied
+        since it was marked is skipped. Otherwise one search per seed not
         reached by an earlier one, so no two components share a link."""
+        fresh, dirty = self._fresh, self._dirty
+        if not fresh and not dirty:
+            return []
         on_link = self._on_link
-        capacity = self.capacities.__getitem__
         found: set[Flow] = set()
         seen: set[int] = set()
         components = []
-        for flow in self._fresh:
+        for flow in fresh:
             path = flow.path
             # a live flow is on its path's links; a removed one is on none
             if flow in found or flow not in on_link[path[0]]:
@@ -298,16 +327,17 @@ class FlowNetwork:
                         self._component([flow], list(path), found, seen))
                     break
             else:
-                # alone on links now seen, so no search reaches it
-                seen.update(path)
-                flow.rate = min(map(capacity, path))
-        for link in self._dirty:
+                # alone on its links, so only a dirty seed could reach it
+                if dirty:
+                    seen.update(path)
+                flow.rate = flow.bottleneck
+        for link in dirty:
             # a flow found above has all its links seen, so a link that
             # is unseen and not empty seeds a new, non-empty component
             if link not in seen and on_link[link]:
                 components.append(self._component([], [link], found, seen))
-        self._dirty.clear()
-        self._fresh.clear()
+        dirty.clear()
+        fresh.clear()
         return components
 
     def _component(self, component: list[Flow], todo: list[int],

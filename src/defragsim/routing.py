@@ -161,19 +161,6 @@ def edge_color(edges: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     return colors, delta
 
 
-def check_proper_coloring(edges: Sequence[tuple[int, int]],
-                          colors: Sequence[int]) -> bool:
-    """Independent properness check: no color repeats at any vertex."""
-    seen_left: set[tuple[int, int]] = set()
-    seen_right: set[tuple[int, int]] = set()
-    for (u, v), c in zip(edges, colors):
-        if (u, c) in seen_left or (v, c) in seen_right:
-            return False
-        seen_left.add((u, c))
-        seen_right.add((v, c))
-    return True
-
-
 # -- strategies ------------------------------------------------------------
 
 

@@ -254,8 +254,8 @@ class Simulation:
 
     def _schedule_compute(self, run: JobRun) -> None:
         assert run.phase is JobPhase.COMPUTE
-        self.queue.push(self.now + run.job.compute_time, RANK_COMPUTE,
-                        ("compute", run.job.job_id))
+        self.queue.push(self.now + run.job.template.compute_seconds,
+                        RANK_COMPUTE, ("compute", run.job.job_id))
 
     def _on_compute_done(self, job_id: int) -> None:
         # never stale: a job pauses, moves or leaves only between

@@ -55,10 +55,6 @@ class JobSpec:
         if self.num_workers != self.dp_degree * self.tp_degree * self.pp_degree:
             raise ValueError("num_workers must equal dp * tp * pp")
 
-    @property
-    def compute_time(self) -> float:
-        return self.template.compute_seconds
-
     def worker_index(self, pp: int, dp: int, tp: int) -> int:
         return (pp * self.dp_degree + dp) * self.tp_degree + tp
 
@@ -115,8 +111,9 @@ def ideal_duration(job: JobSpec, topology: ClusterTopology) -> float:
     """The job's runtime alone, ``iterations`` ideal iterations: the
     slowdown denominator."""
     return job.iterations * _ideal_iteration_seconds(
-        topology, job.compute_time, job.num_workers, job.dp_degree,
-        job.tp_degree, job.pp_degree, job.dp_collective_bytes, job.pp_bytes)
+        topology, job.template.compute_seconds, job.num_workers,
+        job.dp_degree, job.tp_degree, job.pp_degree, job.dp_collective_bytes,
+        job.pp_bytes)
 
 
 DEFAULT_TEMPLATES: tuple[ModelTemplate, ...] = (

@@ -397,7 +397,7 @@ def test_flow_on_unshared_links_is_solved_alone(monkeypatch):
     # "a" and "b" keep their rates and their (exactly re-derived) ETAs
     assert {key: net.flows[key].rate for key in rates} == rates
     assert [(key, serial) for _, key, serial in completions] == [("c", 2)]
-    # removing "c" leaves links 2 and 3 dirty but empty: nothing to search
+    # removing "c" marks no link dirty: nothing to search
     net.remove_flow("c")
     assert net.recompute() == []
     assert solved == searched == []
@@ -434,6 +434,53 @@ def test_lone_flow_on_links_a_removal_left_dirty_is_solved_once(
     assert net.flows["d"].rate == 4.0
     monkeypatch.undo()  # the rate audit makes a real solve
     net.check_rates()
+
+
+def test_removing_a_lone_flow_leaves_nothing_to_walk(monkeypatch):
+    """A link emptied by a removal is never marked dirty, so the next
+    recompute neither searches nor solves."""
+    net = FlowNetwork([10.0, 10.0, 4.0])
+    net.add_flow("a", (0,), size_bytes=10.0)
+    net.add_flow("c", (1, 2), size_bytes=10.0)
+    net.recompute()
+    net.settle_to(1.0)
+    calls = []
+    real_solve = flowsim.maxmin_rates
+    real_component = FlowNetwork._component
+
+    def spy(paths, capacities):
+        calls.append("maxmin_rates")
+        return real_solve(paths, capacities)
+
+    def spy_component(self, component, todo, found, seen):
+        calls.append("_component")
+        return real_component(self, component, todo, found, seen)
+
+    monkeypatch.setattr(flowsim, "maxmin_rates", spy)
+    monkeypatch.setattr(FlowNetwork, "_component", spy_component)
+    net.remove_flow("c")
+    assert net._dirty == set()
+    assert net.recompute() == []
+    assert calls == []
+    assert net.flows["a"].rate == 10.0
+
+
+@pytest.mark.parametrize("leave", [
+    lambda net: net.remove_flow("a"),
+    lambda net: net.set_path("a", (2,)),
+], ids=["remove_flow", "set_path"])
+def test_leaving_a_shared_link_marks_that_link_alone(leave):
+    """"a" leaves link 0, which "b" still carries, and link 1, which it
+    held alone: only link 0 is marked dirty."""
+    net = FlowNetwork([10.0, 10.0, 10.0])
+    net.add_flow("a", (0, 1), size_bytes=10.0)
+    net.add_flow("b", (0,), size_bytes=10.0)
+    net.recompute()
+    leave(net)
+    assert net._dirty == {0}
+    net.recompute()
+    net.check_rates()
+    assert net.flows["b"].rate == 10.0
 
 
 class FullRecomputeNetwork:
@@ -547,6 +594,10 @@ def _adds(*paths):
 # a flow added while two steps are pending drains neither
 @example(([1.0, 1.0], [(_adds((0,), (0,), (0,)), [0.25, 0.5]),
                        (_adds((1,)), [None])]))
+# a lone flow moved from a capacity-4 link onto a capacity-1 link takes
+# its new path's smallest capacity, not the one kept from its old path
+@example(([4.0, 1.0], [(_adds((0,)), [0.25]),
+                       ([("set_path", 0, (1,))], [None])]))
 def test_incremental_recompute_matches_full_in_lockstep(instance):
     caps, steps = instance
     net, ref = FlowNetwork(caps), FullRecomputeNetwork(caps)

@@ -5,10 +5,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from defragsim.routing import (
-    STRATEGIES, FlowDemand, check_proper_coloring, edge_color,
-    hopcroft_karp, stable_hash,
+    STRATEGIES, FlowDemand, edge_color, hopcroft_karp, stable_hash,
 )
 from defragsim.topology import SPRAY_COLOR, GpuId
+
+
+def check_proper_coloring(edges, colors):
+    """Independent properness check: no color repeats at any vertex."""
+    seen_left = set()
+    seen_right = set()
+    for (u, v), c in zip(edges, colors):
+        if (u, c) in seen_left or (v, c) in seen_right:
+            return False
+        seen_left.add((u, c))
+        seen_right.add((v, c))
+    return True
 
 
 def test_hopcroft_karp_perfect_matching():
