@@ -29,9 +29,9 @@ A candidate row at k unit-moves is a removal of k units from the job's
 initial row plus an addition of k units elsewhere. Each node's work is
 kept small by what is built once: per depth (all in one walk), a table
 of the racks holding unplaced fragmented jobs, from which the node bound
-is one pass and a sort of the racks in excess; per search, the removals of
-each (job, k); per node, the racks a fragmented row may not touch and
-each rack's room. An addition never overflows a rack's room, so
+is one pass, and a sort only when two racks or more are in excess; per
+search, the removals of each (job, k); per node, the racks a fragmented
+row may not touch and each rack's room. An addition never overflows a rack's room, so
 capacity is checked once per removal, and the splitter leaves out the
 units a hot rack would take, so no row is built that the ring check
 rejects. Additions are generated one at a time as the search asks for
@@ -42,16 +42,17 @@ that bound and the k moves reach the best plan's cost, before building
 a row at that k. Each candidate row is bounded in its parent before
 the search descends: that bound reads only the ring loads, so a node
 computes it once per fragmented support (the racks a split row
-touches), and a row it prunes is never applied. The root and every
-candidate row built is one node; depth 0's table is all a solve builds
-when the incumbent already meets the floor.
+touches, as a bitmask), and a row it prunes is never applied. The root
+and every candidate row built is one node. The root's floor is worked
+out from the racks in excess alone, before any search is built, so a
+solve whose incumbent meets it builds no search at all.
 
 Jobs are placed in atomic units of ``unit_size`` workers (the TP group,
 which never splits across hosts); pure DP jobs have unit_size 1. A
 fragmented job contributes ``ring_weight`` (its TP degree) to every rack
-it spans; ``ring_loads`` is the one computation of that per-rack load,
-used by the solver and summed once per placement change by
-``fragmentation.stage_rows`` for the metric and the controller.
+it spans; ``ring_loads`` gives that per-rack load.
+``fragmentation.stage_rows`` sums it once per placement change, in the
+pass that tests each row, for the metric and the controller.
 """
 
 from __future__ import annotations
@@ -118,17 +119,6 @@ class SolverInstance:
             if sum(row) != job.units:
                 raise ValueError(f"job {job.key}: initial row does not sum "
                                  f"to its unit count")
-
-    @classmethod
-    def uniform(cls, capacity: int, threshold: float,
-                jobs: Sequence[SolverJob],
-                initial: Sequence[Sequence[int]]) -> "SolverInstance":
-        num_racks = len(initial[0]) if initial else 0
-        return cls(num_racks=num_racks,
-                   capacities=tuple([capacity] * num_racks),
-                   threshold=threshold,
-                   jobs=tuple(jobs),
-                   initial=tuple(tuple(row) for row in initial))
 
 
 @dataclass(frozen=True)
@@ -237,12 +227,14 @@ def _additions(k: int, sources: set[int], kept: Sequence[int],
     on it. Otherwise hot racks take no units, unless the addition is
     the whole row (k is all the job's units) and puts it on one of
     them."""
-    if not any(hot[t] for t in kept):
-        targets = [t for t, limit in enumerate(limits)
-                   if limit > 0 and t not in sources]
-        yield from _splits(k, targets, limits, hot, not kept)
-    elif len(kept) == 1 and kept[0] not in sources:
-        yield from _splits(k, kept, limits)
+    for t in kept:
+        if hot[t]:
+            if len(kept) == 1 and t not in sources:
+                yield from _splits(k, kept, limits)
+            return
+    targets = [t for t, limit in enumerate(limits)
+               if limit > 0 and t not in sources]
+    yield from _splits(k, targets, limits, hot, not kept)
 
 
 # -- repair incumbent ----------------------------------------------------
@@ -255,57 +247,28 @@ def _repair_incumbent(instance: SolverInstance
     that rack into the job's other racks (never adds ring load anywhere)
     or consolidate the whole job onto a single rack. Usually lands within
     a few unit moves of the optimum, giving the search a tight bound.
-    The ring loads are summed once, then a fix moves only the fixed
-    job's share."""
+    One walk sums the free slots and the ring loads, then a fix moves
+    only the fixed job's share."""
     jobs = instance.jobs
     num_racks = instance.num_racks
     threshold = instance.threshold
     placement = [list(row) for row in instance.initial]
     free = list(instance.capacities)
+    loads = list(instance.base_load)
     for job, row in zip(jobs, placement):
+        unit = job.unit_size
+        weight = job.ring_weight if is_fragmented(row) else 0
         for t, v in enumerate(row):
             if v:
-                free[t] -= job.unit_size * v
-    loads = ring_loads(jobs, placement, instance.base_load)
-
-    def shift_load(i: int, sign: int) -> None:
-        row = placement[i]
-        if is_fragmented(row):
-            weight = sign * jobs[i].ring_weight
-            for t, v in enumerate(row):
-                if v:
-                    loads[t] += weight
-
-    def vacate(i: int, t: int) -> None:
-        job = jobs[i]
-        move = placement[i][t]
-        placement[i][t] = 0
-        free[t] += move * job.unit_size
-        others = sorted((u for u in range(num_racks)
-                         if u != t and placement[i][u] > 0),
-                        key=lambda u: (-free[u], u))
-        for u in others:
-            take = min(move, free[u] // job.unit_size)
-            placement[i][u] += take
-            free[u] -= take * job.unit_size
-            move -= take
-            if move == 0:
-                return
-        raise AssertionError("vacate target capacity vanished")
-
-    def consolidate(i: int, u: int) -> None:
-        job = jobs[i]
-        for t, v in enumerate(placement[i]):
-            free[t] += job.unit_size * v
-        placement[i] = [0] * num_racks
-        placement[i][u] = job.units
-        free[u] -= job.workers
+                free[t] -= unit * v
+                loads[t] += weight
 
     for _ in range(4 * len(jobs) + 4):
-        t = next((t for t, load in enumerate(loads) if load > threshold),
-                 None)
-        if t is None:
-            if any(f < 0 for f in free):
+        for t, load in enumerate(loads):
+            if load > threshold:
+                break
+        else:
+            if min(free, default=0) < 0:
                 return None
             return [tuple(row) for row in placement]
         best: tuple[int, int, str] | None = None  # i, arg, kind
@@ -329,12 +292,37 @@ def _repair_incumbent(instance: SolverInstance
         if best is None:
             return None
         i, arg, kind = best
-        shift_load(i, -1)
+        job = jobs[i]
+        unit, weight = job.unit_size, job.ring_weight
+        row = placement[i]
+        for u, v in enumerate(row):  # the fixed row is fragmented
+            if v:
+                loads[u] -= weight
         if kind == "vacate":
-            vacate(i, arg)
-        else:
-            consolidate(i, arg)
-        shift_load(i, 1)
+            # into the job's other racks, the freest first
+            move = row[arg]
+            row[arg] = 0
+            free[arg] += move * unit
+            for u in sorted([u for u, v in enumerate(row) if v],
+                            key=lambda u: (-free[u], u)):
+                take = min(move, free[u] // unit)
+                row[u] += take
+                free[u] -= take * unit
+                move -= take
+                if move == 0:
+                    break
+            else:
+                raise AssertionError("vacate target capacity vanished")
+        else:  # consolidate onto rack arg
+            for u, v in enumerate(row):
+                free[u] += unit * v
+            row = placement[i] = [0] * num_racks
+            row[arg] = job.units
+            free[arg] -= job.units * unit
+        if is_fragmented(row):
+            for u, v in enumerate(row):
+                if v:
+                    loads[u] += weight
     return None
 
 
@@ -345,6 +333,42 @@ def _violating_racks(instance, placement) -> set[int]:
 
 
 # -- exact branch and bound ---------------------------------------------
+
+
+def _root_floor(instance: SolverInstance) -> int:
+    """The largest root ``_Search._rack_bounds`` cost: over the racks the
+    initial rows put over threshold, the most the jobs on one rack must
+    pay in their cheapest own changes. It reads only the racks in
+    excess, so a solve its incumbent meets builds no search."""
+    threshold = instance.threshold
+    loads = list(instance.base_load)
+    split = []
+    for job, row in zip(instance.jobs, instance.initial):
+        if is_fragmented(row):
+            split.append((job, row))
+            weight = job.ring_weight
+            for t, v in enumerate(row):
+                if v:
+                    loads[t] += weight
+    floor = 0
+    for t, load in enumerate(loads):
+        if load <= threshold:
+            continue
+        costs = []
+        max_weight = 0
+        for job, row in split:
+            v = row[t]
+            if v:
+                # the cheaper own change, as in _Search._bound_tables
+                units = job.units
+                costs.append(job.unit_size
+                             * (v if 2 * v <= units else units - v))
+                max_weight = max(max_weight, job.ring_weight)
+        if costs:
+            costs.sort()
+            cost = sum(costs[:math.ceil((load - threshold) / max_weight)])
+            floor = max(floor, cost)
+    return floor
 
 
 class _Search:
@@ -360,9 +384,10 @@ class _Search:
     disjoint-rack sum, all from one walk; per (job, k), the list of ways
     to remove k units from the job's initial row; and per node, the
     racks where one more fragmented row would break the threshold, each
-    rack's room, and the bound of a child per fragmented support. Only
-    depth 0's table exists until ``run`` starts a search, so a solve the
-    incumbent settles builds no more. The candidate rows are generated
+    rack's room, and the bound of a child per fragmented support, keyed
+    by the support's rack bitmask. No table exists until ``run`` starts a
+    search; ``solve`` builds no search at all when the incumbent meets
+    the root floor (``_root_floor``). The candidate rows are generated
     lazily, already through the capacity and ring checks, and each is
     bounded in its parent before the search descends into it. ``nodes``
     counts the root and every candidate row built, pruned or entered;
@@ -380,16 +405,18 @@ class _Search:
             range(len(instance.jobs)),
             key=lambda i: (not is_fragmented(instance.initial[i]),
                            -instance.jobs[i].workers, i))
-        self.bound_tables = self._bound_tables(1)
+        # built by ``run`` once a search starts
+        self.bound_tables: list[list[tuple]] = []
         # (job, k) -> [(row0 less k removed units, racks they left,
-        # racks still holding units)]
+        # racks still holding units, and those as a bitmask)]
         self.removal_cache: dict[
             tuple[int, int],
-            list[tuple[tuple[int, ...], set[int], tuple[int, ...]]]] = {}
+            list[tuple[tuple[int, ...], set[int], tuple[int, ...], int]]
+        ] = {}
 
-    def _bound_tables(self, depths: int
+    def _bound_tables(self
                       ) -> list[list[tuple[int, int, int, list[int], int]]]:
-        """The tables ``_rack_bounds`` reads at depths below ``depths``.
+        """The table ``_rack_bounds`` reads at each depth, leaves included.
 
         A depth's table holds one (rack, ring load of the unplaced jobs
         kept at their initial rows, heaviest ring weight, prefix sums of
@@ -397,9 +424,8 @@ class _Search:
         fragmented jobs there) per rack that holds an unplaced fragmented
         job. A rack without an entry has no excess, since the placed
         load never passes the threshold. One walk adds the jobs from the
-        deepest up, updating the rack totals in place, so the tables
-        asked for come last; a table rebuilds only the entries the jobs
-        since the one below it touched."""
+        deepest up, updating the rack totals in place; a table rebuilds
+        only the entries the jobs since the one below it touched."""
         instance = self.instance
         num_racks = instance.num_racks
         loads = [0] * num_racks
@@ -409,7 +435,7 @@ class _Search:
         entries: list[tuple | None] = [None] * num_racks
         changed: set[int] = set()
         table: list[tuple] = []  # at the leaves nothing is unplaced
-        tables = [table] if len(self.order) < depths else []
+        tables = [table]
         for depth in range(len(self.order) - 1, -1, -1):
             i = self.order[depth]
             row = instance.initial[i]
@@ -427,20 +453,19 @@ class _Search:
                             unit * (v if 2 * v <= units else units - v))
                         masks[t] |= bit
                         changed.add(t)
-            if depth < depths:
-                if changed:
-                    for t in changed:
-                        costs[t].sort()
-                        entries[t] = (t, loads[t], weights[t], list(
-                            itertools.accumulate(costs[t], initial=0)),
-                            masks[t])
-                    changed.clear()
-                    table = [entry for entry in entries if entry]
-                tables.append(table)
+            if changed:
+                for t in changed:
+                    costs[t].sort()
+                    entries[t] = (t, loads[t], weights[t], list(
+                        itertools.accumulate(costs[t], initial=0)),
+                        masks[t])
+                changed.clear()
+                table = [entry for entry in entries if entry]
+            tables.append(table)
         tables.reverse()
         return tables
 
-    def run(self, incumbent: list[tuple[int, ...]] | None,
+    def run(self, incumbent: list[tuple[int, ...]] | None, floor: int,
             cap: int | None = None) -> None:
         """Anytime branch-and-bound: depth-first over jobs, rows tried in
         increasing per-job move count, every branch pruned against
@@ -452,7 +477,7 @@ class _Search:
         exists" is proven fast.
 
         The search stops as soon as the best plan costs at most
-        ``floor``, set here to the root's per-rack max, not the
+        ``floor``, the root's per-rack max (``_root_floor``), not the
         tighter disjoint-rack sum that interior nodes prune with. An
         admissible prune cuts only subtrees with no leaf cheaper than
         the best plan, so the leaves accepted, and with them the plan,
@@ -461,7 +486,7 @@ class _Search:
         that ran on would accept the last leaf of equal cost. The max
         keeps the plans the search has always returned.
 
-        The deeper bound tables are built only once the search starts."""
+        The bound tables are built only once the search starts."""
         instance = self.instance
         self.best = None
         self.bound = 1 + (sum(job.workers for job in instance.jobs)
@@ -470,14 +495,13 @@ class _Search:
             cost = worker_moves(instance, incumbent)
             if cost < self.bound:
                 self.best, self.bound = incumbent, cost
-        frag = list(instance.base_load)
-        self.floor = max((cost for cost, _ in self._rack_bounds(0, frag)),
-                         default=0)
-        if self.bound <= self.floor:
+        self.floor = floor
+        if self.bound <= floor:
             return  # no plan costs less than the incumbent or the cap
-        self.bound_tables = self._bound_tables(len(self.order) + 1)
+        self.bound_tables = self._bound_tables()
         assignment: list[tuple[int, ...] | None] = [None] * len(
             instance.jobs)
+        frag = list(instance.base_load)
         self.nodes += 1  # the root; node 1 never reads the clock
         if self._remaining_lb(0, frag) < self.bound:
             self._dfs(0, 0, list(instance.capacities), frag, assignment)
@@ -509,8 +533,13 @@ class _Search:
         rack it spans. Racks whose job masks are disjoint cannot: each
         pays for its own jobs. So the racks are taken in decreasing
         cost (then mask), and each one whose jobs meet none of those
-        already taken adds its cost."""
-        racks = sorted(self._rack_bounds(depth, frag), reverse=True)
+        already taken adds its cost. With fewer than two racks in
+        excess there is nothing to sort: the bound is that rack's cost,
+        or 0."""
+        racks = self._rack_bounds(depth, frag)
+        if len(racks) < 2:
+            return racks[0][0] if racks else 0
+        racks.sort(reverse=True)
         total = taken = 0
         for cost, mask in racks:
             if not mask & taken:
@@ -519,11 +548,12 @@ class _Search:
         return total
 
     def _removals(self, job_idx: int, k: int
-                  ) -> list[tuple[tuple[int, ...], set[int], tuple[int, ...]]]:
+                  ) -> list[tuple[tuple[int, ...], set[int],
+                                  tuple[int, ...], int]]:
         """Every way to take k units off the job's initial row, as the
-        row left behind, the racks the units left and the racks still
-        holding units; built once per search. A rack never gives more
-        than it holds."""
+        row left behind, the racks the units left, and the racks still
+        holding units as a tuple and as a bitmask; built once per
+        search. A rack never gives more than it holds."""
         key = (job_idx, k)
         cached = self.removal_cache.get(key)
         if cached is None:
@@ -534,8 +564,12 @@ class _Search:
                 removed = list(row0)
                 for t, cnt in removal:
                     removed[t] -= cnt
+                kept = tuple([t for t in support if removed[t]])
+                bits = 0
+                for t in kept:
+                    bits |= 1 << t
                 cached.append((tuple(removed), {t for t, _ in removal},
-                               tuple(t for t in support if removed[t])))
+                               kept, bits))
             self.removal_cache[key] = cached
         return cached
 
@@ -557,7 +591,7 @@ class _Search:
 
         Before the rows at k are built, the node stops once k moves plus
         ``whole_lb`` reach the bound. ``whole_lb`` is the bound of a
-        child that adds no ring load (support key ``frozenset()``), and
+        child that adds no ring load (support key ``0``), and
         it bounds every child: the node bound ignores capacity, a row
         only adds ring load, and the cheapest completion of the deeper
         jobs never costs less under more load. The greedy disjoint-rack
@@ -593,17 +627,23 @@ class _Search:
         # the bound of a child that adds no ring load bounds every child
         # (see the docstring); a leaf-parent's children are not bounded
         whole_lb = 0 if leaf else self._remaining_lb(depth + 1, frag)
-        child_lbs: dict[frozenset[int], int] = {frozenset(): whole_lb}
+        child_lbs: dict[int, int] = {0: whole_lb}
         for k in range(job.units + 1):
             child_cost = cost + k * unit
             if child_cost + whole_lb >= self.bound:
                 return  # no row at this k or later leads to a cheaper plan
             # Rows at exactly k unit-moves from row0: a removal, then an
             # addition on racks it did not take from.
-            for removed, sources, kept in self._removals(job_idx, k):
+            for removed, sources, kept, kept_bits in self._removals(
+                    job_idx, k):
                 # an addition never overflows a rack's room, so a row
                 # fits exactly when the removal's row does
-                if any(unit * removed[t] > free[t] for t in kept):
+                overflows = False
+                for t in kept:
+                    if unit * removed[t] > free[t]:
+                        overflows = True
+                        break
+                if overflows:
                     continue
                 for addition in _additions(k, sources, kept, room, hot):
                     self.nodes += 1
@@ -613,16 +653,20 @@ class _Search:
                         return
                     # the racks the row touches; a row whole on one rack
                     # adds no ring load
-                    support = frozenset([*kept, *[t for t, _ in addition]])
-                    fragmented = len(support) >= 2
+                    support = kept_bits
+                    for t, _ in addition:
+                        support |= 1 << t
+                    fragmented = support & (support - 1)  # two racks or more
                     if not leaf:
-                        key = support if fragmented else frozenset()
+                        key = support if fragmented else 0
                         lb = child_lbs.get(key)
                         if lb is None:
-                            for t in key:
+                            racks = [t for t in range(len(frag))
+                                     if key >> t & 1]
+                            for t in racks:
                                 frag[t] += weight
                             lb = self._remaining_lb(depth + 1, frag)
-                            for t in key:
+                            for t in racks:
                                 frag[t] -= weight
                             child_lbs[key] = lb
                         if child_cost + lb >= self.bound:
@@ -656,12 +700,14 @@ def solve(instance: SolverInstance,
     Raises InfeasibleError when no placement satisfies the constraints,
     up front when ``base_load`` alone exceeds the threshold on some rack
     or the capacities cannot hold the jobs' workers. The repair
-    incumbent bounds the search, and one that meets the root's floor
-    ends it before any node: a compliant instance is returned as its
-    initial rows, 0 moves and 0 nodes. With no ``time_limit`` (the
-    default) the result does not depend on wall-clock time; a search
-    that reaches the limit returns the best plan found so far with
-    ``stats.optimal`` False, or raises SolverTimeout when it found none.
+    incumbent bounds the search. One within the cap that meets the
+    root's floor (``_root_floor``, read from the racks in excess alone)
+    is returned before any search is built, with 0 nodes: a compliant
+    instance comes back as its initial rows and 0 moves. With no
+    ``time_limit`` (the default) the result does not depend on
+    wall-clock time; a search that reaches the limit returns the best
+    plan found so far with ``stats.optimal`` False, or raises
+    SolverTimeout when it found none.
 
     With ``max_moves``, only plans at or below that many worker moves
     are considered; MoveBudgetExceeded is raised when none exists.
@@ -672,14 +718,26 @@ def solve(instance: SolverInstance,
     start = time.monotonic()
     deadline = None if time_limit is None else start + time_limit
 
-    if any(load > instance.threshold for load in instance.base_load):
-        raise InfeasibleError("the frozen ring load alone exceeds the "
-                              "threshold")
-    if sum(instance.capacities) < sum(job.workers for job in instance.jobs):
+    threshold = instance.threshold
+    for load in instance.base_load:
+        if load > threshold:
+            raise InfeasibleError("the frozen ring load alone exceeds the "
+                                  "threshold")
+    workers = 0
+    for job in instance.jobs:
+        workers += job.units * job.unit_size
+    if sum(instance.capacities) < workers:
         raise InfeasibleError("the capacities cannot hold the jobs' workers")
     incumbent = _repair_incumbent(instance)
+    floor = _root_floor(instance)
+    if incumbent is not None:
+        cost = worker_moves(instance, incumbent)
+        if cost <= floor and (max_moves is None or cost <= max_moves):
+            # no plan costs less: settled without a search
+            return MigrationPlan(tuple(incumbent), SolverStats(
+                cost, time.monotonic() - start, 0, True))
     search = _Search(instance, deadline)
-    search.run(incumbent, cap=max_moves)
+    search.run(incumbent, floor, cap=max_moves)
 
     elapsed = time.monotonic() - start
     if search.best is None:

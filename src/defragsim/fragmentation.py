@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .defrag import SolverJob, is_fragmented, ring_loads
+from .defrag import SolverJob, is_fragmented
 from .scheduler import Placement
 
 
@@ -35,8 +35,10 @@ class StageRows:
 def stage_rows(placement: Placement) -> StageRows:
     """One solver job and one row per pipeline stage of each placed job,
     in job-id order, as ``Placement.job_stages`` keeps them, whether
-    each row is fragmented, tested once here, and the ring loads the
-    fragmented rows put on each rack, summed once here.
+    each row is fragmented, and the ring loads the fragmented rows put
+    on each rack: one loop tests each row once and adds a fragmented
+    row's ring weight to the racks it spans, the sum ``ring_loads``
+    gives.
 
     The lists returned are fresh and the rows are tuples, so a caller
     may change them without touching the placement's kept ones.
@@ -46,10 +48,17 @@ def stage_rows(placement: Placement) -> StageRows:
         solver_jobs, job_rows = placement.job_stages(job_id)
         jobs.extend(solver_jobs)
         rows.extend(job_rows)
-    fragmented = list(map(is_fragmented, rows))
-    return StageRows(jobs, rows, fragmented, ring_loads(
-        list(compress(jobs, fragmented)), list(compress(rows, fragmented)),
-        [0] * placement.topology.num_racks))
+    fragmented = []
+    loads = [0] * placement.topology.num_racks
+    for job, row in zip(jobs, rows):
+        split = is_fragmented(row)
+        fragmented.append(split)
+        if split:
+            weight = job.ring_weight
+            for t, v in enumerate(row):
+                if v:
+                    loads[t] += weight
+    return StageRows(jobs, rows, fragmented, loads)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import pytest
 
 from defragsim.config import load_config
 from defragsim.defrag import (
-    InfeasibleError, SolverInstance, SolverJob, brute_force_min_moves, solve,
+    InfeasibleError, SolverJob, brute_force_min_moves, solve,
 )
 from defragsim.flowsim import maxmin_rates
 from defragsim.fragmentation import fragmentation_degree
@@ -26,7 +26,7 @@ from defragsim.routing import edge_color
 from defragsim.simulate import REINIT_SECONDS, run_simulation
 from defragsim.topology import ClusterTopology
 from defragsim.workload import DEFAULT_TEMPLATES, TraceConfig, generate_trace
-from tests.test_defrag import random_instance
+from tests.test_defrag import random_instance, uniform_instance
 from tests.test_flowsim import waterfill_oracle
 from tests.test_fragmentation import left_to_right
 from tests.test_simulate import SMALL_CFG, SMALL_TOPO
@@ -159,7 +159,7 @@ def _exhaustive_instances():
                              for t in range(num_racks)]
                     if any(v > cap for v in usage):
                         continue
-                    yield SolverInstance.uniform(
+                    yield uniform_instance(
                         cap, threshold,
                         [SolverJob(key=i, units=u)
                          for i, u in enumerate(units)],

@@ -17,6 +17,14 @@ from defragsim.defrag import (
 )
 
 
+def uniform_instance(capacity, threshold, jobs, initial):
+    """An instance with ``capacity`` slots on every rack and no frozen
+    ring load, its rack count the length of the initial rows."""
+    num_racks = len(initial[0]) if initial else 0
+    return SolverInstance(num_racks, (capacity,) * num_racks, threshold,
+                          tuple(jobs), tuple(tuple(row) for row in initial))
+
+
 def random_instance(rng, max_racks=4, max_cap=4, max_jobs=5,
                     thresholds=(2, 3)):
     T = rng.randint(2, max_racks)
@@ -40,7 +48,7 @@ def random_instance(rng, max_racks=4, max_cap=4, max_jobs=5,
         jobs.append(SolverJob(key=j, units=size))
         initial.append(row)
     lam = rng.choice(thresholds)
-    return SolverInstance.uniform(C, lam, jobs, initial)
+    return uniform_instance(C, lam, jobs, initial)
 
 
 def assert_plan_valid(instance, plan: MigrationPlan):
@@ -64,8 +72,8 @@ def assert_plan_valid(instance, plan: MigrationPlan):
 
 
 def test_compliant_instance_zero_moves():
-    inst = SolverInstance.uniform(4, 2, [SolverJob(0, 4), SolverJob(1, 3)],
-                                  [[4, 0], [0, 3]])
+    inst = uniform_instance(4, 2, [SolverJob(0, 4), SolverJob(1, 3)],
+                            [[4, 0], [0, 3]])
     plan = solve(inst)
     assert plan.move_count == 0
     assert plan.target == inst.initial
@@ -75,7 +83,7 @@ def test_compliant_instance_zero_moves():
 
 
 def test_single_split_job_one_move():
-    inst = SolverInstance.uniform(2, 0, [SolverJob(0, 2)], [[1, 1]])
+    inst = uniform_instance(2, 0, [SolverJob(0, 2)], [[1, 1]])
     plan = solve(inst)
     assert plan.move_count == 1
     assert_plan_valid(inst, plan)
@@ -93,7 +101,7 @@ def test_motivating_example_needs_four_moves():
         [3, 0, 0, 1, 0, 0, 0, 0],
         [1, 0, 2, 1, 0, 1, 0, 1],
     ]
-    inst = SolverInstance.uniform(4, 2, jobs, initial)
+    inst = uniform_instance(4, 2, jobs, initial)
     plan = solve(inst)
     assert_plan_valid(inst, plan)
     assert plan.stats.optimal
@@ -101,14 +109,14 @@ def test_motivating_example_needs_four_moves():
 
 
 def test_oracle_compliant_is_zero():
-    inst = SolverInstance.uniform(4, 2, [SolverJob(0, 4)], [[0, 4, 0]])
+    inst = uniform_instance(4, 2, [SolverJob(0, 4)], [[0, 4, 0]])
     assert brute_force_min_moves(inst) == 0
 
 
 def test_oracle_guard():
     jobs = [SolverJob(k, 16) for k in range(8)]
     initial = [[2] * 8 for _ in range(8)]
-    inst = SolverInstance.uniform(16, 2, jobs, initial)
+    inst = uniform_instance(16, 2, jobs, initial)
     with pytest.raises(OracleTooLargeError):
         brute_force_min_moves(inst, enumeration_limit=1000)
 
@@ -129,7 +137,7 @@ def test_solve_matches_oracle_exhaustive_small():
                     if any(a + b > C for a, b in zip(r0, r1)):
                         continue
                     for lam in (2, 3):
-                        inst = SolverInstance.uniform(
+                        inst = uniform_instance(
                             C, lam, [SolverJob(0, s0), SolverJob(1, s1)],
                             [r0, r1])
                         plan = solve(inst)
@@ -162,12 +170,12 @@ def test_threshold_monotonicity():
 def test_tp_weighted_threshold():
     # one TP-8 job split across two racks counts 8 rings on each
     jobs = [SolverJob(0, units=4, unit_size=8, ring_weight=8)]
-    inst = SolverInstance.uniform(32, 7, jobs, [[2, 2]])
+    inst = uniform_instance(32, 7, jobs, [[2, 2]])
     plan = solve(inst)
     assert_plan_valid(inst, plan)
     assert plan.move_count == 16  # two TP units of 8 workers re-unified
     # with threshold 8 the split placement is already compliant
-    inst_ok = SolverInstance.uniform(32, 8, jobs, [[2, 2]])
+    inst_ok = uniform_instance(32, 8, jobs, [[2, 2]])
     assert solve(inst_ok).move_count == 0
 
 
@@ -175,7 +183,7 @@ def test_infeasible_raises():
     # two jobs larger than any rack on a full 3-rack cluster, threshold 1:
     # both jobs always fragment and must overlap on some rack
     jobs = [SolverJob(0, 3), SolverJob(1, 3)]
-    inst = SolverInstance.uniform(2, 1, jobs, [[2, 1, 0], [0, 1, 2]])
+    inst = uniform_instance(2, 1, jobs, [[2, 1, 0], [0, 1, 2]])
     with pytest.raises(InfeasibleError):
         solve(inst, time_limit=None)
     with pytest.raises(InfeasibleError):
@@ -245,7 +253,7 @@ def test_moving_settled_jobs_when_capacity_is_tight():
     jobs = [SolverJob("whole", 1), SolverJob("frag", 4)]
     initial = [[1, 0, 0],
                [3, 1, 0]]
-    inst = SolverInstance.uniform(4, 0, jobs, initial)
+    inst = uniform_instance(4, 0, jobs, initial)
     plan = solve(inst)
     assert_plan_valid(inst, plan)
     assert plan.move_count == brute_force_min_moves(inst)
@@ -253,7 +261,7 @@ def test_moving_settled_jobs_when_capacity_is_tight():
 
 
 def test_stats_populated():
-    inst = SolverInstance.uniform(2, 0, [SolverJob(0, 2)], [[1, 1]])
+    inst = uniform_instance(2, 0, [SolverJob(0, 2)], [[1, 1]])
     plan = solve(inst)
     assert plan.stats.solve_time >= 0
     assert plan.stats.optimal
@@ -793,16 +801,24 @@ def test_bound_tables_are_the_rebuilt_ones(drawn):
     depths = len(search.order) + 1
     want = [_ref_bound_table(inst, search.order, depth)
             for depth in range(depths)]
-    # only depth 0's table until a search starts, then every depth's
-    assert search.bound_tables == want[:1]
-    assert search._bound_tables(depths) == want
+    # no table until a search starts, then every depth's
+    assert search.bound_tables == []
+    assert search._bound_tables() == want
+
+
+def _tabled_search(inst):
+    """``solve``'s search over ``inst`` with the bound tables a search
+    builds when it starts."""
+    search = defrag._Search(inst, None)
+    search.bound_tables = search._bound_tables()
+    return search
 
 
 def _root_bounds(inst):
     """The root node bound of ``solve``'s search and of the reference's:
     the disjoint-rack sum and the per-rack max."""
     base = list(inst.base_load)
-    return (defrag._Search(inst, None)._remaining_lb(0, base),
+    return (_tabled_search(inst)._remaining_lb(0, base),
             _RefSearch(inst, None)._remaining_lb(0, base))
 
 
@@ -834,7 +850,16 @@ def _unit_instance(capacities, threshold, initial):
         tuple(tuple(row) for row in initial))
 
 
-def test_settled_solve_builds_only_the_root_table(monkeypatch):
+@settings(max_examples=300, deadline=None)
+@given(lockstep_instances())
+def test_root_floor_is_the_largest_root_rack_bound(drawn):
+    inst, _ = drawn
+    search = _tabled_search(inst)
+    costs = [cost for cost, _ in search._rack_bounds(0, list(inst.base_load))]
+    assert defrag._root_floor(inst) == max(costs, default=0)
+
+
+def test_settled_solve_builds_no_search(monkeypatch):
     searches = []
 
     class RecordingSearch(defrag._Search):
@@ -844,11 +869,17 @@ def test_settled_solve_builds_only_the_root_table(monkeypatch):
 
     monkeypatch.setattr(defrag, "_Search", RecordingSearch)
     # job 0 breaks threshold 0 on racks 0 and 1; the repair's one move
-    # meets the floor, so nothing is searched
+    # meets the floor, so nothing is searched and no search is built:
+    # no job order, no bound table, no removal
     settled = _unit_instance((2, 2, 2), 0, [(1, 1, 0), (0, 0, 2)])
     plan = solve(settled, time_limit=None)
     assert (plan.move_count, plan.stats.nodes_explored) == (1, 0)
-    assert len(searches[0].bound_tables) == 1
+    assert searches == []
+    # under a cap of 0 that move is no plan; the floor proves that none
+    # fits before any bound table or removal is built
+    with pytest.raises(MoveBudgetExceeded):
+        solve(settled, time_limit=None, max_moves=0)
+    assert searches[0].bound_tables == []
     assert searches[0].removal_cache == {}
     # the repair's two moves are over the floor of 1, so this one is
     # searched (the root's disjoint-rack sum of 2 prunes it), with a
@@ -856,10 +887,8 @@ def test_settled_solve_builds_only_the_root_table(monkeypatch):
     searched = _unit_instance((2, 2, 2, 2), 0, [(1, 1, 0, 0), (0, 0, 1, 1)])
     assert solve(searched, time_limit=None).stats.nodes_explored == 1
     assert len(searches[1].bound_tables) == 3
-    # a fresh search still bounds the root with the disjoint-rack sum
-    fresh = defrag._Search(searched, None)
-    assert len(fresh.bound_tables) == 1
-    assert fresh._remaining_lb(0, [0] * 4) == 2
+    # its root is bounded with the disjoint-rack sum
+    assert _tabled_search(searched)._remaining_lb(0, [0] * 4) == 2
 
 
 # Deep solves; the second has no repair incumbent to fall back on. It
@@ -941,9 +970,11 @@ def _seeded_tp_instance(rng):
 def test_seeded_batch_plans_pinned():
     """The plans of 2,000 seeded instances, each solved uncapped and at a
     cap of 0 to 8 moves: a change to the search that is meant to keep
-    every plan keeps this digest, whatever it does to node counts."""
+    every plan keeps this digest, whatever it does to node counts. The
+    node total is a separate pin, for changes meant to keep every row."""
     rng = random.Random(27)
     outcomes = []
+    nodes = 0
     for _ in range(2000):
         inst = _seeded_tp_instance(rng)
         cap = rng.randint(0, 8)
@@ -954,9 +985,13 @@ def test_seeded_batch_plans_pinned():
                 outcomes.append(type(exc).__name__)
             else:
                 outcomes.append([plan.target, plan.move_count])
+                nodes += plan.stats.nodes_explored
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
     assert digest == ("d5b4dc91bf5159a83d0eb3aba733bdf4"
                       "9d0ac4878c8a0854b0f5da86e6cf827e")
+    # the nodes of the solves that return a plan: a change meant to keep
+    # every row the search generates keeps this total
+    assert nodes == 8595
 
 
 def _count_addition_rows(monkeypatch) -> list[int]:

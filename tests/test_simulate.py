@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from defragsim import controller, flowsim, fragmentation, simulate
+from defragsim import controller, defrag, flowsim, fragmentation, simulate
 from defragsim.config import load_config
 from defragsim.controller import SKIP_REASONS, DefragDecision
 from defragsim.defrag import SolverStats
@@ -595,11 +595,12 @@ def test_defrag_rebuilds_plans_only_after_moves(monkeypatch):
 
 def test_stage_rows_built_once_per_placement_change(monkeypatch):
     """The fragmentation record and the controller share one build of
-    the stage rows, and one sum of its ring loads."""
+    the stage rows, whose one pass sums the ring loads; nothing in the
+    run sums them again."""
     builds, instances, sums = [], [], []
     real_rows = fragmentation.stage_rows
     real_build = controller.build_instance
-    real_loads = fragmentation.ring_loads
+    real_loads = defrag.ring_loads
 
     def rows(placement):
         builds.append(placement)
@@ -617,15 +618,14 @@ def test_stage_rows_built_once_per_placement_change(monkeypatch):
     for module in (fragmentation, controller, simulate):
         monkeypatch.setattr(module, "stage_rows", rows)
     monkeypatch.setattr(controller, "build_instance", build)
-    for module in (fragmentation, controller):
-        # raising=False: the controller reads the loads, it sums none
-        monkeypatch.setattr(module, "ring_loads", loads, raising=False)
+    monkeypatch.setattr(defrag, "ring_loads", loads)
     result = run_simulation(SMALL_TOPO, small_trace(seed=0), "defrag-perfect",
                             solver_time_limit=5.0)
     assert result.defrag_events and any(instances)
     # one record per timestamp whose placement changed
     times = [t for t, *_ in result.frag_series]
-    assert len(set(times)) == len(times) == len(builds) == len(sums)
+    assert len(set(times)) == len(times) == len(builds)
+    assert sums == []
 
 
 def test_sglb_fast_path_audits_pass_and_skip_rebalances(monkeypatch):
