@@ -45,7 +45,12 @@ computes it once per fragmented support (the racks a split row
 touches, as a bitmask), and a row it prunes is never applied. The root
 and every candidate row built is one node. The root's floor is worked
 out from the racks in excess alone, before any search is built, so a
-solve whose incumbent meets it builds no search at all.
+solve whose incumbent meets it builds no search at all. At a floor of
+1 an incumbent that misses it leaves the search to find its first
+one-move plan; a direct scan of the one-unit moves, in the search's own
+order, finds that plan without building a search. One walk of the
+initial rows gives the free slots and ring loads that the repair, the
+floor and the scan read.
 
 Jobs are placed in atomic units of ``unit_size`` workers (the TP group,
 which never splits across hosts); pure DP jobs have unit_size 1. A
@@ -66,15 +71,25 @@ from operator import sub
 from typing import Hashable, Iterator, Sequence
 
 
-class InfeasibleError(Exception):
+class SolveError(Exception):
+    """A solve that returns no plan. ``nodes_explored`` counts the search
+    nodes it bounded, as ``SolverStats`` does: 0 when it raised before
+    any search."""
+
+    def __init__(self, message: str = "", nodes_explored: int = 0):
+        super().__init__(message)
+        self.nodes_explored = nodes_explored
+
+
+class InfeasibleError(SolveError):
     """The instance admits no placement within the threshold."""
 
 
-class MoveBudgetExceeded(Exception):
+class MoveBudgetExceeded(SolveError):
     """Feasible plans may exist, but none within the move budget."""
 
 
-class SolverTimeout(Exception):
+class SolverTimeout(SolveError):
     """The time limit expired before any acceptable plan was found."""
 
 
@@ -237,31 +252,58 @@ def _additions(k: int, sources: set[int], kept: Sequence[int],
     yield from _splits(k, targets, limits, hot, not kept)
 
 
+# -- the initial rows ----------------------------------------------------
+
+# Each rack's free slots and ring load under the initial rows, and
+# whether each initial row is fragmented.
+_Walk = tuple[list[int], list[int], list[bool]]
+
+
+def _initial_walk(instance: SolverInstance) -> _Walk:
+    """One walk of the initial rows, for every part of a solve that
+    reads them: the repair (on copies), the root floor and the one-move
+    scan."""
+    free = list(instance.capacities)
+    loads = list(instance.base_load)
+    split = []
+    for job, row in zip(instance.jobs, instance.initial):
+        unit = job.unit_size
+        fragmented = is_fragmented(row)
+        split.append(fragmented)
+        weight = job.ring_weight if fragmented else 0
+        for t, v in enumerate(row):
+            if v:
+                free[t] -= unit * v
+                loads[t] += weight
+    return free, loads, split
+
+
+def _job_order(instance: SolverInstance) -> list[int]:
+    """The search's job order, depth 0 first. Fragmented jobs and large
+    jobs constrain the search most; fixing them first surfaces
+    infeasibility high in the tree."""
+    return sorted(range(len(instance.jobs)),
+                  key=lambda i: (not is_fragmented(instance.initial[i]),
+                                 -instance.jobs[i].workers, i))
+
+
 # -- repair incumbent ----------------------------------------------------
 
 
-def _repair_incumbent(instance: SolverInstance
+def _repair_incumbent(instance: SolverInstance, walk: _Walk
                       ) -> list[tuple[int, ...]] | None:
     """Cheap local repair: while a rack is over threshold, apply the
     cheapest of two fixes to one fragmented job present there -- vacate
     that rack into the job's other racks (never adds ring load anywhere)
     or consolidate the whole job onto a single rack. Usually lands within
     a few unit moves of the optimum, giving the search a tight bound.
-    One walk sums the free slots and the ring loads, then a fix moves
-    only the fixed job's share."""
+    It starts from copies of the initial walk's free slots and ring
+    loads, then a fix moves only the fixed job's share."""
     jobs = instance.jobs
     num_racks = instance.num_racks
     threshold = instance.threshold
     placement = [list(row) for row in instance.initial]
-    free = list(instance.capacities)
-    loads = list(instance.base_load)
-    for job, row in zip(jobs, placement):
-        unit = job.unit_size
-        weight = job.ring_weight if is_fragmented(row) else 0
-        for t, v in enumerate(row):
-            if v:
-                free[t] -= unit * v
-                loads[t] += weight
+    free, loads = list(walk[0]), list(walk[1])
 
     for _ in range(4 * len(jobs) + 4):
         for t, load in enumerate(loads):
@@ -335,30 +377,23 @@ def _violating_racks(instance, placement) -> set[int]:
 # -- exact branch and bound ---------------------------------------------
 
 
-def _root_floor(instance: SolverInstance) -> int:
+def _root_floor(instance: SolverInstance, walk: _Walk) -> int:
     """The largest root ``_Search._rack_bounds`` cost: over the racks the
     initial rows put over threshold, the most the jobs on one rack must
     pay in their cheapest own changes. It reads only the racks in
     excess, so a solve its incumbent meets builds no search."""
     threshold = instance.threshold
-    loads = list(instance.base_load)
-    split = []
-    for job, row in zip(instance.jobs, instance.initial):
-        if is_fragmented(row):
-            split.append((job, row))
-            weight = job.ring_weight
-            for t, v in enumerate(row):
-                if v:
-                    loads[t] += weight
+    _, loads, split = walk
     floor = 0
     for t, load in enumerate(loads):
         if load <= threshold:
             continue
         costs = []
         max_weight = 0
-        for job, row in split:
+        for job, row, fragmented in zip(instance.jobs, instance.initial,
+                                        split):
             v = row[t]
-            if v:
+            if v and fragmented:
                 # the cheaper own change, as in _Search._bound_tables
                 units = job.units
                 costs.append(job.unit_size
@@ -369,6 +404,75 @@ def _root_floor(instance: SolverInstance) -> int:
             cost = sum(costs[:math.ceil((load - threshold) / max_weight)])
             floor = max(floor, cost)
     return floor
+
+
+def _one_move_plan(instance: SolverInstance, order: Sequence[int],
+                   walk: _Walk) -> tuple[tuple[int, ...], ...] | None:
+    """The plan a search with bound 2 or more and floor 1 returns when
+    some plan moves one worker, found without a search; None when none
+    does.
+
+    It takes the first move of one unit of a job with unit size 1 whose
+    whole placement fits every capacity and keeps every rack within the
+    threshold: jobs from the deepest depth of ``order`` to the
+    shallowest, then the source rack ascending over the job's row, then
+    the destination rack ascending.
+
+    Why that is the search's plan. A leaf costing 1 is below the bound
+    until the search takes one, and an admissible prune never cuts a
+    subtree holding a leaf below the bound, so the search reaches its
+    first cost-1 leaf and takes it; the bound then meets the floor and
+    the search stops. Leaves of cost 2 or more taken before it only
+    lower the bound to 2 or more. Along a path the used slots and the
+    ring loads only grow, so the path's checks (a removal's row fits
+    the node's free slots, an addition each rack's room, a fragmented
+    row touches no rack one more ring would break) pass exactly when
+    the leaf's whole placement fits and keeps every rack within the
+    threshold. A cost-1 leaf moves one unit of one unit-size-1 job and
+    keeps every other row. Each node tries its job at k = 0 before
+    k = 1, so the leaf whose change is deepest comes first; within a
+    job at k = 1, ``_removals`` takes the source racks ascending and
+    ``_additions`` the destinations ascending.
+
+    Only the racks a job's rows touch change, so every rack over
+    capacity must be the source, every rack in excess must be on the
+    job's row, and then only the racks on either row need a check."""
+    free, loads, split = walk
+    threshold = instance.threshold
+    short = [t for t, f in enumerate(free) if f < 0]
+    if len(short) > 1 or (short and free[short[0]] < -1):
+        return None  # one move frees one slot on one rack
+    over = [t for t, load in enumerate(loads) if load > threshold]
+    num_racks = instance.num_racks
+    for i in reversed(order):
+        job = instance.jobs[i]
+        row0 = instance.initial[i]
+        if job.unit_size != 1 or not all(row0[t] for t in over):
+            continue
+        support = [t for t, v in enumerate(row0) if v]
+        weight = job.ring_weight
+        before = weight if split[i] else 0
+        for s in short or support:
+            if not row0[s]:
+                continue
+            for d in range(num_racks):
+                if d == s or free[d] < 1:
+                    continue
+                row = list(row0)
+                row[s] -= 1
+                row[d] += 1
+                after = weight if is_fragmented(row) else 0
+                if not row0[d] and loads[d] + after > threshold:
+                    continue  # d joins the row and takes its ring weight
+                for t in support:
+                    if loads[t] - before + (after if row[t] else 0) \
+                            > threshold:
+                        break
+                else:
+                    return tuple(
+                        tuple(row) if j == i else row_j
+                        for j, row_j in enumerate(instance.initial))
+    return None
 
 
 class _Search:
@@ -387,9 +491,11 @@ class _Search:
     rack's room, and the bound of a child per fragmented support, keyed
     by the support's rack bitmask. No table exists until ``run`` starts a
     search; ``solve`` builds no search at all when the incumbent meets
-    the root floor (``_root_floor``). The candidate rows are generated
-    lazily, already through the capacity and ring checks, and each is
-    bounded in its parent before the search descends into it. ``nodes``
+    the root floor (``_root_floor``) or, at a floor of 1, when a
+    one-move plan exists (``_one_move_plan``). The jobs are taken in
+    ``_job_order``. The candidate rows are generated lazily, already
+    through the capacity and ring checks, and each is bounded in its
+    parent before the search descends into it. ``nodes``
     counts the root and every candidate row built, pruned or entered;
     ``_dfs`` runs only for the entered ones. Rows at a k the node cuts
     are never built, so never counted."""
@@ -399,12 +505,7 @@ class _Search:
         self.deadline = deadline
         self.nodes = 0
         self.timed_out = False
-        # Fragmented jobs and large jobs constrain the search most; fix
-        # them first so infeasibility surfaces high in the tree.
-        self.order = sorted(
-            range(len(instance.jobs)),
-            key=lambda i: (not is_fragmented(instance.initial[i]),
-                           -instance.jobs[i].workers, i))
+        self.order = _job_order(instance)
         # built by ``run`` once a search starts
         self.bound_tables: list[list[tuple]] = []
         # (job, k) -> [(row0 less k removed units, racks they left,
@@ -703,17 +804,23 @@ def solve(instance: SolverInstance,
     incumbent bounds the search. One within the cap that meets the
     root's floor (``_root_floor``, read from the racks in excess alone)
     is returned before any search is built, with 0 nodes: a compliant
-    instance comes back as its initial rows and 0 moves. With no
-    ``time_limit`` (the default) the result does not depend on
-    wall-clock time; a search that reaches the limit returns the best
-    plan found so far with ``stats.optimal`` False, or raises
-    SolverTimeout when it found none.
+    instance comes back as its initial rows and 0 moves. At a floor of
+    1, an incumbent that misses it and a cap of at least one move, the
+    search would return its first one-move plan; ``_one_move_plan``
+    finds that plan by a direct scan, also with 0 nodes, and only when
+    there is none does the search run. With no ``time_limit`` (the
+    default) the result does not depend on wall-clock time; a search
+    that reaches the limit returns the best plan found so far with
+    ``stats.optimal`` False, or raises SolverTimeout when it found none.
+    The scan reads no clock.
 
     With ``max_moves``, only plans at or below that many worker moves
     are considered; MoveBudgetExceeded is raised when none exists.
     Without it the cap is the workers the jobs hold, which no plan
     exceeds. A small cap makes the search far cheaper, so callers that
-    would never apply a large plan anyway should always set one.
+    would never apply a large plan anyway should always set one. Every
+    error a solve raises carries ``nodes_explored``, as its stats
+    would: the search's count, or 0 when raised before any search.
     """
     start = time.monotonic()
     deadline = None if time_limit is None else start + time_limit
@@ -728,27 +835,38 @@ def solve(instance: SolverInstance,
         workers += job.units * job.unit_size
     if sum(instance.capacities) < workers:
         raise InfeasibleError("the capacities cannot hold the jobs' workers")
-    incumbent = _repair_incumbent(instance)
-    floor = _root_floor(instance)
+    walk = _initial_walk(instance)
+    incumbent = _repair_incumbent(instance, walk)
+    floor = _root_floor(instance, walk)
     if incumbent is not None:
         cost = worker_moves(instance, incumbent)
         if cost <= floor and (max_moves is None or cost <= max_moves):
             # no plan costs less: settled without a search
             return MigrationPlan(tuple(incumbent), SolverStats(
                 cost, time.monotonic() - start, 0, True))
+    if floor == 1 and (max_moves is None or max_moves >= 1):
+        # the search's bound starts at 2 or more: its plan is the first
+        # one-move plan, if there is one
+        target = _one_move_plan(instance, _job_order(instance), walk)
+        if target is not None:
+            return MigrationPlan(target, SolverStats(
+                1, time.monotonic() - start, 0, True))
     search = _Search(instance, deadline)
     search.run(incumbent, floor, cap=max_moves)
 
     elapsed = time.monotonic() - start
     if search.best is None:
         if search.timed_out:
-            raise SolverTimeout("time limit hit before any plan was found")
+            raise SolverTimeout("time limit hit before any plan was found",
+                                search.nodes)
         if max_moves is not None:
             feasible = incumbent is not None
             raise MoveBudgetExceeded(
                 f"no plan within {max_moves} worker moves"
-                + (" (larger plans exist)" if feasible else ""))
-        raise InfeasibleError("no placement satisfies the threshold")
+                + (" (larger plans exist)" if feasible else ""),
+                search.nodes)
+        raise InfeasibleError("no placement satisfies the threshold",
+                              search.nodes)
     stats = SolverStats(search.bound, elapsed, search.nodes,
                         not search.timed_out)
     return MigrationPlan(tuple(search.best), stats)

@@ -790,7 +790,11 @@ def test_no_cap_is_the_worker_count_cap(drawn):
 @given(lockstep_instances())
 def test_repair_keeps_the_rows_of_the_full_recompute(drawn):
     inst, _ = drawn
-    assert defrag._repair_incumbent(inst) == _ref_repair_incumbent(inst)
+    walk = defrag._initial_walk(inst)
+    assert defrag._repair_incumbent(inst, walk) == _ref_repair_incumbent(inst)
+    # the repair works on copies: the walk the floor and the scan read
+    # is left as it was
+    assert walk == defrag._initial_walk(inst)
 
 
 @settings(max_examples=300, deadline=None)
@@ -856,7 +860,8 @@ def test_root_floor_is_the_largest_root_rack_bound(drawn):
     inst, _ = drawn
     search = _tabled_search(inst)
     costs = [cost for cost, _ in search._rack_bounds(0, list(inst.base_load))]
-    assert defrag._root_floor(inst) == max(costs, default=0)
+    walk = defrag._initial_walk(inst)
+    assert defrag._root_floor(inst, walk) == max(costs, default=0)
 
 
 def test_settled_solve_builds_no_search(monkeypatch):
@@ -889,6 +894,117 @@ def test_settled_solve_builds_no_search(monkeypatch):
     assert len(searches[1].bound_tables) == 3
     # its root is bounded with the disjoint-rack sum
     assert _tabled_search(searched)._remaining_lb(0, [0] * 4) == 2
+
+
+@st.composite
+def one_move_instances(draw):
+    """A compliant layout with one unit of a unit-size-1 job moved, so
+    the floor is often 1 and the repair may miss it. The layout fits
+    every rack, so the up-front checks always pass, though the moved
+    unit may overflow the rack it lands on. Units of 1 or 2 workers,
+    weighing 1 or their size."""
+    num_racks = draw(st.integers(2, 5))
+    # room for the first job's two workers or more
+    capacities = draw(st.lists(st.integers(0, 8), min_size=num_racks,
+                               max_size=num_racks).filter(
+                                   lambda caps: sum(caps) >= 2))
+    free = list(capacities)
+    jobs, initial = [], []
+    for key in range(draw(st.integers(1, 5))):
+        # the first job can move one worker
+        unit = 1 if key == 0 else draw(st.sampled_from((1, 1, 2)))
+        row = [0] * num_racks
+        for _ in range(draw(st.integers(2 if key == 0 else 1, 4))):
+            fits = [t for t in range(num_racks) if free[t] >= unit]
+            if not fits:
+                break
+            t = draw(st.sampled_from(fits))
+            row[t] += 1
+            free[t] -= unit
+        if sum(row):
+            weight = draw(st.sampled_from((1, unit)))
+            jobs.append(SolverJob(key, sum(row), unit, weight))
+            initial.append(row)
+    # the layout is compliant: with the frozen load, each rack's ring
+    # load is at the threshold, or one below it where ``slack`` says
+    loads = ring_loads(jobs, initial, [0] * num_racks)
+    threshold = max(loads) + draw(st.integers(0, 1))
+    slack = draw(st.lists(st.booleans(), min_size=num_racks,
+                          max_size=num_racks))
+    base_load = [max(0, threshold - load - gap)
+                 for load, gap in zip(loads, slack)]
+    # a job of one unit would stay whole, with the loads unchanged
+    movable = [i for i, job in enumerate(jobs)
+               if job.unit_size == 1 and job.units >= 2]
+    if movable:
+        row = initial[draw(st.sampled_from(movable))]
+        src = draw(st.sampled_from([t for t, v in enumerate(row) if v]))
+        dst = draw(st.sampled_from(
+            [t for t in range(num_racks) if t != src]))
+        row[src] -= 1
+        row[dst] += 1
+    max_moves = draw(st.sampled_from((None, None, 0, 1, 2, 4)))
+    return SolverInstance(num_racks, tuple(capacities), threshold,
+                          tuple(jobs), tuple(map(tuple, initial)),
+                          tuple(base_load)), max_moves
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_move_instances())
+# job 2, deeper in the order than job 0, covers the rack in excess, but
+# its one move (rack 1 to rack 0) leaves rack 1 in excess; job 0's wins
+@example((SolverInstance(
+    3, (4, 2, 3), 2, (SolverJob(0, 4), SolverJob(1, 1, 2, 1), SolverJob(2, 3)),
+    ((0, 1, 3), (1, 0, 0), (1, 2, 0)), (0, 1, 1)), None))
+# rack 1 starts over capacity, so the one move must leave it: job 1's
+# first move that passes the ring check, from rack 0 onto rack 1, makes
+# it fuller, and its move from rack 1 onto rack 0 fits (the repair
+# finds no fix)
+@example((SolverInstance(
+    4, (3, 0, 0, 1), 1, (SolverJob(0, 2), SolverJob(1, 2)),
+    ((1, 0, 0, 1), (1, 1, 0, 0)), (0, 1, 1, 0)), None))
+# a one-move plan exists, but the cap of 0 admits no move
+@example((SolverInstance(
+    3, (1, 1, 0), 1, (SolverJob(0, 2),), ((0, 1, 1),), (0, 0, 1)), 0))
+# rack 0 starts two units over capacity, so no one move fits, though
+# job 0's from rack 0 onto rack 1 passes the ring check: the search
+# finds a 2-move plan
+@example((SolverInstance(
+    3, (0, 4, 4), 1, (SolverJob(0, 2), SolverJob(1, 1)),
+    ((1, 1, 0), (1, 0, 0)), (1, 0, 0)), None))
+# racks 0 and 1 each start one unit over capacity, and one move relieves
+# only one of them: job 0's from rack 0 onto rack 2 passes the ring
+# check, and the repair's 2-move consolidation onto rack 2 stands
+@example((SolverInstance(
+    3, (0, 0, 4), 1, (SolverJob(0, 2),), ((1, 1, 0),), (1, 0, 0)), None))
+def test_one_move_scan_is_the_searchs_first_plan(drawn):
+    """A solve the repair leaves above a floor of 1 returns the plan of
+    the search run on anyway, with 0 nodes exactly when that plan moves
+    one worker (or the repair settled it); otherwise it searches as the
+    forced search does, node for node, raising with its node count.
+    The scan alone, at every floor of 1 the cap leaves a move under, is
+    the first one-move plan of a search with no incumbent."""
+    inst, max_moves = drawn
+    walk = defrag._initial_walk(inst)
+    incumbent = defrag._repair_incumbent(inst, walk)
+    floor = defrag._root_floor(inst, walk)
+    if floor == 1 and (max_moves is None or max_moves >= 1):
+        search = defrag._Search(inst, None)
+        search.run(None, floor, max_moves)
+        first = tuple(search.best) if search.bound == 1 else None
+        assert defrag._one_move_plan(inst, search.order, walk) == first
+    search = defrag._Search(inst, None)
+    search.run(incumbent, floor, max_moves)
+    try:
+        plan = solve(inst, time_limit=None, max_moves=max_moves)
+    except (InfeasibleError, MoveBudgetExceeded) as exc:
+        assert search.best is None
+        assert exc.nodes_explored == search.nodes
+        return
+    assert plan.target == tuple(search.best)
+    assert (plan.move_count, plan.stats.optimal) == (search.bound, True)
+    one_move = floor == search.bound == 1
+    assert plan.stats.nodes_explored == (0 if one_move else search.nodes)
 
 
 # Deep solves; the second has no repair incumbent to fall back on. It
@@ -974,7 +1090,7 @@ def test_seeded_batch_plans_pinned():
     node total is a separate pin, for changes meant to keep every row."""
     rng = random.Random(27)
     outcomes = []
-    nodes = 0
+    nodes = raised_nodes = 0
     for _ in range(2000):
         inst = _seeded_tp_instance(rng)
         cap = rng.randint(0, 8)
@@ -983,6 +1099,7 @@ def test_seeded_batch_plans_pinned():
                 plan = solve(inst, time_limit=None, max_moves=max_moves)
             except (InfeasibleError, MoveBudgetExceeded) as exc:
                 outcomes.append(type(exc).__name__)
+                raised_nodes += exc.nodes_explored
             else:
                 outcomes.append([plan.target, plan.move_count])
                 nodes += plan.stats.nodes_explored
@@ -991,7 +1108,10 @@ def test_seeded_batch_plans_pinned():
                       "9d0ac4878c8a0854b0f5da86e6cf827e")
     # the nodes of the solves that return a plan: a change meant to keep
     # every row the search generates keeps this total
-    assert nodes == 8595
+    assert nodes == 8591
+    # the nodes of the 1,770 solves that raise, which no one-move plan
+    # settles: the same kind of change keeps this total too
+    assert raised_nodes == 2603
 
 
 def _count_addition_rows(monkeypatch) -> list[int]:
@@ -1043,8 +1163,10 @@ def test_deadline_stops_search_at_first_node_check(inst, monkeypatch):
     monkeypatch.setattr(defrag.time, "monotonic", clock)
     try:
         plan = solve(inst, time_limit=10.0)
-    except SolverTimeout:
+    except SolverTimeout as exc:
         assert inst is DEEP_WITHOUT_INCUMBENT
+        # the raised solve counts its nodes as a returned one does
+        assert exc.nodes_explored == 1024
     else:
         assert inst is DEEPER_WITH_INCUMBENT
         assert_plan_valid(inst, plan)
