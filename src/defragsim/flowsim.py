@@ -3,12 +3,16 @@
 Flows are modeled as fluid: each active flow gets the max-min fair share
 along its path, recomputed whenever the active set changes. Completion
 times therefore shift as flows come and go. Each flow carries its pending
-completion time (ETA); a queued completion event is live only while it
-still names that time, so superseded events are dropped when popped
-rather than removed from the queue.
+completion time (ETA), and ``remove_flow`` sets it to inf; a queued
+completion event holds its ``Flow`` and is live only while the flow's
+ETA still names the event's time, so superseded events and events for a
+removed flow are dropped when popped rather than removed from the queue.
 
 Bits drain lazily: ``settle_to`` only records the clock step. A
-recompute then makes three plain passes over the live flows:
+recompute with nothing fresh, nothing dirty and one recorded step is
+quiet: no rate can change, so one pass drains each live flow and derives
+its ETA. Every other recompute makes three plain passes over the live
+flows:
 
 1. Drain. Every live flow drains each recorded step at the rate it held
    during it, with the arithmetic an eager drain at each step would use,
@@ -32,8 +36,14 @@ recompute then makes three plain passes over the live flows:
    link order as a solve of every live flow. Either way the rates are
    bit-identical to a full solve.
 3. ETAs. Every live flow's ETA is derived from its bits and rate with
-   the same arithmetic, and only the flows whose ETA moved need a new
-   event.
+   the same arithmetic. Only the flows whose ETA moved need a new event;
+   they are returned as their ``Flow`` records, in insertion order, and
+   the event the owner queues holds the record itself.
+
+The quiet pass is bit-identical to the three: no rate changes between
+its drain and its ETA, every live rate is finite and positive (no flow
+is fresh), so the drain's zero-rate guard would always pass, and
+``_touched`` has no mark to act on.
 
 Links are dense int ids (``ClusterTopology`` assigns them), so a path is
 a tuple of ints and capacities are one list indexed by link id. Every
@@ -171,7 +181,9 @@ class Flow:
     serial: int  # insertion order: solves and same-time events follow it
     bottleneck: float  # the path's smallest capacity
     rate: float = 0.0
-    eta: float = math.inf  # pending completion time; inf while none
+    # pending completion time; inf before the first recompute and once
+    # removed, so no queued event names it
+    eta: float = math.inf
     tag: object = None  # the owner's data, kept and never read here
 
 
@@ -190,14 +202,16 @@ class FlowNetwork:
     the rates in force during it; ``add_flow``, ``remove_flow`` and
     ``set_path`` (the only way to change a live flow's path) mark the
     flows they place fresh and the links they leave dirty, an emptied
-    link never. ``recompute`` makes three passes: it drains every live
-    flow; it re-solves the connected components of the flows reached
-    from a fresh flow or a dirty link, a fresh flow alone on every link
-    of its path rated where it is found, every other component by
-    ``maxmin_rates`` in insertion order; and it derives every ETA,
-    returning the flows whose ETA moved. A dirty link emptied since it
-    was marked is skipped. A flow's queued completion event is live
-    while ``flow.eta`` still equals its time.
+    link never. With no mark and one recorded step, ``recompute``
+    drains each live flow and derives its ETA in one pass. Otherwise it
+    makes three passes: it drains every live flow; it re-solves the
+    connected components of the flows reached from a fresh flow or a
+    dirty link, a fresh flow alone on every link of its path rated where
+    it is found, every other component by ``maxmin_rates`` in insertion
+    order; and it derives every ETA. Either way it returns the flows
+    whose ETA moved. A dirty link emptied since it was marked is
+    skipped. A flow's queued completion event is live while
+    ``flow.eta`` still equals its time; ``remove_flow`` sets it to inf.
     """
 
     def __init__(self, capacities: Sequence[float]):
@@ -242,8 +256,8 @@ class FlowNetwork:
         if not 0.0 <= size_bytes < math.inf:
             raise ValueError(f"flow {key!r}: size {size_bytes!r} bytes is "
                              f"not finite and at least 0")
-        flow = Flow(key, path, size_bytes * 8.0, self._serial, valid[1],
-                    tag=tag)
+        flow = Flow(key, path, size_bytes * 8.0, self._serial, valid[1], 0.0,
+                    math.inf, tag)
         self._serial += 1
         self.flows[key] = flow
         on_link = self._on_link
@@ -253,10 +267,12 @@ class FlowNetwork:
         return flow
 
     def remove_flow(self, key: Hashable) -> Flow:
-        """Take flow ``key`` off the network and return it. Each link it
-        leaves is marked dirty only if it still carries a flow: an
-        emptied link holds no rate to re-solve."""
+        """Take flow ``key`` off the network and return it, its ETA set
+        to inf so that no completion event still queued for it is live.
+        Each link it leaves is marked dirty only if it still carries a
+        flow: an emptied link holds no rate to re-solve."""
         flow = self.flows.pop(key)
+        flow.eta = math.inf
         on_link = self._on_link
         dirty = self._dirty
         for link in flow.path:
@@ -357,10 +373,10 @@ class FlowNetwork:
                     todo.extend(flow.path)
         return component
 
-    def recompute(self) -> list[tuple[float, Hashable, int]]:
+    def recompute(self) -> list[Flow]:
         """Drain the recorded clock steps, re-solve the touched flows and
-        return (eta, key, serial), in insertion order, for every flow
-        whose ETA moved: each needs a completion event.
+        return, in insertion order, every flow whose ETA moved: each
+        needs a completion event.
 
         Three passes. First every live flow drains each step, at the rate
         it held during the steps, as max(0, bits - rate * dt): the
@@ -368,9 +384,27 @@ class FlowNetwork:
         touched flows are re-solved: ``_touched`` rates a lone fresh
         flow, and every component it returns is solved by
         ``maxmin_rates`` in insertion order. Last every live flow's ETA
-        is derived from its bits and rate."""
+        is derived from its bits and rate. A quiet call, with nothing
+        fresh, nothing dirty and one step, does the drain and the ETA in
+        one pass with the same arithmetic: no rate moves in between,
+        every rate is finite and positive, and ``_touched`` would return
+        nothing."""
         flows = self.flows.values()
         steps = self._steps
+        moved = []
+        now = self.time
+        if len(steps) == 1 and not self._fresh and not self._dirty:
+            step = steps.pop()
+            for flow in flows:
+                rate = flow.rate
+                remaining = flow.remaining_bits - rate * step
+                remaining = remaining if remaining > 0.0 else 0.0
+                flow.remaining_bits = remaining
+                eta = now + remaining / rate
+                if eta != flow.eta:
+                    flow.eta = eta
+                    moved.append(flow)
+            return moved
         if len(steps) == 1:
             step = steps[0]
             for flow in flows:
@@ -395,13 +429,11 @@ class FlowNetwork:
                                  self.capacities)
             for flow, rate in zip(component, rates):
                 flow.rate = rate
-        moved = []
-        now = self.time
         for flow in flows:
             eta = now + flow.remaining_bits / flow.rate
             if eta != flow.eta:
                 flow.eta = eta
-                moved.append((eta, flow.key, flow.serial))
+                moved.append(flow)
         return moved
 
     def link_loads(self) -> list[float]:

@@ -86,6 +86,7 @@ class IterationPlan(NamedTuple):
     """A job's iteration flows under its current placement, with what
     launching them needs: built once per placement."""
     flows: list[FlowDemand]
+    cross: list[bool]  # per flow: whether it crosses racks
     demands: list[FlowDemand]  # the cross-rack flows, which take a colour
     labels: dict[tuple, str]  # flow key -> its repr, for the log
     # per flow: colour (None for intra-rack) -> path, filled on launch

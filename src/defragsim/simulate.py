@@ -20,7 +20,7 @@ from typing import BinaryIO
 
 from .controller import ControllerConfig, DefragController
 from .defrag import SolverStats
-from .flowsim import EventQueue, FlowNetwork
+from .flowsim import EventQueue, Flow, FlowNetwork
 from .fragmentation import StageRows, fragmentation_degree, stage_rows
 from .jobmodel import (
     IterationPlan, JobPhase, JobRun, MigrationBatch, REINIT_SECONDS,
@@ -272,8 +272,9 @@ class Simulation:
         plan = run.plan
         if plan is None:
             flows = plan_iteration_flows(run.job, locate)
+            cross = [f.src.rack != f.dst.rack for f in flows]
             plan = run.plan = IterationPlan(
-                flows, [f for f in flows if f.src.rack != f.dst.rack],
+                flows, cross, [f for f, c in zip(flows, cross) if c],
                 {f.key: repr(f.key) for f in flows}, [{} for _ in flows])
         elif self.check_invariants \
                 and plan.flows != plan_iteration_flows(run.job, locate):
@@ -287,14 +288,14 @@ class Simulation:
         iteration = run.iteration
         add_flow = self.net.add_flow
         topology = self.topology
-        for flow, paths in zip(plan.flows, plan.paths):
-            src, dst = flow.src, flow.dst
-            color = colors[flow.key] if src.rack != dst.rack else None
+        for flow, cross, paths in zip(plan.flows, plan.cross, plan.paths):
+            color = colors[flow.key] if cross else None
             path = paths.get(color)
             if path is None:
-                path = paths[color] = path_between(topology, src, dst, color)
-            elif self.check_invariants \
-                    and path != path_between(topology, src, dst, color):
+                path = paths[color] = path_between(
+                    topology, flow.src, flow.dst, color)
+            elif self.check_invariants and path != path_between(
+                    topology, flow.src, flow.dst, color):
                 raise AssertionError(
                     f"stale flow path {path} for flow {flow.key} on colour "
                     f"{color}")
@@ -302,10 +303,16 @@ class Simulation:
         run.pending_flows = len(plan.flows)
         self._flows_dirty = True
 
-    def _on_flow_done(self, key) -> None:
-        flow = self.net.flows.get(key)
-        if flow is None or flow.eta != self.now:
-            return  # superseded: a later recompute moved its completion
+    def _on_flow_done(self, flow: Flow) -> None:
+        """Complete ``flow`` if the event is live: while the flow's ETA
+        still names this time. A later recompute moves the ETA and
+        ``remove_flow`` sets it to inf, so a superseded event and one for
+        a flow already done are dropped. No key is ever reused (a job
+        flow's key carries the iteration, a transfer's the batch id), so
+        this drops exactly the events a lookup of the key would."""
+        if flow.eta != self.now:
+            return
+        key = flow.key
         self.net.remove_flow(key)
         self._flows_dirty = True
         owner = key[0]
@@ -528,8 +535,8 @@ class Simulation:
 
     def _recompute_network(self) -> None:
         push = self.queue.push
-        for eta, key, serial in self.net.recompute():
-            push(eta, RANK_FLOW, ("flow", key), serial)
+        for flow in self.net.recompute():
+            push(flow.eta, RANK_FLOW, ("flow", flow), flow.serial)
         if self.check_invariants:
             self.net.check_conservation()
             self.net.check_rates()

@@ -222,12 +222,13 @@ def test_event_queue_tie_orders_before_insertion():
 def test_flow_network_single_flow_completion():
     net = FlowNetwork([100.0])  # link 0: 100 bits/s
     net.add_flow("f", (0,), size_bytes=100.0)  # 800 bits
-    ((eta, key, serial),) = net.recompute()
-    assert key == "f" and serial == 0 and eta == pytest.approx(8.0)
-    assert net.flows["f"].eta == eta
+    (flow,) = net.recompute()
+    assert flow.key == "f" and flow.serial == 0
+    assert flow.eta == pytest.approx(8.0)
+    assert net.flows["f"] is flow
     # nothing changed: the queued completion stays live, none is re-issued
     assert net.recompute() == []
-    net.settle_to(eta)
+    net.settle_to(flow.eta)
     # bits drain at the next recompute, not at the settle
     net.recompute()
     assert net.flows["f"].remaining_bits == pytest.approx(0.0)
@@ -236,13 +237,14 @@ def test_flow_network_single_flow_completion():
 def test_flow_network_generation_invalidates_old_etas():
     net = FlowNetwork([100.0])
     net.add_flow("a", (0,), size_bytes=100.0)
-    ((first_eta, _, _),) = net.recompute()
+    (first,) = net.recompute()
+    first_eta = first.eta
     assert first_eta == pytest.approx(8.0)
     net.add_flow("b", (0,), size_bytes=100.0)
     second = net.recompute()
     # with the link now shared, "a" is re-issued at 16s; the 8s event no
     # longer names its ETA, so it is dead when popped
-    etas = {key: eta for eta, key, _ in second}
+    etas = {flow.key: flow.eta for flow in second}
     assert etas == {"a": pytest.approx(16.0), "b": pytest.approx(16.0)}
     assert net.flows["a"].eta == etas["a"] != first_eta
 
@@ -255,7 +257,20 @@ def test_flow_network_settle_partial_then_speedup():
     net.settle_to(8.0)  # each drained 400 of 800 bits
     net.remove_flow("b")
     completions = net.recompute()
-    assert completions[0][0] == pytest.approx(12.0)  # 400 bits at full rate
+    assert completions[0].eta == pytest.approx(12.0)  # 400 bits at full rate
+
+
+def test_removed_flow_names_no_completion_time():
+    """``remove_flow`` sets the removed flow's ETA to inf, so no queued
+    completion event still names it; the flows left keep theirs."""
+    net = FlowNetwork([100.0])
+    net.add_flow("a", (0,), size_bytes=100.0)
+    net.add_flow("b", (0,), size_bytes=100.0)
+    net.recompute()
+    eta = net.flows["b"].eta
+    removed = net.remove_flow("a")
+    assert removed.key == "a" and removed.eta == math.inf
+    assert net.flows["b"].eta == eta
 
 
 def _network_state(net):
@@ -313,8 +328,8 @@ def test_add_flow_refuses_a_bad_size_and_changes_nothing(size):
 def test_add_flow_takes_a_zero_size():
     net = FlowNetwork([4.0])
     net.add_flow("a", [0], 0)
-    ((eta, key, _),) = net.recompute()
-    assert (eta, key) == (0.0, "a")
+    (flow,) = net.recompute()
+    assert (flow.eta, flow.key) == (0.0, "a")
 
 
 @pytest.mark.parametrize("path", BAD_PATHS)
@@ -396,7 +411,7 @@ def test_flow_on_unshared_links_is_solved_alone(monkeypatch):
     assert net.flows["c"].rate == 4.0
     # "a" and "b" keep their rates and their (exactly re-derived) ETAs
     assert {key: net.flows[key].rate for key in rates} == rates
-    assert [(key, serial) for _, key, serial in completions] == [("c", 2)]
+    assert [(f.key, f.serial) for f in completions] == [("c", 2)]
     # removing "c" marks no link dirty: nothing to search
     net.remove_flow("c")
     assert net.recompute() == []
@@ -429,7 +444,7 @@ def test_lone_flow_on_links_a_removal_left_dirty_is_solved_once(
     monkeypatch.setattr(FlowNetwork, "_component", spy_component)
     net.remove_flow("c")
     net.add_flow("d", (2, 1), size_bytes=10.0)
-    assert [key for _, key, _ in net.recompute()] == ["d"]
+    assert [flow.key for flow in net.recompute()] == ["d"]
     assert searched == []
     assert net.flows["d"].rate == 4.0
     monkeypatch.undo()  # the rate audit makes a real solve
@@ -598,6 +613,16 @@ def _adds(*paths):
 # its new path's smallest capacity, not the one kept from its old path
 @example(([4.0, 1.0], [(_adds((0,)), [0.25]),
                        ([("set_path", 0, (1,))], [None])]))
+# quiet recomputes (nothing fresh, nothing dirty, one step): removing a
+# flow alone on its link marks nothing, so one pass drains and times the
+# rest; at rate 1/3 the ETAs it derives move in their last bits
+@example(([1.0, 1.0], [(_adds((0,), (1,)), [0.25]),
+                       ([("remove", 0)], [None])]))
+@example(([1.0, 1.0], [(_adds((0,), (0,), (0,), (1,)), [0.25]),
+                       ([("remove", 3)], [None])]))
+@example(([1.0, 1.0, 1.0], [(_adds((0,), (0,), (0,), (1,), (2,)), [0.25]),
+                            ([("remove", 3)], [0.5]),
+                            ([("remove", 3)], [None])]))
 def test_incremental_recompute_matches_full_in_lockstep(instance):
     caps, steps = instance
     net, ref = FlowNetwork(caps), FullRecomputeNetwork(caps)
@@ -623,11 +648,11 @@ def test_incremental_recompute_matches_full_in_lockstep(instance):
             [f[2] for f in ref.flows.values()]
         assert [f.remaining_bits for f in net.flows.values()] == \
             [f[1] for f in ref.flows.values()]
-        assert [(eta, key) for eta, key, _ in moved] == [
+        assert [(f.eta, f.key) for f in moved] == [
             (eta, key) for key, eta in etas.items()
             if eta != latest.get(key, math.inf)]
-        assert [serial for _, _, serial in moved] == [
-            net.flows[key].serial for _, key, _ in moved]
+        assert [f.serial for f in moved] == [
+            net.flows[f.key].serial for f in moved]
         latest = {key: etas.get(key, math.inf) for key in ref.flows}
         assert {key: f.eta for key, f in net.flows.items()} == latest
         for dt in dts:
@@ -639,6 +664,49 @@ def test_incremental_recompute_matches_full_in_lockstep(instance):
             if math.isfinite(time):
                 for n in (net, ref):
                     n.settle_to(time)
+
+
+def test_quiet_recompute_is_one_pass_that_matches_the_reference(
+        monkeypatch):
+    """With nothing fresh, nothing dirty and one recorded step, a
+    recompute calls neither ``_touched`` nor ``maxmin_rates`` and moves
+    exactly the ETAs a full solve moves, with the same rates and bits."""
+    caps = [1.0, 1.0]
+    net, ref = FlowNetwork(caps), FullRecomputeNetwork(caps)
+    for key, path in enumerate([(0,), (0,), (0,), (1,)]):
+        for n in (net, ref):
+            n.add_flow(key, path, 1)
+    net.recompute()
+    before = ref.recompute()
+    for n in (net, ref):
+        n.settle_to(0.25)
+        n.remove_flow(3)  # alone on link 1: no link is marked dirty
+    assert not net._fresh and not net._dirty and len(net._steps) == 1
+    calls = []
+
+    def touched(self):
+        calls.append("_touched")
+        return []
+
+    def solve(paths, capacities):
+        calls.append("maxmin_rates")
+        return maxmin_rates(paths, capacities)
+
+    monkeypatch.setattr(FlowNetwork, "_touched", touched)
+    monkeypatch.setattr(flowsim, "maxmin_rates", solve)
+    moved = net.recompute()
+    assert calls == []
+    etas = ref.recompute()
+    expected = [(key, eta) for key, eta in etas.items()
+                if eta != before[key]]
+    # the three flows at 1/3 re-derive ETAs that differ in the last bits
+    assert len(expected) == 3
+    assert [(f.key, f.eta) for f in moved] == expected
+    assert all(net.flows[f.key] is f for f in moved)
+    assert [f.rate for f in net.flows.values()] == \
+        [f[2] for f in ref.flows.values()]
+    assert [f.remaining_bits for f in net.flows.values()] == \
+        [f[1] for f in ref.flows.values()]
 
 
 @st.composite

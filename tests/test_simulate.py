@@ -17,7 +17,8 @@ from defragsim.defrag import SolverStats
 from defragsim.jobmodel import JobPhase, WorkerMove
 from defragsim.scheduler import plan_racks
 from defragsim.simulate import (
-    ALGORITHMS, REINIT_SECONDS, Simulation, parse_algorithm, run_simulation,
+    ALGORITHMS, RANK_FLOW, REINIT_SECONDS, Simulation, parse_algorithm,
+    run_simulation,
 )
 from defragsim.routing import FlowDemand, SglbRouting
 from defragsim.topology import ClusterTopology, path_between
@@ -431,8 +432,58 @@ def test_same_time_completions_pop_in_flow_insertion_order():
     sim.net.remove_flow("c")
     sim._recompute_network()  # "a": 32 bits left at 8 bit/s, due at 12 s
     popped = [sim.queue.pop() for _ in range(len(sim.queue.heap))]
-    assert [(t, payload[1]) for t, _, payload in popped[:2]] == [
+    assert [(t, payload[1].key) for t, _, payload in popped[:2]] == [
         (12.0, "a"), (12.0, "b")]
+
+
+def test_second_completion_of_a_done_flow_is_dropped(monkeypatch):
+    """Each live completion queues a second event for its flow at the
+    same time. The removed flow's ETA is inf, so that event is dropped:
+    no log line, no second ``remove_flow``, no change to the job's
+    pending flows, and the run hashes as it does without it."""
+    log = io.BytesIO()
+    plain = run_simulation(SMALL_TOPO, small_trace(seed=0), "defrag-perfect",
+                           solver_time_limit=5.0, event_log=log)
+    real_done = Simulation._on_flow_done
+    real_remove = flowsim.FlowNetwork.remove_flow
+    counts = Counter()
+    doubled_log = io.BytesIO()
+
+    def pending(sim):
+        batch = sim.batch
+        return ({job_id: run.pending_flows
+                 for job_id, run in sim.runs.items()},
+                batch and batch.pending_transfers)
+
+    def on_flow_done(sim, flow):
+        counts["events"] += 1
+        if flow.eta != sim.now:
+            before = (doubled_log.tell(), counts["removes"], pending(sim))
+            real_done(sim, flow)
+            assert (doubled_log.tell(), counts["removes"],
+                    pending(sim)) == before
+            return
+        real_done(sim, flow)
+        sim.queue.push(sim.now, RANK_FLOW, ("flow", flow), flow.serial)
+        counts["requeued"] += 1
+
+    def remove_flow(net, key):
+        counts["removes"] += 1
+        return real_remove(net, key)
+
+    monkeypatch.setattr(Simulation, "_on_flow_done", on_flow_done)
+    monkeypatch.setattr(flowsim.FlowNetwork, "remove_flow", remove_flow)
+    doubled = run_simulation(SMALL_TOPO, small_trace(seed=0),
+                             "defrag-perfect", solver_time_limit=5.0,
+                             event_log=doubled_log)
+    completions = sum(line.startswith(b"flow|")
+                      for line in log.getvalue().splitlines())
+    assert plain.defrag_events and completions > 0
+    assert counts["requeued"] == counts["removes"] == completions
+    assert counts["events"] >= 2 * completions
+    assert doubled_log.getvalue() == log.getvalue()
+    assert doubled.event_log_hash == plain.event_log_hash
+    assert doubled.records == plain.records
 
 
 def test_few_stale_flow_events_on_quick_config(monkeypatch):
