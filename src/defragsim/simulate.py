@@ -161,12 +161,16 @@ class Simulation:
 
     # -- event log -----------------------------------------------------------
 
-    def _trace_event(self, kind: str, ident) -> None:
-        """Hash the line ``kind|now|ident``."""
+    def _trace_event(self, kind: str, ident, iteration=None) -> None:
+        """Hash the line ``kind|now|ident``, or with ``iteration`` the
+        line ``kind|now|(ident, iteration)``, built in one format."""
         stamp = self._stamp
         if stamp is None:
             stamp = self._stamp = repr(self.now)
-        line = f"{kind}|{stamp}|{ident}\n".encode()
+        if iteration is None:
+            line = f"{kind}|{stamp}|{ident}\n".encode()
+        else:
+            line = f"{kind}|{stamp}|({ident}, {iteration})\n".encode()
         self._log.update(line)
         if self._event_log is not None:
             self._event_log.write(line)
@@ -325,7 +329,7 @@ class Simulation:
             return
         run = self.runs[owner[0]]
         # the line str(key) would give, from the plan's cached repr
-        self._trace_event("flow", f"({run.plan.labels[owner]}, {key[1]})")
+        self._trace_event("flow", run.plan.labels[owner], key[1])
         run.pending_flows -= 1
         if not run.pending_flows:
             self._finish_iteration(run)
