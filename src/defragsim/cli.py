@@ -2,8 +2,9 @@
 
 Subcommands:
   run       execute every (algorithm, load, seed) cell of a config
-  sweep     re-run the config along one axis (load, oversubscription,
-            threshold) and collect a grid of summaries
+  sweep     for each value of one axis (load, oversubscription,
+            threshold), run the cells of the config with that one field
+            replaced, as ``run`` would, and collect a grid of summaries
   validate  parse and validate a config, printing the resolved values
   oracle    run the brute-force minimum-move oracle on a solver
             instance file, check the exact solver's plan and compare
@@ -23,14 +24,12 @@ import json
 import sys
 from pathlib import Path
 
-from .config import (
-    ConfigError, ExperimentConfig, check_algorithms, load_config,
-)
+from .config import SWEEP_AXES, ConfigError, ExperimentConfig, load_config
 from .defrag import (
     InfeasibleError, MigrationPlan, OracleTooLargeError, SolverInstance,
     brute_force_min_moves, load_instance, ring_loads, solve, worker_moves,
 )
-from .metrics import export_run, run_tag, write_summary
+from .metrics import cell_name, export_run, run_tag, write_json
 from .simulate import run_simulation
 from .workload import generate_trace
 
@@ -49,11 +48,11 @@ def _event_file(events_dir: Path | None, algorithm: str, load: float,
                 "wb")
 
 
-def _run_cells(config: ExperimentConfig, out_dir: Path,
-               check_invariants: bool = False,
-               events_dir: Path | None = None):
-    """Run every (load, seed, algorithm) cell of the config; return
-    summary rows."""
+def _run_config(config: ExperimentConfig, out_dir: Path,
+                check_invariants: bool = False,
+                events_dir: Path | None = None):
+    """Run every (load, seed, algorithm) cell of the config; write their
+    files and summary.json to ``out_dir`` and return their summaries."""
     topology = config.topology.build()
     trace_cfg = config.trace.trace_config()
     ctl = config.controller
@@ -76,60 +75,45 @@ def _run_cells(config: ExperimentConfig, out_dir: Path,
                         event_log=event_log)
                 summary = export_run(result, load, out_dir)
                 summaries.append(summary)
-                print(f"{algorithm} load={load:g} seed={seed}: "
+                print(f"{algorithm} load={cell_name(load)} seed={seed}: "
                       f"mean={summary.mean_slowdown:.4f} "
                       f"p99={summary.p99_slowdown:.4f} "
                       f"migrations={summary.total_migrations}")
+    write_json({"runs": [s.as_dict() for s in summaries]},
+               out_dir / "summary.json")
     return summaries
 
 
 def cmd_run(args) -> int:
     config = load_config(args.config)
-    if args.algorithms:
-        config.algorithms = args.algorithms.split(",")
-        check_algorithms(config.algorithms)
+    # a replaced config is checked as a loaded one is
+    if args.algorithms is not None:
+        config = dataclasses.replace(config, algorithms=(
+            args.algorithms.split(",") if args.algorithms else []))
     if args.seeds is not None:
-        if args.seeds < 1:
-            raise ConfigError("--seeds must be at least 1")
-        config.trace.num_seeds = args.seeds
+        config = dataclasses.replace(config, trace=dataclasses.replace(
+            config.trace, num_seeds=args.seeds))
     out_dir = Path(args.out or config.output_dir)
-    summaries = _run_cells(config, out_dir,
-                           check_invariants=args.check_invariants,
-                           events_dir=Path(args.events) if args.events
-                           else None)
-    write_summary(summaries, out_dir / "summary.json")
+    summaries = _run_config(config, out_dir,
+                            check_invariants=args.check_invariants,
+                            events_dir=Path(args.events) if args.events
+                            else None)
     print(f"wrote {len(summaries)} run(s) to {out_dir}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
-    values = config.sweep.axis_values(args.axis)
     base_out = Path(args.out or config.output_dir)
     grid = []
-    for value in values:
-        cell_config = load_config(args.config)  # fresh copy per cell
-        if args.axis == "load":
-            cell_config.trace.loads = [value]
-        elif args.axis == "oversubscription":
-            # oversubscription = aggregate NIC capacity / uplink capacity
-            topo = cell_config.topology
-            topo.uplink_bandwidth_gbps = (
-                topo.hosts_per_rack * topo.gpus_per_host
-                * topo.nic_bandwidth_gbps / (topo.uplinks_per_tor * value))
-        elif args.axis == "threshold":
-            cell_config.controller.threshold = value
-        out_dir = base_out / f"sweep_{args.axis}" / f"{value:g}"
-        summaries = _run_cells(cell_config, out_dir,
-                               check_invariants=args.check_invariants)
-        write_summary(summaries, out_dir / "summary.json")
+    for value in config.sweep.axis_values(args.axis):
+        out_dir = base_out / f"sweep_{args.axis}" / cell_name(value)
+        summaries = _run_config(config.sweep_cell(args.axis, value), out_dir,
+                                check_invariants=args.check_invariants)
         grid.append({"axis": args.axis, "value": value,
                      "runs": [s.as_dict() for s in summaries]})
     grid_path = base_out / f"sweep_{args.axis}.json"
-    grid_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(grid_path, "w") as f:
-        json.dump({"cells": grid}, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json({"cells": grid}, grid_path)
     print(f"wrote {len(grid)} sweep cell(s) to {grid_path}")
     return EXIT_OK
 
@@ -251,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep one experiment axis")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--axis", required=True,
-                         choices=("load", "oversubscription", "threshold"))
+                         choices=tuple(SWEEP_AXES))
     p_sweep.add_argument("--out", help="output directory (overrides config)")
     p_sweep.add_argument("--check-invariants", action="store_true",
                          help=CHECK_INVARIANTS_HELP)

@@ -12,7 +12,7 @@ silently running defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field, is_dataclass, replace
 from functools import cache
 from pathlib import Path
 from types import NoneType, UnionType
@@ -21,8 +21,9 @@ from typing import get_args, get_origin, get_type_hints
 import yaml
 
 from .controller import ControllerConfig
+from .metrics import cell_name
 from .simulate import ALGORITHMS
-from .topology import ClusterTopology
+from .topology import ClusterTopology, oversubscription
 from .workload import (
     DEFAULT_TEMPLATES, ModelTemplate, TraceConfig, check_menu,
 )
@@ -85,6 +86,18 @@ class TraceBlock:
             size_choices=tuple(self.size_choices))
 
 
+# each sweep axis, a SweepBlock field: the config block it replaces, and
+# that block with the axis's field set from one value
+SWEEP_AXES = {
+    "load": ("trace", lambda trace, v: replace(trace, loads=[v])),
+    "oversubscription": ("topology", lambda topo, v: replace(
+        topo, uplink_bandwidth_gbps=oversubscription(
+            topo.hosts_per_rack * topo.gpus_per_host,
+            topo.nic_bandwidth_gbps, topo.uplinks_per_tor, v))),
+    "threshold": ("controller", lambda ctl, v: replace(ctl, threshold=v)),
+}
+
+
 @dataclass
 class SweepBlock:
     load: list[float] = field(default_factory=list)
@@ -92,10 +105,10 @@ class SweepBlock:
     threshold: list[float] = field(default_factory=list)
 
     def axis_values(self, axis: str) -> list[float]:
-        values = getattr(self, axis, None)
-        if values is None:
+        if axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {axis!r}; "
                               "expected load, oversubscription or threshold")
+        values = getattr(self, axis)
         if not values:
             raise ConfigError(f"sweep axis {axis!r} has no values listed "
                               "in the config")
@@ -112,6 +125,55 @@ class ExperimentConfig:
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     sweep: SweepBlock = field(default_factory=SweepBlock)
     output_dir: str = "results"
+
+    def __post_init__(self):
+        """Reject a value no run can use; ``dataclasses.replace`` re-checks."""
+        trace, sweep, ctl = self.trace, self.sweep, self.controller
+        if not trace.loads:
+            raise ConfigError("trace.loads must list at least one load level")
+        if trace.num_seeds < 1:
+            raise ConfigError("trace.num_seeds must be at least 1")
+        if trace.num_jobs < 1:
+            raise ConfigError("trace.num_jobs must be at least 1")
+        for where, values, positive in (
+                ("trace.loads", trace.loads, True),
+                ("sweep.load", sweep.load, True),
+                ("sweep.oversubscription", sweep.oversubscription, True),
+                ("sweep.threshold", sweep.threshold, False)):
+            if positive and any(v <= 0 for v in values):
+                raise ConfigError(f"{where} must be positive, got {values}")
+            if any(v < 0 for v in values):
+                raise ConfigError(f"{where} must not be negative, "
+                                  f"got {values}")
+            _check_unique(values, where, cell_name)
+        if ctl.threshold is not None and ctl.threshold < 0:
+            raise ConfigError(f"controller.threshold must not be negative, "
+                              f"got {ctl.threshold}")
+        if ctl.max_moves is not None and ctl.max_moves < 1:
+            raise ConfigError(f"controller.max_moves must be at least 1 or "
+                              f"null, got {ctl.max_moves}")
+        if ctl.solver_time_limit <= 0:
+            raise ConfigError("controller.solver_time_limit must be positive, "
+                              f"got {ctl.solver_time_limit}")
+        if not self.algorithms:
+            raise ConfigError("algorithms must be a non-empty list of names")
+        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
+        if unknown:
+            raise ConfigError(
+                f"unknown algorithm(s): {', '.join(unknown)}; "
+                f"available: {', '.join(ALGORITHMS)}")
+        _check_unique(self.algorithms, "algorithms")
+        menu = trace.trace_config()  # fails on unknown template names
+        try:
+            check_menu(menu, self.topology.build())
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def sweep_cell(self, axis: str, value: float) -> ExperimentConfig:
+        """A copy whose ``axis`` field is ``value``; an oversubscription
+        rescales the uplink bandwidth at the configured uplink count."""
+        name, with_value = SWEEP_AXES[axis]
+        return replace(self, **{name: with_value(getattr(self, name), value)})
 
 
 @cache
@@ -168,7 +230,7 @@ def _check_scalar(value, kind: type, where: str) -> None:
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
     # NaN compares false, so it would pass every range check in
-    # parse_config; and no setting has a meaning at infinity
+    # ExperimentConfig's checks; and no setting has a meaning at infinity
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
@@ -186,62 +248,9 @@ def _check_unique(values: list, where: str, name=str) -> None:
         first[key] = v
 
 
-def check_algorithms(algorithms: list[str]) -> None:
-    """Reject an empty list, an unknown name or a repeated one."""
-    if not algorithms:
-        raise ConfigError("algorithms must be a non-empty list of names")
-    unknown = [a for a in algorithms if a not in ALGORITHMS]
-    if unknown:
-        raise ConfigError(
-            f"unknown algorithm(s): {', '.join(unknown)}; "
-            f"available: {', '.join(ALGORITHMS)}")
-    _check_unique(algorithms, "algorithms")
-
-
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a parsed YAML mapping into an ExperimentConfig."""
-    config = _read_block(ExperimentConfig, data, "")
-    if not config.trace.loads:
-        raise ConfigError("trace.loads must list at least one load level")
-    if config.trace.num_seeds < 1:
-        raise ConfigError("trace.num_seeds must be at least 1")
-    if config.trace.num_jobs < 1:
-        raise ConfigError("trace.num_jobs must be at least 1")
-    for where, values in (("trace.loads", config.trace.loads),
-                          ("sweep.load", config.sweep.load),
-                          ("sweep.oversubscription",
-                           config.sweep.oversubscription)):
-        if any(v <= 0 for v in values):
-            raise ConfigError(f"{where} must be positive, got {values}")
-    ctl = config.controller
-    if ctl.threshold is not None and ctl.threshold < 0:
-        raise ConfigError(f"controller.threshold must not be negative, "
-                          f"got {ctl.threshold}")
-    if any(v < 0 for v in config.sweep.threshold):
-        raise ConfigError(f"sweep.threshold must not be negative, "
-                          f"got {config.sweep.threshold}")
-    if ctl.max_moves is not None and ctl.max_moves < 1:
-        raise ConfigError(f"controller.max_moves must be at least 1 or "
-                          f"null, got {ctl.max_moves}")
-    if ctl.solver_time_limit <= 0:
-        raise ConfigError(f"controller.solver_time_limit must be positive, "
-                          f"got {ctl.solver_time_limit}")
-    check_algorithms(config.algorithms)
-    # two values with one name in output paths (``metrics.run_tag`` and
-    # ``cli.cmd_sweep`` format a value with :g) write the same outputs;
-    # the second run would overwrite the first
-    for where, values in (("trace.loads", config.trace.loads),
-                          ("sweep.load", config.sweep.load),
-                          ("sweep.oversubscription",
-                           config.sweep.oversubscription),
-                          ("sweep.threshold", config.sweep.threshold)):
-        _check_unique(values, where, lambda v: f"{v:g}")
-    menu = config.trace.trace_config()  # fails on unknown template names
-    try:
-        check_menu(menu, config.topology.build())
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config
+    return _read_block(ExperimentConfig, data, "")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

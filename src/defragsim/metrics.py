@@ -102,16 +102,20 @@ def _write_csv(path: Path, columns: Sequence[str], rows) -> None:
     _atomic_write(path, body)
 
 
-def write_summary(summaries: Sequence[RunSummary], path: Path) -> None:
+def write_json(data: dict, path: Path) -> None:
     def body(f):
-        json.dump({"runs": [s.as_dict() for s in summaries]}, f, indent=2,
-                  sort_keys=True)
+        json.dump(data, f, indent=2, sort_keys=True)
         f.write("\n")
     _atomic_write(path, body)
 
 
+def cell_name(value: float) -> str:
+    """A value's form in output names, run tags and sweep cells alike."""
+    return f"{value:g}"
+
+
 def run_tag(algorithm: str, load: float, seed: int) -> str:
-    return f"{algorithm}_load{load:g}_seed{seed}"
+    return f"{algorithm}_load{cell_name(load)}_seed{seed}"
 
 
 def export_run(result: SimulationResult, load: float,

@@ -28,6 +28,14 @@ class TopologyError(ValueError):
     pass
 
 
+def oversubscription(gpus_per_rack: int, nic_bandwidth: float,
+                     uplinks_per_tor: int, uplink_bandwidth: float) -> float:
+    """A rack's aggregate NIC capacity over its uplink capacity. Its own
+    inverse: given a ratio as ``uplink_bandwidth``, it returns the uplink
+    bandwidth, in ``nic_bandwidth``'s unit, that gives the rack that ratio."""
+    return gpus_per_rack * nic_bandwidth / (uplinks_per_tor * uplink_bandwidth)
+
+
 @dataclass(frozen=True)
 class ClusterTopology:
     num_racks: int
@@ -55,8 +63,8 @@ class ClusterTopology:
 
     @property
     def oversubscription_ratio(self) -> float:
-        return (self.hosts_per_rack * self.gpus_per_host * self.nic_bandwidth
-                ) / (self.uplinks_per_tor * self.uplink_bandwidth)
+        return oversubscription(self.gpus_per_rack, self.nic_bandwidth,
+                                self.uplinks_per_tor, self.uplink_bandwidth)
 
     # -- GPU ids -------------------------------------------------------------
 

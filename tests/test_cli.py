@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -6,11 +8,13 @@ import pytest
 
 from defragsim import cli
 from defragsim.cli import main
+from defragsim.config import load_config
 from defragsim.defrag import (
     InfeasibleError, MigrationPlan, SolverInstance, SolverJob, SolverStats,
     save_instance,
 )
 from defragsim.flowsim import FlowNetwork
+from defragsim.metrics import cell_name
 from defragsim.scheduler import Placement
 
 QUICK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "quick.yaml"
@@ -46,6 +50,21 @@ def config_file(tmp_path):
     path = tmp_path / "exp.yaml"
     path.write_text(CONFIG_YAML)
     return path
+
+
+def run_files(out: Path) -> dict[str, object]:
+    """Every file under ``out``, by relative path, as bytes; a solver CSV
+    as its rows without the wall-clock solve_time column, the one value
+    that differs between two runs of one config."""
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name.startswith("solver_"):
+            rows = list(csv.reader(io.StringIO(data.decode())))
+            drop = rows[0].index("solve_time")
+            data = [row[:drop] + row[drop + 1:] for row in rows]
+        files[str(path.relative_to(out))] = data
+    return files
 
 
 def test_run_writes_outputs(config_file, tmp_path, capsys):
@@ -89,14 +108,17 @@ def test_run_check_invariants_audits_without_changing_runs(
         return real_check(net, *args, **kwargs)
 
     monkeypatch.setattr(FlowNetwork, "check_conservation", counting_check)
-    summaries = []
-    for flags in ([], ["--check-invariants"]):
-        out = tmp_path / ("audited" if flags else "plain")
+    runs = []
+    for name, flags in (("plain", []), ("audited", ["--check-invariants"]),
+                        ("dumped", ["--events", str(tmp_path / "events")])):
+        audits.clear()
+        out = tmp_path / name
         assert main(["run", str(QUICK_CONFIG), "--out", str(out)]
                     + flags) == 0
-        summaries.append(json.loads((out / "summary.json").read_text()))
-        assert bool(audits) == bool(flags)
-    assert summaries[0] == summaries[1]
+        assert bool(audits) == (name == "audited")
+        runs.append(run_files(out))
+    assert "summary.json" in runs[0] and len(runs[0]) == 7
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_run_writes_controller_outcomes(tmp_path):
@@ -132,16 +154,18 @@ def test_run_events_dump_feeds_the_event_log_hash(tmp_path):
             == (plain / f"jobs_{tag}.csv").read_text()
 
 
-def test_run_unknown_algorithm_exits_2(config_file, capsys):
-    assert main(["run", str(config_file), "--algorithms", "magic"]) == 2
-    assert "unknown algorithm" in capsys.readouterr().err
-
-
-def test_run_repeated_algorithm_exits_2(config_file, tmp_path, capsys):
+# an override passes the checks a config file does
+@pytest.mark.parametrize("flags, message", [
+    (["--algorithms", ""], "algorithms must be a non-empty list of names"),
+    (["--algorithms", "magic"], "unknown algorithm(s): magic"),
+    (["--algorithms", "ecmp,ecmp"], "algorithms lists ecmp more than once"),
+    (["--seeds", "0"], "trace.num_seeds must be at least 1"),
+], ids=["empty", "unknown", "repeated", "no seeds"])
+def test_run_refused_override_exits_2(config_file, tmp_path, capsys, flags,
+                                      message):
     out = tmp_path / "out"
-    assert main(["run", str(config_file), "--algorithms", "ecmp,ecmp",
-                 "--out", str(out)]) == 2
-    assert "algorithms lists ecmp more than once" in capsys.readouterr().err
+    assert main(["run", str(config_file), "--out", str(out)] + flags) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -218,21 +242,44 @@ def test_validate_prints_resolved_config(config_file, capsys):
 
 
 def test_sweep_single_cell_matches_run(config_file, tmp_path):
-    run_out = tmp_path / "run"
-    sweep_out = tmp_path / "sweep"
-    assert main(["run", str(config_file), "--algorithms", "ecmp",
-                 "--out", str(run_out)]) == 0
-    assert main(["sweep", str(config_file), "--axis", "load",
-                 "--out", str(sweep_out)]) == 0
-    grid = json.loads((sweep_out / "sweep_load.json").read_text())
-    assert len(grid["cells"]) == 1
-    cell = grid["cells"][0]
-    assert cell["value"] == 0.9
-    direct = json.loads((run_out / "summary.json").read_text())["runs"][0]
-    swept = next(r for r in cell["runs"] if r["algorithm"] == "ecmp")
-    assert swept["event_log_hash"] == direct["event_log_hash"]
-    assert swept["mean_slowdown"] == direct["mean_slowdown"]
-    assert swept["controller_outcomes"] == direct["controller_outcomes"]
+    """Each value's directory is ``run``'s on the config file with that
+    one field edited; oversubscription rescales the uplinks at the
+    configured count (2 uplinks of 2 * 8 * 400 / (2 * value) Gb/s)."""
+    yaml_text = CONFIG_YAML.replace(
+        "  threshold: [2, 3]",
+        "  threshold: [2, 3]\n  oversubscription: [1, 2.5, 4]")
+    config_file.write_text(yaml_text)
+    edits = {
+        "load": lambda v: ("loads: [0.9]", f"loads: [{v!r}]"),
+        "threshold": lambda v: ("solver_time_limit: 5.0",
+                                f"solver_time_limit: 5.0\n  threshold: {v!r}"),
+        "oversubscription": lambda v: (
+            "uplink_bandwidth_gbps: 400",
+            f"uplink_bandwidth_gbps: {2 * 8 * 400 / (2 * v)!r}"),
+    }
+    base = load_config(config_file)
+    for axis, edit in edits.items():
+        sweep_out = tmp_path / f"sweep_{axis}"
+        assert main(["sweep", str(config_file), "--axis", axis,
+                     "--out", str(sweep_out)]) == 0
+        grid = json.loads((sweep_out / f"sweep_{axis}.json").read_text())
+        values = [c["value"] for c in grid["cells"]]
+        assert values == getattr(base.sweep, axis)
+        for value, cell in zip(values, grid["cells"]):
+            edited = tmp_path / f"{axis}_{value}.yaml"
+            edited.write_text(yaml_text.replace(*edit(value)))
+            run_out = tmp_path / f"run_{axis}_{value}"
+            assert main(["run", str(edited), "--out", str(run_out)]) == 0
+            cell_out = sweep_out / f"sweep_{axis}" / cell_name(value)
+            assert run_files(cell_out) == run_files(run_out)
+            assert cell["runs"] == json.loads(
+                (run_out / "summary.json").read_text())["runs"]
+    for value in base.sweep.oversubscription:
+        topology = base.sweep_cell("oversubscription", value).topology
+        assert topology.build().oversubscription_ratio \
+            == pytest.approx(value)
+        assert topology.uplinks_per_tor == 2
+    assert base == load_config(config_file)
 
 
 def test_sweep_check_invariants_audits_without_changing_cells(
@@ -277,30 +324,6 @@ def test_sweep_threshold_axis(config_file, tmp_path):
                  "--out", str(out)]) == 0
     grid = json.loads((out / "sweep_threshold.json").read_text())
     assert [c["value"] for c in grid["cells"]] == [2, 3]
-
-
-def test_sweep_oversubscription_axis(config_file, tmp_path, monkeypatch):
-    """Each cell's uplinks are resized to the axis value's ratio; the
-    uplink count stays as configured."""
-    config_file.write_text(CONFIG_YAML.replace(
-        "  threshold: [2, 3]", "  threshold: [2, 3]\n"
-        "  oversubscription: [1, 2.5, 4]"))
-    cells = []
-
-    def capture_cells(config, out_dir, check_invariants=False,
-                      events_dir=None):
-        cells.append(config)
-        out_dir.mkdir(parents=True)
-        return []
-
-    monkeypatch.setattr(cli, "_run_cells", capture_cells)
-    assert main(["sweep", str(config_file), "--axis", "oversubscription",
-                 "--out", str(tmp_path)]) == 0
-    assert len(cells) == 3
-    for value, config in zip((1, 2.5, 4), cells, strict=True):
-        assert config.topology.build().oversubscription_ratio \
-            == pytest.approx(value)
-        assert config.topology.uplinks_per_tor == 2
 
 
 def test_oracle_agrees_with_solver(tmp_path, capsys):

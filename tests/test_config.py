@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from defragsim.config import ConfigError, load_config, parse_config
+from defragsim.config import (
+    SWEEP_AXES, ConfigError, SweepBlock, load_config, parse_config,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -165,8 +167,11 @@ def test_sweep_axis_values():
     assert config.sweep.axis_values("load") == [0.7, 0.9]
     with pytest.raises(ConfigError, match="no values"):
         config.sweep.axis_values("threshold")
-    with pytest.raises(ConfigError, match="unknown sweep axis"):
-        config.sweep.axis_values("latency")
+    # the block's other attributes are not axes
+    for name in ("latency", "axis_values", "__doc__"):
+        with pytest.raises(ConfigError, match="unknown sweep axis"):
+            config.sweep.axis_values(name)
+    assert list(SWEEP_AXES) == [f.name for f in dataclasses.fields(SweepBlock)]
 
 
 def test_load_config_yaml_file(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from defragsim.metrics import (
     JOB_COLUMNS, SERIES_COLUMNS, SOLVER_COLUMNS, export_run, nearest_rank,
-    run_tag, summarize, write_summary,
+    run_tag, summarize, write_json,
 )
 from defragsim.simulate import run_simulation
 from tests.test_simulate import SMALL_TOPO, small_trace
@@ -94,7 +94,7 @@ def test_job_table_round_trip(result, tmp_path):
 def test_write_summary_json(result, tmp_path):
     summary = summarize(result, 0.9)
     path = tmp_path / "summary.json"
-    write_summary([summary], path)
+    write_json({"runs": [summary.as_dict()]}, path)
     data = json.loads(path.read_text())
     assert len(data["runs"]) == 1
     run = data["runs"][0]
