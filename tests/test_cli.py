@@ -274,12 +274,31 @@ def test_sweep_single_cell_matches_run(config_file, tmp_path):
             assert run_files(cell_out) == run_files(run_out)
             assert cell["runs"] == json.loads(
                 (run_out / "summary.json").read_text())["runs"]
-    for value in base.sweep.oversubscription:
-        topology = base.sweep_cell("oversubscription", value).topology
-        assert topology.build().oversubscription_ratio \
-            == pytest.approx(value)
-        assert topology.uplinks_per_tor == 2
     assert base == load_config(config_file)
+
+
+def test_sweep_oversubscription_axis(config_file, tmp_path, monkeypatch):
+    """Each cell's uplinks are resized to the axis value's ratio; the
+    uplink count stays as configured."""
+    config_file.write_text(CONFIG_YAML.replace(
+        "  threshold: [2, 3]", "  threshold: [2, 3]\n"
+        "  oversubscription: [1, 2.5, 4]"))
+    cells = []
+
+    def capture_cells(config, out_dir, check_invariants=False,
+                      events_dir=None):
+        cells.append(config)
+        out_dir.mkdir(parents=True)
+        return []
+
+    monkeypatch.setattr(cli, "_run_config", capture_cells)
+    assert main(["sweep", str(config_file), "--axis", "oversubscription",
+                 "--out", str(tmp_path)]) == 0
+    assert len(cells) == 3
+    for value, config in zip((1, 2.5, 4), cells, strict=True):
+        assert config.topology.build().oversubscription_ratio \
+            == pytest.approx(value)
+        assert config.topology.uplinks_per_tor == 2
 
 
 def test_sweep_check_invariants_audits_without_changing_cells(
