@@ -27,7 +27,7 @@ from pathlib import Path
 from .config import SWEEP_AXES, ConfigError, ExperimentConfig, load_config
 from .defrag import (
     InfeasibleError, MigrationPlan, OracleTooLargeError, SolverInstance,
-    brute_force_min_moves, load_instance, ring_loads, solve, worker_moves,
+    brute_force_min_moves, load_instance, ring_walk, solve, worker_moves,
 )
 from .metrics import cell_name, export_run, run_tag, write_json
 from .simulate import run_simulation
@@ -147,7 +147,7 @@ def _plan_faults(instance: SolverInstance, plan: MigrationPlan) -> list[str]:
     for t, (u, cap) in enumerate(zip(used, instance.capacities)):
         if u > cap:
             faults.append(f"rack {t}: {u} workers over its capacity {cap}")
-    loads = ring_loads(instance.jobs, plan.target, instance.base_load)
+    _, loads = ring_walk(instance.jobs, plan.target, instance.base_load)
     for t, load in enumerate(loads):
         if load > instance.threshold:
             faults.append(f"rack {t}: ring load {load} over the threshold "

@@ -49,15 +49,15 @@ solve whose incumbent meets it builds no search at all. At a floor of
 1 an incumbent that misses it leaves the search to find its first
 one-move plan; a direct scan of the one-unit moves, in the search's own
 order, finds that plan without building a search. One walk of the
-initial rows gives the free slots and ring loads that the repair, the
-floor and the scan read.
+initial rows gives the fragmented flags, ring loads and free slots that
+every part of a solve reads, and the job order is sorted once.
 
 Jobs are placed in atomic units of ``unit_size`` workers (the TP group,
 which never splits across hosts); pure DP jobs have unit_size 1. A
 fragmented job contributes ``ring_weight`` (its TP degree) to every rack
-it spans; ``ring_loads`` gives that per-rack load.
-``fragmentation.stage_rows`` sums it once per placement change, in the
-pass that tests each row, for the metric and the controller.
+it spans; ``ring_walk`` is the one statement of that rule.
+``fragmentation.stage_rows`` calls it once per placement change, for the
+metric and the controller, and a solve once, on its initial rows.
 """
 
 from __future__ import annotations
@@ -160,18 +160,24 @@ def is_fragmented(row: Sequence[int]) -> bool:
     return len(row) - row.count(0) >= 2
 
 
-def ring_loads(jobs: Sequence[SolverJob], rows: Sequence[Sequence[int]],
-               base: Sequence[int]) -> list[int]:
-    """Ring load per rack: ``base`` plus the ring weight of every
-    fragmented job on each rack it spans. A fragmented ring sends one
-    cross-rack flow out of every rack it spans."""
+def ring_walk(jobs: Sequence[SolverJob], rows: Sequence[Sequence[int]],
+              base: Sequence[int]) -> tuple[list[bool], list[int]]:
+    """Whether each row is fragmented, and the ring load per rack:
+    ``base`` plus the ring weight of every fragmented row on each rack
+    it spans. A fragmented ring sends one cross-rack flow out of every
+    rack it spans. One loop tests each row once and adds its weight as
+    it goes."""
+    fragmented = []
     loads = list(base)
     for job, row in zip(jobs, rows):
-        if is_fragmented(row):
+        split = is_fragmented(row)
+        fragmented.append(split)
+        if split:
+            weight = job.ring_weight
             for t, v in enumerate(row):
                 if v:
-                    loads[t] += job.ring_weight
-    return loads
+                    loads[t] += weight
+    return fragmented, loads
 
 
 def worker_moves(instance: SolverInstance,
@@ -260,31 +266,34 @@ _Walk = tuple[list[int], list[int], list[bool]]
 
 
 def _initial_walk(instance: SolverInstance) -> _Walk:
-    """One walk of the initial rows, for every part of a solve that
-    reads them: the repair (on copies), the root floor and the one-move
-    scan."""
+    """The initial rows' ``ring_walk`` over the base load, and each
+    rack's free slots under them: the one walk a solve reads."""
+    split, loads = ring_walk(instance.jobs, instance.initial,
+                             instance.base_load)
     free = list(instance.capacities)
-    loads = list(instance.base_load)
-    split = []
     for job, row in zip(instance.jobs, instance.initial):
         unit = job.unit_size
-        fragmented = is_fragmented(row)
-        split.append(fragmented)
-        weight = job.ring_weight if fragmented else 0
         for t, v in enumerate(row):
-            if v:
-                free[t] -= unit * v
-                loads[t] += weight
+            free[t] -= unit * v
     return free, loads, split
 
 
-def _job_order(instance: SolverInstance) -> list[int]:
-    """The search's job order, depth 0 first. Fragmented jobs and large
-    jobs constrain the search most; fixing them first surfaces
-    infeasibility high in the tree."""
-    return sorted(range(len(instance.jobs)),
-                  key=lambda i: (not is_fragmented(instance.initial[i]),
-                                 -instance.jobs[i].workers, i))
+def _job_order(instance: SolverInstance, split: Sequence[bool]
+               ) -> list[int]:
+    """The search's job order, depth 0 first, from the initial rows'
+    fragmented flags ``split``. Fragmented jobs and large jobs constrain
+    the search most; fixing them first surfaces infeasibility high in
+    the tree."""
+    jobs = instance.jobs
+    return sorted(range(len(jobs)),
+                  key=lambda i: (not split[i], -jobs[i].workers, i))
+
+
+def _own_change(job: SolverJob, v: int) -> int:
+    """The workers a fragmented job with ``v`` units on a rack moves at
+    least to stop loading that rack: vacate it or gather there."""
+    units = job.units
+    return job.unit_size * (v if 2 * v <= units else units - v)
 
 
 # -- repair incumbent ----------------------------------------------------
@@ -368,12 +377,6 @@ def _repair_incumbent(instance: SolverInstance, walk: _Walk
     return None
 
 
-def _violating_racks(instance, placement) -> set[int]:
-    return {t for t, load in enumerate(
-                ring_loads(instance.jobs, placement, instance.base_load))
-            if load > instance.threshold}
-
-
 # -- exact branch and bound ---------------------------------------------
 
 
@@ -394,10 +397,7 @@ def _root_floor(instance: SolverInstance, walk: _Walk) -> int:
                                         split):
             v = row[t]
             if v and fragmented:
-                # the cheaper own change, as in _Search._bound_tables
-                units = job.units
-                costs.append(job.unit_size
-                             * (v if 2 * v <= units else units - v))
+                costs.append(_own_change(job, v))
                 max_weight = max(max_weight, job.ring_weight)
         if costs:
             costs.sort()
@@ -492,20 +492,22 @@ class _Search:
     by the support's rack bitmask. No table exists until ``run`` starts a
     search; ``solve`` builds no search at all when the incumbent meets
     the root floor (``_root_floor``) or, at a floor of 1, when a
-    one-move plan exists (``_one_move_plan``). The jobs are taken in
-    ``_job_order``. The candidate rows are generated lazily, already
-    through the capacity and ring checks, and each is bounded in its
-    parent before the search descends into it. ``nodes``
-    counts the root and every candidate row built, pruned or entered;
-    ``_dfs`` runs only for the entered ones. Rows at a k the node cuts
-    are never built, so never counted."""
+    one-move plan exists (``_one_move_plan``). ``order`` and ``split``
+    are the solve's ``_job_order`` and its walk's fragmented flags. The
+    candidate rows are generated lazily, already through the capacity
+    and ring checks, and each is bounded in its parent before the search
+    descends into it. ``nodes`` counts the root and every candidate row
+    built, pruned or entered; ``_dfs`` runs only for the entered ones.
+    Rows at a k the node cuts are never built, so never counted."""
 
-    def __init__(self, instance: SolverInstance, deadline: float | None):
+    def __init__(self, instance: SolverInstance, deadline: float | None,
+                 order: list[int], split: list[bool]):
         self.instance = instance
         self.deadline = deadline
         self.nodes = 0
         self.timed_out = False
-        self.order = _job_order(instance)
+        self.order = order
+        self.split = split
         # built by ``run`` once a search starts
         self.bound_tables: list[list[tuple]] = []
         # (job, k) -> [(row0 less k removed units, racks they left,
@@ -528,6 +530,7 @@ class _Search:
         deepest up, updating the rack totals in place; a table rebuilds
         only the entries the jobs since the one below it touched."""
         instance = self.instance
+        split = self.split
         num_racks = instance.num_racks
         loads = [0] * num_racks
         weights = [0] * num_racks
@@ -539,19 +542,16 @@ class _Search:
         tables = [table]
         for depth in range(len(self.order) - 1, -1, -1):
             i = self.order[depth]
-            row = instance.initial[i]
-            if is_fragmented(row):
+            if split[i]:
                 job = instance.jobs[i]
-                weight, unit, units = job.ring_weight, job.unit_size, job.units
+                weight = job.ring_weight
                 bit = 1 << i
-                for t, v in enumerate(row):
+                for t, v in enumerate(instance.initial[i]):
                     if v:
                         loads[t] += weight
                         if weight > weights[t]:
                             weights[t] = weight
-                        # the cheaper own change: vacate t or gather on t
-                        costs[t].append(
-                            unit * (v if 2 * v <= units else units - v))
+                        costs[t].append(_own_change(job, v))
                         masks[t] |= bit
                         changed.add(t)
             if changed:
@@ -830,12 +830,9 @@ def solve(instance: SolverInstance,
         if load > threshold:
             raise InfeasibleError("the frozen ring load alone exceeds the "
                                   "threshold")
-    workers = 0
-    for job in instance.jobs:
-        workers += job.units * job.unit_size
-    if sum(instance.capacities) < workers:
-        raise InfeasibleError("the capacities cannot hold the jobs' workers")
     walk = _initial_walk(instance)
+    if sum(walk[0]) < 0:
+        raise InfeasibleError("the capacities cannot hold the jobs' workers")
     incumbent = _repair_incumbent(instance, walk)
     floor = _root_floor(instance, walk)
     if incumbent is not None:
@@ -844,14 +841,16 @@ def solve(instance: SolverInstance,
             # no plan costs less: settled without a search
             return MigrationPlan(tuple(incumbent), SolverStats(
                 cost, time.monotonic() - start, 0, True))
+    split = walk[2]
+    order = _job_order(instance, split)
     if floor == 1 and (max_moves is None or max_moves >= 1):
         # the search's bound starts at 2 or more: its plan is the first
         # one-move plan, if there is one
-        target = _one_move_plan(instance, _job_order(instance), walk)
+        target = _one_move_plan(instance, order, walk)
         if target is not None:
             return MigrationPlan(target, SolverStats(
                 1, time.monotonic() - start, 0, True))
-    search = _Search(instance, deadline)
+    search = _Search(instance, deadline, order, split)
     search.run(incumbent, floor, cap=max_moves)
 
     elapsed = time.monotonic() - start
@@ -917,7 +916,8 @@ def brute_force_min_moves(instance: SolverInstance,
         if best is not None and moves >= best:
             return
         if depth == num_jobs:
-            if not _violating_racks(instance, chosen):
+            _, loads = ring_walk(instance.jobs, chosen, instance.base_load)
+            if all(load <= instance.threshold for load in loads):
                 best = moves
             return
         job = instance.jobs[depth]

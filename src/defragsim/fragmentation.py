@@ -4,8 +4,10 @@ Each pipeline stage of a job is one row: its DP replicas (TP units) per
 rack. A stage spanning two or more racks is fragmented, and each of its
 DP rings, one per TP rank, then sends exactly one flow out of every rack
 the stage spans. A rack's fragmentation degree is therefore its ring
-load (``defrag.ring_loads``): the summed ring weight, i.e. TP degree, of
-the fragmented stages on it; pipeline stages count as independent jobs.
+load: the summed ring weight, i.e. TP degree, of the fragmented stages
+on it; pipeline stages count as independent jobs. ``stage_rows`` gets
+the loads and each row's fragmented flag from ``defrag.ring_walk``, the
+one walk that sums the ring loads, once per placement change.
 
 Counting per stage rather than per DP ring is exact because a TP unit
 never splits across hosts: the scheduler places and the controller
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .defrag import SolverJob, is_fragmented
+from .defrag import SolverJob, ring_walk
 from .scheduler import Placement
 
 
@@ -34,11 +36,9 @@ class StageRows:
 
 def stage_rows(placement: Placement) -> StageRows:
     """One solver job and one row per pipeline stage of each placed job,
-    in job-id order, as ``Placement.job_stages`` keeps them, whether
-    each row is fragmented, and the ring loads the fragmented rows put
-    on each rack: one loop tests each row once and adds a fragmented
-    row's ring weight to the racks it spans, the sum ``ring_loads``
-    gives.
+    in job-id order, as ``Placement.job_stages`` keeps them, with the
+    rows' ``ring_walk``: whether each row is fragmented and the ring
+    loads the fragmented rows put on each rack.
 
     The lists returned are fresh and the rows are tuples, so a caller
     may change them without touching the placement's kept ones.
@@ -48,16 +48,8 @@ def stage_rows(placement: Placement) -> StageRows:
         solver_jobs, job_rows = placement.job_stages(job_id)
         jobs.extend(solver_jobs)
         rows.extend(job_rows)
-    fragmented = []
-    loads = [0] * placement.topology.num_racks
-    for job, row in zip(jobs, rows):
-        split = is_fragmented(row)
-        fragmented.append(split)
-        if split:
-            weight = job.ring_weight
-            for t, v in enumerate(row):
-                if v:
-                    loads[t] += weight
+    fragmented, loads = ring_walk(jobs, rows,
+                                  [0] * placement.topology.num_racks)
     return StageRows(jobs, rows, fragmented, loads)
 
 

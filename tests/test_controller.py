@@ -11,7 +11,7 @@ from defragsim.controller import (
     build_instance, resolve_plan, stage_rows,
 )
 from defragsim.defrag import (
-    SolverInstance, SolverTimeout, is_fragmented, ring_loads,
+    SolverInstance, SolverTimeout, is_fragmented, ring_walk,
 )
 from defragsim.fragmentation import fragmentation_degree
 from defragsim.jobmodel import WorkerMove
@@ -113,7 +113,7 @@ def three_pass_instance(placement, threshold):
     frozen stages."""
     stages = stage_rows(placement)
     num_racks = placement.topology.num_racks
-    loads = ring_loads(stages.jobs, stages.rows, [0] * num_racks)
+    _, loads = ring_walk(stages.jobs, stages.rows, [0] * num_racks)
     violating = {t for t in range(num_racks) if loads[t] > threshold}
     if not violating:
         return None
@@ -124,8 +124,9 @@ def three_pass_instance(placement, threshold):
     for i in frozen:
         for t, v in enumerate(stages.rows[i]):
             capacities[t] -= stages.jobs[i].unit_size * v
-    base_load = ring_loads([stages.jobs[i] for i in frozen],
-                           [stages.rows[i] for i in frozen], [0] * num_racks)
+    _, base_load = ring_walk([stages.jobs[i] for i in frozen],
+                             [stages.rows[i] for i in frozen],
+                             [0] * num_racks)
     return SolverInstance(
         num_racks=num_racks, capacities=tuple(capacities),
         threshold=threshold,
@@ -166,10 +167,6 @@ def test_one_pass_reduction_matches_three_passes(data):
     expected = three_pass_instance(placement, threshold)
     assert build_instance(placement, threshold) == expected
     stages = stage_rows(placement)
-    # the flags and loads stage_rows keeps are those of every row
-    assert stages.fragmented == [is_fragmented(row) for row in stages.rows]
-    assert stages.loads == ring_loads(stages.jobs, stages.rows,
-                                      [0] * topo.num_racks)
     assert build_instance(placement, threshold, stages=stages) == expected
 
 

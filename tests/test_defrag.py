@@ -13,7 +13,7 @@ from defragsim import defrag
 from defragsim.defrag import (
     InfeasibleError, MigrationPlan, MoveBudgetExceeded, OracleTooLargeError,
     SolverInstance, SolverJob, SolverStats, SolverTimeout,
-    brute_force_min_moves, is_fragmented, ring_loads, solve, worker_moves,
+    brute_force_min_moves, is_fragmented, ring_walk, solve, worker_moves,
 )
 
 
@@ -196,8 +196,11 @@ def test_capacity_short_of_workers_is_infeasible(threshold, max_moves):
     # 3 workers on two 1-slot racks: no placement fits, whether or not
     # the initial rows break the threshold
     inst = SolverInstance(2, (1, 1), threshold, (SolverJob(0, 3),), ((2, 1),))
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError,
+                       match="^the capacities cannot hold the jobs' workers$"
+                       ) as raised:
         solve(inst, time_limit=None, max_moves=max_moves)
+    assert raised.value.nodes_explored == 0
     with pytest.raises(InfeasibleError):
         brute_force_min_moves(inst)
 
@@ -218,8 +221,10 @@ def test_ring_loads_weight_fragmented_rows_only():
     jobs = [SolverJob(0, 2, unit_size=8, ring_weight=8), SolverJob(1, 3),
             SolverJob(2, 2)]
     rows = [[1, 1, 0], [0, 3, 0], [0, 1, 1]]
-    assert ring_loads(jobs, rows, [0, 0, 0]) == [8, 9, 1]
-    assert ring_loads(jobs, rows, [2, 0, 5]) == [10, 9, 6]
+    assert ring_walk(jobs, rows, [0, 0, 0])[1] == [8, 9, 1]
+    assert ring_walk(jobs, rows, [2, 0, 5])[1] == [10, 9, 6]
+    # a row on one rack is whole, whatever its unit count
+    assert ring_walk(jobs, rows, [0, 0, 0])[0] == [True, False, True]
 
 
 @pytest.mark.parametrize("jobs, initial", [
@@ -300,7 +305,7 @@ def tp_unit_instances(draw):
     threshold = draw(st.integers(2, 4))
     base_load = [draw(st.integers(0, threshold - 1))
                  for _ in range(num_racks)]
-    loads = ring_loads(jobs, initial, [0] * num_racks)
+    _, loads = ring_walk(jobs, initial, [0] * num_racks)
     base_load[loads.index(max(loads))] = draw(st.integers(1, threshold - 1))
     max_moves = draw(st.integers(0, 8))
     return SolverInstance(num_racks, tuple(capacities), threshold,
@@ -446,7 +451,7 @@ class _RefSearch:
         for i in reversed(self.order):
             job, row = instance.jobs[i], instance.initial[i]
             self.rest_loads.append(
-                ring_loads([job], [row], self.rest_loads[-1]))
+                ring_walk([job], [row], self.rest_loads[-1])[1])
             options = self.rest_options[-1]
             if is_fragmented(row):
                 options = [list(o) for o in options]
@@ -557,9 +562,8 @@ class _RefSearch:
 
 
 def _ref_violating_racks(instance, placement):
-    return {t for t, load in enumerate(
-                ring_loads(instance.jobs, placement, instance.base_load))
-            if load > instance.threshold}
+    _, loads = ring_walk(instance.jobs, placement, instance.base_load)
+    return {t for t, load in enumerate(loads) if load > instance.threshold}
 
 
 def _ref_repair_incumbent(instance):
@@ -633,12 +637,12 @@ def _ref_repair_incumbent(instance):
 
 
 def _ref_bound_table(instance, order, depth):
-    """The bound table of ``depth``, rebuilt from ``ring_loads`` over the
+    """The bound table of ``depth``, rebuilt from ``ring_walk`` over the
     unplaced jobs and each rack's sorted options."""
     unplaced = order[depth:]
-    loads = ring_loads([instance.jobs[i] for i in unplaced],
-                       [instance.initial[i] for i in unplaced],
-                       [0] * instance.num_racks)
+    _, loads = ring_walk([instance.jobs[i] for i in unplaced],
+                         [instance.initial[i] for i in unplaced],
+                         [0] * instance.num_racks)
     table = []
     for t in range(instance.num_racks):
         options = sorted(
@@ -797,11 +801,18 @@ def test_repair_keeps_the_rows_of_the_full_recompute(drawn):
     assert walk == defrag._initial_walk(inst)
 
 
+def _new_search(inst):
+    """``solve``'s search over ``inst``, given the job order and the
+    fragmented flags ``solve`` reads from the initial walk."""
+    split = defrag._initial_walk(inst)[2]
+    return defrag._Search(inst, None, defrag._job_order(inst, split), split)
+
+
 @settings(max_examples=300, deadline=None)
 @given(lockstep_instances())
 def test_bound_tables_are_the_rebuilt_ones(drawn):
     inst, _ = drawn
-    search = defrag._Search(inst, None)
+    search = _new_search(inst)
     depths = len(search.order) + 1
     want = [_ref_bound_table(inst, search.order, depth)
             for depth in range(depths)]
@@ -813,7 +824,7 @@ def test_bound_tables_are_the_rebuilt_ones(drawn):
 def _tabled_search(inst):
     """``solve``'s search over ``inst`` with the bound tables a search
     builds when it starts."""
-    search = defrag._Search(inst, None)
+    search = _new_search(inst)
     search.bound_tables = search._bound_tables()
     return search
 
@@ -927,7 +938,7 @@ def one_move_instances(draw):
             initial.append(row)
     # the layout is compliant: with the frozen load, each rack's ring
     # load is at the threshold, or one below it where ``slack`` says
-    loads = ring_loads(jobs, initial, [0] * num_racks)
+    _, loads = ring_walk(jobs, initial, [0] * num_racks)
     threshold = max(loads) + draw(st.integers(0, 1))
     slack = draw(st.lists(st.booleans(), min_size=num_racks,
                           max_size=num_racks))
@@ -989,11 +1000,11 @@ def test_one_move_scan_is_the_searchs_first_plan(drawn):
     incumbent = defrag._repair_incumbent(inst, walk)
     floor = defrag._root_floor(inst, walk)
     if floor == 1 and (max_moves is None or max_moves >= 1):
-        search = defrag._Search(inst, None)
+        search = _new_search(inst)
         search.run(None, floor, max_moves)
         first = tuple(search.best) if search.bound == 1 else None
         assert defrag._one_move_plan(inst, search.order, walk) == first
-    search = defrag._Search(inst, None)
+    search = _new_search(inst)
     search.run(incumbent, floor, max_moves)
     try:
         plan = solve(inst, time_limit=None, max_moves=max_moves)

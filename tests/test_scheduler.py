@@ -250,33 +250,40 @@ def stage_view(stages):
             for job, row in zip(stages.jobs, stages.rows, strict=True)]
 
 
-def model_ring_loads(model, expected):
-    """Each rack's ring load over the model's stage rows: the ring
-    weight of every stage spanning two or more racks, on each of them."""
+def model_ring_walk(model, expected):
+    """Whether each of the model's stage rows spans two or more racks,
+    and each rack's ring load over them: the ring weight of every stage
+    that does, on each of its racks."""
+    fragmented = []
     loads = [0] * model.topology.num_racks
     for _, _, _, weight, row in expected:
         racks = [t for t, v in enumerate(row) if v]
-        if len(racks) >= 2:
+        split = len(racks) >= 2
+        fragmented.append(split)
+        if split:
             for t in racks:
                 loads[t] += weight
-    return loads
+    return fragmented, loads
 
 
 def assert_stage_rows(placement, model):
-    """The placement's stage rows, kept or walked, and their ring loads
-    match the model's, and changing a returned StageRows leaves the next
-    read as it was."""
+    """The placement's stage rows, kept or walked, their fragmented flags
+    and their ring loads match the model's, and changing a returned
+    StageRows leaves the next read as it was."""
     expected = model_stage_rows(model)
-    loads = model_ring_loads(model, expected)
+    fragmented, loads = model_ring_walk(model, expected)
     stages = stage_rows(placement)
     assert stage_view(stages) == expected
+    assert stages.fragmented == fragmented
     assert stages.loads == loads
     assert all(type(row) is tuple for row in stages.rows)
     stages.jobs.reverse()
     stages.rows.clear()
+    stages.fragmented.clear()
     stages.loads[:] = [load + 1 for load in stages.loads]
     again = stage_rows(placement)
     assert stage_view(again) == expected
+    assert again.fragmented == fragmented
     assert again.loads == loads
 
 

@@ -646,37 +646,53 @@ def test_defrag_rebuilds_plans_only_after_moves(monkeypatch):
 
 def test_stage_rows_built_once_per_placement_change(monkeypatch):
     """The fragmentation record and the controller share one build of
-    the stage rows, whose one pass sums the ring loads; nothing in the
-    run sums them again."""
-    builds, instances, sums = [], [], []
+    the stage rows, whose one ``ring_walk`` sums the ring loads; the only
+    other walk in the run is each controller solve's walk of its
+    instance's initial rows."""
+    builds, instances, events = [], [], []
     real_rows = fragmentation.stage_rows
     real_build = controller.build_instance
-    real_loads = defrag.ring_loads
+    real_walk = defrag.ring_walk
+    real_solve = controller.solve
 
     def rows(placement):
         builds.append(placement)
+        events.append(("build", None))
         return real_rows(placement)
 
-    def loads(jobs, rows, base):
-        sums.append(len(rows))
-        return real_loads(jobs, rows, base)
+    def walk(jobs, rows, base):
+        events.append(("walk", rows))
+        return real_walk(jobs, rows, base)
 
     def build(placement, threshold, stages=None):
         instance = real_build(placement, threshold, stages)
         instances.append(instance)
         return instance
 
+    def solve(instance, **kwargs):
+        events.append(("solve", instance.initial))
+        return real_solve(instance, **kwargs)
+
     for module in (fragmentation, controller, simulate):
         monkeypatch.setattr(module, "stage_rows", rows)
     monkeypatch.setattr(controller, "build_instance", build)
-    monkeypatch.setattr(defrag, "ring_loads", loads)
+    monkeypatch.setattr(controller, "solve", solve)
+    for module in (fragmentation, defrag):
+        monkeypatch.setattr(module, "ring_walk", walk)
     result = run_simulation(SMALL_TOPO, small_trace(seed=0), "defrag-perfect",
                             solver_time_limit=5.0)
     assert result.defrag_events and any(instances)
     # one record per timestamp whose placement changed
     times = [t for t, *_ in result.frag_series]
     assert len(set(times)) == len(times) == len(builds)
-    assert sums == []
+    # each build walks its rows once, and each solve its initial rows
+    solves = sum(kind == "solve" for kind, _ in events)
+    assert solves >= len(result.defrag_events)
+    assert len(events) == 2 * (len(builds) + solves)
+    for (kind, initial), (next_kind, rows) in zip(events[::2], events[1::2]):
+        assert kind in ("build", "solve") and next_kind == "walk"
+        if kind == "solve":
+            assert rows is initial
 
 
 def test_sglb_fast_path_audits_pass_and_skip_rebalances(monkeypatch):
