@@ -274,7 +274,8 @@ def _initial_walk(instance: SolverInstance) -> _Walk:
     for job, row in zip(instance.jobs, instance.initial):
         unit = job.unit_size
         for t, v in enumerate(row):
-            free[t] -= unit * v
+            if v:
+                free[t] -= unit * v
     return free, loads, split
 
 
@@ -306,13 +307,14 @@ def _repair_incumbent(instance: SolverInstance, walk: _Walk
     that rack into the job's other racks (never adds ring load anywhere)
     or consolidate the whole job onto a single rack. Usually lands within
     a few unit moves of the optimum, giving the search a tight bound.
-    It starts from copies of the initial walk's free slots and ring
-    loads, then a fix moves only the fixed job's share."""
+    It starts from copies of the initial walk's free slots, ring loads
+    and fragmented flags, then a fix moves only the fixed job's share
+    and tests only its row."""
     jobs = instance.jobs
     num_racks = instance.num_racks
     threshold = instance.threshold
     placement = [list(row) for row in instance.initial]
-    free, loads = list(walk[0]), list(walk[1])
+    free, loads, split = list(walk[0]), list(walk[1]), list(walk[2])
 
     for _ in range(4 * len(jobs) + 4):
         for t, load in enumerate(loads):
@@ -326,7 +328,7 @@ def _repair_incumbent(instance: SolverInstance, walk: _Walk
         best_cost = 0
         for i, row in enumerate(placement):
             here = row[t]
-            if here == 0 or not is_fragmented(row):
+            if here == 0 or not split[i]:
                 continue
             job = jobs[i]
             unit, units = job.unit_size, job.units
@@ -370,7 +372,8 @@ def _repair_incumbent(instance: SolverInstance, walk: _Walk
             row = placement[i] = [0] * num_racks
             row[arg] = job.units
             free[arg] -= job.units * unit
-        if is_fragmented(row):
+        split[i] = is_fragmented(row)
+        if split[i]:
             for u, v in enumerate(row):
                 if v:
                     loads[u] += weight
@@ -398,7 +401,8 @@ def _root_floor(instance: SolverInstance, walk: _Walk) -> int:
             v = row[t]
             if v and fragmented:
                 costs.append(_own_change(job, v))
-                max_weight = max(max_weight, job.ring_weight)
+                if job.ring_weight > max_weight:
+                    max_weight = job.ring_weight
         if costs:
             costs.sort()
             cost = sum(costs[:math.ceil((load - threshold) / max_weight)])
